@@ -3,7 +3,6 @@
 from .backward import (
     BackwardSpec,
     CustomGamma,
-    MeanRateCurve,
     SyntheticSqrtGamma,
     VasicekGamma,
     backward_optimal_paths,
@@ -29,7 +28,6 @@ from .curves import (
     ramsey_curve_mc,
     ramsey_flat_closed,
     ramsey_rate_mc,
-    risk_neutral_zc_mc,
     zc_price_gamma_market,
     zc_price_gaussian,
     zc_price_mc,
@@ -56,7 +54,7 @@ from .market import (
     wealth_paths,
 )
 from .rates import ConstantRate, RatePaths, VasicekRate, simulate_short_rate, zc_volatility_vasicek
-from .subspace import SubspaceR, project
+from .subspace import SubspaceR
 from .utility import (
     NumericConjugate,
     PowerUtility,

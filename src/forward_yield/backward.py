@@ -9,16 +9,15 @@ optimal volatilities are consistent with Gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .brownian import BrownianBatch
 from .grids import DeterministicFn, TimeGrid
-from .market import MarketModel
+from .market import MarketModel, _coeff_on_steps, _exact_log_paths
 from .quadrature import gauss_legendre
-from .rates import VasicekRate
 
 
 # ---------------------------------------------------------------------------
@@ -140,60 +139,23 @@ GammaModel = Union[VasicekGamma, SyntheticSqrtGamma, CustomGamma]
 
 def vasicek_orthogonal_gamma(a: float, sigma_r: float, market: MarketModel) -> VasicekGamma:
     """Vasicek bond volatility placed entirely in the orthogonal complement."""
-    basis = market.subspace.basis
-    comp = np.eye(market.dim) - basis.T @ basis
-    # first complement direction of largest norm
-    norms = np.linalg.norm(comp, axis=1)
-    if norms.max() < 1e-12:
-        raise ValueError("market subspace is full; no orthogonal direction exists")
-    direction = comp[int(np.argmax(norms))]
-    direction = direction / np.linalg.norm(direction)
-    return VasicekGamma(a=a, sigma_r=sigma_r, direction=direction)
+    return VasicekGamma(a=a, sigma_r=sigma_r, direction=market.subspace.complement_direction())
 
 
 # ---------------------------------------------------------------------------
-# time-0 curve input
-
-
-@dataclass(frozen=True)
-class MeanRateCurve:
-    """Mean short rate t -> E[r_t] and its integral, the deterministic part
-    of the Gaussian representation of the integrated rate."""
-
-    rate: Callable[[np.ndarray], np.ndarray]
-    integral: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def flat(cls, r: float) -> "MeanRateCurve":
-        return cls(rate=lambda t: np.full(np.shape(t), float(r)), integral=lambda t: float(r) * np.asarray(t, dtype=float))
-
-    @classmethod
-    def from_vasicek(cls, a: float, b: float, r0: float) -> "MeanRateCurve":
-        def rate(t):
-            return b + (r0 - b) * np.exp(-a * np.asarray(t, dtype=float))
-
-        def integral(t):
-            t = np.asarray(t, dtype=float)
-            return b * t + (r0 - b) * (1.0 - np.exp(-a * t)) / a
-
-        return cls(rate=rate, integral=integral)
-
-    @classmethod
-    def from_rate_model(cls, model) -> "MeanRateCurve":
-        if isinstance(model, VasicekRate):
-            return cls.from_vasicek(model.a, model.b, model.r0)
-        return cls.flat(model.rate)
+# backward problem
 
 
 @dataclass(frozen=True)
 class BackwardSpec:
-    """Horizon, risk aversion, bond-volatility model, and market."""
+    """Horizon, risk aversion, bond-volatility model, and market.
+
+    The mean of the integrated short rate comes from the market's rate model."""
 
     t_horizon: float
     alpha: float
     gamma: GammaModel
     market: MarketModel
-    mean_rate: MeanRateCurve
 
     def __post_init__(self) -> None:
         if not self.t_horizon > 0:
@@ -235,8 +197,8 @@ def rate_integral_paths(spec: BackwardSpec, grid: TimeGrid, batch: BrownianBatch
     """Paths of int_0^{t_k} r ds from the Gaussian representation.
 
     int_0^t r = F(t) - sum_{j<k} Gamma_{t_j}(t_k) . dW_j with F the mean
-    integral; left-endpoint sampling of Gamma keeps the stochastic integral
-    non-anticipative.
+    integral of the market's rate model; left-endpoint sampling of Gamma
+    keeps the stochastic integral non-anticipative.
     """
     k_steps = grid.n_steps
     times = grid.times
@@ -249,7 +211,7 @@ def rate_integral_paths(spec: BackwardSpec, grid: TimeGrid, batch: BrownianBatch
     stochastic = inc @ g_mat                                     # (n, K)
     out = np.empty((batch.n_paths, k_steps + 1))
     out[:, 0] = 0.0
-    out[:, 1:] = np.asarray(spec.mean_rate.integral(times[1:]), dtype=float) - stochastic
+    out[:, 1:] = np.asarray(spec.market.rate.expected_integral(times[1:]), dtype=float) - stochastic
     return out
 
 
@@ -284,34 +246,20 @@ def backward_optimal_paths(
         nu = nu_opt if nu is None else nu
         kappa = kappa_opt if kappa is None else kappa
 
-    sub = spec.market.subspace
-    steps = grid.times[:-1]
-    nu_k = np.atleast_2d(nu.values(steps))
-    kappa_k = np.atleast_2d(kappa.values(steps))
-    sub.require_orthogonal(nu_k, "dual volatility nu")
-    sub.require_contains(kappa_k, "portfolio volatility kappa")
-    eta_k = spec.market.premium_on_steps(grid)
+    market = spec.market
+    nu_k = _coeff_on_steps(nu, grid, market.dim, "nu")
+    kappa_k = _coeff_on_steps(kappa, grid, market.dim, "kappa")
+    market.subspace.require_orthogonal(nu_k, "dual volatility nu")
+    market.subspace.require_contains(kappa_k, "portfolio volatility kappa")
+    eta_k = market.premium_on_steps(grid)
 
     int_r = rate_integral_paths(spec, grid, batch)
     step_int = np.diff(int_r, axis=1)
-    h = grid.dt
-
     vol_y = nu_k - eta_k
-    dlog_y = (
-        np.einsum("nkd,kd->nk", batch.increments, vol_y)
-        - step_int
-        - 0.5 * np.sum(vol_y * vol_y, axis=1) * h
-    )
-    dlog_x = (
-        np.einsum("nkd,kd->nk", batch.increments, kappa_k)
-        + step_int
-        + (np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)) * h
-    )
-    log_y = np.zeros_like(int_r)
-    log_x = np.zeros_like(int_r)
-    np.cumsum(dlog_y, axis=1, out=log_y[:, 1:])
-    np.cumsum(dlog_x, axis=1, out=log_x[:, 1:])
-    return BackwardPaths(grid=grid, x=np.exp(log_x), y=np.exp(log_y), int_r=int_r, nu=nu, kappa=kappa)
+    drift_x = np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
+    x = _exact_log_paths(batch.increments, kappa_k, step_int, drift_x, grid.dt, 1.0)
+    y = _exact_log_paths(batch.increments, vol_y, -step_int, -0.5 * np.sum(vol_y * vol_y, axis=1), grid.dt, 1.0)
+    return BackwardPaths(grid=grid, x=x, y=y, int_r=int_r, nu=nu, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -323,16 +271,10 @@ class TerminalConstraintReport:
     max_abs_dev: float    # max |value / mean - 1|
 
 
-def terminal_constraint_check(
-    spec: BackwardSpec,
-    grid: TimeGrid,
-    batch: BrownianBatch,
-    nu: Optional[DeterministicFn] = None,
-    kappa: Optional[DeterministicFn] = None,
-) -> TerminalConstraintReport:
-    """Dispersion of the terminal product; ~1e-15 for the consistent control."""
-    paths = backward_optimal_paths(spec, grid, batch, nu=nu, kappa=kappa)
-    k_h = grid.index_of(spec.t_horizon)
+def terminal_constraint_check(spec: BackwardSpec, paths: BackwardPaths) -> TerminalConstraintReport:
+    """Dispersion of the terminal product of simulated backward paths; ~1e-15
+    for the consistent control."""
+    k_h = paths.grid.index_of(spec.t_horizon)
     z = paths.y[:, k_h] * np.power(paths.x[:, k_h], spec.alpha)
     mean = float(np.mean(z))
     return TerminalConstraintReport(
@@ -391,9 +333,7 @@ def horizon_dependency_experiment(
     for t_h in horizons:
         if t_h < t_common:
             raise ValueError("t_common must precede every horizon")
-        sub_spec = BackwardSpec(
-            t_horizon=float(t_h), alpha=spec.alpha, gamma=spec.gamma, market=spec.market, mean_rate=spec.mean_rate
-        )
+        sub_spec = replace(spec, t_horizon=float(t_h))
         k_h = grid.index_of(t_h)
         sub_grid, sub_batch = _subgrid_batch(grid, batch, k_h)
         solved[t_h] = (sub_spec, backward_optimal_paths(sub_spec, sub_grid, sub_batch))

@@ -23,9 +23,12 @@ from .config import (
     build_gamma,
     build_grid,
     build_market,
+    grid_indices,
+    horizon_params,
     load_config,
     output_params,
     simulation_params,
+    tenor_list,
     verify_thresholds,
 )
 from .curves import (
@@ -115,13 +118,6 @@ def _apply_overrides(cfg: dict, args) -> None:
         cfg["output"]["format"] = args.format
 
 
-def _tenor_indices(grid, tenors) -> list[int]:
-    try:
-        return [grid.index_of(t) for t in tenors]
-    except ValueError as exc:
-        raise ConfigError(f"output.tenors: {exc}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -132,12 +128,13 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
     alpha = float(block["alpha"])
     growth = float(block["growth"])
     sigma = float(block["sigma"])
-    tenors = [float(t) for t in block.get("tenors", cfg["output"]["tenors"])]
+    tenors = tenor_list(block.get("tenors", cfg["output"]["tenors"]), "ramsey.tenors")
     n_paths, seed, _ = simulation_params(cfg)
     _, out_dir, fmt = output_params(cfg)
 
     horizon = max(tenors)
     grid = make_grid(horizon, int(round(horizon / 0.25)))
+    grid_indices(grid, tenors, "ramsey.tenors")
     batch = sample_brownian(seed, grid, dim=1, n_paths=n_paths)
     c_paths = gbm_consumption_paths(1.0, growth, sigma, grid, batch)
     report = ramsey_curve_mc(beta, alpha, c_paths, grid, tenors)
@@ -178,14 +175,14 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     grid = build_grid(cfg)
     n_paths, seed, inner_paths = simulation_params(cfg)
     tenors, out_dir, fmt = output_params(cfg)
-    ks = _tenor_indices(grid, tenors)
+    ks = grid_indices(grid, tenors, "output.tenors")
 
     batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
     triple = simulate_optimal(spec, market, grid, batch)
 
     prices, stderrs, closed, neutral = [], [], [], []
     for t, k in zip(tenors, ks):
-        p, se = marginal_zc_mc(triple, 0, k)
+        p, se = zc_price_mc(triple.state_price.values, 0, k)
         prices.append(p)
         stderrs.append(se)
         closed.append(float(zc_price_gaussian(market, spec.nu_star, 0.0, t)))
@@ -223,7 +220,7 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
 
     asof = float(cfg.get("output", {}).get("asof", 0.0))
     if asof > 0.0:
-        k_t = grid.index_of(asof)
+        (k_t,) = grid_indices(grid, [asof], "output.asof")
         nested_rows = []
         for t, k in zip(tenors, ks):
             if k <= k_t:
@@ -258,12 +255,13 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
         )
     n_paths, seed, _ = simulation_params(cfg)
     tenors, out_dir, fmt = output_params(cfg)
+    grid_indices(grid, [spec.t_horizon], "spec.t_horizon")
     tenors = [t for t in tenors if t <= spec.t_horizon + 1e-12]
-    ks = _tenor_indices(grid, tenors)
+    ks = grid_indices(grid, tenors, "output.tenors")
 
     batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
-    constraint = terminal_constraint_check(spec, grid, batch)
     paths = backward_optimal_paths(spec, grid, batch)
+    constraint = terminal_constraint_check(spec, paths)
 
     prices, stderrs, closed, neutral = [], [], [], []
     for t, k in zip(tenors, ks):
@@ -435,8 +433,9 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     _, out_dir, fmt = output_params(cfg)
 
     block = cfg["davis"]
-    maturity = float(block.get("maturity", grid.horizon))
-    k_mat = grid.index_of(maturity)
+    maturity = block.get("maturity", grid.horizon)
+    (k_mat,) = grid_indices(grid, [maturity], "davis.maturity")
+    maturity = float(maturity)
     payoff_cfg = block.get("payoff", {"kind": "unit"})
     kind = payoff_cfg.get("kind", "unit")
 
@@ -488,16 +487,15 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
 
 def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
     market = build_market(cfg)
-    horizons = [float(t) for t in cfg["spec"].get("t_horizons", [])]
-    if len(horizons) < 2:
-        raise ConfigError("spec.t_horizons: need at least two horizons for the experiment")
-    t_common = float(cfg["spec"].get("t_common", min(horizons) / 2.0))
+    horizons, t_common = horizon_params(cfg)
     spec = build_backward_spec(cfg, market, t_horizon=max(horizons))
     n_paths, seed, _ = simulation_params(cfg)
     _, out_dir, fmt = output_params(cfg)
 
     horizon = max(horizons)
     grid = make_grid(horizon, int(round(horizon / 0.25)))
+    grid_indices(grid, horizons, "spec.t_horizons")
+    grid_indices(grid, [t_common], "spec.t_common")
     batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
     report = horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
 

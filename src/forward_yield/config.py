@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -19,7 +20,7 @@ from typing import Any, Mapping
 import numpy as np
 import yaml
 
-from .backward import BackwardSpec, MeanRateCurve, SyntheticSqrtGamma, VasicekGamma
+from .backward import BackwardSpec, SyntheticSqrtGamma, VasicekGamma
 from .errors import ConfigError
 from .forward import ForwardPowerSpec
 from .grids import DeterministicFn, TimeGrid, make_grid
@@ -65,6 +66,16 @@ def _fail(field: str, message: str, value=None) -> ConfigError:
     return ConfigError(f"{field}: {message}{suffix}")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML loader that also reads exponent floats without a dot, such
+    as 1e-9, which the YAML 1.1 resolver leaves as strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789")
+)
+
+
 def load_config(path: str | Path | None) -> dict[str, Any]:
     """Read a JSON/YAML config and merge it over the defaults."""
     merged = copy.deepcopy(DEFAULT_CONFIG)
@@ -78,7 +89,7 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
         if path.suffix.lower() == ".json":
             user = json.loads(text)
         else:
-            user = yaml.safe_load(text)
+            user = yaml.load(text, Loader=_ConfigLoader)
     except (json.JSONDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON/YAML: {exc}") from exc
     if not isinstance(user, Mapping):
@@ -157,6 +168,14 @@ def time_function(value, dim: int | None, field: str) -> DeterministicFn:
     return DeterministicFn.constant(_vector(value, dim, field))
 
 
+def grid_indices(grid: TimeGrid, times, field: str) -> list[int]:
+    """Grid index of each time; an off-grid time fails with the field named."""
+    try:
+        return [grid.index_of(float(t)) for t in times]
+    except (TypeError, ValueError) as exc:
+        raise _fail(field, str(exc))
+
+
 def build_grid(cfg: Mapping[str, Any]) -> TimeGrid:
     horizon = _positive_number(_require(cfg, "simulation.horizon"), "simulation.horizon")
     n_steps = _require(cfg, "simulation.n_steps")
@@ -218,66 +237,77 @@ def build_market(cfg: Mapping[str, Any]) -> MarketModel:
 
 def build_forward_spec(cfg: Mapping[str, Any], market: MarketModel) -> ForwardPowerSpec:
     alpha = _alpha(_require(cfg, "spec.alpha"), "spec.alpha")
+    psi_cfg = _require(cfg, "spec.psi_hat")
     spec = ForwardPowerSpec(
         alpha=alpha,
         kappa_star=time_function(_require(cfg, "spec.kappa_star"), market.dim, "spec.kappa_star"),
         nu_star=time_function(_require(cfg, "spec.nu_star"), market.dim, "spec.nu_star"),
-        psi_hat=time_function(_require(cfg, "spec.psi_hat"), None, "spec.psi_hat"),
+        psi_hat=time_function(psi_cfg, None, "spec.psi_hat"),
     )
+    psi_values = psi_cfg["values"] if isinstance(psi_cfg, Mapping) else psi_cfg
+    if np.any(np.asarray(psi_values, dtype=float) < 0):
+        raise _fail("spec.psi_hat", "must be nonnegative", psi_cfg)
     return spec
 
 
 def build_gamma(cfg: Mapping[str, Any], market: MarketModel):
     gamma_cfg = _require(cfg, "spec.gamma")
     model = gamma_cfg.get("model")
+    if model not in ("vasicek_orthogonal", "synthetic_sqrt"):
+        raise _fail("spec.gamma.model", "must be 'vasicek_orthogonal' or 'synthetic_sqrt'", model)
+    basis = market.subspace.basis
+    if model == "synthetic_sqrt" and basis.shape[0] == 0:
+        raise _fail("spec.gamma", "synthetic_sqrt needs a nontrivial subspace")
+    try:
+        direction = market.subspace.complement_direction()
+    except ValueError:
+        raise _fail("spec.gamma", f"{model} needs a market with an unhedgeable direction")
     if model == "vasicek_orthogonal":
-        basis = market.subspace.basis
-        comp = np.eye(market.dim) - basis.T @ basis
-        norms = np.linalg.norm(comp, axis=1)
-        if norms.max() < 1e-12:
-            raise _fail("spec.gamma", "vasicek_orthogonal needs a market with an unhedgeable direction")
-        direction = comp[int(np.argmax(norms))]
-        direction /= np.linalg.norm(direction)
         return VasicekGamma(
             a=_positive_number(gamma_cfg.get("a"), "spec.gamma.a"),
             sigma_r=_nonnegative_number(gamma_cfg.get("sigma_r"), "spec.gamma.sigma_r"),
             direction=direction,
         )
-    if model == "synthetic_sqrt":
-        basis = market.subspace.basis
-        if basis.shape[0] == 0:
-            raise _fail("spec.gamma", "synthetic_sqrt needs a nontrivial subspace")
-        comp = np.eye(market.dim) - basis.T @ basis
-        norms = np.linalg.norm(comp, axis=1)
-        if norms.max() < 1e-12:
-            raise _fail("spec.gamma", "synthetic_sqrt needs an unhedgeable direction")
-        dir_perp = comp[int(np.argmax(norms))]
-        dir_perp /= np.linalg.norm(dir_perp)
-        return SyntheticSqrtGamma(
-            c_r=_nonnegative_number(gamma_cfg.get("c_r", 0.0), "spec.gamma.c_r"),
-            c_perp=_nonnegative_number(gamma_cfg.get("c_perp", 0.0), "spec.gamma.c_perp"),
-            dir_r=basis[0],
-            dir_perp=dir_perp,
-        )
-    raise _fail("spec.gamma.model", "must be 'vasicek_orthogonal' or 'synthetic_sqrt'", model)
+    return SyntheticSqrtGamma(
+        c_r=_nonnegative_number(gamma_cfg.get("c_r", 0.0), "spec.gamma.c_r"),
+        c_perp=_nonnegative_number(gamma_cfg.get("c_perp", 0.0), "spec.gamma.c_perp"),
+        dir_r=basis[0],
+        dir_perp=direction,
+    )
 
 
 def build_backward_spec(cfg: Mapping[str, Any], market: MarketModel, t_horizon: float | None = None) -> BackwardSpec:
     alpha = _alpha(_require(cfg, "spec.alpha"), "spec.alpha")
     horizon = t_horizon if t_horizon is not None else _positive_number(_require(cfg, "spec.t_horizon"), "spec.t_horizon")
-    gamma = build_gamma(cfg, market)
-    mean_rate = MeanRateCurve.from_rate_model(market.rate)
-    return BackwardSpec(t_horizon=horizon, alpha=alpha, gamma=gamma, market=market, mean_rate=mean_rate)
+    return BackwardSpec(t_horizon=horizon, alpha=alpha, gamma=build_gamma(cfg, market), market=market)
 
 
-def output_params(cfg: Mapping[str, Any]) -> tuple[list[float], str, str]:
-    tenors = _require(cfg, "output.tenors")
+def horizon_params(cfg: Mapping[str, Any]) -> tuple[list[float], float]:
+    """Horizons of the horizon experiment and the common date they are compared at."""
+    spec = cfg["spec"]
+    horizons = spec.get("t_horizons", [])
+    if not isinstance(horizons, list) or len(horizons) < 2:
+        raise _fail("spec.t_horizons", "need at least two horizons for the experiment")
+    horizons = [_positive_number(t, "spec.t_horizons") for t in horizons]
+    t_common = _nonnegative_number(spec.get("t_common", min(horizons) / 2.0), "spec.t_common")
+    if t_common > min(horizons):
+        raise _fail("spec.t_common", f"must not exceed the smallest horizon {min(horizons)}", t_common)
+    return horizons, t_common
+
+
+def tenor_list(tenors, field: str) -> list[float]:
+    """Strictly increasing positive tenors."""
     try:
         vals = [float(t) for t in tenors]
     except (TypeError, ValueError):
-        raise _fail("output.tenors", "must be a list of positive reals", tenors)
+        raise _fail(field, "must be a list of positive reals", tenors)
     if not vals or any(t <= 0 for t in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
-        raise _fail("output.tenors", "must be strictly increasing positive reals", tenors)
+        raise _fail(field, "must be strictly increasing positive reals", tenors)
+    return vals
+
+
+def output_params(cfg: Mapping[str, Any]) -> tuple[list[float], str, str]:
+    vals = tenor_list(_require(cfg, "output.tenors"), "output.tenors")
     fmt = cfg.get("output", {}).get("format", "csv")
     if fmt not in ("csv", "json"):
         raise _fail("output.format", "must be 'csv' or 'json'", fmt)

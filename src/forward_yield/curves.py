@@ -176,9 +176,16 @@ def ramsey_curve_mc(
 # Gaussian closed-form zero-coupon prices
 
 
-def _tilt_integral(gamma_vec: Callable[[np.ndarray], np.ndarray], q: Callable[[np.ndarray], np.ndarray], t: float, t_mat: float) -> float:
-    """int_t^T Gamma_s(T) . q(s) ds for deterministic vector functions."""
-    return float(gauss_legendre(lambda s: np.sum(gamma_vec(s) * np.atleast_2d(q(s)), axis=1), t, t_mat))
+def _tilt_integral(
+    gamma_vec: Callable[[np.ndarray], np.ndarray], nu: DeterministicFn, eta: DeterministicFn, t: float, t_mat: float
+) -> float:
+    """int_t^T Gamma_s(T) . (nu(s) - eta(s)) ds for deterministic vector functions."""
+
+    def integrand(s):
+        q = np.atleast_2d(nu.values(s)) - np.atleast_2d(eta.values(s))
+        return np.sum(gamma_vec(s) * q, axis=1)
+
+    return float(gauss_legendre(integrand, t, t_mat))
 
 
 def market_gamma(market: MarketModel) -> Optional[VasicekGamma]:
@@ -210,12 +217,6 @@ def zc_price_gaussian(
         raise ValueError("maturity must not precede the pricing date")
     if t_mat == t:
         return np.asarray(1.0)
-    nu_fn = DeterministicFn.zero(market.dim) if nu is None else nu
-    eta = market.risk_premium
-
-    def q(s):
-        return np.atleast_2d(nu_fn.values(s)) - np.atleast_2d(eta.values(s))
-
     if isinstance(market.rate, ConstantRate):
         m_int = market.rate.rate * (t_mat - t)
         return np.exp(-m_int)
@@ -233,22 +234,18 @@ def zc_price_gaussian(
     gam = market_gamma(market)
     tilt = 0.0
     if gam is not None:
-        tilt = _tilt_integral(lambda s: gam.vectors(s, t_mat), q, t, t_mat)
+        nu_fn = DeterministicFn.zero(market.dim) if nu is None else nu
+        tilt = _tilt_integral(lambda s: gam.vectors(s, t_mat), nu_fn, market.risk_premium, t, t_mat)
     return np.exp(-m_int + 0.5 * v_int + tilt)
 
 
 def zc_price_gamma_market(spec: BackwardSpec, nu: Optional[DeterministicFn], t_mat: float) -> float:
     """Time-0 zero-coupon price in the log-normal market described by the
-    bond-volatility field and the mean short-rate curve."""
+    bond-volatility field and the mean of the market's short rate."""
     nu_fn = DeterministicFn.zero(spec.market.dim) if nu is None else nu
-    eta = spec.market.risk_premium
-
-    def q(s):
-        return np.atleast_2d(nu_fn.values(s)) - np.atleast_2d(eta.values(s))
-
-    m_int = float(spec.mean_rate.integral(t_mat))
+    m_int = float(spec.market.rate.expected_integral(t_mat))
     v_int = float(spec.gamma.int_sq(0.0, t_mat))
-    tilt = _tilt_integral(lambda s: spec.gamma.vectors(s, t_mat), q, 0.0, t_mat)
+    tilt = _tilt_integral(lambda s: spec.gamma.vectors(s, t_mat), nu_fn, spec.market.risk_premium, 0.0, t_mat)
     return float(np.exp(-m_int + 0.5 * v_int + tilt))
 
 
@@ -315,52 +312,17 @@ def _inner_ratios(triple: OptimalTriple, outer_index: int, k_t: int, k_mat: int,
     return InnerRatios(y_ratio=y.values[:, -1], x_ratio=x.values[:, -1], r_end=inner_rates.r[:, -1])
 
 
-@dataclass(frozen=True)
-class ConditionalZCReport:
-    """Per-outer-path conditional zero-coupon prices at a future date."""
-
-    t: float
-    maturity: float
-    prices: np.ndarray    # (n_outer,)
-    stderrs: np.ndarray   # (n_outer,)
-    rate_states: np.ndarray
-
-
 def marginal_zc_mc(
     triple: OptimalTriple,
     k_t: int,
     k_mat: int,
     inner_paths: int = 1024,
     max_outer: int = 256,
-):
-    """Marginal-utility zero-coupon price E[Y_T / Y_t | F_t].
-
-    At k_t = 0 returns (price, stderr) from the plain average.  At k_t > 0
-    conditional prices are estimated by nested simulation restarted from each
-    realized Markov state; one derived inner stream per outer path keeps the
-    output reproducible.
-    """
-    if k_t == 0:
-        return zc_price_mc(triple.state_price.values, 0, k_mat)
-    n_outer = min(max_outer, triple.n_paths)
-    prices = np.empty(n_outer)
-    stderrs = np.empty(n_outer)
-    for i in range(n_outer):
-        inner = _inner_ratios(triple, i, k_t, k_mat, inner_paths)
-        m, se = mean_stderr(inner.y_ratio)
-        prices[i], stderrs[i] = m, se
-    return ConditionalZCReport(
-        t=triple.grid.times[k_t],
-        maturity=triple.grid.times[k_mat],
-        prices=prices,
-        stderrs=stderrs,
-        rate_states=triple.rate_paths.r[:n_outer, k_t].copy(),
-    )
-
-
-def risk_neutral_zc_mc(y0_paths: np.ndarray, k_t: int, k_mat: int) -> tuple[float, float]:
-    """Risk-neutral price from minimal state-price density paths."""
-    return zc_price_mc(y0_paths, k_t, k_mat)
+) -> ConditionalPriceReport:
+    """Conditional marginal-utility zero-coupon prices E[Y_T / Y_t | F_t]:
+    the nested Davis price of the unit payoff.  The date-0 price is the plain
+    average zc_price_mc(triple.state_price.values, 0, k_mat)."""
+    return davis_price_conditional(lambda r, x, y: 1.0, triple, k_t, k_mat, inner_paths, max_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +370,14 @@ def hjm_forward_rates(
     interior = tenors[1:-1]
 
     nu_fn = DeterministicFn.zero(dim) if nu is None else nu
-
-    def q(s):
-        return np.atleast_2d(risk_premium.values(s)) - np.atleast_2d(nu_fn.values(s))
-
     if gamma is None:
         half_gamma_sq = np.zeros_like(interior)
         psi_prime = np.zeros_like(interior)
     else:
         half_gamma_sq = 0.5 * np.array([float(np.sum(gamma.vectors(0.0, float(t)) ** 2)) for t in interior])
-        psi = np.array([_tilt_integral(lambda s, t=float(t): gamma.vectors(s, t), q, 0.0, float(t)) for t in tenors])
+        psi = np.array(
+            [-_tilt_integral(lambda s, t=float(t): gamma.vectors(s, t), nu_fn, risk_premium, 0.0, float(t)) for t in tenors]
+        )
         psi_prime = (psi[2:] - psi[:-2]) / (2.0 * h)
 
     recon = f0 + half_gamma_sq - psi_prime
@@ -474,7 +434,9 @@ def long_rate(
 
     t_grid = np.asarray(t_grid, dtype=float)
     l_values = l0 + slope * t_grid
-    if slope == 0.0:
+    # the slope is a difference of the limits, so a flat curve can leave a
+    # rounding residue of their size
+    if abs(slope) <= 1e-12 * (abs(q_r) + abs(q_perp)):
         verdict = "constant"
     else:
         verdict = "increasing" if slope > 0 else "decreasing"
@@ -558,8 +520,8 @@ def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t:
 
 
 @dataclass(frozen=True)
-class ConditionalDavisReport:
-    """Per-outer-path conditional Davis prices at a future date."""
+class ConditionalPriceReport:
+    """Per-outer-path conditional prices at a future date."""
 
     t: float
     maturity: float
@@ -575,7 +537,7 @@ def davis_price_conditional(
     k_mat: int,
     inner_paths: int = 1024,
     max_outer: int = 256,
-) -> ConditionalDavisReport:
+) -> ConditionalPriceReport:
     """Conditional marginal-utility price E[zeta_T Y_T / Y_t | F_t].
 
     The payoff is a callable of the date-T Markov state,
@@ -597,7 +559,7 @@ def davis_price_conditional(
         deflated = zeta * inner.y_ratio
         m, se = mean_stderr(deflated)
         prices[i], stderrs[i] = m, se
-    return ConditionalDavisReport(
+    return ConditionalPriceReport(
         t=triple.grid.times[k_t],
         maturity=triple.grid.times[k_mat],
         prices=prices,

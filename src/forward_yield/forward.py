@@ -21,6 +21,7 @@ from .market import (
     MarketModel,
     StatePricePaths,
     WealthPaths,
+    _running_trapezoid,
     state_price_paths,
     wealth_paths,
 )
@@ -291,10 +292,7 @@ def value_process(utility: ProgressivePowerUtility, wealth: WealthPaths) -> np.n
     if wealth.consumption is not None:
         psi_all = np.asarray(utility.psi_hat.values(utility.grid.times), dtype=float)
         v = np.power(psi_all, alpha) * utility.zhat * _safe_power_value(wealth.consumption, alpha)
-        h = utility.grid.dt
-        running = np.zeros_like(g)
-        np.cumsum(0.5 * h * (v[:, :-1] + v[:, 1:]), axis=1, out=running[:, 1:])
-        g = g + running
+        g = g + _running_trapezoid(v, utility.grid.dt)
     return g
 
 

@@ -92,6 +92,35 @@ def _coeff_on_steps(fn: DeterministicFn, grid: TimeGrid, dim: int, what: str) ->
     return vals
 
 
+def _exact_log_paths(
+    increments: np.ndarray,
+    vol: np.ndarray,
+    rate_steps: np.ndarray,
+    drift: np.ndarray,
+    h: float,
+    level0: float,
+) -> np.ndarray:
+    """Exact per-step log scheme of a geometric process with deterministic
+    volatility: level0 * exp(cumsum(vol . dW + rate_steps + drift * h)),
+    with the value level0 at t_0 (Glasserman 2004, section 3.2).
+
+    increments is (n, K, dim), vol (K, dim), rate_steps (n, K) and drift (K,).
+    """
+    dlog = np.einsum("nkd,kd->nk", increments, vol) + rate_steps + drift * h
+    out = np.zeros((dlog.shape[0], dlog.shape[1] + 1))
+    np.cumsum(dlog, axis=1, out=out[:, 1:])
+    np.exp(out, out=out)
+    out *= level0
+    return out
+
+
+def _running_trapezoid(rates: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integral of per-date rate paths, zero at t_0."""
+    running = np.zeros_like(rates)
+    np.cumsum(0.5 * h * (rates[:, :-1] + rates[:, 1:]), axis=1, out=running[:, 1:])
+    return running
+
+
 def state_price_paths(
     market: MarketModel,
     grid: TimeGrid,
@@ -117,12 +146,10 @@ def state_price_paths(
         rate_paths = simulate_short_rate(market.rate, grid, batch)
 
     vol = nu_k - eta_k                                  # (K, dim)
-    mart = np.einsum("nkd,kd->nk", batch.increments, vol)
-    dlog = mart - rate_paths.step_integrals() - 0.5 * np.sum(vol * vol, axis=1) * grid.dt
-
-    log_y = np.zeros((batch.n_paths, grid.n_steps + 1))
-    np.cumsum(dlog, axis=1, out=log_y[:, 1:])
-    return StatePricePaths(grid=grid, values=y0 * np.exp(log_y), nu=nu, y0=float(y0))
+    values = _exact_log_paths(
+        batch.increments, vol, -rate_paths.step_integrals(), -0.5 * np.sum(vol * vol, axis=1), grid.dt, y0
+    )
+    return StatePricePaths(grid=grid, values=values, nu=nu, y0=float(y0))
 
 
 ConsumptionRule = Union[None, float, DeterministicFn, Callable[[float, np.ndarray], np.ndarray]]
@@ -153,7 +180,6 @@ def wealth_paths(
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
 
-    n, k_steps, h = batch.n_paths, grid.n_steps, grid.dt
     proportional = consumption is None or isinstance(consumption, (int, float, DeterministicFn))
 
     if proportional:
@@ -163,19 +189,13 @@ def wealth_paths(
             raise ValueError("proportional consumption rate must be scalar-valued")
         if np.any(psi_all < 0):
             raise ValueError("consumption rate must be nonnegative")
-        psi_k = psi_all[:-1]
-
-        mart = np.einsum("nkd,kd->nk", batch.increments, kappa_k)
-        drift = (np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1) - psi_k) * h
-        dlog = mart + rate_paths.step_integrals() + drift
-
-        log_x = np.zeros((n, k_steps + 1))
-        np.cumsum(dlog, axis=1, out=log_x[:, 1:])
-        values = x0 * np.exp(log_x)
+        drift = np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1) - psi_all[:-1]
+        values = _exact_log_paths(batch.increments, kappa_k, rate_paths.step_integrals(), drift, grid.dt, x0)
         c_paths = psi_all * values
         return WealthPaths(grid=grid, values=values, kappa=kappa, consumption=c_paths, x0=float(x0))
 
     # general rule: Euler with absorption at zero
+    n, k_steps, h = batch.n_paths, grid.n_steps, grid.dt
     values = np.empty((n, k_steps + 1))
     c_paths = np.empty((n, k_steps + 1))
     values[:, 0] = x0
@@ -208,11 +228,7 @@ def deflated_wealth_paths(state_prices: StatePricePaths, wealth: WealthPaths) ->
     y, x = state_prices.values, wealth.values
     m = y * x
     if wealth.consumption is not None:
-        yc = y * wealth.consumption
-        h = wealth.grid.dt
-        running = np.zeros_like(m)
-        np.cumsum(0.5 * h * (yc[:, :-1] + yc[:, 1:]), axis=1, out=running[:, 1:])
-        m = m + running
+        m = m + _running_trapezoid(y * wealth.consumption, wealth.grid.dt)
     return m
 
 

@@ -85,6 +85,16 @@ class SubspaceR:
     def component_perp(self, v: np.ndarray) -> np.ndarray:
         return self.project(v)[1]
 
+    def complement_direction(self) -> np.ndarray:
+        """Unit vector along the largest row of the complement projector
+        I - B^T B; rejects the full space, which has no such direction."""
+        comp = np.eye(self.dim) - self.basis.T @ self.basis
+        norms = np.linalg.norm(comp, axis=1)
+        if norms.max() < 1e-12:
+            raise ValueError("subspace is the full space; no orthogonal direction exists")
+        direction = comp[int(np.argmax(norms))]
+        return direction / np.linalg.norm(direction)
+
     def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
         """True when every row of v lies in the subspace up to tol (relative)."""
         _, perp = self.project(v)
@@ -104,8 +114,3 @@ class SubspaceR:
     def require_orthogonal(self, v: np.ndarray, what: str, tol: float = 1e-9) -> None:
         if not self.orthogonal_to(v, tol):
             raise SubspaceViolationError(f"{what} must lie in the orthogonal complement of the admissible subspace")
-
-
-def project(subspace: SubspaceR, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal decomposition v = v_in + v_perp relative to the subspace."""
-    return subspace.project(v)

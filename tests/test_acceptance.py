@@ -16,7 +16,6 @@ from forward_yield import (
     DeterministicFn,
     ForwardPowerSpec,
     MarketModel,
-    MeanRateCurve,
     PowerUtility,
     SubspaceR,
     SyntheticSqrtGamma,
@@ -32,7 +31,6 @@ from forward_yield import (
     horizon_dependency_experiment,
     long_rate,
     make_grid,
-    marginal_zc_mc,
     numeric_biconjugate,
     numeric_fenchel,
     pathwise_ramsey_report,
@@ -47,6 +45,7 @@ from forward_yield import (
     state_price_paths,
     terminal_constraint_check,
     zc_price_gaussian,
+    zc_price_mc,
 )
 from forward_yield.curves import forward_marginal_consumption_paths
 
@@ -225,20 +224,18 @@ def _vasicek_orthogonal_spec(t_horizon, alpha=0.5):
         subspace=SubspaceR.axes(2, [0]),
     )
     gamma = VasicekGamma(a=1.0, sigma_r=0.02, direction=E2)
-    return BackwardSpec(
-        t_horizon=t_horizon, alpha=alpha, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.03)
-    )
+    return BackwardSpec(t_horizon=t_horizon, alpha=alpha, gamma=gamma, market=market)
 
 
 def test_criterion_6_backward_terminal_constraint():
     spec = _vasicek_orthogonal_spec(10.0)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1006, grid, dim=2, n_paths=10_000)
-    consistent = terminal_constraint_check(spec, grid, batch)
+    consistent = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
 
     mismatched = _vasicek_orthogonal_spec(50.0)
     nu_wrong, kappa_wrong = solve_backward_vols(mismatched)
-    control = terminal_constraint_check(spec, grid, batch, nu=nu_wrong, kappa=kappa_wrong)
+    control = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch, nu=nu_wrong, kappa=kappa_wrong))
     ok = consistent.cv <= 1e-10 and control.cv > 1e-3
     _report(
         "criterion 6 (backward terminal constraint)",
@@ -255,7 +252,7 @@ def test_criterion_7_horizon_dependency():
     flat_gamma = BackwardSpec(
         t_horizon=50.0, alpha=0.5,
         gamma=VasicekGamma(a=1.0, sigma_r=0.0, direction=E2),
-        market=flat.market, mean_rate=flat.mean_rate,
+        market=flat.market,
     )
     no_noise = horizon_dependency_experiment(flat_gamma, [10.0, 50.0], grid, batch, t_common=5.0)
 
@@ -329,7 +326,7 @@ def test_criterion_9_complete_market_price_agreement():
     worst_mc_gap, worst_closed_z = 0.0, 0.0
     for tenor in (1.0, 2.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        marginal, se = marginal_zc_mc(triple, 0, k)
+        marginal, se = zc_price_mc(triple.state_price.values, 0, k)
         neutral = float(y0_paths.values[:, k].mean())
         worst_mc_gap = max(worst_mc_gap, abs(marginal - neutral) / max(se, 1e-300))
         closed = float(zc_price_gaussian(market, None, 0.0, tenor))

@@ -7,7 +7,6 @@ from forward_yield import (
     ConstantRate,
     DeterministicFn,
     MarketModel,
-    MeanRateCurve,
     SubspaceR,
     SyntheticSqrtGamma,
     VasicekGamma,
@@ -36,9 +35,7 @@ def incomplete_market(eta0=0.1, r=0.03):
 def vasicek_orthogonal_spec(t_horizon=10.0, alpha=0.5, eta0=0.1, sigma_r=SIGMA_R):
     market = incomplete_market(eta0=eta0)
     gamma = VasicekGamma(a=A, sigma_r=sigma_r, direction=E2)
-    return BackwardSpec(
-        t_horizon=t_horizon, alpha=alpha, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.03)
-    )
+    return BackwardSpec(t_horizon=t_horizon, alpha=alpha, gamma=gamma, market=market)
 
 
 def test_solved_vols_vasicek_orthogonal_closed_form():
@@ -104,7 +101,7 @@ def test_terminal_constraint_zero_dispersion():
     spec = vasicek_orthogonal_spec()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(515, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, grid, batch)
+    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
     assert report.cv <= 1e-10
     assert report.max_abs_dev <= 1e-9
 
@@ -113,7 +110,7 @@ def test_terminal_constraint_no_noise_case():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
     grid = make_grid(10.0, 20)
     batch = sample_brownian(616, grid, dim=2, n_paths=512)
-    report = terminal_constraint_check(spec, grid, batch)
+    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
     assert report.cv <= 1e-12
 
 
@@ -123,7 +120,7 @@ def test_terminal_constraint_detects_mismatched_horizon():
     nu_wrong, kappa_wrong = solve_backward_vols(wrong)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(717, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, grid, batch, nu=nu_wrong, kappa=kappa_wrong)
+    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch, nu=nu_wrong, kappa=kappa_wrong))
     # residual variance is computable in closed form from the vol difference
     assert report.cv > 1e-3
 
@@ -131,10 +128,10 @@ def test_terminal_constraint_detects_mismatched_horizon():
 def test_terminal_constraint_synthetic_sqrt():
     market = incomplete_market()
     gamma = SyntheticSqrtGamma(c_r=2e-5, c_perp=5e-5, dir_r=E1, dir_perp=E2)
-    spec = BackwardSpec(t_horizon=8.0, alpha=0.3, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.02))
+    spec = BackwardSpec(t_horizon=8.0, alpha=0.3, gamma=gamma, market=market)
     grid = make_grid(8.0, 32)
     batch = sample_brownian(818, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(spec, grid, batch)
+    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
     assert report.cv <= 1e-10
 
 
@@ -163,7 +160,7 @@ def test_horizon_gap_positive_for_vasicek_orthogonal():
 def test_horizon_gap_in_wealth_when_hedgeable_part_present():
     market = incomplete_market()
     gamma = SyntheticSqrtGamma(c_r=4e-5, c_perp=4e-5, dir_r=E1, dir_perp=E2)
-    spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.03))
+    spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=market)
     grid = make_grid(20.0, 80)
     batch = sample_brownian(1121, grid, dim=2, n_paths=1_000)
     report = horizon_dependency_experiment(spec, [10.0, 20.0], grid, batch, t_common=5.0)
@@ -185,9 +182,9 @@ def test_backward_rejects_alpha_out_of_range():
     market = incomplete_market()
     gamma = VasicekGamma(a=A, sigma_r=SIGMA_R, direction=E2)
     with pytest.raises(ValueError):
-        BackwardSpec(t_horizon=10.0, alpha=0.0, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.03))
+        BackwardSpec(t_horizon=10.0, alpha=0.0, gamma=gamma, market=market)
     with pytest.raises(ValueError):
-        BackwardSpec(t_horizon=-1.0, alpha=0.5, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.03))
+        BackwardSpec(t_horizon=-1.0, alpha=0.5, gamma=gamma, market=market)
 
 
 def test_grid_must_cover_horizon():

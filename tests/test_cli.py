@@ -4,7 +4,7 @@ import json
 import pytest
 
 from forward_yield.cli import main
-from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config
+from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config, verify_thresholds
 from forward_yield.tables import emit_table
 
 
@@ -39,6 +39,23 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
     code = run_cli("forward-curve", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert code == 2
     assert "market.subspace.basis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("davis", {"davis": {"maturity": 5.1}}, "davis.maturity"),
+        ("horizon", {"spec": {"t_horizons": [10.0, 30.1]}}, "spec.t_horizons"),
+        ("ramsey-flat", {"ramsey": {"tenors": [1.0, 2.1]}}, "ramsey.tenors"),
+        ("verify", {"spec": {"psi_hat": -0.1}}, "spec.psi_hat"),
+    ],
+)
+def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, command, overrides, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(overrides))
+    code = run_cli(command, "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert field in capsys.readouterr().err
 
 
 def test_ramsey_flat_outputs_and_determinism(tmp_path):
@@ -127,6 +144,22 @@ def test_long_rate_command_verdicts(tmp_path):
     assert float(backward_rows[0]["slope"]) == pytest.approx(-1.5e-5, abs=1e-12)
 
 
+def test_long_rate_flat_backward_verdict(tmp_path):
+    # 0.5 c_r = 0.5 (1 - 2 alpha) c_perp: the backward slope is zero analytically,
+    # but its two terms cancel only up to rounding
+    out = tmp_path / "out"
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({
+        "spec": {"gamma": {"model": "synthetic_sqrt", "c_r": 8e-6, "c_perp": 1e-5}},
+        "long_rate": {"alpha_backward": 0.1},
+    }))
+    assert run_cli("long-rate", "--config", str(cfg), "--out", str(out)) == 0
+    with (out / "long_rate.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["verdict"] for r in rows if r["mode"] == "backward"} == {"constant"}
+    assert {r["verdict"] for r in rows if r["mode"] == "forward"} == {"increasing"}
+
+
 def test_davis_command(tmp_path):
     out = tmp_path / "out"
     assert run_cli("davis", "--paths", "20000", "--out", str(out)) == 0
@@ -191,6 +224,16 @@ def test_yaml_config_roundtrip(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows].count("marginal_mc") == 2
     assert {r["method"] for r in rows} == {"marginal_mc", "gaussian_closed", "risk_neutral"}
+
+
+def test_yaml_reads_exponent_floats(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("verify:\n  identity_tol: 1e-9\nlong_rate:\n  l0: 3E-2\nsimulation:\n  n_paths: 3000\n")
+    loaded = load_config(cfg)
+    assert verify_thresholds(loaded).identity_tol == 1e-9
+    assert loaded["long_rate"]["l0"] == 0.03
+    assert loaded["simulation"]["n_paths"] == 3000
+    assert isinstance(loaded["simulation"]["n_paths"], int)
 
 
 def test_forward_curve_nested_asof(tmp_path):

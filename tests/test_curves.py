@@ -9,7 +9,6 @@ from forward_yield import (
     DeterministicFn,
     ForwardPowerSpec,
     MarketModel,
-    MeanRateCurve,
     SubspaceR,
     SyntheticSqrtGamma,
     VasicekGamma,
@@ -152,7 +151,6 @@ def test_gaussian_price_orthogonal_tilt_sign():
     gamma = market_gamma(market)
     spec = BackwardSpec(
         t_horizon=10.0, alpha=0.5, gamma=gamma, market=market,
-        mean_rate=MeanRateCurve.from_vasicek(1.0, 0.03, 0.03),
     )
     nu, _ = solve_backward_vols(spec)
     marginal = zc_price_gaussian(market, nu, 0.0, 10.0)
@@ -171,7 +169,6 @@ def test_gamma_market_price_equals_rate_model_price():
     gamma = market_gamma(market)
     spec = BackwardSpec(
         t_horizon=10.0, alpha=0.5, gamma=gamma, market=market,
-        mean_rate=MeanRateCurve.from_vasicek(1.0, 0.03, 0.03),
     )
     for tenor in (2.0, 7.0):
         a = zc_price_gamma_market(spec, None, tenor)
@@ -191,7 +188,7 @@ def test_marginal_zc_time_zero_against_gaussian():
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        price, se = marginal_zc_mc(triple, 0, k)
+        price, se = zc_price_mc(triple.state_price.values, 0, k)
         closed = zc_price_gaussian(market, spec.nu_star, 0.0, tenor)
         assert abs(price - closed) < 3 * se
 
@@ -207,7 +204,7 @@ def test_marginal_zc_degenerate_cases():
     grid = make_grid(4.0, 16)
     batch = sample_brownian(3, grid, dim=2, n_paths=20_000)
     triple = simulate_optimal(spec, market, grid, batch)
-    price, se = marginal_zc_mc(triple, 0, grid.index_of(4.0))
+    price, se = zc_price_mc(triple.state_price.values, 0, grid.index_of(4.0))
     assert price == pytest.approx(1.0, abs=1e-12)  # unit state price
     assert zc_price_mc(triple.state_price.values, 5, 5) == (1.0, 0.0)
 
@@ -246,7 +243,7 @@ def test_complete_market_marginal_equals_risk_neutral():
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        price, se = marginal_zc_mc(triple, 0, k)
+        price, se = zc_price_mc(triple.state_price.values, 0, k)
         closed = zc_price_gaussian(market, None, 0.0, tenor)
         assert abs(price - closed) < 4 * se
 
@@ -315,9 +312,7 @@ def test_hjm_vasicek_forward_curve_matches_textbook():
 def test_hjm_synthetic_sqrt_gamma():
     market = incomplete_vasicek_market()
     gamma = SyntheticSqrtGamma(c_r=3e-5, c_perp=6e-5, dir_r=E1, dir_perp=E2)
-    spec = BackwardSpec(
-        t_horizon=10.0, alpha=0.5, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.03)
-    )
+    spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=market)
     nu, _ = solve_backward_vols(spec)
     tenors = np.arange(0.25, 10.01, 0.25)
     report = hjm_forward_rates(
@@ -415,7 +410,7 @@ def test_davis_unit_payoff_equals_zero_coupon():
     batch = sample_brownian(2468, grid, dim=2, n_paths=50_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
-    zc, _ = marginal_zc_mc(triple, 0, k)
+    zc, _ = zc_price_mc(triple.state_price.values, 0, k)
     unit = davis_price(np.ones(triple.n_paths), triple.state_price.values, k)
     assert unit.value == pytest.approx(zc, rel=1e-12)
 
@@ -534,7 +529,6 @@ def test_davis_capitalization_time_consistency():
     gamma = market_gamma(market)
     spec = BackwardSpec(
         t_horizon=10.0, alpha=0.5, gamma=gamma, market=market,
-        mean_rate=MeanRateCurve.from_vasicek(1.0, 0.03, 0.03),
     )
     grid = make_grid(10.0, 40)
     batch = sample_brownian(97531, grid, dim=2, n_paths=100_000)
@@ -567,7 +561,6 @@ def test_pathwise_ramsey_backward():
     gamma = market_gamma(market)
     spec = BackwardSpec(
         t_horizon=10.0, alpha=0.5, gamma=gamma, market=market,
-        mean_rate=MeanRateCurve.from_vasicek(1.0, 0.03, 0.03),
     )
     grid = make_grid(10.0, 40)
     batch = sample_brownian(86421, grid, dim=2, n_paths=2_000)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forward_yield import SubspaceR, project
+from forward_yield import SubspaceR
 
 TOL = 1e-12
 
 
 def test_axis_projection():
     s = SubspaceR.axes(2, [0])
-    v_in, v_perp = project(s, np.array([3.0, 4.0]))
+    v_in, v_perp = s.project(np.array([3.0, 4.0]))
     assert np.allclose(v_in, [3.0, 0.0])
     assert np.allclose(v_perp, [0.0, 4.0])
 
@@ -18,7 +18,7 @@ def test_axis_projection():
 def test_trivial_subspace():
     s = SubspaceR.trivial(3)
     v = np.array([1.0, -2.0, 0.5])
-    v_in, v_perp = project(s, v)
+    v_in, v_perp = s.project(v)
     assert np.allclose(v_in, 0.0)
     assert np.allclose(v_perp, v)
 
@@ -26,7 +26,7 @@ def test_trivial_subspace():
 def test_full_subspace():
     s = SubspaceR.full(3)
     v = np.array([1.0, -2.0, 0.5])
-    v_in, v_perp = project(s, v)
+    v_in, v_perp = s.project(v)
     assert np.allclose(v_in, v)
     assert np.allclose(v_perp, 0.0)
 
@@ -81,3 +81,12 @@ def test_membership_helpers():
     assert not s.contains(np.array([1.0, 2.0, 0.1]))
     assert s.orthogonal_to(np.array([0.0, 0.0, 5.0]))
     assert not s.orthogonal_to(np.array([1e-3, 0.0, 5.0]))
+
+
+def test_complement_direction_is_unit_and_orthogonal():
+    s = SubspaceR.span(np.array([[1.0, 1.0, 0.0]]), dim=3)
+    d = s.complement_direction()
+    assert np.linalg.norm(d) == pytest.approx(1.0, abs=TOL)
+    assert s.orthogonal_to(d, tol=TOL)
+    with pytest.raises(ValueError):
+        SubspaceR.full(2).complement_direction()

@@ -7,10 +7,10 @@ from forward_yield import (
     DeterministicFn,
     ForwardPowerSpec,
     MarketModel,
-    MeanRateCurve,
     SubspaceR,
     SyntheticSqrtGamma,
     VasicekRate,
+    backward_optimal_paths,
     first_order_check,
     hjb_residual,
     make_grid,
@@ -72,12 +72,10 @@ def test_marginal_price_three_dim_mc_vs_closed():
 def test_backward_terminal_constraint_three_dim_mixed_gamma():
     market, spec, dir_perp = tilted_setup()
     gamma = SyntheticSqrtGamma(c_r=3e-5, c_perp=5e-5, dir_r=market.subspace.basis[1], dir_perp=dir_perp)
-    back = BackwardSpec(
-        t_horizon=4.0, alpha=0.45, gamma=gamma, market=market, mean_rate=MeanRateCurve.flat(0.03)
-    )
+    back = BackwardSpec(t_horizon=4.0, alpha=0.45, gamma=gamma, market=market)
     grid = make_grid(4.0, 32)
     batch = sample_brownian(606062, grid, dim=3, n_paths=4_000)
-    report = terminal_constraint_check(back, grid, batch)
+    report = terminal_constraint_check(back, backward_optimal_paths(back, grid, batch))
     assert report.cv < 1e-10
 
     nu, kappa = solve_backward_vols(back)
