@@ -27,8 +27,6 @@ from .curves import (
     pathwise_ramsey_report,
     ramsey_curve_mc,
     ramsey_flat_closed,
-    ramsey_rate_mc,
-    zc_price_gamma_market,
     zc_price_gaussian,
     zc_price_mc,
 )
@@ -53,7 +51,7 @@ from .market import (
     state_price_paths,
     wealth_paths,
 )
-from .rates import ConstantRate, RatePaths, VasicekRate, simulate_short_rate, zc_volatility_vasicek
+from .rates import ConstantRate, RatePaths, VasicekRate, simulate_short_rate
 from .subspace import SubspaceR
 from .utility import (
     NumericConjugate,

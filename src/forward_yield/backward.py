@@ -211,7 +211,8 @@ def rate_integral_paths(spec: BackwardSpec, grid: TimeGrid, batch: BrownianBatch
     stochastic = inc @ g_mat                                     # (n, K)
     out = np.empty((batch.n_paths, k_steps + 1))
     out[:, 0] = 0.0
-    out[:, 1:] = np.asarray(spec.market.rate.expected_integral(times[1:]), dtype=float) - stochastic
+    rate = spec.market.rate
+    out[:, 1:] = np.asarray(rate.integral_mean(rate.r0, times[1:]), dtype=float) - stochastic
     return out
 
 

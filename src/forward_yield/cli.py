@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from . import __version__
-from .backward import backward_optimal_paths, horizon_dependency_experiment, terminal_constraint_check
+from .backward import GammaModel, backward_optimal_paths, horizon_dependency_experiment, terminal_constraint_check
 from .brownian import sample_brownian
 from .config import (
     build_backward_spec,
@@ -23,12 +23,14 @@ from .config import (
     build_gamma,
     build_grid,
     build_market,
+    davis_payoff,
     grid_indices,
     horizon_params,
     load_config,
+    long_rate_params,
     output_params,
+    ramsey_params,
     simulation_params,
-    tenor_list,
     verify_thresholds,
 )
 from .curves import (
@@ -42,12 +44,12 @@ from .curves import (
     pathwise_ramsey_report,
     ramsey_curve_mc,
     ramsey_flat_closed,
-    zc_price_gamma_market,
     zc_price_gaussian,
     zc_price_mc,
 )
 from .errors import ConfigError, ForwardYieldError
 from .forward import (
+    OptimalTriple,
     consistency_drift_test,
     first_order_check,
     hjb_residual,
@@ -56,9 +58,10 @@ from .forward import (
     scaled_consumption,
     simulate_optimal,
 )
-from .grids import make_grid
-from .market import wealth_paths
-from .tables import RunManifest, emit_table
+from .grids import DeterministicFn, TimeGrid, make_grid
+from .market import MarketModel, wealth_paths
+from .stats import mean_stderr
+from .tables import RunManifest
 
 CURVE_COLUMNS = ["tenor", "rate", "stderr", "method"]
 
@@ -119,18 +122,63 @@ def _apply_overrides(cfg: dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
+# shared run steps
+
+
+def _open_run(command: str, cfg: Mapping[str, Any]) -> RunManifest:
+    """Start the run's clock and fix where and in which format its tables go."""
+    _, seed, _ = simulation_params(cfg)
+    _, out_dir, fmt = output_params(cfg)
+    return RunManifest(command, cfg, seed, __version__, out_dir, fmt)
+
+
+def _forward_triple(cfg: Mapping[str, Any], grid: TimeGrid) -> OptimalTriple:
+    """Optimal processes of the configured forward spec on the grid."""
+    market = build_market(cfg)
+    spec = build_forward_spec(cfg, market)
+    n_paths, seed, _ = simulation_params(cfg)
+    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
+    return simulate_optimal(spec, market, grid, batch)
+
+
+def _curve_tables(
+    run: RunManifest, name: str, y_paths: np.ndarray, market: MarketModel, nu: DeterministicFn,
+    tenors: list[float], ks: list[int], gamma: Optional[GammaModel] = None,
+) -> tuple[Path, list[dict]]:
+    """Write the marginal_mc, gaussian_closed and risk_neutral curves of a
+    state-price density as one long table; return its path and the
+    per-tenor price rows."""
+    prices, stderrs, closed, neutral = [], [], [], []
+    for t, k in zip(tenors, ks):
+        p, se = zc_price_mc(y_paths, 0, k)
+        prices.append(p)
+        stderrs.append(se)
+        closed.append(float(zc_price_gaussian(market, nu, 0.0, t, gamma=gamma)))
+        neutral.append(float(zc_price_gaussian(market, None, 0.0, t, gamma=gamma)))
+    curve = curve_from_prices(np.array(prices), np.array(tenors), method="marginal_mc", stderrs=np.array(stderrs))
+    rows = [
+        {"tenor": t, "rate": r, "stderr": s, "method": curve.method}
+        for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
+    ]
+    for method, values in (("gaussian_closed", closed), ("risk_neutral", neutral)):
+        extra = curve_from_prices(np.array(values), np.array(tenors), method=method)
+        rows += [{"tenor": t, "rate": r, "stderr": 0.0, "method": method} for t, r in zip(extra.tenors, extra.rates)]
+    table = run.table(name, rows, columns=CURVE_COLUMNS)
+    detail = [
+        {"tenor": t, "mc_price": p, "mc_stderr": se, "gaussian_price": c, "risk_neutral_price": rn}
+        for t, p, se, c, rn in zip(tenors, prices, stderrs, closed, neutral)
+    ]
+    return table, detail
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
-    block = cfg["ramsey"]
-    beta = float(block["beta"])
-    alpha = float(block["alpha"])
-    growth = float(block["growth"])
-    sigma = float(block["sigma"])
-    tenors = tenor_list(block.get("tenors", cfg["output"]["tenors"]), "ramsey.tenors")
+    run = _open_run("ramsey-flat", cfg)
+    beta, alpha, growth, sigma, tenors = ramsey_params(cfg)
     n_paths, seed, _ = simulation_params(cfg)
-    _, out_dir, fmt = output_params(cfg)
 
     horizon = max(tenors)
     grid = make_grid(horizon, int(round(horizon / 0.25)))
@@ -140,15 +188,12 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
     report = ramsey_curve_mc(beta, alpha, c_paths, grid, tenors)
     closed = ramsey_flat_closed(beta, alpha, growth, sigma)
 
-    manifest = RunManifest("ramsey-flat", cfg, seed, __version__)
     curve = report.curve
     rows = [
         {"tenor": t, "rate": r, "stderr": s, "method": "ramsey_mc"}
         for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
     ]
-    table = emit_table(rows, fmt, Path(out_dir) / f"ramsey_flat_curve.{fmt}", columns=CURVE_COLUMNS)
-    manifest.add_output(table)
-
+    table = run.table("ramsey_flat_curve", rows, columns=CURVE_COLUMNS)
     detail_rows = [
         {
             "tenor": t,
@@ -159,10 +204,9 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
         }
         for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
     ]
-    detail = emit_table(detail_rows, fmt, Path(out_dir) / f"ramsey_flat_detail.{fmt}")
-    manifest.add_output(detail)
-    manifest.add_summary(closed_form=closed, max_spread=report.max_spread, max_spread_t=report.max_spread_t)
-    manifest.write(out_dir)
+    run.table("ramsey_flat_detail", detail_rows)
+    run.add_summary(closed_form=closed, max_spread=report.max_spread, max_spread_t=report.max_spread_t)
+    run.write()
 
     print(f"ramsey-flat: closed-form rate {closed:.6f}, max spread t-stat {report.max_spread_t:.2f}")
     print(f"wrote {table}")
@@ -170,57 +214,25 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
 
 
 def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
-    market = build_market(cfg)
-    spec = build_forward_spec(cfg, market)
+    run = _open_run("forward-curve", cfg)
     grid = build_grid(cfg)
-    n_paths, seed, inner_paths = simulation_params(cfg)
-    tenors, out_dir, fmt = output_params(cfg)
+    n_paths, _, inner_paths = simulation_params(cfg)
+    tenors, _, _ = output_params(cfg)
     ks = grid_indices(grid, tenors, "output.tenors")
+    asof = cfg["output"].get("asof", 0.0)
+    (k_t,) = grid_indices(grid, [asof], "output.asof")
+    asof = float(asof)
 
-    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
-    triple = simulate_optimal(spec, market, grid, batch)
+    triple = _forward_triple(cfg, grid)
+    table, detail_rows = _curve_tables(
+        run, "forward_curve", triple.state_price.values, triple.market, triple.spec.nu_star, tenors, ks
+    )
+    for row in detail_rows:
+        se = row["mc_stderr"]
+        row["mc_minus_gaussian_t"] = (row["mc_price"] - row["gaussian_price"]) / se if se > 0 else 0.0
+    run.table("forward_curve_detail", detail_rows)
 
-    prices, stderrs, closed, neutral = [], [], [], []
-    for t, k in zip(tenors, ks):
-        p, se = zc_price_mc(triple.state_price.values, 0, k)
-        prices.append(p)
-        stderrs.append(se)
-        closed.append(float(zc_price_gaussian(market, spec.nu_star, 0.0, t)))
-        neutral.append(float(zc_price_gaussian(market, None, 0.0, t)))
-    curve = curve_from_prices(np.array(prices), np.array(tenors), method="marginal_mc", stderrs=np.array(stderrs))
-    gaussian = curve_from_prices(np.array(closed), np.array(tenors), method="gaussian_closed")
-    neutral_curve = curve_from_prices(np.array(neutral), np.array(tenors), method="risk_neutral")
-
-    manifest = RunManifest("forward-curve", cfg, seed, __version__)
-    rows = [
-        {"tenor": t, "rate": r, "stderr": s, "method": curve.method}
-        for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
-    ]
-    for extra in (gaussian, neutral_curve):
-        rows += [
-            {"tenor": t, "rate": r, "stderr": 0.0, "method": extra.method}
-            for t, r in zip(extra.tenors, extra.rates)
-        ]
-    table = emit_table(rows, fmt, Path(out_dir) / f"forward_curve.{fmt}", columns=CURVE_COLUMNS)
-    manifest.add_output(table)
-
-    detail_rows = [
-        {
-            "tenor": t,
-            "mc_price": p,
-            "mc_stderr": se,
-            "gaussian_price": c,
-            "risk_neutral_price": rn,
-            "mc_minus_gaussian_t": (p - c) / se if se > 0 else 0.0,
-        }
-        for t, p, se, c, rn in zip(tenors, prices, stderrs, closed, neutral)
-    ]
-    detail = emit_table(detail_rows, fmt, Path(out_dir) / f"forward_curve_detail.{fmt}")
-    manifest.add_output(detail)
-
-    asof = float(cfg.get("output", {}).get("asof", 0.0))
     if asof > 0.0:
-        (k_t,) = grid_indices(grid, [asof], "output.asof")
         nested_rows = []
         for t, k in zip(tenors, ks):
             if k <= k_t:
@@ -236,16 +248,17 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
                     "method": "marginal_mc_nested",
                 }
             )
-        nested = emit_table(nested_rows, fmt, Path(out_dir) / f"forward_curve_asof.{fmt}", columns=CURVE_COLUMNS)
-        manifest.add_output(nested)
+        run.table("forward_curve_asof", nested_rows, columns=CURVE_COLUMNS)
 
-    manifest.add_summary(max_abs_mc_vs_gaussian_t=max(abs(r["mc_minus_gaussian_t"]) for r in detail_rows))
-    manifest.write(out_dir)
-    print(f"forward-curve: {len(rows)} tenors written to {table}")
+    run.add_summary(max_abs_mc_vs_gaussian_t=max(abs(r["mc_minus_gaussian_t"]) for r in detail_rows))
+    run.write()
+    # the long table has one row per (tenor, method)
+    print(f"forward-curve: {3 * len(detail_rows)} tenors written to {table}")
     return 0
 
 
 def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
+    run = _open_run("backward-curve", cfg)
     market = build_market(cfg)
     spec = build_backward_spec(cfg, market)
     grid = build_grid(cfg)
@@ -254,7 +267,7 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
             f"simulation.horizon: must cover spec.t_horizon={spec.t_horizon}, got {grid.horizon}"
         )
     n_paths, seed, _ = simulation_params(cfg)
-    tenors, out_dir, fmt = output_params(cfg)
+    tenors, _, _ = output_params(cfg)
     grid_indices(grid, [spec.t_horizon], "spec.t_horizon")
     tenors = [t for t in tenors if t <= spec.t_horizon + 1e-12]
     ks = grid_indices(grid, tenors, "output.tenors")
@@ -263,48 +276,15 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
     paths = backward_optimal_paths(spec, grid, batch)
     constraint = terminal_constraint_check(spec, paths)
 
-    prices, stderrs, closed, neutral = [], [], [], []
-    for t, k in zip(tenors, ks):
-        p, se = zc_price_mc(paths.y, 0, k)
-        prices.append(p)
-        stderrs.append(se)
-        closed.append(zc_price_gamma_market(spec, paths.nu, t))
-        neutral.append(zc_price_gamma_market(spec, None, t))
-    curve = curve_from_prices(np.array(prices), np.array(tenors), method="marginal_mc", stderrs=np.array(stderrs))
-    gaussian = curve_from_prices(np.array(closed), np.array(tenors), method="gaussian_closed")
-    neutral_curve = curve_from_prices(np.array(neutral), np.array(tenors), method="risk_neutral")
-
-    manifest = RunManifest("backward-curve", cfg, seed, __version__)
-    rows = [
-        {"tenor": t, "rate": r, "stderr": s, "method": curve.method}
-        for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
-    ]
-    for extra in (gaussian, neutral_curve):
-        rows += [
-            {"tenor": t, "rate": r, "stderr": 0.0, "method": extra.method}
-            for t, r in zip(extra.tenors, extra.rates)
-        ]
-    table = emit_table(rows, fmt, Path(out_dir) / f"backward_curve.{fmt}", columns=CURVE_COLUMNS)
-    manifest.add_output(table)
-    detail_rows = [
-        {
-            "tenor": t,
-            "mc_price": p,
-            "mc_stderr": se,
-            "gaussian_price": c,
-            "risk_neutral_price": rn,
-        }
-        for t, p, se, c, rn in zip(tenors, prices, stderrs, closed, neutral)
-    ]
-    detail = emit_table(detail_rows, fmt, Path(out_dir) / f"backward_curve_detail.{fmt}")
-    manifest.add_output(detail)
-    manifest.add_summary(
+    table, detail_rows = _curve_tables(run, "backward_curve", paths.y, market, paths.nu, tenors, ks, gamma=spec.gamma)
+    run.table("backward_curve_detail", detail_rows)
+    run.add_summary(
         terminal_constant=constraint.constant,
         terminal_cv=constraint.cv,
         horizon=spec.t_horizon,
         alpha=spec.alpha,
     )
-    manifest.write(out_dir)
+    run.write()
 
     print(f"backward-curve: terminal constant {constraint.constant:.6f}, dispersion {constraint.cv:.3e}")
     print(f"wrote {table}")
@@ -315,18 +295,12 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
 
 
 def _cmd_long_rate(cfg: Mapping[str, Any]) -> int:
+    run = _open_run("long-rate", cfg)
     market = build_market(cfg)
     gamma = build_gamma(cfg, market)
-    block = cfg["long_rate"]
-    l0 = float(block["l0"])
-    alpha_fwd = float(cfg["spec"]["alpha"])
-    alpha_bwd = float(block.get("alpha_backward", 0.25))
-    t_grid = np.linspace(0.0, float(block["t_max"]), 11)
-    probes = [float(p) for p in block.get("probes", [50.0, 100.0, 200.0])]
-    _, out_dir, fmt = output_params(cfg)
-    _, seed, _ = simulation_params(cfg)
+    l0, alpha_fwd, alpha_bwd, t_max, probes = long_rate_params(cfg)
+    t_grid = np.linspace(0.0, t_max, 11)
 
-    manifest = RunManifest("long-rate", cfg, seed, __version__)
     rows = []
     probe_rows = []
     for mode, alpha in (("forward", alpha_fwd), ("backward", alpha_bwd)):
@@ -339,27 +313,21 @@ def _cmd_long_rate(cfg: Mapping[str, Any]) -> int:
                          "slope": report.slope, "verdict": report.verdict})
         for p, y in zip(report.probe_tenors, report.probe_expected_yields):
             probe_rows.append({"mode": mode, "probe_tenor": float(p), "expected_yield": float(y)})
-        manifest.add_summary(mode=mode, alpha=alpha, slope=report.slope, verdict=report.verdict)
+        run.add_summary(mode=mode, alpha=alpha, slope=report.slope, verdict=report.verdict)
         print(f"long-rate [{mode}, alpha={alpha}]: slope {report.slope:.3e} -> {report.verdict}")
 
-    table = emit_table(rows, fmt, Path(out_dir) / f"long_rate.{fmt}")
-    probe_table = emit_table(probe_rows, fmt, Path(out_dir) / f"long_rate_probes.{fmt}")
-    manifest.add_output(table)
-    manifest.add_output(probe_table)
-    manifest.write(out_dir)
+    run.table("long_rate", rows)
+    run.table("long_rate_probes", probe_rows)
+    run.write()
     return 0
 
 
 def _cmd_verify(cfg: Mapping[str, Any]) -> int:
-    market = build_market(cfg)
-    spec = build_forward_spec(cfg, market)
+    run = _open_run("verify", cfg)
     grid = build_grid(cfg)
-    n_paths, seed, _ = simulation_params(cfg)
-    _, out_dir, fmt = output_params(cfg)
     tol = verify_thresholds(cfg)
-
-    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
-    triple = simulate_optimal(spec, market, grid, batch)
+    triple = _forward_triple(cfg, grid)
+    spec, market = triple.spec, triple.market
 
     checks: list[tuple[str, float, float, bool]] = []
 
@@ -398,24 +366,22 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
     check("under_consumption_drift_t", under.total_t, -tol.stat_band, under.total_t <= -tol.stat_band)
 
     capitalized = triple.state_price.values[:, -1] * np.exp(triple.rate_paths.integral[:, -1])
-    se = capitalized.std(ddof=1) / np.sqrt(len(capitalized))
-    mart_t = abs(capitalized.mean() - 1.0) / se
+    mean, se = mean_stderr(capitalized)
+    mart_t = abs(mean - 1.0) / se
     check("state_price_martingale_t", mart_t, tol.stat_band, mart_t <= tol.stat_band)
 
-    manifest = RunManifest("verify", cfg, seed, __version__)
     # bankruptcies cannot occur under proportional consumption; reported, not judged
-    manifest.add_summary(check="wealth_absorbed_fraction", value=triple.wealth.absorbed_fraction,
-                         threshold=None, passed=True)
+    run.add_summary(check="wealth_absorbed_fraction", value=triple.wealth.absorbed_fraction,
+                    threshold=None, passed=True)
     rows = [
         {"check": name, "value": value, "threshold": threshold, "passed": passed}
         for name, value, threshold, passed in checks
     ]
-    table = emit_table(rows, fmt, Path(out_dir) / f"verify.{fmt}")
-    manifest.add_output(table)
+    table = run.table("verify", rows)
     for name, value, threshold, passed in checks:
-        manifest.add_summary(check=name, value=value, threshold=threshold, passed=passed)
+        run.add_summary(check=name, value=value, threshold=threshold, passed=passed)
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {value:.3e} (threshold {threshold:.3e})")
-    manifest.write(out_dir)
+    run.write()
 
     failed = [name for name, _, _, passed in checks if not passed]
     if failed:
@@ -426,71 +392,60 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
 
 
 def _cmd_davis(cfg: Mapping[str, Any]) -> int:
-    market = build_market(cfg)
-    spec = build_forward_spec(cfg, market)
+    run = _open_run("davis", cfg)
     grid = build_grid(cfg)
-    n_paths, seed, _ = simulation_params(cfg)
-    _, out_dir, fmt = output_params(cfg)
-
-    block = cfg["davis"]
-    maturity = block.get("maturity", grid.horizon)
+    maturity = cfg["davis"].get("maturity", grid.horizon)
     (k_mat,) = grid_indices(grid, [maturity], "davis.maturity")
     maturity = float(maturity)
-    payoff_cfg = block.get("payoff", {"kind": "unit"})
-    kind = payoff_cfg.get("kind", "unit")
+    kind, strike = davis_payoff(cfg)
 
-    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
-    triple = simulate_optimal(spec, market, grid, batch)
-
+    triple = _forward_triple(cfg, grid)
+    y = triple.state_price.values
     if kind == "unit":
         payoff = np.ones(triple.n_paths)
         label = "unit"
-    elif kind == "call_on_wealth":
-        strike = float(payoff_cfg.get("strike", 1.0))
+    else:
         payoff = np.maximum(triple.wealth.values[:, k_mat] - strike, 0.0)
         label = f"call_on_wealth(K={strike:g})"
-    else:
-        raise ConfigError(f"davis.payoff.kind: must be 'unit' or 'call_on_wealth', got {kind!r}")
 
-    price = davis_price(payoff, triple.state_price.values, k_mat)
+    price = davis_price(payoff, y, k_mat)
+    # superposition witness: the price of 2 zeta + 3 against 2 P(zeta) + 3 P(1)
+    combo = davis_price(2.0 * payoff + 3.0, y, k_mat).value
+    unit = davis_price(np.ones(triple.n_paths), y, k_mat).value
+    superposition = abs(combo - (2.0 * price.value + 3.0 * unit)) / max(abs(combo), 1.0)
 
     # time consistency: capitalize the payoff to the horizon inside the
     # consumption-free optimal wealth and reprice
     plain_wealth = wealth_paths(
-        market, grid, batch, kappa=spec.kappa_star, consumption=None, rate_paths=triple.rate_paths
+        triple.market, grid, triple.batch, kappa=triple.spec.kappa_star, consumption=None, rate_paths=triple.rate_paths
     )
-    p_direct, p_cap, t_stat = davis_time_consistency(
-        payoff, triple.state_price.values, plain_wealth.values, k_mat, grid.n_steps
-    )
+    p_direct, p_cap, t_stat = davis_time_consistency(payoff, y, plain_wealth.values, k_mat, grid.n_steps)
 
-    manifest = RunManifest("davis", cfg, seed, __version__)
     rows = [
         {
             "payoff": label,
             "maturity": maturity,
             "value": price.value,
             "stderr": price.stderr,
-            "quantity_derivative": price.quantity_derivative,
-            "linearity_residual": price.linearity_residual,
+            "superposition_residual": superposition,
             "capitalized_value": p_cap,
             "capitalization_t": t_stat,
         }
     ]
-    table = emit_table(rows, fmt, Path(out_dir) / f"davis.{fmt}")
-    manifest.add_output(table)
-    manifest.add_summary(**rows[0])
-    manifest.write(out_dir)
+    table = run.table("davis", rows)
+    run.add_summary(**rows[0])
+    run.write()
     print(f"davis: {label} at T={maturity:g}: {price.value:.6f} +/- {price.stderr:.2e} (capitalization t = {t_stat:.2f})")
     print(f"wrote {table}")
     return 0
 
 
 def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
+    run = _open_run("horizon", cfg)
     market = build_market(cfg)
     horizons, t_common = horizon_params(cfg)
     spec = build_backward_spec(cfg, market, t_horizon=max(horizons))
     n_paths, seed, _ = simulation_params(cfg)
-    _, out_dir, fmt = output_params(cfg)
 
     horizon = max(horizons)
     grid = make_grid(horizon, int(round(horizon / 0.25)))
@@ -499,7 +454,6 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
     batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
     report = horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
 
-    manifest = RunManifest("horizon", cfg, seed, __version__)
     rows = [
         {
             "horizon_a": g.horizon_a,
@@ -511,11 +465,10 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
         }
         for g in report.gaps
     ]
-    table = emit_table(rows, fmt, Path(out_dir) / f"horizon.{fmt}")
-    manifest.add_output(table)
+    table = run.table("horizon", rows)
     for row in rows:
-        manifest.add_summary(**row)
-    manifest.write(out_dir)
+        run.add_summary(**row)
+    run.write()
     print(
         f"horizon: max dual gap {report.max_gap_y:.3e}, max wealth gap {report.max_gap_x:.3e} "
         f"across {len(rows)} horizon pair(s)"

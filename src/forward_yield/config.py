@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,6 +137,12 @@ def _nonnegative_number(value, field: str) -> float:
     return float(value)
 
 
+def _finite_number(value, field: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise _fail(field, "must be a finite real", value)
+    return float(value)
+
+
 def _alpha(value, field: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 < value < 1.0:
         raise _fail(field, "must lie in the open interval (0, 1)", value)
@@ -205,14 +212,14 @@ def build_market(cfg: Mapping[str, Any]) -> MarketModel:
     rate_cfg = _require(cfg, "market.rate")
     model = rate_cfg.get("model")
     if model == "constant":
-        rate = ConstantRate(rate=float(_require(cfg, "market.rate.r")))
+        rate = ConstantRate(rate=_finite_number(_require(cfg, "market.rate.r"), "market.rate.r"))
     elif model == "vasicek":
         try:
             rate = VasicekRate(
                 a=_positive_number(_require(cfg, "market.rate.a"), "market.rate.a"),
-                b=float(_require(cfg, "market.rate.b")),
+                b=_finite_number(_require(cfg, "market.rate.b"), "market.rate.b"),
                 sigma=_nonnegative_number(_require(cfg, "market.rate.sigma_r"), "market.rate.sigma_r"),
-                r0=float(_require(cfg, "market.rate.r0")),
+                r0=_finite_number(_require(cfg, "market.rate.r0"), "market.rate.r0"),
                 w_dir=_vector(_require(cfg, "market.rate.w_dir"), dim, "market.rate.w_dir"),
             )
         except ValueError as exc:
@@ -313,6 +320,41 @@ def output_params(cfg: Mapping[str, Any]) -> tuple[list[float], str, str]:
         raise _fail("output.format", "must be 'csv' or 'json'", fmt)
     out = str(cfg.get("output", {}).get("path", "out"))
     return vals, out, fmt
+
+
+def ramsey_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float, list[float]]:
+    """(beta, alpha, growth, sigma, tenors) of the geometric-consumption economy."""
+    beta = _finite_number(_require(cfg, "ramsey.beta"), "ramsey.beta")
+    alpha = _alpha(_require(cfg, "ramsey.alpha"), "ramsey.alpha")
+    growth = _finite_number(_require(cfg, "ramsey.growth"), "ramsey.growth")
+    sigma = _nonnegative_number(_require(cfg, "ramsey.sigma"), "ramsey.sigma")
+    tenors = tenor_list(cfg["ramsey"].get("tenors", cfg["output"]["tenors"]), "ramsey.tenors")
+    return beta, alpha, growth, sigma, tenors
+
+
+def long_rate_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float, list[float]]:
+    """(l0, spec.alpha, alpha_backward, t_max, probes); every probe tenor lies
+    beyond t_max, the last date the long rate is reported at."""
+    l0 = _finite_number(_require(cfg, "long_rate.l0"), "long_rate.l0")
+    alpha_fwd = _alpha(_require(cfg, "spec.alpha"), "spec.alpha")
+    block = cfg["long_rate"]
+    alpha_bwd = _alpha(block.get("alpha_backward", 0.25), "long_rate.alpha_backward")
+    t_max = _positive_number(_require(cfg, "long_rate.t_max"), "long_rate.t_max")
+    probes = tenor_list(block.get("probes", [50.0, 100.0, 200.0]), "long_rate.probes")
+    if probes[0] <= t_max:
+        raise _fail("long_rate.probes", f"must all exceed long_rate.t_max={t_max:g}", probes)
+    return l0, alpha_fwd, alpha_bwd, t_max, probes
+
+
+def davis_payoff(cfg: Mapping[str, Any]) -> tuple[str, float]:
+    """Payoff kind of the davis block and its strike ('unit' ignores it)."""
+    payoff = cfg.get("davis", {}).get("payoff", {"kind": "unit"})
+    if not isinstance(payoff, Mapping):
+        raise _fail("davis.payoff", "must be a mapping with a 'kind'", payoff)
+    kind = payoff.get("kind", "unit")
+    if kind not in ("unit", "call_on_wealth"):
+        raise _fail("davis.payoff.kind", "must be 'unit' or 'call_on_wealth'", kind)
+    return kind, _finite_number(payoff.get("strike", 1.0), "davis.payoff.strike")
 
 
 @dataclass(frozen=True)

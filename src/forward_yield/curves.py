@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .backward import BackwardSpec, GammaModel, VasicekGamma
+from .backward import GammaModel, VasicekGamma
 from .brownian import PURPOSE_INNER, BrownianBatch, substream_seed
 from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
@@ -99,28 +99,6 @@ def gbm_consumption_paths(
     return c0 * np.exp((growth - 0.5 * sigma * sigma) * t + sigma * w)
 
 
-def ramsey_rate_mc(
-    beta: float,
-    alpha: float,
-    c_paths: np.ndarray,
-    grid: TimeGrid,
-    tenor: float,
-    c0: Optional[float] = None,
-) -> tuple[float, float]:
-    """Equilibrium rate -(1/T) ln E[v_c(T, c_T)] / v_c(0, c_0) with its
-    Monte Carlo standard error (delta method)."""
-    k = grid.index_of(tenor)
-    if k == 0:
-        raise ValueError("tenor must be positive")
-    if c0 is None:
-        c0 = float(c_paths[0, 0])
-    ratio = np.exp(-beta * tenor) * np.power(c_paths[:, k] / c0, -alpha)
-    m, se = mean_stderr(ratio)
-    if m <= 0:
-        raise ValueError("mean marginal utility must be positive")
-    return float(-np.log(m) / tenor), float(se / (tenor * m))
-
-
 @dataclass(frozen=True)
 class RamseyCurveReport:
     curve: YieldCurve
@@ -136,7 +114,8 @@ def ramsey_curve_mc(
     tenors: Sequence[float],
     c0: Optional[float] = None,
 ) -> RamseyCurveReport:
-    """Ramsey curve over several tenors on one batch, with the joint
+    """Equilibrium rates -(1/T) ln E[v_c(T, c_T)] / v_c(0, c_0) over several
+    tenors on one batch, with delta-method standard errors and the joint
     covariance of the rate estimators used to judge cross-tenor spreads."""
     tenors = np.asarray(list(tenors), dtype=float)
     if c0 is None:
@@ -189,14 +168,12 @@ def _tilt_integral(
 
 
 def market_gamma(market: MarketModel) -> Optional[VasicekGamma]:
-    """Bond-volatility field implied by the market's short-rate model."""
-    if isinstance(market.rate, VasicekRate):
-        if market.rate.sigma == 0.0:
-            return None
-        return VasicekGamma(a=market.rate.a, sigma_r=market.rate.sigma, direction=market.rate.w_dir)
-    if isinstance(market.rate, ConstantRate):
-        return None
-    raise ValueError("no Gaussian representation for this short-rate model")
+    """Bond-volatility field implied by the market's short-rate model; None
+    when the rate is deterministic."""
+    rate = market.rate
+    if isinstance(rate, VasicekRate) and rate.sigma > 0.0:
+        return VasicekGamma(a=rate.a, sigma_r=rate.sigma, direction=rate.w_dir)
+    return None
 
 
 def zc_price_gaussian(
@@ -205,48 +182,33 @@ def zc_price_gaussian(
     t: float,
     t_mat: float,
     r_t: Optional[np.ndarray] = None,
+    gamma: Optional[GammaModel] = None,
 ) -> np.ndarray:
-    """E[Y_T / Y_t | r_t] for deterministic (nu, eta) and a Gaussian rate.
+    """E[Y_T / Y_t | r_t] for deterministic (nu, eta) in a log-normal market.
 
-    Assembled from the conditional moments of the integrated rate and the
-    covariance with the martingale part: exp(-m + v/2 + tilt) where tilt is
-    the integral of Gamma . (nu - eta).  With nu = 0 this is the
-    risk-neutral price.
+    exp(-m + v/2 + tilt): m is the conditional mean of the integrated rate,
+    v = int_t^T |Gamma_s(T)|^2 ds its variance, and tilt the integral of
+    Gamma . (nu - eta).  Gamma defaults to the bond volatility of the
+    market's short rate; a backward spec passes its own field.  With nu = 0
+    this is the risk-neutral price.
     """
     if t_mat < t:
         raise ValueError("maturity must not precede the pricing date")
     if t_mat == t:
         return np.asarray(1.0)
-    if isinstance(market.rate, ConstantRate):
-        m_int = market.rate.rate * (t_mat - t)
-        return np.exp(-m_int)
-
-    model = market.rate
-    if not isinstance(model, VasicekRate):
-        raise ValueError(f"no Gaussian closed form for rate model {type(model).__name__}")
+    rate = market.rate
     if r_t is None:
-        if t != 0.0:
+        if t != 0.0 and not isinstance(rate, ConstantRate):
             raise ValueError("conditional pricing at t > 0 needs the rate state r_t")
-        r_t = model.r0
-    r_t = np.asarray(r_t, dtype=float)
-    m_int = model.integral_mean(r_t, t_mat - t)
-    v_int = model.integral_var(t_mat - t)
-    gam = market_gamma(market)
-    tilt = 0.0
-    if gam is not None:
-        nu_fn = DeterministicFn.zero(market.dim) if nu is None else nu
-        tilt = _tilt_integral(lambda s: gam.vectors(s, t_mat), nu_fn, market.risk_premium, t, t_mat)
-    return np.exp(-m_int + 0.5 * v_int + tilt)
-
-
-def zc_price_gamma_market(spec: BackwardSpec, nu: Optional[DeterministicFn], t_mat: float) -> float:
-    """Time-0 zero-coupon price in the log-normal market described by the
-    bond-volatility field and the mean of the market's short rate."""
-    nu_fn = DeterministicFn.zero(spec.market.dim) if nu is None else nu
-    m_int = float(spec.market.rate.expected_integral(t_mat))
-    v_int = float(spec.gamma.int_sq(0.0, t_mat))
-    tilt = _tilt_integral(lambda s: spec.gamma.vectors(s, t_mat), nu_fn, spec.market.risk_premium, 0.0, t_mat)
-    return float(np.exp(-m_int + 0.5 * v_int + tilt))
+        r_t = rate.r0
+    m_int = rate.integral_mean(r_t, t_mat - t)
+    if gamma is None:
+        gamma = market_gamma(market)
+    if gamma is None:
+        return np.exp(-m_int)
+    nu_fn = DeterministicFn.zero(market.dim) if nu is None else nu
+    tilt = _tilt_integral(lambda s: gamma.vectors(s, t_mat), nu_fn, market.risk_premium, t, t_mat)
+    return np.exp(-m_int + 0.5 * gamma.int_sq(t, t_mat) + tilt)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +449,6 @@ class DavisPrice:
 
     value: float
     stderr: float
-    quantity_derivative: float  # price per unit of payoff (linear rule)
-    linearity_residual: float   # doubling witness, exact up to float rounding
-
-    def __post_init__(self) -> None:
-        if self.stderr < 0:
-            raise ValueError("stderr must be nonnegative")
 
 
 def _fsum_mean(x: np.ndarray) -> float:
@@ -514,9 +470,7 @@ def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t:
     deflated = payoff_values * y_paths[:, k_mat] / y_paths[:, k_t]
     value = _fsum_mean(deflated)
     se = float(np.std(deflated, ddof=1) / np.sqrt(len(deflated)))
-    doubled = _fsum_mean(2.0 * deflated)
-    lin_res = abs(doubled - 2.0 * value) / max(abs(value), 1e-300)
-    return DavisPrice(value=value, stderr=se, quantity_derivative=value, linearity_residual=lin_res)
+    return DavisPrice(value=value, stderr=se)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,13 @@ class ConstantRate:
     def expected_rate(self, t):
         return np.full(np.shape(t), self.rate, dtype=float)
 
-    def expected_integral(self, t):
-        """E of the integral of r over [0, t]."""
-        return self.rate * np.asarray(t, dtype=float)
+    @property
+    def r0(self) -> float:
+        return self.rate
+
+    def integral_mean(self, r_t, tau):
+        """Integral of r over a window of length tau; the state r_t is the rate."""
+        return self.rate * np.asarray(tau, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -55,35 +59,14 @@ class VasicekRate:
         t = np.asarray(t, dtype=float)
         return self.b + (self.r0 - self.b) * np.exp(-self.a * t)
 
-    def expected_integral(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.b * t + (self.r0 - self.b) * (1.0 - np.exp(-self.a * t)) / self.a
-
     def integral_mean(self, r_t, tau):
         """E of the integral of r over [t, t+tau] given r_t."""
         tau = np.asarray(tau, dtype=float)
         r_t = np.asarray(r_t, dtype=float)
         return self.b * tau + (r_t - self.b) * (1.0 - np.exp(-self.a * tau)) / self.a
 
-    def integral_var(self, tau):
-        """Variance of the integral of r over a window of length tau."""
-        a, s = self.a, self.sigma
-        tau = np.asarray(tau, dtype=float)
-        e1 = 1.0 - np.exp(-a * tau)
-        e2 = 1.0 - np.exp(-2.0 * a * tau)
-        return (s / a) ** 2 * (tau - 2.0 * e1 / a + e2 / (2.0 * a))
-
 
 ShortRateModel = Union[ConstantRate, VasicekRate]
-
-
-def zc_volatility_vasicek(a: float, sigma_r: float, s, t) -> np.ndarray:
-    """Zero-coupon volatility (1 - exp(-a (t - s))) sigma_r / a for 0 <= s <= t."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s > t + 1e-15):
-        raise ValueError("requires s <= t")
-    return (1.0 - np.exp(-a * (t - s))) * sigma_r / a
 
 
 @dataclass(frozen=True)

@@ -70,24 +70,31 @@ def _csv_cell(value: Any) -> str:
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written next to every output table."""
+    """One run's output directory and reproducibility record: table() writes
+    and records each table, write() adds the manifest, and wall_clock_s is
+    the time from construction to write()."""
 
     subcommand: str
     config: Mapping[str, Any]
     seed: int
     version: str
+    out_dir: str | Path
+    fmt: str
     outputs: list[str] = field(default_factory=list)
     summary: list[Mapping[str, Any]] = field(default_factory=list)
     _start: float = field(default_factory=time.perf_counter, repr=False)
 
-    def add_output(self, path: Path) -> None:
+    def table(self, name: str, rows: Sequence[Mapping[str, Any]], columns: Sequence[str] | None = None) -> Path:
+        """Write rows to <out_dir>/<name>.<fmt> and record the path."""
+        path = emit_table(rows, self.fmt, Path(self.out_dir) / f"{name}.{self.fmt}", columns=columns)
         self.outputs.append(str(path))
+        return path
 
     def add_summary(self, **row: Any) -> None:
         self.summary.append({k: _render(v) for k, v in row.items()})
 
-    def write(self, out_dir: str | Path) -> Path:
-        out_dir = Path(out_dir)
+    def write(self) -> Path:
+        out_dir = Path(self.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "subcommand": self.subcommand,

@@ -1,8 +1,10 @@
 import csv
 import json
+import time
 
 import pytest
 
+from forward_yield import cli
 from forward_yield.cli import main
 from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config, verify_thresholds
 from forward_yield.tables import emit_table
@@ -48,9 +50,22 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
         ("horizon", {"spec": {"t_horizons": [10.0, 30.1]}}, "spec.t_horizons"),
         ("ramsey-flat", {"ramsey": {"tenors": [1.0, 2.1]}}, "ramsey.tenors"),
         ("verify", {"spec": {"psi_hat": -0.1}}, "spec.psi_hat"),
+        ("ramsey-flat", {"ramsey": {"beta": "x"}}, "ramsey.beta"),
+        ("ramsey-flat", {"ramsey": {"sigma": None}}, "ramsey.sigma"),
+        ("davis", {"davis": {"payoff": {"strike": "abc"}}}, "davis.payoff.strike"),
+        ("davis", {"davis": {"payoff": {"kind": "put"}}}, "davis.payoff.kind"),
+        ("long-rate", {"long_rate": {"alpha_backward": 1.5}}, "long_rate.alpha_backward"),
+        ("forward-curve", {"market": {"rate": {"model": "constant", "r": "x"}}}, "market.rate.r"),
+        ("long-rate", {"long_rate": {"probes": [5.0, 10.0]}}, "long_rate.probes"),
+        ("long-rate", {"long_rate": {"t_max": -1}}, "long_rate.t_max"),
+        ("forward-curve", {"output": {"asof": "x"}}, "output.asof"),
     ],
 )
-def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, command, overrides, field):
+def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatch, command, overrides, field):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before the config was validated")
+
+    monkeypatch.setattr(cli, "sample_brownian", no_simulation)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(overrides))
     code = run_cli(command, "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
@@ -165,7 +180,7 @@ def test_davis_command(tmp_path):
     assert run_cli("davis", "--paths", "20000", "--out", str(out)) == 0
     with (out / "davis.csv").open() as fh:
         row = list(csv.DictReader(fh))[0]
-    assert float(row["linearity_residual"]) <= 1e-15
+    assert float(row["superposition_residual"]) <= 1e-15
     assert abs(float(row["capitalization_t"])) < 4.0
 
 
@@ -178,6 +193,20 @@ def test_verify_command_passes_and_reports(tmp_path):
     assert all(r["passed"] == "true" for r in rows)
     names = {r["check"] for r in rows}
     assert {"hjb_drift_residual", "first_order_identity", "perturbed_kappa_drift_t"} <= names
+
+
+def test_wall_clock_covers_simulation(tmp_path, monkeypatch):
+    simulate = cli.simulate_optimal
+
+    def slow_simulate(*args, **kwargs):
+        time.sleep(0.2)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_optimal", slow_simulate)
+    out = tmp_path / "out"
+    assert run_cli("verify", "--paths", "200", "--out", str(out)) in (0, 1)
+    manifest = json.loads((out / "manifest_verify.json").read_text())
+    assert manifest["wall_clock_s"] >= 0.2
 
 
 def test_emit_table_empty_rows_header_only(tmp_path):

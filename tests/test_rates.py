@@ -4,11 +4,11 @@ from scipy import integrate
 
 from forward_yield import (
     ConstantRate,
+    VasicekGamma,
     VasicekRate,
     make_grid,
     sample_brownian,
     simulate_short_rate,
-    zc_volatility_vasicek,
 )
 
 E2 = np.eye(2)[1]
@@ -23,14 +23,13 @@ def ou_integral_moments(a, b, sigma, r0, t):
 
 
 def test_zc_volatility_values():
-    assert zc_volatility_vasicek(1.0, 0.02, 1.0, 1.0) == 0.0
-    val = zc_volatility_vasicek(1.0, 0.02, 0.0, 1.0)
+    gamma = VasicekGamma(a=1.0, sigma_r=0.02, direction=E2)
+    assert gamma.scalar(1.0, 1.0) == 0.0
+    val = gamma.scalar(0.0, 1.0)
     assert val == pytest.approx(0.02 * (1.0 - np.exp(-1.0)), abs=1e-12)
     assert val == pytest.approx(0.0126424, abs=5e-8)
     # asymptote sigma / a for long time-to-maturity
-    assert zc_volatility_vasicek(1.0, 0.02, 0.0, 500.0) == pytest.approx(0.02, rel=1e-12)
-    with pytest.raises(ValueError):
-        zc_volatility_vasicek(1.0, 0.02, 2.0, 1.0)
+    assert gamma.scalar(0.0, 500.0) == pytest.approx(0.02, rel=1e-12)
 
 
 def test_constant_rate_integral():
