@@ -99,10 +99,13 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
     return merged
 
 
-def _deep_merge(base: dict, extra: Mapping) -> None:
+def _deep_merge(base: dict, extra: Mapping, prefix: str = "") -> None:
+    """Merge extra into base; where base holds a block, extra must too."""
     for key, value in extra.items():
-        if isinstance(value, Mapping) and isinstance(base.get(key), dict):
-            _deep_merge(base[key], value)
+        if isinstance(base.get(key), dict):
+            if not isinstance(value, Mapping):
+                raise _fail(f"{prefix}{key}", "must be a mapping", value)
+            _deep_merge(base[key], value, f"{prefix}{key}.")
         else:
             base[key] = copy.deepcopy(value)
 
@@ -349,8 +352,6 @@ def long_rate_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float
 def davis_payoff(cfg: Mapping[str, Any]) -> tuple[str, float]:
     """Payoff kind of the davis block and its strike ('unit' ignores it)."""
     payoff = cfg.get("davis", {}).get("payoff", {"kind": "unit"})
-    if not isinstance(payoff, Mapping):
-        raise _fail("davis.payoff", "must be a mapping with a 'kind'", payoff)
     kind = payoff.get("kind", "unit")
     if kind not in ("unit", "call_on_wealth"):
         raise _fail("davis.payoff.kind", "must be 'unit' or 'call_on_wealth'", kind)

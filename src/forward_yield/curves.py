@@ -5,7 +5,7 @@ and marginal-utility (Davis) pricing of payoffs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
 from .market import MarketModel, state_price_paths, wealth_paths
 from .quadrature import gauss_legendre
-from .rates import ConstantRate, VasicekRate
+from .rates import ConstantRate, VasicekRate, simulate_short_rate
 from .stats import mean_stderr
 
 
@@ -229,62 +229,83 @@ def zc_price_mc(y_paths: np.ndarray, k_t: int, k_mat: int) -> tuple[float, float
 
 @dataclass(frozen=True)
 class InnerRatios:
-    """Inner-simulation ratios over [t, T] restarted from one outer state."""
+    """Inner-simulation ratios restarted from one outer state at t, one row
+    per requested maturity T."""
 
-    y_ratio: np.ndarray  # (inner_paths,) Y_T / Y_t
-    x_ratio: np.ndarray  # (inner_paths,) Xstar_T / Xstar_t
-    r_end: np.ndarray    # (inner_paths,) short rate at T
+    y_ratio: np.ndarray  # (maturities, inner_paths) Y_T / Y_t
+    x_ratio: np.ndarray  # (maturities, inner_paths) Xstar_T / Xstar_t
+    r_end: np.ndarray    # (maturities, inner_paths) short rate at T
+
+
+@dataclass(frozen=True)
+class _InnerSetup:
+    """What the inner simulations of every outer path share: the sub-grid
+    from t to the last maturity and the coefficients shifted to start at t."""
+
+    k_t: int
+    grid: TimeGrid
+    rows: list[int]  # sub-grid index of each maturity
+    market: MarketModel
+    nu: DeterministicFn
+    kappa: DeterministicFn
+    psi: DeterministicFn
 
 
 def _shifted(fn: DeterministicFn, t0: float) -> DeterministicFn:
     return DeterministicFn(lambda s: fn(np.asarray(s, dtype=float) + t0), label=f"{fn.label}@+{t0}")
 
 
-def _inner_ratios(triple: OptimalTriple, outer_index: int, k_t: int, k_mat: int, inner_paths: int) -> InnerRatios:
-    """Restart the Markov state (the short rate) of one outer path at t and
-    simulate the optimal pair forward to T on a derived inner stream."""
-    from .brownian import sample_brownian  # local import to avoid cycles
-
+def _inner_setup(triple: OptimalTriple, k_t: int, k_mats: list[int]) -> _InnerSetup:
     grid, market, spec = triple.grid, triple.market, triple.spec
+    if min(k_mats) <= k_t:
+        raise ValueError("maturity indices must follow the pricing index")
     t0 = grid.times[k_t]
-    sub = TimeGrid(grid.times[k_mat] - t0, k_mat - k_t)
-    inner_seed = int(substream_seed(triple.batch.seed, PURPOSE_INNER, outer_index, k_t).generate_state(1, np.uint64)[0])
-    inner_batch = sample_brownian(inner_seed, sub, market.dim, inner_paths)
-
-    r_t = float(triple.rate_paths.r[outer_index, k_t])
-    if isinstance(market.rate, VasicekRate):
-        rate = VasicekRate(a=market.rate.a, b=market.rate.b, sigma=market.rate.sigma, r0=r_t, w_dir=market.rate.w_dir)
-    else:
-        rate = market.rate
-    inner_market = MarketModel(
-        dim=market.dim, rate=rate, risk_premium=_shifted(market.risk_premium, t0), subspace=market.subspace
-    )
-    from .rates import simulate_short_rate
-
-    inner_rates = simulate_short_rate(rate, sub, inner_batch)
-    y = state_price_paths(inner_market, sub, inner_batch, nu=_shifted(spec.nu_star, t0), rate_paths=inner_rates)
-    x = wealth_paths(
-        inner_market,
-        sub,
-        inner_batch,
+    k_end = max(k_mats)
+    return _InnerSetup(
+        k_t=k_t,
+        grid=TimeGrid(grid.times[k_end] - t0, k_end - k_t),
+        rows=[k - k_t for k in k_mats],
+        market=replace(market, risk_premium=_shifted(market.risk_premium, t0)),
+        nu=_shifted(spec.nu_star, t0),
         kappa=_shifted(spec.kappa_star, t0),
-        consumption=_shifted(spec.psi_hat, t0),
-        rate_paths=inner_rates,
+        psi=_shifted(spec.psi_hat, t0),
     )
-    return InnerRatios(y_ratio=y.values[:, -1], x_ratio=x.values[:, -1], r_end=inner_rates.r[:, -1])
+
+
+def _inner_ratios(triple: OptimalTriple, setup: _InnerSetup, outer_index: int, inner_paths: int) -> InnerRatios:
+    """Restart the Markov state (the short rate) of one outer path at t and
+    simulate the optimal pair forward to the last maturity on a derived
+    inner stream, reading the ratios at every maturity."""
+    from .brownian import sample_brownian  # looked up at call time, so a wrapper bound on the module is used
+
+    k_t, sub = setup.k_t, setup.grid
+    inner_seed = int(substream_seed(triple.batch.seed, PURPOSE_INNER, outer_index, k_t).generate_state(1, np.uint64)[0])
+    inner_batch = sample_brownian(inner_seed, sub, triple.market.dim, inner_paths)
+
+    rate = triple.market.rate
+    if isinstance(rate, VasicekRate):
+        rate = replace(rate, r0=float(triple.rate_paths.r[outer_index, k_t]))
+    inner_market = replace(setup.market, rate=rate)
+    inner_rates = simulate_short_rate(rate, sub, inner_batch)
+    y = state_price_paths(inner_market, sub, inner_batch, nu=setup.nu, rate_paths=inner_rates)
+    x = wealth_paths(inner_market, sub, inner_batch, kappa=setup.kappa, consumption=setup.psi, rate_paths=inner_rates)
+    # transposed and row-indexed, so each maturity's ratios are contiguous
+    rows = setup.rows
+    return InnerRatios(y_ratio=y.values.T[rows], x_ratio=x.values.T[rows], r_end=inner_rates.r.T[rows])
 
 
 def marginal_zc_mc(
     triple: OptimalTriple,
     k_t: int,
-    k_mat: int,
+    k_mats: Sequence[int],
     inner_paths: int = 1024,
     max_outer: int = 256,
-) -> ConditionalPriceReport:
-    """Conditional marginal-utility zero-coupon prices E[Y_T / Y_t | F_t]:
-    the nested Davis price of the unit payoff.  The date-0 price is the plain
-    average zc_price_mc(triple.state_price.values, 0, k_mat)."""
-    return davis_price_conditional(lambda r, x, y: 1.0, triple, k_t, k_mat, inner_paths, max_outer)
+) -> list[ConditionalPriceReport]:
+    """Conditional marginal-utility zero-coupon prices E[Y_T / Y_t | F_t],
+    one report per maturity index: the nested Davis price of the unit
+    payoff.  The date-0 price is the plain average
+    zc_price_mc(triple.state_price.values, 0, k_mat)."""
+    return davis_price_conditional(lambda r, x, y: 1.0, triple, k_t, k_mats, inner_paths, max_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -488,38 +509,47 @@ def davis_price_conditional(
     payoff,
     triple: OptimalTriple,
     k_t: int,
-    k_mat: int,
+    k_mats: Sequence[int],
     inner_paths: int = 1024,
     max_outer: int = 256,
-) -> ConditionalPriceReport:
-    """Conditional marginal-utility price E[zeta_T Y_T / Y_t | F_t].
+) -> list[ConditionalPriceReport]:
+    """Conditional marginal-utility prices E[zeta_T Y_T / Y_t | F_t], one
+    report per maturity index in k_mats.
 
     The payoff is a callable of the date-T Markov state,
     payoff(r_T, x_T, y_T) >= 0 elementwise, with x and y the optimal
     processes for unit initial conditions.  Each outer path is repriced by
-    an inner simulation restarted from its realized short rate, on a derived
-    stream, so results are reproducible.
+    one inner simulation restarted from its realized short rate and run to
+    the last maturity, on a stream derived from (seed, outer path, t), so
+    results are reproducible and the maturities of one outer path share
+    their inner paths.
     """
+    k_mats = list(k_mats)
+    if not k_mats:
+        return []
+    setup = _inner_setup(triple, k_t, k_mats)
     n_outer = min(max_outer, triple.n_paths)
-    prices = np.empty(n_outer)
-    stderrs = np.empty(n_outer)
+    prices = np.empty((len(k_mats), n_outer))
+    stderrs = np.empty((len(k_mats), n_outer))
     for i in range(n_outer):
-        inner = _inner_ratios(triple, i, k_t, k_mat, inner_paths)
-        x_end = triple.wealth.values[i, k_t] * inner.x_ratio
-        y_end = triple.state_price.values[i, k_t] * inner.y_ratio
-        zeta = np.asarray(payoff(inner.r_end, x_end, y_end), dtype=float)
-        if np.any(zeta < 0):
-            raise ValueError("payoffs must be nonnegative")
-        deflated = zeta * inner.y_ratio
-        m, se = mean_stderr(deflated)
-        prices[i], stderrs[i] = m, se
-    return ConditionalPriceReport(
-        t=triple.grid.times[k_t],
-        maturity=triple.grid.times[k_mat],
-        prices=prices,
-        stderrs=stderrs,
-        rate_states=triple.rate_paths.r[:n_outer, k_t].copy(),
-    )
+        inner = _inner_ratios(triple, setup, i, inner_paths)
+        x_t, y_t = triple.wealth.values[i, k_t], triple.state_price.values[i, k_t]
+        for j, y_ratio in enumerate(inner.y_ratio):
+            zeta = np.asarray(payoff(inner.r_end[j], x_t * inner.x_ratio[j], y_t * y_ratio), dtype=float)
+            if np.any(zeta < 0):
+                raise ValueError("payoffs must be nonnegative")
+            prices[j, i], stderrs[j, i] = mean_stderr(zeta * y_ratio)
+    rate_states = triple.rate_paths.r[:n_outer, k_t]
+    return [
+        ConditionalPriceReport(
+            t=triple.grid.times[k_t],
+            maturity=triple.grid.times[k],
+            prices=prices[j],
+            stderrs=stderrs[j],
+            rate_states=rate_states.copy(),
+        )
+        for j, k in enumerate(k_mats)
+    ]
 
 
 def davis_time_consistency(

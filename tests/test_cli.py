@@ -73,6 +73,24 @@ def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatc
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("davis", "davis"),
+        ("verify", "verify"),
+        ("horizon", "spec"),
+        ("forward-curve", "output"),
+        ("ramsey-flat", "simulation"),
+    ],
+)
+def test_scalar_config_block_names_block(tmp_path, capsys, command, block):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"{block}: 5\n")
+    code = run_cli(command, "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"{block}: must be a mapping" in capsys.readouterr().err
+
+
 def test_ramsey_flat_outputs_and_determinism(tmp_path):
     out = tmp_path / "a"
     assert run_cli("ramsey-flat", "--paths", "5000", "--seed", "42", "--out", str(out)) == 0
@@ -265,7 +283,7 @@ def test_yaml_reads_exponent_floats(tmp_path):
     assert isinstance(loaded["simulation"]["n_paths"], int)
 
 
-def test_forward_curve_nested_asof(tmp_path):
+def test_forward_curve_nested_asof(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "simulation": {"n_paths": 2000, "inner_paths": 256},
@@ -273,6 +291,7 @@ def test_forward_curve_nested_asof(tmp_path):
     }))
     out = tmp_path / "out"
     assert run_cli("forward-curve", "--config", str(cfg), "--out", str(out)) == 0
+    assert "forward-curve: 2 tenors written" in capsys.readouterr().out
     with (out / "forward_curve_asof.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2

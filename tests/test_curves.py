@@ -215,11 +215,81 @@ def test_nested_conditional_prices_match_state_closed_form():
     batch = sample_brownian(1357, grid, dim=2, n_paths=64)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(7.0)
-    report = marginal_zc_mc(triple, k_t, k_mat, inner_paths=4096, max_outer=32)
+    report = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=4096, max_outer=32)[0]
     closed = zc_price_gaussian(market, spec.nu_star, 2.0, 7.0, r_t=report.rate_states)
     z = (report.prices - closed) / report.stderrs
     assert np.max(np.abs(z)) < 4.5
     assert abs(np.mean(z)) < 1.0
+
+
+def nested_triple(seed=1357, n_paths=64):
+    market = incomplete_vasicek_market()
+    spec = forward_spec()
+    grid = make_grid(10.0, 40)
+    batch = sample_brownian(seed, grid, dim=2, n_paths=n_paths)
+    return simulate_optimal(spec, market, grid, batch)
+
+
+def test_nested_every_maturity_matches_state_closed_form():
+    triple = nested_triple()
+    grid = triple.grid
+    k_t = grid.index_of(2.0)
+    k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
+    reports = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
+    assert [r.maturity for r in reports] == [3.0, 5.0, 7.0]
+    for report in reports:
+        closed = zc_price_gaussian(triple.market, triple.spec.nu_star, 2.0, report.maturity, r_t=report.rate_states)
+        z = (report.prices - closed) / report.stderrs
+        assert np.max(np.abs(z)) < 4.5
+
+
+def test_nested_last_maturity_equals_single_maturity_call():
+    triple = nested_triple()
+    grid = triple.grid
+    k_t, k_mats = grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
+    many = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=8)
+    (single,) = marginal_zc_mc(triple, k_t, k_mats[-1:], inner_paths=256, max_outer=8)
+    assert np.array_equal(many[-1].prices, single.prices)
+    assert np.array_equal(many[-1].stderrs, single.stderrs)
+    assert np.array_equal(many[-1].rate_states, single.rate_states)
+
+
+def test_nested_outer_prices_independent_of_max_outer():
+    triple = nested_triple()
+    grid = triple.grid
+    k_t, k_mats = grid.index_of(2.0), [grid.index_of(4.0), grid.index_of(6.0)]
+    small = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=4)
+    large = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=12)
+    for a, b in zip(small, large):
+        assert np.array_equal(a.prices, b.prices[:4])
+        assert np.array_equal(a.stderrs, b.stderrs[:4])
+
+
+def test_nested_one_inner_simulation_per_outer_path(monkeypatch):
+    import forward_yield.brownian as brownian
+
+    calls = []
+    original = brownian.sample_brownian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    triple = nested_triple()
+    grid = triple.grid
+    k_t, k_mats = grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 7.5, 10.0)]
+    monkeypatch.setattr(brownian, "sample_brownian", counting)
+    reports = marginal_zc_mc(triple, k_t, k_mats, inner_paths=64, max_outer=10)
+    assert len(reports) == 4
+    assert len(calls) == 10
+
+
+def test_nested_maturities_must_follow_the_pricing_date():
+    triple = nested_triple()
+    k_t = triple.grid.index_of(2.0)
+    assert marginal_zc_mc(triple, k_t, [], inner_paths=64, max_outer=2) == []
+    with pytest.raises(ValueError, match="maturity"):
+        marginal_zc_mc(triple, k_t, [k_t, k_t + 4], inner_paths=64, max_outer=2)
 
 
 def test_complete_market_marginal_equals_risk_neutral():
@@ -495,9 +565,9 @@ def test_davis_conditional_unit_payoff_matches_nested_zc():
     from forward_yield import davis_price_conditional
 
     k_t, k_mat = grid.index_of(2.0), grid.index_of(6.0)
-    davis = davis_price_conditional(lambda r, x, y: np.ones_like(r), triple, k_t, k_mat,
-                                    inner_paths=512, max_outer=16)
-    zc = marginal_zc_mc(triple, k_t, k_mat, inner_paths=512, max_outer=16)
+    davis = davis_price_conditional(lambda r, x, y: np.ones_like(r), triple, k_t, [k_mat],
+                                    inner_paths=512, max_outer=16)[0]
+    zc = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=512, max_outer=16)[0]
     assert np.array_equal(davis.prices, zc.prices)
     assert np.array_equal(davis.rate_states, zc.rate_states)
 
@@ -512,8 +582,8 @@ def test_davis_conditional_call_brackets_state_dependence():
 
     k_t, k_mat = grid.index_of(3.0), grid.index_of(8.0)
     report = davis_price_conditional(
-        lambda r, x, y: np.maximum(x - 1.0, 0.0), triple, k_t, k_mat, inner_paths=1024, max_outer=24
-    )
+        lambda r, x, y: np.maximum(x - 1.0, 0.0), triple, k_t, [k_mat], inner_paths=1024, max_outer=24
+    )[0]
     assert np.all(report.prices >= 0.0)
     # prices must genuinely vary with the date-t state
     assert report.prices.std() > 0.0
