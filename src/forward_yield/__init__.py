@@ -30,7 +30,7 @@ from .curves import (
     zc_price_gaussian,
     zc_price_mc,
 )
-from .errors import ConfigError, ForwardYieldError, SubspaceViolationError
+from .errors import ConfigError, ForwardYieldError, NumericalRangeError, SubspaceViolationError
 from .forward import (
     ForwardPowerSpec,
     OptimalTriple,
@@ -59,9 +59,6 @@ from .utility import (
     ProgressivePowerUtility,
     numeric_biconjugate,
     numeric_fenchel,
-    power_conjugate,
-    power_eval,
-    progressive_eval,
 )
 
 __version__ = "0.1.0"

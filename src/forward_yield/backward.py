@@ -16,7 +16,7 @@ import numpy as np
 
 from .brownian import BrownianBatch
 from .grids import DeterministicFn, TimeGrid
-from .market import MarketModel, _coeff_on_steps, _exact_log_paths
+from .market import MarketModel, _dual_coeffs, _exact_log_paths, _wealth_coeffs
 from .quadrature import gauss_legendre
 
 
@@ -223,7 +223,6 @@ class BackwardPaths:
     grid: TimeGrid
     x: np.ndarray       # (n, K+1)
     y: np.ndarray       # (n, K+1)
-    int_r: np.ndarray   # (n, K+1)
     nu: DeterministicFn
     kappa: DeterministicFn
 
@@ -247,20 +246,12 @@ def backward_optimal_paths(
         nu = nu_opt if nu is None else nu
         kappa = kappa_opt if kappa is None else kappa
 
-    market = spec.market
-    nu_k = _coeff_on_steps(nu, grid, market.dim, "nu")
-    kappa_k = _coeff_on_steps(kappa, grid, market.dim, "kappa")
-    market.subspace.require_orthogonal(nu_k, "dual volatility nu")
-    market.subspace.require_contains(kappa_k, "portfolio volatility kappa")
-    eta_k = market.premium_on_steps(grid)
-
-    int_r = rate_integral_paths(spec, grid, batch)
-    step_int = np.diff(int_r, axis=1)
-    vol_y = nu_k - eta_k
-    drift_x = np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
-    x = _exact_log_paths(batch.increments, kappa_k, step_int, drift_x, grid.dt, 1.0)
-    y = _exact_log_paths(batch.increments, vol_y, -step_int, -0.5 * np.sum(vol_y * vol_y, axis=1), grid.dt, 1.0)
-    return BackwardPaths(grid=grid, x=x, y=y, int_r=int_r, nu=nu, kappa=kappa)
+    vol_y, drift_y = _dual_coeffs(spec.market, grid, nu)
+    vol_x, drift_x = _wealth_coeffs(spec.market, grid, kappa)
+    step_int = np.diff(rate_integral_paths(spec, grid, batch), axis=1)
+    x = _exact_log_paths(batch.increments, vol_x, step_int, drift_x, grid.dt, 1.0)
+    y = _exact_log_paths(batch.increments, vol_y, -step_int, drift_y, grid.dt, 1.0)
+    return BackwardPaths(grid=grid, x=x, y=y, nu=nu, kappa=kappa)
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,8 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     asof = cfg["output"].get("asof", 0.0)
     (k_t,) = grid_indices(grid, [asof], "output.asof")
     asof = float(asof)
+    if asof > 0.0 and k_t >= ks[-1]:
+        raise ConfigError(f"output.asof: must precede the last tenor {tenors[-1]:g}, got {asof:g}")
 
     triple = _forward_triple(cfg, grid)
     table, detail_rows = _curve_tables(

@@ -12,9 +12,10 @@ import numpy as np
 
 from .backward import GammaModel, VasicekGamma
 from .brownian import PURPOSE_INNER, BrownianBatch, substream_seed
+from .errors import NumericalRangeError
 from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
-from .market import MarketModel, state_price_paths, wealth_paths
+from .market import MarketModel, _dual_coeffs, _exact_log_paths, _wealth_coeffs
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
 from .stats import mean_stderr
@@ -42,8 +43,11 @@ class YieldCurve:
             raise ValueError("tenors must be strictly increasing")
         if np.any(tenors <= self.asof):
             raise ValueError("tenors must exceed the curve date")
-        if not np.all(np.isfinite(self.rates)):
-            raise ValueError("rates must be finite")
+        finite = np.isfinite(self.rates)
+        if not np.all(finite):
+            raise NumericalRangeError(
+                f"{self.method or 'yield curve'}: rates are not finite at tenors {tenors[~finite].tolist()}"
+            )
 
     def roundtrip_error(self) -> float:
         """max |exp(-R (T - t)) / B - 1| over the curve points."""
@@ -62,7 +66,9 @@ def curve_from_prices(
     prices = np.asarray(prices, dtype=float)
     tenors = np.asarray(tenors, dtype=float)
     if np.any(prices <= 0):
-        raise ValueError("zero-coupon prices must be positive")
+        raise NumericalRangeError(
+            f"{method or 'yield curve'}: zero-coupon prices are not positive at tenors {tenors[prices <= 0].tolist()}"
+        )
     rates = -np.log(prices) / (tenors - asof)
     rate_se = None
     if stderrs is not None:
@@ -240,35 +246,35 @@ class InnerRatios:
 @dataclass(frozen=True)
 class _InnerSetup:
     """What the inner simulations of every outer path share: the sub-grid
-    from t to the last maturity and the coefficients shifted to start at t."""
+    from t to the last maturity and the per-step coefficients of ln Y and
+    ln X on it, sliced from the outer grid's."""
 
     k_t: int
     grid: TimeGrid
     rows: list[int]  # sub-grid index of each maturity
-    market: MarketModel
-    nu: DeterministicFn
-    kappa: DeterministicFn
-    psi: DeterministicFn
-
-
-def _shifted(fn: DeterministicFn, t0: float) -> DeterministicFn:
-    return DeterministicFn(lambda s: fn(np.asarray(s, dtype=float) + t0), label=f"{fn.label}@+{t0}")
+    y_vol: np.ndarray
+    y_drift: np.ndarray
+    x_vol: np.ndarray
+    x_drift: np.ndarray  # net of the consumption rate psi
 
 
 def _inner_setup(triple: OptimalTriple, k_t: int, k_mats: list[int]) -> _InnerSetup:
     grid, market, spec = triple.grid, triple.market, triple.spec
     if min(k_mats) <= k_t:
         raise ValueError("maturity indices must follow the pricing index")
-    t0 = grid.times[k_t]
     k_end = max(k_mats)
+    steps = slice(k_t, k_end)
+    y_vol, y_drift = _dual_coeffs(market, grid, spec.nu_star)
+    x_vol, x_drift = _wealth_coeffs(market, grid, spec.kappa_star)
+    x_drift = x_drift - spec.psi_hat.step_values(grid)
     return _InnerSetup(
         k_t=k_t,
-        grid=TimeGrid(grid.times[k_end] - t0, k_end - k_t),
+        grid=TimeGrid(grid.times[k_end] - grid.times[k_t], k_end - k_t),
         rows=[k - k_t for k in k_mats],
-        market=replace(market, risk_premium=_shifted(market.risk_premium, t0)),
-        nu=_shifted(spec.nu_star, t0),
-        kappa=_shifted(spec.kappa_star, t0),
-        psi=_shifted(spec.psi_hat, t0),
+        y_vol=y_vol[steps],
+        y_drift=y_drift[steps],
+        x_vol=x_vol[steps],
+        x_drift=x_drift[steps],
     )
 
 
@@ -285,13 +291,13 @@ def _inner_ratios(triple: OptimalTriple, setup: _InnerSetup, outer_index: int, i
     rate = triple.market.rate
     if isinstance(rate, VasicekRate):
         rate = replace(rate, r0=float(triple.rate_paths.r[outer_index, k_t]))
-    inner_market = replace(setup.market, rate=rate)
     inner_rates = simulate_short_rate(rate, sub, inner_batch)
-    y = state_price_paths(inner_market, sub, inner_batch, nu=setup.nu, rate_paths=inner_rates)
-    x = wealth_paths(inner_market, sub, inner_batch, kappa=setup.kappa, consumption=setup.psi, rate_paths=inner_rates)
+    step_int = inner_rates.step_integrals()
+    y = _exact_log_paths(inner_batch.increments, setup.y_vol, -step_int, setup.y_drift, sub.dt, 1.0)
+    x = _exact_log_paths(inner_batch.increments, setup.x_vol, step_int, setup.x_drift, sub.dt, 1.0)
     # transposed and row-indexed, so each maturity's ratios are contiguous
     rows = setup.rows
-    return InnerRatios(y_ratio=y.values.T[rows], x_ratio=x.values.T[rows], r_end=inner_rates.r.T[rows])
+    return InnerRatios(y_ratio=y.T[rows], x_ratio=x.T[rows], r_end=inner_rates.r.T[rows])
 
 
 def marginal_zc_mc(

@@ -11,3 +11,8 @@ class SubspaceViolationError(ForwardYieldError, ValueError):
 
 class ConfigError(ForwardYieldError, ValueError):
     """An experiment configuration failed validation."""
+
+
+class NumericalRangeError(ForwardYieldError, ValueError):
+    """A simulated or closed-form quantity left the range of double
+    precision, e.g. wealth underflowing to zero or a price overflowing."""

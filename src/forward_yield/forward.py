@@ -279,10 +279,7 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
 
 def _safe_power_value(x: np.ndarray, alpha: float) -> np.ndarray:
     """x^(1-alpha)/(1-alpha) extended by continuity with value 0 at x = 0."""
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.power(x[pos], 1.0 - alpha) / (1.0 - alpha)
-    return out
+    return np.power(np.maximum(x, 0.0), 1.0 - alpha) / (1.0 - alpha)
 
 
 def value_process(utility: ProgressivePowerUtility, wealth: WealthPaths) -> np.ndarray:

@@ -44,12 +44,6 @@ class MarketModel:
             raise ValueError("risk premium dimension does not match market dimension")
         self.subspace.require_contains(eta, "risk premium", tol)
 
-    def premium_on_steps(self, grid: TimeGrid) -> np.ndarray:
-        eta = np.atleast_2d(self.risk_premium.step_values(grid))
-        if eta.shape != (grid.n_steps, self.dim):
-            raise ValueError("risk premium must evaluate to a dim-vector")
-        return eta
-
 
 @dataclass(frozen=True)
 class StatePricePaths:
@@ -90,6 +84,28 @@ def _coeff_on_steps(fn: DeterministicFn, grid: TimeGrid, dim: int, what: str) ->
     if vals.shape != (grid.n_steps, dim):
         raise ValueError(f"{what} must evaluate to a vector of dimension {dim}")
     return vals
+
+
+def _dual_coeffs(market: MarketModel, grid: TimeGrid, nu: DeterministicFn) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step volatility nu - eta and drift -|nu - eta|^2 / 2 of ln Y, net
+    of the short rate; nu must lie in the complement of the subspace and eta
+    in it."""
+    nu_k = _coeff_on_steps(nu, grid, market.dim, "nu")
+    market.subspace.require_orthogonal(nu_k, "dual volatility nu")
+    eta_k = _coeff_on_steps(market.risk_premium, grid, market.dim, "risk premium")
+    market.subspace.require_contains(eta_k, "risk premium")
+    vol = nu_k - eta_k
+    return vol, -0.5 * np.sum(vol * vol, axis=1)
+
+
+def _wealth_coeffs(market: MarketModel, grid: TimeGrid, kappa: DeterministicFn) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step volatility kappa and drift kappa . eta - |kappa|^2 / 2 of
+    ln X, net of the short rate and before consumption; kappa must lie in
+    the subspace."""
+    kappa_k = _coeff_on_steps(kappa, grid, market.dim, "kappa")
+    market.subspace.require_contains(kappa_k, "portfolio volatility kappa")
+    eta_k = _coeff_on_steps(market.risk_premium, grid, market.dim, "risk premium")
+    return kappa_k, np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
 
 
 def _exact_log_paths(
@@ -137,18 +153,10 @@ def state_price_paths(
     if y0 <= 0:
         raise ValueError("y0 must be positive")
     nu = DeterministicFn.zero(market.dim) if nu is None else nu
-    nu_k = _coeff_on_steps(nu, grid, market.dim, "nu")
-    market.subspace.require_orthogonal(nu_k, "dual volatility nu")
-    eta_k = market.premium_on_steps(grid)
-    market.subspace.require_contains(eta_k, "risk premium")
-
+    vol, drift = _dual_coeffs(market, grid, nu)
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
-
-    vol = nu_k - eta_k                                  # (K, dim)
-    values = _exact_log_paths(
-        batch.increments, vol, -rate_paths.step_integrals(), -0.5 * np.sum(vol * vol, axis=1), grid.dt, y0
-    )
+    values = _exact_log_paths(batch.increments, vol, -rate_paths.step_integrals(), drift, grid.dt, y0)
     return StatePricePaths(grid=grid, values=values, nu=nu, y0=float(y0))
 
 
@@ -173,10 +181,7 @@ def wealth_paths(
     """
     if x0 < 0:
         raise ValueError("initial wealth must be nonnegative")
-    kappa_k = _coeff_on_steps(kappa, grid, market.dim, "kappa")
-    market.subspace.require_contains(kappa_k, "portfolio volatility kappa")
-    eta_k = market.premium_on_steps(grid)
-
+    vol, drift = _wealth_coeffs(market, grid, kappa)
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
 
@@ -189,8 +194,7 @@ def wealth_paths(
             raise ValueError("proportional consumption rate must be scalar-valued")
         if np.any(psi_all < 0):
             raise ValueError("consumption rate must be nonnegative")
-        drift = np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1) - psi_all[:-1]
-        values = _exact_log_paths(batch.increments, kappa_k, rate_paths.step_integrals(), drift, grid.dt, x0)
+        values = _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.dt, x0)
         c_paths = psi_all * values
         return WealthPaths(grid=grid, values=values, kappa=kappa, consumption=c_paths, x0=float(x0))
 
@@ -200,15 +204,15 @@ def wealth_paths(
     c_paths = np.empty((n, k_steps + 1))
     values[:, 0] = x0
     times = grid.times
-    kappa_dw = np.einsum("nkd,kd->nk", batch.increments, kappa_k)
-    kappa_eta = np.sum(kappa_k * eta_k, axis=1)
+    kappa_dw = np.einsum("nkd,kd->nk", batch.increments, vol)
+    growth_rate = drift + 0.5 * np.sum(vol * vol, axis=1)  # kappa . eta, the drift of dX / X beyond r
     for k in range(k_steps):
         x = values[:, k]
         c = np.asarray(consumption(times[k], x), dtype=float)
         if np.any(c < -1e-15):
             raise ValueError("consumption rule produced negative rates")
         c_paths[:, k] = c
-        growth = 1.0 + rate_paths.r[:, k] * h + kappa_dw[:, k] + kappa_eta[k] * h
+        growth = 1.0 + rate_paths.r[:, k] * h + kappa_dw[:, k] + growth_rate[k] * h
         nxt = x * growth - c * h
         alive = x > 0.0
         values[:, k + 1] = np.where(alive, np.maximum(nxt, 0.0), 0.0)

@@ -59,10 +59,6 @@ class SubspaceR:
     def axes(cls, dim: int, indices) -> "SubspaceR":
         return cls(np.eye(dim)[list(np.atleast_1d(indices))], dim)
 
-    @property
-    def codim(self) -> int:
-        return self.dim - self.basis.shape[0]
-
     def project(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split v into (part in the subspace, part in the orthogonal complement).
 

@@ -9,10 +9,11 @@ psi_hat_t Zhat_t^(1/alpha) utilde(y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
+from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
 
 
@@ -61,20 +62,6 @@ class PowerUtility:
     def conjugate_slope(self, y):
         y = _require_positive(y, "y")
         return -np.power(y / self.scale, -1.0 / self.alpha)
-
-    def inverse_marginal(self, y):
-        """Inverse of the marginal utility; equals minus the conjugate slope."""
-        return -self.conjugate_slope(y)
-
-
-def power_eval(u: PowerUtility, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, first and second derivative of a power utility at x > 0."""
-    return u.value(x), u.marginal(x), u.second(x)
-
-
-def power_conjugate(u: PowerUtility, y) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form conjugate and its derivative at y > 0."""
-    return u.conjugate(y), u.conjugate_slope(y)
 
 
 @dataclass(frozen=True)
@@ -131,14 +118,6 @@ def numeric_biconjugate(conj: NumericConjugate, x_grid: np.ndarray) -> np.ndarra
     return np.min(objective, axis=1)
 
 
-class ProgressiveValues(NamedTuple):
-    wealth_value: float        # U(t, x)
-    wealth_marginal: float     # U_x(t, x)
-    consumption_value: float   # V(t, x) with x read as a consumption rate
-    consumption_marginal: float  # V_c(t, x)
-    dual_value: float          # Vtilde(t, U_x(t, x))
-
-
 @dataclass(frozen=True)
 class ProgressivePowerUtility:
     """Progressive power utility pair driven by the coefficient paths Zhat."""
@@ -152,7 +131,7 @@ class ProgressivePowerUtility:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         if np.any(self.zhat <= 0):
-            raise ValueError("Zhat must be strictly positive")
+            raise NumericalRangeError("Zhat must be strictly positive; wealth or the state-price density underflowed to 0")
 
     @property
     def base(self) -> PowerUtility:
@@ -166,9 +145,6 @@ class ProgressivePowerUtility:
 
     def wealth_marginal(self, k: int, x, path=None):
         return self._z(k, path) * self.base.marginal(x)
-
-    def wealth_second(self, k: int, x, path=None):
-        return self._z(k, path) * self.base.second(x)
 
     def psi_at(self, k: int) -> float:
         return float(self.psi_hat(self.grid.times[k]))
@@ -191,19 +167,3 @@ class ProgressivePowerUtility:
     def optimal_consumption_fraction(self, k: int, x, path=None):
         """-Vtilde_y(t, U_x(t, x)); equals psi_hat_t * x for the power pair."""
         return -self.consumption_dual_slope(k, self.wealth_marginal(k, x, path), path)
-
-
-def progressive_eval(p: ProgressivePowerUtility, path: int, k: int, x: float) -> ProgressiveValues:
-    """Evaluate the pair (U, U_x, V, V_c, Vtilde) on one path at grid index k.
-
-    The dual value is reported at y = U_x(t, x), the point used by the
-    drift constraint of the utility system.
-    """
-    ux = p.wealth_marginal(k, x, path)
-    return ProgressiveValues(
-        wealth_value=float(p.wealth_value(k, x, path)),
-        wealth_marginal=float(ux),
-        consumption_value=float(p.consumption_value(k, x, path)),
-        consumption_marginal=float(p.consumption_marginal(k, x, path)),
-        dual_value=float(p.consumption_dual(k, ux, path)),
-    )

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import forward_yield
 from forward_yield import cli
 from forward_yield.cli import main
 from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config, verify_thresholds
@@ -59,6 +64,7 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
         ("long-rate", {"long_rate": {"probes": [5.0, 10.0]}}, "long_rate.probes"),
         ("long-rate", {"long_rate": {"t_max": -1}}, "long_rate.t_max"),
         ("forward-curve", {"output": {"asof": "x"}}, "output.asof"),
+        ("forward-curve", {"output": {"asof": 10.0, "tenors": [3.0, 5.0]}}, "output.asof"),
     ],
 )
 def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatch, command, overrides, field):
@@ -71,6 +77,38 @@ def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatc
     code = run_cli(command, "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        # wealth underflows to 0, so Zhat = Y X^alpha is 0
+        ("verify", {"spec": {"kappa_star": [40, 0]}}),
+        # the 400-year closed-form price overflows to inf
+        (
+            "forward-curve",
+            {
+                "market": {"rate": {"a": 0.05, "sigma_r": 0.05}},
+                "spec": {"nu_star": [0, 1.5]},
+                "simulation": {"horizon": 400.0, "n_steps": 400},
+                "output": {"tenors": [100.0, 400.0]},
+            },
+        ),
+    ],
+)
+def test_out_of_range_numbers_exit_2_without_traceback(tmp_path, command, overrides):
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(overrides))
+    src = str(Path(forward_yield.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "forward_yield.cli", command, "--config", str(cfg), "--paths", "2000",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,27 @@ def test_nested_every_maturity_matches_state_closed_form():
         assert np.max(np.abs(z)) < 4.5
 
 
+def test_nested_table_coefficients_match_state_closed_form():
+    # both volatilities jump at 3.5, strictly inside (t, T) for T = 5 and 7,
+    # so the inner steps must carry the coefficients of their own dates
+    market = incomplete_vasicek_market(sigma=0.05)
+    spec = ForwardPowerSpec(
+        alpha=0.5,
+        kappa_star=DeterministicFn.table([0.0, 3.5], [[0.2, 0.0], [0.5, 0.0]]),
+        nu_star=DeterministicFn.table([0.0, 3.5], [[0.0, -0.2], [0.0, 0.4]]),
+        psi_hat=DeterministicFn.constant(0.05),
+    )
+    grid = make_grid(10.0, 40)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(2468, grid, dim=2, n_paths=64))
+    k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
+    reports = marginal_zc_mc(triple, grid.index_of(2.0), k_mats, inner_paths=4096, max_outer=32)
+    for report in reports:
+        closed = zc_price_gaussian(market, spec.nu_star, 2.0, report.maturity, r_t=report.rate_states)
+        z = (report.prices - closed) / report.stderrs
+        assert np.max(np.abs(z)) < 4.5
+        assert abs(np.mean(z)) < 1.0
+
+
 def test_nested_last_maturity_equals_single_maturity_call():
     triple = nested_triple()
     grid = triple.grid

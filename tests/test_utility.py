@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,12 @@ from forward_yield import (
     make_grid,
     numeric_biconjugate,
     numeric_fenchel,
-    power_conjugate,
-    power_eval,
-    progressive_eval,
 )
 
 
 def test_power_eval_reference_point():
     u = PowerUtility(alpha=0.5)
-    val, marg, second = power_eval(u, 1.0)
+    val, marg, second = u.value(1.0), u.marginal(1.0), u.second(1.0)
     assert val == pytest.approx(2.0, abs=1e-15)
     assert marg == pytest.approx(1.0, abs=1e-15)
     assert second == pytest.approx(-0.5, abs=1e-15)
@@ -37,9 +36,9 @@ def test_marginal_strictly_decreasing_and_inada():
 def test_power_eval_rejects_nonpositive():
     u = PowerUtility(alpha=0.5)
     with pytest.raises(ValueError):
-        power_eval(u, 0.0)
+        u.value(0.0)
     with pytest.raises(ValueError):
-        power_conjugate(u, -1.0)
+        u.conjugate(-1.0)
 
 
 def test_alpha_domain():
@@ -59,16 +58,16 @@ def test_conjugate_matches_dense_maximization_oracle():
     vals = u.value(x_dense)
     for y in (0.3, 1.0, 4.0):
         oracle = np.max(vals - x_dense * y)
-        conj, _ = power_conjugate(u, y)
+        conj = u.conjugate(y)
         assert conj == pytest.approx(oracle, rel=1e-6)
-    conj_at_one, _ = power_conjugate(u, 1.0)
+    conj_at_one = u.conjugate(1.0)
     assert conj_at_one == pytest.approx(1.0, abs=1e-12)  # max of 2 sqrt(x) - x
 
 
 def test_inverse_marginal_identity():
     u = PowerUtility(alpha=0.37, scale=1.7)
     y = np.geomspace(1e-3, 1e3, 100)
-    _, slope = power_conjugate(u, y)
+    slope = u.conjugate_slope(y)
     assert np.max(np.abs(u.marginal(-slope) / y - 1.0)) < 1e-12
 
 
@@ -80,7 +79,7 @@ def test_inverse_marginal_identity():
 )
 def test_inverse_marginal_identity_hypothesis(alpha, scale, y):
     u = PowerUtility(alpha=alpha, scale=scale)
-    x = u.inverse_marginal(y)
+    x = -u.conjugate_slope(y)
     assert u.marginal(x) == pytest.approx(y, rel=1e-10)
 
 
@@ -98,7 +97,7 @@ def test_numeric_fenchel_matches_closed_form():
     x_grid = np.geomspace(1e-4, 1e4, 4000)
     y_grid = np.geomspace(0.1, 10.0, 200)
     numeric = numeric_fenchel(u.value, x_grid, y_grid)
-    closed, _ = power_conjugate(u, y_grid)
+    closed = u.conjugate(y_grid)
     assert np.max(np.abs(numeric.values / closed - 1.0)) < 1e-4
     assert numeric.convexity_defect() > -1e-9
     assert numeric.is_decreasing()
@@ -136,7 +135,14 @@ def test_progressive_identity_coefficients_reduce_to_power_pair():
     p = _unit_progressive()
     u = PowerUtility(alpha=0.5)
     for x in (0.5, 1.0, 3.0):
-        vals = progressive_eval(p, path=0, k=2, x=x)
+        ux = p.wealth_marginal(2, x, 0)
+        vals = SimpleNamespace(
+            wealth_value=p.wealth_value(2, x, 0),
+            wealth_marginal=ux,
+            consumption_value=p.consumption_value(2, x, 0),
+            consumption_marginal=p.consumption_marginal(2, x, 0),
+            dual_value=p.consumption_dual(2, ux, 0),
+        )
         assert vals.wealth_value == pytest.approx(u.value(x), rel=1e-14)
         assert vals.wealth_marginal == pytest.approx(u.marginal(x), rel=1e-14)
         assert vals.consumption_value == pytest.approx(u.value(x), rel=1e-14)
