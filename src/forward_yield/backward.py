@@ -246,12 +246,28 @@ def backward_optimal_paths(
         nu = nu_opt if nu is None else nu
         kappa = kappa_opt if kappa is None else kappa
 
-    vol_y, drift_y = _dual_coeffs(spec.market, grid, nu)
-    vol_x, drift_x = _wealth_coeffs(spec.market, grid, kappa)
     step_int = np.diff(rate_integral_paths(spec, grid, batch), axis=1)
-    x = _exact_log_paths(batch.increments, vol_x, step_int, drift_x, grid.dt, 1.0)
-    y = _exact_log_paths(batch.increments, vol_y, -step_int, drift_y, grid.dt, 1.0)
+    x, y = _optimal_paths(spec.market, grid, batch.increments, step_int, nu, kappa)
     return BackwardPaths(grid=grid, x=x, y=y, nu=nu, kappa=kappa)
+
+
+def _optimal_paths(
+    market: MarketModel,
+    grid: TimeGrid,
+    increments: np.ndarray,
+    step_int: np.ndarray,
+    nu: DeterministicFn,
+    kappa: DeterministicFn,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wealth and state-price paths on the first k steps of grid, k being the
+    number of rate-integral steps; (nu, kappa, eta) are checked on all of grid."""
+    k = step_int.shape[1]
+    vol_y, drift_y = _dual_coeffs(market, grid, nu)
+    vol_x, drift_x = _wealth_coeffs(market, grid, kappa)
+    inc = increments[:, :k, :]
+    x = _exact_log_paths(inc, vol_x[:k], step_int, drift_x[:k], grid.dt, 1.0)
+    y = _exact_log_paths(inc, vol_y[:k], -step_int, drift_y[:k], grid.dt, 1.0)
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -301,9 +317,35 @@ class HorizonReport:
         return max(g.max_rel_gap_x for g in self.gaps)
 
 
-def _subgrid_batch(grid: TimeGrid, batch: BrownianBatch, k: int) -> tuple[TimeGrid, BrownianBatch]:
-    sub = TimeGrid(grid.times[k], k)
-    return sub, BrownianBatch(seed=batch.seed, grid=sub, increments=batch.increments[:, :k, :])
+def _states_at_common_date(
+    spec: BackwardSpec,
+    horizons: Sequence[float],
+    grid: TimeGrid,
+    batch: BrownianBatch,
+    k_c: int,
+) -> dict[float, tuple[DeterministicFn, np.ndarray, np.ndarray]]:
+    """(nu, X_{t_c}, Y_{t_c}) of each horizon's optimal solution, t_c = grid.times[k_c].
+
+    The states at t_c depend on the first k_c steps only, and the rate
+    integral up to t_c uses Gamma_s(t) for t <= t_c, which no horizon
+    changes; so one rate integral on k_c steps serves every horizon, and
+    batch needs to cover only [0, t_c].  Each horizon's (nu, kappa) is still
+    checked on its whole [0, T_H].
+    """
+    k_sim = max(k_c, 1)  # a grid has at least one step; t_c = 0 reads column 0
+    if batch.increments.shape[1] < k_sim:
+        raise ValueError("the Brownian batch must cover [0, t_common]")
+    sim_grid = TimeGrid(grid.times[k_sim], k_sim)
+    sim_batch = BrownianBatch(seed=batch.seed, grid=sim_grid, increments=batch.increments[:, :k_sim, :])
+    step_int = np.diff(rate_integral_paths(spec, sim_grid, sim_batch), axis=1)
+    states = {}
+    for t_h in horizons:
+        nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
+        k_h = grid.index_of(t_h)
+        h_grid = TimeGrid(grid.times[k_h], k_h)
+        x, y = _optimal_paths(spec.market, h_grid, sim_batch.increments, step_int, nu, kappa)
+        states[t_h] = (nu, x[:, k_c], y[:, k_c])
+    return states
 
 
 def horizon_dependency_experiment(
@@ -318,38 +360,35 @@ def horizon_dependency_experiment(
     The optimal volatilities of horizon T_H enter the dual process, so any
     maturity dependence of Gamma shows up as a pathwise gap at a common
     intermediate date; with maturity-free Gamma the gap is exactly zero.
+    Only [0, t_common] is simulated, and batch may hold just those steps of
+    grid; the states at t_common match those simulated on each horizon's
+    whole grid up to the rounding of the rate-integral sums.
     """
     if len(horizons) < 2:
         raise ValueError("need at least two horizons")
-    solved = {}
-    for t_h in horizons:
-        if t_h < t_common:
-            raise ValueError("t_common must precede every horizon")
-        sub_spec = replace(spec, t_horizon=float(t_h))
-        k_h = grid.index_of(t_h)
-        sub_grid, sub_batch = _subgrid_batch(grid, batch, k_h)
-        solved[t_h] = (sub_spec, backward_optimal_paths(sub_spec, sub_grid, sub_batch))
-
+    if any(t_h < t_common for t_h in horizons):
+        raise ValueError("t_common must precede every horizon")
     k_c = grid.index_of(t_common)
+    states = _states_at_common_date(spec, horizons, grid, batch, k_c)
+
     eta_k = np.atleast_2d(spec.market.risk_premium.values(grid.times[:k_c]))
     h = grid.dt
     gaps = []
     for i, ta in enumerate(horizons):
         for tb in horizons[i + 1 :]:
-            pa, pb = solved[ta][1], solved[tb][1]
-            gap_x = float(np.max(np.abs(pa.x[:, k_c] / pb.x[:, k_c] - 1.0)))
-            gap_y = float(np.max(np.abs(pa.y[:, k_c] / pb.y[:, k_c] - 1.0)))
+            (nu_a, xa, ya), (nu_b, xb, yb) = states[ta], states[tb]
+            gap_x = float(np.max(np.abs(xa / xb - 1.0)))
+            gap_y = float(np.max(np.abs(ya / yb - 1.0)))
 
             # the dual ratio is predictable from the volatility differences
-            na = np.atleast_2d(pa.nu.values(grid.times[:k_c]))
-            nb = np.atleast_2d(pb.nu.values(grid.times[:k_c]))
+            na = np.atleast_2d(nu_a.values(grid.times[:k_c]))
+            nb = np.atleast_2d(nu_b.values(grid.times[:k_c]))
             mart = np.einsum("nkd,kd->nk", batch.increments[:, :k_c, :], na - nb).sum(axis=1)
             conv = 0.5 * (np.sum((na - eta_k) ** 2, axis=1) - np.sum((nb - eta_k) ** 2, axis=1)).sum() * h
             # the integrated-rate parts differ only through Gamma(. , t) for t <= t_common,
             # which is horizon-free; they cancel in the ratio
             predicted = np.exp(mart - conv)
-            simulated = pa.y[:, k_c] / pb.y[:, k_c]
-            resid = float(np.max(np.abs(simulated / predicted - 1.0)))
+            resid = float(np.max(np.abs((ya / yb) / predicted - 1.0)))
             gaps.append(
                 HorizonGap(
                     horizon_a=float(ta),

@@ -40,19 +40,28 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def blocked_normals(seed: int, purpose: int, n_rows: int, row_shape: tuple[int, ...]) -> np.ndarray:
+def blocked_normals(
+    seed: int, purpose: int, n_rows: int, row_shape: tuple[int, ...], keep: int | None = None
+) -> np.ndarray:
     """Standard normals of shape (n_rows, *row_shape), row i depending only on
     (seed, purpose, i).  Blocks may be filled in parallel; the result is
-    identical for any thread count."""
+    identical for any thread count.
+
+    With keep, each row is still drawn whole but only its first keep entries
+    along the leading row axis are stored: the same numbers as in the full
+    draw, in (n_rows, keep, *row_shape[1:]) memory."""
     seed = _check_seed(seed)
-    out = np.empty((n_rows,) + tuple(row_shape))
+    row_shape = tuple(row_shape)
+    stored = row_shape if keep is None else (keep,) + row_shape[1:]
+    out = np.empty((n_rows,) + stored)
     spans = [(b0, min(b0 + _BLOCK, n_rows)) for b0 in range(0, n_rows, _BLOCK)]
 
     def fill(span):
         b0, b1 = span
         ss = np.random.SeedSequence(entropy=(seed, purpose, b0 // _BLOCK))
         gen = np.random.Generator(np.random.Philox(ss))
-        out[b0:b1] = gen.standard_normal((b1 - b0,) + tuple(row_shape))
+        z = gen.standard_normal((b1 - b0,) + row_shape)
+        out[b0:b1] = z if keep is None else z[:, :keep]
 
     workers = thread_cap()
     if workers > 1 and len(spans) > 1:
@@ -101,16 +110,28 @@ class BrownianBatch:
         return self.increments @ direction
 
 
-def sample_brownian(seed: int, grid: TimeGrid, dim: int, n_paths: int) -> BrownianBatch:
+def sample_brownian(
+    seed: int, grid: TimeGrid, dim: int, n_paths: int, n_steps: int | None = None
+) -> BrownianBatch:
     """Draw a seeded batch of i.i.d. N(0, dt) Brownian increments.
 
     Regeneration with the same seed is bit-exact, and the first m paths of a
-    larger batch coincide with the paths of a smaller one.
+    larger batch coincide with the paths of a smaller one.  n_steps keeps
+    only the first n_steps increments of each path, on [0, t_{n_steps}]:
+    they equal the same steps of the whole grid's batch bit for bit, since
+    the whole grid is still drawn, but only the prefix is stored.
     """
     if dim < 1 or int(dim) != dim:
         raise ValueError(f"dim must be a positive integer, got {dim}")
     if n_paths < 1 or int(n_paths) != n_paths:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
-    z = blocked_normals(seed, PURPOSE_INCREMENTS, int(n_paths), (grid.n_steps, int(dim)))
+    keep = None
+    if n_steps is not None and n_steps != grid.n_steps:
+        if not (1 <= n_steps < grid.n_steps) or int(n_steps) != n_steps:
+            raise ValueError(f"n_steps must be an integer in [1, {grid.n_steps}], got {n_steps}")
+        keep = int(n_steps)
+    z = blocked_normals(seed, PURPOSE_INCREMENTS, int(n_paths), (grid.n_steps, int(dim)), keep)
     z *= np.sqrt(grid.dt)
+    if keep is not None:
+        grid = TimeGrid(float(grid.times[keep]), keep)
     return BrownianBatch(seed=int(seed), grid=grid, increments=z)

@@ -450,8 +450,9 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
     horizon = max(horizons)
     grid = make_grid(horizon, int(round(horizon / 0.25)))
     grid_indices(grid, horizons, "spec.t_horizons")
-    grid_indices(grid, [t_common], "spec.t_common")
-    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
+    (k_c,) = grid_indices(grid, [t_common], "spec.t_common")
+    # the experiment reads the paths at t_common only, so only [0, t_common] is stored
+    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths, n_steps=max(k_c, 1))
     report = horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
 
     rows = [

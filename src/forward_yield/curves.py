@@ -214,7 +214,9 @@ def zc_price_gaussian(
         return np.exp(-m_int)
     nu_fn = DeterministicFn.zero(market.dim) if nu is None else nu
     tilt = _tilt_integral(lambda s: gamma.vectors(s, t_mat), nu_fn, market.risk_premium, t, t_mat)
-    return np.exp(-m_int + 0.5 * gamma.int_sq(t, t_mat) + tilt)
+    # an overflow to inf is reported by the yield curve's range check
+    with np.errstate(over="ignore"):
+        return np.exp(-m_int + 0.5 * gamma.int_sq(t, t_mat) + tilt)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,6 @@ class ForwardPowerSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
 
-    def validate_on(self, market: MarketModel, grid: TimeGrid, tol: float = 1e-9) -> None:
-        market.subspace.require_contains(self.kappa_star.values(grid.times), "kappa_star", tol)
-        market.subspace.require_orthogonal(self.nu_star.values(grid.times), "nu_star", tol)
-        if np.any(self.psi_hat.values(grid.times) < 0):
-            raise ValueError("psi_hat must be nonnegative")
-
 
 @dataclass(frozen=True)
 class OptimalTriple:
@@ -88,9 +82,8 @@ def simulate_optimal(
     grid: TimeGrid,
     batch: BrownianBatch,
 ) -> OptimalTriple:
-    """Simulate the optimal pair with exact log schemes on a shared batch."""
-    market.validate_on(grid)
-    spec.validate_on(market, grid)
+    """Simulate the optimal pair with exact log schemes on a shared batch;
+    the path builders check kappa, nu, eta and psi on every grid date."""
     rate_paths = simulate_short_rate(market.rate, grid, batch)
     wealth = wealth_paths(
         market, grid, batch, kappa=spec.kappa_star, consumption=spec.psi_hat, x0=1.0, rate_paths=rate_paths

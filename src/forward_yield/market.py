@@ -38,12 +38,6 @@ class MarketModel:
         if self.subspace.dim != self.dim:
             raise ValueError("subspace dimension does not match market dimension")
 
-    def validate_on(self, grid: TimeGrid, tol: float = 1e-9) -> None:
-        eta = self.risk_premium.values(grid.times)
-        if eta.shape[-1] != self.dim:
-            raise ValueError("risk premium dimension does not match market dimension")
-        self.subspace.require_contains(eta, "risk premium", tol)
-
 
 @dataclass(frozen=True)
 class StatePricePaths:
@@ -79,32 +73,33 @@ class WealthPaths:
         return float(np.mean(self.values[:, -1] <= 0.0))
 
 
-def _coeff_on_steps(fn: DeterministicFn, grid: TimeGrid, dim: int, what: str) -> np.ndarray:
-    vals = np.atleast_2d(fn.step_values(grid))
-    if vals.shape != (grid.n_steps, dim):
+def _coeff_on_dates(fn: DeterministicFn, grid: TimeGrid, dim: int, what: str) -> np.ndarray:
+    vals = np.atleast_2d(fn.values(grid.times))
+    if vals.shape != (grid.n_steps + 1, dim):
         raise ValueError(f"{what} must evaluate to a vector of dimension {dim}")
     return vals
 
 
 def _dual_coeffs(market: MarketModel, grid: TimeGrid, nu: DeterministicFn) -> tuple[np.ndarray, np.ndarray]:
     """Per-step volatility nu - eta and drift -|nu - eta|^2 / 2 of ln Y, net
-    of the short rate; nu must lie in the complement of the subspace and eta
-    in it."""
-    nu_k = _coeff_on_steps(nu, grid, market.dim, "nu")
-    market.subspace.require_orthogonal(nu_k, "dual volatility nu")
-    eta_k = _coeff_on_steps(market.risk_premium, grid, market.dim, "risk premium")
-    market.subspace.require_contains(eta_k, "risk premium")
-    vol = nu_k - eta_k
+    of the short rate, at the K left endpoints; nu must lie in the complement
+    of the subspace and eta in it at all K+1 grid dates."""
+    nu_t = _coeff_on_dates(nu, grid, market.dim, "nu")
+    market.subspace.require_orthogonal(nu_t, "dual volatility nu")
+    eta_t = _coeff_on_dates(market.risk_premium, grid, market.dim, "risk premium")
+    market.subspace.require_contains(eta_t, "risk premium")
+    vol = nu_t[:-1] - eta_t[:-1]
     return vol, -0.5 * np.sum(vol * vol, axis=1)
 
 
 def _wealth_coeffs(market: MarketModel, grid: TimeGrid, kappa: DeterministicFn) -> tuple[np.ndarray, np.ndarray]:
     """Per-step volatility kappa and drift kappa . eta - |kappa|^2 / 2 of
-    ln X, net of the short rate and before consumption; kappa must lie in
-    the subspace."""
-    kappa_k = _coeff_on_steps(kappa, grid, market.dim, "kappa")
-    market.subspace.require_contains(kappa_k, "portfolio volatility kappa")
-    eta_k = _coeff_on_steps(market.risk_premium, grid, market.dim, "risk premium")
+    ln X, net of the short rate and before consumption, at the K left
+    endpoints; kappa must lie in the subspace at all K+1 grid dates."""
+    kappa_t = _coeff_on_dates(kappa, grid, market.dim, "kappa")
+    market.subspace.require_contains(kappa_t, "portfolio volatility kappa")
+    kappa_k = kappa_t[:-1]
+    eta_k = _coeff_on_dates(market.risk_premium, grid, market.dim, "risk premium")[:-1]
     return kappa_k, np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
 
 

@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from forward_yield import (
     BackwardSpec,
+    BrownianBatch,
     ConstantRate,
+    CustomGamma,
     DeterministicFn,
     MarketModel,
     SubspaceR,
     SyntheticSqrtGamma,
+    TimeGrid,
     VasicekGamma,
     backward_optimal_paths,
     horizon_dependency_experiment,
@@ -18,6 +23,7 @@ from forward_yield import (
     solve_backward_vols,
     terminal_constraint_check,
 )
+from forward_yield import backward
 
 E1, E2 = np.eye(2)
 A, SIGMA_R = 1.0, 0.02
@@ -191,5 +197,98 @@ def test_grid_must_cover_horizon():
     spec = vasicek_orthogonal_spec(t_horizon=10.0)
     grid = make_grid(5.0, 20)
     batch = sample_brownian(1, grid, dim=2, n_paths=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid horizon must cover the optimization horizon"):
         backward_optimal_paths(spec, grid, batch)
+    # one step short of the horizon is still short
+    with pytest.raises(ValueError, match="grid horizon must cover the optimization horizon"):
+        backward_optimal_paths(replace(spec, t_horizon=5.25), grid, batch)
+
+
+def _custom_gamma_fn(s, t_mat):
+    # a hedgeable part growing with time to maturity and a mean-reverting orthogonal part
+    tau = t_mat - np.asarray(s, dtype=float)
+    return np.stack([0.004 * np.sqrt(tau), 0.02 * (1.0 - np.exp(-0.5 * tau))], axis=-1)
+
+
+GAMMAS = {
+    "vasicek-orthogonal": VasicekGamma(a=A, sigma_r=SIGMA_R, direction=E2),
+    "synthetic-sqrt": SyntheticSqrtGamma(c_r=4e-5, c_perp=4e-5, dir_r=E1, dir_perp=E2),
+    "custom": CustomGamma(fn=_custom_gamma_fn, dim=2),
+}
+
+
+@pytest.mark.parametrize("t_common", [5.0, 10.0])
+@pytest.mark.parametrize("gamma", list(GAMMAS))
+@pytest.mark.parametrize("prefix", [False, True])
+def test_horizon_states_equal_full_backward_paths(gamma, t_common, prefix):
+    # the experiment simulates [0, t_common] only; its states there equal
+    # those of the public backward paths on each horizon's whole sub-grid to
+    # 1e-15 relative, not bit for bit: the reference's rate-integral matmul
+    # sums an inner dimension of K_H * dim terms, and BLAS blocks that sum
+    # differently for each K_H (seen: up to 2 ulp, 4.4e-16)
+    spec = BackwardSpec(t_horizon=30.0, alpha=0.4, gamma=GAMMAS[gamma], market=incomplete_market())
+    horizons = [10.0, 20.0, 30.0]
+    grid = make_grid(30.0, 120)
+    full = sample_brownian(2024, grid, dim=2, n_paths=300)
+    k_c = grid.index_of(t_common)
+    batch = sample_brownian(2024, grid, dim=2, n_paths=300, n_steps=k_c) if prefix else full
+    states = backward._states_at_common_date(spec, horizons, grid, batch, k_c)
+    for t_h in horizons:
+        k_h = grid.index_of(t_h)
+        sub = TimeGrid(grid.times[k_h], k_h)
+        sub_batch = BrownianBatch(seed=full.seed, grid=sub, increments=full.increments[:, :k_h, :])
+        ref = backward_optimal_paths(replace(spec, t_horizon=t_h), sub, sub_batch)
+        _, x_c, y_c = states[t_h]
+        np.testing.assert_allclose(x_c, ref.x[:, k_c], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(y_c, ref.y[:, k_c], rtol=1e-15, atol=0.0)
+
+
+def test_horizon_rate_integral_runs_once_on_common_steps(monkeypatch):
+    calls = []
+    original = backward.rate_integral_paths
+
+    def counting(spec, grid, batch):
+        calls.append((grid.n_steps, batch.increments.shape[1]))
+        return original(spec, grid, batch)
+
+    monkeypatch.setattr(backward, "rate_integral_paths", counting)
+    spec = vasicek_orthogonal_spec(t_horizon=30.0)
+    grid = make_grid(30.0, 120)
+    batch = sample_brownian(33, grid, dim=2, n_paths=200)
+    report = horizon_dependency_experiment(spec, [10.0, 20.0, 30.0], grid, batch, t_common=5.0)
+    assert len(report.gaps) == 3
+    assert calls == [(20, 20)]
+
+
+def test_horizon_t_common_zero_gives_zero_gaps():
+    spec = vasicek_orthogonal_spec(t_horizon=50.0)
+    grid = make_grid(50.0, 200)
+    # the shortest batch a grid allows: one step
+    batch = sample_brownian(44, grid, dim=2, n_paths=100, n_steps=1)
+    report = horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=0.0)
+    gap = report.gaps[0]
+    assert (gap.max_rel_gap_x, gap.max_rel_gap_y, gap.predicted_gap_residual) == (0.0, 0.0, 0.0)
+
+
+def test_horizon_batch_must_cover_t_common():
+    spec = vasicek_orthogonal_spec(t_horizon=50.0)
+    grid = make_grid(50.0, 200)
+    batch = sample_brownian(45, grid, dim=2, n_paths=10, n_steps=19)
+    with pytest.raises(ValueError, match="cover"):
+        horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+
+
+def test_horizon_checks_coefficients_past_t_common():
+    # Gamma_s turns non-finite for s > 20: after t_common and the shorter
+    # horizon, before the longer one, so only the 50-year coefficients see it
+    def fn(s, t_mat):
+        out = _custom_gamma_fn(s, t_mat)
+        out[np.asarray(s) > 20.0] = np.nan
+        return out
+
+    spec = BackwardSpec(t_horizon=50.0, alpha=0.5, gamma=CustomGamma(fn=fn, dim=2), market=incomplete_market())
+    grid = make_grid(50.0, 200)
+    batch = sample_brownian(46, grid, dim=2, n_paths=10, n_steps=20)
+    horizon_dependency_experiment(spec, [10.0, 20.0], grid, batch, t_common=5.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forward_yield import make_grid, sample_brownian
+from forward_yield import TimeGrid, make_grid, sample_brownian
 
 
 def test_same_seed_reproduces_bit_exact():
@@ -32,6 +32,33 @@ def test_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("FORWARD_YIELD_THREADS", "4")
     threaded = sample_brownian(7, grid, dim=1, n_paths=30000)
     assert np.array_equal(base.increments, threaded.increments)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_prefix_batch_is_the_full_draw_cut_short(monkeypatch, threads):
+    # rows span two 8192-row blocks; the prefix draws each row whole, so its
+    # steps are the full draw's bit for bit
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
+    grid = make_grid(5.0, 20)
+    full = sample_brownian(2718, grid, dim=2, n_paths=8192 + 5)
+    prefix = sample_brownian(2718, grid, dim=2, n_paths=8192 + 5, n_steps=7)
+    assert prefix.increments.shape == (8192 + 5, 7, 2)
+    assert np.array_equal(prefix.increments, full.increments[:, :7, :])
+    assert prefix.grid == TimeGrid(grid.times[7], 7)
+
+
+def test_prefix_of_whole_grid_is_the_full_batch():
+    grid = make_grid(1.0, 4)
+    batch = sample_brownian(3, grid, dim=1, n_paths=5, n_steps=4)
+    assert batch.grid is grid
+    assert np.array_equal(batch.increments, sample_brownian(3, grid, dim=1, n_paths=5).increments)
+
+
+@pytest.mark.parametrize("n_steps", [0, 5, -1, 2.5])
+def test_rejects_bad_prefix(n_steps):
+    grid = make_grid(1.0, 4)
+    with pytest.raises(ValueError, match="n_steps"):
+        sample_brownian(1, grid, dim=1, n_paths=3, n_steps=n_steps)
 
 
 def test_increment_variance_within_two_percent():

@@ -108,6 +108,7 @@ def test_out_of_range_numbers_exit_2_without_traceback(tmp_path, command, overri
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert "error: " in proc.stderr
 
 
@@ -195,6 +196,32 @@ def test_backward_curve_and_horizon_commands(tmp_path):
         gap_rows = list(csv.DictReader(fh))
     assert float(gap_rows[0]["max_rel_gap_dual"]) > 0.0
     assert float(gap_rows[0]["predicted_gap_residual"]) < 1e-9
+
+
+@pytest.mark.parametrize("t_common, k_stored", [(0.0, 1), (5.0, 20), (10.0, 40)])
+def test_horizon_stores_only_the_steps_to_t_common(tmp_path, monkeypatch, t_common, k_stored):
+    # default horizons 10 and 50 on a 0.25-year grid: t_common = 10 is the
+    # smallest horizon, and t_common = 0 still needs a one-step batch
+    stored = []
+
+    def recording(*args, **kwargs):
+        batch = forward_yield.sample_brownian(*args, **kwargs)
+        stored.append(batch.increments.shape[1])
+        return batch
+
+    monkeypatch.setattr(cli, "sample_brownian", recording)
+    cfg = tmp_path / "horizon.json"
+    cfg.write_text(json.dumps({"spec": {"t_common": t_common}}))
+    out = tmp_path / "out"
+    assert run_cli("horizon", "--config", str(cfg), "--paths", "500", "--out", str(out)) == 0
+    assert stored == [k_stored]
+    with (out / "horizon.csv").open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["predicted_gap_residual"]) < 1e-9
+    if t_common == 0.0:
+        assert [float(row[k]) for k in ("max_rel_gap_wealth", "max_rel_gap_dual", "predicted_gap_residual")] == [0.0] * 3
+    else:
+        assert float(row["max_rel_gap_dual"]) > 0.0
 
 
 def test_long_rate_command_verdicts(tmp_path):

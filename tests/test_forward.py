@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,15 @@ def test_spec_subspace_validation():
     batch = sample_brownian(1, grid, dim=2, n_paths=2)
     with pytest.raises(SubspaceViolationError):
         simulate_optimal(bad_kappa, market, grid, batch)
+
+
+@pytest.mark.parametrize("field, value", [("kappa_star", [0.3, 0.2]), ("nu_star", [0.1, 0.1]), ("psi_hat", -0.1)])
+def test_simulate_optimal_checks_the_last_grid_date(field, value):
+    # each coefficient is admissible on [0, 1) and leaves its set only at t = 1
+    spec = default_spec()
+    inside = getattr(spec, field).values(np.array([0.0]))[0]
+    table = DeterministicFn.table(np.array([0.0, 1.0]), np.array([inside, value]))
+    grid = make_grid(1.0, 4)
+    batch = sample_brownian(2, grid, dim=2, n_paths=2)
+    with pytest.raises(ValueError):
+        simulate_optimal(replace(spec, **{field: table}), default_market(), grid, batch)

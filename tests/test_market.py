@@ -234,3 +234,25 @@ def test_deflated_paths_include_running_consumption():
     m = deflated_wealth_paths(y, w)
     assert m.shape == w.values.shape
     assert np.all(m[:, -1] > w.values[:, -1])  # consumption was paid out and credited back
+
+
+def _leaves_at_last_date(inside, outside):
+    # piecewise constant: inside on [0, 1), outside from the last grid date t = 1 on
+    return DeterministicFn.table(np.array([0.0, 1.0]), np.array([inside, outside]))
+
+
+def test_coefficients_checked_on_the_last_grid_date():
+    # the path builders use the K left endpoints but check all K+1 dates
+    market = two_dim_market()
+    grid = make_grid(1.0, 4)
+    batch = sample_brownian(10, grid, dim=2, n_paths=4)
+    with pytest.raises(SubspaceViolationError):
+        wealth_paths(market, grid, batch, kappa=_leaves_at_last_date([0.2, 0.0], [0.2, 0.3]))
+    with pytest.raises(SubspaceViolationError):
+        state_price_paths(market, grid, batch, nu=_leaves_at_last_date([0.0, 0.1], [0.1, 0.1]))
+    bad_eta = MarketModel(
+        dim=2, rate=ConstantRate(0.03), risk_premium=_leaves_at_last_date([0.05, 0.0], [0.05, 0.1]),
+        subspace=SubspaceR.axes(2, [0]),
+    )
+    with pytest.raises(SubspaceViolationError):
+        state_price_paths(bad_eta, grid, batch)
