@@ -60,8 +60,10 @@ def blocked_normals(
         b0, b1 = span
         ss = np.random.SeedSequence(entropy=(seed, purpose, b0 // _BLOCK))
         gen = np.random.Generator(np.random.Philox(ss))
-        z = gen.standard_normal((b1 - b0,) + row_shape)
-        out[b0:b1] = z if keep is None else z[:, :keep]
+        if keep is None:
+            gen.standard_normal(out=out[b0:b1])
+        else:
+            out[b0:b1] = gen.standard_normal((b1 - b0,) + row_shape)[:, :keep]
 
     workers = thread_cap()
     if workers > 1 and len(spans) > 1:

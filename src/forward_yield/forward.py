@@ -10,6 +10,7 @@ define the utility, and every identity below is available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,8 +22,11 @@ from .market import (
     MarketModel,
     StatePricePaths,
     WealthPaths,
+    _dual_coeffs,
+    _exact_log_paths,
+    _proportional_rates,
     _running_trapezoid,
-    state_price_paths,
+    _wealth_coeffs,
     wealth_paths,
 )
 from .rates import RatePaths, simulate_short_rate
@@ -66,14 +70,11 @@ class OptimalTriple:
     def n_paths(self) -> int:
         return self.zhat.shape[0]
 
+    @cached_property
     def utility(self) -> ProgressivePowerUtility:
         return ProgressivePowerUtility(
             alpha=self.spec.alpha, zhat=self.zhat, psi_hat=self.spec.psi_hat, grid=self.grid
         )
-
-    def consumption(self) -> np.ndarray:
-        """Optimal consumption-rate paths for unit initial wealth."""
-        return self.wealth.consumption
 
 
 def simulate_optimal(
@@ -82,22 +83,27 @@ def simulate_optimal(
     grid: TimeGrid,
     batch: BrownianBatch,
 ) -> OptimalTriple:
-    """Simulate the optimal pair with exact log schemes on a shared batch;
-    the path builders check kappa, nu, eta and psi on every grid date."""
+    """Simulate the optimal pair with exact log schemes on a shared batch,
+    the same steps as wealth_paths and state_price_paths; kappa, nu, eta and
+    psi are checked on every grid date, once each, before any simulation."""
+    x_vol, x_drift = _wealth_coeffs(market, grid, spec.kappa_star)
+    y_vol, y_drift = _dual_coeffs(market, grid, spec.nu_star)
+    psi_all = _proportional_rates(spec.psi_hat, grid)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
-    wealth = wealth_paths(
-        market, grid, batch, kappa=spec.kappa_star, consumption=spec.psi_hat, x0=1.0, rate_paths=rate_paths
-    )
-    prices = state_price_paths(market, grid, batch, nu=spec.nu_star, y0=1.0, rate_paths=rate_paths)
-    zhat = prices.values * np.power(wealth.values, spec.alpha)
+    steps = rate_paths.step_integrals()
+    x = _exact_log_paths(batch.increments, x_vol, steps, x_drift - psi_all[:-1], grid.dt, 1.0)
+    y = _exact_log_paths(batch.increments, y_vol, np.negative(steps, out=steps), y_drift, grid.dt, 1.0)
+    del steps
+    zhat = np.power(x, spec.alpha)
+    np.multiply(y, zhat, out=zhat)
     return OptimalTriple(
         spec=spec,
         market=market,
         grid=grid,
         batch=batch,
         rate_paths=rate_paths,
-        wealth=wealth,
-        state_price=prices,
+        wealth=WealthPaths(grid=grid, values=x, kappa=spec.kappa_star, consumption=psi_all * x, x0=1.0),
+        state_price=StatePricePaths(grid=grid, values=y, nu=spec.nu_star, y0=1.0),
         zhat=zhat,
     )
 
@@ -122,6 +128,13 @@ class FirstOrderReport:
         return max(vals)
 
 
+def _max_rel_gap(values: np.ndarray, reference: np.ndarray) -> float:
+    """max |values / reference - 1|, formed in the buffer of values."""
+    values /= reference
+    values -= 1.0
+    return float(np.max(np.abs(values, out=values)))
+
+
 def first_order_check(triple: OptimalTriple, x0: float = 1.0, y0: Optional[float] = None) -> FirstOrderReport:
     """Check U_x(t, Xstar_t(x0)) = Ystar_t(y0) = V_c(t, cstar_t) pathwise.
 
@@ -139,19 +152,21 @@ def first_order_check(triple: OptimalTriple, x0: float = 1.0, y0: Optional[float
 
     x_paths = x0 * triple.wealth.values
     y_paths = y0 * triple.state_price.values
-    marg = triple.zhat * np.power(x_paths, -alpha)
-    rel_wealth = np.abs(marg / y_paths - 1.0)
+    marg = np.power(x_paths, -alpha)
+    rel_wealth = _max_rel_gap(np.multiply(triple.zhat, marg, out=marg), y_paths)
 
     psi_all = np.asarray(triple.spec.psi_hat.values(triple.grid.times), dtype=float)
     active = psi_all > 0
     if np.any(active):
-        c_paths = psi_all[active] * x_paths[:, active]
-        vc = (psi_all[active] ** alpha) * triple.zhat[:, active] * np.power(c_paths, -alpha)
-        rel_cons = float(np.max(np.abs(vc / y_paths[:, active] - 1.0)))
+        active = slice(None) if np.all(active) else active  # every date: views, not copies
+        vc = np.multiply(psi_all[active], x_paths[:, active])
+        np.power(vc, -alpha, out=vc)
+        np.multiply((psi_all[active] ** alpha) * triple.zhat[:, active], vc, out=vc)
+        rel_cons = _max_rel_gap(vc, y_paths[:, active])
     else:
         rel_cons = float("nan")
     return FirstOrderReport(
-        max_rel_wealth=float(np.max(rel_wealth)),
+        max_rel_wealth=rel_wealth,
         max_rel_consumption=rel_cons,
         initial_conditions_consistent=consistent,
     )
@@ -210,7 +225,7 @@ def hjb_residual(
     psi = np.asarray(spec.psi_hat.values(times), dtype=float)
     r = triple.rate_paths.r[path, t_indices]
     zhat = triple.zhat[path, t_indices]
-    util = triple.utility()
+    util = triple.utility
 
     u_val = base.value(x_grid)[None, :]
     u_x = base.marginal(x_grid)[None, :]
@@ -263,7 +278,7 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
     lhs = zhat[:, :, None] * np.power(x_grid[None, None, :], -alpha)
     inverse_flow = x_grid[None, None, :] / xs[:, :, None]
     rhs = ys[:, :, None] * np.power(inverse_flow, -alpha)
-    return float(np.max(np.abs(lhs / rhs - 1.0)))
+    return _max_rel_gap(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +287,22 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
 
 def _safe_power_value(x: np.ndarray, alpha: float) -> np.ndarray:
     """x^(1-alpha)/(1-alpha) extended by continuity with value 0 at x = 0."""
-    return np.power(np.maximum(x, 0.0), 1.0 - alpha) / (1.0 - alpha)
+    out = np.maximum(x, 0.0)
+    np.power(out, 1.0 - alpha, out=out)
+    out /= 1.0 - alpha
+    return out
 
 
 def value_process(utility: ProgressivePowerUtility, wealth: WealthPaths) -> np.ndarray:
     """Paths of G_t = U(t, X_t) + int_0^t V(s, c_s) ds (trapezoid accumulation)."""
     alpha = utility.alpha
-    g = utility.zhat * _safe_power_value(wealth.values, alpha)
+    g = _safe_power_value(wealth.values, alpha)
+    np.multiply(utility.zhat, g, out=g)
     if wealth.consumption is not None:
         psi_all = np.asarray(utility.psi_hat.values(utility.grid.times), dtype=float)
-        v = np.power(psi_all, alpha) * utility.zhat * _safe_power_value(wealth.consumption, alpha)
-        g = g + _running_trapezoid(v, utility.grid.dt)
+        v = _safe_power_value(wealth.consumption, alpha)
+        np.multiply(np.power(psi_all, alpha) * utility.zhat, v, out=v)
+        g += _running_trapezoid(v, utility.grid.dt)
     return g
 
 
@@ -298,18 +318,12 @@ def consistency_drift_test(
     on every interval; any admissible perturbation makes it nonpositive, and
     detectably negative once the perturbation is large enough.
     """
-    kappa = triple.spec.kappa_star if kappa is None else kappa
-    consumption = triple.spec.psi_hat if consumption is None else consumption
-    test_wealth = wealth_paths(
-        triple.market,
-        triple.grid,
-        triple.batch,
-        kappa=kappa,
-        consumption=consumption,
-        x0=1.0,
-        rate_paths=triple.rate_paths,
-    )
-    g = value_process(triple.utility(), test_wealth)
+    test_wealth = triple.wealth  # the optimal strategy's paths, already simulated
+    if kappa is not None or consumption is not None:
+        kappa = triple.spec.kappa_star if kappa is None else kappa
+        consumption = triple.spec.psi_hat if consumption is None else consumption
+        test_wealth = wealth_paths(triple.market, triple.grid, triple.batch, kappa, consumption, rate_paths=triple.rate_paths)
+    g = value_process(triple.utility, test_wealth)
     return interval_drift_report(g, triple.grid.times, threshold)
 
 

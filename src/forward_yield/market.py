@@ -48,10 +48,6 @@ class StatePricePaths:
     nu: DeterministicFn
     y0: float
 
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class WealthPaths:
@@ -62,10 +58,6 @@ class WealthPaths:
     kappa: DeterministicFn
     consumption: Optional[np.ndarray]  # (n_paths, n_steps+1) rates c_{t_k}, or None
     x0: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
 
     @property
     def absorbed_fraction(self) -> float:
@@ -103,6 +95,17 @@ def _wealth_coeffs(market: MarketModel, grid: TimeGrid, kappa: DeterministicFn) 
     return kappa_k, np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
 
 
+def _proportional_rates(consumption: ConsumptionRule, grid: TimeGrid) -> np.ndarray:
+    """Consumption rates per unit wealth on the K+1 grid dates; None means 0."""
+    psi_fn = as_deterministic(0.0 if consumption is None else consumption)
+    psi_all = np.asarray(psi_fn.values(grid.times), dtype=float)
+    if psi_all.ndim != 1:
+        raise ValueError("proportional consumption rate must be scalar-valued")
+    if np.any(psi_all < 0):
+        raise ValueError("consumption rate must be nonnegative")
+    return psi_all
+
+
 def _exact_log_paths(
     increments: np.ndarray,
     vol: np.ndarray,
@@ -117,7 +120,9 @@ def _exact_log_paths(
 
     increments is (n, K, dim), vol (K, dim), rate_steps (n, K) and drift (K,).
     """
-    dlog = np.einsum("nkd,kd->nk", increments, vol) + rate_steps + drift * h
+    dlog = np.einsum("nkd,kd->nk", increments, vol)
+    dlog += rate_steps
+    dlog += drift * h
     out = np.zeros((dlog.shape[0], dlog.shape[1] + 1))
     np.cumsum(dlog, axis=1, out=out[:, 1:])
     np.exp(out, out=out)
@@ -127,8 +132,10 @@ def _exact_log_paths(
 
 def _running_trapezoid(rates: np.ndarray, h: float) -> np.ndarray:
     """Running trapezoid integral of per-date rate paths, zero at t_0."""
-    running = np.zeros_like(rates)
-    np.cumsum(0.5 * h * (rates[:, :-1] + rates[:, 1:]), axis=1, out=running[:, 1:])
+    running = np.zeros(rates.shape)
+    steps = np.add(rates[:, :-1], rates[:, 1:], out=running[:, 1:])
+    steps *= 0.5 * h
+    np.cumsum(steps, axis=1, out=steps)
     return running
 
 
@@ -183,12 +190,7 @@ def wealth_paths(
     proportional = consumption is None or isinstance(consumption, (int, float, DeterministicFn))
 
     if proportional:
-        psi_fn = as_deterministic(0.0 if consumption is None else consumption)
-        psi_all = np.asarray(psi_fn.values(grid.times), dtype=float)
-        if psi_all.ndim != 1:
-            raise ValueError("proportional consumption rate must be scalar-valued")
-        if np.any(psi_all < 0):
-            raise ValueError("consumption rate must be nonnegative")
+        psi_all = _proportional_rates(consumption, grid)
         values = _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.dt, x0)
         c_paths = psi_all * values
         return WealthPaths(grid=grid, values=values, kappa=kappa, consumption=c_paths, x0=float(x0))

@@ -77,10 +77,6 @@ class RatePaths:
     r: np.ndarray         # (n_paths, n_steps+1)
     integral: np.ndarray  # (n_paths, n_steps+1), integral[:, k] = int_0^{t_k} r ds
 
-    @property
-    def n_paths(self) -> int:
-        return self.r.shape[0]
-
     def step_integrals(self) -> np.ndarray:
         """Per-step integrals of r, shape (n_paths, n_steps)."""
         return np.diff(self.integral, axis=1)
@@ -131,23 +127,27 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
     l21 = s12 / l11 if l11 > 0 else 0.0
     l22 = np.sqrt(max(s22 - l21 * l21, 0.0))
 
-    w = batch.projected_increments(model.w_dir)  # (n, K)
+    # Time-major (K, n) buffers: each step reads and writes whole rows, with
+    # the elementwise operations, and so the bits, of a path-major loop.
     if sigma > 0.0:
-        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2))
-        g1 = (c1 / h) * w + l11 * z[:, :, 0]
-        g2 = (c2 / h) * w + l21 * z[:, :, 0] + l22 * z[:, :, 1]
+        w = batch.projected_increments(model.w_dir).T
+        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2)).transpose(1, 2, 0)
+        g1 = np.ascontiguousarray((c1 / h) * w + l11 * z[:, 0])
+        g2 = np.ascontiguousarray((c2 / h) * w + l21 * z[:, 0] + l22 * z[:, 1])
+        del w, z
     else:
-        g1 = np.zeros_like(w)
-        g2 = np.zeros_like(w)
+        g1 = g2 = np.zeros((k_steps, n))
 
-    r = np.empty((n, k_steps + 1))
-    step_int = np.empty((n, k_steps))
-    r[:, 0] = model.r0
+    r_t = np.empty((k_steps + 1, n))
+    step_t = np.empty((k_steps, n))
+    r_t[0] = model.r0
     for k in range(k_steps):
-        dev = r[:, k] - model.b
-        step_int[:, k] = model.b * h + dev * c1 - sigma * g2[:, k]
-        r[:, k + 1] = model.b + dev * decay - sigma * g1[:, k]
+        dev = r_t[k] - model.b
+        step_t[k] = model.b * h + dev * c1 - sigma * g2[k]
+        r_t[k + 1] = model.b + dev * decay - sigma * g1[k]
+    del g1, g2
 
+    r = np.ascontiguousarray(r_t.T)
     integral = np.zeros((n, k_steps + 1))
-    np.cumsum(step_int, axis=1, out=integral[:, 1:])
+    np.cumsum(step_t.T, axis=1, out=integral[:, 1:])
     return RatePaths(grid=grid, r=r, integral=integral)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from forward_yield import TimeGrid, make_grid, sample_brownian
+from forward_yield.brownian import PURPOSE_RATE_RESIDUALS, blocked_normals
 
 
 def test_same_seed_reproduces_bit_exact():
@@ -45,6 +46,19 @@ def test_prefix_batch_is_the_full_draw_cut_short(monkeypatch, threads):
     assert prefix.increments.shape == (8192 + 5, 7, 2)
     assert np.array_equal(prefix.increments, full.increments[:, :7, :])
     assert prefix.grid == TimeGrid(grid.times[7], 7)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("keep", [None, 3])
+def test_blocked_normals_are_the_philox_blocks(monkeypatch, threads, keep):
+    # each 8192-row block is its own Philox stream keyed by (seed, purpose, block)
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
+    seed, purpose, rows = 1618, PURPOSE_RATE_RESIDUALS, 8192 + 5
+    z = blocked_normals(seed, purpose, rows, (6, 2), keep)
+    assert z.shape == (rows, 6 if keep is None else keep, 2)
+    for block, (b0, b1) in enumerate([(0, 8192), (8192, rows)]):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, purpose, block))))
+        assert np.array_equal(z[b0:b1], gen.standard_normal((b1 - b0, 6, 2))[:, :keep])
 
 
 def test_prefix_of_whole_grid_is_the_full_batch():

@@ -79,6 +79,24 @@ def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatc
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("kappa_star", [0.3, 0.2]), ("nu_star", [0.1, 0.1])])
+def test_out_of_subspace_coefficient_exits_2_before_any_rate_simulation(tmp_path, capsys, monkeypatch, field, value):
+    calls = []
+    simulate = forward_yield.forward.simulate_short_rate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(forward_yield.forward, "simulate_short_rate", counting)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"spec": {field: value}}))
+    code = run_cli("verify", "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "subspace" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "command, overrides",
     [

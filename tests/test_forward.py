@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import forward_yield.forward
 from forward_yield import (
     ConstantRate,
     DeterministicFn,
@@ -222,6 +223,27 @@ def test_consistency_drift_optimal_and_perturbed():
     assert over.total_t < -4
     under = consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5))
     assert under.total_t < -4
+
+
+def test_optimal_drift_reuses_the_optimal_wealth(monkeypatch):
+    market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
+    spec = default_spec()
+    grid = make_grid(5.0, 20)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(31, grid, dim=2, n_paths=4096))
+    explicit = consistency_drift_test(triple, kappa=spec.kappa_star, consumption=spec.psi_hat)
+
+    calls = []
+    build = forward_yield.forward.wealth_paths
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(forward_yield.forward, "wealth_paths", counting)
+    default = consistency_drift_test(triple)
+    assert calls == []
+    for field in ("interval_drift", "interval_stderr", "total_drift", "total_stderr"):
+        assert np.array_equal(getattr(default, field), getattr(explicit, field)), field
 
 
 def test_consistency_drift_zero_consumption_strategy():

@@ -10,6 +10,7 @@ from forward_yield import (
     sample_brownian,
     simulate_short_rate,
 )
+from forward_yield.brownian import PURPOSE_RATE_RESIDUALS, blocked_normals
 
 E2 = np.eye(2)[1]
 
@@ -20,6 +21,58 @@ def ou_integral_moments(a, b, sigma, r0, t):
     mean = b * t + (r0 - b) * (1.0 - np.exp(-a * t)) / a
     var, _ = integrate.quad(lambda s: (sigma / a * (1.0 - np.exp(-a * (t - s)))) ** 2, 0.0, t)
     return mean, var
+
+
+def row_major_reference(model, grid, batch):
+    """The Vasicek recursion as first written, path-major over (n, K+1)
+    arrays; the time-major kernel must reproduce its bits."""
+    a, sigma, h, n, k_steps = model.a, model.sigma, grid.dt, batch.n_paths, grid.n_steps
+    e1 = np.expm1(-a * h)
+    e2 = np.expm1(-2.0 * a * h)
+    decay = 1.0 + e1
+    c1 = -e1 / a
+    c2 = (h - c1) / a
+    v11 = -e2 / (2.0 * a)
+    v22 = (h - 2.0 * c1 + v11) / (a * a)
+    v12 = (c1 - v11) / a
+    s11 = max(v11 - c1 * c1 / h, 0.0)
+    s12 = v12 - c1 * c2 / h
+    s22 = max(v22 - c2 * c2 / h, 0.0)
+    l11 = np.sqrt(s11)
+    l21 = s12 / l11 if l11 > 0 else 0.0
+    l22 = np.sqrt(max(s22 - l21 * l21, 0.0))
+    w = batch.projected_increments(model.w_dir)
+    if sigma > 0.0:
+        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2))
+        g1 = (c1 / h) * w + l11 * z[:, :, 0]
+        g2 = (c2 / h) * w + l21 * z[:, :, 0] + l22 * z[:, :, 1]
+    else:
+        g1 = np.zeros_like(w)
+        g2 = np.zeros_like(w)
+    r = np.empty((n, k_steps + 1))
+    step_int = np.empty((n, k_steps))
+    r[:, 0] = model.r0
+    for k in range(k_steps):
+        dev = r[:, k] - model.b
+        step_int[:, k] = model.b * h + dev * c1 - sigma * g2[:, k]
+        r[:, k + 1] = model.b + dev * decay - sigma * g1[:, k]
+    integral = np.zeros((n, k_steps + 1))
+    np.cumsum(step_int, axis=1, out=integral[:, 1:])
+    return r, integral
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.0])
+@pytest.mark.parametrize("n_steps", [1, 40])
+def test_time_major_recursion_keeps_the_row_major_bits(sigma, n_steps):
+    # 8192 + 5 rows: the rate residuals span two blocks of the draw
+    grid = make_grid(10.0, n_steps)
+    batch = sample_brownian(4711, grid, dim=2, n_paths=8192 + 5)
+    model = VasicekRate(a=0.3, b=0.04, sigma=sigma, r0=0.01, w_dir=np.array([0.6, 0.8]))
+    paths = simulate_short_rate(model, grid, batch)
+    r, integral = row_major_reference(model, grid, batch)
+    assert paths.r.flags.c_contiguous and paths.integral.flags.c_contiguous
+    assert np.array_equal(paths.r, r)
+    assert np.array_equal(paths.integral, integral)
 
 
 def test_zc_volatility_values():
