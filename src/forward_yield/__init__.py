@@ -10,7 +10,6 @@ from .backward import (
     rate_integral_paths,
     solve_backward_vols,
     terminal_constraint_check,
-    vasicek_orthogonal_gamma,
 )
 from .brownian import BrownianBatch, sample_brownian
 from .curves import (

@@ -9,6 +9,7 @@ optimal volatilities are consistent with Gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -22,6 +23,11 @@ from .quadrature import gauss_legendre
 
 # ---------------------------------------------------------------------------
 # zero-coupon volatility models
+
+# G(x) = sum_{n>=2} (-1)^n (2^n - 2) x^(n-2) / (n+1)!, highest power first;
+# below x = 0.2 the terms left out are under 1e-17 of G.
+_INT_SQ_SERIES_BELOW = 0.2
+_INT_SQ_SERIES = [(-1) ** n * (2**n - 2) / math.factorial(n + 1) for n in range(14, 1, -1)]
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,15 @@ class VasicekGamma:
         return np.multiply.outer(self.scalar(s, t_mat), self.direction)
 
     def int_sq(self, t: float, t_mat: float) -> float:
+        """sigma_r^2 tau^3 G(a tau), G(x) = (x - 2 (1 - e^{-x}) + (1 - e^{-2x}) / 2) / x^3.
+
+        The closed form of G cancels catastrophically as a tau -> 0 (its
+        relative error grows like 2e-16 / x^3), so below the cutoff G comes
+        from its Taylor series."""
         tau = t_mat - t
         a, sig = self.a, self.sigma_r
+        if a * tau < _INT_SQ_SERIES_BELOW:
+            return sig * sig * tau**3 * float(np.polyval(_INT_SQ_SERIES, a * tau))
         e1 = 1.0 - np.exp(-a * tau)
         e2 = 1.0 - np.exp(-2.0 * a * tau)
         return (sig / a) ** 2 * (tau - 2.0 * e1 / a + e2 / (2.0 * a))
@@ -135,11 +148,6 @@ class CustomGamma:
 
 
 GammaModel = Union[VasicekGamma, SyntheticSqrtGamma, CustomGamma]
-
-
-def vasicek_orthogonal_gamma(a: float, sigma_r: float, market: MarketModel) -> VasicekGamma:
-    """Vasicek bond volatility placed entirely in the orthogonal complement."""
-    return VasicekGamma(a=a, sigma_r=sigma_r, direction=market.subspace.complement_direction())
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .config import (
     verify_thresholds,
 )
 from .curves import (
+    YieldCurve,
     curve_from_prices,
     davis_price,
     davis_time_consistency,
@@ -141,6 +142,14 @@ def _forward_triple(cfg: Mapping[str, Any], grid: TimeGrid) -> OptimalTriple:
     return simulate_optimal(spec, market, grid, batch)
 
 
+def _curve_rows(curve: YieldCurve) -> list[dict]:
+    """One CURVE_COLUMNS row per tenor of a Monte Carlo curve."""
+    return [
+        {"tenor": t, "rate": r, "stderr": s, "method": curve.method}
+        for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
+    ]
+
+
 def _curve_tables(
     run: RunManifest, name: str, y_paths: np.ndarray, market: MarketModel, nu: DeterministicFn,
     tenors: list[float], ks: list[int], gamma: Optional[GammaModel] = None,
@@ -155,11 +164,9 @@ def _curve_tables(
         stderrs.append(se)
         closed.append(float(zc_price_gaussian(market, nu, 0.0, t, gamma=gamma)))
         neutral.append(float(zc_price_gaussian(market, None, 0.0, t, gamma=gamma)))
-    curve = curve_from_prices(np.array(prices), np.array(tenors), method="marginal_mc", stderrs=np.array(stderrs))
-    rows = [
-        {"tenor": t, "rate": r, "stderr": s, "method": curve.method}
-        for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
-    ]
+    rows = _curve_rows(
+        curve_from_prices(np.array(prices), np.array(tenors), method="marginal_mc", stderrs=np.array(stderrs))
+    )
     for method, values in (("gaussian_closed", closed), ("risk_neutral", neutral)):
         extra = curve_from_prices(np.array(values), np.array(tenors), method=method)
         rows += [{"tenor": t, "rate": r, "stderr": 0.0, "method": method} for t, r in zip(extra.tenors, extra.rates)]
@@ -189,11 +196,7 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
     closed = ramsey_flat_closed(beta, alpha, growth, sigma)
 
     curve = report.curve
-    rows = [
-        {"tenor": t, "rate": r, "stderr": s, "method": "ramsey_mc"}
-        for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
-    ]
-    table = run.table("ramsey_flat_curve", rows, columns=CURVE_COLUMNS)
+    table = run.table("ramsey_flat_curve", _curve_rows(curve), columns=CURVE_COLUMNS)
     detail_rows = [
         {
             "tenor": t,
@@ -237,19 +240,11 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     if asof > 0.0:
         later = [(t, k) for t, k in zip(tenors, ks) if k > k_t]
         reports = marginal_zc_mc(triple, k_t, [k for _, k in later], inner_paths=inner_paths)
-        nested_rows = []
-        for (t, _), rep in zip(later, reports):
-            mean_price = float(np.mean(rep.prices))
-            spread = float(np.std(rep.prices, ddof=1)) if len(rep.prices) > 1 else 0.0
-            nested_rows.append(
-                {
-                    "tenor": t,
-                    "rate": -float(np.log(mean_price)) / (t - asof),
-                    "stderr": spread / (mean_price * (t - asof) * np.sqrt(len(rep.prices))),
-                    "method": "marginal_mc_nested",
-                }
-            )
-        run.table("forward_curve_asof", nested_rows, columns=CURVE_COLUMNS)
+        means, stderrs = np.array([mean_stderr(rep.prices) for rep in reports]).T
+        nested = curve_from_prices(
+            means, np.array([t for t, _ in later]), asof=asof, method="marginal_mc_nested", stderrs=stderrs
+        )
+        run.table("forward_curve_asof", _curve_rows(nested), columns=CURVE_COLUMNS)
 
     run.add_summary(max_abs_mc_vs_gaussian_t=max(abs(r["mc_minus_gaussian_t"]) for r in detail_rows))
     run.write()

@@ -85,12 +85,13 @@ class RatePaths:
 def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBatch) -> RatePaths:
     """Simulate (r, int r ds) on the grid.
 
-    The Vasicek variant samples the exact joint Gaussian transition of
-    (r_{t+dt}, int_t^{t+dt} r ds) conditional on r_t and the step's Brownian
-    increment projected on w_dir; the unresolved residual comes from a
-    dedicated stream keyed by (batch.seed, path), so results stay
-    reproducible and partition-independent.  The law of (r, int r, W) at the
-    grid points is exact for any step size.
+    The Vasicek rate steps with its exact Gaussian transition conditional on
+    r_t and the step's Brownian increment dW~ projected on w_dir; the
+    unresolved residual comes from a dedicated stream keyed by
+    (batch.seed, path), so results stay reproducible and
+    partition-independent.  Each step's integral then follows from the SDE
+    itself, int_{t_k}^{t_{k+1}} r ds = b h - (r_{k+1} - r_k + sigma dW~_k) / a,
+    so the law of (r, int r, W) at the grid points is exact for any step size.
     """
     n, k_steps = batch.n_paths, grid.n_steps
     times = grid.times
@@ -108,46 +109,36 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
     a, sigma = model.a, model.sigma
     h = grid.dt
     e1 = np.expm1(-a * h)            # e^{ -a h } - 1
-    e2 = np.expm1(-2.0 * a * h)
     decay = 1.0 + e1                 # e^{ -a h }
 
-    # Moments of G1 = int e^{-a(h-u)} dW~, G2 = int (1 - e^{-a(h-u)})/a dW~
-    # against the step increment dW~ of the driving scalar Brownian motion.
+    # G1 = int e^{-a(h-u)} dW~ has covariance c1 with the step increment dW~
+    # and variance v11; l11 is its standard deviation given dW~.
     c1 = -e1 / a
-    c2 = (h - c1) / a
-    v11 = -e2 / (2.0 * a)
-    v22 = (h - 2.0 * c1 + v11) / (a * a)
-    v12 = (c1 - v11) / a
+    v11 = -np.expm1(-2.0 * a * h) / (2.0 * a)
+    l11 = np.sqrt(max(v11 - c1 * c1 / h, 0.0))
 
-    # Conditional residual covariance of (G1, G2) given the increment.
-    s11 = max(v11 - c1 * c1 / h, 0.0)
-    s12 = v12 - c1 * c2 / h
-    s22 = max(v22 - c2 * c2 / h, 0.0)
-    l11 = np.sqrt(s11)
-    l21 = s12 / l11 if l11 > 0 else 0.0
-    l22 = np.sqrt(max(s22 - l21 * l21, 0.0))
-
+    w = batch.projected_increments(model.w_dir)
     # Time-major (K, n) buffers: each step reads and writes whole rows, with
-    # the elementwise operations, and so the bits, of a path-major loop.
+    # the elementwise operations, and so the bits, of a path-major loop.  The
+    # draw keeps its two residuals per step, so the stream is unchanged; only
+    # the first is read.
     if sigma > 0.0:
-        w = batch.projected_increments(model.w_dir).T
-        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2)).transpose(1, 2, 0)
-        g1 = np.ascontiguousarray((c1 / h) * w + l11 * z[:, 0])
-        g2 = np.ascontiguousarray((c2 / h) * w + l21 * z[:, 0] + l22 * z[:, 1])
-        del w, z
+        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2))
+        g1 = np.ascontiguousarray((c1 / h) * w.T + l11 * z[:, :, 0].T)
+        del z
     else:
-        g1 = g2 = np.zeros((k_steps, n))
+        g1 = np.zeros((k_steps, n))
 
     r_t = np.empty((k_steps + 1, n))
-    step_t = np.empty((k_steps, n))
     r_t[0] = model.r0
     for k in range(k_steps):
-        dev = r_t[k] - model.b
-        step_t[k] = model.b * h + dev * c1 - sigma * g2[k]
-        r_t[k + 1] = model.b + dev * decay - sigma * g1[k]
-    del g1, g2
-
+        r_t[k + 1] = model.b + (r_t[k] - model.b) * decay - sigma * g1[k]
+    del g1
     r = np.ascontiguousarray(r_t.T)
+    del r_t
+
+    # dr = a (b - r) dt - sigma dW~, integrated over each step
+    step = model.b * h - (np.diff(r, axis=1) + sigma * w) / a
     integral = np.zeros((n, k_steps + 1))
-    np.cumsum(step_t.T, axis=1, out=integral[:, 1:])
+    np.cumsum(step, axis=1, out=integral[:, 1:])
     return RatePaths(grid=grid, r=r, integral=integral)

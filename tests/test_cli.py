@@ -381,3 +381,15 @@ def test_forward_curve_nested_asof(tmp_path, capsys):
     assert all(r["method"] == "marginal_mc_nested" for r in rows)
     # nested estimates sit near the unconditional curve level
     assert 0.0 < float(rows[0]["rate"]) < 0.1
+
+
+def test_forward_curve_slow_mean_reversion_agrees_with_closed_form(tmp_path):
+    # a tau of 1e-7 at 1 y: the closed-form variance must not cancel away
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("market: {rate: {a: 1.0e-7}}\n")
+    out = tmp_path / "out"
+    assert run_cli("forward-curve", "--config", str(cfg), "--paths", "20000", "--out", str(out)) == 0
+    with (out / "forward_curve_detail.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert all(abs(float(r["mc_minus_gaussian_t"])) <= 4.0 for r in rows)

@@ -25,37 +25,29 @@ def ou_integral_moments(a, b, sigma, r0, t):
 
 def row_major_reference(model, grid, batch):
     """The Vasicek recursion as first written, path-major over (n, K+1)
-    arrays; the time-major kernel must reproduce its bits."""
+    arrays, with each step's integral from the SDE identity
+    int r ds = b h - (r_{k+1} - r_k + sigma dW~) / a; the time-major kernel
+    must reproduce its bits."""
     a, sigma, h, n, k_steps = model.a, model.sigma, grid.dt, batch.n_paths, grid.n_steps
     e1 = np.expm1(-a * h)
     e2 = np.expm1(-2.0 * a * h)
     decay = 1.0 + e1
     c1 = -e1 / a
-    c2 = (h - c1) / a
     v11 = -e2 / (2.0 * a)
-    v22 = (h - 2.0 * c1 + v11) / (a * a)
-    v12 = (c1 - v11) / a
     s11 = max(v11 - c1 * c1 / h, 0.0)
-    s12 = v12 - c1 * c2 / h
-    s22 = max(v22 - c2 * c2 / h, 0.0)
     l11 = np.sqrt(s11)
-    l21 = s12 / l11 if l11 > 0 else 0.0
-    l22 = np.sqrt(max(s22 - l21 * l21, 0.0))
     w = batch.projected_increments(model.w_dir)
     if sigma > 0.0:
         z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2))
         g1 = (c1 / h) * w + l11 * z[:, :, 0]
-        g2 = (c2 / h) * w + l21 * z[:, :, 0] + l22 * z[:, :, 1]
     else:
         g1 = np.zeros_like(w)
-        g2 = np.zeros_like(w)
     r = np.empty((n, k_steps + 1))
-    step_int = np.empty((n, k_steps))
     r[:, 0] = model.r0
     for k in range(k_steps):
         dev = r[:, k] - model.b
-        step_int[:, k] = model.b * h + dev * c1 - sigma * g2[:, k]
         r[:, k + 1] = model.b + dev * decay - sigma * g1[:, k]
+    step_int = model.b * h - (np.diff(r, axis=1) + sigma * w) / a
     integral = np.zeros((n, k_steps + 1))
     np.cumsum(step_int, axis=1, out=integral[:, 1:])
     return r, integral
@@ -83,6 +75,16 @@ def test_zc_volatility_values():
     assert val == pytest.approx(0.0126424, abs=5e-8)
     # asymptote sigma / a for long time-to-maturity
     assert gamma.scalar(0.0, 500.0) == pytest.approx(0.02, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.25, 10.0])
+@pytest.mark.parametrize("a", np.logspace(-8, 1, 10))
+def test_int_sq_matches_quadrature(a, tau):
+    # the closed form cancels as a tau -> 0; at a = 1e-8 it went negative
+    sigma = 0.02
+    gamma = VasicekGamma(a=a, sigma_r=sigma, direction=E2)
+    oracle, _ = integrate.quad(lambda s: (sigma * np.expm1(-a * (tau - s)) / a) ** 2, 0.0, tau, epsrel=1e-13)
+    assert gamma.int_sq(0.0, tau) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_constant_rate_integral():
@@ -147,31 +149,33 @@ def test_vasicek_terminal_rate_moments():
 
 def test_exact_transition_is_step_size_invariant():
     # the joint law of (r_T, int r) is exact, so a 4-step and a 64-step grid
-    # give statistically identical moments; compare against the oracle
-    a, b, sigma, r0, horizon = 0.8, 0.02, 0.03, 0.05, 6.0
-    model = VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=np.array([1.0]))
-    _, var_oracle = ou_integral_moments(a, b, sigma, r0, horizon)
-    for n_steps in (4, 64):
-        grid = make_grid(horizon, n_steps)
-        batch = sample_brownian(5150, grid, dim=1, n_paths=100_000)
-        total = simulate_short_rate(model, grid, batch).integral[:, -1]
-        assert abs(total.var(ddof=1) / var_oracle - 1.0) < 4 * np.sqrt(2.0 / len(total))
+    # give statistically identical moments; compare against the oracle, also
+    # at a slow mean reversion where the integral is nearly that of a Brownian motion
+    b, sigma, r0, horizon = 0.02, 0.03, 0.05, 6.0
+    for a in (0.8, 1e-6):
+        model = VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=np.array([1.0]))
+        _, var_oracle = ou_integral_moments(a, b, sigma, r0, horizon)
+        for n_steps in (4, 64):
+            grid = make_grid(horizon, n_steps)
+            batch = sample_brownian(5150, grid, dim=1, n_paths=100_000)
+            total = simulate_short_rate(model, grid, batch).integral[:, -1]
+            assert abs(total.var(ddof=1) / var_oracle - 1.0) < 4 * np.sqrt(2.0 / len(total))
 
 
 def test_integral_brownian_covariance():
     # cov(int_0^T r, W_T) = -sigma int_0^T (1 - e^{-a(T-s)})/a ds, a cross
     # moment the conditional sampling must reproduce
-    a, sigma, horizon = 1.0, 0.05, 2.0
-    model = VasicekRate(a=a, b=0.0, sigma=sigma, r0=0.0, w_dir=np.array([1.0]))
+    sigma, horizon = 0.05, 2.0
     grid = make_grid(horizon, 8)
     batch = sample_brownian(88, grid, dim=1, n_paths=300_000)
-    paths = simulate_short_rate(model, grid, batch)
     w_t = batch.increments[:, :, 0].sum(axis=1)
-    total = paths.integral[:, -1]
-    cov_oracle = -sigma / a * integrate.quad(lambda s: 1.0 - np.exp(-a * (horizon - s)), 0.0, horizon)[0]
-    cov_hat = np.mean((total - total.mean()) * w_t)
-    se = np.std((total - total.mean()) * w_t, ddof=1) / np.sqrt(len(w_t))
-    assert abs(cov_hat - cov_oracle) < 4 * se
+    for a in (1.0, 1e-6):
+        model = VasicekRate(a=a, b=0.0, sigma=sigma, r0=0.0, w_dir=np.array([1.0]))
+        total = simulate_short_rate(model, grid, batch).integral[:, -1]
+        cov_oracle = -sigma / a * integrate.quad(lambda s: 1.0 - np.exp(-a * (horizon - s)), 0.0, horizon)[0]
+        cov_hat = np.mean((total - total.mean()) * w_t)
+        se = np.std((total - total.mean()) * w_t, ddof=1) / np.sqrt(len(w_t))
+        assert abs(cov_hat - cov_oracle) < 4 * se
 
 
 def test_vasicek_validation():
