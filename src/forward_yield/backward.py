@@ -56,7 +56,7 @@ class VasicekGamma:
 
     def scalar(self, s, t_mat):
         s = np.asarray(s, dtype=float)
-        return (1.0 - np.exp(-self.a * (t_mat - s))) * self.sigma_r / self.a
+        return -np.expm1(-self.a * (t_mat - s)) * self.sigma_r / self.a
 
     def vectors(self, s, t_mat) -> np.ndarray:
         return np.multiply.outer(self.scalar(s, t_mat), self.direction)

@@ -446,8 +446,9 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
     grid = make_grid(horizon, int(round(horizon / 0.25)))
     grid_indices(grid, horizons, "spec.t_horizons")
     (k_c,) = grid_indices(grid, [t_common], "spec.t_common")
-    # the experiment reads the paths at t_common only, so only [0, t_common] is stored
-    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths, n_steps=max(k_c, 1))
+    # the experiment reads the paths at t_common only, so only [0, t_common] is drawn
+    k_sim = max(k_c, 1)
+    batch = sample_brownian(seed, TimeGrid(grid.times[k_sim], k_sim), dim=market.dim, n_paths=n_paths)
     report = horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
 
     rows = [

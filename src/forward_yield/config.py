@@ -196,8 +196,9 @@ def build_grid(cfg: Mapping[str, Any]) -> TimeGrid:
 
 def simulation_params(cfg: Mapping[str, Any]) -> tuple[int, int, int]:
     n_paths = _require(cfg, "simulation.n_paths")
-    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:
-        raise _fail("simulation.n_paths", "must be a positive integer", n_paths)
+    # a standard error needs two paths
+    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 2:
+        raise _fail("simulation.n_paths", "must be an integer >= 2", n_paths)
     seed = _require(cfg, "simulation.seed")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise _fail("simulation.seed", "must be an unsigned 64-bit integer", seed)

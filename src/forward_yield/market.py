@@ -106,6 +106,9 @@ def _proportional_rates(consumption: ConsumptionRule, grid: TimeGrid) -> np.ndar
     return psi_all
 
 
+_LOG_ROWS = 4096
+
+
 def _exact_log_paths(
     increments: np.ndarray,
     vol: np.ndarray,
@@ -120,11 +123,15 @@ def _exact_log_paths(
 
     increments is (n, K, dim), vol (K, dim), rate_steps (n, K) and drift (K,).
     """
-    dlog = np.einsum("nkd,kd->nk", increments, vol)
-    dlog += rate_steps
-    dlog += drift * h
-    out = np.zeros((dlog.shape[0], dlog.shape[1] + 1))
-    np.cumsum(dlog, axis=1, out=out[:, 1:])
+    out = np.zeros((increments.shape[0], increments.shape[1] + 1))
+    drift_step = drift * h
+    # the log increments are summed in blocks of rows, so no (n, K) temporary
+    # is allocated beside the output; each row's operations are unchanged
+    for b0 in range(0, out.shape[0], _LOG_ROWS):
+        dlog = np.einsum("nkd,kd->nk", increments[b0 : b0 + _LOG_ROWS], vol)
+        dlog += rate_steps[b0 : b0 + _LOG_ROWS]
+        dlog += drift_step
+        np.cumsum(dlog, axis=1, out=out[b0 : b0 + _LOG_ROWS, 1:])
     np.exp(out, out=out)
     out *= level0
     return out

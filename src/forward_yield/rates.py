@@ -63,7 +63,7 @@ class VasicekRate:
         """E of the integral of r over [t, t+tau] given r_t."""
         tau = np.asarray(tau, dtype=float)
         r_t = np.asarray(r_t, dtype=float)
-        return self.b * tau + (r_t - self.b) * (1.0 - np.exp(-self.a * tau)) / self.a
+        return self.b * tau + (r_t - self.b) * -np.expm1(-self.a * tau) / self.a
 
 
 ShortRateModel = Union[ConstantRate, VasicekRate]
@@ -119,12 +119,10 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
 
     w = batch.projected_increments(model.w_dir)
     # Time-major (K, n) buffers: each step reads and writes whole rows, with
-    # the elementwise operations, and so the bits, of a path-major loop.  The
-    # draw keeps its two residuals per step, so the stream is unchanged; only
-    # the first is read.
+    # the elementwise operations, and so the bits, of a path-major loop.
     if sigma > 0.0:
-        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2))
-        g1 = np.ascontiguousarray((c1 / h) * w.T + l11 * z[:, :, 0].T)
+        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps,))
+        g1 = np.ascontiguousarray((c1 / h) * w.T + l11 * z.T)
         del z
     else:
         g1 = np.zeros((k_steps, n))

@@ -231,7 +231,8 @@ def test_horizon_states_equal_full_backward_paths(gamma, t_common, prefix):
     grid = make_grid(30.0, 120)
     full = sample_brownian(2024, grid, dim=2, n_paths=300)
     k_c = grid.index_of(t_common)
-    batch = sample_brownian(2024, grid, dim=2, n_paths=300, n_steps=k_c) if prefix else full
+    prefix_batch = BrownianBatch(seed=full.seed, grid=TimeGrid(grid.times[k_c], k_c), increments=full.increments[:, :k_c, :])
+    batch = prefix_batch if prefix else full
     states = backward._states_at_common_date(spec, horizons, grid, batch, k_c)
     for t_h in horizons:
         k_h = grid.index_of(t_h)
@@ -264,7 +265,7 @@ def test_horizon_t_common_zero_gives_zero_gaps():
     spec = vasicek_orthogonal_spec(t_horizon=50.0)
     grid = make_grid(50.0, 200)
     # the shortest batch a grid allows: one step
-    batch = sample_brownian(44, grid, dim=2, n_paths=100, n_steps=1)
+    batch = sample_brownian(44, TimeGrid(grid.times[1], 1), dim=2, n_paths=100)
     report = horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=0.0)
     gap = report.gaps[0]
     assert (gap.max_rel_gap_x, gap.max_rel_gap_y, gap.predicted_gap_residual) == (0.0, 0.0, 0.0)
@@ -273,7 +274,7 @@ def test_horizon_t_common_zero_gives_zero_gaps():
 def test_horizon_batch_must_cover_t_common():
     spec = vasicek_orthogonal_spec(t_horizon=50.0)
     grid = make_grid(50.0, 200)
-    batch = sample_brownian(45, grid, dim=2, n_paths=10, n_steps=19)
+    batch = sample_brownian(45, TimeGrid(grid.times[19], 19), dim=2, n_paths=10)
     with pytest.raises(ValueError, match="cover"):
         horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
 
@@ -288,7 +289,7 @@ def test_horizon_checks_coefficients_past_t_common():
 
     spec = BackwardSpec(t_horizon=50.0, alpha=0.5, gamma=CustomGamma(fn=fn, dim=2), market=incomplete_market())
     grid = make_grid(50.0, 200)
-    batch = sample_brownian(46, grid, dim=2, n_paths=10, n_steps=20)
+    batch = sample_brownian(46, TimeGrid(grid.times[20], 20), dim=2, n_paths=10)
     horizon_dependency_experiment(spec, [10.0, 20.0], grid, batch, t_common=5.0)
     with pytest.raises(ValueError, match="non-finite"):
         horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forward_yield import TimeGrid, make_grid, sample_brownian
+from forward_yield import make_grid, sample_brownian
 from forward_yield.brownian import PURPOSE_RATE_RESIDUALS, blocked_normals
 
 
@@ -36,43 +36,15 @@ def test_thread_count_does_not_change_results(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_prefix_batch_is_the_full_draw_cut_short(monkeypatch, threads):
-    # rows span two 8192-row blocks; the prefix draws each row whole, so its
-    # steps are the full draw's bit for bit
-    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
-    grid = make_grid(5.0, 20)
-    full = sample_brownian(2718, grid, dim=2, n_paths=8192 + 5)
-    prefix = sample_brownian(2718, grid, dim=2, n_paths=8192 + 5, n_steps=7)
-    assert prefix.increments.shape == (8192 + 5, 7, 2)
-    assert np.array_equal(prefix.increments, full.increments[:, :7, :])
-    assert prefix.grid == TimeGrid(grid.times[7], 7)
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("keep", [None, 3])
-def test_blocked_normals_are_the_philox_blocks(monkeypatch, threads, keep):
-    # each 8192-row block is its own Philox stream keyed by (seed, purpose, block)
+def test_blocked_normals_are_the_sfc64_blocks(monkeypatch, threads):
+    # each 8192-row block is its own SFC64 stream seeded by (seed, purpose, block)
     monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
     seed, purpose, rows = 1618, PURPOSE_RATE_RESIDUALS, 8192 + 5
-    z = blocked_normals(seed, purpose, rows, (6, 2), keep)
-    assert z.shape == (rows, 6 if keep is None else keep, 2)
+    z = blocked_normals(seed, purpose, rows, (6, 2))
+    assert z.shape == (rows, 6, 2)
     for block, (b0, b1) in enumerate([(0, 8192), (8192, rows)]):
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, purpose, block))))
-        assert np.array_equal(z[b0:b1], gen.standard_normal((b1 - b0, 6, 2))[:, :keep])
-
-
-def test_prefix_of_whole_grid_is_the_full_batch():
-    grid = make_grid(1.0, 4)
-    batch = sample_brownian(3, grid, dim=1, n_paths=5, n_steps=4)
-    assert batch.grid is grid
-    assert np.array_equal(batch.increments, sample_brownian(3, grid, dim=1, n_paths=5).increments)
-
-
-@pytest.mark.parametrize("n_steps", [0, 5, -1, 2.5])
-def test_rejects_bad_prefix(n_steps):
-    grid = make_grid(1.0, 4)
-    with pytest.raises(ValueError, match="n_steps"):
-        sample_brownian(1, grid, dim=1, n_paths=3, n_steps=n_steps)
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, purpose, block))))
+        assert np.array_equal(z[b0:b1], gen.standard_normal((b1 - b0, 6, 2)))
 
 
 def test_increment_variance_within_two_percent():

@@ -79,6 +79,22 @@ def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatc
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ramsey-flat", "forward-curve", "backward-curve", "verify", "davis", "horizon"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_fewer_than_two_paths_names_field(tmp_path, capsys, monkeypatch, command, source):
+    # one path has no standard error
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before the config was validated")
+
+    monkeypatch.setattr(cli, "sample_brownian", no_simulation)
+    cfg = tmp_path / "few.json"
+    cfg.write_text(json.dumps({"simulation": {"n_paths": 1}} if source == "config" else {}))
+    paths = [] if source == "config" else ["--paths", "1"]
+    code = run_cli(command, "--config", str(cfg), *paths, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "simulation.n_paths: must be an integer >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("kappa_star", [0.3, 0.2]), ("nu_star", [0.1, 0.1])])
 def test_out_of_subspace_coefficient_exits_2_before_any_rate_simulation(tmp_path, capsys, monkeypatch, field, value):
     calls = []
@@ -240,6 +256,22 @@ def test_horizon_stores_only_the_steps_to_t_common(tmp_path, monkeypatch, t_comm
         assert [float(row[k]) for k in ("max_rel_gap_wealth", "max_rel_gap_dual", "predicted_gap_residual")] == [0.0] * 3
     else:
         assert float(row["max_rel_gap_dual"]) > 0.0
+
+
+def test_horizon_draws_only_the_steps_to_t_common(tmp_path, monkeypatch):
+    # t_common = 5 on the 0.25-year grid: 20 of the 200 steps are drawn
+    shapes = []
+    draw = forward_yield.brownian.blocked_normals
+
+    def recording(seed, purpose, n_rows, row_shape, *args):
+        shapes.append(tuple(row_shape))
+        return draw(seed, purpose, n_rows, row_shape, *args)
+
+    monkeypatch.setattr(forward_yield.brownian, "blocked_normals", recording)
+    cfg = tmp_path / "horizon.json"
+    cfg.write_text(json.dumps({"spec": {"t_common": 5.0}}))
+    assert run_cli("horizon", "--config", str(cfg), "--paths", "500", "--out", str(tmp_path / "out")) == 0
+    assert shapes == [(20, 2)]
 
 
 def test_long_rate_command_verdicts(tmp_path):

@@ -256,3 +256,21 @@ def test_coefficients_checked_on_the_last_grid_date():
     )
     with pytest.raises(SubspaceViolationError):
         state_price_paths(bad_eta, grid, batch)
+
+
+def test_log_paths_in_row_blocks_equal_the_whole_array_form():
+    # rows span three blocks of the kernel; each row's operations are those of
+    # the whole-array form, so the bits are too
+    from forward_yield.market import _LOG_ROWS, _exact_log_paths
+
+    rng = np.random.default_rng(5)
+    n, k, dim, h = 2 * _LOG_ROWS + 5, 12, 2, 0.25
+    increments = rng.standard_normal((n, k, dim)) * np.sqrt(h)
+    vol, rate_steps, drift = rng.standard_normal((k, dim)), 0.01 * rng.standard_normal((n, k)), rng.standard_normal(k)
+    dlog = np.einsum("nkd,kd->nk", increments, vol)
+    dlog += rate_steps
+    dlog += drift * h
+    reference = np.zeros((n, k + 1))
+    np.cumsum(dlog, axis=1, out=reference[:, 1:])
+    reference = 1.5 * np.exp(reference)
+    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1.5), reference)

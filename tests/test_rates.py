@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -38,8 +40,8 @@ def row_major_reference(model, grid, batch):
     l11 = np.sqrt(s11)
     w = batch.projected_increments(model.w_dir)
     if sigma > 0.0:
-        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps, 2))
-        g1 = (c1 / h) * w + l11 * z[:, :, 0]
+        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps,))
+        g1 = (c1 / h) * w + l11 * z
     else:
         g1 = np.zeros_like(w)
     r = np.empty((n, k_steps + 1))
@@ -75,6 +77,22 @@ def test_zc_volatility_values():
     assert val == pytest.approx(0.0126424, abs=5e-8)
     # asymptote sigma / a for long time-to-maturity
     assert gamma.scalar(0.0, 500.0) == pytest.approx(0.02, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "one_minus_decay",
+    [
+        lambda x: VasicekGamma(a=1.0, sigma_r=1.0, direction=E2).scalar(0.0, x),
+        lambda x: VasicekRate(a=1.0, b=0.0, sigma=0.0, r0=0.0, w_dir=E2).integral_mean(1.0, x),
+    ],
+    ids=["gamma_scalar", "integral_mean"],
+)
+def test_one_minus_decay_is_accurate_for_small_a_tau(one_minus_decay):
+    # 1 - e^{-x} formed by subtraction loses digits as x -> 0 (2.2e-5 relative
+    # at x = 1e-12); the Taylor series through x^6 is exact to 1e-22 here
+    x = np.logspace(-12, -3, 28)
+    series = sum((-1) ** (k + 1) * x**k / math.factorial(k) for k in range(1, 7))
+    np.testing.assert_allclose(one_minus_decay(x), series, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("tau", [0.25, 10.0])
