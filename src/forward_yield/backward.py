@@ -343,14 +343,14 @@ def _states_at_common_date(
     k_sim = max(k_c, 1)  # a grid has at least one step; t_c = 0 reads column 0
     if batch.increments.shape[1] < k_sim:
         raise ValueError("the Brownian batch must cover [0, t_common]")
-    sim_grid = TimeGrid(grid.times[k_sim], k_sim)
+    sim_grid = grid.prefix(k_sim)
     sim_batch = BrownianBatch(seed=batch.seed, grid=sim_grid, increments=batch.increments[:, :k_sim, :])
     step_int = np.diff(rate_integral_paths(spec, sim_grid, sim_batch), axis=1)
     states = {}
     for t_h in horizons:
         nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
         k_h = grid.index_of(t_h)
-        h_grid = TimeGrid(grid.times[k_h], k_h)
+        h_grid = grid.prefix(k_h)
         x, y = _optimal_paths(spec.market, h_grid, sim_batch.increments, step_int, nu, kappa)
         states[t_h] = (nu, x[:, k_c], y[:, k_c])
     return states

@@ -447,8 +447,7 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
     grid_indices(grid, horizons, "spec.t_horizons")
     (k_c,) = grid_indices(grid, [t_common], "spec.t_common")
     # the experiment reads the paths at t_common only, so only [0, t_common] is drawn
-    k_sim = max(k_c, 1)
-    batch = sample_brownian(seed, TimeGrid(grid.times[k_sim], k_sim), dim=market.dim, n_paths=n_paths)
+    batch = sample_brownian(seed, grid.prefix(max(k_c, 1)), dim=market.dim, n_paths=n_paths)
     report = horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
 
     rows = [

@@ -44,6 +44,14 @@ class TimeGrid:
             raise ValueError(f"t={t} is not a grid point of {self}")
         return k
 
+    def prefix(self, n_steps: int) -> "TimeGrid":
+        """The grid of the first n_steps steps, on [0, t_{n_steps}]; self when n_steps covers it all."""
+        if int(n_steps) != n_steps or not (1 <= n_steps <= self.n_steps):
+            raise ValueError(f"n_steps must be an integer in [1, {self.n_steps}], got {n_steps}")
+        if n_steps == self.n_steps:
+            return self
+        return TimeGrid(float(self.times[n_steps]), int(n_steps))
+
 
 def make_grid(horizon: float, n_steps: int) -> TimeGrid:
     """Build a uniform :class:`TimeGrid`; non-positive inputs are rejected."""

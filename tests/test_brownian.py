@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forward_yield import make_grid, sample_brownian
+from forward_yield import TimeGrid, make_grid, sample_brownian
 from forward_yield.brownian import PURPOSE_RATE_RESIDUALS, blocked_normals
 
 
@@ -45,6 +45,26 @@ def test_blocked_normals_are_the_sfc64_blocks(monkeypatch, threads):
     for block, (b0, b1) in enumerate([(0, 8192), (8192, rows)]):
         gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, purpose, block))))
         assert np.array_equal(z[b0:b1], gen.standard_normal((b1 - b0, 6, 2)))
+
+
+def test_prefix_of_whole_grid_is_the_full_batch():
+    grid = make_grid(1.0, 4)
+    batch = sample_brownian(3, grid.prefix(4), dim=1, n_paths=5)
+    assert batch.grid is grid
+    assert np.array_equal(batch.increments, sample_brownian(3, grid, dim=1, n_paths=5).increments)
+
+
+def test_prefix_grid_is_the_first_steps():
+    grid = make_grid(5.0, 20)
+    assert grid.prefix(7) == TimeGrid(grid.times[7], 7)
+    assert np.array_equal(grid.prefix(7).times, grid.times[:8])
+
+
+@pytest.mark.parametrize("n_steps", [0, 5, -1, 2.5])
+def test_rejects_bad_prefix(n_steps):
+    grid = make_grid(1.0, 4)
+    with pytest.raises(ValueError, match="n_steps"):
+        grid.prefix(n_steps)
 
 
 def test_increment_variance_within_two_percent():
