@@ -17,7 +17,6 @@ from .curves import (
     YieldCurve,
     curve_from_prices,
     davis_price,
-    davis_price_conditional,
     davis_time_consistency,
     gbm_consumption_paths,
     hjm_forward_rates,

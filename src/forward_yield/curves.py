@@ -15,7 +15,7 @@ from .brownian import PURPOSE_INNER, BrownianBatch, substream_seed
 from .errors import NumericalRangeError
 from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
-from .market import MarketModel, _dual_coeffs, _exact_log_paths, _wealth_coeffs
+from .market import MarketModel, _dual_coeffs, _exact_log_paths
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
 from .stats import mean_stderr
@@ -236,70 +236,14 @@ def zc_price_mc(y_paths: np.ndarray, k_t: int, k_mat: int) -> tuple[float, float
 
 
 @dataclass(frozen=True)
-class InnerRatios:
-    """Inner-simulation ratios restarted from one outer state at t, one row
-    per requested maturity T."""
+class ConditionalPriceReport:
+    """Per-outer-path conditional prices at a future date."""
 
-    y_ratio: np.ndarray  # (maturities, inner_paths) Y_T / Y_t
-    x_ratio: np.ndarray  # (maturities, inner_paths) Xstar_T / Xstar_t
-    r_end: np.ndarray    # (maturities, inner_paths) short rate at T
-
-
-@dataclass(frozen=True)
-class _InnerSetup:
-    """What the inner simulations of every outer path share: the sub-grid
-    from t to the last maturity and the per-step coefficients of ln Y and
-    ln X on it, sliced from the outer grid's."""
-
-    k_t: int
-    grid: TimeGrid
-    rows: list[int]  # sub-grid index of each maturity
-    y_vol: np.ndarray
-    y_drift: np.ndarray
-    x_vol: np.ndarray
-    x_drift: np.ndarray  # net of the consumption rate psi
-
-
-def _inner_setup(triple: OptimalTriple, k_t: int, k_mats: list[int]) -> _InnerSetup:
-    grid, market, spec = triple.grid, triple.market, triple.spec
-    if min(k_mats) <= k_t:
-        raise ValueError("maturity indices must follow the pricing index")
-    k_end = max(k_mats)
-    steps = slice(k_t, k_end)
-    y_vol, y_drift = _dual_coeffs(market, grid, spec.nu_star)
-    x_vol, x_drift = _wealth_coeffs(market, grid, spec.kappa_star)
-    x_drift = x_drift - spec.psi_hat.step_values(grid)
-    return _InnerSetup(
-        k_t=k_t,
-        grid=TimeGrid(grid.times[k_end] - grid.times[k_t], k_end - k_t),
-        rows=[k - k_t for k in k_mats],
-        y_vol=y_vol[steps],
-        y_drift=y_drift[steps],
-        x_vol=x_vol[steps],
-        x_drift=x_drift[steps],
-    )
-
-
-def _inner_ratios(triple: OptimalTriple, setup: _InnerSetup, outer_index: int, inner_paths: int) -> InnerRatios:
-    """Restart the Markov state (the short rate) of one outer path at t and
-    simulate the optimal pair forward to the last maturity on a derived
-    inner stream, reading the ratios at every maturity."""
-    from .brownian import sample_brownian  # looked up at call time, so a wrapper bound on the module is used
-
-    k_t, sub = setup.k_t, setup.grid
-    inner_seed = int(substream_seed(triple.batch.seed, PURPOSE_INNER, outer_index, k_t).generate_state(1, np.uint64)[0])
-    inner_batch = sample_brownian(inner_seed, sub, triple.market.dim, inner_paths)
-
-    rate = triple.market.rate
-    if isinstance(rate, VasicekRate):
-        rate = replace(rate, r0=float(triple.rate_paths.r[outer_index, k_t]))
-    inner_rates = simulate_short_rate(rate, sub, inner_batch)
-    step_int = inner_rates.step_integrals()
-    y = _exact_log_paths(inner_batch.increments, setup.y_vol, -step_int, setup.y_drift, sub.dt, 1.0)
-    x = _exact_log_paths(inner_batch.increments, setup.x_vol, step_int, setup.x_drift, sub.dt, 1.0)
-    # transposed and row-indexed, so each maturity's ratios are contiguous
-    rows = setup.rows
-    return InnerRatios(y_ratio=y.T[rows], x_ratio=x.T[rows], r_end=inner_rates.r.T[rows])
+    t: float
+    maturity: float
+    prices: np.ndarray
+    stderrs: np.ndarray
+    rate_states: np.ndarray
 
 
 def marginal_zc_mc(
@@ -310,10 +254,55 @@ def marginal_zc_mc(
     max_outer: int = 256,
 ) -> list[ConditionalPriceReport]:
     """Conditional marginal-utility zero-coupon prices E[Y_T / Y_t | F_t],
-    one report per maturity index: the nested Davis price of the unit
-    payoff.  The date-0 price is the plain average
-    zc_price_mc(triple.state_price.values, 0, k_mat)."""
-    return davis_price_conditional(lambda r, x, y: 1.0, triple, k_t, k_mats, inner_paths, max_outer)
+    one report per maturity index in k_mats.
+
+    Each outer path is repriced by one inner simulation of ln Y restarted
+    from its realized short rate at t and run to the last maturity, on a
+    stream derived from (seed, outer path, t), so results are reproducible
+    and the maturities of one outer path share their inner paths.  The
+    date-0 price is the plain average zc_price_mc(triple.state_price.values,
+    0, k_mat).
+    """
+    from .brownian import sample_brownian  # looked up at call time, so a wrapper bound on the module is used
+
+    k_mats = list(k_mats)
+    if not k_mats:
+        return []
+    if min(k_mats) <= k_t:
+        raise ValueError("maturity indices must follow the pricing index")
+    grid, market = triple.grid, triple.market
+    k_end = max(k_mats)
+    sub = TimeGrid(grid.times[k_end] - grid.times[k_t], k_end - k_t)
+    rows = [k - k_t for k in k_mats]  # sub-grid index of each maturity
+    # the inner steps carry the coefficients of their own dates on the outer grid
+    vol, drift = _dual_coeffs(market, grid, triple.spec.nu_star)
+    vol, drift = vol[k_t:k_end], drift[k_t:k_end]
+
+    n_outer = min(max_outer, triple.n_paths)
+    prices = np.empty((len(k_mats), n_outer))
+    stderrs = np.empty((len(k_mats), n_outer))
+    for i in range(n_outer):
+        inner_seed = int(substream_seed(triple.batch.seed, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
+        inner_batch = sample_brownian(inner_seed, sub, market.dim, inner_paths)
+        rate = market.rate
+        if isinstance(rate, VasicekRate):
+            rate = replace(rate, r0=float(triple.rate_paths.r[i, k_t]))
+        step_int = simulate_short_rate(rate, sub, inner_batch).step_integrals()
+        y = _exact_log_paths(inner_batch.increments, vol, -step_int, drift, sub.dt, 1.0)
+        # transposed and row-indexed, so each maturity's ratios are contiguous
+        for j, y_ratio in enumerate(y.T[rows]):
+            prices[j, i], stderrs[j, i] = mean_stderr(y_ratio)
+    rate_states = triple.rate_paths.r[:n_outer, k_t]
+    return [
+        ConditionalPriceReport(
+            t=grid.times[k_t],
+            maturity=grid.times[k],
+            prices=prices[j],
+            stderrs=stderrs[j],
+            rate_states=rate_states.copy(),
+        )
+        for j, k in enumerate(k_mats)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +477,8 @@ def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t:
     """Price E[zeta_T Y_T / Y_t] on a fixed batch.
 
     At k_t = 0 this is the date-0 marginal-utility price; at k_t > 0 it is
-    the unconditional average of the date-t price (use the conditional
-    variant for the per-state price).  The estimator is an exactly ordered
+    the unconditional average of the date-t price (marginal_zc_mc gives the
+    per-state price of the unit claim).  The estimator is an exactly ordered
     sum, so scaling and superposition of payoffs carry through to prices
     with at most one rounding per path.
     """
@@ -500,64 +489,6 @@ def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t:
     value = _fsum_mean(deflated)
     se = float(np.std(deflated, ddof=1) / np.sqrt(len(deflated)))
     return DavisPrice(value=value, stderr=se)
-
-
-@dataclass(frozen=True)
-class ConditionalPriceReport:
-    """Per-outer-path conditional prices at a future date."""
-
-    t: float
-    maturity: float
-    prices: np.ndarray
-    stderrs: np.ndarray
-    rate_states: np.ndarray
-
-
-def davis_price_conditional(
-    payoff,
-    triple: OptimalTriple,
-    k_t: int,
-    k_mats: Sequence[int],
-    inner_paths: int = 1024,
-    max_outer: int = 256,
-) -> list[ConditionalPriceReport]:
-    """Conditional marginal-utility prices E[zeta_T Y_T / Y_t | F_t], one
-    report per maturity index in k_mats.
-
-    The payoff is a callable of the date-T Markov state,
-    payoff(r_T, x_T, y_T) >= 0 elementwise, with x and y the optimal
-    processes for unit initial conditions.  Each outer path is repriced by
-    one inner simulation restarted from its realized short rate and run to
-    the last maturity, on a stream derived from (seed, outer path, t), so
-    results are reproducible and the maturities of one outer path share
-    their inner paths.
-    """
-    k_mats = list(k_mats)
-    if not k_mats:
-        return []
-    setup = _inner_setup(triple, k_t, k_mats)
-    n_outer = min(max_outer, triple.n_paths)
-    prices = np.empty((len(k_mats), n_outer))
-    stderrs = np.empty((len(k_mats), n_outer))
-    for i in range(n_outer):
-        inner = _inner_ratios(triple, setup, i, inner_paths)
-        x_t, y_t = triple.wealth.values[i, k_t], triple.state_price.values[i, k_t]
-        for j, y_ratio in enumerate(inner.y_ratio):
-            zeta = np.asarray(payoff(inner.r_end[j], x_t * inner.x_ratio[j], y_t * y_ratio), dtype=float)
-            if np.any(zeta < 0):
-                raise ValueError("payoffs must be nonnegative")
-            prices[j, i], stderrs[j, i] = mean_stderr(zeta * y_ratio)
-    rate_states = triple.rate_paths.r[:n_outer, k_t]
-    return [
-        ConditionalPriceReport(
-            t=triple.grid.times[k_t],
-            maturity=triple.grid.times[k],
-            prices=prices[j],
-            stderrs=stderrs[j],
-            rate_states=rate_states.copy(),
-        )
-        for j, k in enumerate(k_mats)
-    ]
 
 
 def davis_time_consistency(

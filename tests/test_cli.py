@@ -65,6 +65,7 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
         ("long-rate", {"long_rate": {"t_max": -1}}, "long_rate.t_max"),
         ("forward-curve", {"output": {"asof": "x"}}, "output.asof"),
         ("forward-curve", {"output": {"asof": 10.0, "tenors": [3.0, 5.0]}}, "output.asof"),
+        ("backward-curve", {"spec": {"t_horizon": 0.5}}, "output.tenors"),
     ],
 )
 def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatch, command, overrides, field):
@@ -326,6 +327,19 @@ def test_verify_command_passes_and_reports(tmp_path):
     assert all(r["passed"] == "true" for r in rows)
     names = {r["check"] for r in rows}
     assert {"hjb_drift_residual", "first_order_identity", "perturbed_kappa_drift_t"} <= names
+
+
+def test_verify_without_consumption_passes_without_consumption_rows(tmp_path):
+    # scaling psi = 0 gives the optimal strategy itself, which no drift test can tell apart
+    cfg = tmp_path / "psi0.json"
+    cfg.write_text(json.dumps({"spec": {"psi_hat": 0.0}}))
+    out = tmp_path / "out"
+    code = run_cli("verify", "--config", str(cfg), "--paths", "50000", "--out", str(out))
+    assert code == 0
+    with (out / "verify.csv").open() as fh:
+        names = {r["check"] for r in csv.DictReader(fh)}
+    assert "perturbed_kappa_drift_t" in names
+    assert not names & {"over_consumption_drift_t", "under_consumption_drift_t"}
 
 
 def test_wall_clock_covers_simulation(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -11,6 +13,7 @@ from forward_yield import (
     MarketModel,
     SubspaceR,
     SyntheticSqrtGamma,
+    TimeGrid,
     VasicekGamma,
     VasicekRate,
     backward_optimal_paths,
@@ -28,9 +31,11 @@ from forward_yield import (
     sample_brownian,
     simulate_optimal,
     solve_backward_vols,
+    state_price_paths,
     zc_price_gaussian,
     zc_price_mc,
 )
+from forward_yield.brownian import PURPOSE_INNER, substream_seed
 from forward_yield.curves import (
     backward_marginal_wealth_paths,
     forward_marginal_consumption_paths,
@@ -576,38 +581,44 @@ def test_davis_call_against_two_lognormal_oracle():
 
 
 def test_davis_conditional_unit_payoff_matches_nested_zc():
-    # with zeta = 1 the conditional Davis price must reproduce the nested
-    # zero-coupon estimate path for path (identical inner streams)
+    # the nested price of the unit claim is, outer path by outer path, the
+    # inner average of the public state-price simulation restarted from the
+    # realized short rate on the derived inner stream
     market = incomplete_vasicek_market()
     spec = forward_spec()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(2470, grid, dim=2, n_paths=32)
     triple = simulate_optimal(spec, market, grid, batch)
-    from forward_yield import davis_price_conditional
-
     k_t, k_mat = grid.index_of(2.0), grid.index_of(6.0)
-    davis = davis_price_conditional(lambda r, x, y: np.ones_like(r), triple, k_t, [k_mat],
-                                    inner_paths=512, max_outer=16)[0]
-    zc = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=512, max_outer=16)[0]
-    assert np.array_equal(davis.prices, zc.prices)
-    assert np.array_equal(davis.rate_states, zc.rate_states)
+    report = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=512, max_outer=16)[0]
+
+    sub = TimeGrid(grid.times[k_mat] - grid.times[k_t], k_mat - k_t)
+    expected = np.empty(16)
+    for i in range(16):
+        seed = int(substream_seed(2470, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
+        inner_market = replace(market, rate=replace(market.rate, r0=float(triple.rate_paths.r[i, k_t])))
+        inner = state_price_paths(inner_market, sub, sample_brownian(seed, sub, 2, 512), nu=spec.nu_star)
+        expected[i] = np.mean(inner.values[:, -1])
+    assert np.array_equal(report.prices, expected)
+    assert np.array_equal(report.rate_states, triple.rate_paths.r[:16, k_t])
 
 
-def test_davis_conditional_call_brackets_state_dependence():
-    market = incomplete_vasicek_market()
-    spec = forward_spec()
-    grid = make_grid(10.0, 40)
-    batch = sample_brownian(2471, grid, dim=2, n_paths=64)
-    triple = simulate_optimal(spec, market, grid, batch)
-    from forward_yield import davis_price_conditional
+def test_nested_simulates_one_log_path_set_per_outer_path(monkeypatch):
+    # only ln Y is simulated inside; no inner wealth paths
+    import forward_yield.curves as curves
 
-    k_t, k_mat = grid.index_of(3.0), grid.index_of(8.0)
-    report = davis_price_conditional(
-        lambda r, x, y: np.maximum(x - 1.0, 0.0), triple, k_t, [k_mat], inner_paths=1024, max_outer=24
-    )[0]
-    assert np.all(report.prices >= 0.0)
-    # prices must genuinely vary with the date-t state
-    assert report.prices.std() > 0.0
+    calls = []
+    original = curves._exact_log_paths
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    triple = nested_triple()
+    grid = triple.grid
+    monkeypatch.setattr(curves, "_exact_log_paths", counting)
+    marginal_zc_mc(triple, grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0)], inner_paths=64, max_outer=6)
+    assert len(calls) == 6
 
 
 def test_davis_capitalization_time_consistency():
