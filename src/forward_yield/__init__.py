@@ -51,12 +51,6 @@ from .market import (
 )
 from .rates import ConstantRate, RatePaths, VasicekRate, simulate_short_rate
 from .subspace import SubspaceR
-from .utility import (
-    NumericConjugate,
-    PowerUtility,
-    ProgressivePowerUtility,
-    numeric_biconjugate,
-    numeric_fenchel,
-)
+from .utility import PowerUtility, ProgressivePowerUtility
 
 __version__ = "0.1.0"

@@ -87,13 +87,6 @@ class BrownianBatch:
     def dim(self) -> int:
         return self.increments.shape[2]
 
-    def cumulative(self) -> np.ndarray:
-        """Brownian path values at grid points, shape (n_paths, n_steps+1, dim)."""
-        n, k, d = self.increments.shape
-        w = np.zeros((n, k + 1, d))
-        np.cumsum(self.increments, axis=1, out=w[:, 1:, :])
-        return w
-
     def projected_increments(self, direction: np.ndarray) -> np.ndarray:
         """Increments of the scalar Brownian motion direction . W, shape (n_paths, n_steps)."""
         direction = np.asarray(direction, dtype=float)

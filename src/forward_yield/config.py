@@ -300,6 +300,8 @@ def horizon_params(cfg: Mapping[str, Any]) -> tuple[list[float], float]:
     if not isinstance(horizons, list) or len(horizons) < 2:
         raise _fail("spec.t_horizons", "need at least two horizons for the experiment")
     horizons = [_positive_number(t, "spec.t_horizons") for t in horizons]
+    if len(set(horizons)) < len(horizons):
+        raise _fail("spec.t_horizons", "must be distinct", horizons)
     t_common = _nonnegative_number(spec.get("t_common", min(horizons) / 2.0), "spec.t_common")
     if t_common > min(horizons):
         raise _fail("spec.t_common", f"must not exceed the smallest horizon {min(horizons)}", t_common)

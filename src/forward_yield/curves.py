@@ -49,11 +49,6 @@ class YieldCurve:
                 f"{self.method or 'yield curve'}: rates are not finite at tenors {tenors[~finite].tolist()}"
             )
 
-    def roundtrip_error(self) -> float:
-        """max |exp(-R (T - t)) / B - 1| over the curve points."""
-        back = np.exp(-self.rates * (self.tenors - self.asof))
-        return float(np.max(np.abs(back / self.prices - 1.0)))
-
 
 def curve_from_prices(
     prices: np.ndarray,
@@ -535,9 +530,3 @@ def forward_marginal_consumption_paths(triple: OptimalTriple, x0: float = 1.0) -
         raise ValueError("pathwise Ramsey via consumption needs psi_hat > 0")
     c_paths = psi_all * (x0 * triple.wealth.values)
     return np.power(psi_all, triple.spec.alpha) * triple.zhat * np.power(c_paths, -triple.spec.alpha)
-
-
-def backward_marginal_wealth_paths(x_paths: np.ndarray, y_paths: np.ndarray, alpha: float, x0: float = 1.0) -> np.ndarray:
-    """Paths of U_x(t, Xstar_t(x0)) for the backward power problem."""
-    zhat = y_paths * np.power(x_paths, alpha)
-    return zhat * np.power(x0 * x_paths, -alpha)

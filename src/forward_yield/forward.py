@@ -298,11 +298,10 @@ def value_process(utility: ProgressivePowerUtility, wealth: WealthPaths) -> np.n
     alpha = utility.alpha
     g = _safe_power_value(wealth.values, alpha)
     np.multiply(utility.zhat, g, out=g)
-    if wealth.consumption is not None:
-        psi_all = np.asarray(utility.psi_hat.values(utility.grid.times), dtype=float)
-        v = _safe_power_value(wealth.consumption, alpha)
-        np.multiply(np.power(psi_all, alpha) * utility.zhat, v, out=v)
-        g += _running_trapezoid(v, utility.grid.dt)
+    psi_all = np.asarray(utility.psi_hat.values(utility.grid.times), dtype=float)
+    v = _safe_power_value(wealth.consumption, alpha)
+    np.multiply(np.power(psi_all, alpha) * utility.zhat, v, out=v)
+    g += _running_trapezoid(v, utility.grid.dt)
     return g
 
 

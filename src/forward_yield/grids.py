@@ -125,10 +125,6 @@ class DeterministicFn:
             raise ValueError(f"{self.label} produced non-finite values")
         return out
 
-    def step_values(self, grid: TimeGrid) -> np.ndarray:
-        """Left-endpoint values on each grid step; shape (n_steps,) or (n_steps, dim)."""
-        return self.values(grid.times[:-1])
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DeterministicFn<{self.label}>"
 

@@ -10,7 +10,7 @@ batch and the exact integral of the short rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -51,18 +51,13 @@ class StatePricePaths:
 
 @dataclass(frozen=True)
 class WealthPaths:
-    """Nonnegative self-financing wealth paths, absorbed at zero."""
+    """Nonnegative self-financing wealth paths with proportional consumption."""
 
     grid: TimeGrid
-    values: np.ndarray               # (n_paths, n_steps+1)
+    values: np.ndarray       # (n_paths, n_steps+1)
     kappa: DeterministicFn
-    consumption: Optional[np.ndarray]  # (n_paths, n_steps+1) rates c_{t_k}, or None
+    consumption: np.ndarray  # (n_paths, n_steps+1) rates c_{t_k}
     x0: float
-
-    @property
-    def absorbed_fraction(self) -> float:
-        """Share of paths that hit zero by the horizon."""
-        return float(np.mean(self.values[:, -1] <= 0.0))
 
 
 def _coeff_on_dates(fn: DeterministicFn, grid: TimeGrid, dim: int, what: str) -> np.ndarray:
@@ -169,7 +164,7 @@ def state_price_paths(
     return StatePricePaths(grid=grid, values=values, nu=nu, y0=float(y0))
 
 
-ConsumptionRule = Union[None, float, DeterministicFn, Callable[[float, np.ndarray], np.ndarray]]
+ConsumptionRule = Union[None, float, DeterministicFn]
 
 
 def wealth_paths(
@@ -183,45 +178,18 @@ def wealth_paths(
 ) -> WealthPaths:
     """Simulate self-financing wealth with portfolio volatility kappa.
 
-    consumption may be None (no consumption), a nonnegative proportional rate
-    psi (scalar or DeterministicFn, meaning c = psi X, simulated with the
-    exact log scheme), or a general rule c(t, x) >= 0, which falls back to an
-    Euler step with absorption at zero.
+    consumption may be None (no consumption) or a nonnegative proportional
+    rate psi (scalar or DeterministicFn), meaning c = psi X, simulated with
+    the exact log scheme.
     """
     if x0 < 0:
         raise ValueError("initial wealth must be nonnegative")
     vol, drift = _wealth_coeffs(market, grid, kappa)
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
-
-    proportional = consumption is None or isinstance(consumption, (int, float, DeterministicFn))
-
-    if proportional:
-        psi_all = _proportional_rates(consumption, grid)
-        values = _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.dt, x0)
-        c_paths = psi_all * values
-        return WealthPaths(grid=grid, values=values, kappa=kappa, consumption=c_paths, x0=float(x0))
-
-    # general rule: Euler with absorption at zero
-    n, k_steps, h = batch.n_paths, grid.n_steps, grid.dt
-    values = np.empty((n, k_steps + 1))
-    c_paths = np.empty((n, k_steps + 1))
-    values[:, 0] = x0
-    times = grid.times
-    kappa_dw = np.einsum("nkd,kd->nk", batch.increments, vol)
-    growth_rate = drift + 0.5 * np.sum(vol * vol, axis=1)  # kappa . eta, the drift of dX / X beyond r
-    for k in range(k_steps):
-        x = values[:, k]
-        c = np.asarray(consumption(times[k], x), dtype=float)
-        if np.any(c < -1e-15):
-            raise ValueError("consumption rule produced negative rates")
-        c_paths[:, k] = c
-        growth = 1.0 + rate_paths.r[:, k] * h + kappa_dw[:, k] + growth_rate[k] * h
-        nxt = x * growth - c * h
-        alive = x > 0.0
-        values[:, k + 1] = np.where(alive, np.maximum(nxt, 0.0), 0.0)
-    c_paths[:, -1] = np.asarray(consumption(times[-1], values[:, -1]), dtype=float)
-    c_paths[values <= 0.0] = 0.0
+    psi_all = _proportional_rates(consumption, grid)
+    values = _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.dt, x0)
+    c_paths = psi_all * values
     return WealthPaths(grid=grid, values=values, kappa=kappa, consumption=c_paths, x0=float(x0))
 
 
@@ -234,10 +202,7 @@ def deflated_wealth_paths(state_prices: StatePricePaths, wealth: WealthPaths) ->
     if state_prices.grid is not wealth.grid and state_prices.grid != wealth.grid:
         raise ValueError("state-price and wealth paths must share a grid")
     y, x = state_prices.values, wealth.values
-    m = y * x
-    if wealth.consumption is not None:
-        m = m + _running_trapezoid(y * wealth.consumption, wealth.grid.dt)
-    return m
+    return y * x + _running_trapezoid(y * wealth.consumption, wealth.grid.dt)
 
 
 def local_martingale_drift_test(

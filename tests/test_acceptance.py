@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion.  Every expected value is either exact arithmetic or comes
-from an independently coded oracle in this file.
+from an independently coded oracle in this file or in
+conjugation_oracles.py.
 """
 
 import time
@@ -31,8 +32,6 @@ from forward_yield import (
     horizon_dependency_experiment,
     long_rate,
     make_grid,
-    numeric_biconjugate,
-    numeric_fenchel,
     pathwise_ramsey_report,
     perturbed_kappa,
     ramsey_curve_mc,
@@ -47,6 +46,8 @@ from forward_yield import (
     zc_price_mc,
 )
 from forward_yield.curves import forward_marginal_consumption_paths
+
+from conjugation_oracles import numeric_biconjugate, numeric_fenchel
 
 E1, E2 = np.eye(2)
 MACHINE_EPS = np.finfo(float).eps

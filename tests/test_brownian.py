@@ -85,15 +85,6 @@ def test_mean_within_four_stderr():
     assert np.all(np.abs(means) < bound)
 
 
-def test_cumulative_starts_at_zero():
-    grid = make_grid(1.0, 5)
-    batch = sample_brownian(5, grid, dim=2, n_paths=3)
-    w = batch.cumulative()
-    assert w.shape == (3, 6, 2)
-    assert np.all(w[:, 0, :] == 0.0)
-    assert np.allclose(w[:, -1, :], batch.increments.sum(axis=1))
-
-
 @pytest.mark.parametrize("dim,n_paths", [(0, 5), (2, 0), (1, -1)])
 def test_rejects_bad_shapes(dim, n_paths):
     grid = make_grid(1.0, 4)

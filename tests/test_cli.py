@@ -66,6 +66,10 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
         ("forward-curve", {"output": {"asof": "x"}}, "output.asof"),
         ("forward-curve", {"output": {"asof": 10.0, "tenors": [3.0, 5.0]}}, "output.asof"),
         ("backward-curve", {"spec": {"t_horizon": 0.5}}, "output.tenors"),
+        # a one-step grid up to 0.1 does not hold 0.05
+        ("ramsey-flat", {"ramsey": {"tenors": [0.05, 0.1]}}, "ramsey.tenors"),
+        ("horizon", {"spec": {"t_horizons": [0.05, 0.1], "t_common": 0.0}}, "spec.t_horizons"),
+        ("horizon", {"spec": {"t_horizons": [10.0, 10.0]}}, "spec.t_horizons"),
     ],
 )
 def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatch, command, overrides, field):
@@ -185,6 +189,17 @@ def test_ramsey_flat_outputs_and_determinism(tmp_path):
     manifest = json.loads((out / "manifest_ramsey_flat.json").read_text())
     assert manifest["seed"] == 42
     assert manifest["config_sha256"] == hash_first
+
+
+def test_ramsey_flat_tenor_shorter_than_a_quarter_runs(tmp_path):
+    # a single tenor under a quarter year still gets a one-step grid
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"ramsey": {"tenors": [0.1]}}))
+    out = tmp_path / "out"
+    assert run_cli("ramsey-flat", "--config", str(cfg), "--paths", "2000", "--out", str(out)) == 0
+    with (out / "ramsey_flat_curve.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["tenor"] for r in rows] == ["0.1"]
 
 
 def test_thread_env_does_not_change_outputs(tmp_path, monkeypatch):

@@ -55,7 +55,7 @@ def test_table_fn_left_endpoint_convention():
 def test_table_fn_covers_grid():
     grid = make_grid(2.0, 8)
     f = DeterministicFn.table([0.0, 1.0], np.array([[1.0, 0.0], [0.0, 1.0]]))
-    vals = f.step_values(grid)
+    vals = f.values(grid.times[:-1])
     assert vals.shape == (8, 2)
     assert np.allclose(vals[:4], [1.0, 0.0])
     assert np.allclose(vals[4:], [0.0, 1.0])

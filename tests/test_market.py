@@ -109,7 +109,7 @@ def test_factorization_against_exponential_martingale():
     nu = DeterministicFn.constant(np.array([0.0, 0.12]))
     y_nu = state_price_paths(market, grid, batch, nu=nu)
     y_0 = state_price_paths(market, grid, batch)
-    nu_k = np.atleast_2d(nu.step_values(grid))
+    nu_k = np.atleast_2d(nu.values(grid.times[:-1]))
     mart = np.einsum("nkd,kd->nk", batch.increments, nu_k)
     log_dens = np.zeros_like(y_0.values)
     np.cumsum(mart - 0.5 * np.sum(nu_k * nu_k, axis=1) * grid.dt, axis=1, out=log_dens[:, 1:])
@@ -145,19 +145,6 @@ def test_zero_initial_wealth_stays_zero():
     batch = sample_brownian(7, grid, dim=2, n_paths=6)
     w = wealth_paths(market, grid, batch, kappa=DeterministicFn.constant(np.array([0.3, 0.0])), x0=0.0)
     assert np.all(w.values == 0.0)
-    assert w.absorbed_fraction == 1.0
-
-
-def test_euler_rule_absorbs_and_freezes():
-    market = two_dim_market(rate=ConstantRate(0.0), eta=(0.0, 0.0))
-    grid = make_grid(2.0, 40)
-    batch = sample_brownian(8, grid, dim=2, n_paths=64)
-    heavy = lambda t, x: np.full_like(x, 2.0)  # consume 2 per year regardless of wealth
-    w = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), consumption=heavy, x0=1.0)
-    assert w.absorbed_fraction == 1.0
-    hit = np.argmax(w.values <= 0.0, axis=1)
-    for p in range(w.values.shape[0]):
-        assert np.all(w.values[p, hit[p]:] == 0.0)
 
 
 def test_wealth_rejects_kappa_outside_subspace():

@@ -1,18 +1,11 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forward_yield import (
-    DeterministicFn,
-    PowerUtility,
-    ProgressivePowerUtility,
-    make_grid,
-    numeric_biconjugate,
-    numeric_fenchel,
-)
+from forward_yield import DeterministicFn, PowerUtility, ProgressivePowerUtility, make_grid
+
+from conjugation_oracles import numeric_biconjugate, numeric_fenchel
 
 
 def test_power_eval_reference_point():
@@ -135,57 +128,8 @@ def test_progressive_identity_coefficients_reduce_to_power_pair():
     p = _unit_progressive()
     u = PowerUtility(alpha=0.5)
     for x in (0.5, 1.0, 3.0):
-        ux = p.wealth_marginal(2, x, 0)
-        vals = SimpleNamespace(
-            wealth_value=p.wealth_value(2, x, 0),
-            wealth_marginal=ux,
-            consumption_value=p.consumption_value(2, x, 0),
-            consumption_marginal=p.consumption_marginal(2, x, 0),
-            dual_value=p.consumption_dual(2, ux, 0),
-        )
-        assert vals.wealth_value == pytest.approx(u.value(x), rel=1e-14)
-        assert vals.wealth_marginal == pytest.approx(u.marginal(x), rel=1e-14)
-        assert vals.consumption_value == pytest.approx(u.value(x), rel=1e-14)
-        assert vals.consumption_marginal == pytest.approx(u.marginal(x), rel=1e-14)
-        assert vals.dual_value == pytest.approx(u.conjugate(u.marginal(x)), rel=1e-14)
-
-
-def test_progressive_optimal_consumption_fraction():
-    # -Vtilde_y(t, U_x(t, x)) = psi_hat * x (the proportional optimal rule)
-    grid = make_grid(2.0, 8)
-    rng = np.random.default_rng(3)
-    zhat = np.exp(rng.standard_normal((5, 9)) * 0.2)
-    p = ProgressivePowerUtility(alpha=0.35, zhat=zhat, psi_hat=DeterministicFn.constant(0.07), grid=grid)
-    for k in (0, 3, 8):
-        for x in (0.4, 1.0, 9.0):
-            frac = p.optimal_consumption_fraction(k, x)
-            assert np.max(np.abs(frac / (0.07 * x) - 1.0)) < 1e-12
-
-
-def test_progressive_marginal_link():
-    # V_c(t, psi_hat x) = U_x(t, x)
-    grid = make_grid(1.0, 4)
-    rng = np.random.default_rng(4)
-    zhat = np.exp(rng.standard_normal((4, 5)) * 0.1)
-    psi = DeterministicFn.table([0.0, 0.5], [0.04, 0.09])
-    p = ProgressivePowerUtility(alpha=0.6, zhat=zhat, psi_hat=psi, grid=grid)
-    for k in range(5):
-        psi_k = p.psi_at(k)
-        for x in (0.3, 1.0, 5.0):
-            lhs = p.consumption_marginal(k, psi_k * x)
-            rhs = p.wealth_marginal(k, x)
-            assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-12
-
-
-def test_progressive_concavity_on_grid():
-    grid = make_grid(1.0, 2)
-    zhat = np.full((2, 3), 1.3)
-    p = ProgressivePowerUtility(alpha=0.45, zhat=zhat, psi_hat=DeterministicFn.constant(0.05), grid=grid)
-    x = np.geomspace(0.01, 100.0, 100)
-    vals = p.wealth_value(1, x, path=0)
-    first = np.diff(vals) / np.diff(x)
-    assert np.all(first > 0)
-    assert np.all(np.diff(first) < 0)
+        ux = u.marginal(x)
+        assert p.consumption_dual(2, ux, 0) == pytest.approx(u.conjugate(ux), rel=1e-14)
 
 
 def test_progressive_rejects_nonpositive_zhat():
