@@ -36,6 +36,7 @@ from .forward import (
     first_order_check,
     hjb_residual,
     perturbed_kappa,
+    reading_grid,
     representation_check,
     scaled_consumption,
     simulate_optimal,

@@ -70,9 +70,10 @@ def substream_seed(seed: int, *tags: int) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class BrownianBatch:
-    """Increments of an n-dimensional Brownian motion on a uniform grid.
+    """Increments of an n-dimensional Brownian motion on a time grid.
 
-    increments[p, k, :] ~ N(0, dt I) is W_{t_{k+1}} - W_{t_k} on path p.
+    increments[p, k, :] ~ N(0, h_k I) is W_{t_{k+1}} - W_{t_k} on path p,
+    with h_k the grid's k-th step width.
     """
 
     seed: int
@@ -94,7 +95,7 @@ class BrownianBatch:
 
 
 def sample_brownian(seed: int, grid: TimeGrid, dim: int, n_paths: int) -> BrownianBatch:
-    """Draw a seeded batch of i.i.d. N(0, dt) Brownian increments.
+    """Draw a seeded batch of independent N(0, h_k) Brownian increments.
 
     Regeneration with the same seed is bit-exact, and the first m paths of a
     larger batch coincide with the paths of a smaller one.
@@ -104,5 +105,8 @@ def sample_brownian(seed: int, grid: TimeGrid, dim: int, n_paths: int) -> Browni
     if n_paths < 1 or int(n_paths) != n_paths:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
     z = blocked_normals(seed, PURPOSE_INCREMENTS, int(n_paths), (grid.n_steps, int(dim)))
-    z *= np.sqrt(grid.dt)
+    # scaled through one contiguous row of K * dim factors: a (K, 1) broadcast
+    # over the (n, K, dim) array is several times slower
+    rows = z.reshape(z.shape[0], -1)
+    rows *= np.repeat(np.sqrt(grid.widths), dim)
     return BrownianBatch(seed=int(seed), grid=grid, increments=z)

@@ -55,13 +55,14 @@ from .forward import (
     first_order_check,
     hjb_residual,
     perturbed_kappa,
+    reading_grid,
     representation_check,
     scaled_consumption,
     simulate_optimal,
 )
 from .grids import DeterministicFn, TimeGrid, make_grid
 from .market import MarketModel, wealth_paths
-from .stats import mean_stderr
+from .stats import mean_stderr, t_stat
 from .tables import RunManifest
 
 CURVE_COLUMNS = ["tenor", "rate", "stderr", "method"]
@@ -133,19 +134,21 @@ def _open_run(command: str, cfg: Mapping[str, Any]) -> RunManifest:
     return RunManifest(command, cfg, seed, __version__, out_dir, fmt)
 
 
-def _quarterly_grid(times: list[float], field: str) -> TimeGrid:
-    """Grid of quarter-year steps, at least one, up to the last of the times;
-    a time off that grid fails with the field named."""
+def _quarterly_grid(times: list[float], field: str) -> tuple[TimeGrid, list[int]]:
+    """Grid of quarter-year steps, at least one, up to the last of the times,
+    and the index of each time; a time off that grid fails with the field named."""
     horizon = max(times)
     grid = make_grid(horizon, max(1, int(round(horizon / 0.25))))
-    grid_indices(grid, times, field)
-    return grid
+    return grid, grid_indices(grid, times, field)
 
 
-def _forward_triple(cfg: Mapping[str, Any], grid: TimeGrid) -> OptimalTriple:
-    """Optimal processes of the configured forward spec on the grid."""
+def _forward_triple(cfg: Mapping[str, Any], grid: TimeGrid, read: Optional[list[int]] = None) -> OptimalTriple:
+    """Optimal processes of the configured forward spec on the grid, or, given
+    the indices the run reads, on the reading grid of those dates."""
     market = build_market(cfg)
     spec = build_forward_spec(cfg, market)
+    if read is not None:
+        grid = reading_grid(spec, market, grid, read)
     n_paths, seed, _ = simulation_params(cfg)
     batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
     return simulate_optimal(spec, market, grid, batch)
@@ -196,7 +199,9 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
     beta, alpha, growth, sigma, tenors = ramsey_params(cfg)
     n_paths, seed, _ = simulation_params(cfg)
 
-    grid = _quarterly_grid(tenors, "ramsey.tenors")
+    grid, ks = _quarterly_grid(tenors, "ramsey.tenors")
+    # geometric consumption is exact at any step size: simulate the read dates only
+    grid = grid.subgrid(sorted({0, *ks}))
     batch = sample_brownian(seed, grid, dim=1, n_paths=n_paths)
     c_paths = gbm_consumption_paths(1.0, growth, sigma, grid, batch)
     report = ramsey_curve_mc(beta, alpha, c_paths, grid, tenors)
@@ -210,7 +215,7 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
             "rate": r,
             "stderr": s,
             "closed_form": closed,
-            "deviation_t": (r - closed) / s if s > 0 else 0.0,
+            "deviation_t": t_stat(r - closed, s),
         }
         for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
     ]
@@ -235,13 +240,15 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     if asof > 0.0 and k_t >= ks[-1]:
         raise ConfigError(f"output.asof: must precede the last tenor {tenors[-1]:g}, got {asof:g}")
 
-    triple = _forward_triple(cfg, grid)
+    triple = _forward_triple(cfg, grid, ks + [k_t])
+    # indices on the reading grid the run was simulated on
+    ks = grid_indices(triple.grid, tenors, "output.tenors")
+    (k_t,) = grid_indices(triple.grid, [asof], "output.asof")
     table, detail_rows = _curve_tables(
         run, "forward_curve", triple.state_price.values, triple.market, triple.spec.nu_star, tenors, ks
     )
     for row in detail_rows:
-        se = row["mc_stderr"]
-        row["mc_minus_gaussian_t"] = (row["mc_price"] - row["gaussian_price"]) / se if se > 0 else 0.0
+        row["mc_minus_gaussian_t"] = t_stat(row["mc_price"] - row["gaussian_price"], row["mc_stderr"])
     run.table("forward_curve_detail", detail_rows)
 
     if asof > 0.0:
@@ -373,7 +380,7 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
 
     capitalized = triple.state_price.values[:, -1] * np.exp(triple.rate_paths.integral[:, -1])
     mean, se = mean_stderr(capitalized)
-    mart_t = abs(mean - 1.0) / se
+    mart_t = abs(t_stat(mean - 1.0, se))
     check("state_price_martingale_t", mart_t, tol.stat_band, mart_t <= tol.stat_band)
 
     rows = [
@@ -402,7 +409,9 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     maturity = float(maturity)
     kind, strike = davis_payoff(cfg)
 
-    triple = _forward_triple(cfg, grid)
+    triple = _forward_triple(cfg, grid, [k_mat, grid.n_steps])
+    grid = triple.grid  # the reading grid: date 0, the maturity, the horizon and coefficient changes
+    (k_mat,) = grid_indices(grid, [maturity], "davis.maturity")
     y = triple.state_price.values
     if kind == "unit":
         payoff = np.ones(triple.n_paths)
@@ -422,7 +431,7 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     plain_wealth = wealth_paths(
         triple.market, grid, triple.batch, kappa=triple.spec.kappa_star, consumption=None, rate_paths=triple.rate_paths
     )
-    p_direct, p_cap, t_stat = davis_time_consistency(payoff, y, plain_wealth.values, k_mat, grid.n_steps)
+    p_direct, p_cap, cap_t = davis_time_consistency(payoff, y, plain_wealth.values, k_mat, grid.n_steps)
 
     rows = [
         {
@@ -432,13 +441,13 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
             "stderr": price.stderr,
             "superposition_residual": superposition,
             "capitalized_value": p_cap,
-            "capitalization_t": t_stat,
+            "capitalization_t": cap_t,
         }
     ]
     table = run.table("davis", rows)
     run.add_summary(**rows[0])
     run.write()
-    print(f"davis: {label} at T={maturity:g}: {price.value:.6f} +/- {price.stderr:.2e} (capitalization t = {t_stat:.2f})")
+    print(f"davis: {label} at T={maturity:g}: {price.value:.6f} +/- {price.stderr:.2e} (capitalization t = {cap_t:.2f})")
     print(f"wrote {table}")
     return 0
 
@@ -450,7 +459,7 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
     spec = build_backward_spec(cfg, market, t_horizon=max(horizons))
     n_paths, seed, _ = simulation_params(cfg)
 
-    grid = _quarterly_grid(horizons, "spec.t_horizons")
+    grid, _ = _quarterly_grid(horizons, "spec.t_horizons")
     (k_c,) = grid_indices(grid, [t_common], "spec.t_common")
     # the experiment reads the paths at t_common only, so only [0, t_common] is drawn
     batch = sample_brownian(seed, grid.prefix(max(k_c, 1)), dim=market.dim, n_paths=n_paths)

@@ -18,7 +18,7 @@ from .grids import DeterministicFn, TimeGrid
 from .market import MarketModel, _dual_coeffs, _exact_log_paths
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
-from .stats import mean_stderr
+from .stats import mean_stderr, t_stat
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,10 @@ def ramsey_curve_mc(
     mu = vals.mean(axis=0)
     rates = -np.log(mu) / tenors
     cov = np.atleast_2d(np.cov(vals, rowvar=False)) / n
+    # a tenor whose values have zero range has no sampling error, only rounding
+    flat = np.ptp(vals, axis=0) == 0
+    cov[flat, :] = 0.0
+    cov[:, flat] = 0.0
     rate_se = np.sqrt(np.diag(cov)) / (tenors * mu)
 
     max_spread, max_t = 0.0, 0.0
@@ -140,11 +144,11 @@ def ramsey_curve_mc(
                 + cov[j, j] / (tenors[j] * mu[j]) ** 2
                 - 2.0 * cov[i, j] / (tenors[i] * mu[i] * tenors[j] * mu[j])
             )
-            t_stat = spread / math.sqrt(max(var, 1e-300))
+            spread_t = t_stat(spread, math.sqrt(max(var, 0.0)))
             if spread > max_spread:
                 max_spread = spread
-            if t_stat > max_t:
-                max_t = t_stat
+            if spread_t > max_t:
+                max_t = spread_t
     prices = np.exp(-rates * tenors)
     curve = YieldCurve(
         asof=0.0, tenors=tenors, rates=rates, prices=prices, method="ramsey_mc", stderrs=rate_se
@@ -252,10 +256,10 @@ def marginal_zc_mc(
     one report per maturity index in k_mats.
 
     Each outer path is repriced by one inner simulation of ln Y restarted
-    from its realized short rate at t and run to the last maturity, on a
-    stream derived from (seed, outer path, t), so results are reproducible
-    and the maturities of one outer path share their inner paths.  The
-    date-0 price is the plain average zc_price_mc(triple.state_price.values,
+    from its realized short rate at t and run to the last maturity over the
+    outer grid's steps, on a stream derived from (seed, outer path, k_t), so
+    results are reproducible and the maturities of one outer path share
+    their inner paths.  The date-0 price is the plain average zc_price_mc(triple.state_price.values,
     0, k_mat).
     """
     from .brownian import sample_brownian  # looked up at call time, so a wrapper bound on the module is used
@@ -267,7 +271,7 @@ def marginal_zc_mc(
         raise ValueError("maturity indices must follow the pricing index")
     grid, market = triple.grid, triple.market
     k_end = max(k_mats)
-    sub = TimeGrid(grid.times[k_end] - grid.times[k_t], k_end - k_t)
+    sub = grid.window(k_t, k_end)
     rows = [k - k_t for k in k_mats]  # sub-grid index of each maturity
     # the inner steps carry the coefficients of their own dates on the outer grid
     vol, drift = _dual_coeffs(market, grid, triple.spec.nu_star)
@@ -283,7 +287,7 @@ def marginal_zc_mc(
         if isinstance(rate, VasicekRate):
             rate = replace(rate, r0=float(triple.rate_paths.r[i, k_t]))
         step_int = simulate_short_rate(rate, sub, inner_batch).step_integrals()
-        y = _exact_log_paths(inner_batch.increments, vol, -step_int, drift, sub.dt, 1.0)
+        y = _exact_log_paths(inner_batch.increments, vol, -step_int, drift, sub.widths, 1.0)
         # transposed and row-indexed, so each maturity's ratios are contiguous
         for j, y_ratio in enumerate(y.T[rows]):
             prices[j, i], stderrs[j, i] = mean_stderr(y_ratio)
@@ -481,9 +485,8 @@ def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t:
     if np.any(payoff_values < 0):
         raise ValueError("payoffs must be nonnegative")
     deflated = payoff_values * y_paths[:, k_mat] / y_paths[:, k_t]
-    value = _fsum_mean(deflated)
-    se = float(np.std(deflated, ddof=1) / np.sqrt(len(deflated)))
-    return DavisPrice(value=value, stderr=se)
+    _, se = mean_stderr(deflated)
+    return DavisPrice(value=_fsum_mean(deflated), stderr=float(se))
 
 
 def davis_time_consistency(
@@ -507,8 +510,7 @@ def davis_time_consistency(
     p_cap = _fsum_mean(capitalized)
     diff = capitalized - direct
     m, se = mean_stderr(diff)
-    t_stat = float(m / se) if se > 0 else 0.0
-    return p_direct, p_cap, t_stat
+    return p_direct, p_cap, t_stat(m, se)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -77,6 +77,27 @@ class OptimalTriple:
         )
 
 
+def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, read: Iterable[int]) -> TimeGrid:
+    """The dates of grid that simulate_optimal must step through to give the
+    paths at the read indices the law they have on all of grid.
+
+    Every scheme in use is exact at any step size when the coefficients are
+    constant over a step, so the sub-grid holds date 0, the read dates, and
+    each earlier date at which a step coefficient of ln X or ln Y (kappa, nu,
+    eta, psi and their drifts) changes value.  The coefficients are built,
+    and so checked, on all K+1 dates of grid.
+    """
+    x_vol, x_drift = _wealth_coeffs(market, grid, spec.kappa_star)
+    y_vol, y_drift = _dual_coeffs(market, grid, spec.nu_star)
+    psi_all = _proportional_rates(spec.psi_hat, grid)
+    keep = {0, *(int(k) for k in read)}
+    last = max(keep)
+    for coeff in (x_vol, x_drift, y_vol, y_drift, psi_all[:-1]):
+        steps = coeff.reshape(grid.n_steps, -1)[:last]
+        keep.update((1 + np.flatnonzero(np.any(steps[1:] != steps[:-1], axis=1))).tolist())
+    return grid.subgrid(sorted(keep))
+
+
 def simulate_optimal(
     spec: ForwardPowerSpec,
     market: MarketModel,
@@ -91,8 +112,8 @@ def simulate_optimal(
     psi_all = _proportional_rates(spec.psi_hat, grid)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
     steps = rate_paths.step_integrals()
-    x = _exact_log_paths(batch.increments, x_vol, steps, x_drift - psi_all[:-1], grid.dt, 1.0)
-    y = _exact_log_paths(batch.increments, y_vol, np.negative(steps, out=steps), y_drift, grid.dt, 1.0)
+    x = _exact_log_paths(batch.increments, x_vol, steps, x_drift - psi_all[:-1], grid.widths, 1.0)
+    y = _exact_log_paths(batch.increments, y_vol, np.negative(steps, out=steps), y_drift, grid.widths, 1.0)
     del steps
     zhat = np.power(x, spec.alpha)
     np.multiply(y, zhat, out=zhat)

@@ -1,8 +1,7 @@
-"""Uniform time grids and deterministic coefficient functions of time."""
+"""Time grids and deterministic coefficient functions of time."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -10,37 +9,73 @@ import numpy as np
 ArrayLike = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = k * dt on [0, horizon] with n_steps steps.
+    """Time grid 0 = t_0 < t_1 < ... < t_K = horizon with per-step widths.
+
+    TimeGrid(horizon, n_steps) is the uniform grid t_k = k * horizon / n_steps,
+    and each of its widths is exactly horizon / n_steps.  TimeGrid.of_times
+    builds a grid on explicit dates, such as the dates a run reads.
 
     Attributes:
         horizon: length of the time interval in years, > 0.
-        n_steps: number of uniform steps, >= 1.
+        n_steps: number of steps K, >= 1.
+        times: the K+1 dates, read-only.
+        widths: the K step widths, read-only.
     """
 
-    horizon: float
-    n_steps: int
+    __slots__ = ("horizon", "n_steps", "times", "widths", "uniform")
 
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be a positive real, got {self.horizon}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
+    def __init__(self, horizon: float, n_steps: int) -> None:
+        if not (np.isfinite(horizon) and horizon > 0.0):
+            raise ValueError(f"horizon must be a positive real, got {horizon}")
+        if int(n_steps) != n_steps or n_steps < 1:
+            raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
+        n_steps = int(n_steps)
+        self._fill(horizon, n_steps, np.linspace(0.0, horizon, n_steps + 1), np.full(n_steps, horizon / n_steps), True)
+
+    @classmethod
+    def of_times(cls, times, widths=None) -> "TimeGrid":
+        """Grid on explicit dates starting at 0; widths default to np.diff(times)."""
+        times = np.array(times, dtype=float)
+        if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or not np.all(np.diff(times) > 0):
+            raise ValueError("grid times must start at 0 and increase strictly over at least one step")
+        widths = np.diff(times) if widths is None else np.array(widths, dtype=float)
+        if widths.shape != (len(times) - 1,) or not np.all(widths > 0):
+            raise ValueError("grid widths must be positive, one per step")
+        grid = cls.__new__(cls)
+        grid._fill(float(times[-1]), len(times) - 1, times, widths, False)
+        return grid
+
+    def _fill(self, horizon, n_steps, times, widths, uniform) -> None:
+        times.setflags(write=False)
+        widths.setflags(write=False)
+        for name, value in zip(self.__slots__, (horizon, n_steps, times, widths, uniform)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TimeGrid is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TimeGrid):
+            return NotImplemented
+        return np.array_equal(self.times, other.times) and np.array_equal(self.widths, other.widths)
+
+    def __repr__(self) -> str:
+        if self.uniform:
+            return f"TimeGrid(horizon={self.horizon}, n_steps={self.n_steps})"
+        return f"TimeGrid.of_times({self.times.tolist()})"
 
     @property
     def dt(self) -> float:
+        """The step width of a uniform grid."""
+        if not self.uniform:
+            raise ValueError(f"{self} has no single step width")
         return self.horizon / self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        """Grid points t_0 = 0, ..., t_{n_steps} = horizon."""
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         """Index k with t_k == t; rejects off-grid times."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.n_steps or abs(k * self.dt - t) > tol * max(1.0, abs(t)):
+        k = int(np.argmin(np.abs(self.times - t)))
+        if not abs(self.times[k] - t) <= tol * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not a grid point of {self}")
         return k
 
@@ -50,7 +85,21 @@ class TimeGrid:
             raise ValueError(f"n_steps must be an integer in [1, {self.n_steps}], got {n_steps}")
         if n_steps == self.n_steps:
             return self
-        return TimeGrid(float(self.times[n_steps]), int(n_steps))
+        if self.uniform:
+            return TimeGrid(float(self.times[n_steps]), int(n_steps))
+        return self.window(0, n_steps)
+
+    def window(self, k0: int, k1: int) -> "TimeGrid":
+        """The steps from t_{k0} to t_{k1}, on dates shifted to start at 0."""
+        return TimeGrid.of_times(self.times[k0 : k1 + 1] - self.times[k0], self.widths[k0:k1])
+
+    def subgrid(self, indices) -> "TimeGrid":
+        """The grid on the dates t_k, k in indices (increasing, starting at 0);
+        self when they are all the dates."""
+        indices = np.asarray(indices, dtype=int)
+        if len(indices) == self.n_steps + 1:
+            return self
+        return TimeGrid.of_times(self.times[indices])
 
 
 def make_grid(horizon: float, n_steps: int) -> TimeGrid:

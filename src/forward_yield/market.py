@@ -109,17 +109,18 @@ def _exact_log_paths(
     vol: np.ndarray,
     rate_steps: np.ndarray,
     drift: np.ndarray,
-    h: float,
+    widths: np.ndarray,
     level0: float,
 ) -> np.ndarray:
     """Exact per-step log scheme of a geometric process with deterministic
-    volatility: level0 * exp(cumsum(vol . dW + rate_steps + drift * h)),
+    volatility: level0 * exp(cumsum(vol . dW + rate_steps + drift * widths)),
     with the value level0 at t_0 (Glasserman 2004, section 3.2).
 
-    increments is (n, K, dim), vol (K, dim), rate_steps (n, K) and drift (K,).
+    increments is (n, K, dim), vol (K, dim), rate_steps (n, K), drift (K,)
+    and widths, the step widths, (K,) or one scalar.
     """
     out = np.zeros((increments.shape[0], increments.shape[1] + 1))
-    drift_step = drift * h
+    drift_step = drift * widths
     # the log increments are summed in blocks of rows, so no (n, K) temporary
     # is allocated beside the output; each row's operations are unchanged
     for b0 in range(0, out.shape[0], _LOG_ROWS):
@@ -160,7 +161,7 @@ def state_price_paths(
     vol, drift = _dual_coeffs(market, grid, nu)
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
-    values = _exact_log_paths(batch.increments, vol, -rate_paths.step_integrals(), drift, grid.dt, y0)
+    values = _exact_log_paths(batch.increments, vol, -rate_paths.step_integrals(), drift, grid.widths, y0)
     return StatePricePaths(grid=grid, values=values, nu=nu, y0=float(y0))
 
 
@@ -188,7 +189,7 @@ def wealth_paths(
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
     psi_all = _proportional_rates(consumption, grid)
-    values = _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.dt, x0)
+    values = _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.widths, x0)
     c_paths = psi_all * values
     return WealthPaths(grid=grid, values=values, kappa=kappa, consumption=c_paths, x0=float(x0))
 

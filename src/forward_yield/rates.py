@@ -83,7 +83,7 @@ class RatePaths:
 
 
 def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBatch) -> RatePaths:
-    """Simulate (r, int r ds) on the grid.
+    """Simulate (r, int r ds) on the grid, step by step over its widths.
 
     The Vasicek rate steps with its exact Gaussian transition conditional on
     r_t and the step's Brownian increment dW~ projected on w_dir; the
@@ -107,7 +107,7 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
         raise ValueError("w_dir dimension does not match the Brownian batch")
 
     a, sigma = model.a, model.sigma
-    h = grid.dt
+    h = grid.widths                  # one width per step
     e1 = np.expm1(-a * h)            # e^{ -a h } - 1
     decay = 1.0 + e1                 # e^{ -a h }
 
@@ -115,14 +115,14 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
     # and variance v11; l11 is its standard deviation given dW~.
     c1 = -e1 / a
     v11 = -np.expm1(-2.0 * a * h) / (2.0 * a)
-    l11 = np.sqrt(max(v11 - c1 * c1 / h, 0.0))
+    l11 = np.sqrt(np.maximum(v11 - c1 * c1 / h, 0.0))
 
     w = batch.projected_increments(model.w_dir)
     # Time-major (K, n) buffers: each step reads and writes whole rows, with
     # the elementwise operations, and so the bits, of a path-major loop.
     if sigma > 0.0:
         z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps,))
-        g1 = np.ascontiguousarray((c1 / h) * w.T + l11 * z.T)
+        g1 = np.ascontiguousarray((w * (c1 / h) + z * l11).T)
         del z
     else:
         g1 = np.zeros((k_steps, n))
@@ -130,7 +130,7 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
     r_t = np.empty((k_steps + 1, n))
     r_t[0] = model.r0
     for k in range(k_steps):
-        r_t[k + 1] = model.b + (r_t[k] - model.b) * decay - sigma * g1[k]
+        r_t[k + 1] = model.b + (r_t[k] - model.b) * decay[k] - sigma * g1[k]
     del g1
     r = np.ascontiguousarray(r_t.T)
     del r_t

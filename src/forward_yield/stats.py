@@ -6,13 +6,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# tolerance of identities that hold exactly up to rounding
+IDENTITY_TOL = 1e-9
+
 
 def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and standard error along an axis."""
+    """Sample mean and standard error along an axis.
+
+    A sample with zero range has stderr exactly 0; np.std gives it the
+    rounding error of the mean instead.  Only a stderr within rounding of
+    the mean can come from such a sample, so only then is the range taken,
+    and random samples take no extra pass.
+    """
     n = x.shape[axis]
     m = np.mean(x, axis=axis)
     se = np.std(x, axis=axis, ddof=1) / np.sqrt(n)
+    if np.any(se <= n * np.finfo(float).eps * np.abs(m)):
+        se = se * (np.ptp(x, axis=axis) > 0)
     return m, se
+
+
+def t_stat(gap, stderr, tol: float = IDENTITY_TOL):
+    """gap / stderr, elementwise.  A zero stderr means no sampling error: a
+    gap within tol then reads 0, and a larger one reads +-inf."""
+    gap, stderr = np.asarray(gap, dtype=float), np.asarray(stderr, dtype=float)
+    exact = np.where(np.abs(gap) <= tol, 0.0, np.copysign(np.inf, gap))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(stderr > 0, gap / stderr, exact)
+    return float(t) if t.ndim == 0 else t
 
 
 @dataclass(frozen=True)
@@ -29,15 +50,15 @@ class DriftReport:
 
     @property
     def interval_t(self) -> np.ndarray:
+        # an interval without sampling error reads 0: its drift is then the
+        # deterministic bias of the trapezoid rule, not a t statistic
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(self.interval_stderr > 0, self.interval_drift / self.interval_stderr, 0.0)
         return t
 
     @property
     def total_t(self) -> float:
-        if self.total_stderr == 0.0:
-            return 0.0
-        return self.total_drift / self.total_stderr
+        return t_stat(self.total_drift, self.total_stderr)
 
     @property
     def flagged(self) -> np.ndarray:

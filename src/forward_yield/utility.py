@@ -58,10 +58,6 @@ class PowerUtility:
         k = self.scale ** (1.0 / self.alpha)
         return k * self.alpha / (1.0 - self.alpha) * np.power(y, 1.0 - 1.0 / self.alpha)
 
-    def conjugate_slope(self, y):
-        y = _require_positive(y, "y")
-        return -np.power(y / self.scale, -1.0 / self.alpha)
-
 
 @dataclass(frozen=True)
 class ProgressivePowerUtility:

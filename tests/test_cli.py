@@ -454,3 +454,69 @@ def test_forward_curve_slow_mean_reversion_agrees_with_closed_form(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert all(abs(float(r["mc_minus_gaussian_t"])) <= 4.0 for r in rows)
+
+
+NESTED_CURVE = {"output": {"asof": 2.0, "tenors": [1.0, 2.0, 3.0, 5.0, 7.5, 10.0]}}
+
+
+def table_bytes(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if not p.name.startswith("manifest_")}
+
+
+@pytest.mark.parametrize("command, overrides", [("forward-curve", NESTED_CURVE), ("davis", {})])
+def test_reading_grid_tables_do_not_depend_on_n_steps(tmp_path, command, overrides):
+    # with constant coefficients both configured grids give the same reading
+    # grid, so the run simulates the same dates with the same draws
+    tables = []
+    for n_steps in (40, 80):
+        cfg = tmp_path / f"cfg{n_steps}.json"
+        cfg.write_text(json.dumps({**overrides, "simulation": {"n_steps": n_steps, "inner_paths": 64}}))
+        out = tmp_path / f"out{n_steps}"
+        assert run_cli(command, "--config", str(cfg), "--paths", "2000", "--out", str(out)) == 0
+        tables.append(table_bytes(out))
+    assert tables[0] == tables[1]
+    assert len(tables[0]) >= 1
+
+
+def test_nested_curve_steps_only_through_the_read_dates(tmp_path, monkeypatch):
+    # tenors 1, 2, 3, 5, 7.5 and 10 as of 2: 6 outer steps, and 4 inner
+    # steps from 2 to 10, in place of 40 and 32 on the configured grid
+    steps = {"outer": [], "inner": []}
+    for module, key in ((forward_yield.forward, "outer"), (forward_yield.curves, "inner")):
+        def counting(model, grid, batch, _original=module.simulate_short_rate, _key=key):
+            steps[_key].append(grid.n_steps)
+            return _original(model, grid, batch)
+
+        monkeypatch.setattr(module, "simulate_short_rate", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**NESTED_CURVE, "simulation": {"inner_paths": 64}}))
+    assert run_cli("forward-curve", "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out")) == 0
+    assert steps["outer"] == [6]
+    assert steps["inner"] == [4] * 100
+
+
+def test_ramsey_flat_without_volatility_reads_no_sampling_error(tmp_path):
+    # every rate is the closed form up to rounding, which is not sampling error
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("ramsey: {sigma: 0.0}\n")
+    out = tmp_path / "out"
+    assert run_cli("ramsey-flat", "--config", str(cfg), "--paths", "2000", "--out", str(out)) == 0
+    with (out / "ramsey_flat_detail.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert all(float(r["stderr"]) == 0.0 and float(r["deviation_t"]) == 0.0 for r in rows)
+    assert all(abs(float(r["rate"]) - 0.02) < 1e-12 for r in rows)
+    manifest = json.loads((out / "manifest_ramsey_flat.json").read_text())
+    assert manifest["summary"][0]["max_spread_t"] == 0.0
+
+
+def test_davis_at_maturity_zero_reads_no_sampling_error(tmp_path):
+    # the payoff is paid at t = 0, so its price is deterministic
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("davis: {maturity: 0.0}\n")
+    out = tmp_path / "out"
+    assert run_cli("davis", "--config", str(cfg), "--paths", "2000", "--out", str(out)) == 0
+    with (out / "davis.csv").open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["value"]) == pytest.approx(0.1, abs=1e-15)
+    assert float(row["stderr"]) == 0.0

@@ -28,6 +28,7 @@ from forward_yield import (
     pathwise_ramsey_report,
     ramsey_curve_mc,
     ramsey_flat_closed,
+    reading_grid,
     sample_brownian,
     simulate_optimal,
     solve_backward_vols,
@@ -255,7 +256,11 @@ def test_nested_table_coefficients_match_state_closed_form():
         nu_star=DeterministicFn.table([0.0, 3.5], [[0.0, -0.2], [0.0, 0.4]]),
         psi_hat=DeterministicFn.constant(0.05),
     )
-    grid = make_grid(10.0, 40)
+    # simulated on the reading grid of the read dates, which must keep the knot
+    configured = make_grid(10.0, 40)
+    read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 7.0)]
+    grid = reading_grid(spec, market, configured, read)
+    assert np.array_equal(grid.times, [0.0, 2.0, 3.0, 3.5, 5.0, 7.0])
     triple = simulate_optimal(spec, market, grid, sample_brownian(2468, grid, dim=2, n_paths=64))
     k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
     reports = marginal_zc_mc(triple, grid.index_of(2.0), k_mats, inner_paths=4096, max_outer=32)

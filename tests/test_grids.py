@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forward_yield import DeterministicFn, make_grid
+from forward_yield import DeterministicFn, TimeGrid, make_grid
 
 
 def test_make_grid_quarter_steps():
@@ -30,6 +30,40 @@ def test_index_of_grid_points():
     assert grid.index_of(10.0) == 40
     with pytest.raises(ValueError):
         grid.index_of(2.51)
+
+
+def test_uniform_widths_are_the_exact_step():
+    # not np.diff(times), whose entries can differ from horizon / n_steps in the last bit
+    for horizon, n_steps in ((10.0, 40), (3.7, 13), (50.0, 5000)):
+        grid = make_grid(horizon, n_steps)
+        assert grid.widths.shape == (n_steps,)
+        assert np.all(grid.widths == horizon / n_steps)
+
+
+def test_grid_on_explicit_times():
+    grid = TimeGrid.of_times([0.0, 1.0, 3.0, 5.5])
+    assert (grid.n_steps, grid.horizon) == (3, 5.5)
+    assert np.array_equal(grid.widths, [1.0, 2.0, 2.5])
+    assert [grid.index_of(t) for t in (0.0, 1.0, 3.0, 5.5)] == [0, 1, 2, 3]
+    for off_grid in (2.0, 5.6, float("nan")):
+        with pytest.raises(ValueError):
+            grid.index_of(off_grid)
+    with pytest.raises(ValueError):
+        grid.dt  # no single step width
+    for bad in ([0.0], [1.0, 2.0], [0.0, 2.0, 2.0]):
+        with pytest.raises(ValueError):
+            TimeGrid.of_times(bad)
+
+
+def test_subgrid_and_window_keep_the_grid_dates():
+    grid = make_grid(10.0, 40)
+    sub = grid.subgrid([0, 4, 8, 20, 40])
+    assert np.array_equal(sub.times, grid.times[[0, 4, 8, 20, 40]])
+    assert sub.index_of(5.0) == 3
+    assert grid.subgrid(range(41)) is grid
+    window = sub.window(2, 4)  # [2, 10], shifted to start at 0
+    assert np.array_equal(window.times, [0.0, 3.0, 8.0])
+    assert np.array_equal(window.widths, sub.widths[2:4])
 
 
 def test_constant_fn_scalar_and_vector():

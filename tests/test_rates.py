@@ -6,6 +6,7 @@ from scipy import integrate
 
 from forward_yield import (
     ConstantRate,
+    TimeGrid,
     VasicekGamma,
     VasicekRate,
     make_grid,
@@ -178,6 +179,24 @@ def test_exact_transition_is_step_size_invariant():
             batch = sample_brownian(5150, grid, dim=1, n_paths=100_000)
             total = simulate_short_rate(model, grid, batch).integral[:, -1]
             assert abs(total.var(ddof=1) / var_oracle - 1.0) < 4 * np.sqrt(2.0 / len(total))
+
+
+def test_non_uniform_grid_matches_closed_form_moments():
+    # steps of 1, 2 and 2.5 years: the transition is exact, so r and int r
+    # have their closed-form law at every date whatever the step widths
+    a, b, sigma, r0 = 0.6, 0.04, 0.03, 0.01
+    grid = TimeGrid.of_times([0.0, 1.0, 3.0, 5.5])
+    batch = sample_brownian(31415, grid, dim=2, n_paths=100_000)
+    model = VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E2)
+    paths = simulate_short_rate(model, grid, batch)
+    n = batch.n_paths
+    for k, t in enumerate(grid.times[1:], start=1):
+        r_mean = b + (r0 - b) * np.exp(-a * t)
+        r_var = sigma**2 / (2 * a) * -np.expm1(-2 * a * t)
+        int_mean, int_var = ou_integral_moments(a, b, sigma, r0, t)
+        for sample, mean, var in ((paths.r[:, k], r_mean, r_var), (paths.integral[:, k], int_mean, int_var)):
+            assert abs(sample.mean() - mean) < 4 * np.sqrt(var / n)
+            assert abs(sample.var(ddof=1) / var - 1.0) < 4 * np.sqrt(2.0 / n)
 
 
 def test_integral_brownian_covariance():
