@@ -46,7 +46,6 @@ from .market import (
     MarketModel,
     StatePricePaths,
     WealthPaths,
-    local_martingale_drift_test,
     state_price_paths,
     wealth_paths,
 )

@@ -27,7 +27,6 @@ from .market import (
     _proportional_rates,
     _running_trapezoid,
     _wealth_coeffs,
-    wealth_paths,
 )
 from .rates import RatePaths, simulate_short_rate
 from .stats import DriftReport, interval_drift_report
@@ -306,23 +305,42 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
 # consistency (supermartingale / martingale) drift tests
 
 
-def _safe_power_value(x: np.ndarray, alpha: float) -> np.ndarray:
-    """x^(1-alpha)/(1-alpha) extended by continuity with value 0 at x = 0."""
-    out = np.maximum(x, 0.0)
-    np.power(out, 1.0 - alpha, out=out)
-    out /= 1.0 - alpha
-    return out
+def value_process(
+    triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[ConsumptionRule] = None
+) -> np.ndarray:
+    """Paths of G_t = U(t, X_t) + int_0^t V(s, c_s) ds for the proportional
+    strategy (kappa, c = psi X) on the optimal triple's batch; None means
+    kappa_star or psi_hat.  As Zhat = Y Xstar^alpha, G reweights the optimal
+    deflated wealth P = Y Xstar by F = X / Xstar, whose rate steps cancel:
 
+        G = [P F^(1-alpha) + int psi_hat^alpha psi^(1-alpha) P F^(1-alpha) ds] / (1-alpha),
+        ln F_k = sum_{j<k} [dkappa . dW_j + (dkappa . eta - d|kappa|^2 / 2 - dpsi) h_j],
 
-def value_process(utility: ProgressivePowerUtility, wealth: WealthPaths) -> np.ndarray:
-    """Paths of G_t = U(t, X_t) + int_0^t V(s, c_s) ds (trapezoid accumulation)."""
-    alpha = utility.alpha
-    g = _safe_power_value(wealth.values, alpha)
-    np.multiply(utility.zhat, g, out=g)
-    psi_all = np.asarray(utility.psi_hat.values(utility.grid.times), dtype=float)
-    v = _safe_power_value(wealth.consumption, alpha)
-    np.multiply(np.power(psi_all, alpha) * utility.zhat, v, out=v)
-    g += _running_trapezoid(v, utility.grid.dt)
+    d meaning the change from the optimum.  F = 1 for the optimal strategy
+    (G = deflated_wealth_paths / (1-alpha)), and F is one number per date
+    when only psi changes.  The integral is a trapezoid sum, which biases the
+    drift: with P = e^(-psi t) deterministic, the optimal G moves by
+    P_k [e^(-psi h) - 1 + psi h (1 + e^(-psi h)) / 2] / (1-alpha) over a step h.
+    """
+    spec, market, grid = triple.spec, triple.market, triple.grid
+    alpha = spec.alpha
+    vol_star, drift_star = _wealth_coeffs(market, grid, spec.kappa_star)
+    vol, drift = (vol_star, drift_star) if kappa is None else _wealth_coeffs(market, grid, kappa)
+    psi_star = _proportional_rates(spec.psi_hat, grid)
+    psi = psi_star if consumption is None else _proportional_rates(consumption, grid)
+
+    g = np.multiply(triple.state_price.values, triple.wealth.values)
+    # ln(F^(1-alpha) / (1-alpha)): one number per date unless kappa changes
+    per_path = bool(np.any(vol != vol_star))
+    log_f = np.zeros(g.shape if per_path else grid.n_steps + 1)
+    if per_path:
+        np.einsum("nkd,kd->nk", triple.batch.increments, (1.0 - alpha) * (vol - vol_star), out=log_f[:, 1:])
+    log_f[..., 0] = -np.log1p(-alpha)
+    log_f[..., 1:] += (1.0 - alpha) * (drift - drift_star - (psi - psi_star)[:-1]) * grid.widths
+    np.cumsum(log_f, axis=-1, out=log_f)
+    g *= np.exp(log_f, out=log_f)
+    del log_f  # freed before the trapezoid allocates two more arrays
+    g += _running_trapezoid(g * (np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha)), grid.dt)
     return g
 
 
@@ -332,19 +350,14 @@ def consistency_drift_test(
     consumption: Optional[ConsumptionRule] = None,
     threshold: float = 4.0,
 ) -> DriftReport:
-    """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds across paths.
+    """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds across paths
+    (value_process, which simulates no wealth).
 
     With the optimal strategy (the default) the drift is statistically zero
     on every interval; any admissible perturbation makes it nonpositive, and
     detectably negative once the perturbation is large enough.
     """
-    test_wealth = triple.wealth  # the optimal strategy's paths, already simulated
-    if kappa is not None or consumption is not None:
-        kappa = triple.spec.kappa_star if kappa is None else kappa
-        consumption = triple.spec.psi_hat if consumption is None else consumption
-        test_wealth = wealth_paths(triple.market, triple.grid, triple.batch, kappa, consumption, rate_paths=triple.rate_paths)
-    g = value_process(triple.utility, test_wealth)
-    return interval_drift_report(g, triple.grid.times, threshold)
+    return interval_drift_report(value_process(triple, kappa, consumption), triple.grid.times, threshold)
 
 
 def perturbed_kappa(spec: ForwardPowerSpec, market: MarketModel, epsilon: float) -> DeterministicFn:

@@ -17,7 +17,6 @@ import numpy as np
 from .brownian import BrownianBatch
 from .grids import DeterministicFn, TimeGrid, as_deterministic
 from .rates import RatePaths, ShortRateModel, simulate_short_rate
-from .stats import DriftReport, interval_drift_report
 from .subspace import SubspaceR
 
 
@@ -205,16 +204,3 @@ def deflated_wealth_paths(state_prices: StatePricePaths, wealth: WealthPaths) ->
     y, x = state_prices.values, wealth.values
     return y * x + _running_trapezoid(y * wealth.consumption, wealth.grid.dt)
 
-
-def local_martingale_drift_test(
-    state_prices: StatePricePaths,
-    wealth: WealthPaths,
-    threshold: float = 4.0,
-) -> DriftReport:
-    """Sample drift of Y X + int Y c ds per grid interval, with stderr bands.
-
-    Intervals with |drift| > threshold standard errors are flagged in the
-    report; for a correctly specified state-price density none should be.
-    """
-    m = deflated_wealth_paths(state_prices, wealth)
-    return interval_drift_report(m, wealth.grid.times, threshold)

@@ -1,9 +1,11 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-import forward_yield.forward
+import forward_yield.market
 from forward_yield import (
     ConstantRate,
     DeterministicFn,
@@ -23,6 +25,7 @@ from forward_yield import (
     simulate_optimal,
     wealth_paths,
 )
+from forward_yield.forward import value_process
 
 E1, E2 = np.eye(2)
 
@@ -230,20 +233,82 @@ def test_optimal_drift_reuses_the_optimal_wealth(monkeypatch):
     spec = default_spec()
     grid = make_grid(5.0, 20)
     triple = simulate_optimal(spec, market, grid, sample_brownian(31, grid, dim=2, n_paths=4096))
-    explicit = consistency_drift_test(triple, kappa=spec.kappa_star, consumption=spec.psi_hat)
 
     calls = []
-    build = forward_yield.forward.wealth_paths
+    build = forward_yield.market.wealth_paths
 
     def counting(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(forward_yield.forward, "wealth_paths", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "forward_yield" and getattr(module, "wealth_paths", None) is build:
+            monkeypatch.setattr(module, "wealth_paths", counting)
+    explicit = consistency_drift_test(triple, kappa=spec.kappa_star, consumption=spec.psi_hat)
     default = consistency_drift_test(triple)
+    consistency_drift_test(triple, kappa=perturbed_kappa(spec, market, 0.15))
+    consistency_drift_test(triple, consumption=scaled_consumption(spec, 1.5))
+    consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5))
     assert calls == []
     for field in ("interval_drift", "interval_stderr", "total_drift", "total_stderr"):
         assert np.array_equal(getattr(default, field), getattr(explicit, field)), field
+
+
+def _value_process_oracle(triple, wealth):
+    """Zhat X^(1-alpha) / (1-alpha) plus the trapezoid integral of
+    psi_hat^alpha Zhat c^(1-alpha) / (1-alpha), from the wealth paths."""
+    alpha, grid = triple.spec.alpha, triple.grid
+    psi_hat = triple.spec.psi_hat.values(grid.times)
+    u = triple.zhat * wealth.values ** (1.0 - alpha) / (1.0 - alpha)
+    v = psi_hat**alpha * triple.zhat * wealth.consumption ** (1.0 - alpha) / (1.0 - alpha)
+    return u + integrate.cumulative_trapezoid(v, grid.times, axis=1, initial=0.0)
+
+
+def test_value_process_matches_simulated_wealth():
+    # each strategy's G from the optimal deflated wealth against its own
+    # wealth simulation, with kappa and psi changing value between grid dates
+    market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
+    spec = ForwardPowerSpec(
+        alpha=0.4,
+        kappa_star=DeterministicFn.table(np.array([0.0, 3.5]), np.array([[0.3, 0.0], [0.1, 0.0]])),
+        nu_star=DeterministicFn.constant(np.array([0.0, 0.1])),
+        psi_hat=DeterministicFn.table(np.array([0.0, 2.0]), np.array([0.1, 0.05])),
+    )
+    grid = make_grid(5.0, 20)
+    batch = sample_brownian(32, grid, dim=2, n_paths=2000)
+    triple = simulate_optimal(spec, market, grid, batch)
+    strategies = [
+        (None, None),
+        (perturbed_kappa(spec, market, 0.15), None),
+        (None, scaled_consumption(spec, 1.5)),
+        (None, scaled_consumption(spec, 0.0)),
+    ]
+    for kappa, consumption in strategies:
+        wealth = wealth_paths(
+            market, grid, batch,
+            kappa=spec.kappa_star if kappa is None else kappa,
+            consumption=spec.psi_hat if consumption is None else consumption,
+            rate_paths=triple.rate_paths,
+        )
+        oracle = _value_process_oracle(triple, wealth)
+        assert np.max(np.abs(value_process(triple, kappa, consumption) / oracle - 1.0)) < 1e-12
+
+
+def test_optimal_drift_deterministic_limit():
+    # no risk premium, no volatilities and a constant rate: P = e^(-psi t) on
+    # every path, so each interval's drift is the trapezoid rule's bias alone
+    alpha, psi = 0.5, 0.1
+    market = default_market(eta0=0.0)
+    spec = default_spec(alpha=alpha, kappa=0.0, nu=0.0, psi=psi)
+    grid = make_grid(10.0, 40)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(33, grid, dim=2, n_paths=64))
+    report = consistency_drift_test(triple)
+    h = grid.dt
+    p = np.exp(-psi * grid.times[:-1])
+    bias = p * (np.exp(-psi * h) - 1.0 + psi * h * (1.0 + np.exp(-psi * h)) / 2.0) / (1.0 - alpha)
+    assert np.all(report.interval_stderr == 0.0)
+    assert np.max(np.abs(report.interval_drift - bias)) <= 1e-15
+    assert bias[0] == pytest.approx(2.57e-6, rel=1e-2)
 
 
 def test_consistency_drift_zero_consumption_strategy():

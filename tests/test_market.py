@@ -9,7 +9,6 @@ from forward_yield import (
     SubspaceR,
     SubspaceViolationError,
     VasicekRate,
-    local_martingale_drift_test,
     make_grid,
     sample_brownian,
     simulate_short_rate,
@@ -17,6 +16,7 @@ from forward_yield import (
     wealth_paths,
 )
 from forward_yield.market import StatePricePaths, deflated_wealth_paths
+from forward_yield.stats import interval_drift_report
 
 E1, E2 = np.eye(2)
 
@@ -163,7 +163,7 @@ def test_drift_test_money_market_and_consumption():
     y = state_price_paths(market, grid, batch, rate_paths=rate_paths)
 
     money = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), rate_paths=rate_paths)
-    report = local_martingale_drift_test(y, money)
+    report = interval_drift_report(deflated_wealth_paths(y, money), grid.times)
     assert report.is_martingale_like()
 
     risky = wealth_paths(
@@ -172,7 +172,7 @@ def test_drift_test_money_market_and_consumption():
         consumption=0.06,
         rate_paths=rate_paths,
     )
-    report = local_martingale_drift_test(y, risky)
+    report = interval_drift_report(deflated_wealth_paths(y, risky), grid.times)
     assert report.is_martingale_like()
     # closed-form oracle: E[M_T] - M_0 = 0 for any admissible pair
     assert abs(report.total_t) < 4
@@ -198,7 +198,7 @@ def test_drift_test_flags_misspecified_nu():
     risky = wealth_paths(
         market, grid, batch, kappa=DeterministicFn.constant(np.array([0.2, 0.0])), rate_paths=rate_paths
     )
-    report = local_martingale_drift_test(bad_y, risky)
+    report = interval_drift_report(deflated_wealth_paths(bad_y, risky), grid.times)
     assert np.any(report.flagged)
     # analytic drift: d(YX)/(YX) = kappa . nu dt = 0.02 dt > 0
     assert report.total_t > 4
