@@ -42,15 +42,9 @@ from .forward import (
     simulate_optimal,
 )
 from .grids import DeterministicFn, TimeGrid, make_grid
-from .market import (
-    MarketModel,
-    StatePricePaths,
-    WealthPaths,
-    state_price_paths,
-    wealth_paths,
-)
+from .market import MarketModel, state_price_paths, wealth_paths
 from .rates import ConstantRate, RatePaths, VasicekRate, simulate_short_rate
 from .subspace import SubspaceR
-from .utility import PowerUtility, ProgressivePowerUtility
+from .utility import PowerUtility
 
 __version__ = "0.1.0"

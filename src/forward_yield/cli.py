@@ -61,7 +61,7 @@ from .forward import (
     simulate_optimal,
 )
 from .grids import DeterministicFn, TimeGrid, make_grid
-from .market import MarketModel, wealth_paths
+from .market import MarketModel
 from .stats import mean_stderr, t_stat
 from .tables import RunManifest
 
@@ -245,7 +245,7 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     ks = grid_indices(triple.grid, tenors, "output.tenors")
     (k_t,) = grid_indices(triple.grid, [asof], "output.asof")
     table, detail_rows = _curve_tables(
-        run, "forward_curve", triple.state_price.values, triple.market, triple.spec.nu_star, tenors, ks
+        run, "forward_curve", triple.y, triple.market, triple.spec.nu_star, tenors, ks
     )
     for row in detail_rows:
         row["mc_minus_gaussian_t"] = t_stat(row["mc_price"] - row["gaussian_price"], row["mc_stderr"])
@@ -355,12 +355,12 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
     rep = representation_check(triple)
     check("marginal_transport", rep, tol.identity_tol, rep <= tol.identity_tol)
 
-    fact = float(np.max(np.abs(triple.zhat / (triple.state_price.values * triple.wealth.values**spec.alpha) - 1.0)))
+    fact = float(np.max(np.abs(triple.zhat / (triple.y * triple.x**spec.alpha) - 1.0)))
     check("zhat_factorization", fact, 1e-10, fact <= 1e-10)
 
     psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
     if np.all(psi_vals > 0):
-        ramsey = pathwise_ramsey_report(triple.state_price.values, forward_marginal_consumption_paths(triple))
+        ramsey = pathwise_ramsey_report(triple.y, forward_marginal_consumption_paths(triple))
         check("pathwise_ramsey", ramsey, tol.identity_tol, ramsey <= tol.identity_tol)
 
     optimal = consistency_drift_test(triple, threshold=tol.stat_band)
@@ -378,7 +378,7 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
         under = consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5), threshold=tol.stat_band)
         check("under_consumption_drift_t", under.total_t, -tol.stat_band, under.total_t <= -tol.stat_band)
 
-    capitalized = triple.state_price.values[:, -1] * np.exp(triple.rate_paths.integral[:, -1])
+    capitalized = triple.y[:, -1] * np.exp(triple.rate_paths.integral[:, -1])
     mean, se = mean_stderr(capitalized)
     mart_t = abs(t_stat(mean - 1.0, se))
     check("state_price_martingale_t", mart_t, tol.stat_band, mart_t <= tol.stat_band)
@@ -412,12 +412,12 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     triple = _forward_triple(cfg, grid, [k_mat, grid.n_steps])
     grid = triple.grid  # the reading grid: date 0, the maturity, the horizon and coefficient changes
     (k_mat,) = grid_indices(grid, [maturity], "davis.maturity")
-    y = triple.state_price.values
+    y = triple.y
     if kind == "unit":
         payoff = np.ones(triple.n_paths)
         label = "unit"
     else:
-        payoff = np.maximum(triple.wealth.values[:, k_mat] - strike, 0.0)
+        payoff = np.maximum(triple.x[:, k_mat] - strike, 0.0)
         label = f"call_on_wealth(K={strike:g})"
 
     price = davis_price(payoff, y, k_mat)
@@ -427,11 +427,11 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     superposition = abs(combo - (2.0 * price.value + 3.0 * unit)) / max(abs(combo), 1.0)
 
     # time consistency: capitalize the payoff to the horizon inside the
-    # consumption-free optimal wealth and reprice
-    plain_wealth = wealth_paths(
-        triple.market, grid, triple.batch, kappa=triple.spec.kappa_star, consumption=None, rate_paths=triple.rate_paths
-    )
-    p_direct, p_cap, cap_t = davis_time_consistency(payoff, y, plain_wealth.values, k_mat, grid.n_steps)
+    # consumption-free optimal wealth Xstar exp(int psi_hat ds) and reprice;
+    # the reading grid keeps every date where psi_hat changes, so the sum is exact
+    psi = np.asarray(triple.spec.psi_hat.values(grid.times), dtype=float)
+    plain_wealth = triple.x * np.exp(np.concatenate(([0.0], np.cumsum(psi[:-1] * grid.widths))))
+    p_direct, p_cap, cap_t = davis_time_consistency(payoff, y, plain_wealth, k_mat, grid.n_steps)
 
     rows = [
         {

@@ -259,8 +259,8 @@ def marginal_zc_mc(
     from its realized short rate at t and run to the last maturity over the
     outer grid's steps, on a stream derived from (seed, outer path, k_t), so
     results are reproducible and the maturities of one outer path share
-    their inner paths.  The date-0 price is the plain average zc_price_mc(triple.state_price.values,
-    0, k_mat).
+    their inner paths.  The date-0 price is the plain average
+    zc_price_mc(triple.y, 0, k_mat).
     """
     from .brownian import sample_brownian  # looked up at call time, so a wrapper bound on the module is used
 
@@ -530,5 +530,5 @@ def forward_marginal_consumption_paths(triple: OptimalTriple, x0: float = 1.0) -
     psi_all = np.asarray(triple.spec.psi_hat.values(triple.grid.times), dtype=float)
     if np.any(psi_all <= 0):
         raise ValueError("pathwise Ramsey via consumption needs psi_hat > 0")
-    c_paths = psi_all * (x0 * triple.wealth.values)
+    c_paths = psi_all * (x0 * triple.x)
     return np.power(psi_all, triple.spec.alpha) * triple.zhat * np.power(c_paths, -triple.spec.alpha)

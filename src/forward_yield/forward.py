@@ -10,18 +10,16 @@ define the utility, and every identity below is available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .brownian import BrownianBatch
+from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
 from .market import (
     ConsumptionRule,
     MarketModel,
-    StatePricePaths,
-    WealthPaths,
     _dual_coeffs,
     _exact_log_paths,
     _proportional_rates,
@@ -30,7 +28,7 @@ from .market import (
 )
 from .rates import RatePaths, simulate_short_rate
 from .stats import DriftReport, interval_drift_report
-from .utility import PowerUtility, ProgressivePowerUtility
+from .utility import PowerUtility
 
 
 @dataclass(frozen=True)
@@ -49,11 +47,12 @@ class ForwardPowerSpec:
 
 @dataclass(frozen=True)
 class OptimalTriple:
-    """Unit-initial optimal wealth, state-price density, and Zhat paths.
+    """Unit-initial optimal wealth x, state-price density y, and Zhat paths,
+    each (n_paths, n_steps+1).
 
     Both optimal processes are linear in their initial condition, so
-    Xstar(x) = x * wealth.values and Ystar(y) = y * state_price.values.
-    The coefficient paths satisfy zhat = Ystar * Xstar^alpha exactly.
+    Xstar(x0) = x0 * x and Ystar(y0) = y0 * y.  The coefficient paths
+    satisfy zhat = y * x^alpha exactly.
     """
 
     spec: ForwardPowerSpec
@@ -61,19 +60,13 @@ class OptimalTriple:
     grid: TimeGrid
     batch: BrownianBatch
     rate_paths: RatePaths
-    wealth: WealthPaths
-    state_price: StatePricePaths
+    x: np.ndarray
+    y: np.ndarray
     zhat: np.ndarray
 
     @property
     def n_paths(self) -> int:
         return self.zhat.shape[0]
-
-    @cached_property
-    def utility(self) -> ProgressivePowerUtility:
-        return ProgressivePowerUtility(
-            alpha=self.spec.alpha, zhat=self.zhat, psi_hat=self.spec.psi_hat, grid=self.grid
-        )
 
 
 def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, read: Iterable[int]) -> TimeGrid:
@@ -122,8 +115,8 @@ def simulate_optimal(
         grid=grid,
         batch=batch,
         rate_paths=rate_paths,
-        wealth=WealthPaths(grid=grid, values=x, kappa=spec.kappa_star, consumption=psi_all * x, x0=1.0),
-        state_price=StatePricePaths(grid=grid, values=y, nu=spec.nu_star, y0=1.0),
+        x=x,
+        y=y,
         zhat=zhat,
     )
 
@@ -170,8 +163,8 @@ def first_order_check(triple: OptimalTriple, x0: float = 1.0, y0: Optional[float
         y0 = ux0
     consistent = abs(y0 / ux0 - 1.0) <= 1e-12
 
-    x_paths = x0 * triple.wealth.values
-    y_paths = y0 * triple.state_price.values
+    x_paths = x0 * triple.x
+    y_paths = y0 * triple.y
     marg = np.power(x_paths, -alpha)
     rel_wealth = _max_rel_gap(np.multiply(triple.zhat, marg, out=marg), y_paths)
 
@@ -244,8 +237,9 @@ def hjb_residual(
     eta = np.atleast_2d(market.risk_premium.values(times))
     psi = np.asarray(spec.psi_hat.values(times), dtype=float)
     r = triple.rate_paths.r[path, t_indices]
+    if np.any(triple.zhat <= 0):
+        raise NumericalRangeError("Zhat must be strictly positive; wealth or the state-price density underflowed to 0")
     zhat = triple.zhat[path, t_indices]
-    util = triple.utility
 
     u_val = base.value(x_grid)[None, :]
     u_x = base.marginal(x_grid)[None, :]
@@ -266,9 +260,8 @@ def hjb_residual(
     kappa_bar = x_kappa_bar / x_grid[None, :, None]
     policy_residual = np.max(np.linalg.norm(kappa_bar - kappa[:, None, :], axis=2), axis=1)
 
-    dual = np.empty_like(big_ux)
-    for i, k in enumerate(t_indices):
-        dual[i] = util.consumption_dual(int(k), big_ux[i], path=path)
+    # conjugate of the consumption utility V = psi_hat^alpha U: psi_hat Zhat^(1/alpha) utilde(y)
+    dual = (psi * np.power(zhat, 1.0 / alpha))[:, None] * base.conjugate(big_ux)
     qb = np.sum(x_kappa_bar * x_kappa_bar, axis=2)
     drift_rhs = -big_ux * x_grid[None, :] * r[:, None] + 0.5 * big_uxx * qb - dual
 
@@ -293,8 +286,8 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
     alpha = triple.spec.alpha
     n = min(max_paths, triple.n_paths)
     zhat = triple.zhat[:n]
-    xs = triple.wealth.values[:n]
-    ys = triple.state_price.values[:n]
+    xs = triple.x[:n]
+    ys = triple.y[:n]
     lhs = zhat[:, :, None] * np.power(x_grid[None, None, :], -alpha)
     inverse_flow = x_grid[None, None, :] / xs[:, :, None]
     rhs = ys[:, :, None] * np.power(inverse_flow, -alpha)
@@ -317,7 +310,7 @@ def value_process(
         ln F_k = sum_{j<k} [dkappa . dW_j + (dkappa . eta - d|kappa|^2 / 2 - dpsi) h_j],
 
     d meaning the change from the optimum.  F = 1 for the optimal strategy
-    (G = deflated_wealth_paths / (1-alpha)), and F is one number per date
+    (G = [P + int psi_hat P ds] / (1-alpha)), and F is one number per date
     when only psi changes.  The integral is a trapezoid sum, which biases the
     drift: with P = e^(-psi t) deterministic, the optimal G moves by
     P_k [e^(-psi h) - 1 + psi h (1 + e^(-psi h)) / 2] / (1-alpha) over a step h.
@@ -329,7 +322,7 @@ def value_process(
     psi_star = _proportional_rates(spec.psi_hat, grid)
     psi = psi_star if consumption is None else _proportional_rates(consumption, grid)
 
-    g = np.multiply(triple.state_price.values, triple.wealth.values)
+    g = np.multiply(triple.y, triple.x)
     # ln(F^(1-alpha) / (1-alpha)): one number per date unless kappa changes
     per_path = bool(np.any(vol != vol_star))
     log_f = np.zeros(g.shape if per_path else grid.n_steps + 1)
@@ -340,7 +333,7 @@ def value_process(
     np.cumsum(log_f, axis=-1, out=log_f)
     g *= np.exp(log_f, out=log_f)
     del log_f  # freed before the trapezoid allocates two more arrays
-    g += _running_trapezoid(g * (np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha)), grid.dt)
+    g += _running_trapezoid(g * (np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha)), grid.widths)
     return g
 
 

@@ -38,27 +38,6 @@ class MarketModel:
             raise ValueError("subspace dimension does not match market dimension")
 
 
-@dataclass(frozen=True)
-class StatePricePaths:
-    """Positive state-price density paths Y with deterministic dual volatility nu."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (n_paths, n_steps+1), strictly positive
-    nu: DeterministicFn
-    y0: float
-
-
-@dataclass(frozen=True)
-class WealthPaths:
-    """Nonnegative self-financing wealth paths with proportional consumption."""
-
-    grid: TimeGrid
-    values: np.ndarray       # (n_paths, n_steps+1)
-    kappa: DeterministicFn
-    consumption: np.ndarray  # (n_paths, n_steps+1) rates c_{t_k}
-    x0: float
-
-
 def _coeff_on_dates(fn: DeterministicFn, grid: TimeGrid, dim: int, what: str) -> np.ndarray:
     vals = np.atleast_2d(fn.values(grid.times))
     if vals.shape != (grid.n_steps + 1, dim):
@@ -132,11 +111,12 @@ def _exact_log_paths(
     return out
 
 
-def _running_trapezoid(rates: np.ndarray, h: float) -> np.ndarray:
-    """Running trapezoid integral of per-date rate paths, zero at t_0."""
+def _running_trapezoid(rates: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of per-date rate paths over steps of the
+    given widths, zero at t_0."""
     running = np.zeros(rates.shape)
     steps = np.add(rates[:, :-1], rates[:, 1:], out=running[:, 1:])
-    steps *= 0.5 * h
+    steps *= 0.5 * widths
     np.cumsum(steps, axis=1, out=steps)
     return running
 
@@ -148,8 +128,9 @@ def state_price_paths(
     nu: Optional[DeterministicFn] = None,
     y0: float = 1.0,
     rate_paths: Optional[RatePaths] = None,
-) -> StatePricePaths:
-    """Simulate a state-price density; nu = None gives the minimal density Y^0.
+) -> np.ndarray:
+    """Paths (n_paths, n_steps+1) of a state-price density; nu = None gives
+    the minimal density Y^0.
 
     Exact log scheme per step:
     ln Y_{k+1} = ln Y_k - int r - 0.5 |nu - eta|^2 dt + (nu - eta) . dW.
@@ -160,8 +141,7 @@ def state_price_paths(
     vol, drift = _dual_coeffs(market, grid, nu)
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
-    values = _exact_log_paths(batch.increments, vol, -rate_paths.step_integrals(), drift, grid.widths, y0)
-    return StatePricePaths(grid=grid, values=values, nu=nu, y0=float(y0))
+    return _exact_log_paths(batch.increments, vol, -rate_paths.step_integrals(), drift, grid.widths, y0)
 
 
 ConsumptionRule = Union[None, float, DeterministicFn]
@@ -175,8 +155,9 @@ def wealth_paths(
     consumption: ConsumptionRule = None,
     x0: float = 1.0,
     rate_paths: Optional[RatePaths] = None,
-) -> WealthPaths:
-    """Simulate self-financing wealth with portfolio volatility kappa.
+) -> np.ndarray:
+    """Paths (n_paths, n_steps+1) of self-financing wealth with portfolio
+    volatility kappa.
 
     consumption may be None (no consumption) or a nonnegative proportional
     rate psi (scalar or DeterministicFn), meaning c = psi X, simulated with
@@ -188,19 +169,4 @@ def wealth_paths(
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
     psi_all = _proportional_rates(consumption, grid)
-    values = _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.widths, x0)
-    c_paths = psi_all * values
-    return WealthPaths(grid=grid, values=values, kappa=kappa, consumption=c_paths, x0=float(x0))
-
-
-def deflated_wealth_paths(state_prices: StatePricePaths, wealth: WealthPaths) -> np.ndarray:
-    """Paths of Y X + int Y c ds, a local martingale for admissible strategies.
-
-    The running consumption integral is accumulated with the trapezoid rule,
-    which keeps the discretization bias at O(dt^3) per interval.
-    """
-    if state_prices.grid is not wealth.grid and state_prices.grid != wealth.grid:
-        raise ValueError("state-price and wealth paths must share a grid")
-    y, x = state_prices.values, wealth.values
-    return y * x + _running_trapezoid(y * wealth.consumption, wealth.grid.dt)
-
+    return _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.widths, x0)

@@ -128,7 +128,7 @@ def test_criterion_2_vasicek_zero_coupon_oracle():
     y = state_price_paths(market, grid, batch)
     worst = 0.0
     for tenor in (1.0, 5.0, 10.0):
-        price = float(y.values[:, grid.index_of(tenor)].mean())
+        price = float(y[:, grid.index_of(tenor)].mean())
         oracle = textbook_vasicek_price(a, b, sigma, r0, tenor)
         worst = max(worst, abs(price / oracle - 1.0))
     elapsed = time.perf_counter() - start
@@ -203,7 +203,7 @@ def test_criterion_5_first_order_identities(forward_setup):
     for x0 in (0.5, 1.0, 2.0, 10.0):
         worst = max(worst, first_order_check(triple, x0=x0).max_rel)
     ramsey_res = pathwise_ramsey_report(
-        triple.state_price.values, forward_marginal_consumption_paths(triple)
+        triple.y, forward_marginal_consumption_paths(triple)
     )
     transport = representation_check(triple)
     worst = max(worst, ramsey_res, transport)
@@ -325,8 +325,8 @@ def test_criterion_9_complete_market_price_agreement():
     worst_mc_gap, worst_closed_z = 0.0, 0.0
     for tenor in (1.0, 2.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        marginal, se = zc_price_mc(triple.state_price.values, 0, k)
-        neutral = float(y0_paths.values[:, k].mean())
+        marginal, se = zc_price_mc(triple.y, 0, k)
+        neutral = float(y0_paths[:, k].mean())
         worst_mc_gap = max(worst_mc_gap, abs(marginal - neutral) / max(se, 1e-300))
         closed = float(zc_price_gaussian(market, None, 0.0, tenor))
         worst_closed_z = max(worst_closed_z, abs(marginal - closed) / se)

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import forward_yield
@@ -331,6 +332,35 @@ def test_davis_command(tmp_path):
         row = list(csv.DictReader(fh))[0]
     assert float(row["superposition_residual"]) <= 1e-15
     assert abs(float(row["capitalization_t"])) < 4.0
+
+
+def test_davis_capitalizes_in_the_consumption_free_optimal_wealth(tmp_path, monkeypatch):
+    # Xstar exp(int psi_hat ds) on the reading grid against its own wealth
+    # simulation on the same batch, with psi_hat changing value between the
+    # maturity and the horizon
+    seen = {}
+    simulate, capitalize = cli.simulate_optimal, cli.davis_time_consistency
+
+    def recording_simulate(*args, **kwargs):
+        seen["triple"] = simulate(*args, **kwargs)
+        return seen["triple"]
+
+    def recording_capitalize(payoff, y, x_paths, k_mat, k_horizon):
+        seen["x"] = x_paths
+        return capitalize(payoff, y, x_paths, k_mat, k_horizon)
+
+    monkeypatch.setattr(cli, "simulate_optimal", recording_simulate)
+    monkeypatch.setattr(cli, "davis_time_consistency", recording_capitalize)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"psi_hat": {"times": [0.0, 2.5, 7.5], "values": [0.1, 0.03, 0.05]}}}))
+    assert run_cli("davis", "--config", str(cfg), "--paths", "2000", "--out", str(tmp_path / "out")) == 0
+
+    triple = seen["triple"]
+    assert 7.5 in triple.grid.times
+    plain = forward_yield.wealth_paths(
+        triple.market, triple.grid, triple.batch, kappa=triple.spec.kappa_star, rate_paths=triple.rate_paths
+    )
+    assert np.max(np.abs(seen["x"] / plain - 1.0)) < 1e-12
 
 
 def test_verify_command_passes_and_reports(tmp_path):

@@ -190,7 +190,7 @@ def test_marginal_zc_time_zero_against_gaussian():
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        price, se = zc_price_mc(triple.state_price.values, 0, k)
+        price, se = zc_price_mc(triple.y, 0, k)
         closed = zc_price_gaussian(market, spec.nu_star, 0.0, tenor)
         assert abs(price - closed) < 3 * se
 
@@ -206,9 +206,9 @@ def test_marginal_zc_degenerate_cases():
     grid = make_grid(4.0, 16)
     batch = sample_brownian(3, grid, dim=2, n_paths=20_000)
     triple = simulate_optimal(spec, market, grid, batch)
-    price, se = zc_price_mc(triple.state_price.values, 0, grid.index_of(4.0))
+    price, se = zc_price_mc(triple.y, 0, grid.index_of(4.0))
     assert price == pytest.approx(1.0, abs=1e-12)  # unit state price
-    assert zc_price_mc(triple.state_price.values, 5, 5) == (1.0, 0.0)
+    assert zc_price_mc(triple.y, 5, 5) == (1.0, 0.0)
 
 
 def test_nested_conditional_prices_match_state_closed_form():
@@ -340,7 +340,7 @@ def test_complete_market_marginal_equals_risk_neutral():
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        price, se = zc_price_mc(triple.state_price.values, 0, k)
+        price, se = zc_price_mc(triple.y, 0, k)
         closed = zc_price_gaussian(market, None, 0.0, tenor)
         assert abs(price - closed) < 4 * se
 
@@ -507,8 +507,8 @@ def test_davis_unit_payoff_equals_zero_coupon():
     batch = sample_brownian(2468, grid, dim=2, n_paths=50_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
-    zc, _ = zc_price_mc(triple.state_price.values, 0, k)
-    unit = davis_price(np.ones(triple.n_paths), triple.state_price.values, k)
+    zc, _ = zc_price_mc(triple.y, 0, k)
+    unit = davis_price(np.ones(triple.n_paths), triple.y, k)
     assert unit.value == pytest.approx(zc, rel=1e-12)
 
 
@@ -519,8 +519,8 @@ def test_davis_linearity_exact():
     batch = sample_brownian(2469, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
-    y = triple.state_price.values
-    x_t = triple.wealth.values[:, k]
+    y = triple.y
+    x_t = triple.x[:, k]
     zeta1 = np.maximum(x_t - 0.9, 0.0)
     zeta2 = np.ones_like(x_t)
 
@@ -577,8 +577,8 @@ def test_davis_call_against_two_lognormal_oracle():
         np.exp(mu_tilt + 0.5 * s2_u) * norm.cdf(d1) - strike * norm.cdf(d2)
     )
 
-    zeta = np.maximum(triple.wealth.values[:, k] - strike, 0.0)
-    price = davis_price(zeta, triple.state_price.values, k)
+    zeta = np.maximum(triple.x[:, k] - strike, 0.0)
+    price = davis_price(zeta, triple.y, k)
     assert abs(price.value - oracle) < 3 * price.stderr
 
 
@@ -600,7 +600,7 @@ def test_davis_conditional_unit_payoff_matches_nested_zc():
         seed = int(substream_seed(2470, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
         inner_market = replace(market, rate=replace(market.rate, r0=float(triple.rate_paths.r[i, k_t])))
         inner = state_price_paths(inner_market, sub, sample_brownian(seed, sub, 2, 512), nu=spec.nu_star)
-        expected[i] = np.mean(inner.values[:, -1])
+        expected[i] = np.mean(inner[:, -1])
     assert np.array_equal(report.prices, expected)
     assert np.array_equal(report.rate_states, triple.rate_paths.r[:16, k_t])
 
@@ -652,6 +652,6 @@ def test_pathwise_ramsey_forward():
     batch = sample_brownian(86420, grid, dim=2, n_paths=2_000)
     triple = simulate_optimal(spec, market, grid, batch)
     marg = forward_marginal_consumption_paths(triple, x0=2.0)
-    assert pathwise_ramsey_report(triple.state_price.values, marg) < 1e-9
+    assert pathwise_ramsey_report(triple.y, marg) < 1e-9
     # t = 0 residual is exactly zero by normalization
     assert np.allclose(marg[:, 0] / marg[:, 0], 1.0)

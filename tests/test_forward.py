@@ -11,8 +11,10 @@ from forward_yield import (
     DeterministicFn,
     ForwardPowerSpec,
     MarketModel,
+    NumericalRangeError,
     SubspaceR,
     SubspaceViolationError,
+    TimeGrid,
     VasicekRate,
     consistency_drift_test,
     first_order_check,
@@ -54,8 +56,8 @@ def test_riskless_no_consumption_case():
     grid = make_grid(2.0, 8)
     batch = sample_brownian(10, grid, dim=2, n_paths=16)
     triple = simulate_optimal(spec, market, grid, batch)
-    assert np.allclose(triple.wealth.values, np.exp(0.03 * grid.times), atol=1e-14)
-    assert np.allclose(triple.state_price.values, np.exp(-0.03 * grid.times), atol=1e-14)
+    assert np.allclose(triple.x, np.exp(0.03 * grid.times), atol=1e-14)
+    assert np.allclose(triple.y, np.exp(-0.03 * grid.times), atol=1e-14)
     assert np.allclose(triple.zhat, np.exp(-0.015 * grid.times), atol=1e-14)
 
 
@@ -90,7 +92,7 @@ def test_optimal_processes_linear_in_initial_condition():
         kappa=spec.kappa_star, consumption=spec.psi_hat, x0=2.5,
         rate_paths=triple.rate_paths,
     )
-    assert np.max(np.abs(scaled.values / (2.5 * triple.wealth.values) - 1.0)) < 1e-14
+    assert np.max(np.abs(scaled / (2.5 * triple.x) - 1.0)) < 1e-14
 
 
 def test_zhat_factorization_pathwise():
@@ -99,7 +101,7 @@ def test_zhat_factorization_pathwise():
     grid = make_grid(3.0, 30)
     batch = sample_brownian(22, grid, dim=2, n_paths=512)
     triple = simulate_optimal(spec, market, grid, batch)
-    recon = triple.state_price.values * np.power(triple.wealth.values, spec.alpha)
+    recon = triple.y * np.power(triple.x, spec.alpha)
     assert np.max(np.abs(triple.zhat / recon - 1.0)) < 1e-10
     assert np.all(triple.zhat > 0)
 
@@ -182,6 +184,18 @@ def test_hjb_no_consumption_reduction():
     assert report.drift_lhs[0, 0] == pytest.approx(no_consumption * u_val, rel=1e-12)
 
 
+def test_hjb_residual_rejects_a_zero_zhat_on_any_path():
+    # one path's Zhat underflowed to 0 at a date the residual does not read
+    market = default_market()
+    spec = default_spec()
+    grid = make_grid(1.0, 8)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(34, grid, dim=2, n_paths=4))
+    zhat = triple.zhat.copy()
+    zhat[3, 5] = 0.0
+    with pytest.raises(NumericalRangeError, match="Zhat must be strictly positive"):
+        hjb_residual(replace(triple, zhat=zhat), t_indices=np.array([0, 8]), path=0)
+
+
 def test_hjb_detects_injected_drift_error():
     market = default_market()
     spec = default_spec()
@@ -254,13 +268,14 @@ def test_optimal_drift_reuses_the_optimal_wealth(monkeypatch):
         assert np.array_equal(getattr(default, field), getattr(explicit, field)), field
 
 
-def _value_process_oracle(triple, wealth):
+def _value_process_oracle(triple, wealth, psi):
     """Zhat X^(1-alpha) / (1-alpha) plus the trapezoid integral of
-    psi_hat^alpha Zhat c^(1-alpha) / (1-alpha), from the wealth paths."""
+    psi_hat^alpha Zhat c^(1-alpha) / (1-alpha), from the wealth paths X and
+    their consumption c = psi X."""
     alpha, grid = triple.spec.alpha, triple.grid
     psi_hat = triple.spec.psi_hat.values(grid.times)
-    u = triple.zhat * wealth.values ** (1.0 - alpha) / (1.0 - alpha)
-    v = psi_hat**alpha * triple.zhat * wealth.consumption ** (1.0 - alpha) / (1.0 - alpha)
+    u = triple.zhat * wealth ** (1.0 - alpha) / (1.0 - alpha)
+    v = psi_hat**alpha * triple.zhat * (psi.values(grid.times) * wealth) ** (1.0 - alpha) / (1.0 - alpha)
     return u + integrate.cumulative_trapezoid(v, grid.times, axis=1, initial=0.0)
 
 
@@ -284,31 +299,34 @@ def test_value_process_matches_simulated_wealth():
         (None, scaled_consumption(spec, 0.0)),
     ]
     for kappa, consumption in strategies:
+        psi = spec.psi_hat if consumption is None else consumption
         wealth = wealth_paths(
             market, grid, batch,
             kappa=spec.kappa_star if kappa is None else kappa,
-            consumption=spec.psi_hat if consumption is None else consumption,
+            consumption=psi,
             rate_paths=triple.rate_paths,
         )
-        oracle = _value_process_oracle(triple, wealth)
+        oracle = _value_process_oracle(triple, wealth, psi)
         assert np.max(np.abs(value_process(triple, kappa, consumption) / oracle - 1.0)) < 1e-12
 
 
 def test_optimal_drift_deterministic_limit():
     # no risk premium, no volatilities and a constant rate: P = e^(-psi t) on
-    # every path, so each interval's drift is the trapezoid rule's bias alone
+    # every path, so each interval's drift is the trapezoid rule's bias alone,
+    # over that interval's own width h, on a uniform and a non-uniform grid
     alpha, psi = 0.5, 0.1
     market = default_market(eta0=0.0)
     spec = default_spec(alpha=alpha, kappa=0.0, nu=0.0, psi=psi)
-    grid = make_grid(10.0, 40)
-    triple = simulate_optimal(spec, market, grid, sample_brownian(33, grid, dim=2, n_paths=64))
-    report = consistency_drift_test(triple)
-    h = grid.dt
-    p = np.exp(-psi * grid.times[:-1])
-    bias = p * (np.exp(-psi * h) - 1.0 + psi * h * (1.0 + np.exp(-psi * h)) / 2.0) / (1.0 - alpha)
-    assert np.all(report.interval_stderr == 0.0)
-    assert np.max(np.abs(report.interval_drift - bias)) <= 1e-15
-    assert bias[0] == pytest.approx(2.57e-6, rel=1e-2)
+    for grid in (make_grid(10.0, 40), TimeGrid.of_times([0.0, 1.0, 3.0, 3.5, 6.0])):
+        triple = simulate_optimal(spec, market, grid, sample_brownian(33, grid, dim=2, n_paths=64))
+        report = consistency_drift_test(triple)
+        h = np.diff(grid.times)
+        p = np.exp(-psi * grid.times[:-1])
+        bias = p * (np.exp(-psi * h) - 1.0 + psi * h * (1.0 + np.exp(-psi * h)) / 2.0) / (1.0 - alpha)
+        assert np.all(report.interval_stderr == 0.0)
+        assert np.max(np.abs(report.interval_drift - bias)) <= 1e-15
+        if grid.uniform:
+            assert bias[0] == pytest.approx(2.57e-6, rel=1e-2)
 
 
 def test_consistency_drift_zero_consumption_strategy():

@@ -15,7 +15,6 @@ from forward_yield import (
     state_price_paths,
     wealth_paths,
 )
-from forward_yield.market import StatePricePaths, deflated_wealth_paths
 from forward_yield.stats import interval_drift_report
 
 E1, E2 = np.eye(2)
@@ -26,6 +25,12 @@ def textbook_vasicek_price(a, b, sigma, r0, tau):
     bee = (1.0 - np.exp(-a * tau)) / a
     log_a = (b - sigma**2 / (2 * a**2)) * (bee - tau) - sigma**2 * bee**2 / (4 * a)
     return np.exp(log_a - bee * r0)
+
+
+def deflated_wealth(y, x, grid, psi=0.0):
+    """Y X + int Y c ds with c = psi X, the integral a running trapezoid sum:
+    a local martingale for admissible strategies."""
+    return y * x + integrate.cumulative_trapezoid(y * psi * x, grid.times, axis=1, initial=0.0)
 
 
 def two_dim_market(rate=None, eta=(0.05, 0.0)):
@@ -43,7 +48,7 @@ def test_state_price_constant_when_all_drivers_off():
     grid = make_grid(1.0, 10)
     batch = sample_brownian(11, grid, dim=2, n_paths=16)
     y = state_price_paths(market, grid, batch, y0=2.0)
-    assert np.allclose(y.values, 2.0, atol=1e-15)
+    assert np.allclose(y, 2.0, atol=1e-15)
 
 
 def test_state_price_martingale_mean():
@@ -53,7 +58,7 @@ def test_state_price_martingale_mean():
     batch = sample_brownian(123, grid, dim=2, n_paths=100_000)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
     y = state_price_paths(market, grid, batch, rate_paths=rate_paths)
-    capitalized = y.values[:, -1] * np.exp(rate_paths.integral[:, -1])
+    capitalized = y[:, -1] * np.exp(rate_paths.integral[:, -1])
     se = capitalized.std(ddof=1) / np.sqrt(len(capitalized))
     assert abs(capitalized.mean() - 1.0) < 3 * se
 
@@ -67,7 +72,7 @@ def test_minimal_density_matches_vasicek_bond_oracle():
     y = state_price_paths(market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        price = y.values[:, k].mean()
+        price = y[:, k].mean()
         oracle = textbook_vasicek_price(a, b, sigma, r0, tenor)
         assert abs(price / oracle - 1.0) < 2e-3
 
@@ -88,7 +93,7 @@ def test_minimal_density_with_hedgeable_rate_noise_tilt():
     k = grid.index_of(8.0)
     tilt, _ = integrate.quad(lambda s: sigma / a * (1.0 - np.exp(-a * (8.0 - s))) * eta0, 0.0, 8.0)
     oracle = textbook_vasicek_price(a, b, sigma, r0, 8.0) * np.exp(-tilt)
-    vals = y.values[:, k]
+    vals = y[:, k]
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - oracle) < 4 * se
 
@@ -111,9 +116,9 @@ def test_factorization_against_exponential_martingale():
     y_0 = state_price_paths(market, grid, batch)
     nu_k = np.atleast_2d(nu.values(grid.times[:-1]))
     mart = np.einsum("nkd,kd->nk", batch.increments, nu_k)
-    log_dens = np.zeros_like(y_0.values)
+    log_dens = np.zeros_like(y_0)
     np.cumsum(mart - 0.5 * np.sum(nu_k * nu_k, axis=1) * grid.dt, axis=1, out=log_dens[:, 1:])
-    gap = np.log(y_nu.values) - np.log(y_0.values) - log_dens
+    gap = np.log(y_nu) - np.log(y_0) - log_dens
     assert np.max(np.abs(gap)) < 1e-10
 
 
@@ -122,8 +127,7 @@ def test_money_market_wealth_exact():
     grid = make_grid(2.0, 8)
     batch = sample_brownian(6, grid, dim=2, n_paths=12)
     w = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), x0=3.0)
-    assert np.allclose(w.values, 3.0 * np.exp(0.04 * grid.times), atol=1e-12)
-    assert w.consumption is not None and np.allclose(w.consumption, 0.0)
+    assert np.allclose(w, 3.0 * np.exp(0.04 * grid.times), atol=1e-12)
 
 
 def test_proportional_consumption_lognormal_mean():
@@ -133,7 +137,7 @@ def test_proportional_consumption_lognormal_mean():
     grid = make_grid(4.0, 16)
     batch = sample_brownian(321, grid, dim=2, n_paths=100_000)
     w = wealth_paths(market, grid, batch, kappa=DeterministicFn.constant(kappa_vec), consumption=psi)
-    log_x = np.log(w.values[:, -1])
+    log_x = np.log(w[:, -1])
     oracle = (r - psi + kappa_vec[0] * eta0 - 0.5 * kappa_vec @ kappa_vec) * 4.0
     se = log_x.std(ddof=1) / np.sqrt(len(log_x))
     assert abs(log_x.mean() - oracle) < 3 * se
@@ -144,7 +148,7 @@ def test_zero_initial_wealth_stays_zero():
     grid = make_grid(1.0, 4)
     batch = sample_brownian(7, grid, dim=2, n_paths=6)
     w = wealth_paths(market, grid, batch, kappa=DeterministicFn.constant(np.array([0.3, 0.0])), x0=0.0)
-    assert np.all(w.values == 0.0)
+    assert np.all(w == 0.0)
 
 
 def test_wealth_rejects_kappa_outside_subspace():
@@ -163,7 +167,7 @@ def test_drift_test_money_market_and_consumption():
     y = state_price_paths(market, grid, batch, rate_paths=rate_paths)
 
     money = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), rate_paths=rate_paths)
-    report = interval_drift_report(deflated_wealth_paths(y, money), grid.times)
+    report = interval_drift_report(deflated_wealth(y, money, grid), grid.times)
     assert report.is_martingale_like()
 
     risky = wealth_paths(
@@ -172,7 +176,7 @@ def test_drift_test_money_market_and_consumption():
         consumption=0.06,
         rate_paths=rate_paths,
     )
-    report = interval_drift_report(deflated_wealth_paths(y, risky), grid.times)
+    report = interval_drift_report(deflated_wealth(y, risky, grid, psi=0.06), grid.times)
     assert report.is_martingale_like()
     # closed-form oracle: E[M_T] - M_0 = 0 for any admissible pair
     assert abs(report.total_t) < 4
@@ -193,12 +197,12 @@ def test_drift_test_flags_misspecified_nu():
     dlog = mart - rate_paths.step_integrals() - 0.5 * (vol @ vol) * grid.dt
     log_y = np.zeros((batch.n_paths, grid.n_steps + 1))
     np.cumsum(dlog, axis=1, out=log_y[:, 1:])
-    bad_y = StatePricePaths(grid=grid, values=np.exp(log_y), nu=DeterministicFn.constant(bad_nu), y0=1.0)
+    bad_y = np.exp(log_y)
 
     risky = wealth_paths(
         market, grid, batch, kappa=DeterministicFn.constant(np.array([0.2, 0.0])), rate_paths=rate_paths
     )
-    report = interval_drift_report(deflated_wealth_paths(bad_y, risky), grid.times)
+    report = interval_drift_report(deflated_wealth(bad_y, risky, grid), grid.times)
     assert np.any(report.flagged)
     # analytic drift: d(YX)/(YX) = kappa . nu dt = 0.02 dt > 0
     assert report.total_t > 4
@@ -209,7 +213,7 @@ def test_state_price_strictly_positive():
     grid = make_grid(1.0, 8)
     batch = sample_brownian(2, grid, dim=2, n_paths=1000)
     y = state_price_paths(market, grid, batch, nu=DeterministicFn.constant(np.array([0.0, 0.4])))
-    assert np.all(y.values > 0.0)
+    assert np.all(y > 0.0)
 
 
 def test_deflated_paths_include_running_consumption():
@@ -218,9 +222,9 @@ def test_deflated_paths_include_running_consumption():
     batch = sample_brownian(3, grid, dim=2, n_paths=5)
     y = state_price_paths(market, grid, batch)
     w = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), consumption=0.1)
-    m = deflated_wealth_paths(y, w)
-    assert m.shape == w.values.shape
-    assert np.all(m[:, -1] > w.values[:, -1])  # consumption was paid out and credited back
+    m = deflated_wealth(y, w, grid, psi=0.1)
+    assert m.shape == w.shape
+    assert np.all(m[:, -1] > w[:, -1])  # consumption was paid out and credited back
 
 
 def _leaves_at_last_date(inside, outside):

@@ -63,7 +63,7 @@ def test_marginal_price_three_dim_mc_vs_closed():
     batch = sample_brownian(606061, grid, dim=3, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(4.0)
-    vals = triple.state_price.values[:, k]
+    vals = triple.y[:, k]
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     closed = float(zc_price_gaussian(market, spec.nu_star, 0.0, 4.0))
     assert abs(vals.mean() - closed) < 4 * se

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forward_yield import DeterministicFn, PowerUtility, ProgressivePowerUtility, make_grid
+from forward_yield import PowerUtility
 
 from conjugation_oracles import numeric_biconjugate, numeric_fenchel
 
@@ -117,22 +117,3 @@ def test_double_transform_recovers_utility():
     recovered = numeric_biconjugate(conj, x_mid)
     assert np.max(np.abs(recovered / u.value(x_mid) - 1.0)) < 1e-3
 
-
-def _unit_progressive(alpha=0.5, psi=1.0, n_paths=3, n_steps=4):
-    grid = make_grid(1.0, n_steps)
-    zhat = np.ones((n_paths, n_steps + 1))
-    return ProgressivePowerUtility(alpha=alpha, zhat=zhat, psi_hat=DeterministicFn.constant(psi), grid=grid)
-
-
-def test_progressive_identity_coefficients_reduce_to_power_pair():
-    p = _unit_progressive()
-    u = PowerUtility(alpha=0.5)
-    for x in (0.5, 1.0, 3.0):
-        ux = u.marginal(x)
-        assert p.consumption_dual(2, ux, 0) == pytest.approx(u.conjugate(ux), rel=1e-14)
-
-
-def test_progressive_rejects_nonpositive_zhat():
-    grid = make_grid(1.0, 1)
-    with pytest.raises(ValueError):
-        ProgressivePowerUtility(alpha=0.5, zhat=np.zeros((1, 2)), psi_hat=DeterministicFn.constant(1.0), grid=grid)
