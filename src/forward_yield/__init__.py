@@ -2,7 +2,6 @@
 
 from .backward import (
     BackwardSpec,
-    CustomGamma,
     SyntheticSqrtGamma,
     VasicekGamma,
     backward_optimal_paths,

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .brownian import BrownianBatch
 from .grids import DeterministicFn, TimeGrid
-from .market import MarketModel, _dual_coeffs, _exact_log_paths, _wealth_coeffs
-from .quadrature import gauss_legendre
+from .forward import _pair_coeffs, _pair_paths
+from .market import MarketModel
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +125,7 @@ class SyntheticSqrtGamma:
         return self.c_r, self.c_perp
 
 
-@dataclass(frozen=True)
-class CustomGamma:
-    """Arbitrary bond-volatility field given by a callable (s, T) -> vector."""
-
-    fn: Callable[[np.ndarray, float], np.ndarray]
-    dim: int
-
-    def vectors(self, s, t_mat) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.asarray(self.fn(s, t_mat), dtype=float)
-        if out.shape != (len(s), self.dim):
-            raise ValueError("custom gamma must return one dim-vector per time")
-        return out
-
-    def int_sq(self, t: float, t_mat: float) -> float:
-        return gauss_legendre(lambda s: np.sum(self.vectors(s, t_mat) ** 2, axis=1), t, t_mat)
-
-    def limit_sq_rate(self) -> None:
-        # no closed-form limit is available for tabulated fields
-        return None
-
-
-GammaModel = Union[VasicekGamma, SyntheticSqrtGamma, CustomGamma]
+GammaModel = Union[VasicekGamma, SyntheticSqrtGamma]
 
 
 # ---------------------------------------------------------------------------
@@ -224,58 +202,26 @@ def rate_integral_paths(spec: BackwardSpec, grid: TimeGrid, batch: BrownianBatch
     return out
 
 
-@dataclass(frozen=True)
-class BackwardPaths:
-    """Optimal backward wealth and state-price paths on [0, T_H]."""
-
-    grid: TimeGrid
-    x: np.ndarray       # (n, K+1)
-    y: np.ndarray       # (n, K+1)
-    nu: DeterministicFn
-    kappa: DeterministicFn
-
-
 def backward_optimal_paths(
     spec: BackwardSpec,
     grid: TimeGrid,
     batch: BrownianBatch,
-    nu: Optional[DeterministicFn] = None,
-    kappa: Optional[DeterministicFn] = None,
-) -> BackwardPaths:
-    """Simulate the terminal-wealth-optimal pair on the shared batch.
-
-    Passing explicit (nu, kappa), e.g. the solution of a different horizon,
-    produces a deliberately inconsistent control for the constraint check.
-    """
-    if grid.horizon < spec.t_horizon - 1e-12:
-        raise ValueError("grid horizon must cover the optimization horizon")
-    if nu is None or kappa is None:
-        nu_opt, kappa_opt = solve_backward_vols(spec)
-        nu = nu_opt if nu is None else nu
-        kappa = kappa_opt if kappa is None else kappa
-
-    step_int = np.diff(rate_integral_paths(spec, grid, batch), axis=1)
-    x, y = _optimal_paths(spec.market, grid, batch.increments, step_int, nu, kappa)
-    return BackwardPaths(grid=grid, x=x, y=y, nu=nu, kappa=kappa)
-
-
-def _optimal_paths(
-    market: MarketModel,
-    grid: TimeGrid,
-    increments: np.ndarray,
-    step_int: np.ndarray,
     nu: DeterministicFn,
     kappa: DeterministicFn,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Wealth and state-price paths on the first k steps of grid, k being the
-    number of rate-integral steps; (nu, kappa, eta) are checked on all of grid."""
-    k = step_int.shape[1]
-    vol_y, drift_y = _dual_coeffs(market, grid, nu)
-    vol_x, drift_x = _wealth_coeffs(market, grid, kappa)
-    inc = increments[:, :k, :]
-    x = _exact_log_paths(inc, vol_x[:k], step_int, drift_x[:k], grid.dt, 1.0)
-    y = _exact_log_paths(inc, vol_y[:k], -step_int, drift_y[:k], grid.dt, 1.0)
-    return x, y
+    """Unit-initial wealth and state-price paths (x, y), each (n, K+1), of
+    the control (nu, kappa) on the shared batch: the forward pair with
+    psi = 0, its rate steps taken from the Gamma representation.
+
+    solve_backward_vols(spec) gives the optimal control; any other, e.g. the
+    solution of a different horizon, is deliberately inconsistent, for the
+    constraint check.
+    """
+    if grid.horizon < spec.t_horizon - 1e-12:
+        raise ValueError("grid horizon must cover the optimization horizon")
+    coeffs = _pair_coeffs(spec.market, grid, kappa, nu)
+    step_int = np.diff(rate_integral_paths(spec, grid, batch), axis=1)
+    return _pair_paths(coeffs, grid, batch.increments, step_int)
 
 
 @dataclass(frozen=True)
@@ -287,11 +233,11 @@ class TerminalConstraintReport:
     max_abs_dev: float    # max |value / mean - 1|
 
 
-def terminal_constraint_check(spec: BackwardSpec, paths: BackwardPaths) -> TerminalConstraintReport:
-    """Dispersion of the terminal product of simulated backward paths; ~1e-15
-    for the consistent control."""
-    k_h = paths.grid.index_of(spec.t_horizon)
-    z = paths.y[:, k_h] * np.power(paths.x[:, k_h], spec.alpha)
+def terminal_constraint_check(spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.ndarray) -> TerminalConstraintReport:
+    """Dispersion of the terminal product of backward paths (x, y) on grid;
+    ~1e-15 for the consistent control."""
+    k_h = grid.index_of(spec.t_horizon)
+    z = y[:, k_h] * np.power(x[:, k_h], spec.alpha)
     mean = float(np.mean(z))
     return TerminalConstraintReport(
         constant=mean,
@@ -349,9 +295,8 @@ def _states_at_common_date(
     states = {}
     for t_h in horizons:
         nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
-        k_h = grid.index_of(t_h)
-        h_grid = grid.prefix(k_h)
-        x, y = _optimal_paths(spec.market, h_grid, sim_batch.increments, step_int, nu, kappa)
+        h_grid = grid.prefix(grid.index_of(t_h))
+        x, y = _pair_paths(_pair_coeffs(spec.market, h_grid, kappa, nu), h_grid, sim_batch.increments, step_int)
         states[t_h] = (nu, x[:, k_c], y[:, k_c])
     return states
 

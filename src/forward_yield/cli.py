@@ -15,7 +15,13 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from . import __version__
-from .backward import GammaModel, backward_optimal_paths, horizon_dependency_experiment, terminal_constraint_check
+from .backward import (
+    GammaModel,
+    backward_optimal_paths,
+    horizon_dependency_experiment,
+    solve_backward_vols,
+    terminal_constraint_check,
+)
 from .brownian import sample_brownian
 from .config import (
     build_backward_spec,
@@ -284,10 +290,11 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
     ks = grid_indices(grid, tenors, "output.tenors")
 
     batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
-    paths = backward_optimal_paths(spec, grid, batch)
-    constraint = terminal_constraint_check(spec, paths)
+    nu, kappa = solve_backward_vols(spec)
+    x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
+    constraint = terminal_constraint_check(spec, grid, x, y)
 
-    table, detail_rows = _curve_tables(run, "backward_curve", paths.y, market, paths.nu, tenors, ks, gamma=spec.gamma)
+    table, detail_rows = _curve_tables(run, "backward_curve", y, market, nu, tenors, ks, gamma=spec.gamma)
     run.table("backward_curve_detail", detail_rows)
     run.add_summary(
         terminal_constant=constraint.constant,
@@ -355,9 +362,6 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
     rep = representation_check(triple)
     check("marginal_transport", rep, tol.identity_tol, rep <= tol.identity_tol)
 
-    fact = float(np.max(np.abs(triple.zhat / (triple.y * triple.x**spec.alpha) - 1.0)))
-    check("zhat_factorization", fact, 1e-10, fact <= 1e-10)
-
     psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
     if np.all(psi_vals > 0):
         ramsey = pathwise_ramsey_report(triple.y, forward_marginal_consumption_paths(triple))
@@ -421,10 +425,6 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
         label = f"call_on_wealth(K={strike:g})"
 
     price = davis_price(payoff, y, k_mat)
-    # superposition witness: the price of 2 zeta + 3 against 2 P(zeta) + 3 P(1)
-    combo = davis_price(2.0 * payoff + 3.0, y, k_mat).value
-    unit = davis_price(np.ones(triple.n_paths), y, k_mat).value
-    superposition = abs(combo - (2.0 * price.value + 3.0 * unit)) / max(abs(combo), 1.0)
 
     # time consistency: capitalize the payoff to the horizon inside the
     # consumption-free optimal wealth Xstar exp(int psi_hat ds) and reprice;
@@ -439,7 +439,6 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
             "maturity": maturity,
             "value": price.value,
             "stderr": price.stderr,
-            "superposition_residual": superposition,
             "capitalized_value": p_cap,
             "capitalization_t": cap_t,
         }

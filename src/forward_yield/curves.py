@@ -287,7 +287,7 @@ def marginal_zc_mc(
         if isinstance(rate, VasicekRate):
             rate = replace(rate, r0=float(triple.rate_paths.r[i, k_t]))
         step_int = simulate_short_rate(rate, sub, inner_batch).step_integrals()
-        y = _exact_log_paths(inner_batch.increments, vol, -step_int, drift, sub.widths, 1.0)
+        y = _exact_log_paths(inner_batch.increments, vol, step_int, drift, sub.widths, 1.0, -1)
         # transposed and row-indexed, so each maturity's ratios are contiguous
         for j, y_ratio in enumerate(y.T[rows]):
             prices[j, i], stderrs[j, i] = mean_stderr(y_ratio)

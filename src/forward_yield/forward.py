@@ -69,6 +69,36 @@ class OptimalTriple:
         return self.zhat.shape[0]
 
 
+def _pair_coeffs(
+    market: MarketModel,
+    grid: TimeGrid,
+    kappa: DeterministicFn,
+    nu: DeterministicFn,
+    psi: ConsumptionRule = None,
+) -> tuple[np.ndarray, ...]:
+    """Step coefficients of the optimal pair on grid's K steps: the volatility
+    and drift of ln X, those of ln Y, and psi, each net of the short rate.
+    They are built, and so kappa, nu, eta and psi are checked, on all K+1
+    dates of grid; psi None means no consumption."""
+    x_vol, x_drift = _wealth_coeffs(market, grid, kappa)
+    y_vol, y_drift = _dual_coeffs(market, grid, nu)
+    return x_vol, x_drift, y_vol, y_drift, _proportional_rates(psi, grid)[:-1]
+
+
+def _pair_paths(
+    coeffs: tuple[np.ndarray, ...], grid: TimeGrid, increments: np.ndarray, rate_steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-initial (x, y) with exact log schemes on the first
+    k = rate_steps.shape[1] steps of grid, rate_steps being each path's
+    per-step integrals of r; coeffs come from _pair_coeffs on grid."""
+    k = rate_steps.shape[1]
+    x_vol, x_drift, y_vol, y_drift, psi = (c[:k] for c in coeffs)
+    inc, widths = increments[:, :k, :], grid.widths[:k]
+    x = _exact_log_paths(inc, x_vol, rate_steps, x_drift - psi, widths, 1.0, 1)
+    y = _exact_log_paths(inc, y_vol, rate_steps, y_drift, widths, 1.0, -1)
+    return x, y
+
+
 def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, read: Iterable[int]) -> TimeGrid:
     """The dates of grid that simulate_optimal must step through to give the
     paths at the read indices the law they have on all of grid.
@@ -79,12 +109,9 @@ def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, re
     eta, psi and their drifts) changes value.  The coefficients are built,
     and so checked, on all K+1 dates of grid.
     """
-    x_vol, x_drift = _wealth_coeffs(market, grid, spec.kappa_star)
-    y_vol, y_drift = _dual_coeffs(market, grid, spec.nu_star)
-    psi_all = _proportional_rates(spec.psi_hat, grid)
     keep = {0, *(int(k) for k in read)}
     last = max(keep)
-    for coeff in (x_vol, x_drift, y_vol, y_drift, psi_all[:-1]):
+    for coeff in _pair_coeffs(market, grid, spec.kappa_star, spec.nu_star, spec.psi_hat):
         steps = coeff.reshape(grid.n_steps, -1)[:last]
         keep.update((1 + np.flatnonzero(np.any(steps[1:] != steps[:-1], axis=1))).tolist())
     return grid.subgrid(sorted(keep))
@@ -98,17 +125,17 @@ def simulate_optimal(
 ) -> OptimalTriple:
     """Simulate the optimal pair with exact log schemes on a shared batch,
     the same steps as wealth_paths and state_price_paths; kappa, nu, eta and
-    psi are checked on every grid date, once each, before any simulation."""
-    x_vol, x_drift = _wealth_coeffs(market, grid, spec.kappa_star)
-    y_vol, y_drift = _dual_coeffs(market, grid, spec.nu_star)
-    psi_all = _proportional_rates(spec.psi_hat, grid)
+    psi are checked on every grid date, once each, before any simulation.
+
+    Raises NumericalRangeError when Zhat is 0 on some path and date, i.e.
+    wealth or the state-price density underflowed."""
+    coeffs = _pair_coeffs(market, grid, spec.kappa_star, spec.nu_star, spec.psi_hat)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
-    steps = rate_paths.step_integrals()
-    x = _exact_log_paths(batch.increments, x_vol, steps, x_drift - psi_all[:-1], grid.widths, 1.0)
-    y = _exact_log_paths(batch.increments, y_vol, np.negative(steps, out=steps), y_drift, grid.widths, 1.0)
-    del steps
+    x, y = _pair_paths(coeffs, grid, batch.increments, rate_paths.step_integrals())
     zhat = np.power(x, spec.alpha)
     np.multiply(y, zhat, out=zhat)
+    if np.any(zhat <= 0):
+        raise NumericalRangeError("Zhat must be strictly positive; wealth or the state-price density underflowed to 0")
     return OptimalTriple(
         spec=spec,
         market=market,
@@ -237,8 +264,6 @@ def hjb_residual(
     eta = np.atleast_2d(market.risk_premium.values(times))
     psi = np.asarray(spec.psi_hat.values(times), dtype=float)
     r = triple.rate_paths.r[path, t_indices]
-    if np.any(triple.zhat <= 0):
-        raise NumericalRangeError("Zhat must be strictly positive; wealth or the state-price density underflowed to 0")
     zhat = triple.zhat[path, t_indices]
 
     u_val = base.value(x_grid)[None, :]

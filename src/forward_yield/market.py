@@ -89,13 +89,16 @@ def _exact_log_paths(
     drift: np.ndarray,
     widths: np.ndarray,
     level0: float,
+    rate_sign: int,
 ) -> np.ndarray:
     """Exact per-step log scheme of a geometric process with deterministic
-    volatility: level0 * exp(cumsum(vol . dW + rate_steps + drift * widths)),
+    volatility: level0 * exp(cumsum(vol . dW + rate_sign * rate_steps + drift * widths)),
     with the value level0 at t_0 (Glasserman 2004, section 3.2).
 
     increments is (n, K, dim), vol (K, dim), rate_steps (n, K), drift (K,)
-    and widths, the step widths, (K,) or one scalar.
+    and widths, the step widths, (K,) or one scalar.  rate_sign is +1 for
+    wealth and -1 for a state-price density, whose rate steps are
+    subtracted rather than negated into a copy; a - b is a + (-b) bit for bit.
     """
     out = np.zeros((increments.shape[0], increments.shape[1] + 1))
     drift_step = drift * widths
@@ -103,7 +106,10 @@ def _exact_log_paths(
     # is allocated beside the output; each row's operations are unchanged
     for b0 in range(0, out.shape[0], _LOG_ROWS):
         dlog = np.einsum("nkd,kd->nk", increments[b0 : b0 + _LOG_ROWS], vol)
-        dlog += rate_steps[b0 : b0 + _LOG_ROWS]
+        if rate_sign > 0:
+            dlog += rate_steps[b0 : b0 + _LOG_ROWS]
+        else:
+            dlog -= rate_steps[b0 : b0 + _LOG_ROWS]
         dlog += drift_step
         np.cumsum(dlog, axis=1, out=out[b0 : b0 + _LOG_ROWS, 1:])
     np.exp(out, out=out)
@@ -141,7 +147,7 @@ def state_price_paths(
     vol, drift = _dual_coeffs(market, grid, nu)
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
-    return _exact_log_paths(batch.increments, vol, -rate_paths.step_integrals(), drift, grid.widths, y0)
+    return _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift, grid.widths, y0, -1)
 
 
 ConsumptionRule = Union[None, float, DeterministicFn]
@@ -169,4 +175,4 @@ def wealth_paths(
     if rate_paths is None:
         rate_paths = simulate_short_rate(market.rate, grid, batch)
     psi_all = _proportional_rates(consumption, grid)
-    return _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.widths, x0)
+    return _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.widths, x0, 1)

@@ -230,11 +230,11 @@ def test_criterion_6_backward_terminal_constraint():
     spec = _vasicek_orthogonal_spec(10.0)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1006, grid, dim=2, n_paths=10_000)
-    consistent = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
+    consistent = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
 
     mismatched = _vasicek_orthogonal_spec(50.0)
     nu_wrong, kappa_wrong = solve_backward_vols(mismatched)
-    control = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch, nu=nu_wrong, kappa=kappa_wrong))
+    control = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
     ok = consistent.cv <= 1e-10 and control.cv > 1e-3
     _report(
         "criterion 6 (backward terminal constraint)",
@@ -342,17 +342,17 @@ def test_criterion_10_davis_linearity_and_time_consistency():
     spec = _vasicek_orthogonal_spec(10.0)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1010, grid, dim=2, n_paths=100_000)
-    paths = backward_optimal_paths(spec, grid, batch)
+    x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     k_mat, k_h = grid.index_of(5.0), grid.index_of(10.0)
 
-    zeta1 = np.maximum(paths.x[:, k_mat] - 0.8, 0.0)
+    zeta1 = np.maximum(x[:, k_mat] - 0.8, 0.0)
     zeta2 = np.ones_like(zeta1)
-    p1 = davis_price(zeta1, paths.y, k_mat)
-    p2 = davis_price(zeta2, paths.y, k_mat)
-    combo = davis_price(2.0 * zeta1 + 3.0 * zeta2, paths.y, k_mat)
+    p1 = davis_price(zeta1, y, k_mat)
+    p2 = davis_price(zeta2, y, k_mat)
+    combo = davis_price(2.0 * zeta1 + 3.0 * zeta2, y, k_mat)
     lin_gap = abs(combo.value - (2.0 * p1.value + 3.0 * p2.value)) / max(abs(combo.value), 1.0)
 
-    _, _, t_stat = davis_time_consistency(zeta1, paths.y, paths.x, k_mat, k_h)
+    _, _, t_stat = davis_time_consistency(zeta1, y, x, k_mat, k_h)
     ok = lin_gap <= 1e-15 and abs(t_stat) < 3.0
     _report(
         "criterion 10 (Davis pricing)",

@@ -8,8 +8,8 @@ from forward_yield import (
     BackwardSpec,
     BrownianBatch,
     ConstantRate,
-    CustomGamma,
     DeterministicFn,
+    ForwardPowerSpec,
     MarketModel,
     SubspaceR,
     SyntheticSqrtGamma,
@@ -20,10 +20,13 @@ from forward_yield import (
     make_grid,
     rate_integral_paths,
     sample_brownian,
+    simulate_optimal,
     solve_backward_vols,
     terminal_constraint_check,
 )
 from forward_yield import backward
+
+from gamma_fields import CustomGamma
 
 E1, E2 = np.eye(2)
 A, SIGMA_R = 1.0, 0.02
@@ -107,7 +110,7 @@ def test_terminal_constraint_zero_dispersion():
     spec = vasicek_orthogonal_spec()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(515, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
     assert report.cv <= 1e-10
     assert report.max_abs_dev <= 1e-9
 
@@ -116,7 +119,7 @@ def test_terminal_constraint_no_noise_case():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
     grid = make_grid(10.0, 20)
     batch = sample_brownian(616, grid, dim=2, n_paths=512)
-    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
     assert report.cv <= 1e-12
 
 
@@ -126,7 +129,7 @@ def test_terminal_constraint_detects_mismatched_horizon():
     nu_wrong, kappa_wrong = solve_backward_vols(wrong)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(717, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch, nu=nu_wrong, kappa=kappa_wrong))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
     # residual variance is computable in closed form from the vol difference
     assert report.cv > 1e-3
 
@@ -137,8 +140,29 @@ def test_terminal_constraint_synthetic_sqrt():
     spec = BackwardSpec(t_horizon=8.0, alpha=0.3, gamma=gamma, market=market)
     grid = make_grid(8.0, 32)
     batch = sample_brownian(818, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(spec, backward_optimal_paths(spec, grid, batch))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
     assert report.cv <= 1e-10
+
+
+def test_terminal_constraint_on_a_non_uniform_grid():
+    spec = vasicek_orthogonal_spec()
+    grid = TimeGrid.of_times([0.0, 1.0, 2.5, 4.0, 7.0, 10.0])
+    batch = sample_brownian(5151, grid, dim=2, n_paths=4_000)
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    assert report.cv <= 1e-8
+
+
+def test_backward_pair_is_the_forward_pair_without_consumption():
+    # with a constant rate both rate simulations give the steps r h, so the
+    # backward optimum is the forward pair with psi = 0 bit for bit
+    spec = vasicek_orthogonal_spec(sigma_r=0.0, alpha=0.4)
+    nu, kappa = solve_backward_vols(spec)
+    grid = make_grid(10.0, 40)
+    batch = sample_brownian(6161, grid, dim=2, n_paths=1_000)
+    x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
+    triple = simulate_optimal(ForwardPowerSpec(spec.alpha, kappa, nu, DeterministicFn.zero()), spec.market, grid, batch)
+    assert np.array_equal(x, triple.x)
+    assert np.array_equal(y, triple.y)
 
 
 def test_horizon_gap_zero_for_maturity_free_gamma():
@@ -198,10 +222,11 @@ def test_grid_must_cover_horizon():
     grid = make_grid(5.0, 20)
     batch = sample_brownian(1, grid, dim=2, n_paths=4)
     with pytest.raises(ValueError, match="grid horizon must cover the optimization horizon"):
-        backward_optimal_paths(spec, grid, batch)
+        backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     # one step short of the horizon is still short
+    short = replace(spec, t_horizon=5.25)
     with pytest.raises(ValueError, match="grid horizon must cover the optimization horizon"):
-        backward_optimal_paths(replace(spec, t_horizon=5.25), grid, batch)
+        backward_optimal_paths(short, grid, batch, *solve_backward_vols(short))
 
 
 def _custom_gamma_fn(s, t_mat):
@@ -238,10 +263,11 @@ def test_horizon_states_equal_full_backward_paths(gamma, t_common, prefix):
         k_h = grid.index_of(t_h)
         sub = TimeGrid(grid.times[k_h], k_h)
         sub_batch = BrownianBatch(seed=full.seed, grid=sub, increments=full.increments[:, :k_h, :])
-        ref = backward_optimal_paths(replace(spec, t_horizon=t_h), sub, sub_batch)
+        spec_h = replace(spec, t_horizon=t_h)
+        x_ref, y_ref = backward_optimal_paths(spec_h, sub, sub_batch, *solve_backward_vols(spec_h))
         _, x_c, y_c = states[t_h]
-        np.testing.assert_allclose(x_c, ref.x[:, k_c], rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(y_c, ref.y[:, k_c], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(x_c, x_ref[:, k_c], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(y_c, y_ref[:, k_c], rtol=1e-15, atol=0.0)
 
 
 def test_horizon_rate_integral_runs_once_on_common_steps(monkeypatch):

@@ -7,7 +7,6 @@ from scipy import integrate
 from forward_yield import (
     BackwardSpec,
     ConstantRate,
-    CustomGamma,
     DeterministicFn,
     ForwardPowerSpec,
     MarketModel,
@@ -38,6 +37,8 @@ from forward_yield import (
 )
 from forward_yield.brownian import PURPOSE_INNER, substream_seed
 from forward_yield.curves import forward_marginal_consumption_paths, market_gamma
+
+from gamma_fields import CustomGamma
 
 E1, E2 = np.eye(2)
 
@@ -633,10 +634,10 @@ def test_davis_capitalization_time_consistency():
     )
     grid = make_grid(10.0, 40)
     batch = sample_brownian(97531, grid, dim=2, n_paths=100_000)
-    paths = backward_optimal_paths(spec, grid, batch)
+    x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     k_mat, k_h = grid.index_of(5.0), grid.index_of(10.0)
-    zeta = np.maximum(paths.x[:, k_mat] - 0.8, 0.0)
-    p_direct, p_cap, t_stat = davis_time_consistency(zeta, paths.y, paths.x, k_mat, k_h)
+    zeta = np.maximum(x[:, k_mat] - 0.8, 0.0)
+    p_direct, p_cap, t_stat = davis_time_consistency(zeta, y, x, k_mat, k_h)
     assert abs(t_stat) < 3.0
     assert p_direct == pytest.approx(p_cap, rel=0.02)
 

@@ -11,7 +11,6 @@ from forward_yield import (
     DeterministicFn,
     ForwardPowerSpec,
     MarketModel,
-    NumericalRangeError,
     SubspaceR,
     SubspaceViolationError,
     TimeGrid,
@@ -182,18 +181,6 @@ def test_hjb_no_consumption_reduction():
     x0 = report.x_grid[0]
     u_val = x0 ** (1 - alpha) / (1 - alpha)
     assert report.drift_lhs[0, 0] == pytest.approx(no_consumption * u_val, rel=1e-12)
-
-
-def test_hjb_residual_rejects_a_zero_zhat_on_any_path():
-    # one path's Zhat underflowed to 0 at a date the residual does not read
-    market = default_market()
-    spec = default_spec()
-    grid = make_grid(1.0, 8)
-    triple = simulate_optimal(spec, market, grid, sample_brownian(34, grid, dim=2, n_paths=4))
-    zhat = triple.zhat.copy()
-    zhat[3, 5] = 0.0
-    with pytest.raises(NumericalRangeError, match="Zhat must be strictly positive"):
-        hjb_residual(replace(triple, zhat=zhat), t_indices=np.array([0, 8]), path=0)
 
 
 def test_hjb_detects_injected_drift_error():

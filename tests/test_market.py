@@ -264,4 +264,7 @@ def test_log_paths_in_row_blocks_equal_the_whole_array_form():
     reference = np.zeros((n, k + 1))
     np.cumsum(dlog, axis=1, out=reference[:, 1:])
     reference = 1.5 * np.exp(reference)
-    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1.5), reference)
+    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1.5, 1), reference)
+    # a state-price density subtracts its rate steps: the bits of adding their negation
+    negated = _exact_log_paths(increments, vol, -rate_steps, drift, h, 1.5, 1)
+    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1.5, -1), negated)
