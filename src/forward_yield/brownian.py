@@ -40,12 +40,19 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def blocked_normals(seed: int, purpose: int, n_rows: int, row_shape: tuple[int, ...]) -> np.ndarray:
+def blocked_normals(
+    seed: int, purpose: int, n_rows: int, row_shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """Standard normals of shape (n_rows, *row_shape), row i depending only on
     (seed, purpose, i).  Blocks may be filled in parallel; the result is
-    identical for any thread count."""
+    identical for any thread count.  out, a C-contiguous array of that
+    shape, receives the normals in place of a new array."""
     seed = _check_seed(seed)
-    out = np.empty((n_rows,) + tuple(row_shape))
+    shape = (n_rows,) + tuple(row_shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
     spans = [(b0, min(b0 + _BLOCK, n_rows)) for b0 in range(0, n_rows, _BLOCK)]
 
     def fill(span):
@@ -105,8 +112,13 @@ def sample_brownian(seed: int, grid: TimeGrid, dim: int, n_paths: int) -> Browni
     if n_paths < 1 or int(n_paths) != n_paths:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
     z = blocked_normals(seed, PURPOSE_INCREMENTS, int(n_paths), (grid.n_steps, int(dim)))
+    return BrownianBatch(seed=int(seed), grid=grid, increments=_scale_to_widths(z, grid))
+
+
+def _scale_to_widths(z: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Scale standard normals (n, K, dim) in place into N(0, h_k) increments."""
     # scaled through one contiguous row of K * dim factors: a (K, 1) broadcast
     # over the (n, K, dim) array is several times slower
     rows = z.reshape(z.shape[0], -1)
-    rows *= np.repeat(np.sqrt(grid.widths), dim)
-    return BrownianBatch(seed=int(seed), grid=grid, increments=z)
+    rows *= np.repeat(np.sqrt(grid.widths), z.shape[2])
+    return z

@@ -5,13 +5,21 @@ and marginal-utility (Davis) pricing of payoffs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .backward import GammaModel, VasicekGamma
-from .brownian import PURPOSE_INNER, BrownianBatch, substream_seed
+from .brownian import (
+    PURPOSE_INCREMENTS,
+    PURPOSE_INNER,
+    PURPOSE_RATE_RESIDUALS,
+    BrownianBatch,
+    _scale_to_widths,
+    blocked_normals,
+    substream_seed,
+)
 from .errors import NumericalRangeError
 from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
@@ -234,6 +242,12 @@ def zc_price_mc(y_paths: np.ndarray, k_t: int, k_mat: int) -> tuple[float, float
     return float(m), float(se)
 
 
+# rows per chunk of nested inner simulations: as many whole outer paths as
+# fit, and at least one.  Larger chunks measured no faster but raised peak
+# RSS (about +0.5 MiB at 2,048 rows and +3 MiB at 8,192 on nested-curve).
+_INNER_ROWS = 2048
+
+
 @dataclass(frozen=True)
 class ConditionalPriceReport:
     """Per-outer-path conditional prices at a future date."""
@@ -259,17 +273,17 @@ def marginal_zc_mc(
     from its realized short rate at t and run to the last maturity over the
     outer grid's steps, on a stream derived from (seed, outer path, k_t), so
     results are reproducible and the maturities of one outer path share
-    their inner paths.  The date-0 price is the plain average
-    zc_price_mc(triple.y, 0, k_mat).
+    their inner paths.  The inner simulations of a chunk of outer paths run
+    as one stack of rows; every row's operations are those of its own
+    simulation, so the prices do not depend on the chunking.  The date-0
+    price is the plain average zc_price_mc(triple.y, 0, k_mat).
     """
-    from .brownian import sample_brownian  # looked up at call time, so a wrapper bound on the module is used
-
     k_mats = list(k_mats)
     if not k_mats:
         return []
     if min(k_mats) <= k_t:
         raise ValueError("maturity indices must follow the pricing index")
-    grid, market = triple.grid, triple.market
+    grid, market, rate = triple.grid, triple.market, triple.market.rate
     k_end = max(k_mats)
     sub = grid.window(k_t, k_end)
     rows = [k - k_t for k in k_mats]  # sub-grid index of each maturity
@@ -278,20 +292,28 @@ def marginal_zc_mc(
     vol, drift = vol[k_t:k_end], drift[k_t:k_end]
 
     n_outer = min(max_outer, triple.n_paths)
+    rate_states = triple.rate_paths.r[:n_outer, k_t]
+    per_chunk = max(1, _INNER_ROWS // inner_paths)
     prices = np.empty((len(k_mats), n_outer))
     stderrs = np.empty((len(k_mats), n_outer))
-    for i in range(n_outer):
-        inner_seed = int(substream_seed(triple.batch.seed, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
-        inner_batch = sample_brownian(inner_seed, sub, market.dim, inner_paths)
-        rate = market.rate
-        if isinstance(rate, VasicekRate):
-            rate = replace(rate, r0=float(triple.rate_paths.r[i, k_t]))
-        step_int = simulate_short_rate(rate, sub, inner_batch).step_integrals()
-        y = _exact_log_paths(inner_batch.increments, vol, step_int, drift, sub.widths, 1.0, -1)
-        # transposed and row-indexed, so each maturity's ratios are contiguous
-        for j, y_ratio in enumerate(y.T[rows]):
-            prices[j, i], stderrs[j, i] = mean_stderr(y_ratio)
-    rate_states = triple.rate_paths.r[:n_outer, k_t]
+    for i0 in range(0, n_outer, per_chunk):
+        i1 = min(i0 + per_chunk, n_outer)
+        n = (i1 - i0) * inner_paths
+        dw = np.empty((n, sub.n_steps, market.dim))
+        z = np.empty((n, sub.n_steps)) if isinstance(rate, VasicekRate) and rate.sigma > 0.0 else None
+        for j, i in enumerate(range(i0, i1)):
+            seed = int(substream_seed(triple.batch.seed, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
+            span = slice(j * inner_paths, (j + 1) * inner_paths)
+            blocked_normals(seed, PURPOSE_INCREMENTS, inner_paths, dw.shape[1:], out=dw[span])
+            if z is not None:
+                blocked_normals(seed, PURPOSE_RATE_RESIDUALS, inner_paths, z.shape[1:], out=z[span])
+        batch = BrownianBatch(seed=triple.batch.seed, grid=sub, increments=_scale_to_widths(dw, sub))
+        r0 = np.repeat(rate_states[i0:i1], inner_paths)
+        step_int = simulate_short_rate(rate, sub, batch, r0=r0, residuals=z).step_integrals()
+        y = _exact_log_paths(dw, vol, step_int, drift, sub.widths, 1.0, -1)
+        # transposed and row-indexed, so each (maturity, outer path) sample is contiguous
+        ratios = y.T[rows].reshape(len(rows), i1 - i0, inner_paths)
+        prices[:, i0:i1], stderrs[:, i0:i1] = mean_stderr(ratios, axis=2)
     return [
         ConditionalPriceReport(
             t=grid.times[k_t],

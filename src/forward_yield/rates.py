@@ -82,7 +82,13 @@ class RatePaths:
         return np.diff(self.integral, axis=1)
 
 
-def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBatch) -> RatePaths:
+def simulate_short_rate(
+    model: ShortRateModel,
+    grid: TimeGrid,
+    batch: BrownianBatch,
+    r0: float | np.ndarray | None = None,
+    residuals: np.ndarray | None = None,
+) -> RatePaths:
     """Simulate (r, int r ds) on the grid, step by step over its widths.
 
     The Vasicek rate steps with its exact Gaussian transition conditional on
@@ -92,6 +98,12 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
     partition-independent.  Each step's integral then follows from the SDE
     itself, int_{t_k}^{t_{k+1}} r ds = b h - (r_{k+1} - r_k + sigma dW~_k) / a,
     so the law of (r, int r, W) at the grid points is exact for any step size.
+
+    r0, one initial rate per path or one for all, defaults to the model's.
+    residuals, the (n_paths, K) standard normals of the part of each step
+    that dW~ leaves unresolved, replace the draw from the batch's stream, so
+    a caller that stacks paths of several streams draws them itself.  A
+    constant rate reads neither.
     """
     n, k_steps = batch.n_paths, grid.n_steps
     times = grid.times
@@ -121,14 +133,14 @@ def simulate_short_rate(model: ShortRateModel, grid: TimeGrid, batch: BrownianBa
     # Time-major (K, n) buffers: each step reads and writes whole rows, with
     # the elementwise operations, and so the bits, of a path-major loop.
     if sigma > 0.0:
-        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps,))
+        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps,)) if residuals is None else residuals
         g1 = np.ascontiguousarray((w * (c1 / h) + z * l11).T)
         del z
     else:
         g1 = np.zeros((k_steps, n))
 
     r_t = np.empty((k_steps + 1, n))
-    r_t[0] = model.r0
+    r_t[0] = model.r0 if r0 is None else r0
     for k in range(k_steps):
         r_t[k + 1] = model.b + (r_t[k] - model.b) * decay[k] - sigma * g1[k]
     del g1

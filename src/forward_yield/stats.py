@@ -16,7 +16,9 @@ def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     A sample with zero range has stderr exactly 0; np.std gives it the
     rounding error of the mean instead.  Only a stderr within rounding of
     the mean can come from such a sample, so only then is the range taken,
-    and random samples take no extra pass.
+    and random samples take no extra pass.  Each sample along a contiguous
+    axis gets the bits that a call on it alone gives, whichever other
+    samples trip the range check.
     """
     n = x.shape[axis]
     m = np.mean(x, axis=axis)

@@ -45,6 +45,13 @@ def test_blocked_normals_are_the_sfc64_blocks(monkeypatch, threads):
     for block, (b0, b1) in enumerate([(0, 8192), (8192, rows)]):
         gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, purpose, block))))
         assert np.array_equal(z[b0:b1], gen.standard_normal((b1 - b0, 6, 2)))
+    # the same blocks, written into the middle rows of a larger buffer
+    buffer = np.zeros((rows + 3, 6, 2))
+    assert blocked_normals(seed, purpose, rows, (6, 2), out=buffer[1 : rows + 1]).base is buffer
+    assert np.array_equal(buffer[1 : rows + 1], z)
+    assert not buffer[0].any() and not buffer[-2:].any()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        blocked_normals(seed, purpose, rows, (6, 2), out=buffer[: rows + 1])
 
 
 def test_prefix_of_whole_grid_is_the_full_batch():

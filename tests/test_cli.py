@@ -526,19 +526,21 @@ def test_reading_grid_tables_do_not_depend_on_n_steps(tmp_path, command, overrid
 
 def test_nested_curve_steps_only_through_the_read_dates(tmp_path, monkeypatch):
     # tenors 1, 2, 3, 5, 7.5 and 10 as of 2: 6 outer steps, and 4 inner
-    # steps from 2 to 10, in place of 40 and 32 on the configured grid
+    # steps from 2 to 10, in place of 40 and 32 on the configured grid, for
+    # every inner path of the 100 outer paths
     steps = {"outer": [], "inner": []}
     for module, key in ((forward_yield.forward, "outer"), (forward_yield.curves, "inner")):
-        def counting(model, grid, batch, _original=module.simulate_short_rate, _key=key):
-            steps[_key].append(grid.n_steps)
-            return _original(model, grid, batch)
+        def counting(model, grid, batch, _original=module.simulate_short_rate, _key=key, **kwargs):
+            steps[_key].append((grid.n_steps, batch.n_paths))
+            return _original(model, grid, batch, **kwargs)
 
         monkeypatch.setattr(module, "simulate_short_rate", counting)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**NESTED_CURVE, "simulation": {"inner_paths": 64}}))
     assert run_cli("forward-curve", "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out")) == 0
-    assert steps["outer"] == [6]
-    assert steps["inner"] == [4] * 100
+    assert steps["outer"] == [(6, 100)]
+    assert {k for k, _ in steps["inner"]} == {4}
+    assert sum(n for _, n in steps["inner"]) == 100 * 64
 
 
 def test_ramsey_flat_without_volatility_reads_no_sampling_error(tmp_path):

@@ -294,25 +294,6 @@ def test_nested_outer_prices_independent_of_max_outer():
         assert np.array_equal(a.stderrs, b.stderrs[:4])
 
 
-def test_nested_one_inner_simulation_per_outer_path(monkeypatch):
-    import forward_yield.brownian as brownian
-
-    calls = []
-    original = brownian.sample_brownian
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    triple = nested_triple()
-    grid = triple.grid
-    k_t, k_mats = grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 7.5, 10.0)]
-    monkeypatch.setattr(brownian, "sample_brownian", counting)
-    reports = marginal_zc_mc(triple, k_t, k_mats, inner_paths=64, max_outer=10)
-    assert len(reports) == 4
-    assert len(calls) == 10
-
-
 def test_nested_maturities_must_follow_the_pricing_date():
     triple = nested_triple()
     k_t = triple.grid.index_of(2.0)
@@ -583,45 +564,72 @@ def test_davis_call_against_two_lognormal_oracle():
     assert abs(price.value - oracle) < 3 * price.stderr
 
 
-def test_davis_conditional_unit_payoff_matches_nested_zc():
+@pytest.mark.parametrize(
+    "rate, inner_paths, n_outer, threads",
+    [
+        (None, 512, 16, "1"),
+        (ConstantRate(0.03), 512, 16, "1"),
+        (VasicekRate(a=1.0, b=0.03, sigma=0.0, r0=0.03, w_dir=E2), 512, 16, "1"),
+        # one outer path spans two 8192-row blocks of its streams, filled by two threads
+        (None, 9000, 2, "2"),
+        # the last chunk holds fewer outer paths than the others
+        (None, 512, 13, "1"),
+    ],
+    ids=["vasicek", "constant-rate", "sigma-r-0", "two-rng-blocks", "partial-chunk"],
+)
+def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_outer, threads, monkeypatch):
     # the nested price of the unit claim is, outer path by outer path, the
     # inner average of the public state-price simulation restarted from the
     # realized short rate on the derived inner stream
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
     market = incomplete_vasicek_market()
+    if rate is not None:
+        market = replace(market, rate=rate)
     spec = forward_spec()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(2470, grid, dim=2, n_paths=32)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(6.0)
-    report = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=512, max_outer=16)[0]
+    report = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=inner_paths, max_outer=n_outer)[0]
 
     sub = TimeGrid(grid.times[k_mat] - grid.times[k_t], k_mat - k_t)
-    expected = np.empty(16)
-    for i in range(16):
+    expected = np.empty(n_outer)
+    for i in range(n_outer):
         seed = int(substream_seed(2470, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
-        inner_market = replace(market, rate=replace(market.rate, r0=float(triple.rate_paths.r[i, k_t])))
-        inner = state_price_paths(inner_market, sub, sample_brownian(seed, sub, 2, 512), nu=spec.nu_star)
+        inner_market = market
+        if isinstance(market.rate, VasicekRate):
+            inner_market = replace(market, rate=replace(market.rate, r0=float(triple.rate_paths.r[i, k_t])))
+        inner = state_price_paths(inner_market, sub, sample_brownian(seed, sub, 2, inner_paths), nu=spec.nu_star)
         expected[i] = np.mean(inner[:, -1])
     assert np.array_equal(report.prices, expected)
-    assert np.array_equal(report.rate_states, triple.rate_paths.r[:16, k_t])
+    assert np.array_equal(report.rate_states, triple.rate_paths.r[:n_outer, k_t])
 
 
-def test_nested_simulates_one_log_path_set_per_outer_path(monkeypatch):
-    # only ln Y is simulated inside; no inner wealth paths
+@pytest.mark.parametrize(
+    "inner_paths, n_outer", [(64, 40), (3000, 2)], ids=["many-outer-paths-per-chunk", "inner-paths-above-chunk"]
+)
+def test_nested_simulates_each_inner_row_once_in_chunks(inner_paths, n_outer, monkeypatch):
+    # only ln Y is simulated inside, n_outer * inner_paths rows in stacks of
+    # at most max(chunk, inner_paths) rows; no inner wealth paths
     import forward_yield.curves as curves
 
     calls = []
     original = curves._exact_log_paths
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(increments, vol, rate_steps, drift, widths, level0, rate_sign):
+        calls.append((increments.shape[0], rate_steps.shape[0], rate_sign))
+        return original(increments, vol, rate_steps, drift, widths, level0, rate_sign)
 
     triple = nested_triple()
     grid = triple.grid
-    monkeypatch.setattr(curves, "_exact_log_paths", counting)
-    marginal_zc_mc(triple, grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0)], inner_paths=64, max_outer=6)
-    assert len(calls) == 6
+    monkeypatch.setattr(curves, "_exact_log_paths", recording)
+    k_mats = [grid.index_of(t) for t in (3.0, 5.0)]
+    marginal_zc_mc(triple, grid.index_of(2.0), k_mats, inner_paths=inner_paths, max_outer=n_outer)
+    rows = n_outer * inner_paths
+    assert sum(n for n, _, _ in calls) == rows
+    assert all(n == n_rate and sign == -1 for n, n_rate, sign in calls)
+    assert max(n for n, _, _ in calls) <= max(curves._INNER_ROWS, inner_paths)
+    assert len(calls) <= -(-rows // curves._INNER_ROWS)
 
 
 def test_davis_capitalization_time_consistency():

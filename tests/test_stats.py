@@ -11,6 +11,16 @@ def test_zero_range_sample_has_zero_stderr():
     assert mean_stderr(np.full(7, 0.1))[1] == 0.0
 
 
+def test_zero_range_row_along_the_last_axis_matches_per_row_calls():
+    # a constant row trips the zero-range guard for the whole array; the
+    # random row must keep its own stderr bit for bit
+    x = np.stack([np.full(1000, 0.1), np.random.default_rng(5).standard_normal(1000)])
+    m, se = mean_stderr(x, axis=1)
+    for row, (m_row, se_row) in enumerate(zip(m, se)):
+        assert (m_row, se_row) == mean_stderr(x[row])
+    assert se[0] == 0.0 and se[1] > 0.0
+
+
 def test_t_stat_without_sampling_error():
     assert t_stat(1.0, 0.5) == 2.0
     assert t_stat(1e-12, 0.0) == 0.0
