@@ -44,7 +44,6 @@ from .curves import (
     curve_from_prices,
     davis_price,
     davis_time_consistency,
-    forward_marginal_consumption_paths,
     gbm_consumption_paths,
     long_rate,
     marginal_zc_mc,
@@ -364,7 +363,7 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
 
     psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
     if np.all(psi_vals > 0):
-        ramsey = pathwise_ramsey_report(triple.y, forward_marginal_consumption_paths(triple))
+        ramsey = pathwise_ramsey_report(triple)
         check("pathwise_ramsey", ramsey, tol.identity_tol, ramsey <= tol.identity_tol)
 
     optimal = consistency_drift_test(triple, threshold=tol.stat_band)

@@ -99,13 +99,28 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
     return merged
 
 
+# keys that a builder reads but DEFAULT_CONFIG leaves out, by block: the rate
+# of a constant short rate, the synthetic_sqrt gamma's loadings, and the as-of
+# date of a nested forward curve
+_OPTIONAL_KEYS = {"market.rate": {"r"}, "spec.gamma": {"c_r", "c_perp"}, "output": {"asof"}}
+_TABLE_KEYS = {"times", "values"}
+
+
 def _deep_merge(base: dict, extra: Mapping, prefix: str = "") -> None:
-    """Merge extra into base; where base holds a block, extra must too."""
+    """Merge extra into base; where base holds a block, extra must too.  A key
+    that neither base nor _OPTIONAL_KEYS knows fails with its dotted path, as
+    does a key of a {times, values} table other than those two."""
     for key, value in extra.items():
+        field = f"{prefix}{key}"
+        if key not in base and key not in _OPTIONAL_KEYS.get(prefix[:-1], ()):
+            raise _fail(field, "is not a configuration key")
         if isinstance(base.get(key), dict):
             if not isinstance(value, Mapping):
-                raise _fail(f"{prefix}{key}", "must be a mapping", value)
-            _deep_merge(base[key], value, f"{prefix}{key}.")
+                raise _fail(field, "must be a mapping", value)
+            _deep_merge(base[key], value, f"{field}.")
+        elif isinstance(value, Mapping) and not value.keys() <= _TABLE_KEYS:
+            unknown = min(str(k) for k in value.keys() - _TABLE_KEYS)
+            raise _fail(f"{field}.{unknown}", "is not a table key; a table has 'times' and 'values'")
         else:
             base[key] = copy.deepcopy(value)
 

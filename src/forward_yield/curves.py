@@ -21,9 +21,9 @@ from .brownian import (
     substream_seed,
 )
 from .errors import NumericalRangeError
-from .forward import OptimalTriple
+from .forward import OptimalTriple, PathRows
 from .grids import DeterministicFn, TimeGrid
-from .market import MarketModel, _dual_coeffs, _exact_log_paths
+from .market import MarketModel, _dual_coeffs, _exact_log_paths, row_blocks
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
 from .stats import mean_stderr, t_stat
@@ -539,18 +539,27 @@ def davis_time_consistency(
 # pathwise Ramsey identity
 
 
-def pathwise_ramsey_report(y_paths: np.ndarray, marginal_paths: np.ndarray) -> float:
+def pathwise_ramsey_report(triple: OptimalTriple, x0: float = 1.0) -> float:
     """max | marginal-utility ratio / state-price ratio - 1 | over paths and
-    dates; both processes must be normalized by their time-0 values."""
-    lhs = marginal_paths / marginal_paths[:, :1]
-    rhs = y_paths / y_paths[:, :1]
-    return float(np.max(np.abs(lhs / rhs - 1.0)))
+    dates, each process normalized by its time-0 value; the marginal utility
+    is that of consumption from x0 (forward_marginal_consumption_paths).
+    The paths are walked in row blocks, and the max over blocks is the max
+    over paths."""
+    gaps = []
+    for b0, b1 in row_blocks(triple.n_paths):
+        rows = triple.rows(b0, b1)
+        marginal = forward_marginal_consumption_paths(triple, x0, rows)
+        lhs = marginal / marginal[:, :1]
+        rhs = rows.y / rows.y[:, :1]
+        gaps.append(np.max(np.abs(lhs / rhs - 1.0)))
+    return float(np.max(gaps))
 
 
-def forward_marginal_consumption_paths(triple: OptimalTriple, x0: float = 1.0) -> np.ndarray:
-    """Paths of V_c(t, cstar_t(c_0)) for the forward power family."""
+def forward_marginal_consumption_paths(triple: OptimalTriple, x0: float, rows: PathRows) -> np.ndarray:
+    """Paths of V_c(t, cstar_t(c_0)) for the forward power family, on a row
+    block of the triple."""
     psi_all = np.asarray(triple.spec.psi_hat.values(triple.grid.times), dtype=float)
     if np.any(psi_all <= 0):
         raise ValueError("pathwise Ramsey via consumption needs psi_hat > 0")
-    c_paths = psi_all * (x0 * triple.x)
-    return np.power(psi_all, triple.spec.alpha) * triple.zhat * np.power(c_paths, -triple.spec.alpha)
+    c_paths = psi_all * (x0 * rows.x)
+    return np.power(psi_all, triple.spec.alpha) * rows.zhat * np.power(c_paths, -triple.spec.alpha)

@@ -10,7 +10,7 @@ define the utility, and every identity below is available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .market import (
     _proportional_rates,
     _running_trapezoid,
     _wealth_coeffs,
+    row_blocks,
 )
 from .rates import RatePaths, simulate_short_rate
 from .stats import DriftReport, interval_drift_report
@@ -67,6 +68,21 @@ class OptimalTriple:
     @property
     def n_paths(self) -> int:
         return self.zhat.shape[0]
+
+    def rows(self, b0: int, b1: int) -> PathRows:
+        """Views of paths b0:b1 of x, y, zhat and the batch's increments."""
+        return PathRows(self.x[b0:b1], self.y[b0:b1], self.zhat[b0:b1], self.batch.increments[b0:b1])
+
+
+class PathRows(NamedTuple):
+    """A row block of the optimal triple's path arrays (OptimalTriple.rows).
+    It holds no batch and so no seed: nothing can draw from it as if the
+    block were the paths the seed begins with."""
+
+    x: np.ndarray
+    y: np.ndarray
+    zhat: np.ndarray
+    increments: np.ndarray
 
 
 def _pair_coeffs(
@@ -190,24 +206,26 @@ def first_order_check(triple: OptimalTriple, x0: float = 1.0, y0: Optional[float
         y0 = ux0
     consistent = abs(y0 / ux0 - 1.0) <= 1e-12
 
-    x_paths = x0 * triple.x
-    y_paths = y0 * triple.y
-    marg = np.power(x_paths, -alpha)
-    rel_wealth = _max_rel_gap(np.multiply(triple.zhat, marg, out=marg), y_paths)
-
     psi_all = np.asarray(triple.spec.psi_hat.values(triple.grid.times), dtype=float)
     active = psi_all > 0
-    if np.any(active):
-        active = slice(None) if np.all(active) else active  # every date: views, not copies
-        vc = np.multiply(psi_all[active], x_paths[:, active])
-        np.power(vc, -alpha, out=vc)
-        np.multiply((psi_all[active] ** alpha) * triple.zhat[:, active], vc, out=vc)
-        rel_cons = _max_rel_gap(vc, y_paths[:, active])
-    else:
-        rel_cons = float("nan")
+    active = slice(None) if np.all(active) else active  # every date: views, not copies
+    psi_active = psi_all[active]
+    # the paths are walked in row blocks, so every temporary is block-sized;
+    # the max over blocks is the max over paths
+    rel_wealth, rel_cons = [], []
+    for b0, b1 in row_blocks(triple.n_paths):
+        rows = triple.rows(b0, b1)
+        x_paths, y_paths, zhat = x0 * rows.x, y0 * rows.y, rows.zhat
+        marg = np.power(x_paths, -alpha)
+        rel_wealth.append(_max_rel_gap(np.multiply(zhat, marg, out=marg), y_paths))
+        if psi_active.size:
+            vc = np.multiply(psi_active, x_paths[:, active])
+            np.power(vc, -alpha, out=vc)
+            np.multiply((psi_active**alpha) * zhat[:, active], vc, out=vc)
+            rel_cons.append(_max_rel_gap(vc, y_paths[:, active]))
     return FirstOrderReport(
-        max_rel_wealth=rel_wealth,
-        max_rel_consumption=rel_cons,
+        max_rel_wealth=float(np.max(rel_wealth)),
+        max_rel_consumption=float(np.max(rel_cons)) if rel_cons else float("nan"),
         initial_conditions_consistent=consistent,
     )
 
@@ -323,42 +341,69 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
 # consistency (supermartingale / martingale) drift tests
 
 
-def value_process(
+class StrategySteps(NamedTuple):
+    """Per-step coefficients of G for one proportional strategy against the
+    optimum (strategy_steps), each over grid's K steps."""
+
+    alpha: float
+    widths: np.ndarray
+    vol_gap: Optional[np.ndarray]  # (1-alpha) dkappa per step; None when it is 0
+    log_gap: np.ndarray            # (1-alpha) (dkappa . eta - d|kappa|^2 / 2 - dpsi) h
+    weights: np.ndarray            # psi_hat^alpha psi^(1-alpha), the trapezoid's rates
+
+
+def strategy_steps(
     triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[ConsumptionRule] = None
-) -> np.ndarray:
-    """Paths of G_t = U(t, X_t) + int_0^t V(s, c_s) ds for the proportional
-    strategy (kappa, c = psi X) on the optimal triple's batch; None means
-    kappa_star or psi_hat.  As Zhat = Y Xstar^alpha, G reweights the optimal
-    deflated wealth P = Y Xstar by F = X / Xstar, whose rate steps cancel:
+) -> StrategySteps:
+    """The step coefficients value_process needs for the proportional
+    strategy (kappa, c = psi X); None means kappa_star or psi_hat.  They
+    hold on every path, so a caller walking row blocks builds them once."""
+    spec, market, grid = triple.spec, triple.market, triple.grid
+    alpha = spec.alpha
+    vol_star, drift_star = _wealth_coeffs(market, grid, spec.kappa_star)
+    vol, drift = (vol_star, drift_star) if kappa is None else _wealth_coeffs(market, grid, kappa)
+    psi_star = _proportional_rates(spec.psi_hat, grid)[:-1]
+    psi = psi_star if consumption is None else _proportional_rates(consumption, grid)[:-1]
+    return StrategySteps(
+        alpha=alpha,
+        widths=grid.widths,
+        vol_gap=(1.0 - alpha) * (vol - vol_star) if np.any(vol != vol_star) else None,
+        log_gap=(1.0 - alpha) * (drift - drift_star - (psi - psi_star)) * grid.widths,
+        weights=np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha),
+    )
+
+
+def value_process(rows: PathRows, steps: StrategySteps) -> np.ndarray:
+    """Paths of G_t = U(t, X_t) + int_0^t V(s, c_s) ds on a row block of the
+    optimal triple, for the proportional strategy (kappa, c = psi X) whose
+    strategy_steps are given.  As Zhat = Y Xstar^alpha, G reweights the
+    optimal deflated wealth P = Y Xstar by F = X / Xstar, whose rate steps
+    cancel:
 
         G = [P F^(1-alpha) + int psi_hat^alpha psi^(1-alpha) P F^(1-alpha) ds] / (1-alpha),
         ln F_k = sum_{j<k} [dkappa . dW_j + (dkappa . eta - d|kappa|^2 / 2 - dpsi) h_j],
 
     d meaning the change from the optimum.  F = 1 for the optimal strategy
     (G = [P + int psi_hat P ds] / (1-alpha)), and F is one number per date
-    when only psi changes.  The integral is a trapezoid sum, which biases the
-    drift: with P = e^(-psi t) deterministic, the optimal G moves by
+    when only psi changes.  The integral is a trapezoid sum whose step k
+    weighs both of its ends with psi_hat_k^alpha psi_k^(1-alpha), the rates
+    the wealth scheme holds over that step, so a rate that changes on a grid
+    date is integrated as it is consumed.  The trapezoid biases the drift:
+    with P = e^(-psi t) deterministic, the optimal G moves by
     P_k [e^(-psi h) - 1 + psi h (1 + e^(-psi h)) / 2] / (1-alpha) over a step h.
     """
-    spec, market, grid = triple.spec, triple.market, triple.grid
-    alpha = spec.alpha
-    vol_star, drift_star = _wealth_coeffs(market, grid, spec.kappa_star)
-    vol, drift = (vol_star, drift_star) if kappa is None else _wealth_coeffs(market, grid, kappa)
-    psi_star = _proportional_rates(spec.psi_hat, grid)
-    psi = psi_star if consumption is None else _proportional_rates(consumption, grid)
-
-    g = np.multiply(triple.y, triple.x)
+    g = np.multiply(rows.y, rows.x)
     # ln(F^(1-alpha) / (1-alpha)): one number per date unless kappa changes
-    per_path = bool(np.any(vol != vol_star))
-    log_f = np.zeros(g.shape if per_path else grid.n_steps + 1)
+    per_path = steps.vol_gap is not None
+    log_f = np.zeros(g.shape if per_path else g.shape[1])
     if per_path:
-        np.einsum("nkd,kd->nk", triple.batch.increments, (1.0 - alpha) * (vol - vol_star), out=log_f[:, 1:])
-    log_f[..., 0] = -np.log1p(-alpha)
-    log_f[..., 1:] += (1.0 - alpha) * (drift - drift_star - (psi - psi_star)[:-1]) * grid.widths
+        np.einsum("nkd,kd->nk", rows.increments, steps.vol_gap, out=log_f[:, 1:])
+    log_f[..., 0] = -np.log1p(-steps.alpha)
+    log_f[..., 1:] += steps.log_gap
     np.cumsum(log_f, axis=-1, out=log_f)
     g *= np.exp(log_f, out=log_f)
     del log_f  # freed before the trapezoid allocates two more arrays
-    g += _running_trapezoid(g * (np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha)), grid.widths)
+    g += _running_trapezoid(g, steps.weights, steps.widths)
     return g
 
 
@@ -369,13 +414,19 @@ def consistency_drift_test(
     threshold: float = 4.0,
 ) -> DriftReport:
     """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds across paths
-    (value_process, which simulates no wealth).
+    (value_process on each row block, which simulates no wealth).
 
     With the optimal strategy (the default) the drift is statistically zero
     on every interval; any admissible perturbation makes it nonpositive, and
     detectably negative once the perturbation is large enough.
     """
-    return interval_drift_report(value_process(triple, kappa, consumption), triple.grid.times, threshold)
+    steps = strategy_steps(triple, kappa, consumption)
+    return interval_drift_report(
+        lambda b0, b1: value_process(triple.rows(b0, b1), steps),
+        triple.n_paths,
+        triple.grid.times,
+        threshold,
+    )
 
 
 def perturbed_kappa(spec: ForwardPowerSpec, market: MarketModel, epsilon: float) -> DeterministicFn:

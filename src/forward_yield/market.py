@@ -79,7 +79,14 @@ def _proportional_rates(consumption: ConsumptionRule, grid: TimeGrid) -> np.ndar
     return psi_all
 
 
+# The package's one row-block size: the log kernel and verify's per-path checks
+# walk the paths in blocks of this many rows, so their temporaries stay small.
 _LOG_ROWS = 4096
+
+
+def row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """(b0, b1) bounds of the row blocks that cover n_rows rows, in order."""
+    return [(b0, min(b0 + _LOG_ROWS, n_rows)) for b0 in range(0, n_rows, _LOG_ROWS)]
 
 
 def _exact_log_paths(
@@ -104,24 +111,26 @@ def _exact_log_paths(
     drift_step = drift * widths
     # the log increments are summed in blocks of rows, so no (n, K) temporary
     # is allocated beside the output; each row's operations are unchanged
-    for b0 in range(0, out.shape[0], _LOG_ROWS):
-        dlog = np.einsum("nkd,kd->nk", increments[b0 : b0 + _LOG_ROWS], vol)
+    for b0, b1 in row_blocks(out.shape[0]):
+        dlog = np.einsum("nkd,kd->nk", increments[b0:b1], vol)
         if rate_sign > 0:
-            dlog += rate_steps[b0 : b0 + _LOG_ROWS]
+            dlog += rate_steps[b0:b1]
         else:
-            dlog -= rate_steps[b0 : b0 + _LOG_ROWS]
+            dlog -= rate_steps[b0:b1]
         dlog += drift_step
-        np.cumsum(dlog, axis=1, out=out[b0 : b0 + _LOG_ROWS, 1:])
+        np.cumsum(dlog, axis=1, out=out[b0:b1, 1:])
     np.exp(out, out=out)
     out *= level0
     return out
 
 
-def _running_trapezoid(rates: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of per-date rate paths over steps of the
-    given widths, zero at t_0."""
-    running = np.zeros(rates.shape)
-    steps = np.add(rates[:, :-1], rates[:, 1:], out=running[:, 1:])
+def _running_trapezoid(values: np.ndarray, step_rates: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral, zero at t_0, of step_rates * values over
+    steps of the given widths.  Step k's rate weights both of its ends, as
+    the schemes hold a step's coefficients at its left endpoint."""
+    running = np.zeros(values.shape)
+    steps = np.multiply(values[:, :-1], step_rates, out=running[:, 1:])
+    steps += values[:, 1:] * step_rates
     steps *= 0.5 * widths
     np.cumsum(steps, axis=1, out=steps)
     return running

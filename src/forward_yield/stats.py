@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
+
+from .market import row_blocks
 
 # tolerance of identities that hold exactly up to rounding
 IDENTITY_TOL = 1e-9
 
 
-def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def mean_stderr(
+    x: np.ndarray, axis: int = 0, refill: Optional[Callable[[], None]] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and standard error along an axis.
 
     A sample with zero range has stderr exactly 0; np.std gives it the
@@ -19,11 +24,21 @@ def mean_stderr(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     and random samples take no extra pass.  Each sample along a contiguous
     axis gets the bits that a call on it alone gives, whichever other
     samples trip the range check.
+
+    se is np.std's (numpy's _var steps: subtract the mean, square, sum,
+    divide by n - 1, sqrt), formed in a fresh array, or in x's own buffer
+    when refill, a function that writes the samples into x again, is given:
+    then no temporary of x's size is allocated, and the range check calls
+    refill first, so it reads the samples rather than their squares.
     """
     n = x.shape[axis]
     m = np.mean(x, axis=axis)
-    se = np.std(x, axis=axis, ddof=1) / np.sqrt(n)
+    dev = np.subtract(x, np.expand_dims(m, axis), out=None if refill is None else x)
+    se = np.sqrt(np.sum(np.square(dev, out=dev), axis=axis) / (n - 1)) / np.sqrt(n)
+    del dev
     if np.any(se <= n * np.finfo(float).eps * np.abs(m)):
+        if refill is not None:
+            refill()
         se = se * (np.ptp(x, axis=axis) > 0)
     return m, se
 
@@ -75,18 +90,33 @@ class DriftReport:
         return not bool(np.any(self.flagged))
 
 
-def interval_drift_report(values: np.ndarray, times: np.ndarray, threshold: float = 4.0) -> DriftReport:
+def interval_drift_report(
+    value_rows: Callable[[int, int], np.ndarray], n_paths: int, times: np.ndarray, threshold: float = 4.0
+) -> DriftReport:
     """Drift statistics of a per-path process sampled at grid times.
 
-    values has shape (n_paths, K+1); increments are averaged across paths
-    in path-index order (deterministic reduction).
+    value_rows(b0, b1) gives rows b0:b1 of the (n_paths, K+1) values.  They
+    are asked for in row blocks, so the values are never held whole: only
+    their increments, in one (n_paths, K) buffer that the reduction reuses,
+    and the total change of each path.  Increments are averaged across
+    paths in path-index order (deterministic reduction).
     """
-    values = np.asarray(values, dtype=float)
-    increments = np.diff(values, axis=1)
-    drift, stderr = mean_stderr(increments, axis=0)
-    total, total_se = mean_stderr(values[:, -1] - values[:, 0], axis=0)
+    times = np.asarray(times, dtype=float)
+    increments = np.empty((n_paths, times.size - 1))
+    totals = np.empty(n_paths)
+
+    def fill() -> None:
+        for b0, b1 in row_blocks(n_paths):
+            values = value_rows(b0, b1)
+            np.subtract(values[:, 1:], values[:, :-1], out=increments[b0:b1])
+            np.subtract(values[:, -1], values[:, 0], out=totals[b0:b1])
+            del values  # freed before the next block is formed
+
+    fill()
+    total, total_se = mean_stderr(totals, axis=0)
+    drift, stderr = mean_stderr(increments, axis=0, refill=fill)
     return DriftReport(
-        times=np.asarray(times, dtype=float),
+        times=times,
         interval_drift=drift,
         interval_stderr=stderr,
         total_drift=float(total),

@@ -45,7 +45,6 @@ from forward_yield import (
     zc_price_gaussian,
     zc_price_mc,
 )
-from forward_yield.curves import forward_marginal_consumption_paths
 
 from conjugation_oracles import numeric_biconjugate, numeric_fenchel
 
@@ -202,9 +201,7 @@ def test_criterion_5_first_order_identities(forward_setup):
     worst = 0.0
     for x0 in (0.5, 1.0, 2.0, 10.0):
         worst = max(worst, first_order_check(triple, x0=x0).max_rel)
-    ramsey_res = pathwise_ramsey_report(
-        triple.y, forward_marginal_consumption_paths(triple)
-    )
+    ramsey_res = pathwise_ramsey_report(triple)
     transport = representation_check(triple)
     worst = max(worst, ramsey_res, transport)
     ok = worst <= 1e-9

@@ -35,6 +35,38 @@ def test_malformed_alpha_names_field_and_domain(tmp_path, capsys):
     assert "1.5" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("spec: {kapa_star: [5, 0]}\n", "spec.kapa_star"),
+        ("simulaton: {n_paths: 3000}\n", "simulaton"),
+        ("market: {rate: {sigma: 0.02}}\n", "market.rate.sigma"),
+        ("spec: {psi_hat: {times: [0.0], values: [0.1], valeus: [0.2]}}\n", "spec.psi_hat.valeus"),
+    ],
+)
+def test_unknown_config_key_names_its_path(tmp_path, capsys, text, field):
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(text)
+    code = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"{field}: is not a" in capsys.readouterr().err
+
+
+def test_keys_only_some_runs_read_are_accepted(tmp_path):
+    cfg = tmp_path / "optional.yaml"
+    cfg.write_text(
+        "market: {rate: {model: constant, r: 0.02}}\n"
+        "spec: {gamma: {model: synthetic_sqrt, c_r: 0.1, c_perp: 0.2}, psi_hat: {times: [0.0, 5.0], values: [0.1, 0.0]}}\n"
+        "output: {asof: 2.0}\n"
+        "davis: {payoff: {kind: unit, strike: 1.5}}\n"
+    )
+    loaded = load_config(cfg)
+    assert loaded["market"]["rate"]["r"] == 0.02
+    assert loaded["spec"]["gamma"]["c_perp"] == 0.2
+    assert loaded["output"]["asof"] == 2.0
+    assert loaded["davis"]["payoff"] == {"kind": "unit", "strike": 1.5}
+
+
 def test_missing_config_file_errors(tmp_path, capsys):
     code = run_cli("ramsey-flat", "--config", str(tmp_path / "nope.yaml"))
     assert code == 2

@@ -1,9 +1,9 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import forward_yield.market
 from forward_yield import (
@@ -19,6 +19,7 @@ from forward_yield import (
     first_order_check,
     hjb_residual,
     make_grid,
+    pathwise_ramsey_report,
     perturbed_kappa,
     representation_check,
     sample_brownian,
@@ -26,7 +27,7 @@ from forward_yield import (
     simulate_optimal,
     wealth_paths,
 )
-from forward_yield.forward import value_process
+from forward_yield.forward import strategy_steps, value_process
 
 E1, E2 = np.eye(2)
 
@@ -258,12 +259,18 @@ def test_optimal_drift_reuses_the_optimal_wealth(monkeypatch):
 def _value_process_oracle(triple, wealth, psi):
     """Zhat X^(1-alpha) / (1-alpha) plus the trapezoid integral of
     psi_hat^alpha Zhat c^(1-alpha) / (1-alpha), from the wealth paths X and
-    their consumption c = psi X."""
+    their consumption c = psi X.  The wealth scheme consumes at each step's
+    left-endpoint rate, so both ends of step k take psi_hat_k and psi_k."""
     alpha, grid = triple.spec.alpha, triple.grid
-    psi_hat = triple.spec.psi_hat.values(grid.times)
+    psi_hat = triple.spec.psi_hat.values(grid.times)[:-1]
+    rate = psi.values(grid.times)[:-1]
     u = triple.zhat * wealth ** (1.0 - alpha) / (1.0 - alpha)
-    v = psi_hat**alpha * triple.zhat * (psi.values(grid.times) * wealth) ** (1.0 - alpha) / (1.0 - alpha)
-    return u + integrate.cumulative_trapezoid(v, grid.times, axis=1, initial=0.0)
+
+    def v(ends):  # V(t, c) at one end of every step, with the step's rates
+        return psi_hat**alpha * triple.zhat[:, ends] * (rate * wealth[:, ends]) ** (1.0 - alpha) / (1.0 - alpha)
+
+    steps = 0.5 * (v(slice(None, -1)) + v(slice(1, None))) * np.diff(grid.times)
+    return u + np.concatenate([np.zeros((len(u), 1)), np.cumsum(steps, axis=1)], axis=1)
 
 
 def test_value_process_matches_simulated_wealth():
@@ -294,21 +301,32 @@ def test_value_process_matches_simulated_wealth():
             rate_paths=triple.rate_paths,
         )
         oracle = _value_process_oracle(triple, wealth, psi)
-        assert np.max(np.abs(value_process(triple, kappa, consumption) / oracle - 1.0)) < 1e-12
+        value = value_process(triple.rows(0, triple.n_paths), strategy_steps(triple, kappa, consumption))
+        assert np.max(np.abs(value / oracle - 1.0)) < 1e-12
 
 
 def test_optimal_drift_deterministic_limit():
-    # no risk premium, no volatilities and a constant rate: P = e^(-psi t) on
+    # no risk premium, no volatilities and a constant rate: P = e^(-int psi) on
     # every path, so each interval's drift is the trapezoid rule's bias alone,
-    # over that interval's own width h, on a uniform and a non-uniform grid
-    alpha, psi = 0.5, 0.1
+    # over that interval's own width h and at its left-endpoint rate, on a
+    # uniform and a non-uniform grid, and with a rate that steps from 0.1 to 0
+    # on the grid date t = 5, which the trapezoid must integrate at 0.1 over
+    # [4.75, 5] as the wealth scheme consumes
+    alpha = 0.5
     market = default_market(eta0=0.0)
-    spec = default_spec(alpha=alpha, kappa=0.0, nu=0.0, psi=psi)
-    for grid in (make_grid(10.0, 40), TimeGrid.of_times([0.0, 1.0, 3.0, 3.5, 6.0])):
-        triple = simulate_optimal(spec, market, grid, sample_brownian(33, grid, dim=2, n_paths=64))
+    spec = default_spec(alpha=alpha, kappa=0.0, nu=0.0, psi=0.1)
+    stepped = replace(spec, psi_hat=DeterministicFn.table(np.array([0.0, 5.0]), np.array([0.1, 0.0])))
+    cases = [
+        (spec, make_grid(10.0, 40)),
+        (spec, TimeGrid.of_times([0.0, 1.0, 3.0, 3.5, 6.0])),
+        (stepped, make_grid(10.0, 40)),
+    ]
+    for case, grid in cases:
+        triple = simulate_optimal(case, market, grid, sample_brownian(33, grid, dim=2, n_paths=64))
         report = consistency_drift_test(triple)
         h = np.diff(grid.times)
-        p = np.exp(-psi * grid.times[:-1])
+        psi = case.psi_hat.values(grid.times[:-1])
+        p = np.exp(-np.concatenate(([0.0], np.cumsum(psi * h)[:-1])))
         bias = p * (np.exp(-psi * h) - 1.0 + psi * h * (1.0 + np.exp(-psi * h)) / 2.0) / (1.0 - alpha)
         assert np.all(report.interval_stderr == 0.0)
         assert np.max(np.abs(report.interval_drift - bias)) <= 1e-15
@@ -352,3 +370,71 @@ def test_simulate_optimal_checks_the_last_grid_date(field, value):
     batch = sample_brownian(2, grid, dim=2, n_paths=2)
     with pytest.raises(ValueError):
         simulate_optimal(replace(spec, **{field: table}), default_market(), grid, batch)
+
+
+DRIFT_FIELDS = ("interval_drift", "interval_stderr", "total_drift", "total_stderr")
+
+
+def test_verify_checks_do_not_depend_on_the_row_block_size(monkeypatch):
+    # two full default blocks and a partial one; blocks of 1, 7 and n + 1
+    # rows must give the bits of the default blocks
+    n = 2 * forward_yield.market._LOG_ROWS + 37
+    market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
+    spec = default_spec()
+    # psi_hat zero on part of the grid: the consumption identity reads the other dates
+    part = replace(spec, psi_hat=DeterministicFn.table(np.array([0.0, 1.0]), np.array([0.1, 0.0])))
+    grid = make_grid(2.0, 8)
+    batch = sample_brownian(77, grid, dim=2, n_paths=n)
+    triple, partial = (simulate_optimal(s, market, grid, batch) for s in (spec, part))
+
+    def checks():
+        rows = [
+            consistency_drift_test(triple),
+            consistency_drift_test(triple, kappa=perturbed_kappa(spec, market, 0.15)),
+            consistency_drift_test(triple, consumption=scaled_consumption(spec, 1.5)),
+            consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5)),
+        ]
+        first = [
+            first_order_check(triple),
+            first_order_check(triple, x0=1.7),
+            first_order_check(triple, y0=1.3),
+            first_order_check(partial),
+        ]
+        return (
+            [getattr(r, f) for r in rows for f in DRIFT_FIELDS]
+            + [(r.max_rel_wealth, r.max_rel_consumption) for r in first]
+            + [pathwise_ramsey_report(triple)]
+        )
+
+    reference = checks()
+    assert np.isfinite(reference[-2][1])  # the partial psi_hat has dates with consumption
+    for block in (1, 7, n + 1):
+        monkeypatch.setattr(forward_yield.market, "_LOG_ROWS", block)
+        for value, expected in zip(checks(), reference):
+            assert np.array_equal(value, expected), block
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_checks_allocate_no_full_size_temporaries():
+    # the checks walk the paths in row blocks: the identities hold no
+    # path-sized array, and a drift row only its (n, K) increments
+    market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
+    spec = default_spec()
+    grid = make_grid(5.0, 20)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(19, grid, dim=2, n_paths=100_000))
+    size = triple.x.nbytes
+    assert _traced_peak(lambda: first_order_check(triple)) < 0.5 * size
+    for kwargs in (
+        {},
+        {"kappa": perturbed_kappa(spec, market, 0.15)},
+        {"consumption": scaled_consumption(spec, 1.5)},
+    ):
+        assert _traced_peak(lambda: consistency_drift_test(triple, **kwargs)) < 1.25 * size
