@@ -12,7 +12,6 @@ from .backward import (
 )
 from .brownian import BrownianBatch, sample_brownian
 from .curves import (
-    DavisPrice,
     YieldCurve,
     curve_from_prices,
     davis_price,
@@ -43,6 +42,7 @@ from .forward import (
 from .grids import DeterministicFn, TimeGrid, make_grid
 from .market import MarketModel, state_price_paths, wealth_paths
 from .rates import ConstantRate, RatePaths, VasicekRate, simulate_short_rate
+from .stats import Estimate
 from .subspace import SubspaceR
 from .utility import PowerUtility
 

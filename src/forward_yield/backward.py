@@ -258,19 +258,6 @@ class HorizonGap:
     predicted_gap_residual: float  # |simulated / predicted - 1| for the dual ratio
 
 
-@dataclass(frozen=True)
-class HorizonReport:
-    gaps: tuple[HorizonGap, ...]
-
-    @property
-    def max_gap_y(self) -> float:
-        return max(g.max_rel_gap_y for g in self.gaps)
-
-    @property
-    def max_gap_x(self) -> float:
-        return max(g.max_rel_gap_x for g in self.gaps)
-
-
 def _states_at_common_date(
     spec: BackwardSpec,
     horizons: Sequence[float],
@@ -307,8 +294,9 @@ def horizon_dependency_experiment(
     grid: TimeGrid,
     batch: BrownianBatch,
     t_common: float,
-) -> HorizonReport:
-    """Compare optimal solutions across horizons on common random numbers.
+) -> list[HorizonGap]:
+    """Compare optimal solutions across horizons on common random numbers:
+    one HorizonGap per pair of horizons, in the order of the list.
 
     The optimal volatilities of horizon T_H enter the dual process, so any
     maturity dependence of Gamma shows up as a pathwise gap at a common
@@ -352,4 +340,4 @@ def horizon_dependency_experiment(
                     predicted_gap_residual=resid,
                 )
             )
-    return HorizonReport(gaps=tuple(gaps))
+    return gaps

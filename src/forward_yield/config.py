@@ -3,8 +3,9 @@
 Configs are nested mappings read from JSON or YAML.  Field names are part of
 the output contract: market (dim, rate, eta_r, subspace), spec (forward or
 backward parameters), simulation (horizon, n_steps, n_paths, seed,
-inner_paths), output (tenors, path, format), plus optional ramsey, long_rate,
-davis, and verify blocks.
+inner_paths), output (tenors, path, format), ramsey, long_rate and davis.
+load_config merges every config over DEFAULT_CONFIG, so the builders read
+each key the defaults hold without a fallback of their own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -37,7 +37,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "subspace": {"basis": [[1.0, 0.0]]},
     },
     "spec": {
-        "kind": "forward",
         "alpha": 0.5,
         "kappa_star": [0.3, 0.0],
         "nu_star": [0.0, 0.1],
@@ -58,7 +57,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "ramsey": {"beta": 0.01, "alpha": 0.5, "growth": 0.02, "sigma": 0.1, "tenors": [1.0, 2.0, 5.0, 10.0, 30.0]},
     "long_rate": {"l0": 0.03, "alpha_backward": 0.25, "t_max": 10.0, "probes": [50.0, 100.0, 200.0]},
     "davis": {"payoff": {"kind": "call_on_wealth", "strike": 0.9}, "maturity": 5.0},
-    "verify": {"identity_tol": 1e-9, "stat_band": 4.0},
 }
 
 
@@ -217,7 +215,7 @@ def simulation_params(cfg: Mapping[str, Any]) -> tuple[int, int, int]:
     seed = _require(cfg, "simulation.seed")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise _fail("simulation.seed", "must be an unsigned 64-bit integer", seed)
-    inner = cfg.get("simulation", {}).get("inner_paths", 1024)
+    inner = _require(cfg, "simulation.inner_paths")
     if not isinstance(inner, int) or isinstance(inner, bool) or inner < 2:
         raise _fail("simulation.inner_paths", "must be an integer >= 2", inner)
     return n_paths, seed, inner
@@ -310,14 +308,13 @@ def build_backward_spec(cfg: Mapping[str, Any], market: MarketModel, t_horizon: 
 
 def horizon_params(cfg: Mapping[str, Any]) -> tuple[list[float], float]:
     """Horizons of the horizon experiment and the common date they are compared at."""
-    spec = cfg["spec"]
-    horizons = spec.get("t_horizons", [])
+    horizons = _require(cfg, "spec.t_horizons")
     if not isinstance(horizons, list) or len(horizons) < 2:
         raise _fail("spec.t_horizons", "need at least two horizons for the experiment")
     horizons = [_positive_number(t, "spec.t_horizons") for t in horizons]
     if len(set(horizons)) < len(horizons):
         raise _fail("spec.t_horizons", "must be distinct", horizons)
-    t_common = _nonnegative_number(spec.get("t_common", min(horizons) / 2.0), "spec.t_common")
+    t_common = _nonnegative_number(_require(cfg, "spec.t_common"), "spec.t_common")
     if t_common > min(horizons):
         raise _fail("spec.t_common", f"must not exceed the smallest horizon {min(horizons)}", t_common)
     return horizons, t_common
@@ -336,10 +333,10 @@ def tenor_list(tenors, field: str) -> list[float]:
 
 def output_params(cfg: Mapping[str, Any]) -> tuple[list[float], str, str]:
     vals = tenor_list(_require(cfg, "output.tenors"), "output.tenors")
-    fmt = cfg.get("output", {}).get("format", "csv")
+    fmt = _require(cfg, "output.format")
     if fmt not in ("csv", "json"):
         raise _fail("output.format", "must be 'csv' or 'json'", fmt)
-    out = str(cfg.get("output", {}).get("path", "out"))
+    out = str(_require(cfg, "output.path"))
     return vals, out, fmt
 
 
@@ -349,7 +346,7 @@ def ramsey_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float, l
     alpha = _alpha(_require(cfg, "ramsey.alpha"), "ramsey.alpha")
     growth = _finite_number(_require(cfg, "ramsey.growth"), "ramsey.growth")
     sigma = _nonnegative_number(_require(cfg, "ramsey.sigma"), "ramsey.sigma")
-    tenors = tenor_list(cfg["ramsey"].get("tenors", cfg["output"]["tenors"]), "ramsey.tenors")
+    tenors = tenor_list(_require(cfg, "ramsey.tenors"), "ramsey.tenors")
     return beta, alpha, growth, sigma, tenors
 
 
@@ -358,10 +355,9 @@ def long_rate_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float
     beyond t_max, the last date the long rate is reported at."""
     l0 = _finite_number(_require(cfg, "long_rate.l0"), "long_rate.l0")
     alpha_fwd = _alpha(_require(cfg, "spec.alpha"), "spec.alpha")
-    block = cfg["long_rate"]
-    alpha_bwd = _alpha(block.get("alpha_backward", 0.25), "long_rate.alpha_backward")
+    alpha_bwd = _alpha(_require(cfg, "long_rate.alpha_backward"), "long_rate.alpha_backward")
     t_max = _positive_number(_require(cfg, "long_rate.t_max"), "long_rate.t_max")
-    probes = tenor_list(block.get("probes", [50.0, 100.0, 200.0]), "long_rate.probes")
+    probes = tenor_list(_require(cfg, "long_rate.probes"), "long_rate.probes")
     if probes[0] <= t_max:
         raise _fail("long_rate.probes", f"must all exceed long_rate.t_max={t_max:g}", probes)
     return l0, alpha_fwd, alpha_bwd, t_max, probes
@@ -369,24 +365,7 @@ def long_rate_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float
 
 def davis_payoff(cfg: Mapping[str, Any]) -> tuple[str, float]:
     """Payoff kind of the davis block and its strike ('unit' ignores it)."""
-    payoff = cfg.get("davis", {}).get("payoff", {"kind": "unit"})
-    kind = payoff.get("kind", "unit")
+    kind = _require(cfg, "davis.payoff.kind")
     if kind not in ("unit", "call_on_wealth"):
         raise _fail("davis.payoff.kind", "must be 'unit' or 'call_on_wealth'", kind)
-    return kind, _finite_number(payoff.get("strike", 1.0), "davis.payoff.strike")
-
-
-@dataclass(frozen=True)
-class VerifyThresholds:
-    identity_tol: float
-    stat_band: float
-
-
-def verify_thresholds(cfg: Mapping[str, Any]) -> VerifyThresholds:
-    block = cfg.get("verify", {})
-    tol = block.get("identity_tol", 1e-9)
-    band = block.get("stat_band", 4.0)
-    return VerifyThresholds(
-        identity_tol=_positive_number(tol, "verify.identity_tol"),
-        stat_band=_positive_number(band, "verify.stat_band"),
-    )
+    return kind, _finite_number(_require(cfg, "davis.payoff.strike"), "davis.payoff.strike")

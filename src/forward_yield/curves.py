@@ -23,10 +23,10 @@ from .brownian import (
 from .errors import NumericalRangeError
 from .forward import OptimalTriple, PathRows
 from .grids import DeterministicFn, TimeGrid
-from .market import MarketModel, _dual_coeffs, _exact_log_paths, row_blocks
+from .market import _LOG_ROWS, MarketModel, _dual_coeffs, _exact_log_paths, row_blocks
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
-from .stats import mean_stderr, t_stat
+from .stats import Estimate, mean_stderr, t_stat
 
 
 # ---------------------------------------------------------------------------
@@ -230,33 +230,15 @@ def zc_price_gaussian(
 # Monte Carlo zero-coupon prices (plain and nested)
 
 
-def zc_price_mc(y_paths: np.ndarray, k_t: int, k_mat: int) -> tuple[float, float]:
+def zc_price_mc(y_paths: np.ndarray, k_t: int, k_mat: int) -> Estimate:
     """Unconditional price E[Y_T / Y_t] with standard error; k_t = 0 is the
     plain time-0 estimator."""
     if k_mat < k_t:
         raise ValueError("maturity index must not precede the pricing index")
     if k_mat == k_t:
-        return 1.0, 0.0
-    ratio = y_paths[:, k_mat] / y_paths[:, k_t]
-    m, se = mean_stderr(ratio)
-    return float(m), float(se)
-
-
-# rows per chunk of nested inner simulations: as many whole outer paths as
-# fit, and at least one.  Larger chunks measured no faster but raised peak
-# RSS (about +0.5 MiB at 2,048 rows and +3 MiB at 8,192 on nested-curve).
-_INNER_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class ConditionalPriceReport:
-    """Per-outer-path conditional prices at a future date."""
-
-    t: float
-    maturity: float
-    prices: np.ndarray
-    stderrs: np.ndarray
-    rate_states: np.ndarray
+        return Estimate(1.0, 0.0)
+    m, se = mean_stderr(y_paths[:, k_mat] / y_paths[:, k_t])
+    return Estimate(float(m), float(se))
 
 
 def marginal_zc_mc(
@@ -265,23 +247,23 @@ def marginal_zc_mc(
     k_mats: Sequence[int],
     inner_paths: int = 1024,
     max_outer: int = 256,
-) -> list[ConditionalPriceReport]:
-    """Conditional marginal-utility zero-coupon prices E[Y_T / Y_t | F_t],
-    one report per maturity index in k_mats.
+) -> Estimate:
+    """Conditional marginal-utility zero-coupon prices E[Y_T / Y_t | F_t] of
+    the first min(max_outer, n_paths) outer paths, as (len(k_mats), n_outer)
+    arrays, one row per maturity index in k_mats.
 
     Each outer path is repriced by one inner simulation of ln Y restarted
-    from its realized short rate at t and run to the last maturity over the
-    outer grid's steps, on a stream derived from (seed, outer path, k_t), so
-    results are reproducible and the maturities of one outer path share
-    their inner paths.  The inner simulations of a chunk of outer paths run
-    as one stack of rows; every row's operations are those of its own
-    simulation, so the prices do not depend on the chunking.  The date-0
-    price is the plain average zc_price_mc(triple.y, 0, k_mat).
+    from its realized short rate at t, triple.rate_paths.r[:, k_t], and run
+    to the last maturity over the outer grid's steps, on a stream derived
+    from (seed, outer path, k_t), so results are reproducible and the
+    maturities of one outer path share their inner paths.  The inner
+    simulations of as many whole outer paths as fit in _LOG_ROWS rows, and
+    at least one, run as one stack of rows; every row's operations are those
+    of its own simulation, so the prices do not depend on the chunking.  The
+    date-0 price is the plain average zc_price_mc(triple.y, 0, k_mat).
     """
     k_mats = list(k_mats)
-    if not k_mats:
-        return []
-    if min(k_mats) <= k_t:
+    if not k_mats or min(k_mats) <= k_t:
         raise ValueError("maturity indices must follow the pricing index")
     grid, market, rate = triple.grid, triple.market, triple.market.rate
     k_end = max(k_mats)
@@ -293,7 +275,7 @@ def marginal_zc_mc(
 
     n_outer = min(max_outer, triple.n_paths)
     rate_states = triple.rate_paths.r[:n_outer, k_t]
-    per_chunk = max(1, _INNER_ROWS // inner_paths)
+    per_chunk = max(1, _LOG_ROWS // inner_paths)
     prices = np.empty((len(k_mats), n_outer))
     stderrs = np.empty((len(k_mats), n_outer))
     for i0 in range(0, n_outer, per_chunk):
@@ -314,16 +296,7 @@ def marginal_zc_mc(
         # transposed and row-indexed, so each (maturity, outer path) sample is contiguous
         ratios = y.T[rows].reshape(len(rows), i1 - i0, inner_paths)
         prices[:, i0:i1], stderrs[:, i0:i1] = mean_stderr(ratios, axis=2)
-    return [
-        ConditionalPriceReport(
-            t=grid.times[k_t],
-            maturity=grid.times[k],
-            prices=prices[j],
-            stderrs=stderrs[j],
-            rate_states=rate_states.copy(),
-        )
-        for j, k in enumerate(k_mats)
-    ]
+    return Estimate(prices, stderrs)
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +455,11 @@ def long_rate(
 # Davis (marginal-utility) pricing
 
 
-@dataclass(frozen=True)
-class DavisPrice:
-    """Linear marginal-utility price of a payoff with its MC standard error."""
-
-    value: float
-    stderr: float
-
-
 def _fsum_mean(x: np.ndarray) -> float:
     return math.fsum(map(float, x)) / len(x)
 
 
-def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t: int = 0) -> DavisPrice:
+def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t: int = 0) -> Estimate:
     """Price E[zeta_T Y_T / Y_t] on a fixed batch.
 
     At k_t = 0 this is the date-0 marginal-utility price; at k_t > 0 it is
@@ -508,7 +473,7 @@ def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t:
         raise ValueError("payoffs must be nonnegative")
     deflated = payoff_values * y_paths[:, k_mat] / y_paths[:, k_t]
     _, se = mean_stderr(deflated)
-    return DavisPrice(value=_fsum_mean(deflated), stderr=float(se))
+    return Estimate(_fsum_mean(deflated), float(se))
 
 
 def davis_time_consistency(
@@ -517,22 +482,20 @@ def davis_time_consistency(
     x_paths: np.ndarray,
     k_mat: int,
     k_horizon: int,
-) -> tuple[float, float, float]:
-    """Price a date-T payoff directly and after capitalizing it to the
-    horizon inside the consumption-free optimal wealth.
+) -> tuple[float, float]:
+    """Price a date-T payoff after capitalizing it to the horizon inside the
+    consumption-free optimal wealth.
 
-    Returns (price at T, price via horizon, t-statistic of the pathwise
-    difference); the two agree in expectation because wealth times the
-    state-price density is a martingale.
+    Returns (price via horizon, t-statistic of its pathwise difference from
+    the direct price davis_price(payoff_values, y_paths, k_mat)); the two
+    agree in expectation because wealth times the state-price density is a
+    martingale.
     """
     payoff_values = np.asarray(payoff_values, dtype=float)
     direct = payoff_values * y_paths[:, k_mat] / y_paths[:, 0]
     capitalized = payoff_values * (x_paths[:, k_horizon] / x_paths[:, k_mat]) * y_paths[:, k_horizon] / y_paths[:, 0]
-    p_direct = _fsum_mean(direct)
-    p_cap = _fsum_mean(capitalized)
-    diff = capitalized - direct
-    m, se = mean_stderr(diff)
-    return p_direct, p_cap, t_stat(m, se)
+    m, se = mean_stderr(capitalized - direct)
+    return _fsum_mean(capitalized), t_stat(m, se)
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,6 @@ def consistency_drift_test(
     triple: OptimalTriple,
     kappa: Optional[DeterministicFn] = None,
     consumption: Optional[ConsumptionRule] = None,
-    threshold: float = 4.0,
 ) -> DriftReport:
     """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds across paths
     (value_process on each row block, which simulates no wealth).
@@ -425,7 +424,6 @@ def consistency_drift_test(
         lambda b0, b1: value_process(triple.rows(b0, b1), steps),
         triple.n_paths,
         triple.grid.times,
-        threshold,
     )
 
 

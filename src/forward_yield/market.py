@@ -80,8 +80,9 @@ def _proportional_rates(consumption: ConsumptionRule, grid: TimeGrid) -> np.ndar
 
 
 # The package's one row-block size: the log kernel and verify's per-path checks
-# walk the paths in blocks of this many rows, so their temporaries stay small.
-_LOG_ROWS = 4096
+# walk the paths in blocks of this many rows, and the nested inner simulations
+# run in chunks of at most this many rows, so their temporaries stay small.
+_LOG_ROWS = 2048
 
 
 def row_blocks(n_rows: int) -> list[tuple[int, int]]:

@@ -3,19 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .market import row_blocks
 
-# tolerance of identities that hold exactly up to rounding
+# The verdict bands, which no config changes: identities that hold exactly
+# up to rounding are held to IDENTITY_TOL, and Monte Carlo statistics to
+# STAT_BAND standard errors.
 IDENTITY_TOL = 1e-9
+STAT_BAND = 4.0
 
 
-def mean_stderr(
-    x: np.ndarray, axis: int = 0, refill: Optional[Callable[[], None]] = None
-) -> tuple[np.ndarray, np.ndarray]:
+class Estimate(NamedTuple):
+    """A Monte Carlo mean with its standard error; arrays for a reduction
+    along an axis, and unpacked as (mean, stderr)."""
+
+    mean: Any
+    stderr: Any
+
+
+def mean_stderr(x: np.ndarray, axis: int = 0, refill: Optional[Callable[[], None]] = None) -> Estimate:
     """Sample mean and standard error along an axis.
 
     A sample with zero range has stderr exactly 0; np.std gives it the
@@ -40,7 +49,7 @@ def mean_stderr(
         if refill is not None:
             refill()
         se = se * (np.ptp(x, axis=axis) > 0)
-    return m, se
+    return Estimate(m, se)
 
 
 def t_stat(gap, stderr, tol: float = IDENTITY_TOL):
@@ -63,7 +72,6 @@ class DriftReport:
     interval_stderr: np.ndarray   # (K,)
     total_drift: float            # mean of terminal minus initial value
     total_stderr: float
-    threshold: float              # number of standard errors used for flagging
 
     @property
     def interval_t(self) -> np.ndarray:
@@ -78,20 +86,12 @@ class DriftReport:
         return t_stat(self.total_drift, self.total_stderr)
 
     @property
-    def flagged(self) -> np.ndarray:
-        """Intervals whose drift is inconsistent with zero at the threshold."""
-        return np.abs(self.interval_t) > self.threshold
-
-    @property
     def max_abs_t(self) -> float:
         return float(np.max(np.abs(self.interval_t), initial=0.0))
 
-    def is_martingale_like(self) -> bool:
-        return not bool(np.any(self.flagged))
-
 
 def interval_drift_report(
-    value_rows: Callable[[int, int], np.ndarray], n_paths: int, times: np.ndarray, threshold: float = 4.0
+    value_rows: Callable[[int, int], np.ndarray], n_paths: int, times: np.ndarray
 ) -> DriftReport:
     """Drift statistics of a per-path process sampled at grid times.
 
@@ -121,5 +121,4 @@ def interval_drift_report(
         interval_stderr=stderr,
         total_drift=float(total),
         total_stderr=float(total_se),
-        threshold=float(threshold),
     )

@@ -12,7 +12,7 @@ import pytest
 import forward_yield
 from forward_yield import cli
 from forward_yield.cli import main
-from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config, verify_thresholds
+from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config
 from forward_yield.tables import emit_table
 
 
@@ -42,6 +42,9 @@ def test_malformed_alpha_names_field_and_domain(tmp_path, capsys):
         ("simulaton: {n_paths: 3000}\n", "simulaton"),
         ("market: {rate: {sigma: 0.02}}\n", "market.rate.sigma"),
         ("spec: {psi_hat: {times: [0.0], values: [0.1], valeus: [0.2]}}\n", "spec.psi_hat.valeus"),
+        ("spec: {kind: forward}\n", "spec.kind"),
+        # the verdict bands are fixed, not configured
+        ("verify: {stat_band: 3.0}\n", "verify"),
     ],
 )
 def test_unknown_config_key_names_its_path(tmp_path, capsys, text, field):
@@ -205,7 +208,7 @@ def _run_in_subprocess(tmp_path, command, overrides, **env_vars) -> subprocess.C
     "command, block",
     [
         ("davis", "davis"),
-        ("verify", "verify"),
+        ("verify", "market"),
         ("horizon", "spec"),
         ("forward-curve", "output"),
         ("ramsey-flat", "simulation"),
@@ -477,8 +480,45 @@ def test_config_hash_stable_and_sensitive():
 
 def test_default_config_complete():
     # every block the handlers read exists in the defaults
-    for block in ("market", "spec", "simulation", "output", "ramsey", "long_rate", "davis", "verify"):
+    for block in ("market", "spec", "simulation", "output", "ramsey", "long_rate", "davis"):
         assert block in DEFAULT_CONFIG
+
+
+class _RecordingConfig(dict):
+    """A config whose blocks record the dotted path of every key read."""
+
+    def __init__(self, data, seen, prefix=""):
+        super().__init__(
+            {k: _RecordingConfig(v, seen, f"{prefix}{k}.") if isinstance(v, dict) else v for k, v in data.items()}
+        )
+        self.seen, self.prefix = seen, prefix
+
+    def __getitem__(self, key):
+        self.seen.add(self.prefix + key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(self.prefix + key)
+        return super().get(key, default)
+
+
+def _leaves(block, prefix=""):
+    for key, value in block.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_default_key_is_read_by_some_subcommand(tmp_path):
+    # a default that no run reads is a key the user can set to no effect
+    seen = set()
+    for name, handler in cli._HANDLERS.items():
+        cfg = load_config(None)
+        cfg["simulation"]["n_paths"] = 2000
+        cfg["output"]["path"] = str(tmp_path / name)
+        handler(_RecordingConfig(cfg, seen))
+    assert [leaf for leaf in _leaves(DEFAULT_CONFIG) if leaf not in seen] == []
 
 
 def test_yaml_config_roundtrip(tmp_path):
@@ -497,9 +537,9 @@ def test_yaml_config_roundtrip(tmp_path):
 
 def test_yaml_reads_exponent_floats(tmp_path):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("verify:\n  identity_tol: 1e-9\nlong_rate:\n  l0: 3E-2\nsimulation:\n  n_paths: 3000\n")
+    cfg.write_text("market: {rate: {a: 1e-7}}\nlong_rate:\n  l0: 3E-2\nsimulation:\n  n_paths: 3000\n")
     loaded = load_config(cfg)
-    assert verify_thresholds(loaded).identity_tol == 1e-9
+    assert loaded["market"]["rate"]["a"] == 1e-7
     assert loaded["long_rate"]["l0"] == 0.03
     assert loaded["simulation"]["n_paths"] == 3000
     assert isinstance(loaded["simulation"]["n_paths"], int)

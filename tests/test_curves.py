@@ -219,9 +219,9 @@ def test_nested_conditional_prices_match_state_closed_form():
     batch = sample_brownian(1357, grid, dim=2, n_paths=64)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(7.0)
-    report = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=4096, max_outer=32)[0]
-    closed = zc_price_gaussian(market, spec.nu_star, 2.0, 7.0, r_t=report.rate_states)
-    z = (report.prices - closed) / report.stderrs
+    prices, stderrs = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=4096, max_outer=32)
+    closed = zc_price_gaussian(market, spec.nu_star, 2.0, 7.0, r_t=triple.rate_paths.r[:32, k_t])
+    z = (prices[0] - closed) / stderrs[0]
     assert np.max(np.abs(z)) < 4.5
     assert abs(np.mean(z)) < 1.0
 
@@ -239,11 +239,13 @@ def test_nested_every_maturity_matches_state_closed_form():
     grid = triple.grid
     k_t = grid.index_of(2.0)
     k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
-    reports = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
-    assert [r.maturity for r in reports] == [3.0, 5.0, 7.0]
-    for report in reports:
-        closed = zc_price_gaussian(triple.market, triple.spec.nu_star, 2.0, report.maturity, r_t=report.rate_states)
-        z = (report.prices - closed) / report.stderrs
+    prices, stderrs = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
+    assert prices.shape == stderrs.shape == (3, 32)
+    for maturity, p, se in zip((3.0, 5.0, 7.0), prices, stderrs):
+        closed = zc_price_gaussian(
+            triple.market, triple.spec.nu_star, 2.0, maturity, r_t=triple.rate_paths.r[:32, k_t]
+        )
+        z = (p - closed) / se
         assert np.max(np.abs(z)) < 4.5
 
 
@@ -264,10 +266,11 @@ def test_nested_table_coefficients_match_state_closed_form():
     assert np.array_equal(grid.times, [0.0, 2.0, 3.0, 3.5, 5.0, 7.0])
     triple = simulate_optimal(spec, market, grid, sample_brownian(2468, grid, dim=2, n_paths=64))
     k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
-    reports = marginal_zc_mc(triple, grid.index_of(2.0), k_mats, inner_paths=4096, max_outer=32)
-    for report in reports:
-        closed = zc_price_gaussian(market, spec.nu_star, 2.0, report.maturity, r_t=report.rate_states)
-        z = (report.prices - closed) / report.stderrs
+    k_t = grid.index_of(2.0)
+    prices, stderrs = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
+    for maturity, p, se in zip((3.0, 5.0, 7.0), prices, stderrs):
+        closed = zc_price_gaussian(market, spec.nu_star, 2.0, maturity, r_t=triple.rate_paths.r[:32, k_t])
+        z = (p - closed) / se
         assert np.max(np.abs(z)) < 4.5
         assert abs(np.mean(z)) < 1.0
 
@@ -277,10 +280,9 @@ def test_nested_last_maturity_equals_single_maturity_call():
     grid = triple.grid
     k_t, k_mats = grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
     many = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=8)
-    (single,) = marginal_zc_mc(triple, k_t, k_mats[-1:], inner_paths=256, max_outer=8)
-    assert np.array_equal(many[-1].prices, single.prices)
-    assert np.array_equal(many[-1].stderrs, single.stderrs)
-    assert np.array_equal(many[-1].rate_states, single.rate_states)
+    single = marginal_zc_mc(triple, k_t, k_mats[-1:], inner_paths=256, max_outer=8)
+    assert np.array_equal(many.mean[-1:], single.mean)
+    assert np.array_equal(many.stderr[-1:], single.stderr)
 
 
 def test_nested_outer_prices_independent_of_max_outer():
@@ -289,15 +291,15 @@ def test_nested_outer_prices_independent_of_max_outer():
     k_t, k_mats = grid.index_of(2.0), [grid.index_of(4.0), grid.index_of(6.0)]
     small = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=4)
     large = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=12)
-    for a, b in zip(small, large):
-        assert np.array_equal(a.prices, b.prices[:4])
-        assert np.array_equal(a.stderrs, b.stderrs[:4])
+    assert np.array_equal(small.mean, large.mean[:, :4])
+    assert np.array_equal(small.stderr, large.stderr[:, :4])
 
 
 def test_nested_maturities_must_follow_the_pricing_date():
     triple = nested_triple()
     k_t = triple.grid.index_of(2.0)
-    assert marginal_zc_mc(triple, k_t, [], inner_paths=64, max_outer=2) == []
+    with pytest.raises(ValueError, match="maturity"):
+        marginal_zc_mc(triple, k_t, [], inner_paths=64, max_outer=2)
     with pytest.raises(ValueError, match="maturity"):
         marginal_zc_mc(triple, k_t, [k_t, k_t + 4], inner_paths=64, max_outer=2)
 
@@ -491,7 +493,7 @@ def test_davis_unit_payoff_equals_zero_coupon():
     k = grid.index_of(5.0)
     zc, _ = zc_price_mc(triple.y, 0, k)
     unit = davis_price(np.ones(triple.n_paths), triple.y, k)
-    assert unit.value == pytest.approx(zc, rel=1e-12)
+    assert unit.mean == pytest.approx(zc, rel=1e-12)
 
 
 def test_davis_linearity_exact():
@@ -509,10 +511,10 @@ def test_davis_linearity_exact():
     p1 = davis_price(zeta1, y, k)
     p2 = davis_price(zeta2, y, k)
     combo = davis_price(3.0 * zeta1 + 0.5 * zeta2, y, k)
-    assert abs(combo.value - (3.0 * p1.value + 0.5 * p2.value)) <= 1e-15 * max(abs(combo.value), 1.0)
+    assert abs(combo.mean - (3.0 * p1.mean + 0.5 * p2.mean)) <= 1e-15 * max(abs(combo.mean), 1.0)
 
     scaled = davis_price(7.0 * zeta1, y, k)
-    assert abs(scaled.value - 7.0 * p1.value) <= 1e-15 * max(abs(scaled.value), 1.0)
+    assert abs(scaled.mean - 7.0 * p1.mean) <= 1e-15 * max(abs(scaled.mean), 1.0)
 
 
 def test_davis_rejects_negative_payoff():
@@ -561,7 +563,7 @@ def test_davis_call_against_two_lognormal_oracle():
 
     zeta = np.maximum(triple.x[:, k] - strike, 0.0)
     price = davis_price(zeta, triple.y, k)
-    assert abs(price.value - oracle) < 3 * price.stderr
+    assert abs(price.mean - oracle) < 3 * price.stderr
 
 
 @pytest.mark.parametrize(
@@ -590,7 +592,7 @@ def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_ou
     batch = sample_brownian(2470, grid, dim=2, n_paths=32)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(6.0)
-    report = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=inner_paths, max_outer=n_outer)[0]
+    prices, _ = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=inner_paths, max_outer=n_outer)
 
     sub = TimeGrid(grid.times[k_mat] - grid.times[k_t], k_mat - k_t)
     expected = np.empty(n_outer)
@@ -601,8 +603,7 @@ def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_ou
             inner_market = replace(market, rate=replace(market.rate, r0=float(triple.rate_paths.r[i, k_t])))
         inner = state_price_paths(inner_market, sub, sample_brownian(seed, sub, 2, inner_paths), nu=spec.nu_star)
         expected[i] = np.mean(inner[:, -1])
-    assert np.array_equal(report.prices, expected)
-    assert np.array_equal(report.rate_states, triple.rate_paths.r[:n_outer, k_t])
+    assert np.array_equal(prices[0], expected)
 
 
 @pytest.mark.parametrize(
@@ -628,8 +629,8 @@ def test_nested_simulates_each_inner_row_once_in_chunks(inner_paths, n_outer, mo
     rows = n_outer * inner_paths
     assert sum(n for n, _, _ in calls) == rows
     assert all(n == n_rate and sign == -1 for n, n_rate, sign in calls)
-    assert max(n for n, _, _ in calls) <= max(curves._INNER_ROWS, inner_paths)
-    assert len(calls) <= -(-rows // curves._INNER_ROWS)
+    assert max(n for n, _, _ in calls) <= max(curves._LOG_ROWS, inner_paths)
+    assert len(calls) <= -(-rows // curves._LOG_ROWS)
 
 
 def test_davis_capitalization_time_consistency():
@@ -645,9 +646,9 @@ def test_davis_capitalization_time_consistency():
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     k_mat, k_h = grid.index_of(5.0), grid.index_of(10.0)
     zeta = np.maximum(x[:, k_mat] - 0.8, 0.0)
-    p_direct, p_cap, t_stat = davis_time_consistency(zeta, y, x, k_mat, k_h)
+    p_cap, t_stat = davis_time_consistency(zeta, y, x, k_mat, k_h)
     assert abs(t_stat) < 3.0
-    assert p_direct == pytest.approx(p_cap, rel=0.02)
+    assert davis_price(zeta, y, k_mat).mean == pytest.approx(p_cap, rel=0.02)
 
 
 # ---------------------------------------------------------------------------
