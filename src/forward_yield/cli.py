@@ -8,6 +8,7 @@ rerunning an identical (config, seed) reproduces every output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -58,6 +59,7 @@ from .forward import (
     consistency_drift_test,
     first_order_check,
     hjb_residual,
+    optimal_blocks,
     perturbed_kappa,
     reading_grid,
     representation_check,
@@ -66,7 +68,7 @@ from .forward import (
 )
 from .grids import DeterministicFn, TimeGrid, make_grid
 from .market import MarketModel
-from .stats import IDENTITY_TOL, STAT_BAND, mean_stderr, t_stat
+from .stats import IDENTITY_TOL, STAT_BAND, mean_stderr, moments, t_stat
 from .tables import RunManifest
 
 CURVE_COLUMNS = ["tenor", "rate", "stderr", "method"]
@@ -341,8 +343,38 @@ def _cmd_long_rate(cfg: Mapping[str, Any]) -> int:
 def _cmd_verify(cfg: Mapping[str, Any]) -> int:
     run = _open_run("verify", cfg)
     grid = build_grid(cfg)
-    triple = _forward_triple(cfg, grid)
-    spec, market = triple.spec, triple.market
+    market = build_market(cfg)
+    spec = build_forward_spec(cfg, market)
+    n_paths, seed, _ = simulation_params(cfg)
+
+    psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
+    ramsey = bool(np.all(psi_vals > 0))
+    kappa_norm = float(np.mean(np.linalg.norm(np.atleast_2d(spec.kappa_star.values(grid.times)), axis=-1)))
+    eps = 0.5 * kappa_norm if kappa_norm > 0 else 0.1
+    # the optimal strategy, a perturbed kappa, and over- and under-consumption;
+    # scaling psi = 0 gives the optimal strategy back, so there is nothing to detect
+    strategies = [{}, {"kappa": perturbed_kappa(spec, market, eps)}]
+    if np.any(psi_vals > 0):
+        strategies += [{"consumption": scaled_consumption(spec, factor)} for factor in (1.5, 0.5)]
+
+    def reduce_block(triple: OptimalTriple) -> tuple:
+        """A block's part of the checks: the HJB and transport residuals on
+        block 0, which holds the paths they read, the maxima of the other
+        identities, and the moments of the drifts and of Y_T e^(int r)."""
+        head = None
+        if triple.batch.first_row == 0:
+            hjb = hjb_residual(triple)
+            head = (hjb.max_rel_residual, hjb.max_policy_residual, representation_check(triple))
+        identities = [first_order_check(triple).max_rel] + ([pathwise_ramsey_report(triple)] if ramsey else [])
+        drifts = [consistency_drift_test(triple, **strategy) for strategy in strategies]
+        capitalized = moments(triple.y[:, -1] * np.exp(triple.rate_paths.integral[:, -1]))
+        return head, identities, drifts, capitalized
+
+    def merge(a: tuple, b: tuple) -> tuple:
+        return a[0], np.maximum(a[1], b[1]), [x.merge(y) for x, y in zip(a[2], b[2])], a[3].merge(b[3])
+
+    blocks = optimal_blocks(spec, market, grid, seed, n_paths, reduce_block)
+    (hjb_drift, hjb_policy, transport), identities, drifts, capitalized = functools.reduce(merge, blocks)
 
     checks: list[tuple[str, float, float, bool]] = []
 
@@ -352,32 +384,17 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
         -STAT_BAND for a drift that should be detectably negative."""
         checks.append((name, float(value), threshold, bool(value <= threshold)))
 
-    hjb = hjb_residual(triple)
-    check("hjb_drift_residual", hjb.max_rel_residual, IDENTITY_TOL)
-    check("hjb_policy_residual", hjb.max_policy_residual, IDENTITY_TOL)
-    check("first_order_identity", first_order_check(triple).max_rel, IDENTITY_TOL)
-    check("marginal_transport", representation_check(triple), IDENTITY_TOL)
-
-    psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
-    if np.all(psi_vals > 0):
-        check("pathwise_ramsey", pathwise_ramsey_report(triple), IDENTITY_TOL)
-
-    check("optimal_drift_max_t", consistency_drift_test(triple).max_abs_t, STAT_BAND)
-
-    kappa_norm = float(np.mean(np.linalg.norm(np.atleast_2d(spec.kappa_star.values(grid.times)), axis=-1)))
-    eps = 0.5 * kappa_norm if kappa_norm > 0 else 0.1
-    shifted = consistency_drift_test(triple, kappa=perturbed_kappa(spec, market, eps))
-    check("perturbed_kappa_drift_t", shifted.total_t, -STAT_BAND)
-
-    # scaling psi = 0 gives the optimal strategy back, so there is nothing to detect
-    if np.any(psi_vals > 0):
-        over = consistency_drift_test(triple, consumption=scaled_consumption(spec, 1.5))
-        check("over_consumption_drift_t", over.total_t, -STAT_BAND)
-        under = consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5))
-        check("under_consumption_drift_t", under.total_t, -STAT_BAND)
-
-    capitalized = triple.y[:, -1] * np.exp(triple.rate_paths.integral[:, -1])
-    mean, se = mean_stderr(capitalized)
+    check("hjb_drift_residual", hjb_drift, IDENTITY_TOL)
+    check("hjb_policy_residual", hjb_policy, IDENTITY_TOL)
+    check("first_order_identity", identities[0], IDENTITY_TOL)
+    check("marginal_transport", transport, IDENTITY_TOL)
+    if ramsey:
+        check("pathwise_ramsey", identities[1], IDENTITY_TOL)
+    check("optimal_drift_max_t", drifts[0].max_abs_t, STAT_BAND)
+    check("perturbed_kappa_drift_t", drifts[1].total_t, -STAT_BAND)
+    for name, drift in zip(("over_consumption_drift_t", "under_consumption_drift_t"), drifts[2:]):
+        check(name, drift.total_t, -STAT_BAND)
+    mean, se = capitalized.estimate()
     check("state_price_martingale_t", abs(t_stat(mean - 1.0, se)), STAT_BAND)
 
     rows = [

@@ -10,11 +10,11 @@ define the utility, and every identity below is available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 import numpy as np
 
-from .brownian import BrownianBatch
+from .brownian import BrownianBatch, ordered_map, sample_brownian, stream_blocks
 from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
 from .market import (
@@ -162,6 +162,32 @@ def simulate_optimal(
         y=y,
         zhat=zhat,
     )
+
+
+_R = TypeVar("_R")
+
+
+def optimal_blocks(
+    spec: ForwardPowerSpec,
+    market: MarketModel,
+    grid: TimeGrid,
+    seed: int,
+    n_paths: int,
+    fn: Callable[[OptimalTriple], _R],
+) -> Iterator[_R]:
+    """fn of the optimal triple on each block of the seed's streams
+    (stream_blocks(n_paths)), in block order.  A block's batch starts at its
+    first row, so its triple holds, bit for bit, the rows of simulate_optimal
+    on the whole batch.  Blocks run on up to thread_cap() threads with at
+    most that many in flight, so the paths held are that many blocks, not
+    n_paths rows; fn should return a reduction of its block."""
+
+    def block(span: tuple[int, int]) -> _R:
+        b0, b1 = span
+        batch = sample_brownian(seed, grid, market.dim, b1 - b0, first_row=b0)
+        return fn(simulate_optimal(spec, market, grid, batch))
+
+    return ordered_map(block, stream_blocks(n_paths))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +439,8 @@ def consistency_drift_test(
     consumption: Optional[ConsumptionRule] = None,
 ) -> DriftReport:
     """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds across paths
-    (value_process on each row block, which simulates no wealth).
+    (value_process on each 8,192-row block of the streams, which simulates
+    no wealth; the blocks' reports merge, DriftReport.merge).
 
     With the optimal strategy (the default) the drift is statistically zero
     on every interval; any admissible perturbation makes it nonpositive, and

@@ -79,9 +79,11 @@ def _proportional_rates(consumption: ConsumptionRule, grid: TimeGrid) -> np.ndar
     return psi_all
 
 
-# The package's one row-block size: the log kernel and verify's per-path checks
-# walk the paths in blocks of this many rows, and the nested inner simulations
-# run in chunks of at most this many rows, so their temporaries stay small.
+# Row-block size of the temporaries: the log kernel and the pathwise
+# identities walk the paths in blocks of this many rows, and the nested inner
+# simulations run in chunks of at most this many rows.  It moves no bits; the
+# unit of every mean over paths is the random streams' block
+# (brownian.stream_blocks).
 _LOG_ROWS = 2048
 
 

@@ -94,7 +94,7 @@ def simulate_short_rate(
     The Vasicek rate steps with its exact Gaussian transition conditional on
     r_t and the step's Brownian increment dW~ projected on w_dir; the
     unresolved residual comes from a dedicated stream keyed by
-    (batch.seed, path), so results stay reproducible and
+    (batch.seed, batch.first_row + path), so results stay reproducible and
     partition-independent.  Each step's integral then follows from the SDE
     itself, int_{t_k}^{t_{k+1}} r ds = b h - (r_{k+1} - r_k + sigma dW~_k) / a,
     so the law of (r, int r, W) at the grid points is exact for any step size.
@@ -133,7 +133,10 @@ def simulate_short_rate(
     # Time-major (K, n) buffers: each step reads and writes whole rows, with
     # the elementwise operations, and so the bits, of a path-major loop.
     if sigma > 0.0:
-        z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps,)) if residuals is None else residuals
+        if residuals is None:
+            z = blocked_normals(batch.seed, PURPOSE_RATE_RESIDUALS, n, (k_steps,), first_row=batch.first_row)
+        else:
+            z = residuals
         g1 = np.ascontiguousarray((w * (c1 / h) + z * l11).T)
         del z
     else:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .market import row_blocks
+from .brownian import stream_blocks
 
 # The verdict bands, which no config changes: identities that hold exactly
 # up to rounding are held to IDENTITY_TOL, and Monte Carlo statistics to
@@ -24,32 +25,65 @@ class Estimate(NamedTuple):
     stderr: Any
 
 
-def mean_stderr(x: np.ndarray, axis: int = 0, refill: Optional[Callable[[], None]] = None) -> Estimate:
-    """Sample mean and standard error along an axis.
+class Moments(NamedTuple):
+    """Count, mean and sum of squared deviations from the mean of samples
+    along an axis, and each sample's value where it has zero range (nan
+    elsewhere): what a reduction over one block of paths keeps, so blocks
+    can be merged."""
 
-    A sample with zero range has stderr exactly 0; np.std gives it the
-    rounding error of the mean instead.  Only a stderr within rounding of
-    the mean can come from such a sample, so only then is the range taken,
-    and random samples take no extra pass.  Each sample along a contiguous
+    n: int
+    mean: Any
+    m2: Any
+    const: Any
+
+    def merge(self, other: Moments) -> Moments:
+        """The moments of both blocks' samples together, by the pairwise
+        update of Chan, Golub & LeVeque (1979)."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return Moments(
+            n,
+            self.mean + delta * (other.n / n),
+            self.m2 + other.m2 + delta * delta * (self.n * other.n / n),
+            np.where(self.const == other.const, self.const, np.nan),
+        )
+
+    def estimate(self) -> Estimate:
+        """Mean and standard error; a sample with zero range has stderr
+        exactly 0, where np.std gives it the rounding error of the mean."""
+        se = np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)
+        return Estimate(self.mean, se * np.isnan(self.const))
+
+
+def moments(x: np.ndarray, axis: int = 0) -> Moments:
+    """Moments of the samples along an axis, with numpy's _var steps:
+    np.mean, then subtract it, square and sum.
+
+    The range is taken only where the stderr is within rounding of the
+    mean, since only such a stderr can come from a sample with zero range,
+    so random samples take no extra pass.  Each sample along a contiguous
     axis gets the bits that a call on it alone gives, whichever other
-    samples trip the range check.
-
-    se is np.std's (numpy's _var steps: subtract the mean, square, sum,
-    divide by n - 1, sqrt), formed in a fresh array, or in x's own buffer
-    when refill, a function that writes the samples into x again, is given:
-    then no temporary of x's size is allocated, and the range check calls
-    refill first, so it reads the samples rather than their squares.
+    samples trip the range check.  A one-row sample has zero range, and no
+    n - 1 = 0 is divided by.
     """
     n = x.shape[axis]
     m = np.mean(x, axis=axis)
-    dev = np.subtract(x, np.expand_dims(m, axis), out=None if refill is None else x)
-    se = np.sqrt(np.sum(np.square(dev, out=dev), axis=axis) / (n - 1)) / np.sqrt(n)
+    dev = np.subtract(x, np.expand_dims(m, axis))
+    m2 = np.sum(np.square(dev, out=dev), axis=axis)
     del dev
-    if np.any(se <= n * np.finfo(float).eps * np.abs(m)):
-        if refill is not None:
-            refill()
-        se = se * (np.ptp(x, axis=axis) > 0)
-    return Estimate(m, se)
+    const = np.nan
+    if n == 1:
+        const = np.take(x, 0, axis=axis)
+    elif np.any(np.sqrt(m2 / (n - 1)) / np.sqrt(n) <= n * np.finfo(float).eps * np.abs(m)):
+        const = np.where(np.ptp(x, axis=axis) == 0, np.take(x, 0, axis=axis), np.nan)
+    return Moments(n, m, m2, const)
+
+
+def mean_stderr(x: np.ndarray, axis: int = 0) -> Estimate:
+    """Sample mean and standard error along an axis: the moments of x as
+    one block.  se has np.std's bits (ddof 1, over sqrt(n)), except that a
+    sample with zero range has se exactly 0."""
+    return moments(x, axis).estimate()
 
 
 def t_stat(gap, stderr, tol: float = IDENTITY_TOL):
@@ -65,20 +99,40 @@ def t_stat(gap, stderr, tol: float = IDENTITY_TOL):
 @dataclass(frozen=True)
 class DriftReport:
     """Per-interval and total sample drift of a process that should be a
-    (super)martingale, with standard errors and t statistics."""
+    (super)martingale, held as the moments of its increments across paths,
+    with standard errors and t statistics."""
 
-    times: np.ndarray             # (K+1,)
-    interval_drift: np.ndarray    # (K,) mean increment per interval
-    interval_stderr: np.ndarray   # (K,)
-    total_drift: float            # mean of terminal minus initial value
-    total_stderr: float
+    times: np.ndarray   # (K+1,)
+    intervals: Moments  # of each interval's increment, (K,)
+    totals: Moments     # of terminal minus initial value
+
+    def merge(self, other: DriftReport) -> DriftReport:
+        """The report on both blocks' paths together."""
+        return DriftReport(self.times, self.intervals.merge(other.intervals), self.totals.merge(other.totals))
+
+    @property
+    def interval_drift(self) -> np.ndarray:
+        return self.intervals.mean
+
+    @property
+    def interval_stderr(self) -> np.ndarray:
+        return self.intervals.estimate().stderr
+
+    @property
+    def total_drift(self) -> float:
+        return float(self.totals.mean)
+
+    @property
+    def total_stderr(self) -> float:
+        return float(self.totals.estimate().stderr)
 
     @property
     def interval_t(self) -> np.ndarray:
         # an interval without sampling error reads 0: its drift is then the
         # deterministic bias of the trapezoid rule, not a t statistic
+        stderr = self.interval_stderr
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(self.interval_stderr > 0, self.interval_drift / self.interval_stderr, 0.0)
+            t = np.where(stderr > 0, self.interval_drift / stderr, 0.0)
         return t
 
     @property
@@ -96,29 +150,15 @@ def interval_drift_report(
     """Drift statistics of a per-path process sampled at grid times.
 
     value_rows(b0, b1) gives rows b0:b1 of the (n_paths, K+1) values.  They
-    are asked for in row blocks, so the values are never held whole: only
-    their increments, in one (n_paths, K) buffer that the reduction reuses,
-    and the total change of each path.  Increments are averaged across
-    paths in path-index order (deterministic reduction).
+    are asked for in the blocks of the random streams (stream_blocks), and
+    each block is reduced to the moments of its increments and total
+    changes; the blocks are merged in order, so no array of n_paths rows is
+    held.  Up to one block the moments are mean_stderr's.
     """
     times = np.asarray(times, dtype=float)
-    increments = np.empty((n_paths, times.size - 1))
-    totals = np.empty(n_paths)
 
-    def fill() -> None:
-        for b0, b1 in row_blocks(n_paths):
-            values = value_rows(b0, b1)
-            np.subtract(values[:, 1:], values[:, :-1], out=increments[b0:b1])
-            np.subtract(values[:, -1], values[:, 0], out=totals[b0:b1])
-            del values  # freed before the next block is formed
+    def block(span: tuple[int, int]) -> DriftReport:
+        values = value_rows(*span)
+        return DriftReport(times, moments(values[:, 1:] - values[:, :-1]), moments(values[:, -1] - values[:, 0]))
 
-    fill()
-    total, total_se = mean_stderr(totals, axis=0)
-    drift, stderr = mean_stderr(increments, axis=0, refill=fill)
-    return DriftReport(
-        times=times,
-        interval_drift=drift,
-        interval_stderr=stderr,
-        total_drift=float(total),
-        total_stderr=float(total_se),
-    )
+    return functools.reduce(DriftReport.merge, map(block, stream_blocks(n_paths)))

@@ -3,6 +3,7 @@ import pytest
 
 from forward_yield import TimeGrid, make_grid, sample_brownian
 from forward_yield.brownian import PURPOSE_RATE_RESIDUALS, blocked_normals
+from forward_yield.errors import ConfigError
 
 
 def test_same_seed_reproduces_bit_exact():
@@ -99,17 +100,21 @@ def test_rejects_bad_shapes(dim, n_paths):
         sample_brownian(1, grid, dim=dim, n_paths=n_paths)
 
 
-def test_thread_cap_parses_garbage_as_one(monkeypatch):
+def test_thread_cap_clamps_to_cpu_count_and_rejects_garbage(monkeypatch):
+    # each thread holds a block of paths in flight, so the cap follows the cores
+    from forward_yield import brownian
     from forward_yield.brownian import thread_cap
 
+    monkeypatch.setattr(brownian, "_CPUS", 4)
     monkeypatch.delenv("FORWARD_YIELD_THREADS", raising=False)
     assert thread_cap() == 1
-    monkeypatch.setenv("FORWARD_YIELD_THREADS", "7")
-    assert thread_cap() == 7
-    monkeypatch.setenv("FORWARD_YIELD_THREADS", "lots")
-    assert thread_cap() == 1
-    monkeypatch.setenv("FORWARD_YIELD_THREADS", "-3")
-    assert thread_cap() == 1
+    for raw, cap in (("3", 3), ("4", 4), ("7", 4)):
+        monkeypatch.setenv("FORWARD_YIELD_THREADS", raw)
+        assert thread_cap() == cap
+    for raw in ("lots", "2.5", "", "0", "-3"):
+        monkeypatch.setenv("FORWARD_YIELD_THREADS", raw)
+        with pytest.raises(ConfigError, match="FORWARD_YIELD_THREADS"):
+            thread_cap()
 
 
 def test_rejects_bad_seed():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,13 @@ def test_thread_env_does_not_change_outputs(tmp_path, monkeypatch):
     assert (out_a / "ramsey_flat_curve.csv").read_bytes() == (out_b / "ramsey_flat_curve.csv").read_bytes()
 
 
+@pytest.mark.parametrize("raw", ["lots", "0", "-2"])
+def test_bad_thread_env_exits_2_naming_the_variable(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", raw)
+    assert run_cli("verify", "--paths", "200", "--out", str(tmp_path / "out")) == 2
+    assert "FORWARD_YIELD_THREADS" in capsys.readouterr().err
+
+
 def test_csv_and_json_numerically_identical(tmp_path):
     out_c, out_j = tmp_path / "c", tmp_path / "j"
     assert run_cli("forward-curve", "--paths", "4000", "--seed", "3", "--out", str(out_c), "--format", "csv") == 0
@@ -332,9 +340,9 @@ def test_horizon_draws_only_the_steps_to_t_common(tmp_path, monkeypatch):
     shapes = []
     draw = forward_yield.brownian.blocked_normals
 
-    def recording(seed, purpose, n_rows, row_shape, *args):
+    def recording(seed, purpose, n_rows, row_shape, *args, **kwargs):
         shapes.append(tuple(row_shape))
-        return draw(seed, purpose, n_rows, row_shape, *args)
+        return draw(seed, purpose, n_rows, row_shape, *args, **kwargs)
 
     monkeypatch.setattr(forward_yield.brownian, "blocked_normals", recording)
     cfg = tmp_path / "horizon.json"
@@ -439,17 +447,37 @@ def test_verify_without_consumption_passes_without_consumption_rows(tmp_path):
 
 
 def test_wall_clock_covers_simulation(tmp_path, monkeypatch):
-    simulate = cli.simulate_optimal
+    # verify simulates each block of paths through forward's block walker
+    simulate = forward_yield.forward.simulate_optimal
 
     def slow_simulate(*args, **kwargs):
         time.sleep(0.2)
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "simulate_optimal", slow_simulate)
+    monkeypatch.setattr(forward_yield.forward, "simulate_optimal", slow_simulate)
     out = tmp_path / "out"
     assert run_cli("verify", "--paths", "200", "--out", str(out)) in (0, 1)
     manifest = json.loads((out / "manifest_verify.json").read_text())
     assert manifest["wall_clock_s"] >= 0.2
+
+
+def test_verify_memory_does_not_grow_with_the_path_count(tmp_path):
+    # verify walks the 8192-row blocks of the streams one at a time, so four
+    # times the blocks must not add one block's five (rows, K+1) path arrays
+    from forward_yield.brownian import _BLOCK
+    from forward_yield.config import build_grid
+
+    block_paths = 5 * _BLOCK * (build_grid(load_config(None)).n_steps + 1) * 8
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        try:
+            out = str(tmp_path / f"blocks{blocks}")
+            assert run_cli("verify", "--paths", str(blocks * _BLOCK), "--out", out) in (0, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < block_paths
 
 
 def test_emit_table_empty_rows_header_only(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -27,7 +28,8 @@ from forward_yield import (
     simulate_optimal,
     wealth_paths,
 )
-from forward_yield.forward import strategy_steps, value_process
+from forward_yield.brownian import _BLOCK
+from forward_yield.forward import optimal_blocks, strategy_steps, value_process
 from forward_yield.stats import STAT_BAND
 
 E1, E2 = np.eye(2)
@@ -425,8 +427,9 @@ def _traced_peak(fn) -> int:
 
 
 def test_verify_checks_allocate_no_full_size_temporaries():
-    # the checks walk the paths in row blocks: the identities hold no
-    # path-sized array, and a drift row only its (n, K) increments
+    # the checks walk the paths in blocks of the streams and merge what each
+    # block reduces to, so neither the identities nor a drift row hold an
+    # array of n paths
     market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
     spec = default_spec()
     grid = make_grid(5.0, 20)
@@ -438,4 +441,40 @@ def test_verify_checks_allocate_no_full_size_temporaries():
         {"kappa": perturbed_kappa(spec, market, 0.15)},
         {"consumption": scaled_consumption(spec, 1.5)},
     ):
-        assert _traced_peak(lambda: consistency_drift_test(triple, **kwargs)) < 1.25 * size
+        assert _traced_peak(lambda: consistency_drift_test(triple, **kwargs)) < 0.5 * size
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_optimal_blocks_are_the_rows_of_the_whole_batch(monkeypatch, threads):
+    # the last block has one row; a Vasicek rate reads the residual stream too
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
+    n, seed = 2 * _BLOCK + 1, 29
+    market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
+    spec = default_spec()
+    grid = make_grid(1.0, 4)
+    whole = simulate_optimal(spec, market, grid, sample_brownian(seed, grid, dim=2, n_paths=n))
+
+    def paths(triple):
+        rates = triple.rate_paths
+        return triple.batch.first_row, (triple.x, triple.y, triple.zhat, rates.r, rates.integral)
+
+    first_rows, blocks = zip(*optimal_blocks(spec, market, grid, seed, n, paths))
+    assert first_rows == (0, _BLOCK, 2 * _BLOCK) and blocks[-1][0].shape[0] == 1
+    expected = (whole.x, whole.y, whole.zhat, whole.rate_paths.r, whole.rate_paths.integral)
+    for i, array in enumerate(expected):
+        assert np.array_equal(np.concatenate([block[i] for block in blocks]), array)
+    # merged in block order, the drift of the blocks is that of the whole triple
+    kappa = perturbed_kappa(spec, market, 0.15)
+    drifts = optimal_blocks(spec, market, grid, seed, n, lambda t: consistency_drift_test(t, kappa=kappa))
+    merged, reference = functools.reduce(lambda a, b: a.merge(b), drifts), consistency_drift_test(whole, kappa=kappa)
+    for field in DRIFT_FIELDS:
+        assert np.array_equal(getattr(merged, field), getattr(reference, field))
+
+
+def test_a_batch_starts_at_a_block_of_the_streams():
+    grid = make_grid(1.0, 4)
+    for first_row in (1, _BLOCK // 2, -_BLOCK):
+        with pytest.raises(ValueError, match="first_row"):
+            sample_brownian(3, grid, dim=2, n_paths=10, first_row=first_row)
+    later = sample_brownian(3, grid, dim=2, n_paths=5, first_row=_BLOCK)
+    assert np.array_equal(later.increments, sample_brownian(3, grid, dim=2, n_paths=_BLOCK + 5).increments[_BLOCK:])

@@ -1,6 +1,10 @@
+import functools
+import warnings
+
 import numpy as np
 
-from forward_yield.stats import interval_drift_report, mean_stderr, t_stat
+from forward_yield.brownian import _BLOCK
+from forward_yield.stats import Moments, interval_drift_report, mean_stderr, moments, t_stat
 
 
 def test_zero_range_sample_has_zero_stderr():
@@ -30,6 +34,14 @@ def _np_std_reference(x, axis=0):
     return m, se
 
 
+def _merged(x, sizes, axis=0):
+    """Moments of x's blocks of the given sizes along axis, merged in order."""
+    bounds = np.cumsum([0, *sizes])
+    assert bounds[-1] == x.shape[axis]
+    parts = [moments(np.take(x, np.arange(b0, b1), axis=axis), axis) for b0, b1 in zip(bounds[:-1], bounds[1:])]
+    return functools.reduce(Moments.merge, parts)
+
+
 def test_stderr_has_the_bits_of_np_std_in_a_fresh_or_in_place_buffer():
     eps = np.finfo(float).eps
     rng = np.random.default_rng(3)
@@ -45,11 +57,49 @@ def test_stderr_has_the_bits_of_np_std_in_a_fresh_or_in_place_buffer():
     ]
     for x, axis in samples:
         m_ref, se_ref = _np_std_reference(x, axis)
-        work = x.copy()
-        for m, se in (mean_stderr(x, axis), mean_stderr(work, axis, refill=lambda: np.copyto(work, x))):
+        before = x.copy()
+        # mean_stderr, and the moments of x as one block merged with nothing
+        for m, se in (mean_stderr(x, axis), _merged(x, [x.shape[axis]], axis).estimate()):
             assert np.array_equal(m, m_ref) and np.array_equal(se, se_ref)
+        assert np.array_equal(x, before)
     eps_row = mean_stderr(samples[1][0])[1]
     assert eps_row[0] == eps and eps_row[1] == 0.0
+
+
+def test_merged_blocks_match_the_whole_array():
+    # blocks of unequal sizes, the last of one row, against one two-pass
+    # reduction, for drifts some standard errors from 0 on several scales
+    rng = np.random.default_rng(11)
+    scale = np.array([1e-6, 1e-3, 1.0, 1e3, 1e6])
+    x = scale * (rng.standard_normal((4 * 1000 + 1, 5)) + np.array([0.0, 0.01, 0.05, 0.1, -0.1]))
+    m_ref, se_ref = mean_stderr(x)
+    for sizes in ([1000] * 4 + [1], [1, 2500, 1499, 1], [4001]):
+        m, se = _merged(x, sizes).estimate()
+        assert np.max(np.abs(m / se - m_ref / se_ref)) <= 1e-12
+        assert np.max(np.abs(se / se_ref - 1.0)) <= 1e-12
+
+
+def test_one_row_block_divides_by_nothing():
+    x = np.random.default_rng(2).standard_normal((9, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        one = moments(x[:1])
+        assert one.n == 1 and not one.m2.any() and np.array_equal(one.const, x[0])
+        m, se = _merged(x, [8, 1]).estimate()
+    assert np.all(se > 0)
+
+
+def test_column_equal_on_every_path_across_blocks_has_zero_stderr():
+    # blocks of different sizes round the mean of 0.1 differently, but the
+    # column has zero range, so its stderr is exactly 0
+    n = 3 * _BLOCK + 1
+    x = np.column_stack([np.full(n, 0.1), np.random.default_rng(4).standard_normal(n)])
+    _, se = _merged(x, [_BLOCK, _BLOCK, _BLOCK, 1]).estimate()
+    assert se[0] == 0.0 and se[1] > 0.0
+    # the same value in every block but one, which has zero range too
+    x[_BLOCK : 2 * _BLOCK, 0] = 0.2
+    _, se = _merged(x, [_BLOCK, _BLOCK, _BLOCK, 1]).estimate()
+    assert se[0] > 0.0
 
 
 def test_t_stat_without_sampling_error():
@@ -61,7 +111,9 @@ def test_t_stat_without_sampling_error():
 
 def test_deterministic_total_drift_is_detected():
     # every path loses the same amount: no sampling error, but the drift is real
-    values = np.tile(np.linspace(1.0, 0.9, 5), (10, 1))
-    report = interval_drift_report(lambda b0, b1: values[b0:b1], len(values), np.linspace(0.0, 1.0, 5))
-    assert report.total_stderr == 0.0
-    assert report.total_t == -np.inf
+    # in one block of the streams, and in three merged blocks
+    for n in (10, 2 * _BLOCK + 1):
+        values = np.tile(np.linspace(1.0, 0.9, 5), (n, 1))
+        report = interval_drift_report(lambda b0, b1: values[b0:b1], len(values), np.linspace(0.0, 1.0, 5))
+        assert report.total_stderr == 0.0 and not report.interval_stderr.any()
+        assert report.total_t == -np.inf
