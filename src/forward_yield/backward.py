@@ -313,7 +313,7 @@ def horizon_dependency_experiment(
     states = _states_at_common_date(spec, horizons, grid, batch, k_c)
 
     eta_k = np.atleast_2d(spec.market.risk_premium.values(grid.times[:k_c]))
-    h = grid.dt
+    widths = grid.widths[:k_c]
     gaps = []
     for i, ta in enumerate(horizons):
         for tb in horizons[i + 1 :]:
@@ -325,7 +325,7 @@ def horizon_dependency_experiment(
             na = np.atleast_2d(nu_a.values(grid.times[:k_c]))
             nb = np.atleast_2d(nu_b.values(grid.times[:k_c]))
             mart = np.einsum("nkd,kd->nk", batch.increments[:, :k_c, :], na - nb).sum(axis=1)
-            conv = 0.5 * (np.sum((na - eta_k) ** 2, axis=1) - np.sum((nb - eta_k) ** 2, axis=1)).sum() * h
+            conv = 0.5 * np.dot(np.sum((na - eta_k) ** 2, axis=1) - np.sum((nb - eta_k) ** 2, axis=1), widths)
             # the integrated-rate parts differ only through Gamma(. , t) for t <= t_common,
             # which is horizon-free; they cancel in the ratio
             predicted = np.exp(mart - conv)

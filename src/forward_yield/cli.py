@@ -68,7 +68,7 @@ from .forward import (
 )
 from .grids import DeterministicFn, TimeGrid, make_grid
 from .market import MarketModel
-from .stats import IDENTITY_TOL, STAT_BAND, mean_stderr, moments, t_stat
+from .stats import IDENTITY_TOL, STAT_BAND, control_variate_estimate, moments, t_stat
 from .tables import RunManifest
 
 CURVE_COLUMNS = ["tenor", "rate", "stderr", "method"]
@@ -256,20 +256,46 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     for row in detail_rows:
         row["mc_minus_gaussian_t"] = t_stat(row["mc_price"] - row["gaussian_price"], row["mc_stderr"])
     run.table("forward_curve_detail", detail_rows)
+    summary = {"max_abs_mc_vs_gaussian_t": max(abs(r["mc_minus_gaussian_t"]) for r in detail_rows)}
 
     if asof > 0.0:
         later = [(t, k) for t, k in zip(tenors, ks) if k > k_t]
-        prices, _ = marginal_zc_mc(triple, k_t, [k for _, k in later], inner_paths=inner_paths)
-        means, stderrs = mean_stderr(prices, axis=1)
+        inner, inner_plain = marginal_zc_mc(triple, k_t, [k for _, k in later], inner_paths=inner_paths)
+        # the outer control is each outer path's rate state, of known mean
+        rate_states = triple.rate_paths.r[: inner.mean.shape[1], k_t]
+        expected = triple.market.rate.expected_rate(triple.grid.times[k_t])
+        (means, stderrs), outer_plain = control_variate_estimate(inner.mean, rate_states, expected)
         nested = curve_from_prices(
             means, np.array([t for t, _ in later]), asof=asof, method="marginal_mc_nested", stderrs=stderrs
         )
         run.table("forward_curve_asof", _curve_rows(nested), columns=CURVE_COLUMNS)
+        # plain over controlled variance, per tenor, of each level's control
+        summary.update(
+            nested_tenors=[t for t, _ in later],
+            inner_variance_reduction=_variance_ratio(
+                np.sum(inner_plain.stderr**2, axis=1), np.sum(inner.stderr**2, axis=1)
+            ),
+            outer_variance_reduction=_variance_ratio(outer_plain.stderr**2, stderrs**2),
+        )
 
-    run.add_summary(max_abs_mc_vs_gaussian_t=max(abs(r["mc_minus_gaussian_t"]) for r in detail_rows))
+    run.add_summary(**summary)
     run.write()
     print(f"forward-curve: {len(detail_rows)} tenors written to {table}")
+    if asof > 0.0:
+        print(f"nested curve as of {asof:g}, variance reduction of the control variates (plain / controlled):")
+        for t, f_in, f_out in zip(
+            summary["nested_tenors"], summary["inner_variance_reduction"], summary["outer_variance_reduction"]
+        ):
+            print(f"  tenor {t:g}: inner {f_in:.4g}x, outer {f_out:.4g}x")
     return 0
+
+
+def _variance_ratio(plain: np.ndarray, controlled: np.ndarray) -> list[float]:
+    """Plain over controlled variance per tenor; 1 where both are 0, and inf
+    where only the controlled one is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(controlled > 0, plain / controlled, np.where(plain > 0, np.inf, 1.0))
+    return [float(r) for r in ratio]
 
 
 def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:

@@ -23,10 +23,10 @@ from .brownian import (
 from .errors import NumericalRangeError
 from .forward import OptimalTriple, PathRows
 from .grids import DeterministicFn, TimeGrid
-from .market import _LOG_ROWS, MarketModel, _dual_coeffs, _exact_log_paths, row_blocks
+from .market import _LOG_ROWS, MarketModel, _dual_coeffs, row_blocks
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
-from .stats import Estimate, mean_stderr, t_stat
+from .stats import Estimate, control_variate_estimate, mean_stderr, t_stat
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +247,11 @@ def marginal_zc_mc(
     k_mats: Sequence[int],
     inner_paths: int = 1024,
     max_outer: int = 256,
-) -> Estimate:
+) -> tuple[Estimate, Estimate]:
     """Conditional marginal-utility zero-coupon prices E[Y_T / Y_t | F_t] of
     the first min(max_outer, n_paths) outer paths, as (len(k_mats), n_outer)
-    arrays, one row per maturity index in k_mats.
+    arrays, one row per maturity index in k_mats: the estimate with the
+    control variate below, and the plain inner average for comparison.
 
     Each outer path is repriced by one inner simulation of ln Y restarted
     from its realized short rate at t, triple.rate_paths.r[:, k_t], and run
@@ -261,6 +262,13 @@ def marginal_zc_mc(
     at least one, run as one stack of rows; every row's operations are those
     of its own simulation, so the prices do not depend on the chunking.  The
     date-0 price is the plain average zc_price_mc(triple.y, 0, k_mat).
+
+    The control is the dual exponential martingale M = Y_T / Y_t e^{int_t^T r}:
+    the exponential of ln Y's (nu - eta) . dW terms and their
+    -|nu - eta|^2 / 2 drift, summed step by step as in the exact log scheme,
+    without the rate.  Its mean is exactly 1, and with nu = eta it is exactly
+    1 on every path, so the estimate is the plain average.  The ratio is
+    formed from it at the maturities only, as M e^{-int_t^T r}.
     """
     k_mats = list(k_mats)
     if not k_mats or min(k_mats) <= k_t:
@@ -276,8 +284,9 @@ def marginal_zc_mc(
     n_outer = min(max_outer, triple.n_paths)
     rate_states = triple.rate_paths.r[:n_outer, k_t]
     per_chunk = max(1, _LOG_ROWS // inner_paths)
-    prices = np.empty((len(k_mats), n_outer))
-    stderrs = np.empty((len(k_mats), n_outer))
+    controlled = Estimate(np.empty((len(k_mats), n_outer)), np.empty((len(k_mats), n_outer)))
+    plain = Estimate(np.empty((len(k_mats), n_outer)), np.empty((len(k_mats), n_outer)))
+    drift_steps = drift * sub.widths
     for i0 in range(0, n_outer, per_chunk):
         i1 = min(i0 + per_chunk, n_outer)
         n = (i1 - i0) * inner_paths
@@ -291,12 +300,21 @@ def marginal_zc_mc(
                 blocked_normals(seed, PURPOSE_RATE_RESIDUALS, inner_paths, z.shape[1:], out=z[span])
         batch = BrownianBatch(seed=triple.batch.seed, grid=sub, increments=_scale_to_widths(dw, sub))
         r0 = np.repeat(rate_states[i0:i1], inner_paths)
-        step_int = simulate_short_rate(rate, sub, batch, r0=r0, residuals=z).step_integrals()
-        y = _exact_log_paths(dw, vol, step_int, drift, sub.widths, 1.0, -1)
-        # transposed and row-indexed, so each (maturity, outer path) sample is contiguous
-        ratios = y.T[rows].reshape(len(rows), i1 - i0, inner_paths)
-        prices[:, i0:i1], stderrs[:, i0:i1] = mean_stderr(ratios, axis=2)
-    return Estimate(prices, stderrs)
+        integral = simulate_short_rate(rate, sub, batch, r0=r0, residuals=z).integral
+        # ln M with the log scheme's operations, net of the rate steps; summed
+        # time-major a whole row per step, as np.cumsum over the short step
+        # axis is several times slower, and so each (maturity, outer path)
+        # sample is contiguous
+        log_m = np.einsum("nkd,kd->kn", dw, vol)
+        log_m += drift_steps[:, None]
+        for k in range(1, sub.n_steps):
+            log_m[k] += log_m[k - 1]
+        shape = (len(rows), i1 - i0, inner_paths)
+        control = np.exp(log_m[[k - 1 for k in rows]]).reshape(shape)
+        ratios = control * np.exp(-integral.T[rows]).reshape(shape)
+        for out, part in zip((controlled, plain), control_variate_estimate(ratios, control, 1.0)):
+            out.mean[:, i0:i1], out.stderr[:, i0:i1] = part
+    return controlled, plain
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,41 @@ def mean_stderr(x: np.ndarray, axis: int = 0) -> Estimate:
     return moments(x, axis).estimate()
 
 
+def control_variate_estimate(y: np.ndarray, c: np.ndarray, mu) -> tuple[Estimate, Estimate]:
+    """Mean of y along its last axis with the control c, whose mean mu is
+    known exactly, and the plain estimate it improves on.
+
+    The controlled mean is ybar - beta (cbar - mu), with beta fitted on the
+    sample by least squares, and its stderr the residual sd with n - 2
+    degrees of freedom over sqrt(n) (Glasserman 2004, section 4.1); c
+    broadcasts against y.  The plain estimate has mean_stderr(y)'s bits
+    wherever y has nonzero range.  A sample of fewer than 3 values, or one
+    whose control has zero range, gets mean_stderr's bits for both: there
+    is nothing to fit, and no zero spread is divided by.
+    """
+    c = np.broadcast_to(c, y.shape)
+    n = y.shape[-1]
+    flat = np.ptp(c, axis=-1) == 0
+    if n < 3 or np.all(flat):
+        plain = mean_stderr(y, axis=-1)
+        return plain, plain
+    y_mean, c_mean = np.mean(y, axis=-1), np.mean(c, axis=-1)
+    dy, dc = y - y_mean[..., None], c - c_mean[..., None]
+    # moments' steps, so the plain stderr has mean_stderr's bits
+    syy = np.sum(np.square(dy), axis=-1)
+    plain = Moments(n, y_mean, syy, np.nan).estimate()
+    syc = np.einsum("...i,...i->...", dc, dy)
+    beta = syc / np.where(flat, 1.0, np.einsum("...i,...i->...", dc, dc))
+    # the residual sum of squares; it is rounding, and may read below 0,
+    # where the control fits y exactly
+    ssr = np.maximum(syy - beta * syc, 0.0)
+    controlled = Estimate(y_mean - beta * (c_mean - mu), np.sqrt(ssr / (n - 2)) / np.sqrt(n))
+    if np.any(flat):
+        fallback = mean_stderr(y, axis=-1)
+        plain, controlled = (Estimate(*np.where(flat, fallback, est)) for est in (plain, controlled))
+    return controlled, plain
+
+
 def t_stat(gap, stderr, tol: float = IDENTITY_TOL):
     """gap / stderr, elementwise.  A zero stderr means no sampling error: a
     gap within tol then reads 0, and a larger one reads +-inf."""

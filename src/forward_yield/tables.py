@@ -25,6 +25,8 @@ def _render(value: Any) -> Any:
         return round12(value)
     if hasattr(value, "item"):
         return _render(value.item())
+    if isinstance(value, list):
+        return [_render(v) for v in value]
     return value
 
 

@@ -186,6 +186,17 @@ def test_horizon_gap_positive_for_vasicek_orthogonal():
     assert gap.predicted_gap_residual < 1e-9
 
 
+def test_horizon_gap_predicted_on_a_non_uniform_grid():
+    # the convexity part of the predicted dual ratio steps over each width
+    times = np.concatenate([[0.0, 0.1, 0.5, 1.0, 2.0, 3.5], np.linspace(5.0, 50.0, 46)])
+    grid = TimeGrid.of_times(times)
+    spec = vasicek_orthogonal_spec()
+    batch = sample_brownian(1020, grid, dim=2, n_paths=2_000)
+    (gap,) = horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+    assert gap.max_rel_gap_y > 100 * np.finfo(float).eps
+    assert gap.predicted_gap_residual <= 1e-9
+
+
 def test_horizon_gap_in_wealth_when_hedgeable_part_present():
     market = incomplete_market()
     gamma = SyntheticSqrtGamma(c_r=4e-5, c_perp=4e-5, dir_r=E1, dir_perp=E2)

@@ -14,6 +14,7 @@ import forward_yield
 from forward_yield import cli
 from forward_yield.cli import main
 from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config
+from forward_yield.stats import mean_stderr
 from forward_yield.tables import emit_table
 
 
@@ -192,14 +193,14 @@ def test_zero_zhat_exits_2_with_named_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
-def _run_in_subprocess(tmp_path, command, overrides, **env_vars) -> subprocess.CompletedProcess:
-    """Run one subcommand at 2000 paths in a fresh interpreter, capturing its output."""
+def _run_in_subprocess(tmp_path, command, overrides, paths=2000, **env_vars) -> subprocess.CompletedProcess:
+    """Run one subcommand in a fresh interpreter, capturing its output."""
     cfg = tmp_path / "extreme.json"
     cfg.write_text(json.dumps(overrides))
     src = str(Path(forward_yield.__file__).parents[1])
     env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "forward_yield.cli", command, "--config", str(cfg), "--paths", "2000",
+        [sys.executable, "-m", "forward_yield.cli", command, "--config", str(cfg), "--paths", str(paths),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env,
     )
@@ -622,6 +623,95 @@ def test_reading_grid_tables_do_not_depend_on_n_steps(tmp_path, command, overrid
         tables.append(table_bytes(out))
     assert tables[0] == tables[1]
     assert len(tables[0]) >= 1
+
+
+def nested_closed_form(cfg: dict) -> dict[float, float]:
+    """Nested rate per tenor after output.asof: the closed-form conditional
+    price averaged over the Vasicek law of r_t by Gauss-Hermite, as a yield."""
+    from forward_yield.config import build_forward_spec, build_market
+    from forward_yield.curves import zc_price_gaussian
+
+    market = build_market(cfg)
+    rate, t = market.rate, float(cfg["output"]["asof"])
+    mean = float(rate.expected_rate(t))
+    std = rate.sigma * np.sqrt(-np.expm1(-2.0 * rate.a * t) / (2.0 * rate.a))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+    nu = build_forward_spec(cfg, market).nu_star
+    weights = weights / np.sqrt(2.0 * np.pi)
+    rates = {}
+    for tenor in (T for T in cfg["output"]["tenors"] if T > t):
+        price = np.dot(weights, zc_price_gaussian(market, nu, t, tenor, r_t=mean + std * nodes))
+        rates[tenor] = -float(np.log(price)) / (tenor - t)
+    return rates
+
+
+def test_outer_control_has_the_vasicek_mean():
+    # the rate state at the curve date is the outer control; its known mean
+    # must hold on the simulated reading grid, or the control would bias the curve
+    cfg = load_config(None)
+    cfg["output"].update(NESTED_CURVE["output"])
+    cfg["market"]["rate"]["r0"] = 0.05
+    cfg["simulation"]["n_paths"] = 20_000
+    configured = cli.build_grid(cfg)
+    read = cli.grid_indices(configured, cfg["output"]["tenors"] + [2.0], "output")
+    triple = cli._forward_triple(cfg, configured, read)
+    k_t = triple.grid.index_of(2.0)
+    mean, se = mean_stderr(triple.rate_paths.r[:, k_t])
+    assert se > 0
+    assert abs(mean - triple.market.rate.expected_rate(2.0)) <= 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "seed, rate",
+    [(1, {}), (314, {}), (2718, {}), (7, {"r0": 0.05})],
+    ids=["seed-1", "seed-314", "seed-2718", "r0-off-the-mean"],
+)
+def test_nested_rates_agree_with_closed_form(tmp_path, capsys, seed, rate):
+    # both control variates leave the nested curve unbiased: each rate lies
+    # within 4 of its stderrs from the closed form, and both levels report
+    # their variance reduction; with r0 != b the outer control's mean moves
+    # with the curve date
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**NESTED_CURVE, "market": {"rate": rate}}))
+    out = tmp_path / "out"
+    assert run_cli("forward-curve", "--config", str(cfg_path), "--paths", "2000", "--seed", str(seed), "--out", str(out)) == 0
+    cfg = load_config(cfg_path)
+    closed = nested_closed_form(cfg)
+    with (out / "forward_curve_asof.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["tenor"]) for r in rows] == sorted(closed)
+    for r in rows:
+        assert 0.0 < float(r["stderr"]) < 1e-4
+        assert abs(float(r["rate"]) - closed[float(r["tenor"])]) <= 4.0 * float(r["stderr"])
+    (summary,) = json.loads((out / "manifest_forward_curve.json").read_text())["summary"]
+    assert summary["nested_tenors"] == sorted(closed)
+    assert min(summary["inner_variance_reduction"]) > 50.0
+    assert min(summary["outer_variance_reduction"]) > 10.0
+    assert "tenor 3: inner" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "overrides, paths, level",
+    [
+        ({"market": {"rate": {"model": "constant", "r": 0.03}}}, 2000, "outer"),
+        ({"market": {"rate": {"sigma_r": 0.0}}}, 2000, "outer"),
+        ({"market": {"eta_r": [0.0, 0.0]}, "spec": {"nu_star": [0.0, 0.0]}}, 2000, "inner"),
+        ({"simulation": {"inner_paths": 2}}, 2000, "inner"),
+        ({}, 2, "outer"),
+    ],
+    ids=["constant-rate", "sigma-r-0", "nu-eta-0", "inner-paths-2", "paths-2"],
+)
+def test_nested_curve_where_a_control_has_nothing_to_fit(tmp_path, overrides, paths, level):
+    # a flat rate state, M = 1 on every path, or fewer than 3 samples: that
+    # level's estimate is the plain one, reached without dividing by zero
+    overrides = {**overrides, "output": {"asof": 2.0, "tenors": [3.0, 5.0]}}
+    proc = _run_in_subprocess(tmp_path, "forward-curve", overrides, paths=paths, PYTHONWARNINGS="error::RuntimeWarning")
+    assert proc.returncode == 0, proc.stderr
+    with (tmp_path / "out" / "forward_curve_asof.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all(np.isfinite(float(r["rate"])) for r in rows)
+    (summary,) = json.loads((tmp_path / "out" / "manifest_forward_curve.json").read_text())["summary"]
+    assert summary[f"{level}_variance_reduction"] == [1.0, 1.0]
 
 
 def test_nested_curve_steps_only_through_the_read_dates(tmp_path, monkeypatch):

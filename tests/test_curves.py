@@ -30,6 +30,7 @@ from forward_yield import (
     reading_grid,
     sample_brownian,
     simulate_optimal,
+    simulate_short_rate,
     solve_backward_vols,
     state_price_paths,
     zc_price_gaussian,
@@ -37,6 +38,9 @@ from forward_yield import (
 )
 from forward_yield.brownian import PURPOSE_INNER, substream_seed
 from forward_yield.curves import forward_marginal_consumption_paths, market_gamma
+from forward_yield import cli
+from forward_yield.config import build_grid, load_config
+from forward_yield.stats import control_variate_estimate, mean_stderr
 
 from gamma_fields import CustomGamma
 
@@ -219,7 +223,7 @@ def test_nested_conditional_prices_match_state_closed_form():
     batch = sample_brownian(1357, grid, dim=2, n_paths=64)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(7.0)
-    prices, stderrs = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=4096, max_outer=32)
+    (prices, stderrs), _ = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=4096, max_outer=32)
     closed = zc_price_gaussian(market, spec.nu_star, 2.0, 7.0, r_t=triple.rate_paths.r[:32, k_t])
     z = (prices[0] - closed) / stderrs[0]
     assert np.max(np.abs(z)) < 4.5
@@ -239,7 +243,7 @@ def test_nested_every_maturity_matches_state_closed_form():
     grid = triple.grid
     k_t = grid.index_of(2.0)
     k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
-    prices, stderrs = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
+    (prices, stderrs), _ = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
     assert prices.shape == stderrs.shape == (3, 32)
     for maturity, p, se in zip((3.0, 5.0, 7.0), prices, stderrs):
         closed = zc_price_gaussian(
@@ -267,7 +271,7 @@ def test_nested_table_coefficients_match_state_closed_form():
     triple = simulate_optimal(spec, market, grid, sample_brownian(2468, grid, dim=2, n_paths=64))
     k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
     k_t = grid.index_of(2.0)
-    prices, stderrs = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
+    (prices, stderrs), _ = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
     for maturity, p, se in zip((3.0, 5.0, 7.0), prices, stderrs):
         closed = zc_price_gaussian(market, spec.nu_star, 2.0, maturity, r_t=triple.rate_paths.r[:32, k_t])
         z = (p - closed) / se
@@ -275,24 +279,78 @@ def test_nested_table_coefficients_match_state_closed_form():
         assert abs(np.mean(z)) < 1.0
 
 
+def inner_controls(triple, k_t, k_mats, monkeypatch, inner_paths=1024, max_outer=64):
+    """The control of every inner path, (len(k_mats), max_outer * inner_paths),
+    as marginal_zc_mc hands it to the control-variate estimator."""
+    import forward_yield.curves as curves
+
+    seen = []
+    original = curves.control_variate_estimate
+
+    def recording(y, c, mu):
+        assert mu == 1.0
+        seen.append(c)
+        return original(y, c, mu)
+
+    monkeypatch.setattr(curves, "control_variate_estimate", recording)
+    marginal_zc_mc(triple, k_t, k_mats, inner_paths=inner_paths, max_outer=max_outer)
+    return np.concatenate(seen, axis=1).reshape(len(k_mats), -1)
+
+
+def test_inner_control_has_mean_one_at_the_default_config(monkeypatch):
+    # M = Y_T / Y_t e^{int r} is an exponential martingale: its known mean
+    # 1 must hold on the simulated paths, or the control would bias the curve
+    cfg = load_config(None)
+    configured = build_grid(cfg)
+    read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 10.0)]
+    triple = cli._forward_triple({**cfg, "simulation": {**cfg["simulation"], "n_paths": 64}}, configured, read)
+    grid = triple.grid
+    controls = inner_controls(triple, grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 10.0)], monkeypatch)
+    mean, se = mean_stderr(controls, axis=1)
+    assert np.all(se > 0)
+    assert np.all(np.abs(mean - 1.0) <= 4.0 * se)
+
+
+def test_inner_control_has_mean_one_across_a_coefficient_knot(monkeypatch):
+    # nu jumps at 3.5, between the read dates 3 and 5: each inner step must
+    # carry the coefficient of its own date for the mean to stay 1
+    market = incomplete_vasicek_market(sigma=0.05)
+    spec = ForwardPowerSpec(
+        alpha=0.5,
+        kappa_star=DeterministicFn.constant(np.array([0.2, 0.0])),
+        nu_star=DeterministicFn.table([0.0, 3.5], [[0.0, -0.2], [0.0, 0.8]]),
+        psi_hat=DeterministicFn.constant(0.05),
+    )
+    configured = make_grid(10.0, 40)
+    read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 7.0)]
+    grid = reading_grid(spec, market, configured, read)
+    assert 3.5 in grid.times
+    triple = simulate_optimal(spec, market, grid, sample_brownian(2469, grid, dim=2, n_paths=64))
+    controls = inner_controls(triple, grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 7.0)], monkeypatch)
+    mean, se = mean_stderr(controls, axis=1)
+    assert np.all(np.abs(mean - 1.0) <= 4.0 * se)
+
+
 def test_nested_last_maturity_equals_single_maturity_call():
     triple = nested_triple()
     grid = triple.grid
     k_t, k_mats = grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
-    many = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=8)
-    single = marginal_zc_mc(triple, k_t, k_mats[-1:], inner_paths=256, max_outer=8)
-    assert np.array_equal(many.mean[-1:], single.mean)
-    assert np.array_equal(many.stderr[-1:], single.stderr)
+    many, many_plain = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=8)
+    single, single_plain = marginal_zc_mc(triple, k_t, k_mats[-1:], inner_paths=256, max_outer=8)
+    for a, b in ((many, single), (many_plain, single_plain)):
+        assert np.array_equal(a.mean[-1:], b.mean)
+        assert np.array_equal(a.stderr[-1:], b.stderr)
 
 
 def test_nested_outer_prices_independent_of_max_outer():
     triple = nested_triple()
     grid = triple.grid
     k_t, k_mats = grid.index_of(2.0), [grid.index_of(4.0), grid.index_of(6.0)]
-    small = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=4)
-    large = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=12)
-    assert np.array_equal(small.mean, large.mean[:, :4])
-    assert np.array_equal(small.stderr, large.stderr[:, :4])
+    small, small_plain = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=4)
+    large, large_plain = marginal_zc_mc(triple, k_t, k_mats, inner_paths=256, max_outer=12)
+    for a, b in ((small, large), (small_plain, large_plain)):
+        assert np.array_equal(a.mean, b.mean[:, :4])
+        assert np.array_equal(a.stderr, b.stderr[:, :4])
 
 
 def test_nested_maturities_must_follow_the_pricing_date():
@@ -581,8 +639,10 @@ def test_davis_call_against_two_lognormal_oracle():
 )
 def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_outer, threads, monkeypatch):
     # the nested price of the unit claim is, outer path by outer path, the
-    # inner average of the public state-price simulation restarted from the
-    # realized short rate on the derived inner stream
+    # controlled inner average over the derived inner stream: the control is
+    # the public state-price simulation on a zero short rate, and the ratio
+    # discounts it by the integral of the short rate restarted from its
+    # realized value
     monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
     market = incomplete_vasicek_market()
     if rate is not None:
@@ -592,44 +652,46 @@ def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_ou
     batch = sample_brownian(2470, grid, dim=2, n_paths=32)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(6.0)
-    prices, _ = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=inner_paths, max_outer=n_outer)
+    controlled, plain = marginal_zc_mc(triple, k_t, [k_mat], inner_paths=inner_paths, max_outer=n_outer)
 
     sub = TimeGrid(grid.times[k_mat] - grid.times[k_t], k_mat - k_t)
-    expected = np.empty(n_outer)
+    expected = np.empty((3, n_outer))
     for i in range(n_outer):
         seed = int(substream_seed(2470, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
-        inner_market = market
-        if isinstance(market.rate, VasicekRate):
-            inner_market = replace(market, rate=replace(market.rate, r0=float(triple.rate_paths.r[i, k_t])))
-        inner = state_price_paths(inner_market, sub, sample_brownian(seed, sub, 2, inner_paths), nu=spec.nu_star)
-        expected[i] = np.mean(inner[:, -1])
-    assert np.array_equal(prices[0], expected)
+        inner = sample_brownian(seed, sub, 2, inner_paths)
+        zero_rate = simulate_short_rate(ConstantRate(0.0), sub, inner)
+        control = state_price_paths(market, sub, inner, nu=spec.nu_star, rate_paths=zero_rate)[:, -1]
+        rates = simulate_short_rate(market.rate, sub, inner, r0=triple.rate_paths.r[i, k_t])
+        ratio = control * np.exp(-rates.integral[:, -1])
+        (expected[0, i], expected[1, i]), (expected[2, i], _) = control_variate_estimate(ratio, control, 1.0)
+    assert np.array_equal(controlled.mean[0], expected[0])
+    assert np.array_equal(controlled.stderr[0], expected[1])
+    assert np.array_equal(plain.mean[0], expected[2])
 
 
 @pytest.mark.parametrize(
     "inner_paths, n_outer", [(64, 40), (3000, 2)], ids=["many-outer-paths-per-chunk", "inner-paths-above-chunk"]
 )
 def test_nested_simulates_each_inner_row_once_in_chunks(inner_paths, n_outer, monkeypatch):
-    # only ln Y is simulated inside, n_outer * inner_paths rows in stacks of
-    # at most max(chunk, inner_paths) rows; no inner wealth paths
+    # n_outer * inner_paths inner rows, each simulated once, in stacks of at
+    # most max(chunk, inner_paths) rows
     import forward_yield.curves as curves
 
     calls = []
-    original = curves._exact_log_paths
+    original = curves.simulate_short_rate
 
-    def recording(increments, vol, rate_steps, drift, widths, level0, rate_sign):
-        calls.append((increments.shape[0], rate_steps.shape[0], rate_sign))
-        return original(increments, vol, rate_steps, drift, widths, level0, rate_sign)
+    def recording(model, grid, batch, **kwargs):
+        calls.append(batch.n_paths)
+        return original(model, grid, batch, **kwargs)
 
     triple = nested_triple()
     grid = triple.grid
-    monkeypatch.setattr(curves, "_exact_log_paths", recording)
+    monkeypatch.setattr(curves, "simulate_short_rate", recording)
     k_mats = [grid.index_of(t) for t in (3.0, 5.0)]
     marginal_zc_mc(triple, grid.index_of(2.0), k_mats, inner_paths=inner_paths, max_outer=n_outer)
     rows = n_outer * inner_paths
-    assert sum(n for n, _, _ in calls) == rows
-    assert all(n == n_rate and sign == -1 for n, n_rate, sign in calls)
-    assert max(n for n, _, _ in calls) <= max(curves._LOG_ROWS, inner_paths)
+    assert sum(calls) == rows
+    assert max(calls) <= max(curves._LOG_ROWS, inner_paths)
     assert len(calls) <= -(-rows // curves._LOG_ROWS)
 
 

@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 
 from forward_yield.brownian import _BLOCK
-from forward_yield.stats import Moments, interval_drift_report, mean_stderr, moments, t_stat
+from forward_yield.stats import (
+    Moments,
+    control_variate_estimate,
+    interval_drift_report,
+    mean_stderr,
+    moments,
+    t_stat,
+)
 
 
 def test_zero_range_sample_has_zero_stderr():
@@ -117,3 +124,74 @@ def test_deterministic_total_drift_is_detected():
         report = interval_drift_report(lambda b0, b1: values[b0:b1], len(values), np.linspace(0.0, 1.0, 5))
         assert report.total_stderr == 0.0 and not report.interval_stderr.any()
         assert report.total_t == -np.inf
+
+
+# ---------------------------------------------------------------------------
+# control variates
+
+
+def _bits(estimate):
+    return tuple(np.asarray(v).tobytes() for v in estimate)
+
+
+def test_control_variate_matches_the_regression_estimator():
+    # y = 2 + 3 c + noise with E[c] = 0.5 known: ybar - beta (cbar - 0.5),
+    # beta the least-squares slope, stderr the residual sd (n - 2) over sqrt(n)
+    rng = np.random.default_rng(11)
+    c = rng.random(5000)
+    y = 2.0 + 3.0 * c + 0.01 * rng.standard_normal(5000)
+    (mean, se), plain = control_variate_estimate(y, c, 0.5)
+    beta, intercept = np.polyfit(c, y, 1)
+    resid = y - (intercept + beta * c)
+    assert abs(mean - (intercept + beta * 0.5)) < 1e-12
+    assert abs(se - np.sqrt(resid @ resid / 4998) / np.sqrt(5000)) < 1e-9 * se
+    assert _bits(plain) == _bits(mean_stderr(y))
+    assert se < plain.stderr / 50
+
+
+def test_control_variate_reduces_each_row_of_the_last_axis_alone():
+    rng = np.random.default_rng(12)
+    c = rng.random((3, 4, 200))
+    y = np.exp(c) + 0.1 * rng.standard_normal(c.shape)
+    (mean, se), _ = control_variate_estimate(y, c, 0.5)
+    assert mean.shape == se.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        row, _ = control_variate_estimate(y[i, j], c[i, j], 0.5)
+        assert abs(mean[i, j] - row.mean) < 1e-14 and abs(se[i, j] - row.stderr) < 1e-14 * row.stderr
+    # a control shared by the rows broadcasts along the last axis
+    shared, _ = control_variate_estimate(y[:, 0], c[0, 0], 0.5)
+    assert abs(shared.mean[0] - control_variate_estimate(y[0, 0], c[0, 0], 0.5)[0].mean) < 1e-14
+
+
+def test_control_variate_with_zero_range_control_is_the_plain_estimate():
+    # a constant rate state, or M = 1 on every path: nothing to fit, and
+    # no zero spread divided by
+    y = np.random.default_rng(13).standard_normal((2, 500))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (np.full(500, 0.1), np.ones((2, 500))):
+            controlled, plain = control_variate_estimate(y, c, 0.1)
+            assert _bits(controlled) == _bits(plain) == _bits(mean_stderr(y, axis=-1))
+
+
+def test_control_variate_flat_in_some_rows_only():
+    # the control is flat for the first row alone: that row keeps the plain
+    # bits, the other its regression estimate
+    rng = np.random.default_rng(14)
+    c = np.stack([np.ones(300), rng.random(300)])
+    y = c + 0.01 * rng.standard_normal((2, 300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (mean, se), _ = control_variate_estimate(y, c, np.array([1.0, 0.5]))
+    assert _bits((mean[0], se[0])) == _bits(mean_stderr(y[0]))
+    assert _bits((mean[1], se[1])) == _bits(control_variate_estimate(y[1], c[1], 0.5)[0])
+
+
+def test_control_variate_below_three_samples_is_the_plain_estimate():
+    # a slope and a mean leave no degree of freedom with n = 2
+    y = np.array([[0.3, 0.7], [1.0, 1.5]])
+    c = np.array([[0.1, 0.2], [0.4, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        controlled, plain = control_variate_estimate(y, c, 0.0)
+    assert _bits(controlled) == _bits(plain) == _bits(mean_stderr(y, axis=-1))
