@@ -66,14 +66,15 @@ class VasicekGamma:
 
         The closed form of G cancels catastrophically as a tau -> 0 (its
         relative error grows like 2e-16 / x^3), so below the cutoff G comes
-        from its Taylor series."""
+        from its Taylor series.  An overflow reads inf, with numpy's warning,
+        where Python's float power would raise OverflowError."""
         tau = t_mat - t
         a, sig = self.a, self.sigma_r
         if a * tau < _INT_SQ_SERIES_BELOW:
             return sig * sig * tau**3 * float(np.polyval(_INT_SQ_SERIES, a * tau))
         e1 = 1.0 - np.exp(-a * tau)
         e2 = 1.0 - np.exp(-2.0 * a * tau)
-        return (sig / a) ** 2 * (tau - 2.0 * e1 / a + e2 / (2.0 * a))
+        return np.float64(sig / a) ** 2 * (tau - 2.0 * e1 / a + e2 / (2.0 * a))
 
     def limit_sq_rate(self) -> tuple[float, float]:
         # |Gamma| is bounded, so |Gamma|^2 / (T - s) -> 0

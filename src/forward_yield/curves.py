@@ -455,7 +455,11 @@ def long_rate(
             tilt = np.sum(g * (nu_vals(s) - np.atleast_2d(risk_premium.values(np.atleast_1d(s)))), axis=1)
             return drift + tilt
 
-        correction = gauss_legendre(integrand, 0.0, t_last, n=256) if t_last > 0 else 0.0
+        # an overflow of Gamma is reported below, or by the projection in nu_vals
+        with np.errstate(over="ignore", invalid="ignore"):
+            correction = gauss_legendre(integrand, 0.0, t_last, n=256) if t_last > 0 else 0.0
+        if not np.isfinite(correction):
+            raise NumericalRangeError(f"long_rate: Gamma left the range of double precision at tenor {t_mat:g}")
         expected[idx] = l0 + correction / (t_mat - t_last)
     return LongRateReport(
         mode=mode,

@@ -50,8 +50,9 @@ class Moments(NamedTuple):
 
     def estimate(self) -> Estimate:
         """Mean and standard error; a sample with zero range has stderr
-        exactly 0, where np.std gives it the rounding error of the mean."""
-        se = np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)
+        exactly 0, where np.std gives it the rounding error of the mean; so
+        does one sample, whose n - 1 = 0 is not divided by."""
+        se = np.sqrt(self.m2 / max(self.n - 1, 1)) / np.sqrt(self.n)
         return Estimate(self.mean, se * np.isnan(self.const))
 
 

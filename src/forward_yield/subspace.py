@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubspaceViolationError
+from .errors import NumericalRangeError, SubspaceViolationError
 
 _ORTHO_TOL = 1e-12
 
@@ -68,7 +68,7 @@ class SubspaceR:
         if v.shape[-1] != self.dim:
             raise ValueError(f"vector has dimension {v.shape[-1]}, expected {self.dim}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("cannot project non-finite vectors")
+            raise NumericalRangeError("cannot project non-finite vectors")
         if self.basis.shape[0] == 0:
             v_in = np.zeros_like(v)
         else:

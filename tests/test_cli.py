@@ -193,6 +193,35 @@ def test_zero_zhat_exits_2_with_named_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+EXTREME = {"market": {"eta_r": [40, 0]}, "spec": {"kappa_star": [40, 0]}}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        # wealth overflows and the state-price density underflows: Zhat = 0 * inf is nan
+        ("davis", EXTREME, "Zhat must be strictly positive and finite"),
+        ("verify", EXTREME, "Zhat must be strictly positive and finite"),
+        # a h far below the least at which the integral of r keeps its precision
+        ("forward-curve", {"market": {"rate": {"a": 1e-16}}}, "market.rate.a"),
+        ("verify", {"market": {"rate": {"a": 1e-13}}}, "market.rate.a"),
+        # rate paths of this size overflow wealth before the closed-form variance overflows
+        ("forward-curve", {"market": {"rate": {"sigma_r": 2e154}}}, "left the range of double precision"),
+        (
+            "long-rate",
+            {"spec": {"gamma": {"model": "synthetic_sqrt", "c_r": 1e307, "c_perp": 0.0}}},
+            "long_rate: Gamma left the range of double precision",
+        ),
+    ],
+    ids=["davis-eta40", "verify-eta40", "forward-curve-a1e-16", "verify-a1e-13", "sigma-r-2e154", "gamma-c-r-1e307"],
+)
+def test_out_of_range_config_exits_2_with_named_error(tmp_path, command, overrides, message):
+    proc = _run_in_subprocess(tmp_path, command, overrides, PYTHONWARNINGS="error::RuntimeWarning")
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _run_in_subprocess(tmp_path, command, overrides, paths=2000, **env_vars) -> subprocess.CompletedProcess:
     """Run one subcommand in a fresh interpreter, capturing its output."""
     cfg = tmp_path / "extreme.json"

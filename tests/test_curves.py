@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from forward_yield import (
 )
 from forward_yield.brownian import PURPOSE_INNER, substream_seed
 from forward_yield.curves import forward_marginal_consumption_paths, market_gamma
+from forward_yield.errors import NumericalRangeError
 from forward_yield import cli
 from forward_yield.config import build_grid, load_config
 from forward_yield.stats import control_variate_estimate, mean_stderr
@@ -403,6 +405,19 @@ def test_curve_from_prices_roundtrip():
         curve_from_prices(np.array([-0.1]), np.array([1.0]))
     with pytest.raises(ValueError):
         curve_from_prices(np.array([0.9, 0.8]), np.array([2.0, 1.0]))
+
+
+def test_closed_form_variance_overflow_reaches_the_curve_range_check():
+    # (sigma_r / a)^2 overflows: the price reads inf, without an OverflowError
+    # or a warning, and the curve names it
+    market = incomplete_vasicek_market(sigma=2e154)
+    with np.errstate(over="ignore"):
+        assert market_gamma(market).int_sq(0.0, 5.0) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        price = float(zc_price_gaussian(market, None, 0.0, 5.0))
+    with pytest.raises(NumericalRangeError, match="gaussian_closed: rates are not finite"):
+        curve_from_prices(np.array([price]), np.array([5.0]), method="gaussian_closed")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from forward_yield import (
     simulate_short_rate,
 )
 from forward_yield.brownian import PURPOSE_RATE_RESIDUALS, blocked_normals
+from forward_yield.errors import NumericalRangeError
 
 E2 = np.eye(2)[1]
 
@@ -220,3 +221,17 @@ def test_vasicek_validation():
         VasicekRate(a=0.0, b=0.0, sigma=0.1, r0=0.0, w_dir=np.array([1.0]))
     with pytest.raises(ValueError):
         VasicekRate(a=1.0, b=0.0, sigma=0.1, r0=0.0, w_dir=np.array([1.0, 1.0]))
+
+
+def test_mean_reversion_too_slow_for_the_step_integral_is_refused_by_name():
+    # below a h = 1e-8 the step integrals of r cancel to rounding error; one
+    # short step is enough, and a = 1e-7 on quarterly steps still runs
+    grid = make_grid(10.0, 40)
+    batch = sample_brownian(3, grid, dim=2, n_paths=10)
+    uneven = TimeGrid.of_times([0.0, 1e-3, 10.0])
+    for a, on in ((1e-9, grid), (1e-13, grid), (1e-6, uneven)):
+        model = VasicekRate(a=a, b=0.03, sigma=0.02, r0=0.03, w_dir=E2)
+        with pytest.raises(NumericalRangeError, match="market.rate.a"):
+            simulate_short_rate(model, on, sample_brownian(3, on, dim=2, n_paths=10))
+    slow = VasicekRate(a=1e-7, b=0.03, sigma=0.02, r0=0.03, w_dir=E2)
+    assert np.all(np.isfinite(simulate_short_rate(slow, grid, batch).integral))

@@ -96,6 +96,13 @@ def test_one_row_block_divides_by_nothing():
     assert np.all(se > 0)
 
 
+def test_one_sample_has_zero_stderr_and_divides_by_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, se = mean_stderr(np.array([0.7]))
+    assert m == 0.7 and se == 0.0
+
+
 def test_column_equal_on_every_path_across_blocks_has_zero_stderr():
     # blocks of different sizes round the mean of 0.1 differently, but the
     # column has zero range, so its stderr is exactly 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forward_yield import SubspaceR
+from forward_yield import NumericalRangeError, SubspaceR
 
 TOL = 1e-12
 
@@ -90,3 +90,10 @@ def test_complement_direction_is_unit_and_orthogonal():
     assert s.orthogonal_to(d, tol=TOL)
     with pytest.raises(ValueError):
         SubspaceR.full(2).complement_direction()
+
+
+def test_projection_of_non_finite_vectors_is_a_range_error():
+    sub = SubspaceR.axes(2, [0])
+    for bad in ([np.inf, 0.0], [np.nan, 1.0]):
+        with pytest.raises(NumericalRangeError, match="non-finite"):
+            sub.project(np.array(bad))
