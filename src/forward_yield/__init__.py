@@ -9,6 +9,7 @@ from .backward import (
     rate_integral_paths,
     solve_backward_vols,
     terminal_constraint_check,
+    terminal_product,
 )
 from .brownian import BrownianBatch, sample_brownian
 from .curves import (

@@ -15,9 +15,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .brownian import BrownianBatch
+from .brownian import BrownianBatch, stream_blocks
 from .grids import DeterministicFn, TimeGrid
-from .forward import _pair_coeffs, _pair_paths
+from .forward import _pair_coeffs, _pair_paths, _require_in_range
 from .market import MarketModel
 
 
@@ -195,11 +195,15 @@ def rate_integral_paths(spec: BackwardSpec, grid: TimeGrid, batch: BrownianBatch
         g[:k, k - 1, :] = spec.gamma.vectors(times[:k], times[k])
     inc = batch.increments.reshape(batch.n_paths, -1)           # (n, K*dim)
     g_mat = g.transpose(0, 2, 1).reshape(-1, k_steps)           # (K*dim, K)
-    stochastic = inc @ g_mat                                     # (n, K)
     out = np.empty((batch.n_paths, k_steps + 1))
     out[:, 0] = 0.0
+    # BLAS picks its kernel by the size of a product, and kernels round a
+    # row's sum differently; formed per block of the streams, a row gets the
+    # same bits in a block's batch as in a batch of all the blocks
+    for b0, b1 in stream_blocks(batch.n_paths):
+        np.matmul(inc[b0:b1], g_mat, out=out[b0:b1, 1:])        # (rows, K)
     rate = spec.market.rate
-    out[:, 1:] = np.asarray(rate.integral_mean(rate.r0, times[1:]), dtype=float) - stochastic
+    np.subtract(np.asarray(rate.integral_mean(rate.r0, times[1:]), dtype=float), out[:, 1:], out=out[:, 1:])
     return out
 
 
@@ -216,13 +220,16 @@ def backward_optimal_paths(
 
     solve_backward_vols(spec) gives the optimal control; any other, e.g. the
     solution of a different horizon, is deliberately inconsistent, for the
-    constraint check.
+    constraint check.  Raises NumericalRangeError when x or y is not finite
+    and > 0 on some path and date.
     """
     if grid.horizon < spec.t_horizon - 1e-12:
         raise ValueError("grid horizon must cover the optimization horizon")
     coeffs = _pair_coeffs(spec.market, grid, kappa, nu)
     step_int = np.diff(rate_integral_paths(spec, grid, batch), axis=1)
-    return _pair_paths(coeffs, grid, batch.increments, step_int)
+    x, y = _pair_paths(coeffs, grid, batch.increments, step_int)
+    _require_in_range("Xstar and Ystar", x, y)
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -234,11 +241,16 @@ class TerminalConstraintReport:
     max_abs_dev: float    # max |value / mean - 1|
 
 
-def terminal_constraint_check(spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.ndarray) -> TerminalConstraintReport:
-    """Dispersion of the terminal product of backward paths (x, y) on grid;
-    ~1e-15 for the consistent control."""
+def terminal_product(spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ystar (Xstar)^alpha at the horizon of backward paths (x, y) on grid,
+    one value per path."""
     k_h = grid.index_of(spec.t_horizon)
-    z = y[:, k_h] * np.power(x[:, k_h], spec.alpha)
+    return y[:, k_h] * np.power(x[:, k_h], spec.alpha)
+
+
+def terminal_constraint_check(z: np.ndarray) -> TerminalConstraintReport:
+    """Dispersion of the terminal products z of all paths (terminal_product);
+    ~1e-15 for the consistent control."""
     mean = float(np.mean(z))
     return TerminalConstraintReport(
         constant=mean,
@@ -257,6 +269,16 @@ class HorizonGap:
     max_rel_gap_x: float
     max_rel_gap_y: float
     predicted_gap_residual: float  # |simulated / predicted - 1| for the dual ratio
+
+    def merge(self, other: HorizonGap) -> HorizonGap:
+        """The gaps over the paths of two blocks: the larger of each, nan
+        where either is nan (np.maximum; Python's max may drop a nan)."""
+        return replace(
+            self,
+            max_rel_gap_x=float(np.maximum(self.max_rel_gap_x, other.max_rel_gap_x)),
+            max_rel_gap_y=float(np.maximum(self.max_rel_gap_y, other.max_rel_gap_y)),
+            predicted_gap_residual=float(np.maximum(self.predicted_gap_residual, other.predicted_gap_residual)),
+        )
 
 
 def _states_at_common_date(
@@ -285,7 +307,9 @@ def _states_at_common_date(
         nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
         h_grid = grid.prefix(grid.index_of(t_h))
         x, y = _pair_paths(_pair_coeffs(spec.market, h_grid, kappa, nu), h_grid, sim_batch.increments, step_int)
-        states[t_h] = (nu, x[:, k_c], y[:, k_c])
+        _require_in_range("Xstar and Ystar", x, y)
+        # copies, so the paths of one horizon are freed before the next is simulated
+        states[t_h] = (nu, x[:, k_c].copy(), y[:, k_c].copy())
     return states
 
 
@@ -304,7 +328,14 @@ def horizon_dependency_experiment(
     intermediate date; with maturity-free Gamma the gap is exactly zero.
     Only [0, t_common] is simulated, and batch may hold just those steps of
     grid; the states at t_common match those simulated on each horizon's
-    whole grid up to the rounding of the rate-integral sums.
+    whole grid up to the rounding of the rate-integral sums.  Each
+    horizon's wealth and dual paths are scanned as backward_optimal_paths
+    scans them, before any gap is formed.
+
+    Every gap and residual is a max over the paths of batch, so batch may be
+    one block of the streams (brownian.map_blocks): the blocks' gaps,
+    merged in block order by HorizonGap.merge, are those of the whole batch
+    bit for bit, while the paths held are one block's.
     """
     if len(horizons) < 2:
         raise ValueError("need at least two horizons")

@@ -111,6 +111,21 @@ def blocked_normals(
     return out
 
 
+def map_blocks(fn: Callable[[BrownianBatch], _R], seed: int, grid: TimeGrid, dim: int, n_paths: int) -> Iterator[_R]:
+    """fn of the batch of each block of the seed's streams
+    (stream_blocks(n_paths)), in block order.  A block's batch starts at its
+    first row, so it holds, bit for bit, those rows of the batch that
+    sample_brownian draws for all n_paths.  Blocks run on up to thread_cap()
+    threads with at most that many in flight, so the paths held are that
+    many blocks, not n_paths rows; fn should return a reduction of its block."""
+
+    def block(span: tuple[int, int]) -> _R:
+        b0, b1 = span
+        return fn(sample_brownian(seed, grid, dim, b1 - b0, first_row=b0))
+
+    return ordered_map(block, stream_blocks(n_paths))
+
+
 def substream_seed(seed: int, *tags: int) -> np.random.SeedSequence:
     """Seed for a derived stream (e.g. one inner simulation per outer path)."""
     return np.random.SeedSequence(entropy=(_check_seed(seed),) + tuple(int(t) for t in tags))

@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from .backward import (
     horizon_dependency_experiment,
     solve_backward_vols,
     terminal_constraint_check,
+    terminal_product,
 )
-from .brownian import sample_brownian
+from .brownian import BrownianBatch, map_blocks, sample_brownian
 from .config import (
     build_backward_spec,
     build_forward_spec,
@@ -59,7 +60,6 @@ from .forward import (
     consistency_drift_test,
     first_order_check,
     hjb_residual,
-    optimal_blocks,
     perturbed_kappa,
     reading_grid,
     representation_check,
@@ -170,7 +170,7 @@ def _curve_rows(curve: YieldCurve) -> list[dict]:
 
 def _curve_tables(
     run: RunManifest, name: str, y_paths: np.ndarray, market: MarketModel, nu: DeterministicFn,
-    tenors: list[float], ks: list[int], gamma: Optional[GammaModel] = None,
+    tenors: list[float], ks: Sequence[int], gamma: Optional[GammaModel] = None,
 ) -> tuple[Path, list[dict]]:
     """Write the marginal_mc, gaussian_closed and risk_neutral curves of a
     state-price density as one long table; return its path and the
@@ -315,12 +315,26 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
         raise ConfigError(f"output.tenors: none lies at or before spec.t_horizon={spec.t_horizon:g}")
     ks = grid_indices(grid, tenors, "output.tenors")
 
-    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
     nu, kappa = solve_backward_vols(spec)
-    x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
-    constraint = terminal_constraint_check(spec, grid, x, y)
+    # the columns the run reads, of all paths, so that the reductions below
+    # give the bits of one whole batch: Y at date 0 and at the tenors, and
+    # the terminal product at the horizon; blocks write disjoint rows, so
+    # threads share them without a lock
+    y_cols, z = np.empty((n_paths, len(ks) + 1)), np.empty(n_paths)
 
-    table, detail_rows = _curve_tables(run, "backward_curve", y, market, nu, tenors, ks, gamma=spec.gamma)
+    def read_block(batch: BrownianBatch) -> None:
+        x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
+        rows = slice(batch.first_row, batch.first_row + batch.n_paths)
+        y_cols[rows] = y[:, [0, *ks]]
+        z[rows] = terminal_product(spec, grid, x, y)
+
+    for _ in map_blocks(read_block, seed, grid, market.dim, n_paths):
+        pass
+    constraint = terminal_constraint_check(z)
+
+    table, detail_rows = _curve_tables(
+        run, "backward_curve", y_cols, market, nu, tenors, range(1, len(ks) + 1), gamma=spec.gamma
+    )
     run.table("backward_curve_detail", detail_rows)
     run.add_summary(
         terminal_constant=constraint.constant,
@@ -383,10 +397,11 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
     if np.any(psi_vals > 0):
         strategies += [{"consumption": scaled_consumption(spec, factor)} for factor in (1.5, 0.5)]
 
-    def reduce_block(triple: OptimalTriple) -> tuple:
+    def reduce_block(batch: BrownianBatch) -> tuple:
         """A block's part of the checks: the HJB and transport residuals on
         block 0, which holds the paths they read, the maxima of the other
         identities, and the moments of the drifts and of Y_T e^(int r)."""
+        triple = simulate_optimal(spec, market, grid, batch)
         head = None
         if triple.batch.first_row == 0:
             hjb = hjb_residual(triple)
@@ -399,7 +414,7 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
     def merge(a: tuple, b: tuple) -> tuple:
         return a[0], np.maximum(a[1], b[1]), [x.merge(y) for x, y in zip(a[2], b[2])], a[3].merge(b[3])
 
-    blocks = optimal_blocks(spec, market, grid, seed, n_paths, reduce_block)
+    blocks = map_blocks(reduce_block, seed, grid, market.dim, n_paths)
     (hjb_drift, hjb_policy, transport), identities, drifts, capitalized = functools.reduce(merge, blocks)
 
     checks: list[tuple[str, float, float, bool]] = []
@@ -496,9 +511,13 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
 
     grid, _ = _quarterly_grid(horizons, "spec.t_horizons")
     (k_c,) = grid_indices(grid, [t_common], "spec.t_common")
-    # the experiment reads the paths at t_common only, so only [0, t_common] is drawn
-    batch = sample_brownian(seed, grid.prefix(max(k_c, 1)), dim=market.dim, n_paths=n_paths)
-    gaps = horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
+    # the experiment reads the paths at t_common only, so only [0, t_common] is
+    # drawn; its gaps are maxima over paths, merged across blocks in block order
+    blocks = map_blocks(
+        lambda batch: horizon_dependency_experiment(spec, horizons, grid, batch, t_common),
+        seed, grid.prefix(max(k_c, 1)), market.dim, n_paths,
+    )
+    gaps = functools.reduce(lambda a, b: [ga.merge(gb) for ga, gb in zip(a, b)], blocks)
 
     rows = [
         {

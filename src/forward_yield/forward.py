@@ -10,11 +10,11 @@ define the utility, and every identity below is available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .brownian import BrownianBatch, ordered_map, sample_brownian, stream_blocks
+from .brownian import BrownianBatch
 from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
 from .market import (
@@ -106,13 +106,28 @@ def _pair_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-initial (x, y) with exact log schemes on the first
     k = rate_steps.shape[1] steps of grid, rate_steps being each path's
-    per-step integrals of r; coeffs come from _pair_coeffs on grid."""
+    per-step integrals of r; coeffs come from _pair_coeffs on grid.  An
+    overflow gives inf or nan without a warning: the caller scans the paths
+    (_require_in_range)."""
     k = rate_steps.shape[1]
     x_vol, x_drift, y_vol, y_drift, psi = (c[:k] for c in coeffs)
     inc, widths = increments[:, :k, :], grid.widths[:k]
-    x = _exact_log_paths(inc, x_vol, rate_steps, x_drift - psi, widths, 1.0, 1)
-    y = _exact_log_paths(inc, y_vol, rate_steps, y_drift, widths, 1.0, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _exact_log_paths(inc, x_vol, rate_steps, x_drift - psi, widths, 1.0, 1)
+        y = _exact_log_paths(inc, y_vol, rate_steps, y_drift, widths, 1.0, -1)
     return x, y
+
+
+def _require_in_range(what: str, *paths: np.ndarray) -> None:
+    """Raise NumericalRangeError unless every value of the paths is finite
+    and > 0, as wealth, state-price densities and Zhat are until they leave
+    the range of double precision."""
+    # the min is nan, and so not > 0, where some value is nan
+    if not all(p.min() > 0 and p.max() < np.inf for p in paths):
+        raise NumericalRangeError(
+            f"{what} must be strictly positive and finite; wealth or the state-price density "
+            "left the range of double precision"
+        )
 
 
 def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, read: Iterable[int]) -> TimeGrid:
@@ -147,17 +162,12 @@ def simulate_optimal(
     and date, i.e. wealth or the state-price density under- or overflowed."""
     coeffs = _pair_coeffs(market, grid, spec.kappa_star, spec.nu_star, spec.psi_hat)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
+    x, y = _pair_paths(coeffs, grid, batch.increments, rate_paths.step_integrals())
     # an overflow, and the nan of 0 * inf it leads to, is reported by the scan below
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _pair_paths(coeffs, grid, batch.increments, rate_paths.step_integrals())
         zhat = np.power(x, spec.alpha)
         np.multiply(y, zhat, out=zhat)
-    # the min is nan, and so not > 0, where some Zhat is nan
-    if not (zhat.min() > 0 and zhat.max() < np.inf):
-        raise NumericalRangeError(
-            "Zhat must be strictly positive and finite; wealth or the state-price density "
-            "left the range of double precision"
-        )
+    _require_in_range("Zhat", zhat)
     return OptimalTriple(
         spec=spec,
         market=market,
@@ -168,32 +178,6 @@ def simulate_optimal(
         y=y,
         zhat=zhat,
     )
-
-
-_R = TypeVar("_R")
-
-
-def optimal_blocks(
-    spec: ForwardPowerSpec,
-    market: MarketModel,
-    grid: TimeGrid,
-    seed: int,
-    n_paths: int,
-    fn: Callable[[OptimalTriple], _R],
-) -> Iterator[_R]:
-    """fn of the optimal triple on each block of the seed's streams
-    (stream_blocks(n_paths)), in block order.  A block's batch starts at its
-    first row, so its triple holds, bit for bit, the rows of simulate_optimal
-    on the whole batch.  Blocks run on up to thread_cap() threads with at
-    most that many in flight, so the paths held are that many blocks, not
-    n_paths rows; fn should return a reduction of its block."""
-
-    def block(span: tuple[int, int]) -> _R:
-        b0, b1 = span
-        batch = sample_brownian(seed, grid, market.dim, b1 - b0, first_row=b0)
-        return fn(simulate_optimal(spec, market, grid, batch))
-
-    return ordered_map(block, stream_blocks(n_paths))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from forward_yield import (
     solve_backward_vols,
     state_price_paths,
     terminal_constraint_check,
+    terminal_product,
     zc_price_gaussian,
     zc_price_mc,
 )
@@ -227,11 +228,11 @@ def test_criterion_6_backward_terminal_constraint():
     spec = _vasicek_orthogonal_spec(10.0)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1006, grid, dim=2, n_paths=10_000)
-    consistent = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    consistent = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
 
     mismatched = _vasicek_orthogonal_spec(50.0)
     nu_wrong, kappa_wrong = solve_backward_vols(mismatched)
-    control = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
+    control = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong)))
     ok = consistent.cv <= 1e-10 and control.cv > 1e-3
     _report(
         "criterion 6 (backward terminal constraint)",

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,14 +18,17 @@ from forward_yield import (
     VasicekGamma,
     backward_optimal_paths,
     horizon_dependency_experiment,
+    NumericalRangeError,
     make_grid,
     rate_integral_paths,
     sample_brownian,
     simulate_optimal,
     solve_backward_vols,
     terminal_constraint_check,
+    terminal_product,
 )
 from forward_yield import backward
+from forward_yield.brownian import _BLOCK
 
 from gamma_fields import CustomGamma
 
@@ -110,7 +114,7 @@ def test_terminal_constraint_zero_dispersion():
     spec = vasicek_orthogonal_spec()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(515, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
     assert report.cv <= 1e-10
     assert report.max_abs_dev <= 1e-9
 
@@ -119,7 +123,7 @@ def test_terminal_constraint_no_noise_case():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
     grid = make_grid(10.0, 20)
     batch = sample_brownian(616, grid, dim=2, n_paths=512)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
     assert report.cv <= 1e-12
 
 
@@ -129,7 +133,7 @@ def test_terminal_constraint_detects_mismatched_horizon():
     nu_wrong, kappa_wrong = solve_backward_vols(wrong)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(717, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
+    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong)))
     # residual variance is computable in closed form from the vol difference
     assert report.cv > 1e-3
 
@@ -140,7 +144,7 @@ def test_terminal_constraint_synthetic_sqrt():
     spec = BackwardSpec(t_horizon=8.0, alpha=0.3, gamma=gamma, market=market)
     grid = make_grid(8.0, 32)
     batch = sample_brownian(818, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
     assert report.cv <= 1e-10
 
 
@@ -148,7 +152,7 @@ def test_terminal_constraint_on_a_non_uniform_grid():
     spec = vasicek_orthogonal_spec()
     grid = TimeGrid.of_times([0.0, 1.0, 2.5, 4.0, 7.0, 10.0])
     batch = sample_brownian(5151, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
     assert report.cv <= 1e-8
 
 
@@ -327,3 +331,48 @@ def test_horizon_checks_coefficients_past_t_common():
     horizon_dependency_experiment(spec, [10.0, 20.0], grid, batch, t_common=5.0)
     with pytest.raises(ValueError, match="non-finite"):
         horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+
+
+@pytest.mark.parametrize("tail", [1, 300])
+@pytest.mark.parametrize("k_steps", [10, 20, 40])
+def test_rate_integral_rows_do_not_depend_on_the_batch(k_steps, tail):
+    # BLAS picks a kernel by the size of a product, and kernels round a row's
+    # sum differently (seen for a last block of 1 row at 40 steps, and of 300
+    # rows at 10 and 20); a row of a block's batch must keep its whole-batch bits
+    spec = vasicek_orthogonal_spec()
+    grid = make_grid(10.0, k_steps)
+    n = 2 * _BLOCK + tail
+    whole = rate_integral_paths(spec, grid, sample_brownian(77, grid, dim=2, n_paths=n))
+    for b0, b1 in [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, n)]:
+        block = sample_brownian(77, grid, dim=2, n_paths=b1 - b0, first_row=b0)
+        assert np.array_equal(rate_integral_paths(spec, grid, block), whole[b0:b1])
+
+
+def test_horizon_gap_merge_keeps_a_nan():
+    gap = backward.HorizonGap(10.0, 50.0, 5.0, 1e-3, 2e-3, 1e-12)
+    nan = replace(gap, max_rel_gap_x=np.nan, predicted_gap_residual=np.nan)
+    for merged in (gap.merge(nan), nan.merge(gap)):
+        assert np.isnan(merged.max_rel_gap_x) and np.isnan(merged.predicted_gap_residual)
+        assert merged.max_rel_gap_y == 2e-3
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        VasicekGamma(a=1.0, sigma_r=2.0e154, direction=E2),
+        SyntheticSqrtGamma(c_r=1.0e307, c_perp=0.0, dir_r=E1, dir_perp=E2),
+    ],
+    ids=["sigma-r-2e154", "c-r-1e307"],
+)
+def test_backward_pair_out_of_range_is_a_range_error(gamma):
+    # the paths overflow: both the backward paths and the horizon experiment
+    # must say so, without a warning, before any gap or dispersion reads nan
+    spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=incomplete_market())
+    grid = make_grid(10.0, 40)
+    batch = sample_brownian(5, grid, dim=2, n_paths=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalRangeError, match="range of double precision"):
+            backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
+        with pytest.raises(NumericalRangeError, match="range of double precision"):
+            horizon_dependency_experiment(spec, [5.0, 10.0], grid, batch, t_common=5.0)

@@ -13,9 +13,21 @@ import pytest
 import forward_yield
 from forward_yield import cli
 from forward_yield.cli import main
-from forward_yield.config import DEFAULT_CONFIG, config_hash, load_config
+from forward_yield.brownian import _BLOCK
+from forward_yield.config import (
+    DEFAULT_CONFIG,
+    build_backward_spec,
+    build_grid,
+    build_market,
+    config_hash,
+    grid_indices,
+    horizon_params,
+    load_config,
+    output_params,
+    simulation_params,
+)
 from forward_yield.stats import mean_stderr
-from forward_yield.tables import emit_table
+from forward_yield.tables import RunManifest, emit_table
 
 
 def run_cli(*argv) -> int:
@@ -194,6 +206,8 @@ def test_zero_zhat_exits_2_with_named_error(tmp_path, command):
 
 
 EXTREME = {"market": {"eta_r": [40, 0]}, "spec": {"kappa_star": [40, 0]}}
+BOND_SIGMA_HUGE = {"spec": {"gamma": {"model": "vasicek_orthogonal", "a": 1.0, "sigma_r": 2.0e154}}}
+BOND_C_R_HUGE = {"spec": {"gamma": {"model": "synthetic_sqrt", "c_r": 1.0e307, "c_perp": 0.0}}}
 
 
 @pytest.mark.parametrize(
@@ -212,8 +226,17 @@ EXTREME = {"market": {"eta_r": [40, 0]}, "spec": {"kappa_star": [40, 0]}}
             {"spec": {"gamma": {"model": "synthetic_sqrt", "c_r": 1e307, "c_perp": 0.0}}},
             "long_rate: Gamma left the range of double precision",
         ),
+        # bond volatilities of this size overflow the backward pair's wealth and dual paths
+        ("horizon", BOND_SIGMA_HUGE, "Xstar and Ystar must be strictly positive and finite"),
+        ("backward-curve", BOND_SIGMA_HUGE, "Xstar and Ystar must be strictly positive and finite"),
+        ("horizon", BOND_C_R_HUGE, "Xstar and Ystar must be strictly positive and finite"),
+        ("backward-curve", BOND_C_R_HUGE, "Xstar and Ystar must be strictly positive and finite"),
     ],
-    ids=["davis-eta40", "verify-eta40", "forward-curve-a1e-16", "verify-a1e-13", "sigma-r-2e154", "gamma-c-r-1e307"],
+    ids=[
+        "davis-eta40", "verify-eta40", "forward-curve-a1e-16", "verify-a1e-13", "sigma-r-2e154", "gamma-c-r-1e307",
+        "horizon-gamma-sigma-r-2e154", "backward-curve-gamma-sigma-r-2e154",
+        "horizon-gamma-c-r-1e307", "backward-curve-gamma-c-r-1e307",
+    ],
 )
 def test_out_of_range_config_exits_2_with_named_error(tmp_path, command, overrides, message):
     proc = _run_in_subprocess(tmp_path, command, overrides, PYTHONWARNINGS="error::RuntimeWarning")
@@ -350,7 +373,7 @@ def test_horizon_stores_only_the_steps_to_t_common(tmp_path, monkeypatch, t_comm
         stored.append(batch.increments.shape[1])
         return batch
 
-    monkeypatch.setattr(cli, "sample_brownian", recording)
+    monkeypatch.setattr(forward_yield.brownian, "sample_brownian", recording)
     cfg = tmp_path / "horizon.json"
     cfg.write_text(json.dumps({"spec": {"t_common": t_common}}))
     out = tmp_path / "out"
@@ -363,6 +386,65 @@ def test_horizon_stores_only_the_steps_to_t_common(tmp_path, monkeypatch, t_comm
         assert [float(row[k]) for k in ("max_rel_gap_wealth", "max_rel_gap_dual", "predicted_gap_residual")] == [0.0] * 3
     else:
         assert float(row["max_rel_gap_dual"]) > 0.0
+
+
+def _record_run(monkeypatch) -> dict:
+    """The rows each table and the summary of a run get, before rendering."""
+    recorded = {"summary": []}
+    table = RunManifest.table
+
+    def recording_table(self, name, rows, columns=None):
+        recorded[name] = rows
+        return table(self, name, rows, columns)
+
+    monkeypatch.setattr(RunManifest, "table", recording_table)
+    monkeypatch.setattr(RunManifest, "add_summary", lambda self, **row: recorded["summary"].append(row))
+    return recorded
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n_paths", [2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_streamed_horizon_equals_the_whole_batch(tmp_path, monkeypatch, threads, n_paths):
+    # horizon runs the experiment one block of the streams at a time; the
+    # merged gaps are those of one batch of all the paths, bit for bit
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
+    recorded = _record_run(monkeypatch)
+    assert run_cli("horizon", "--paths", str(n_paths), "--out", str(tmp_path / "out")) == 0
+    cfg = load_config(None)
+    market = build_market(cfg)
+    horizons, t_common = horizon_params(cfg)
+    grid, _ = cli._quarterly_grid(horizons, "spec.t_horizons")
+    batch = forward_yield.sample_brownian(
+        simulation_params(cfg)[1], grid.prefix(grid.index_of(t_common)), dim=market.dim, n_paths=n_paths
+    )
+    spec = build_backward_spec(cfg, market, t_horizon=max(horizons))
+    gaps = forward_yield.horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
+    assert [
+        (r["max_rel_gap_wealth"], r["max_rel_gap_dual"], r["predicted_gap_residual"]) for r in recorded["horizon"]
+    ] == [(g.max_rel_gap_x, g.max_rel_gap_y, g.predicted_gap_residual) for g in gaps]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n_paths", [_BLOCK + 1, 2 * _BLOCK + 300])
+def test_streamed_backward_curve_equals_the_whole_batch(tmp_path, monkeypatch, threads, n_paths):
+    # backward-curve keeps a block's tenor and terminal columns only; the
+    # prices and the terminal dispersion are those of one batch of all the paths
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
+    recorded = _record_run(monkeypatch)
+    assert run_cli("backward-curve", "--paths", str(n_paths), "--out", str(tmp_path / "out")) == 0
+    cfg = load_config(None)
+    market = build_market(cfg)
+    spec = build_backward_spec(cfg, market)
+    grid = build_grid(cfg)
+    batch = forward_yield.sample_brownian(simulation_params(cfg)[1], grid, dim=market.dim, n_paths=n_paths)
+    x, y = forward_yield.backward_optimal_paths(spec, grid, batch, *forward_yield.solve_backward_vols(spec))
+    tenors = output_params(cfg)[0]
+    prices = [forward_yield.zc_price_mc(y, 0, k) for k in grid_indices(grid, tenors, "output.tenors")]
+    detail = recorded["backward_curve_detail"]
+    assert [(r["mc_price"], r["mc_stderr"]) for r in detail] == [(p.mean, p.stderr) for p in prices]
+    report = forward_yield.terminal_constraint_check(forward_yield.terminal_product(spec, grid, x, y))
+    (summary,) = recorded["summary"]
+    assert (summary["terminal_constant"], summary["terminal_cv"]) == (report.constant, report.cv)
 
 
 def test_horizon_draws_only_the_steps_to_t_common(tmp_path, monkeypatch):
@@ -477,14 +559,14 @@ def test_verify_without_consumption_passes_without_consumption_rows(tmp_path):
 
 
 def test_wall_clock_covers_simulation(tmp_path, monkeypatch):
-    # verify simulates each block of paths through forward's block walker
+    # verify simulates each block of paths in the function it maps over the blocks
     simulate = forward_yield.forward.simulate_optimal
 
     def slow_simulate(*args, **kwargs):
         time.sleep(0.2)
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(forward_yield.forward, "simulate_optimal", slow_simulate)
+    monkeypatch.setattr(cli, "simulate_optimal", slow_simulate)
     out = tmp_path / "out"
     assert run_cli("verify", "--paths", "200", "--out", str(out)) in (0, 1)
     manifest = json.loads((out / "manifest_verify.json").read_text())

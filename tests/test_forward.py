@@ -30,8 +30,8 @@ from forward_yield import (
     simulate_optimal,
     wealth_paths,
 )
-from forward_yield.brownian import _BLOCK
-from forward_yield.forward import optimal_blocks, strategy_steps, value_process
+from forward_yield.brownian import _BLOCK, map_blocks
+from forward_yield.forward import strategy_steps, value_process
 from forward_yield.stats import STAT_BAND
 
 E1, E2 = np.eye(2)
@@ -461,18 +461,21 @@ def test_optimal_blocks_are_the_rows_of_the_whole_batch(monkeypatch, threads):
     grid = make_grid(1.0, 4)
     whole = simulate_optimal(spec, market, grid, sample_brownian(seed, grid, dim=2, n_paths=n))
 
-    def paths(triple):
+    def paths(batch):
+        triple = simulate_optimal(spec, market, grid, batch)
         rates = triple.rate_paths
         return triple.batch.first_row, (triple.x, triple.y, triple.zhat, rates.r, rates.integral)
 
-    first_rows, blocks = zip(*optimal_blocks(spec, market, grid, seed, n, paths))
+    first_rows, blocks = zip(*map_blocks(paths, seed, grid, 2, n))
     assert first_rows == (0, _BLOCK, 2 * _BLOCK) and blocks[-1][0].shape[0] == 1
     expected = (whole.x, whole.y, whole.zhat, whole.rate_paths.r, whole.rate_paths.integral)
     for i, array in enumerate(expected):
         assert np.array_equal(np.concatenate([block[i] for block in blocks]), array)
     # merged in block order, the drift of the blocks is that of the whole triple
     kappa = perturbed_kappa(spec, market, 0.15)
-    drifts = optimal_blocks(spec, market, grid, seed, n, lambda t: consistency_drift_test(t, kappa=kappa))
+    drifts = map_blocks(
+        lambda b: consistency_drift_test(simulate_optimal(spec, market, grid, b), kappa=kappa), seed, grid, 2, n
+    )
     merged, reference = functools.reduce(lambda a, b: a.merge(b), drifts), consistency_drift_test(whole, kappa=kappa)
     for field in DRIFT_FIELDS:
         assert np.array_equal(getattr(merged, field), getattr(reference, field))
