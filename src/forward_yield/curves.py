@@ -21,7 +21,7 @@ from .brownian import (
     substream_seed,
 )
 from .errors import NumericalRangeError
-from .forward import OptimalTriple, PathRows
+from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
 from .market import _LOG_ROWS, MarketModel, _dual_coeffs, row_blocks
 from .quadrature import gauss_legendre
@@ -532,19 +532,19 @@ def pathwise_ramsey_report(triple: OptimalTriple, x0: float = 1.0) -> float:
     over paths."""
     gaps = []
     for b0, b1 in row_blocks(triple.n_paths):
-        rows = triple.rows(b0, b1)
+        rows = slice(b0, b1)
         marginal = forward_marginal_consumption_paths(triple, x0, rows)
         lhs = marginal / marginal[:, :1]
-        rhs = rows.y / rows.y[:, :1]
+        rhs = triple.y[rows] / triple.y[rows, :1]
         gaps.append(np.max(np.abs(lhs / rhs - 1.0)))
     return float(np.max(gaps))
 
 
-def forward_marginal_consumption_paths(triple: OptimalTriple, x0: float, rows: PathRows) -> np.ndarray:
-    """Paths of V_c(t, cstar_t(c_0)) for the forward power family, on a row
-    block of the triple."""
+def forward_marginal_consumption_paths(triple: OptimalTriple, x0: float, rows: slice) -> np.ndarray:
+    """Paths of V_c(t, cstar_t(c_0)) for the forward power family, on the
+    triple's paths in the slice rows."""
     psi_all = np.asarray(triple.spec.psi_hat.values(triple.grid.times), dtype=float)
     if np.any(psi_all <= 0):
         raise ValueError("pathwise Ramsey via consumption needs psi_hat > 0")
-    c_paths = psi_all * (x0 * rows.x)
-    return np.power(psi_all, triple.spec.alpha) * rows.zhat * np.power(c_paths, -triple.spec.alpha)
+    c_paths = psi_all * (x0 * triple.x[rows])
+    return np.power(psi_all, triple.spec.alpha) * triple.zhat[rows] * np.power(c_paths, -triple.spec.alpha)

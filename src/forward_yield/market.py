@@ -80,10 +80,12 @@ def _proportional_rates(consumption: ConsumptionRule, grid: TimeGrid) -> np.ndar
 
 
 # Row-block size of the temporaries: the log kernel and the pathwise
-# identities walk the paths in blocks of this many rows, and the nested inner
-# simulations run in chunks of at most this many rows.  It moves no bits; the
-# unit of every mean over paths is the random streams' block
-# (brownian.stream_blocks).
+# identities walk the paths in blocks of this many rows, which keeps their
+# temporaries cache-sized (walking verify's 8,192-row stream block in one pass
+# instead slowed verify at 150k paths from 1.52 to 1.71 s, median, 1 thread on
+# 2 vCPUs), and the nested inner simulations run in chunks of at most this
+# many rows.  It moves no bits; the unit of every mean over paths is the
+# random streams' block (brownian.stream_blocks).
 _LOG_ROWS = 2048
 
 

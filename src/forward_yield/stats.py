@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
-
-from .brownian import stream_blocks
 
 # The verdict bands, which no config changes: identities that hold exactly
 # up to rounding are held to IDENTITY_TOL, and Monte Carlo statistics to
@@ -180,21 +177,11 @@ class DriftReport:
         return float(np.max(np.abs(self.interval_t), initial=0.0))
 
 
-def interval_drift_report(
-    value_rows: Callable[[int, int], np.ndarray], n_paths: int, times: np.ndarray
-) -> DriftReport:
-    """Drift statistics of a per-path process sampled at grid times.
-
-    value_rows(b0, b1) gives rows b0:b1 of the (n_paths, K+1) values.  They
-    are asked for in the blocks of the random streams (stream_blocks), and
-    each block is reduced to the moments of its increments and total
-    changes; the blocks are merged in order, so no array of n_paths rows is
-    held.  Up to one block the moments are mean_stderr's.
-    """
-    times = np.asarray(times, dtype=float)
-
-    def block(span: tuple[int, int]) -> DriftReport:
-        values = value_rows(*span)
-        return DriftReport(times, moments(values[:, 1:] - values[:, :-1]), moments(values[:, -1] - values[:, 0]))
-
-    return functools.reduce(DriftReport.merge, map(block, stream_blocks(n_paths)))
+def interval_drift_report(values: np.ndarray, times: np.ndarray) -> DriftReport:
+    """Drift statistics of a per-path process sampled at grid times: the
+    moments of the increments and total changes of the (n_paths, K+1)
+    values, in one pass.  A caller that walks blocks of paths reduces each
+    block with it and merges the reports in order (DriftReport.merge)."""
+    return DriftReport(
+        np.asarray(times, dtype=float), moments(values[:, 1:] - values[:, :-1]), moments(values[:, -1] - values[:, 0])
+    )

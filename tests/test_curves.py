@@ -738,7 +738,7 @@ def test_pathwise_ramsey_forward():
     grid = make_grid(5.0, 20)
     batch = sample_brownian(86420, grid, dim=2, n_paths=2_000)
     triple = simulate_optimal(spec, market, grid, batch)
-    marg = forward_marginal_consumption_paths(triple, 2.0, triple.rows(0, triple.n_paths))
+    marg = forward_marginal_consumption_paths(triple, 2.0, slice(None))
     assert pathwise_ramsey_report(triple, x0=2.0) < 1e-9
     # t = 0 residual is exactly zero by normalization
     assert np.allclose(marg[:, 0] / marg[:, 0], 1.0)

