@@ -17,8 +17,8 @@ import numpy as np
 
 from .brownian import BrownianBatch, stream_blocks
 from .grids import DeterministicFn, TimeGrid
-from .forward import _pair_coeffs, _pair_paths, _require_in_range
-from .market import MarketModel
+from .forward import _require_in_range
+from .market import MarketModel, state_price_paths, wealth_paths
 from .stats import moments
 
 
@@ -216,8 +216,9 @@ def backward_optimal_paths(
     kappa: DeterministicFn,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-initial wealth and state-price paths (x, y), each (n, K+1), of
-    the control (nu, kappa) on the shared batch: the forward pair with
-    psi = 0, its rate steps taken from the Gamma representation.
+    the control (nu, kappa) on the shared batch: wealth_paths without
+    consumption and state_price_paths, on the rate steps of the Gamma
+    representation (rate_integral_paths).
 
     solve_backward_vols(spec) gives the optimal control; any other, e.g. the
     solution of a different horizon, is deliberately inconsistent, for the
@@ -226,9 +227,9 @@ def backward_optimal_paths(
     """
     if grid.horizon < spec.t_horizon - 1e-12:
         raise ValueError("grid horizon must cover the optimization horizon")
-    coeffs = _pair_coeffs(spec.market, grid, kappa, nu)
     step_int = np.diff(rate_integral_paths(spec, grid, batch), axis=1)
-    x, y = _pair_paths(coeffs, grid, batch.increments, step_int)
+    x = wealth_paths(spec.market, grid, batch, step_int, kappa)
+    y = state_price_paths(spec.market, grid, batch, step_int, nu)
     _require_in_range("Xstar and Ystar", x, y)
     return x, y
 
@@ -309,7 +310,8 @@ def _states_at_common_date(
     for t_h in horizons:
         nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
         h_grid = grid.prefix(grid.index_of(t_h))
-        x, y = _pair_paths(_pair_coeffs(spec.market, h_grid, kappa, nu), h_grid, sim_batch.increments, step_int)
+        x = wealth_paths(spec.market, h_grid, sim_batch, step_int, kappa)
+        y = state_price_paths(spec.market, h_grid, sim_batch, step_int, nu)
         _require_in_range("Xstar and Ystar", x, y)
         # copies, so the paths of one horizon are freed before the next is simulated
         states[t_h] = (nu, x[:, k_c].copy(), y[:, k_c].copy())

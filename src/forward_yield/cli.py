@@ -148,13 +148,12 @@ def _quarterly_grid(times: list[float], field: str) -> tuple[TimeGrid, list[int]
     return grid, grid_indices(grid, times, field)
 
 
-def _forward_triple(cfg: Mapping[str, Any], grid: TimeGrid, read: Optional[list[int]] = None) -> OptimalTriple:
-    """Optimal processes of the configured forward spec on the grid, or, given
-    the indices the run reads, on the reading grid of those dates."""
+def _forward_triple(cfg: Mapping[str, Any], grid: TimeGrid, read: list[int]) -> OptimalTriple:
+    """Optimal processes of the configured forward spec on the reading grid
+    of the indices of grid that the run reads."""
     market = build_market(cfg)
     spec = build_forward_spec(cfg, market)
-    if read is not None:
-        grid = reading_grid(spec, market, grid, read)
+    grid = reading_grid(spec, market, grid, read)
     n_paths, seed, _ = simulation_params(cfg)
     batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
     return simulate_optimal(spec, market, grid, batch)
@@ -386,6 +385,9 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
     market = build_market(cfg)
     spec = build_forward_spec(cfg, market)
     n_paths, seed, _ = simulation_params(cfg)
+    # the reading grid of every date is grid itself; building it checks the
+    # spec's coefficients once, before any path is drawn
+    grid = reading_grid(spec, market, grid, range(grid.n_steps + 1))
 
     psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
     ramsey = bool(np.all(psi_vals > 0))

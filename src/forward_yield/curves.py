@@ -143,20 +143,16 @@ def ramsey_curve_mc(
     cov[:, flat] = 0.0
     rate_se = np.sqrt(np.diag(cov)) / (tenors * mu)
 
-    max_spread, max_t = 0.0, 0.0
-    for i in range(len(tenors)):
-        for j in range(i + 1, len(tenors)):
-            spread = abs(rates[i] - rates[j])
-            var = (
-                cov[i, i] / (tenors[i] * mu[i]) ** 2
-                + cov[j, j] / (tenors[j] * mu[j]) ** 2
-                - 2.0 * cov[i, j] / (tenors[i] * mu[i] * tenors[j] * mu[j])
-            )
-            spread_t = t_stat(spread, math.sqrt(max(var, 0.0)))
-            if spread > max_spread:
-                max_spread = spread
-            if spread_t > max_t:
-                max_t = spread_t
+    # every pair i < j of tenors
+    i, j = np.triu_indices(len(tenors), k=1)
+    spread = np.abs(rates[i] - rates[j])
+    var = (
+        cov[i, i] / (tenors[i] * mu[i]) ** 2
+        + cov[j, j] / (tenors[j] * mu[j]) ** 2
+        - 2.0 * cov[i, j] / (tenors[i] * mu[i] * tenors[j] * mu[j])
+    )
+    max_spread = np.max(spread, initial=0.0)
+    max_t = np.max(t_stat(spread, np.sqrt(np.maximum(var, 0.0))), initial=0.0)
     prices = np.exp(-rates * tenors)
     curve = YieldCurve(
         asof=0.0, tenors=tenors, rates=rates, prices=prices, method="ramsey_mc", stderrs=rate_se

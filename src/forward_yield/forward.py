@@ -18,14 +18,14 @@ from .brownian import BrownianBatch
 from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
 from .market import (
-    ConsumptionRule,
     MarketModel,
     _dual_coeffs,
-    _exact_log_paths,
     _proportional_rates,
     _running_trapezoid,
     _wealth_coeffs,
     row_blocks,
+    state_price_paths,
+    wealth_paths,
 )
 from .rates import RatePaths, simulate_short_rate
 from .stats import DriftReport, interval_drift_report
@@ -70,39 +70,6 @@ class OptimalTriple:
         return self.zhat.shape[0]
 
 
-def _pair_coeffs(
-    market: MarketModel,
-    grid: TimeGrid,
-    kappa: DeterministicFn,
-    nu: DeterministicFn,
-    psi: ConsumptionRule = None,
-) -> tuple[np.ndarray, ...]:
-    """Step coefficients of the optimal pair on grid's K steps: the volatility
-    and drift of ln X, those of ln Y, and psi, each net of the short rate.
-    They are built, and so kappa, nu, eta and psi are checked, on all K+1
-    dates of grid; psi None means no consumption."""
-    x_vol, x_drift = _wealth_coeffs(market, grid, kappa)
-    y_vol, y_drift = _dual_coeffs(market, grid, nu)
-    return x_vol, x_drift, y_vol, y_drift, _proportional_rates(psi, grid)[:-1]
-
-
-def _pair_paths(
-    coeffs: tuple[np.ndarray, ...], grid: TimeGrid, increments: np.ndarray, rate_steps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-initial (x, y) with exact log schemes on the first
-    k = rate_steps.shape[1] steps of grid, rate_steps being each path's
-    per-step integrals of r; coeffs come from _pair_coeffs on grid.  An
-    overflow gives inf or nan without a warning: the caller scans the paths
-    (_require_in_range)."""
-    k = rate_steps.shape[1]
-    x_vol, x_drift, y_vol, y_drift, psi = (c[:k] for c in coeffs)
-    inc, widths = increments[:, :k, :], grid.widths[:k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _exact_log_paths(inc, x_vol, rate_steps, x_drift - psi, widths, 1.0, 1)
-        y = _exact_log_paths(inc, y_vol, rate_steps, y_drift, widths, 1.0, -1)
-    return x, y
-
-
 def _require_in_range(what: str, *paths: np.ndarray) -> None:
     """Raise NumericalRangeError unless every value of the paths is finite
     and > 0, as wealth, state-price densities and Zhat are until they leave
@@ -127,7 +94,12 @@ def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, re
     """
     keep = {0, *(int(k) for k in read)}
     last = max(keep)
-    for coeff in _pair_coeffs(market, grid, spec.kappa_star, spec.nu_star, spec.psi_hat):
+    coeffs = (
+        *_wealth_coeffs(market, grid, spec.kappa_star),
+        *_dual_coeffs(market, grid, spec.nu_star),
+        _proportional_rates(spec.psi_hat, grid)[:-1],
+    )
+    for coeff in coeffs:
         steps = coeff.reshape(grid.n_steps, -1)[:last]
         keep.update((1 + np.flatnonzero(np.any(steps[1:] != steps[:-1], axis=1))).tolist())
     return grid.subgrid(sorted(keep))
@@ -139,15 +111,16 @@ def simulate_optimal(
     grid: TimeGrid,
     batch: BrownianBatch,
 ) -> OptimalTriple:
-    """Simulate the optimal pair with exact log schemes on a shared batch,
-    the same steps as wealth_paths and state_price_paths; kappa, nu, eta and
-    psi are checked on every grid date, once each, before any simulation.
+    """Simulate the optimal pair on a shared batch: the short rate, then
+    wealth_paths and state_price_paths on its step integrals, which check
+    kappa, psi, nu and eta on every grid date.
 
     Raises NumericalRangeError when Zhat is not finite and > 0 on some path
     and date, i.e. wealth or the state-price density under- or overflowed."""
-    coeffs = _pair_coeffs(market, grid, spec.kappa_star, spec.nu_star, spec.psi_hat)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
-    x, y = _pair_paths(coeffs, grid, batch.increments, rate_paths.step_integrals())
+    rate_steps = rate_paths.step_integrals()
+    x = wealth_paths(market, grid, batch, rate_steps, spec.kappa_star, spec.psi_hat)
+    y = state_price_paths(market, grid, batch, rate_steps, spec.nu_star)
     # an overflow, and the nan of 0 * inf it leads to, is reported by the scan below
     with np.errstate(over="ignore", invalid="ignore"):
         zhat = np.power(x, spec.alpha)
@@ -314,7 +287,7 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
 
 
 def value_process(
-    triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[ConsumptionRule] = None
+    triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[DeterministicFn] = None
 ) -> np.ndarray:
     """Paths of G_t = U(t, X_t) + int_0^t V(s, c_s) ds on the optimal
     triple's paths, for the proportional strategy (kappa, c = psi X); None
@@ -358,7 +331,7 @@ def value_process(
 def consistency_drift_test(
     triple: OptimalTriple,
     kappa: Optional[DeterministicFn] = None,
-    consumption: Optional[ConsumptionRule] = None,
+    consumption: Optional[DeterministicFn] = None,
 ) -> DriftReport:
     """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds across the
     triple's paths, in one pass (value_process, which simulates no wealth).

@@ -177,14 +177,3 @@ class DeterministicFn:
     def __repr__(self) -> str:  # pragma: no cover
         return f"DeterministicFn<{self.label}>"
 
-
-def as_deterministic(value, dim: int | None = None) -> DeterministicFn:
-    """Coerce a float, vector, callable, or DeterministicFn into a DeterministicFn."""
-    if isinstance(value, DeterministicFn):
-        return value
-    if callable(value):
-        return DeterministicFn(value)
-    v = np.asarray(value, dtype=float)
-    if dim is not None and v.ndim == 0:
-        v = np.full(dim, float(v))
-    return DeterministicFn.constant(v)

@@ -4,19 +4,20 @@ State-price densities follow dY = Y [-r dt + (nu - eta) . dW] with nu in the
 orthogonal complement of the admissible subspace; wealth follows
 dX = X [r dt + kappa . (dW + eta dt)] - c dt with kappa in the subspace.
 Both are simulated with exact per-step log schemes on the shared Brownian
-batch and the exact integral of the short rate.
+batch and each path's per-step integrals of the short rate, which the caller
+supplies (rates.simulate_short_rate or backward.rate_integral_paths).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .brownian import BrownianBatch
-from .grids import DeterministicFn, TimeGrid, as_deterministic
-from .rates import RatePaths, ShortRateModel, simulate_short_rate
+from .grids import DeterministicFn, TimeGrid
+from .rates import ShortRateModel
 from .subspace import SubspaceR
 
 
@@ -68,9 +69,9 @@ def _wealth_coeffs(market: MarketModel, grid: TimeGrid, kappa: DeterministicFn) 
     return kappa_k, np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
 
 
-def _proportional_rates(consumption: ConsumptionRule, grid: TimeGrid) -> np.ndarray:
+def _proportional_rates(consumption: Optional[DeterministicFn], grid: TimeGrid) -> np.ndarray:
     """Consumption rates per unit wealth on the K+1 grid dates; None means 0."""
-    psi_fn = as_deterministic(0.0 if consumption is None else consumption)
+    psi_fn = DeterministicFn.zero() if consumption is None else consumption
     psi_all = np.asarray(psi_fn.values(grid.times), dtype=float)
     if psi_all.ndim != 1:
         raise ValueError("proportional consumption rate must be scalar-valued")
@@ -100,32 +101,33 @@ def _exact_log_paths(
     rate_steps: np.ndarray,
     drift: np.ndarray,
     widths: np.ndarray,
-    level0: float,
     rate_sign: int,
 ) -> np.ndarray:
-    """Exact per-step log scheme of a geometric process with deterministic
-    volatility: level0 * exp(cumsum(vol . dW + rate_sign * rate_steps + drift * widths)),
-    with the value level0 at t_0 (Glasserman 2004, section 3.2).
+    """Exact per-step log scheme of a unit-initial geometric process with
+    deterministic volatility: exp(cumsum(vol . dW + rate_sign * rate_steps + drift * widths)),
+    with the value 1 at t_0 (Glasserman 2004, section 3.2).
 
     increments is (n, K, dim), vol (K, dim), rate_steps (n, K), drift (K,)
     and widths, the step widths, (K,) or one scalar.  rate_sign is +1 for
     wealth and -1 for a state-price density, whose rate steps are
     subtracted rather than negated into a copy; a - b is a + (-b) bit for bit.
+    An overflow gives inf or nan without a warning: the caller scans the
+    paths (forward._require_in_range).
     """
     out = np.zeros((increments.shape[0], increments.shape[1] + 1))
-    drift_step = drift * widths
-    # the log increments are summed in blocks of rows, so no (n, K) temporary
-    # is allocated beside the output; each row's operations are unchanged
-    for b0, b1 in row_blocks(out.shape[0]):
-        dlog = np.einsum("nkd,kd->nk", increments[b0:b1], vol)
-        if rate_sign > 0:
-            dlog += rate_steps[b0:b1]
-        else:
-            dlog -= rate_steps[b0:b1]
-        dlog += drift_step
-        np.cumsum(dlog, axis=1, out=out[b0:b1, 1:])
-    np.exp(out, out=out)
-    out *= level0
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift_step = drift * widths
+        # the log increments are summed in blocks of rows, so no (n, K) temporary
+        # is allocated beside the output; each row's operations are unchanged
+        for b0, b1 in row_blocks(out.shape[0]):
+            dlog = np.einsum("nkd,kd->nk", increments[b0:b1], vol)
+            if rate_sign > 0:
+                dlog += rate_steps[b0:b1]
+            else:
+                dlog -= rate_steps[b0:b1]
+            dlog += drift_step
+            np.cumsum(dlog, axis=1, out=out[b0:b1, 1:])
+        np.exp(out, out=out)
     return out
 
 
@@ -145,48 +147,40 @@ def state_price_paths(
     market: MarketModel,
     grid: TimeGrid,
     batch: BrownianBatch,
+    rate_steps: np.ndarray,
     nu: Optional[DeterministicFn] = None,
-    y0: float = 1.0,
-    rate_paths: Optional[RatePaths] = None,
 ) -> np.ndarray:
-    """Paths (n_paths, n_steps+1) of a state-price density; nu = None gives
-    the minimal density Y^0.
+    """Unit-initial paths (n_paths, k+1) of a state-price density on the
+    first k = rate_steps.shape[1] steps of grid, rate_steps being each
+    path's per-step integrals of r; nu = None gives the minimal density Y^0.
+    nu and eta are checked on all K+1 dates of grid.
 
     Exact log scheme per step:
     ln Y_{k+1} = ln Y_k - int r - 0.5 |nu - eta|^2 dt + (nu - eta) . dW.
     """
-    if y0 <= 0:
-        raise ValueError("y0 must be positive")
     nu = DeterministicFn.zero(market.dim) if nu is None else nu
     vol, drift = _dual_coeffs(market, grid, nu)
-    if rate_paths is None:
-        rate_paths = simulate_short_rate(market.rate, grid, batch)
-    return _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift, grid.widths, y0, -1)
-
-
-ConsumptionRule = Union[None, float, DeterministicFn]
+    k = rate_steps.shape[1]
+    return _exact_log_paths(batch.increments[:, :k, :], vol[:k], rate_steps, drift[:k], grid.widths[:k], -1)
 
 
 def wealth_paths(
     market: MarketModel,
     grid: TimeGrid,
     batch: BrownianBatch,
+    rate_steps: np.ndarray,
     kappa: DeterministicFn,
-    consumption: ConsumptionRule = None,
-    x0: float = 1.0,
-    rate_paths: Optional[RatePaths] = None,
+    consumption: Optional[DeterministicFn] = None,
 ) -> np.ndarray:
-    """Paths (n_paths, n_steps+1) of self-financing wealth with portfolio
-    volatility kappa.
+    """Unit-initial paths (n_paths, k+1) of self-financing wealth with
+    portfolio volatility kappa on the first k = rate_steps.shape[1] steps of
+    grid, rate_steps being each path's per-step integrals of r.
 
     consumption may be None (no consumption) or a nonnegative proportional
-    rate psi (scalar or DeterministicFn), meaning c = psi X, simulated with
-    the exact log scheme.
+    rate psi, meaning c = psi X, simulated with the exact log scheme.
+    kappa and psi are checked on all K+1 dates of grid.
     """
-    if x0 < 0:
-        raise ValueError("initial wealth must be nonnegative")
     vol, drift = _wealth_coeffs(market, grid, kappa)
-    if rate_paths is None:
-        rate_paths = simulate_short_rate(market.rate, grid, batch)
-    psi_all = _proportional_rates(consumption, grid)
-    return _exact_log_paths(batch.increments, vol, rate_paths.step_integrals(), drift - psi_all[:-1], grid.widths, x0, 1)
+    drift -= _proportional_rates(consumption, grid)[:-1]
+    k = rate_steps.shape[1]
+    return _exact_log_paths(batch.increments[:, :k, :], vol[:k], rate_steps, drift[:k], grid.widths[:k], 1)

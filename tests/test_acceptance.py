@@ -39,6 +39,7 @@ from forward_yield import (
     sample_brownian,
     scaled_consumption,
     simulate_optimal,
+    simulate_short_rate,
     solve_backward_vols,
     state_price_paths,
     terminal_constraint_check,
@@ -125,7 +126,7 @@ def test_criterion_2_vasicek_zero_coupon_oracle():
     start = time.perf_counter()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1002, grid, dim=2, n_paths=100_000)
-    y = state_price_paths(market, grid, batch)
+    y = state_price_paths(market, grid, batch, simulate_short_rate(market.rate, grid, batch).step_integrals())
     worst = 0.0
     for tenor in (1.0, 5.0, 10.0):
         price = float(y[:, grid.index_of(tenor)].mean())
@@ -318,7 +319,7 @@ def test_criterion_9_complete_market_price_agreement():
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1009, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
-    y0_paths = state_price_paths(market, grid, batch, rate_paths=triple.rate_paths)
+    y0_paths = state_price_paths(market, grid, batch, triple.rate_paths.step_integrals())
 
     worst_mc_gap, worst_closed_z = 0.0, 0.0
     for tenor in (1.0, 2.0, 5.0, 10.0):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from forward_yield import (
     terminal_constraint_check,
     terminal_product,
 )
+import forward_yield.market
 from forward_yield import backward
 from forward_yield.brownian import _BLOCK
 
@@ -167,6 +169,35 @@ def test_backward_pair_is_the_forward_pair_without_consumption():
     triple = simulate_optimal(ForwardPowerSpec(spec.alpha, kappa, nu, DeterministicFn.zero()), spec.market, grid, batch)
     assert np.array_equal(x, triple.x)
     assert np.array_equal(y, triple.y)
+
+
+def test_every_optimum_runs_through_the_market_path_engine(monkeypatch):
+    # simulate_optimal, backward_optimal_paths and each horizon of the
+    # horizon experiment build their pair with market.wealth_paths and
+    # market.state_price_paths, once each, and no private copy of them
+    calls = []
+    for fn in (forward_yield.market.wealth_paths, forward_yield.market.state_price_paths):
+
+        def counting(*args, fn=fn, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "forward_yield" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    pair = ["wealth_paths", "state_price_paths"]
+    spec = vasicek_orthogonal_spec(t_horizon=30.0)
+    nu, kappa = solve_backward_vols(spec)
+    grid = make_grid(30.0, 120)
+    batch = sample_brownian(34, grid, dim=2, n_paths=64)
+    simulate_optimal(ForwardPowerSpec(spec.alpha, kappa, nu, DeterministicFn.zero()), spec.market, grid, batch)
+    assert sorted(calls) == sorted(pair)
+    calls.clear()
+    backward_optimal_paths(spec, grid, batch, nu, kappa)
+    assert sorted(calls) == sorted(pair)
+    calls.clear()
+    horizon_dependency_experiment(spec, [10.0, 20.0, 30.0], grid, batch, t_common=5.0)
+    assert sorted(calls) == sorted(3 * pair)
 
 
 def test_horizon_gap_zero_for_maturity_free_gamma():

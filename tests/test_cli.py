@@ -529,7 +529,7 @@ def test_davis_capitalizes_in_the_consumption_free_optimal_wealth(tmp_path, monk
     triple = seen["triple"]
     assert 7.5 in triple.grid.times
     plain = forward_yield.wealth_paths(
-        triple.market, triple.grid, triple.batch, kappa=triple.spec.kappa_star, rate_paths=triple.rate_paths
+        triple.market, triple.grid, triple.batch, triple.rate_paths.step_integrals(), kappa=triple.spec.kappa_star
     )
     assert np.max(np.abs(seen["x"] / plain - 1.0)) < 1e-12
 

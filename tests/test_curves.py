@@ -675,7 +675,7 @@ def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_ou
         seed = int(substream_seed(2470, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
         inner = sample_brownian(seed, sub, 2, inner_paths)
         zero_rate = simulate_short_rate(ConstantRate(0.0), sub, inner)
-        control = state_price_paths(market, sub, inner, nu=spec.nu_star, rate_paths=zero_rate)[:, -1]
+        control = state_price_paths(market, sub, inner, zero_rate.step_integrals(), nu=spec.nu_star)[:, -1]
         rates = simulate_short_rate(market.rate, sub, inner, r0=triple.rate_paths.r[i, k_t])
         ratio = control * np.exp(-rates.integral[:, -1])
         (expected[0, i], expected[1, i]), (expected[2, i], _) = control_variate_estimate(ratio, control, 1.0)

@@ -86,20 +86,6 @@ def test_zhat_mean_log_matches_closed_form():
     assert abs(log_z.mean() - oracle) < 3 * se
 
 
-def test_optimal_processes_linear_in_initial_condition():
-    market = default_market()
-    spec = default_spec()
-    grid = make_grid(1.0, 10)
-    batch = sample_brownian(21, grid, dim=2, n_paths=64)
-    triple = simulate_optimal(spec, market, grid, batch)
-    scaled = wealth_paths(
-        market, grid, batch,
-        kappa=spec.kappa_star, consumption=spec.psi_hat, x0=2.5,
-        rate_paths=triple.rate_paths,
-    )
-    assert np.max(np.abs(scaled / (2.5 * triple.x) - 1.0)) < 1e-14
-
-
 def test_zhat_factorization_pathwise():
     market = default_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E2))
     spec = default_spec()
@@ -306,10 +292,9 @@ def test_value_process_matches_simulated_wealth():
     for kappa, consumption in strategies:
         psi = spec.psi_hat if consumption is None else consumption
         wealth = wealth_paths(
-            market, grid, batch,
+            market, grid, batch, triple.rate_paths.step_integrals(),
             kappa=spec.kappa_star if kappa is None else kappa,
             consumption=psi,
-            rate_paths=triple.rate_paths,
         )
         oracle = _value_process_oracle(triple, wealth, psi)
         value = value_process(triple, kappa, consumption)

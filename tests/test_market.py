@@ -8,6 +8,7 @@ from forward_yield import (
     MarketModel,
     SubspaceR,
     SubspaceViolationError,
+    TimeGrid,
     VasicekRate,
     make_grid,
     sample_brownian,
@@ -33,6 +34,11 @@ def deflated_wealth(y, x, grid, psi=0.0):
     return y * x + integrate.cumulative_trapezoid(y * psi * x, grid.times, axis=1, initial=0.0)
 
 
+def rate_steps(market, grid, batch):
+    """Each path's per-step integrals of the market's short rate."""
+    return simulate_short_rate(market.rate, grid, batch).step_integrals()
+
+
 def two_dim_market(rate=None, eta=(0.05, 0.0)):
     rate = rate if rate is not None else ConstantRate(0.03)
     return MarketModel(
@@ -47,8 +53,8 @@ def test_state_price_constant_when_all_drivers_off():
     market = two_dim_market(rate=ConstantRate(0.0), eta=(0.0, 0.0))
     grid = make_grid(1.0, 10)
     batch = sample_brownian(11, grid, dim=2, n_paths=16)
-    y = state_price_paths(market, grid, batch, y0=2.0)
-    assert np.allclose(y, 2.0, atol=1e-15)
+    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch))
+    assert np.allclose(y, 1.0, atol=1e-15)
 
 
 def test_state_price_martingale_mean():
@@ -57,7 +63,7 @@ def test_state_price_martingale_mean():
     grid = make_grid(2.0, 20)
     batch = sample_brownian(123, grid, dim=2, n_paths=100_000)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
-    y = state_price_paths(market, grid, batch, rate_paths=rate_paths)
+    y = state_price_paths(market, grid, batch, rate_paths.step_integrals())
     capitalized = y[:, -1] * np.exp(rate_paths.integral[:, -1])
     se = capitalized.std(ddof=1) / np.sqrt(len(capitalized))
     assert abs(capitalized.mean() - 1.0) < 3 * se
@@ -69,7 +75,7 @@ def test_minimal_density_matches_vasicek_bond_oracle():
     market = two_dim_market(rate=VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E2), eta=(0.03, 0.0))
     grid = make_grid(10.0, 40)
     batch = sample_brownian(314159, grid, dim=2, n_paths=100_000)
-    y = state_price_paths(market, grid, batch)
+    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch))
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
         price = y[:, k].mean()
@@ -89,7 +95,7 @@ def test_minimal_density_with_hedgeable_rate_noise_tilt():
     )
     grid = make_grid(8.0, 32)
     batch = sample_brownian(2718, grid, dim=2, n_paths=100_000)
-    y = state_price_paths(market, grid, batch)
+    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch))
     k = grid.index_of(8.0)
     tilt, _ = integrate.quad(lambda s: sigma / a * (1.0 - np.exp(-a * (8.0 - s))) * eta0, 0.0, 8.0)
     oracle = textbook_vasicek_price(a, b, sigma, r0, 8.0) * np.exp(-tilt)
@@ -102,8 +108,9 @@ def test_state_price_rejects_nu_outside_complement():
     market = two_dim_market()
     grid = make_grid(1.0, 4)
     batch = sample_brownian(5, grid, dim=2, n_paths=8)
+    nu = DeterministicFn.constant(np.array([0.1, 0.0]))
     with pytest.raises(SubspaceViolationError):
-        state_price_paths(market, grid, batch, nu=DeterministicFn.constant(np.array([0.1, 0.0])))
+        state_price_paths(market, grid, batch, rate_steps(market, grid, batch), nu=nu)
 
 
 def test_factorization_against_exponential_martingale():
@@ -112,8 +119,9 @@ def test_factorization_against_exponential_martingale():
     grid = make_grid(3.0, 30)
     batch = sample_brownian(909, grid, dim=2, n_paths=256)
     nu = DeterministicFn.constant(np.array([0.0, 0.12]))
-    y_nu = state_price_paths(market, grid, batch, nu=nu)
-    y_0 = state_price_paths(market, grid, batch)
+    steps = rate_steps(market, grid, batch)
+    y_nu = state_price_paths(market, grid, batch, steps, nu=nu)
+    y_0 = state_price_paths(market, grid, batch, steps)
     nu_k = np.atleast_2d(nu.values(grid.times[:-1]))
     mart = np.einsum("nkd,kd->nk", batch.increments, nu_k)
     log_dens = np.zeros_like(y_0)
@@ -126,8 +134,8 @@ def test_money_market_wealth_exact():
     market = two_dim_market(rate=ConstantRate(0.04), eta=(0.1, 0.0))
     grid = make_grid(2.0, 8)
     batch = sample_brownian(6, grid, dim=2, n_paths=12)
-    w = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), x0=3.0)
-    assert np.allclose(w, 3.0 * np.exp(0.04 * grid.times), atol=1e-12)
+    w = wealth_paths(market, grid, batch, rate_steps(market, grid, batch), kappa=DeterministicFn.zero(2))
+    assert np.allclose(w, np.exp(0.04 * grid.times), atol=1e-12)
 
 
 def test_proportional_consumption_lognormal_mean():
@@ -136,45 +144,40 @@ def test_proportional_consumption_lognormal_mean():
     market = two_dim_market(rate=ConstantRate(r), eta=(eta0, 0.0))
     grid = make_grid(4.0, 16)
     batch = sample_brownian(321, grid, dim=2, n_paths=100_000)
-    w = wealth_paths(market, grid, batch, kappa=DeterministicFn.constant(kappa_vec), consumption=psi)
+    w = wealth_paths(
+        market, grid, batch, rate_steps(market, grid, batch),
+        kappa=DeterministicFn.constant(kappa_vec), consumption=DeterministicFn.constant(psi),
+    )
     log_x = np.log(w[:, -1])
     oracle = (r - psi + kappa_vec[0] * eta0 - 0.5 * kappa_vec @ kappa_vec) * 4.0
     se = log_x.std(ddof=1) / np.sqrt(len(log_x))
     assert abs(log_x.mean() - oracle) < 3 * se
 
 
-def test_zero_initial_wealth_stays_zero():
-    market = two_dim_market()
-    grid = make_grid(1.0, 4)
-    batch = sample_brownian(7, grid, dim=2, n_paths=6)
-    w = wealth_paths(market, grid, batch, kappa=DeterministicFn.constant(np.array([0.3, 0.0])), x0=0.0)
-    assert np.all(w == 0.0)
-
-
 def test_wealth_rejects_kappa_outside_subspace():
     market = two_dim_market()
     grid = make_grid(1.0, 4)
     batch = sample_brownian(9, grid, dim=2, n_paths=4)
+    kappa = DeterministicFn.constant(np.array([0.0, 0.2]))
     with pytest.raises(SubspaceViolationError):
-        wealth_paths(market, grid, batch, kappa=DeterministicFn.constant(np.array([0.0, 0.2])))
+        wealth_paths(market, grid, batch, rate_steps(market, grid, batch), kappa=kappa)
 
 
 def test_drift_test_money_market_and_consumption():
     market = two_dim_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E2), eta=(0.1, 0.0))
     grid = make_grid(2.0, 10)
     batch = sample_brownian(1001, grid, dim=2, n_paths=50_000)
-    rate_paths = simulate_short_rate(market.rate, grid, batch)
-    y = state_price_paths(market, grid, batch, rate_paths=rate_paths)
+    steps = rate_steps(market, grid, batch)
+    y = state_price_paths(market, grid, batch, steps)
 
-    money = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), rate_paths=rate_paths)
+    money = wealth_paths(market, grid, batch, steps, kappa=DeterministicFn.zero(2))
     report = interval_drift_report(deflated_wealth(y, money, grid), grid.times)
     assert report.max_abs_t <= STAT_BAND
 
     risky = wealth_paths(
-        market, grid, batch,
+        market, grid, batch, steps,
         kappa=DeterministicFn.constant(np.array([0.25, 0.0])),
-        consumption=0.06,
-        rate_paths=rate_paths,
+        consumption=DeterministicFn.constant(0.06),
     )
     report = interval_drift_report(deflated_wealth(y, risky, grid, psi=0.06), grid.times)
     assert report.max_abs_t <= STAT_BAND
@@ -200,7 +203,7 @@ def test_drift_test_flags_misspecified_nu():
     bad_y = np.exp(log_y)
 
     risky = wealth_paths(
-        market, grid, batch, kappa=DeterministicFn.constant(np.array([0.2, 0.0])), rate_paths=rate_paths
+        market, grid, batch, rate_paths.step_integrals(), kappa=DeterministicFn.constant(np.array([0.2, 0.0]))
     )
     report = interval_drift_report(deflated_wealth(bad_y, risky, grid), grid.times)
     assert np.any(np.abs(report.interval_t) > STAT_BAND)
@@ -212,7 +215,8 @@ def test_state_price_strictly_positive():
     market = two_dim_market()
     grid = make_grid(1.0, 8)
     batch = sample_brownian(2, grid, dim=2, n_paths=1000)
-    y = state_price_paths(market, grid, batch, nu=DeterministicFn.constant(np.array([0.0, 0.4])))
+    nu = DeterministicFn.constant(np.array([0.0, 0.4]))
+    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch), nu=nu)
     assert np.all(y > 0.0)
 
 
@@ -220,8 +224,10 @@ def test_deflated_paths_include_running_consumption():
     market = two_dim_market(rate=ConstantRate(0.0), eta=(0.0, 0.0))
     grid = make_grid(1.0, 4)
     batch = sample_brownian(3, grid, dim=2, n_paths=5)
-    y = state_price_paths(market, grid, batch)
-    w = wealth_paths(market, grid, batch, kappa=DeterministicFn.zero(2), consumption=0.1)
+    steps = rate_steps(market, grid, batch)
+    y = state_price_paths(market, grid, batch, steps)
+    psi = DeterministicFn.constant(0.1)
+    w = wealth_paths(market, grid, batch, steps, kappa=DeterministicFn.zero(2), consumption=psi)
     m = deflated_wealth(y, w, grid, psi=0.1)
     assert m.shape == w.shape
     assert np.all(m[:, -1] > w[:, -1])  # consumption was paid out and credited back
@@ -233,20 +239,41 @@ def _leaves_at_last_date(inside, outside):
 
 
 def test_coefficients_checked_on_the_last_grid_date():
-    # the path builders use the K left endpoints but check all K+1 dates
+    # the path builders use the left endpoints of the k steps they simulate
+    # but check all K+1 dates, also for k < K: a horizon's (nu, kappa) is
+    # checked on its whole [0, T_H] when only [0, t_common] is simulated
     market = two_dim_market()
     grid = make_grid(1.0, 4)
     batch = sample_brownian(10, grid, dim=2, n_paths=4)
-    with pytest.raises(SubspaceViolationError):
-        wealth_paths(market, grid, batch, kappa=_leaves_at_last_date([0.2, 0.0], [0.2, 0.3]))
-    with pytest.raises(SubspaceViolationError):
-        state_price_paths(market, grid, batch, nu=_leaves_at_last_date([0.0, 0.1], [0.1, 0.1]))
     bad_eta = MarketModel(
         dim=2, rate=ConstantRate(0.03), risk_premium=_leaves_at_last_date([0.05, 0.0], [0.05, 0.1]),
         subspace=SubspaceR.axes(2, [0]),
     )
-    with pytest.raises(SubspaceViolationError):
-        state_price_paths(bad_eta, grid, batch)
+    for k in (4, 2):
+        steps = rate_steps(market, grid, batch)[:, :k]
+        with pytest.raises(SubspaceViolationError):
+            wealth_paths(market, grid, batch, steps, kappa=_leaves_at_last_date([0.2, 0.0], [0.2, 0.3]))
+        with pytest.raises(SubspaceViolationError):
+            state_price_paths(market, grid, batch, steps, nu=_leaves_at_last_date([0.0, 0.1], [0.1, 0.1]))
+        with pytest.raises(SubspaceViolationError):
+            state_price_paths(bad_eta, grid, batch, steps)
+
+
+def test_paths_on_a_prefix_of_the_rate_steps_are_the_leading_columns():
+    # k < K rate steps simulate the first k steps of grid, bit for bit those
+    # of the K-step run, with coefficients that change value after date k
+    market = two_dim_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E2))
+    grid = TimeGrid.of_times([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+    batch = sample_brownian(12, grid, dim=2, n_paths=50)
+    steps = rate_steps(market, grid, batch)
+    kappa = DeterministicFn.table(np.array([0.0, 1.2]), np.array([[0.3, 0.0], [0.1, 0.0]]))
+    nu = DeterministicFn.table(np.array([0.0, 1.2]), np.array([[0.0, 0.2], [0.0, -0.1]]))
+    psi = DeterministicFn.table(np.array([0.0, 0.4]), np.array([0.1, 0.02]))
+    x = wealth_paths(market, grid, batch, steps, kappa, psi)
+    y = state_price_paths(market, grid, batch, steps, nu)
+    for k in (1, 3):
+        assert np.array_equal(wealth_paths(market, grid, batch, steps[:, :k], kappa, psi), x[:, : k + 1])
+        assert np.array_equal(state_price_paths(market, grid, batch, steps[:, :k], nu), y[:, : k + 1])
 
 
 def test_log_paths_in_row_blocks_equal_the_whole_array_form():
@@ -263,8 +290,8 @@ def test_log_paths_in_row_blocks_equal_the_whole_array_form():
     dlog += drift * h
     reference = np.zeros((n, k + 1))
     np.cumsum(dlog, axis=1, out=reference[:, 1:])
-    reference = 1.5 * np.exp(reference)
-    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1.5, 1), reference)
+    reference = np.exp(reference)
+    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1), reference)
     # a state-price density subtracts its rate steps: the bits of adding their negation
-    negated = _exact_log_paths(increments, vol, -rate_steps, drift, h, 1.5, 1)
-    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1.5, -1), negated)
+    negated = _exact_log_paths(increments, vol, -rate_steps, drift, h, 1)
+    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, -1), negated)
