@@ -25,7 +25,6 @@ from .curves import (
     ramsey_curve_mc,
     ramsey_flat_closed,
     zc_price_gaussian,
-    zc_price_mc,
 )
 from .errors import ConfigError, ForwardYieldError, NumericalRangeError, SubspaceViolationError
 from .forward import (

@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .backward import (
     terminal_constraint_check,
     terminal_product,
 )
-from .brownian import BrownianBatch, map_blocks, sample_brownian
+from .brownian import BrownianBatch, map_blocks
 from .config import (
     build_backward_spec,
     build_forward_spec,
@@ -52,11 +52,9 @@ from .curves import (
     ramsey_curve_mc,
     ramsey_flat_closed,
     zc_price_gaussian,
-    zc_price_mc,
 )
 from .errors import ConfigError, ForwardYieldError
 from .forward import (
-    OptimalTriple,
     consistency_drift_test,
     first_order_check,
     hjb_residual,
@@ -68,7 +66,7 @@ from .forward import (
 )
 from .grids import DeterministicFn, TimeGrid, make_grid
 from .market import MarketModel
-from .stats import IDENTITY_TOL, STAT_BAND, control_variate_estimate, moments, t_stat
+from .stats import IDENTITY_TOL, STAT_BAND, control_variate_estimate, mean_stderr, moments, t_stat
 from .tables import RunManifest
 
 CURVE_COLUMNS = ["tenor", "rate", "stderr", "method"]
@@ -148,15 +146,21 @@ def _quarterly_grid(times: list[float], field: str) -> tuple[TimeGrid, list[int]
     return grid, grid_indices(grid, times, field)
 
 
-def _forward_triple(cfg: Mapping[str, Any], grid: TimeGrid, read: list[int]) -> OptimalTriple:
-    """Optimal processes of the configured forward spec on the reading grid
-    of the indices of grid that the run reads."""
-    market = build_market(cfg)
-    spec = build_forward_spec(cfg, market)
-    grid = reading_grid(spec, market, grid, read)
-    n_paths, seed, _ = simulation_params(cfg)
-    batch = sample_brownian(seed, grid, dim=market.dim, n_paths=n_paths)
-    return simulate_optimal(spec, market, grid, batch)
+def _read_columns(
+    read_block: Callable[[BrownianBatch], np.ndarray], seed: int, grid: TimeGrid, dim: int, n_paths: int, width: int
+) -> np.ndarray:
+    """The (n_paths, width) columns read_block returns for the batch of each
+    stream block (map_blocks), in row order, so that reductions over them
+    give the bits of one batch of all the paths; blocks write disjoint rows,
+    so threads fill the array without a lock."""
+    columns = np.empty((n_paths, width))
+
+    def fill(batch: BrownianBatch) -> None:
+        columns[batch.first_row : batch.first_row + batch.n_paths] = read_block(batch)
+
+    for _ in map_blocks(fill, seed, grid, dim, n_paths):
+        pass
+    return columns
 
 
 def _curve_rows(curve: YieldCurve) -> list[dict]:
@@ -168,15 +172,15 @@ def _curve_rows(curve: YieldCurve) -> list[dict]:
 
 
 def _curve_tables(
-    run: RunManifest, name: str, y_paths: np.ndarray, market: MarketModel, nu: DeterministicFn,
-    tenors: list[float], ks: Sequence[int], gamma: Optional[GammaModel] = None,
+    run: RunManifest, name: str, y_cols: np.ndarray, market: MarketModel, nu: DeterministicFn,
+    tenors: list[float], gamma: Optional[GammaModel] = None,
 ) -> tuple[Path, list[dict]]:
     """Write the marginal_mc, gaussian_closed and risk_neutral curves of a
-    state-price density as one long table; return its path and the
-    per-tenor price rows."""
+    unit-initial state-price density, column j of y_cols being its paths at
+    tenors[j], as one long table; return its path and the per-tenor price rows."""
     prices, stderrs, closed, neutral = [], [], [], []
-    for t, k in zip(tenors, ks):
-        p, se = zc_price_mc(y_paths, 0, k)
+    for j, t in enumerate(tenors):
+        p, se = mean_stderr(y_cols[:, j])
         prices.append(p)
         stderrs.append(se)
         closed.append(float(zc_price_gaussian(market, nu, 0.0, t, gamma=gamma)))
@@ -207,8 +211,9 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
     grid, ks = _quarterly_grid(tenors, "ramsey.tenors")
     # geometric consumption is exact at any step size: simulate the read dates only
     grid = grid.subgrid(sorted({0, *ks}))
-    batch = sample_brownian(seed, grid, dim=1, n_paths=n_paths)
-    c_paths = gbm_consumption_paths(1.0, growth, sigma, grid, batch)
+    c_paths = _read_columns(
+        lambda batch: gbm_consumption_paths(1.0, growth, sigma, grid, batch), seed, grid, 1, n_paths, grid.n_steps + 1
+    )
     report = ramsey_curve_mc(beta, alpha, c_paths, grid, tenors)
     closed = ramsey_flat_closed(beta, alpha, growth, sigma)
 
@@ -236,7 +241,7 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
 def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     run = _open_run("forward-curve", cfg)
     grid = build_grid(cfg)
-    _, _, inner_paths = simulation_params(cfg)
+    n_paths, seed, inner_paths = simulation_params(cfg)
     tenors, _, _ = output_params(cfg)
     ks = grid_indices(grid, tenors, "output.tenors")
     asof = cfg["output"].get("asof", 0.0)
@@ -245,24 +250,36 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     if asof > 0.0 and k_t >= ks[-1]:
         raise ConfigError(f"output.asof: must precede the last tenor {tenors[-1]:g}, got {asof:g}")
 
-    triple = _forward_triple(cfg, grid, ks + [k_t])
-    # indices on the reading grid the run was simulated on
-    ks = grid_indices(triple.grid, tenors, "output.tenors")
-    (k_t,) = grid_indices(triple.grid, [asof], "output.asof")
-    table, detail_rows = _curve_tables(
-        run, "forward_curve", triple.y, triple.market, triple.spec.nu_star, tenors, ks
-    )
+    market = build_market(cfg)
+    spec = build_forward_spec(cfg, market)
+    grid = reading_grid(spec, market, grid, ks + [k_t])
+    # indices on the reading grid the run simulates on
+    ks = grid_indices(grid, tenors, "output.tenors")
+    (k_t,) = grid_indices(grid, [asof], "output.asof")
+    # block 0's triple holds the nested pass's outer paths, at most 256 of
+    # the block's 8192 rows
+    head = []
+
+    def read_block(batch: BrownianBatch) -> np.ndarray:
+        triple = simulate_optimal(spec, market, grid, batch)
+        if asof > 0.0 and batch.first_row == 0:
+            head.append(triple)
+        return triple.y[:, ks]
+
+    y_cols = _read_columns(read_block, seed, grid, market.dim, n_paths, len(ks))
+    table, detail_rows = _curve_tables(run, "forward_curve", y_cols, market, spec.nu_star, tenors)
     for row in detail_rows:
         row["mc_minus_gaussian_t"] = t_stat(row["mc_price"] - row["gaussian_price"], row["mc_stderr"])
     run.table("forward_curve_detail", detail_rows)
     summary = {"max_abs_mc_vs_gaussian_t": max(abs(r["mc_minus_gaussian_t"]) for r in detail_rows)}
 
     if asof > 0.0:
+        (triple,) = head
         later = [(t, k) for t, k in zip(tenors, ks) if k > k_t]
         inner, inner_plain = marginal_zc_mc(triple, k_t, [k for _, k in later], inner_paths=inner_paths)
         # the outer control is each outer path's rate state, of known mean
         rate_states = triple.rate_paths.r[: inner.mean.shape[1], k_t]
-        expected = triple.market.rate.expected_rate(triple.grid.times[k_t])
+        expected = market.rate.expected_rate(grid.times[k_t])
         (means, stderrs), outer_plain = control_variate_estimate(inner.mean, rate_states, expected)
         nested = curve_from_prices(
             means, np.array([t for t, _ in later]), asof=asof, method="marginal_mc_nested", stderrs=stderrs
@@ -315,25 +332,15 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
     ks = grid_indices(grid, tenors, "output.tenors")
 
     nu, kappa = solve_backward_vols(spec)
-    # the columns the run reads, of all paths, so that the reductions below
-    # give the bits of one whole batch: Y at date 0 and at the tenors, and
-    # the terminal product at the horizon; blocks write disjoint rows, so
-    # threads share them without a lock
-    y_cols, z = np.empty((n_paths, len(ks) + 1)), np.empty(n_paths)
 
-    def read_block(batch: BrownianBatch) -> None:
+    def read_block(batch: BrownianBatch) -> np.ndarray:
+        """Y at the tenors, and the terminal product at the horizon."""
         x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
-        rows = slice(batch.first_row, batch.first_row + batch.n_paths)
-        y_cols[rows] = y[:, [0, *ks]]
-        z[rows] = terminal_product(spec, grid, x, y)
+        return np.column_stack((y[:, ks], terminal_product(spec, grid, x, y)))
 
-    for _ in map_blocks(read_block, seed, grid, market.dim, n_paths):
-        pass
-    constraint = terminal_constraint_check(z)
-
-    table, detail_rows = _curve_tables(
-        run, "backward_curve", y_cols, market, nu, tenors, range(1, len(ks) + 1), gamma=spec.gamma
-    )
+    columns = _read_columns(read_block, seed, grid, market.dim, n_paths, len(ks) + 1)
+    constraint = terminal_constraint_check(columns[:, -1])
+    table, detail_rows = _curve_tables(run, "backward_curve", columns, market, nu, tenors, gamma=spec.gamma)
     run.table("backward_curve_detail", detail_rows)
     run.add_summary(
         terminal_constant=constraint.constant,
@@ -465,26 +472,32 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     (k_mat,) = grid_indices(grid, [maturity], "davis.maturity")
     maturity = float(maturity)
     kind, strike = davis_payoff(cfg)
+    n_paths, seed, _ = simulation_params(cfg)
 
-    triple = _forward_triple(cfg, grid, [k_mat, grid.n_steps])
-    grid = triple.grid  # the reading grid: date 0, the maturity, the horizon and coefficient changes
-    (k_mat,) = grid_indices(grid, [maturity], "davis.maturity")
-    y = triple.y
+    market = build_market(cfg)
+    spec = build_forward_spec(cfg, market)
+    # the reading grid: date 0, the maturity, the horizon and coefficient changes
+    grid = reading_grid(spec, market, grid, [k_mat, grid.n_steps])
+    read = [0, grid.index_of(maturity), grid.n_steps]
+
+    def read_block(batch: BrownianBatch) -> np.ndarray:
+        triple = simulate_optimal(spec, market, grid, batch)
+        return np.hstack((triple.x[:, read], triple.y[:, read]))
+
+    x, y = np.hsplit(_read_columns(read_block, seed, grid, market.dim, n_paths, 2 * len(read)), 2)
     if kind == "unit":
-        payoff = np.ones(triple.n_paths)
-        label = "unit"
+        payoff, label = np.ones(n_paths), "unit"
     else:
-        payoff = np.maximum(triple.x[:, k_mat] - strike, 0.0)
-        label = f"call_on_wealth(K={strike:g})"
+        payoff, label = np.maximum(x[:, 1] - strike, 0.0), f"call_on_wealth(K={strike:g})"
 
-    price = davis_price(payoff, y, k_mat)
+    price = davis_price(payoff, y, 1)
 
     # time consistency: capitalize the payoff to the horizon inside the
     # consumption-free optimal wealth Xstar exp(int psi_hat ds) and reprice;
     # the reading grid keeps every date where psi_hat changes, so the sum is exact
-    psi = np.asarray(triple.spec.psi_hat.values(grid.times), dtype=float)
-    plain_wealth = triple.x * np.exp(np.concatenate(([0.0], np.cumsum(psi[:-1] * grid.widths))))
-    p_cap, cap_t = davis_time_consistency(payoff, y, plain_wealth, k_mat, grid.n_steps)
+    psi = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
+    plain_wealth = x * np.exp(np.concatenate(([0.0], np.cumsum(psi[:-1] * grid.widths))))[read]
+    p_cap, cap_t = davis_time_consistency(payoff, y, plain_wealth, 1, 2)
 
     rows = [
         {

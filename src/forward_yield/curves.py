@@ -223,18 +223,7 @@ def zc_price_gaussian(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo zero-coupon prices (plain and nested)
-
-
-def zc_price_mc(y_paths: np.ndarray, k_t: int, k_mat: int) -> Estimate:
-    """Unconditional price E[Y_T / Y_t] with standard error; k_t = 0 is the
-    plain time-0 estimator."""
-    if k_mat < k_t:
-        raise ValueError("maturity index must not precede the pricing index")
-    if k_mat == k_t:
-        return Estimate(1.0, 0.0)
-    m, se = mean_stderr(y_paths[:, k_mat] / y_paths[:, k_t])
-    return Estimate(float(m), float(se))
+# nested Monte Carlo zero-coupon prices
 
 
 def marginal_zc_mc(
@@ -257,7 +246,7 @@ def marginal_zc_mc(
     simulations of as many whole outer paths as fit in _LOG_ROWS rows, and
     at least one, run as one stack of rows; every row's operations are those
     of its own simulation, so the prices do not depend on the chunking.  The
-    date-0 price is the plain average zc_price_mc(triple.y, 0, k_mat).
+    date-0 price is the plain average mean_stderr(triple.y[:, k_mat]).
 
     The control is the dual exponential martingale M = Y_T / Y_t e^{int_t^T r}:
     the exponential of ln Y's (nu - eta) . dW terms and their
@@ -477,19 +466,16 @@ def _fsum_mean(x: np.ndarray) -> float:
     return math.fsum(map(float, x)) / len(x)
 
 
-def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int, k_t: int = 0) -> Estimate:
-    """Price E[zeta_T Y_T / Y_t] on a fixed batch.
+def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int) -> Estimate:
+    """Date-0 marginal-utility price E[zeta_T Y_T / Y_0] on a fixed batch.
 
-    At k_t = 0 this is the date-0 marginal-utility price; at k_t > 0 it is
-    the unconditional average of the date-t price (marginal_zc_mc gives the
-    per-state price of the unit claim).  The estimator is an exactly ordered
-    sum, so scaling and superposition of payoffs carry through to prices
-    with at most one rounding per path.
+    The estimator is an exactly ordered sum, so scaling and superposition
+    of payoffs carry through to prices with at most one rounding per path.
     """
     payoff_values = np.asarray(payoff_values, dtype=float)
     if np.any(payoff_values < 0):
         raise ValueError("payoffs must be nonnegative")
-    deflated = payoff_values * y_paths[:, k_mat] / y_paths[:, k_t]
+    deflated = payoff_values * y_paths[:, k_mat] / y_paths[:, 0]
     _, se = mean_stderr(deflated)
     return Estimate(_fsum_mean(deflated), float(se))
 

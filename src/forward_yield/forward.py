@@ -121,6 +121,7 @@ def simulate_optimal(
     rate_steps = rate_paths.step_integrals()
     x = wealth_paths(market, grid, batch, rate_steps, spec.kappa_star, spec.psi_hat)
     y = state_price_paths(market, grid, batch, rate_steps, spec.nu_star)
+    del rate_steps
     # an overflow, and the nan of 0 * inf it leads to, is reported by the scan below
     with np.errstate(over="ignore", invalid="ignore"):
         zhat = np.power(x, spec.alpha)

@@ -17,6 +17,7 @@ from forward_yield.brownian import _BLOCK
 from forward_yield.config import (
     DEFAULT_CONFIG,
     build_backward_spec,
+    build_forward_spec,
     build_grid,
     build_market,
     config_hash,
@@ -126,7 +127,7 @@ def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatc
     def no_simulation(*args, **kwargs):
         raise AssertionError("paths simulated before the config was validated")
 
-    monkeypatch.setattr(cli, "sample_brownian", no_simulation)
+    monkeypatch.setattr(forward_yield.brownian, "sample_brownian", no_simulation)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(overrides))
     code = run_cli(command, "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
@@ -141,7 +142,7 @@ def test_fewer_than_two_paths_names_field(tmp_path, capsys, monkeypatch, command
     def no_simulation(*args, **kwargs):
         raise AssertionError("paths simulated before the config was validated")
 
-    monkeypatch.setattr(cli, "sample_brownian", no_simulation)
+    monkeypatch.setattr(forward_yield.brownian, "sample_brownian", no_simulation)
     cfg = tmp_path / "few.json"
     cfg.write_text(json.dumps({"simulation": {"n_paths": 1}} if source == "config" else {}))
     paths = [] if source == "config" else ["--paths", "1"]
@@ -388,6 +389,11 @@ def test_horizon_stores_only_the_steps_to_t_common(tmp_path, monkeypatch, t_comm
         assert float(row["max_rel_gap_dual"]) > 0.0
 
 
+def _whole_batch(fn, seed, grid, dim, n_paths):
+    """map_blocks run as one block of all the paths."""
+    yield fn(forward_yield.sample_brownian(seed, grid, dim, n_paths))
+
+
 def _record_run(monkeypatch) -> dict:
     """The rows each table and the summary of a run get, before rendering."""
     recorded = {"summary": []}
@@ -425,26 +431,40 @@ def test_streamed_horizon_equals_the_whole_batch(tmp_path, monkeypatch, threads,
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("n_paths", [_BLOCK + 1, 2 * _BLOCK + 300])
-def test_streamed_backward_curve_equals_the_whole_batch(tmp_path, monkeypatch, threads, n_paths):
-    # backward-curve keeps a block's tenor and terminal columns only; the
-    # prices and the terminal dispersion are those of one batch of all the paths
+@pytest.mark.parametrize("n_paths", [_BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("command", ["backward-curve", "forward-curve", "davis", "ramsey-flat"])
+def test_streamed_columns_equal_the_whole_batch(tmp_path, monkeypatch, command, threads, n_paths):
+    # a run keeps the columns it reads of each block of the streams, and the
+    # nested curve as of 2 reprices block 0's first paths; every table and
+    # summary row is that of the run on one batch of all the paths, bit for bit
     monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
-    recorded = _record_run(monkeypatch)
-    assert run_cli("backward-curve", "--paths", str(n_paths), "--out", str(tmp_path / "out")) == 0
-    cfg = load_config(None)
-    market = build_market(cfg)
-    spec = build_backward_spec(cfg, market)
-    grid = build_grid(cfg)
-    batch = forward_yield.sample_brownian(simulation_params(cfg)[1], grid, dim=market.dim, n_paths=n_paths)
-    x, y = forward_yield.backward_optimal_paths(spec, grid, batch, *forward_yield.solve_backward_vols(spec))
-    tenors = output_params(cfg)[0]
-    prices = [forward_yield.zc_price_mc(y, 0, k) for k in grid_indices(grid, tenors, "output.tenors")]
-    detail = recorded["backward_curve_detail"]
-    assert [(r["mc_price"], r["mc_stderr"]) for r in detail] == [(p.mean, p.stderr) for p in prices]
-    report = forward_yield.terminal_constraint_check(forward_yield.terminal_product(spec, grid, x, y))
-    (summary,) = recorded["summary"]
-    assert (summary["terminal_constant"], summary["terminal_cv"]) == (report.constant, report.cv)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": {"asof": 2.0}} if command == "forward-curve" else {}))
+    runs = []
+    for blocks in (cli.map_blocks, _whole_batch):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "map_blocks", blocks)
+            runs.append(_record_run(m))
+            assert run_cli(command, "--config", str(cfg), "--paths", str(n_paths), "--out", str(tmp_path / "out")) == 0
+    assert runs[0] == runs[1]
+    if command == "forward-curve":
+        assert len(runs[0]["forward_curve_asof"]) > 0
+
+
+@pytest.mark.parametrize("command", ["ramsey-flat", "forward-curve", "backward-curve", "verify", "davis", "horizon"])
+def test_path_subcommands_draw_one_stream_block_at_a_time(tmp_path, monkeypatch, command):
+    # every path subcommand draws its paths block by block, so no call holds
+    # more than one block's increments
+    draw = forward_yield.brownian.sample_brownian
+    rows = []
+
+    def recording(seed, grid, dim, n_paths, first_row=0):
+        rows.append(n_paths)
+        return draw(seed, grid, dim, n_paths, first_row)
+
+    monkeypatch.setattr(forward_yield.brownian, "sample_brownian", recording)
+    assert run_cli(command, "--paths", str(_BLOCK + 1), "--out", str(tmp_path / "out")) in (0, 1)
+    assert sum(rows) == _BLOCK + 1 and max(rows) <= _BLOCK
 
 
 def test_horizon_draws_only_the_steps_to_t_common(tmp_path, monkeypatch):
@@ -531,7 +551,9 @@ def test_davis_capitalizes_in_the_consumption_free_optimal_wealth(tmp_path, monk
     plain = forward_yield.wealth_paths(
         triple.market, triple.grid, triple.batch, triple.rate_paths.step_integrals(), kappa=triple.spec.kappa_star
     )
-    assert np.max(np.abs(seen["x"] / plain - 1.0)) < 1e-12
+    # davis keeps the columns at date 0, the maturity and the horizon
+    read = [0, triple.grid.index_of(5.0), triple.grid.n_steps]
+    assert np.max(np.abs(seen["x"] / plain[:, read] - 1.0)) < 1e-12
 
 
 def test_verify_command_passes_and_reports(tmp_path):
@@ -760,16 +782,17 @@ def test_outer_control_has_the_vasicek_mean():
     # the rate state at the curve date is the outer control; its known mean
     # must hold on the simulated reading grid, or the control would bias the curve
     cfg = load_config(None)
-    cfg["output"].update(NESTED_CURVE["output"])
     cfg["market"]["rate"]["r0"] = 0.05
-    cfg["simulation"]["n_paths"] = 20_000
-    configured = cli.build_grid(cfg)
-    read = cli.grid_indices(configured, cfg["output"]["tenors"] + [2.0], "output")
-    triple = cli._forward_triple(cfg, configured, read)
-    k_t = triple.grid.index_of(2.0)
-    mean, se = mean_stderr(triple.rate_paths.r[:, k_t])
+    market = build_market(cfg)
+    spec = build_forward_spec(cfg, market)
+    configured = build_grid(cfg)
+    read = grid_indices(configured, NESTED_CURVE["output"]["tenors"] + [2.0], "output")
+    grid = forward_yield.reading_grid(spec, market, configured, read)
+    batch = forward_yield.sample_brownian(simulation_params(cfg)[1], grid, dim=market.dim, n_paths=20_000)
+    triple = forward_yield.simulate_optimal(spec, market, grid, batch)
+    mean, se = mean_stderr(triple.rate_paths.r[:, grid.index_of(2.0)])
     assert se > 0
-    assert abs(mean - triple.market.rate.expected_rate(2.0)) <= 4.0 * se
+    assert abs(mean - market.rate.expected_rate(2.0)) <= 4.0 * se
 
 
 @pytest.mark.parametrize(

@@ -35,13 +35,11 @@ from forward_yield import (
     solve_backward_vols,
     state_price_paths,
     zc_price_gaussian,
-    zc_price_mc,
 )
 from forward_yield.brownian import PURPOSE_INNER, substream_seed
 from forward_yield.curves import forward_marginal_consumption_paths, market_gamma
 from forward_yield.errors import NumericalRangeError
-from forward_yield import cli
-from forward_yield.config import build_grid, load_config
+from forward_yield.config import build_forward_spec, build_grid, build_market, load_config
 from forward_yield.stats import control_variate_estimate, mean_stderr
 
 from gamma_fields import CustomGamma
@@ -197,7 +195,7 @@ def test_marginal_zc_time_zero_against_gaussian():
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        price, se = zc_price_mc(triple.y, 0, k)
+        price, se = mean_stderr(triple.y[:, k])
         closed = zc_price_gaussian(market, spec.nu_star, 0.0, tenor)
         assert abs(price - closed) < 3 * se
 
@@ -213,9 +211,10 @@ def test_marginal_zc_degenerate_cases():
     grid = make_grid(4.0, 16)
     batch = sample_brownian(3, grid, dim=2, n_paths=20_000)
     triple = simulate_optimal(spec, market, grid, batch)
-    price, se = zc_price_mc(triple.y, 0, grid.index_of(4.0))
+    price, se = mean_stderr(triple.y[:, grid.index_of(4.0)])
     assert price == pytest.approx(1.0, abs=1e-12)  # unit state price
-    assert zc_price_mc(triple.y, 5, 5) == (1.0, 0.0)
+    # unit-initial: the date-0 price is exactly 1 with no sampling error
+    assert mean_stderr(triple.y[:, 0]) == (1.0, 0.0)
 
 
 def test_nested_conditional_prices_match_state_closed_form():
@@ -303,10 +302,11 @@ def test_inner_control_has_mean_one_at_the_default_config(monkeypatch):
     # M = Y_T / Y_t e^{int r} is an exponential martingale: its known mean
     # 1 must hold on the simulated paths, or the control would bias the curve
     cfg = load_config(None)
+    market = build_market(cfg)
+    spec = build_forward_spec(cfg, market)
     configured = build_grid(cfg)
-    read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 10.0)]
-    triple = cli._forward_triple({**cfg, "simulation": {**cfg["simulation"], "n_paths": 64}}, configured, read)
-    grid = triple.grid
+    grid = reading_grid(spec, market, configured, [configured.index_of(t) for t in (2.0, 3.0, 5.0, 10.0)])
+    triple = simulate_optimal(spec, market, grid, sample_brownian(cfg["simulation"]["seed"], grid, market.dim, 64))
     controls = inner_controls(triple, grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 10.0)], monkeypatch)
     mean, se = mean_stderr(controls, axis=1)
     assert np.all(se > 0)
@@ -384,7 +384,7 @@ def test_complete_market_marginal_equals_risk_neutral():
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
-        price, se = zc_price_mc(triple.y, 0, k)
+        price, se = mean_stderr(triple.y[:, k])
         closed = zc_price_gaussian(market, None, 0.0, tenor)
         assert abs(price - closed) < 4 * se
 
@@ -564,7 +564,7 @@ def test_davis_unit_payoff_equals_zero_coupon():
     batch = sample_brownian(2468, grid, dim=2, n_paths=50_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
-    zc, _ = zc_price_mc(triple.y, 0, k)
+    zc, _ = mean_stderr(triple.y[:, k])
     unit = davis_price(np.ones(triple.n_paths), triple.y, k)
     assert unit.mean == pytest.approx(zc, rel=1e-12)
 

@@ -31,6 +31,7 @@ from forward_yield import (
     wealth_paths,
 )
 from forward_yield.brownian import _BLOCK, map_blocks, stream_blocks
+from forward_yield.config import build_forward_spec, build_grid, build_market, load_config
 from forward_yield.forward import value_process
 from forward_yield.stats import STAT_BAND, DriftReport, interval_drift_report
 
@@ -426,6 +427,18 @@ def test_verify_checks_allocate_no_full_size_temporaries():
     grid = make_grid(5.0, 20)
     triple = simulate_optimal(spec, market, grid, sample_brownian(19, grid, dim=2, n_paths=100_000))
     assert _traced_peak(lambda: first_order_check(triple)) < 0.5 * triple.x.nbytes
+
+
+def test_simulate_optimal_frees_the_rate_steps_before_zhat():
+    # one stream block at the default config: the peak holds the triple's
+    # five (rows, K+1) arrays and Zhat's temporaries, about 5.5 x.nbytes;
+    # the (rows, K) step integrals kept alive with them make it about 6
+    cfg = load_config(None)
+    market = build_market(cfg)
+    spec, grid = build_forward_spec(cfg, market), build_grid(cfg)
+    batch = sample_brownian(cfg["simulation"]["seed"], grid, dim=market.dim, n_paths=_BLOCK)
+    x_bytes = _BLOCK * (grid.n_steps + 1) * 8
+    assert _traced_peak(lambda: simulate_optimal(spec, market, grid, batch)) < 5.75 * x_bytes
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
