@@ -416,7 +416,7 @@ def _cmd_verify(cfg: Mapping[str, Any]) -> int:
             hjb = hjb_residual(triple)
             head = (hjb.max_rel_residual, hjb.max_policy_residual, representation_check(triple))
         identities = [first_order_check(triple)] + ([pathwise_ramsey_report(triple)] if ramsey else [])
-        drifts = [consistency_drift_test(triple, **strategy) for strategy in strategies]
+        drifts = consistency_drift_test(triple, strategies=strategies)
         capitalized = moments(triple.y[:, -1] * np.exp(triple.rate_paths.integral[:, -1]))
         return head, identities, drifts, capitalized
 

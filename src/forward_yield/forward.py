@@ -9,8 +9,8 @@ define the utility, and every identity below is available in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,14 +21,13 @@ from .market import (
     MarketModel,
     _dual_coeffs,
     _proportional_rates,
-    _running_trapezoid,
     _wealth_coeffs,
     row_blocks,
     state_price_paths,
     wealth_paths,
 )
 from .rates import RatePaths, simulate_short_rate
-from .stats import DriftReport, interval_drift_report
+from .stats import DriftReport, linear_drift_reports
 from .utility import PowerUtility
 
 
@@ -287,63 +286,76 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
 # consistency (supermartingale / martingale) drift tests
 
 
-def value_process(
+def _strategy_steps(
     triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[DeterministicFn] = None
-) -> np.ndarray:
-    """Paths of G_t = U(t, X_t) + int_0^t V(s, c_s) ds on the optimal
-    triple's paths, for the proportional strategy (kappa, c = psi X); None
-    means kappa_star or psi_hat.  As Zhat = Y Xstar^alpha, G reweights the
-    optimal deflated wealth P = Y Xstar by F = X / Xstar, whose rate steps
-    cancel:
-
-        G = [P F^(1-alpha) + int psi_hat^alpha psi^(1-alpha) P F^(1-alpha) ds] / (1-alpha),
-        ln F_k = sum_{j<k} [dkappa . dW_j + (dkappa . eta - d|kappa|^2 / 2 - dpsi) h_j],
-
-    d meaning the change from the optimum.  F = 1 for the optimal strategy
-    (G = [P + int psi_hat P ds] / (1-alpha)), and F is one number per date
-    when only psi changes.  The integral is a trapezoid sum whose step k
-    weighs both of its ends with psi_hat_k^alpha psi_k^(1-alpha), the rates
-    the wealth scheme holds over that step, so a rate that changes on a grid
-    date is integrated as it is consumed.  The trapezoid biases the drift:
-    with P = e^(-psi t) deterministic, the optimal G moves by
-    P_k [e^(-psi h) - 1 + psi h (1 + e^(-psi h)) / 2] / (1-alpha) over a step h.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The volatility (K, dim) of ln F^(1-alpha) and the rest of
+    ln(F^(1-alpha) / (1-alpha)) on the K+1 dates (value_process), and A and B
+    (consistency_drift_test), of the strategy (kappa, c = psi X)."""
     spec, market, grid = triple.spec, triple.market, triple.grid
     alpha = spec.alpha
     vol_star, drift_star = _wealth_coeffs(market, grid, spec.kappa_star)
     vol, drift = (vol_star, drift_star) if kappa is None else _wealth_coeffs(market, grid, kappa)
     psi_star = _proportional_rates(spec.psi_hat, grid)[:-1]
     psi = psi_star if consumption is None else _proportional_rates(consumption, grid)[:-1]
-    g = np.multiply(triple.y, triple.x)
-    # ln(F^(1-alpha) / (1-alpha)): one number per date unless kappa changes
-    per_path = bool(np.any(vol != vol_star))
-    log_f = np.zeros(g.shape if per_path else g.shape[1])
-    if per_path:
-        np.einsum("nkd,kd->nk", triple.batch.increments, (1.0 - alpha) * (vol - vol_star), out=log_f[:, 1:])
-    log_f[..., 0] = -np.log1p(-alpha)
-    log_f[..., 1:] += (1.0 - alpha) * (drift - drift_star - (psi - psi_star)) * grid.widths
-    np.cumsum(log_f, axis=-1, out=log_f)
-    g *= np.exp(log_f, out=log_f)
-    del log_f  # freed before the trapezoid allocates two more arrays
-    g += _running_trapezoid(g, np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha), grid.widths)
-    return g
+    log_d = np.cumsum(np.r_[-np.log1p(-alpha), (1.0 - alpha) * (drift - drift_star - (psi - psi_star)) * grid.widths])
+    half = 0.5 * grid.widths * np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha)
+    return (1.0 - alpha) * (vol - vol_star), log_d, 1.0 + half, 1.0 - half
+
+
+def value_process(
+    triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[DeterministicFn] = None
+) -> np.ndarray:
+    """Paths of U(t, X_t) for the proportional strategy (kappa, c = psi X),
+    None meaning kappa_star or psi_hat, on the optimal triple's paths, which
+    it reweights without simulating wealth: F = X / Xstar drops the rate steps,
+    U = P F^(1-alpha) / (1-alpha) with P = Y Xstar as Zhat = Y Xstar^alpha, and
+    ln F_k = sum_{j<k} [dkappa . dW_j + (dkappa . eta - d|kappa|^2 / 2 - dpsi) h_j],
+    d meaning the change from the optimum."""
+    dvol, log_d, _, _ = _strategy_steps(triple, kappa, consumption)
+    log_f = np.zeros(triple.x.shape)
+    np.einsum("nkd,kd->nk", triple.batch.increments, dvol, out=log_f[:, 1:])
+    np.cumsum(log_f, axis=1, out=log_f)
+    log_f += log_d
+    # U is formed date by date, the layout in which linear_drift_reports sums its columns
+    u = np.multiply(triple.y.T, triple.x.T, out=np.empty(log_f.shape[::-1]))
+    return np.multiply(u, np.exp(log_f, out=log_f).T, out=u).T
 
 
 def consistency_drift_test(
-    triple: OptimalTriple,
-    kappa: Optional[DeterministicFn] = None,
-    consumption: Optional[DeterministicFn] = None,
-) -> DriftReport:
-    """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds across the
-    triple's paths, in one pass (value_process, which simulates no wealth).
-    verify reduces each 8,192-row block of the streams to this report and
-    merges the blocks' reports (DriftReport.merge).
+    triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[DeterministicFn] = None,
+    *, strategies: Optional[Sequence[Mapping[str, Optional[DeterministicFn]]]] = None,
+) -> Union[DriftReport, list[DriftReport]]:
+    """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds over the triple's
+    paths for one strategy, or a report per strategy (mappings of kappa and
+    consumption) from one pass over P.  The optimal drift is zero up to the
+    trapezoid rule's bias, on which its t statistics are centred; any
+    admissible perturbation makes it nonpositive, detectably once large.
 
-    With the optimal strategy (the default) the drift is statistically zero
-    on every interval; any admissible perturbation makes it nonpositive, and
-    detectably negative once the perturbation is large enough.
-    """
-    return interval_drift_report(value_process(triple, kappa, consumption), triple.grid.times)
+    The trapezoid weighs both ends of step k with w_k = psi_hat_k^alpha
+    psi_k^(1-alpha), the wealth scheme's rate, so G_{k+1} - G_k = A_k U_{k+1}
+    - B_k U_k with A, B = 1 +- h_k w_k / 2.  Unless kappa changes, U = D_k P,
+    and those rows come from the column moments of P together.  As
+    E[P_{k+1} | P_k] = P_k e^(-psi_hat_k h_k), the optimal row's bias is
+    E[P_k] (A_k e^(-psi_hat_k h_k) - B_k) / (1-alpha)."""
+    if strategies is None:
+        return consistency_drift_test(triple, strategies=[{"kappa": kappa, "consumption": consumption}])[0]
+    grid = triple.grid
+    reports, shared = {}, {}  # shared: strategy index -> A_k D_{k+1}, B_k D_k, whether it is the optimum
+    for i, strategy in enumerate(strategies):
+        dvol, log_d, a, b = _strategy_steps(triple, **strategy)
+        if np.any(dvol):
+            (reports[i],) = linear_drift_reports(value_process(triple, **strategy), grid.times, a, b)
+        else:
+            shared[i] = (np.exp(log_d[1:]) * a, np.exp(log_d[:-1]) * b, np.ptp(log_d) == 0)
+    if shared:
+        a, b, optimal = map(np.array, zip(*shared.values()))
+        p = np.multiply(triple.y.T, triple.x.T, out=np.empty(triple.x.shape[::-1]))  # date by date, as reduced
+        psi_h = _proportional_rates(triple.spec.psi_hat, grid)[:-1] * grid.widths
+        bias = np.exp(-np.r_[0.0, np.cumsum(psi_h)[:-1]]) * (a * np.exp(-psi_h) - b)
+        for r, (i, report) in enumerate(zip(shared, linear_drift_reports(p.T, grid.times, a, b))):
+            reports[i] = replace(report, bias=bias[r]) if optimal[r] else report
+    return [reports[i] for i in range(len(strategies))]
 
 
 def perturbed_kappa(spec: ForwardPowerSpec, market: MarketModel, epsilon: float) -> DeterministicFn:

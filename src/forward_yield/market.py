@@ -131,18 +131,6 @@ def _exact_log_paths(
     return out
 
 
-def _running_trapezoid(values: np.ndarray, step_rates: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral, zero at t_0, of step_rates * values over
-    steps of the given widths.  Step k's rate weights both of its ends, as
-    the schemes hold a step's coefficients at its left endpoint."""
-    running = np.zeros(values.shape)
-    steps = np.multiply(values[:, :-1], step_rates, out=running[:, 1:])
-    steps += values[:, 1:] * step_rates
-    steps *= 0.5 * widths
-    np.cumsum(steps, axis=1, out=steps)
-    return running
-
-
 def state_price_paths(
     market: MarketModel,
     grid: TimeGrid,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -133,15 +133,16 @@ def t_stat(gap, stderr, tol: float = IDENTITY_TOL):
 class DriftReport:
     """Per-interval and total sample drift of a process that should be a
     (super)martingale, held as the moments of its increments across paths,
-    with standard errors and t statistics."""
+    with standard errors and t statistics centred on bias."""
 
     times: np.ndarray   # (K+1,)
     intervals: Moments  # of each interval's increment, (K,)
     totals: Moments     # of terminal minus initial value
+    bias: Any = 0.0     # exact mean of each interval's increment, (K,) or 0
 
     def merge(self, other: DriftReport) -> DriftReport:
         """The report on both blocks' paths together."""
-        return DriftReport(self.times, self.intervals.merge(other.intervals), self.totals.merge(other.totals))
+        return replace(self, intervals=self.intervals.merge(other.intervals), totals=self.totals.merge(other.totals))
 
     @property
     def interval_drift(self) -> np.ndarray:
@@ -161,27 +162,42 @@ class DriftReport:
 
     @property
     def interval_t(self) -> np.ndarray:
-        # an interval without sampling error reads 0: its drift is then the
-        # deterministic bias of the trapezoid rule, not a t statistic
-        stderr = self.interval_stderr
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(stderr > 0, self.interval_drift / stderr, 0.0)
-        return t
+        return t_stat(self.interval_drift - self.bias, self.interval_stderr)
 
     @property
     def total_t(self) -> float:
-        return t_stat(self.total_drift, self.total_stderr)
+        return t_stat(self.total_drift - np.sum(self.bias), self.total_stderr)
 
     @property
     def max_abs_t(self) -> float:
         return float(np.max(np.abs(self.interval_t), initial=0.0))
 
 
+def linear_drift_reports(values: np.ndarray, times: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[DriftReport]:
+    """Drift reports of the processes G^r with increments a[r, k] v_{k+1} -
+    b[r, k] v_k = a dv_k + (a - b) v_k in the (n_paths, K+1) values v, from
+    the moments of the columns v_k and dv_k, so no row forms its increments.
+    The columns are summed as contiguous rows, pairwise, as a and b weigh
+    them far above the increments; the transpose of a C-ordered
+    (K+1, n_paths) array is not copied.  An increment or total of columns
+    that all have zero range (moments' rule) has zero range."""
+    cols = np.ascontiguousarray(values.T)
+    v, dv = (moments(x, axis=1) for x in (cols, cols[1:] - cols[:-1]))
+    const_v, const_dv = (np.broadcast_to(m.const, m.mean.shape) for m in (v, dv))
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    d = a - b
+    # sum (a dev_{k+1} - b dev_k)^2, as dv_k's sum of squares is that of v_{k+1} and v_k
+    # less twice their cross products; rounding may take it just below 0
+    m2 = np.maximum(a * b * dv.m2 + d * (a * v.m2[1:] - b * v.m2[:-1]), 0.0)
+    intervals = Moments(v.n, a * dv.mean + d * v.mean[:-1], m2, a * const_dv + d * const_v[:-1])
+    weights = np.pad(a, ((0, 0), (1, 0))) - np.pad(b, ((0, 0), (0, 1)))  # G^r_K - G^r_0 = weights[r] . v
+    totals = moments(weights @ cols, axis=1)._replace(const=weights @ const_v)
+    rows = ([Moments(m.n, *(x[r] for x in m[1:])) for m in (intervals, totals)] for r in range(len(a)))
+    return [DriftReport(np.asarray(times, dtype=float), *row) for row in rows]
+
+
 def interval_drift_report(values: np.ndarray, times: np.ndarray) -> DriftReport:
-    """Drift statistics of a per-path process sampled at grid times: the
-    moments of the increments and total changes of the (n_paths, K+1)
-    values, in one pass.  A caller that walks blocks of paths reduces each
-    block with it and merges the reports in order (DriftReport.merge)."""
-    return DriftReport(
-        np.asarray(times, dtype=float), moments(values[:, 1:] - values[:, :-1]), moments(values[:, -1] - values[:, 0])
-    )
+    """Drift statistics of the (n_paths, K+1) values of a process sampled at
+    grid times: linear_drift_reports' one row with a = b = 1."""
+    ones = np.ones((1, values.shape[1] - 1))
+    return linear_drift_reports(values, times, ones, ones)[0]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +579,25 @@ def test_verify_without_consumption_passes_without_consumption_rows(tmp_path):
         names = {r["check"] for r in csv.DictReader(fh)}
     assert "perturbed_kappa_drift_t" in names
     assert not names & {"over_consumption_drift_t", "under_consumption_drift_t"}
+
+
+def test_verify_deterministic_market_has_no_sampling_error(tmp_path):
+    # a constant rate and no volatility: the optimal row's intervals have no
+    # sampling error, so its max t reads 0, with no warning from a zero spread
+    cfg = tmp_path / "deterministic.yaml"
+    cfg.write_text(
+        "market: {rate: {model: constant, r: 0.03}, eta_r: [0, 0]}\n"
+        "spec: {kappa_star: [0, 0], nu_star: [0, 0]}\n"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("verify", "--config", str(cfg), "--paths", "20000", "--out", str(out))
+    assert code == 0
+    with (out / "verify.csv").open() as fh:
+        rows = {r["check"]: float(r["value"]) for r in csv.DictReader(fh)}
+    assert rows["optimal_drift_max_t"] == 0.0
+    assert rows["over_consumption_drift_t"] == rows["under_consumption_drift_t"] == -np.inf
 
 
 def test_wall_clock_covers_simulation(tmp_path, monkeypatch):

@@ -271,9 +271,48 @@ def _value_process_oracle(triple, wealth, psi):
     return u + np.concatenate([np.zeros((len(u), 1)), np.cumsum(steps, axis=1)], axis=1)
 
 
+def _oracle_drifts(triple, strategies):
+    """interval_drift_report of each strategy's G, built from its own
+    simulated wealth (_value_process_oracle)."""
+    spec, grid = triple.spec, triple.grid
+    steps = triple.rate_paths.step_integrals()
+    reports = []
+    for strategy in strategies:
+        kappa, psi = strategy.get("kappa"), strategy.get("consumption")
+        psi = spec.psi_hat if psi is None else psi
+        kappa = spec.kappa_star if kappa is None else kappa
+        wealth = wealth_paths(triple.market, grid, triple.batch, steps, kappa=kappa, consumption=psi)
+        reports.append(interval_drift_report(_value_process_oracle(triple, wealth, psi), grid.times))
+    return reports
+
+
+def _assert_same_t(report, oracle, tol=1e-12):
+    # the rows' own t statistics, uncentred, against the oracle's; a row
+    # without sampling error reads 0 or +-inf in both
+    report = replace(report, bias=0.0)
+    for new, old in ((report.interval_t, oracle.interval_t), (report.total_t, oracle.total_t)):
+        new, old = np.atleast_1d(new), np.atleast_1d(old)
+        finite = np.isfinite(old)
+        assert np.array_equal(new[~finite], old[~finite])
+        assert np.max(np.abs(new[finite] - old[finite]), initial=0.0) <= tol
+
+
+def _all_strategies(spec, market):
+    # verify's four strategies, and one that changes kappa and psi together
+    kappa = perturbed_kappa(spec, market, 0.15)
+    return [
+        {},
+        {"kappa": kappa},
+        {"consumption": scaled_consumption(spec, 1.5)},
+        {"consumption": scaled_consumption(spec, 0.5)},
+        {"kappa": kappa, "consumption": scaled_consumption(spec, 0.5)},
+    ]
+
+
 def test_value_process_matches_simulated_wealth():
-    # each strategy's G from the optimal deflated wealth against its own
-    # wealth simulation, with kappa and psi changing value between grid dates
+    # each strategy's U(t, X) and drift rows from the optimal deflated wealth
+    # against its own wealth simulation, with kappa and psi changing value
+    # between grid dates
     market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
     spec = ForwardPowerSpec(
         alpha=0.4,
@@ -284,22 +323,76 @@ def test_value_process_matches_simulated_wealth():
     grid = make_grid(5.0, 20)
     batch = sample_brownian(32, grid, dim=2, n_paths=2000)
     triple = simulate_optimal(spec, market, grid, batch)
-    strategies = [
-        (None, None),
-        (perturbed_kappa(spec, market, 0.15), None),
-        (None, scaled_consumption(spec, 1.5)),
-        (None, scaled_consumption(spec, 0.0)),
-    ]
-    for kappa, consumption in strategies:
-        psi = spec.psi_hat if consumption is None else consumption
+    strategies = _all_strategies(spec, market)[:3] + [{"consumption": scaled_consumption(spec, 0.0)}]
+    for strategy in strategies:
+        psi = strategy.get("consumption", spec.psi_hat)
         wealth = wealth_paths(
             market, grid, batch, triple.rate_paths.step_integrals(),
-            kappa=spec.kappa_star if kappa is None else kappa,
+            kappa=strategy.get("kappa", spec.kappa_star),
             consumption=psi,
         )
-        oracle = _value_process_oracle(triple, wealth, psi)
-        value = value_process(triple, kappa, consumption)
-        assert np.max(np.abs(value / oracle - 1.0)) < 1e-12
+        utility = triple.zhat * wealth ** (1.0 - spec.alpha) / (1.0 - spec.alpha)
+        assert np.max(np.abs(value_process(triple, **strategy) / utility - 1.0)) < 1e-12
+    reports = consistency_drift_test(triple, strategies=strategies)
+    for report, oracle in zip(reports, _oracle_drifts(triple, strategies)):
+        _assert_same_t(report, oracle)
+
+
+def _drift_case(name):
+    """(spec, market, grid) of the drift rows' equivalence cases."""
+    market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
+    spec = default_spec()
+    if name == "stepped_psi":
+        stepped = DeterministicFn.table(np.array([0.0, 5.0]), np.array([0.1, 0.0]))
+        return replace(spec, psi_hat=stepped), market, make_grid(10.0, 8)
+    if name == "psi0":
+        return default_spec(psi=0.0), market, make_grid(5.0, 8)
+    if name == "nonuniform":
+        return spec, market, TimeGrid.of_times([0.0, 0.5, 2.0, 2.25, 4.0])
+    table_spec = ForwardPowerSpec(
+        alpha=0.4,
+        kappa_star=DeterministicFn.table(np.array([0.0, 3.5]), np.array([[0.3, 0.0], [0.1, 0.0]])),
+        nu_star=DeterministicFn.constant(np.array([0.0, 0.1])),
+        psi_hat=DeterministicFn.table(np.array([0.0, 2.0]), np.array([0.1, 0.05])),
+    )
+    return table_spec, market, make_grid(5.0, 8)
+
+
+DRIFT_CASES = ["stepped_psi", "psi0", "nonuniform", "alpha04_table_kappa"]
+
+
+@pytest.mark.parametrize("case", DRIFT_CASES)
+@pytest.mark.parametrize("n", [1, 7, _BLOCK])
+def test_drift_rows_match_the_simulated_wealth_oracle(case, n):
+    # the four rows from the column moments of P, and the perturbed kappa's
+    # from its U, against G built from each strategy's own wealth
+    spec, market, grid = _drift_case(case)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(41, grid, dim=2, n_paths=n))
+    strategies = _all_strategies(spec, market)
+    reports = consistency_drift_test(triple, strategies=strategies)
+    for report, oracle in zip(reports, _oracle_drifts(triple, strategies)):
+        _assert_same_t(report, oracle)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", DRIFT_CASES)
+def test_merged_drift_rows_match_the_simulated_wealth_oracle(monkeypatch, case, threads):
+    # 57345 paths: seven full blocks of the streams and a one-row block,
+    # each reduced as verify reduces it and merged in block order
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", threads)
+    spec, market, grid = _drift_case(case)
+    strategies = _all_strategies(spec, market)
+
+    def reduce_block(batch):
+        triple = simulate_optimal(spec, market, grid, batch)
+        return consistency_drift_test(triple, strategies=strategies), _oracle_drifts(triple, strategies)
+
+    def merge(a, b):
+        return tuple([x.merge(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b))
+
+    reports, oracles = functools.reduce(merge, map_blocks(reduce_block, 43, grid, 2, 7 * _BLOCK + 1))
+    for report, oracle in zip(reports, oracles):
+        _assert_same_t(report, oracle)
 
 
 def test_optimal_drift_deterministic_limit():
@@ -329,6 +422,59 @@ def test_optimal_drift_deterministic_limit():
         assert np.max(np.abs(report.interval_drift - bias)) <= 1e-15
         if grid.uniform:
             assert bias[0] == pytest.approx(2.57e-6, rel=1e-2)
+
+
+DETERMINISTIC_MARKET = (
+    "market: {rate: {model: constant, r: 0.03}, eta_r: [0, 0]}\n"
+    "spec: {kappa_star: [0, 0], nu_star: [0, 0]}\n"
+)
+
+
+def test_drift_rows_deterministic_edge(tmp_path):
+    # a constant rate and no volatility: P is one number per date, equal on
+    # every path, so the optimal and scaled-consumption rows have no sampling
+    # error over three merged blocks, and a deterministic loss reads -inf
+    path = tmp_path / "deterministic.yaml"
+    path.write_text(DETERMINISTIC_MARKET)
+    cfg = load_config(path)
+    market = build_market(cfg)
+    spec, grid = build_forward_spec(cfg, market), build_grid(cfg)
+    strategies = _all_strategies(spec, market)
+
+    def reduce_block(batch):
+        return consistency_drift_test(simulate_optimal(spec, market, grid, batch), strategies=strategies)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        blocks = map_blocks(reduce_block, 5, grid, market.dim, 20_000)
+        optimal, shifted, over, under, _ = functools.reduce(lambda a, b: [x.merge(y) for x, y in zip(a, b)], blocks)
+        for report in (optimal, over, under):
+            assert np.all(report.interval_stderr == 0.0) and report.total_stderr == 0.0
+        assert optimal.max_abs_t == 0.0
+        # without sampling error the optimal drift is the trapezoid bias it is centred on
+        assert np.max(np.abs(optimal.interval_drift - optimal.bias)) <= 1e-15
+        assert over.total_t == under.total_t == -np.inf
+        assert shifted.total_t < -STAT_BAND
+
+
+def test_optimal_row_is_centred_on_the_trapezoid_bias():
+    # deterministic paths on a uniform and a non-uniform grid, and with psi_hat
+    # stepping to 0 on a grid date: the bias is the whole drift; the perturbed
+    # rows are not centred
+    market = default_market(eta0=0.0)
+    spec = default_spec(kappa=0.0, nu=0.0)
+    stepped = replace(spec, psi_hat=DeterministicFn.table(np.array([0.0, 5.0]), np.array([0.1, 0.0])))
+    for case, grid in [
+        (spec, make_grid(10.0, 40)),
+        (spec, TimeGrid.of_times([0.0, 1.0, 3.0, 3.5, 6.0])),
+        (stepped, make_grid(10.0, 40)),
+    ]:
+        triple = simulate_optimal(case, market, grid, sample_brownian(34, grid, dim=2, n_paths=16))
+        optimal, *perturbed = consistency_drift_test(triple, strategies=_all_strategies(case, market))
+        assert np.max(np.abs(optimal.interval_drift - optimal.bias)) <= 1e-15
+        assert np.any(optimal.bias > 0)
+        assert all(np.all(report.bias == 0.0) for report in perturbed)
+        assert optimal.total_t == 0.0 and optimal.max_abs_t == 0.0
 
 
 def test_consistency_drift_zero_consumption_strategy():
@@ -462,18 +608,30 @@ def test_optimal_blocks_are_the_rows_of_the_whole_batch(monkeypatch, threads):
     for i, array in enumerate(expected):
         assert np.array_equal(np.concatenate([block[i] for block in blocks]), array)
     # merged in block order, the drift of the blocks is that of the whole
-    # triple's value rows reduced block by block
+    # triple's rows reduced block by block
     kappa = perturbed_kappa(spec, market, 0.15)
     drifts = map_blocks(
         lambda b: consistency_drift_test(simulate_optimal(spec, market, grid, b), kappa=kappa), seed, grid, 2, n
     )
-    values = value_process(whole, kappa)
     reference = functools.reduce(
-        DriftReport.merge, (interval_drift_report(values[b0:b1], grid.times) for b0, b1 in stream_blocks(n))
+        DriftReport.merge, (consistency_drift_test(_rows(whole, b0, b1), kappa=kappa) for b0, b1 in stream_blocks(n))
     )
     merged = functools.reduce(DriftReport.merge, drifts)
     for field in DRIFT_FIELDS:
         assert np.array_equal(getattr(merged, field), getattr(reference, field))
+
+
+def _rows(triple, b0, b1):
+    """The triple on its paths b0 to b1 - 1."""
+    rates = triple.rate_paths
+    return replace(
+        triple,
+        batch=replace(triple.batch, increments=triple.batch.increments[b0:b1]),
+        rate_paths=replace(rates, r=rates.r[b0:b1], integral=rates.integral[b0:b1]),
+        x=triple.x[b0:b1],
+        y=triple.y[b0:b1],
+        zhat=triple.zhat[b0:b1],
+    )
 
 
 def test_a_batch_starts_at_a_block_of_the_streams():
