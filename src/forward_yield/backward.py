@@ -19,7 +19,7 @@ from .brownian import BrownianBatch, stream_blocks
 from .grids import DeterministicFn, TimeGrid
 from .forward import _require_in_range
 from .market import MarketModel, state_price_paths, wealth_paths
-from .stats import moments
+from .stats import Moments, moments
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +236,32 @@ def backward_optimal_paths(
 
 @dataclass(frozen=True)
 class TerminalConstraintReport:
-    """Cross-path dispersion of Ystar (Xstar)^alpha at the horizon."""
+    """Cross-path dispersion of Ystar (Xstar)^alpha at the horizon, from the
+    moments, min and max of the terminal products; blocks of paths merge."""
 
-    constant: float       # sample mean of the terminal product
-    cv: float             # coefficient of variation across paths
-    max_abs_dev: float    # max |value / mean - 1|
+    z: Moments
+    lo: float
+    hi: float
+
+    def merge(self, other: TerminalConstraintReport) -> TerminalConstraintReport:
+        # nan where either block has nan, as np.minimum and np.maximum keep it
+        lo, hi = np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi)
+        return TerminalConstraintReport(self.z.merge(other.z), lo, hi)
+
+    @property
+    def constant(self) -> float:
+        return float(self.z.mean)
+
+    @property
+    def cv(self) -> float:  # of the population sd
+        return float(np.sqrt(self.z.m2 / self.z.n) / self.constant)
+
+    @property
+    def max_abs_dev(self) -> float:
+        """max |z / mean - 1|, reached at the min or max of z, as the rounded
+        quotient and difference are monotone in z."""
+        m = self.constant
+        return float(np.maximum(np.abs(self.lo / m - 1.0), np.abs(self.hi / m - 1.0)))
 
 
 def terminal_product(spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -251,16 +272,9 @@ def terminal_product(spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.nd
 
 
 def terminal_constraint_check(z: np.ndarray) -> TerminalConstraintReport:
-    """Dispersion of the terminal products z of all paths (terminal_product);
-    ~1e-15 for the consistent control.  The mean and the population sd come
-    from stats.moments, with np.mean's and np.std's bits."""
-    m = moments(z)
-    mean = float(m.mean)
-    return TerminalConstraintReport(
-        constant=mean,
-        cv=float(np.sqrt(m.m2 / m.n) / mean),
-        max_abs_dev=float(np.max(np.abs(z / mean - 1.0))),
-    )
+    """Dispersion of the terminal products z of the paths (terminal_product);
+    ~1e-15 for the consistent control."""
+    return TerminalConstraintReport(moments(z), np.min(z), np.max(z))
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from . import __version__
 from .backward import (
     GammaModel,
+    TerminalConstraintReport,
     backward_optimal_paths,
     horizon_dependency_experiment,
     solve_backward_vols,
@@ -41,10 +42,11 @@ from .config import (
     simulation_params,
 )
 from .curves import (
+    DavisReport,
+    RamseyCurveReport,
     YieldCurve,
     curve_from_prices,
-    davis_price,
-    davis_time_consistency,
+    davis_report,
     gbm_consumption_paths,
     long_rate,
     marginal_zc_mc,
@@ -66,7 +68,7 @@ from .forward import (
 )
 from .grids import DeterministicFn, TimeGrid, make_grid
 from .market import MarketModel
-from .stats import IDENTITY_TOL, STAT_BAND, control_variate_estimate, mean_stderr, moments, t_stat
+from .stats import IDENTITY_TOL, STAT_BAND, Estimate, Moments, control_variate_estimate, moments, t_stat
 from .tables import RunManifest
 
 CURVE_COLUMNS = ["tenor", "rate", "stderr", "method"]
@@ -146,23 +148,6 @@ def _quarterly_grid(times: list[float], field: str) -> tuple[TimeGrid, list[int]
     return grid, grid_indices(grid, times, field)
 
 
-def _read_columns(
-    read_block: Callable[[BrownianBatch], np.ndarray], seed: int, grid: TimeGrid, dim: int, n_paths: int, width: int
-) -> np.ndarray:
-    """The (n_paths, width) columns read_block returns for the batch of each
-    stream block (map_blocks), in row order, so that reductions over them
-    give the bits of one batch of all the paths; blocks write disjoint rows,
-    so threads fill the array without a lock."""
-    columns = np.empty((n_paths, width))
-
-    def fill(batch: BrownianBatch) -> None:
-        columns[batch.first_row : batch.first_row + batch.n_paths] = read_block(batch)
-
-    for _ in map_blocks(fill, seed, grid, dim, n_paths):
-        pass
-    return columns
-
-
 def _curve_rows(curve: YieldCurve) -> list[dict]:
     """One CURVE_COLUMNS row per tenor of a Monte Carlo curve."""
     return [
@@ -172,29 +157,22 @@ def _curve_rows(curve: YieldCurve) -> list[dict]:
 
 
 def _curve_tables(
-    run: RunManifest, name: str, y_cols: np.ndarray, market: MarketModel, nu: DeterministicFn,
+    run: RunManifest, name: str, y: Estimate, market: MarketModel, nu: DeterministicFn,
     tenors: list[float], gamma: Optional[GammaModel] = None,
 ) -> tuple[Path, list[dict]]:
     """Write the marginal_mc, gaussian_closed and risk_neutral curves of a
-    unit-initial state-price density, column j of y_cols being its paths at
-    tenors[j], as one long table; return its path and the per-tenor price rows."""
-    prices, stderrs, closed, neutral = [], [], [], []
-    for j, t in enumerate(tenors):
-        p, se = mean_stderr(y_cols[:, j])
-        prices.append(p)
-        stderrs.append(se)
-        closed.append(float(zc_price_gaussian(market, nu, 0.0, t, gamma=gamma)))
-        neutral.append(float(zc_price_gaussian(market, None, 0.0, t, gamma=gamma)))
-    rows = _curve_rows(
-        curve_from_prices(np.array(prices), np.array(tenors), method="marginal_mc", stderrs=np.array(stderrs))
-    )
+    unit-initial state-price density, y being the mean of its paths at the
+    tenors, as one long table; return its path and the per-tenor price rows."""
+    closed = [float(zc_price_gaussian(market, nu, 0.0, t, gamma=gamma)) for t in tenors]
+    neutral = [float(zc_price_gaussian(market, None, 0.0, t, gamma=gamma)) for t in tenors]
+    rows = _curve_rows(curve_from_prices(y.mean, np.array(tenors), method="marginal_mc", stderrs=y.stderr))
     for method, values in (("gaussian_closed", closed), ("risk_neutral", neutral)):
         extra = curve_from_prices(np.array(values), np.array(tenors), method=method)
         rows += [{"tenor": t, "rate": r, "stderr": 0.0, "method": method} for t, r in zip(extra.tenors, extra.rates)]
     table = run.table(name, rows, columns=CURVE_COLUMNS)
     detail = [
         {"tenor": t, "mc_price": p, "mc_stderr": se, "gaussian_price": c, "risk_neutral_price": rn}
-        for t, p, se, c, rn in zip(tenors, prices, stderrs, closed, neutral)
+        for t, p, se, c, rn in zip(tenors, y.mean, y.stderr, closed, neutral)
     ]
     return table, detail
 
@@ -211,22 +189,16 @@ def _cmd_ramsey_flat(cfg: Mapping[str, Any]) -> int:
     grid, ks = _quarterly_grid(tenors, "ramsey.tenors")
     # geometric consumption is exact at any step size: simulate the read dates only
     grid = grid.subgrid(sorted({0, *ks}))
-    c_paths = _read_columns(
-        lambda batch: gbm_consumption_paths(1.0, growth, sigma, grid, batch), seed, grid, 1, n_paths, grid.n_steps + 1
-    )
-    report = ramsey_curve_mc(beta, alpha, c_paths, grid, tenors)
     closed = ramsey_flat_closed(beta, alpha, growth, sigma)
 
+    def reduce_block(batch: BrownianBatch) -> RamseyCurveReport:
+        return ramsey_curve_mc(beta, alpha, gbm_consumption_paths(1.0, growth, sigma, grid, batch), grid, tenors)
+
+    report = functools.reduce(RamseyCurveReport.merge, map_blocks(reduce_block, seed, grid, 1, n_paths))
     curve = report.curve
     table = run.table("ramsey_flat_curve", _curve_rows(curve), columns=CURVE_COLUMNS)
     detail_rows = [
-        {
-            "tenor": t,
-            "rate": r,
-            "stderr": s,
-            "closed_form": closed,
-            "deviation_t": t_stat(r - closed, s),
-        }
+        {"tenor": t, "rate": r, "stderr": s, "closed_form": closed, "deviation_t": t_stat(r - closed, s)}
         for t, r, s in zip(curve.tenors, curve.rates, curve.stderrs)
     ]
     run.table("ramsey_flat_detail", detail_rows)
@@ -260,14 +232,15 @@ def _cmd_forward_curve(cfg: Mapping[str, Any]) -> int:
     # the block's 8192 rows
     head = []
 
-    def read_block(batch: BrownianBatch) -> np.ndarray:
+    def reduce_block(batch: BrownianBatch) -> Moments:
         triple = simulate_optimal(spec, market, grid, batch)
         if asof > 0.0 and batch.first_row == 0:
             head.append(triple)
-        return triple.y[:, ks]
+        # Y at the tenors as contiguous rows, summed pairwise; an axis-0 sum of columns gives other bits
+        return moments(np.ascontiguousarray(triple.y[:, ks].T), axis=1)
 
-    y_cols = _read_columns(read_block, seed, grid, market.dim, n_paths, len(ks))
-    table, detail_rows = _curve_tables(run, "forward_curve", y_cols, market, spec.nu_star, tenors)
+    y = functools.reduce(Moments.merge, map_blocks(reduce_block, seed, grid, market.dim, n_paths))
+    table, detail_rows = _curve_tables(run, "forward_curve", y.estimate(), market, spec.nu_star, tenors)
     for row in detail_rows:
         row["mc_minus_gaussian_t"] = t_stat(row["mc_price"] - row["gaussian_price"], row["mc_stderr"])
     run.table("forward_curve_detail", detail_rows)
@@ -320,9 +293,7 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
     spec = build_backward_spec(cfg, market)
     grid = build_grid(cfg)
     if grid.horizon < spec.t_horizon - 1e-12:
-        raise ConfigError(
-            f"simulation.horizon: must cover spec.t_horizon={spec.t_horizon}, got {grid.horizon}"
-        )
+        raise ConfigError(f"simulation.horizon: must cover spec.t_horizon={spec.t_horizon}, got {grid.horizon}")
     n_paths, seed, _ = simulation_params(cfg)
     tenors, _, _ = output_params(cfg)
     grid_indices(grid, [spec.t_horizon], "spec.t_horizon")
@@ -333,20 +304,18 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
 
     nu, kappa = solve_backward_vols(spec)
 
-    def read_block(batch: BrownianBatch) -> np.ndarray:
-        """Y at the tenors, and the terminal product at the horizon."""
+    def reduce_block(batch: BrownianBatch) -> tuple[Moments, TerminalConstraintReport]:
+        """The moments of Y at the tenors, as forward-curve's, and the terminal constraint report."""
         x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
-        return np.column_stack((y[:, ks], terminal_product(spec, grid, x, y)))
+        z = terminal_product(spec, grid, x, y)
+        return moments(np.ascontiguousarray(y[:, ks].T), axis=1), terminal_constraint_check(z)
 
-    columns = _read_columns(read_block, seed, grid, market.dim, n_paths, len(ks) + 1)
-    constraint = terminal_constraint_check(columns[:, -1])
-    table, detail_rows = _curve_tables(run, "backward_curve", columns, market, nu, tenors, gamma=spec.gamma)
+    blocks = map_blocks(reduce_block, seed, grid, market.dim, n_paths)
+    y, constraint = functools.reduce(lambda a, b: (a[0].merge(b[0]), a[1].merge(b[1])), blocks)
+    table, detail_rows = _curve_tables(run, "backward_curve", y.estimate(), market, nu, tenors, gamma=spec.gamma)
     run.table("backward_curve_detail", detail_rows)
     run.add_summary(
-        terminal_constant=constraint.constant,
-        terminal_cv=constraint.cv,
-        horizon=spec.t_horizon,
-        alpha=spec.alpha,
+        terminal_constant=constraint.constant, terminal_cv=constraint.cv, horizon=spec.t_horizon, alpha=spec.alpha
     )
     run.write()
 
@@ -480,35 +449,26 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     grid = reading_grid(spec, market, grid, [k_mat, grid.n_steps])
     read = [0, grid.index_of(maturity), grid.n_steps]
 
-    def read_block(batch: BrownianBatch) -> np.ndarray:
-        triple = simulate_optimal(spec, market, grid, batch)
-        return np.hstack((triple.x[:, read], triple.y[:, read]))
-
-    x, y = np.hsplit(_read_columns(read_block, seed, grid, market.dim, n_paths, 2 * len(read)), 2)
-    if kind == "unit":
-        payoff, label = np.ones(n_paths), "unit"
-    else:
-        payoff, label = np.maximum(x[:, 1] - strike, 0.0), f"call_on_wealth(K={strike:g})"
-
-    price = davis_price(payoff, y, 1)
-
+    label = "unit" if kind == "unit" else f"call_on_wealth(K={strike:g})"
     # time consistency: capitalize the payoff to the horizon inside the
     # consumption-free optimal wealth Xstar exp(int psi_hat ds) and reprice;
     # the reading grid keeps every date where psi_hat changes, so the sum is exact
     psi = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
-    plain_wealth = x * np.exp(np.concatenate(([0.0], np.cumsum(psi[:-1] * grid.widths))))[read]
-    p_cap, cap_t = davis_time_consistency(payoff, y, plain_wealth, 1, 2)
+    capitalization = np.exp(np.concatenate(([0.0], np.cumsum(psi[:-1] * grid.widths))))[read]
 
-    rows = [
-        {
-            "payoff": label,
-            "maturity": maturity,
-            "value": price.mean,
-            "stderr": price.stderr,
-            "capitalized_value": p_cap,
-            "capitalization_t": cap_t,
-        }
-    ]
+    def reduce_block(batch: BrownianBatch) -> DavisReport:
+        triple = simulate_optimal(spec, market, grid, batch)
+        x, y = triple.x[:, read], triple.y[:, read]
+        payoff = np.ones(batch.n_paths) if kind == "unit" else np.maximum(x[:, 1] - strike, 0.0)
+        return davis_report(payoff, y, x * capitalization, 1, 2)
+
+    report = functools.reduce(DavisReport.merge, map_blocks(reduce_block, seed, grid, market.dim, n_paths))
+    price, (p_cap, cap_t) = report.price, report.capitalization
+
+    rows = [{
+        "payoff": label, "maturity": maturity, "value": price.mean, "stderr": price.stderr,
+        "capitalized_value": p_cap, "capitalization_t": cap_t,
+    }]
     table = run.table("davis", rows)
     run.add_summary(**rows[0])
     run.write()

@@ -5,7 +5,7 @@ and marginal-utility (Davis) pricing of payoffs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .grids import DeterministicFn, TimeGrid
 from .market import _LOG_ROWS, MarketModel, _dual_coeffs, row_blocks
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
-from .stats import Estimate, control_variate_estimate, mean_stderr, t_stat
+from .stats import Estimate, Moments, control_variate_estimate, moments, t_stat
 
 
 # ---------------------------------------------------------------------------
@@ -110,54 +110,64 @@ def gbm_consumption_paths(
 
 @dataclass(frozen=True)
 class RamseyCurveReport:
-    curve: YieldCurve
-    max_spread: float
-    max_spread_t: float  # spread over its (covariance-aware) standard error
+    """Moments over paths of the marginal-utility ratios v_i = e^{-beta T_i}
+    (c_{T_i} / c_0)^{-alpha} at the tenors, then of v_i - v_j for each pair
+    i < j in np.triu_indices order; blocks of paths merge."""
+
+    tenors: np.ndarray
+    values: Moments
+
+    def merge(self, other: RamseyCurveReport) -> RamseyCurveReport:
+        return replace(self, values=self.values.merge(other.values))
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Covariance of the tenors' sample means, from the squared stderrs s2
+        of the values and of v_i - v_j: (s2_i + s2_j - s2_{i-j}) / 2.  A tenor
+        whose values have zero range has s2 = 0 (Moments.estimate), no
+        sampling error but rounding, so its covariances are 0 too."""
+        c, s2 = len(self.tenors), self.values.estimate().stderr ** 2
+        i, j = np.triu_indices(c, k=1)
+        cov = np.diag(s2[:c])
+        cov[i, j] = cov[j, i] = 0.5 * (s2[i] + s2[j] - s2[c:]) * (s2[i] > 0) * (s2[j] > 0)
+        return cov
+
+    @property
+    def curve(self) -> YieldCurve:
+        """Rates -(1/T) ln E[v_c(T, c_T)] / v_c(0, c_0), with delta-method stderrs."""
+        prices = self.values.mean[: len(self.tenors)]
+        return curve_from_prices(prices, self.tenors, method="ramsey_mc", stderrs=np.sqrt(np.diag(self.cov)))
+
+    @property
+    def spreads(self) -> Estimate:
+        """|R_i - R_j| for each pair i < j, with its stderr from the joint covariance."""
+        curve, cov = self.curve, self.cov
+        d = curve.tenors * curve.prices
+        i, j = np.triu_indices(len(d), k=1)
+        var = curve.stderrs[i] ** 2 + curve.stderrs[j] ** 2 - 2.0 * cov[i, j] / (d[i] * d[j])
+        return Estimate(np.abs(curve.rates[i] - curve.rates[j]), np.sqrt(np.maximum(var, 0.0)))
+
+    @property
+    def max_spread(self) -> float:
+        return float(np.max(self.spreads.mean, initial=0.0))
+
+    @property
+    def max_spread_t(self) -> float:
+        return float(np.max(t_stat(*self.spreads), initial=0.0))
 
 
 def ramsey_curve_mc(
-    beta: float,
-    alpha: float,
-    c_paths: np.ndarray,
-    grid: TimeGrid,
-    tenors: Sequence[float],
-    c0: Optional[float] = None,
+    beta: float, alpha: float, c_paths: np.ndarray, grid: TimeGrid, tenors: Sequence[float], c0: Optional[float] = None
 ) -> RamseyCurveReport:
-    """Equilibrium rates -(1/T) ln E[v_c(T, c_T)] / v_c(0, c_0) over several
-    tenors on one batch, with delta-method standard errors and the joint
-    covariance of the rate estimators used to judge cross-tenor spreads."""
+    """The Ramsey curve report of consumption paths c_paths on grid."""
     tenors = np.asarray(list(tenors), dtype=float)
-    if c0 is None:
-        c0 = float(c_paths[0, 0])
-    ks = [grid.index_of(t) for t in tenors]
-    vals = np.stack(
-        [np.exp(-beta * t) * np.power(c_paths[:, k] / c0, -alpha) for t, k in zip(tenors, ks)], axis=1
-    )
-    n = vals.shape[0]
-    mu = vals.mean(axis=0)
-    rates = -np.log(mu) / tenors
-    cov = np.atleast_2d(np.cov(vals, rowvar=False)) / n
-    # a tenor whose values have zero range has no sampling error, only rounding
-    flat = np.ptp(vals, axis=0) == 0
-    cov[flat, :] = 0.0
-    cov[:, flat] = 0.0
-    rate_se = np.sqrt(np.diag(cov)) / (tenors * mu)
-
-    # every pair i < j of tenors
+    c0 = float(c_paths[0, 0]) if c0 is None else c0
     i, j = np.triu_indices(len(tenors), k=1)
-    spread = np.abs(rates[i] - rates[j])
-    var = (
-        cov[i, i] / (tenors[i] * mu[i]) ** 2
-        + cov[j, j] / (tenors[j] * mu[j]) ** 2
-        - 2.0 * cov[i, j] / (tenors[i] * mu[i] * tenors[j] * mu[j])
-    )
-    max_spread = np.max(spread, initial=0.0)
-    max_t = np.max(t_stat(spread, np.sqrt(np.maximum(var, 0.0))), initial=0.0)
-    prices = np.exp(-rates * tenors)
-    curve = YieldCurve(
-        asof=0.0, tenors=tenors, rates=rates, prices=prices, method="ramsey_mc", stderrs=rate_se
-    )
-    return RamseyCurveReport(curve=curve, max_spread=float(max_spread), max_spread_t=float(max_t))
+    vals = np.empty((len(tenors) + len(i), c_paths.shape[0]))
+    for row, t in enumerate(tenors):
+        vals[row] = np.exp(-beta * t) * np.power(c_paths[:, grid.index_of(t)] / c0, -alpha)
+    np.subtract(vals[i], vals[j], out=vals[len(tenors) :])
+    return RamseyCurveReport(tenors, moments(vals, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -462,44 +472,58 @@ def long_rate(
 # Davis (marginal-utility) pricing
 
 
-def _fsum_mean(x: np.ndarray) -> float:
-    return math.fsum(map(float, x)) / len(x)
-
-
-def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int) -> Estimate:
-    """Date-0 marginal-utility price E[zeta_T Y_T / Y_0] on a fixed batch.
-
-    The estimator is an exactly ordered sum, so scaling and superposition
-    of payoffs carry through to prices with at most one rounding per path.
-    """
+def _deflated(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int) -> np.ndarray:
     payoff_values = np.asarray(payoff_values, dtype=float)
     if np.any(payoff_values < 0):
         raise ValueError("payoffs must be nonnegative")
-    deflated = payoff_values * y_paths[:, k_mat] / y_paths[:, 0]
-    _, se = mean_stderr(deflated)
-    return Estimate(_fsum_mean(deflated), float(se))
+    return payoff_values * y_paths[:, k_mat] / y_paths[:, 0]
+
+
+def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int) -> Estimate:
+    """Date-0 marginal-utility price E[zeta_T Y_T / Y_0] of a nonnegative
+    payoff on a fixed batch, read as DavisReport.price."""
+    return DavisReport(moments(_deflated(payoff_values, y_paths, k_mat)[None], axis=1)).price
+
+
+@dataclass(frozen=True)
+class DavisReport:
+    """Moments over paths of a payoff deflated at its maturity (davis_price),
+    of the payoff capitalized to the horizon and deflated there, and of
+    capitalized minus deflated; blocks of paths merge."""
+
+    rows: Moments
+
+    def merge(self, other: DavisReport) -> DavisReport:
+        return DavisReport(self.rows.merge(other.rows))
+
+    @property
+    def price(self) -> Estimate:
+        return Estimate(*(float(v[0]) for v in self.rows.estimate()))
+
+    @property
+    def capitalization(self) -> tuple[float, float]:
+        """(price via the horizon, t statistic of its gap to the direct price)."""
+        mean, se = self.rows.estimate()
+        return float(mean[1]), t_stat(mean[2], se[2])
+
+
+def davis_report(
+    payoff_values: np.ndarray, y_paths: np.ndarray, x_paths: np.ndarray, k_mat: int, k_horizon: int
+) -> DavisReport:
+    """The Davis report of a date-T payoff capitalized inside the consumption-free
+    optimal wealth x_paths; wealth times the state-price density is a martingale."""
+    rows = np.empty((3, y_paths.shape[0]))
+    rows[0] = _deflated(payoff_values, y_paths, k_mat)
+    rows[1] = _deflated(payoff_values * (x_paths[:, k_horizon] / x_paths[:, k_mat]), y_paths, k_horizon)
+    np.subtract(rows[1], rows[0], out=rows[2])
+    return DavisReport(moments(rows, axis=1))
 
 
 def davis_time_consistency(
-    payoff_values: np.ndarray,
-    y_paths: np.ndarray,
-    x_paths: np.ndarray,
-    k_mat: int,
-    k_horizon: int,
+    payoff_values: np.ndarray, y_paths: np.ndarray, x_paths: np.ndarray, k_mat: int, k_horizon: int
 ) -> tuple[float, float]:
-    """Price a date-T payoff after capitalizing it to the horizon inside the
-    consumption-free optimal wealth.
-
-    Returns (price via horizon, t-statistic of its pathwise difference from
-    the direct price davis_price(payoff_values, y_paths, k_mat)); the two
-    agree in expectation because wealth times the state-price density is a
-    martingale.
-    """
-    payoff_values = np.asarray(payoff_values, dtype=float)
-    direct = payoff_values * y_paths[:, k_mat] / y_paths[:, 0]
-    capitalized = payoff_values * (x_paths[:, k_horizon] / x_paths[:, k_mat]) * y_paths[:, k_horizon] / y_paths[:, 0]
-    m, se = mean_stderr(capitalized - direct)
-    return _fsum_mean(capitalized), t_stat(m, se)
+    """The capitalization of davis_report."""
+    return davis_report(payoff_values, y_paths, x_paths, k_mat, k_horizon).capitalization
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,10 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
         x_grid = np.geomspace(0.1, 10.0, 11)
     alpha = triple.spec.alpha
     n = min(max_paths, triple.n_paths)
-    zhat = triple.zhat[:n]
-    xs = triple.x[:n]
-    ys = triple.y[:n]
-    lhs = zhat[:, :, None] * np.power(x_grid[None, None, :], -alpha)
-    inverse_flow = x_grid[None, None, :] / xs[:, :, None]
-    rhs = ys[:, :, None] * np.power(inverse_flow, -alpha)
-    return _max_rel_gap(lhs, rhs)
+    zhat, xs, ys = triple.zhat[:n], triple.x[:n], triple.y[:n]
+    # one (n, K+1) pass per point of the x grid, and the max of their maxima
+    powers = np.power(x_grid, -alpha)
+    return max(_max_rel_gap(zhat * p, ys * np.power(x / xs, -alpha)) for x, p in zip(x_grid, powers))
 
 
 # ---------------------------------------------------------------------------

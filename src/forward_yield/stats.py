@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Any, NamedTuple
 
 import numpy as np
+
+from .brownian import _BLOCK, stream_blocks
 
 # The verdict bands, which no config changes: identities that hold exactly
 # up to rounding are held to IDENTITY_TOL, and Monte Carlo statistics to
@@ -54,17 +57,21 @@ class Moments(NamedTuple):
 
 
 def moments(x: np.ndarray, axis: int = 0) -> Moments:
-    """Moments of the samples along an axis, with numpy's _var steps:
-    np.mean, then subtract it, square and sum.
+    """Moments of the samples along an axis, merged in order over its
+    brownian.stream_blocks pieces, so a batch of paths gets the bits of the
+    merge of map_blocks' blocks.
 
-    The range is taken only where the stderr is within rounding of the
-    mean, since only such a stderr can come from a sample with zero range,
-    so random samples take no extra pass.  Each sample along a contiguous
-    axis gets the bits that a call on it alone gives, whichever other
-    samples trip the range check.  A one-row sample has zero range, and no
+    A piece takes numpy's _var steps: np.mean, then subtract it, square and
+    sum.  The range is taken only where the stderr is within rounding of the
+    mean, as only a sample with zero range can give such a stderr, so random
+    samples take no extra pass.  Each sample along a contiguous axis gets
+    the bits of a call on it alone.  A one-row piece has zero range, and no
     n - 1 = 0 is divided by.
     """
     n = x.shape[axis]
+    if n > _BLOCK:
+        pieces = np.split(x, [b1 for _, b1 in stream_blocks(n)[:-1]], axis=axis)
+        return functools.reduce(Moments.merge, (moments(piece, axis) for piece in pieces))
     m = np.mean(x, axis=axis)
     dev = np.subtract(x, np.expand_dims(m, axis))
     m2 = np.sum(np.square(dev, out=dev), axis=axis)
@@ -78,9 +85,9 @@ def moments(x: np.ndarray, axis: int = 0) -> Moments:
 
 
 def mean_stderr(x: np.ndarray, axis: int = 0) -> Estimate:
-    """Sample mean and standard error along an axis: the moments of x as
-    one block.  se has np.std's bits (ddof 1, over sqrt(n)), except that a
-    sample with zero range has se exactly 0."""
+    """Sample mean and standard error along an axis, from moments(x): up to
+    _BLOCK samples, se has np.std's bits (ddof 1, over sqrt(n)), except
+    that a sample with zero range has se exactly 0."""
     return moments(x, axis).estimate()
 
 
@@ -91,31 +98,28 @@ def control_variate_estimate(y: np.ndarray, c: np.ndarray, mu) -> tuple[Estimate
     The controlled mean is ybar - beta (cbar - mu), with beta fitted on the
     sample by least squares, and its stderr the residual sd with n - 2
     degrees of freedom over sqrt(n) (Glasserman 2004, section 4.1); c
-    broadcasts against y.  The plain estimate has mean_stderr(y)'s bits
-    wherever y has nonzero range.  A sample of fewer than 3 values, or one
-    whose control has zero range, gets mean_stderr's bits for both: there
-    is nothing to fit, and no zero spread is divided by.
+    broadcasts against y.  The plain estimate is mean_stderr(y).  A sample
+    of fewer than 3 values, or one whose control has zero range, gets the
+    plain estimate for both: there is nothing to fit, and no zero spread is
+    divided by.
     """
     c = np.broadcast_to(c, y.shape)
     n = y.shape[-1]
     flat = np.ptp(c, axis=-1) == 0
+    ys = moments(y, axis=-1)
+    plain = ys.estimate()
     if n < 3 or np.all(flat):
-        plain = mean_stderr(y, axis=-1)
         return plain, plain
-    y_mean, c_mean = np.mean(y, axis=-1), np.mean(c, axis=-1)
-    dy, dc = y - y_mean[..., None], c - c_mean[..., None]
-    # moments' steps, so the plain stderr has mean_stderr's bits
-    syy = np.sum(np.square(dy), axis=-1)
-    plain = Moments(n, y_mean, syy, np.nan).estimate()
+    c_mean = np.mean(c, axis=-1)
+    dy, dc = y - ys.mean[..., None], c - c_mean[..., None]
     syc = np.einsum("...i,...i->...", dc, dy)
     beta = syc / np.where(flat, 1.0, np.einsum("...i,...i->...", dc, dc))
     # the residual sum of squares; it is rounding, and may read below 0,
     # where the control fits y exactly
-    ssr = np.maximum(syy - beta * syc, 0.0)
-    controlled = Estimate(y_mean - beta * (c_mean - mu), np.sqrt(ssr / (n - 2)) / np.sqrt(n))
+    ssr = np.maximum(ys.m2 - beta * syc, 0.0)
+    controlled = Estimate(ys.mean - beta * (c_mean - mu), np.sqrt(ssr / (n - 2)) / np.sqrt(n))
     if np.any(flat):
-        fallback = mean_stderr(y, axis=-1)
-        plain, controlled = (Estimate(*np.where(flat, fallback, est)) for est in (plain, controlled))
+        controlled = Estimate(*np.where(flat, plain, controlled))
     return controlled, plain
 
 

@@ -1,3 +1,4 @@
+import functools
 import sys
 import warnings
 from dataclasses import replace
@@ -30,7 +31,8 @@ from forward_yield import (
 )
 import forward_yield.market
 from forward_yield import backward
-from forward_yield.brownian import _BLOCK
+from forward_yield.backward import TerminalConstraintReport
+from forward_yield.brownian import _BLOCK, stream_blocks
 
 from gamma_fields import CustomGamma
 
@@ -119,6 +121,17 @@ def test_terminal_constraint_zero_dispersion():
     report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
     assert report.cv <= 1e-10
     assert report.max_abs_dev <= 1e-9
+
+
+def test_terminal_report_merged_over_blocks_is_the_whole_report():
+    # three stream blocks, the last of one row; the max deviation is reached
+    # at the min or the max of the products, bit for bit
+    z = 1.0 + 1e-3 * np.random.default_rng(3).standard_normal(2 * _BLOCK + 1)
+    whole = terminal_constraint_check(z)
+    blocks = (terminal_constraint_check(z[b0:b1]) for b0, b1 in stream_blocks(len(z)))
+    merged = functools.reduce(TerminalConstraintReport.merge, blocks)
+    assert (merged.constant, merged.cv, merged.max_abs_dev) == (whole.constant, whole.cv, whole.max_abs_dev)
+    assert whole.max_abs_dev == np.max(np.abs(z / whole.constant - 1.0))
 
 
 def test_terminal_constraint_no_noise_case():

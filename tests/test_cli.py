@@ -531,7 +531,7 @@ def test_davis_capitalizes_in_the_consumption_free_optimal_wealth(tmp_path, monk
     # simulation on the same batch, with psi_hat changing value between the
     # maturity and the horizon
     seen = {}
-    simulate, capitalize = cli.simulate_optimal, cli.davis_time_consistency
+    simulate, capitalize = cli.simulate_optimal, cli.davis_report
 
     def recording_simulate(*args, **kwargs):
         seen["triple"] = simulate(*args, **kwargs)
@@ -542,7 +542,7 @@ def test_davis_capitalizes_in_the_consumption_free_optimal_wealth(tmp_path, monk
         return capitalize(payoff, y, x_paths, k_mat, k_horizon)
 
     monkeypatch.setattr(cli, "simulate_optimal", recording_simulate)
-    monkeypatch.setattr(cli, "davis_time_consistency", recording_capitalize)
+    monkeypatch.setattr(cli, "davis_report", recording_capitalize)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": {"psi_hat": {"times": [0.0, 2.5, 7.5], "values": [0.1, 0.03, 0.05]}}}))
     assert run_cli("davis", "--config", str(cfg), "--paths", "2000", "--out", str(tmp_path / "out")) == 0

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from forward_yield import (
     state_price_paths,
     zc_price_gaussian,
 )
-from forward_yield.brownian import PURPOSE_INNER, substream_seed
+from forward_yield.brownian import _BLOCK, PURPOSE_INNER, substream_seed
 from forward_yield.curves import forward_marginal_consumption_paths, market_gamma
 from forward_yield.errors import NumericalRangeError
 from forward_yield.config import build_forward_spec, build_grid, build_market, load_config
@@ -126,6 +127,25 @@ def test_ramsey_curve_spread_statistics():
     curve = report.curve
     assert np.max(np.abs(np.exp(-curve.rates * (curve.tenors - curve.asof)) / curve.prices - 1.0)) < 1e-12
     assert report.curve.method == "ramsey_mc"
+
+
+@pytest.mark.parametrize("sigma, tenors", [(0.1, [1.0, 5.0, 30.0]), (0.0, [1.0, 5.0, 30.0]), (0.1, [10.0])])
+def test_ramsey_comoments_match_np_cov(sigma, tenors):
+    # the covariance from the moments of the tenors and of their pairwise
+    # differences, merged over three stream blocks, against np.cov; sigma = 0
+    # makes every tenor flat, which has no sampling error
+    grid = make_grid(30.0, 120)
+    batch = sample_brownian(7, grid, dim=1, n_paths=2 * _BLOCK + 1)
+    c_paths = gbm_consumption_paths(1.0, 0.02, sigma, grid, batch)
+    report = ramsey_curve_mc(0.01, 0.5, c_paths, grid, tenors)
+    vals = np.column_stack([np.exp(-0.01 * t) * np.power(c_paths[:, grid.index_of(t)], -0.5) for t in tenors])
+    expected = np.atleast_2d(np.cov(vals, rowvar=False)) / len(vals)
+    flat = np.ptp(vals, axis=0) == 0
+    expected[flat, :] = expected[:, flat] = 0.0
+    assert flat.all() == (sigma == 0.0)
+    assert np.allclose(report.cov, expected, rtol=1e-12, atol=0.0)
+    exact_means = [math.fsum(col) / len(col) for col in vals.T]
+    assert np.allclose(report.curve.rates, -np.log(exact_means) / tenors, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,16 @@ def test_simulate_optimal_frees_the_rate_steps_before_zhat():
     assert _traced_peak(lambda: simulate_optimal(spec, market, grid, batch)) < 5.75 * x_bytes
 
 
+def test_representation_check_walks_the_x_grid():
+    # one (1024, K+1) pass per point of the x grid: the peak holds about three
+    # such arrays, where (1024, K+1, 11) broadcasts would hold some forty
+    cfg = load_config(None)
+    market = build_market(cfg)
+    spec, grid = build_forward_spec(cfg, market), build_grid(cfg)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(5, grid, dim=market.dim, n_paths=_BLOCK))
+    assert _traced_peak(lambda: representation_check(triple)) < 4 * triple.x[:1024].nbytes
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_optimal_blocks_are_the_rows_of_the_whole_batch(monkeypatch, threads):
     # the last block has one row; a Vasicek rate reads the residual stream too

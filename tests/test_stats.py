@@ -88,6 +88,21 @@ def test_merged_blocks_match_the_whole_array():
         assert np.max(np.abs(se / se_ref - 1.0)) <= 1e-12
 
 
+def test_moments_merge_the_stream_blocks_in_order():
+    # three stream blocks, the last of one row: a whole sample gets the bits
+    # of the in-order merge of its blocks' moments along either axis, and its
+    # zero-range column keeps stderr exactly 0
+    n = 2 * _BLOCK + 1
+    x = np.random.default_rng(8).standard_normal((n, 3)) * [1.0, 1e3, 0.0] + [0.0, 5.0, 0.1]
+    sizes = [b1 - b0 for b0, b1 in stream_blocks(n)]
+    for sample, axis in ((x, 0), (np.ascontiguousarray(x.T), 1)):
+        whole = moments(sample, axis)
+        for a, b in zip(whole, _merged(sample, sizes, axis)):
+            assert np.array_equal(a, b, equal_nan=True)
+        _, se = whole.estimate()
+        assert se[2] == 0.0 and np.all(se[:2] > 0.0)
+
+
 def test_one_row_block_divides_by_nothing():
     x = np.random.default_rng(2).standard_normal((9, 3))
     with warnings.catch_warnings():
