@@ -9,14 +9,12 @@ from .backward import (
     rate_integral_paths,
     solve_backward_vols,
     terminal_constraint_check,
-    terminal_product,
 )
 from .brownian import BrownianBatch, sample_brownian
 from .curves import (
     YieldCurve,
     curve_from_prices,
     davis_price,
-    davis_time_consistency,
     gbm_consumption_paths,
     hjm_forward_rates,
     long_rate,

@@ -217,7 +217,7 @@ def backward_optimal_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-initial wealth and state-price paths (x, y), each (n, K+1), of
     the control (nu, kappa) on the shared batch: wealth_paths without
-    consumption and state_price_paths, on the rate steps of the Gamma
+    consumption and state_price_paths, on the rate integral of the Gamma
     representation (rate_integral_paths).
 
     solve_backward_vols(spec) gives the optimal control; any other, e.g. the
@@ -227,9 +227,9 @@ def backward_optimal_paths(
     """
     if grid.horizon < spec.t_horizon - 1e-12:
         raise ValueError("grid horizon must cover the optimization horizon")
-    step_int = np.diff(rate_integral_paths(spec, grid, batch), axis=1)
-    x = wealth_paths(spec.market, grid, batch, step_int, kappa)
-    y = state_price_paths(spec.market, grid, batch, step_int, nu)
+    rate_integral = rate_integral_paths(spec, grid, batch)
+    x = wealth_paths(spec.market, grid, batch, rate_integral, kappa)
+    y = state_price_paths(spec.market, grid, batch, rate_integral, nu)
     _require_in_range("Xstar and Ystar", x, y)
     return x, y
 
@@ -264,16 +264,13 @@ class TerminalConstraintReport:
         return float(np.maximum(np.abs(self.lo / m - 1.0), np.abs(self.hi / m - 1.0)))
 
 
-def terminal_product(spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ystar (Xstar)^alpha at the horizon of backward paths (x, y) on grid,
-    one value per path."""
+def terminal_constraint_check(
+    spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.ndarray
+) -> TerminalConstraintReport:
+    """Dispersion of Ystar (Xstar)^alpha at the horizon over backward paths
+    (x, y) on grid; ~1e-15 for the consistent control."""
     k_h = grid.index_of(spec.t_horizon)
-    return y[:, k_h] * np.power(x[:, k_h], spec.alpha)
-
-
-def terminal_constraint_check(z: np.ndarray) -> TerminalConstraintReport:
-    """Dispersion of the terminal products z of the paths (terminal_product);
-    ~1e-15 for the consistent control."""
+    z = y[:, k_h] * np.power(x[:, k_h], spec.alpha)
     return TerminalConstraintReport(moments(z), np.min(z), np.max(z))
 
 
@@ -319,13 +316,13 @@ def _states_at_common_date(
         raise ValueError("the Brownian batch must cover [0, t_common]")
     sim_grid = grid.prefix(k_sim)
     sim_batch = BrownianBatch(seed=batch.seed, grid=sim_grid, increments=batch.increments[:, :k_sim, :])
-    step_int = np.diff(rate_integral_paths(spec, sim_grid, sim_batch), axis=1)
+    rate_integral = rate_integral_paths(spec, sim_grid, sim_batch)
     states = {}
     for t_h in horizons:
         nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
         h_grid = grid.prefix(grid.index_of(t_h))
-        x = wealth_paths(spec.market, h_grid, sim_batch, step_int, kappa)
-        y = state_price_paths(spec.market, h_grid, sim_batch, step_int, nu)
+        x = wealth_paths(spec.market, h_grid, sim_batch, rate_integral, kappa)
+        y = state_price_paths(spec.market, h_grid, sim_batch, rate_integral, nu)
         _require_in_range("Xstar and Ystar", x, y)
         # copies, so the paths of one horizon are freed before the next is simulated
         states[t_h] = (nu, x[:, k_c].copy(), y[:, k_c].copy())

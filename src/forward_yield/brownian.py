@@ -154,8 +154,11 @@ class BrownianBatch:
 
     def projected_increments(self, direction: np.ndarray) -> np.ndarray:
         """Increments of the scalar Brownian motion direction . W, shape (n_paths, n_steps)."""
-        direction = np.asarray(direction, dtype=float)
-        return self.increments @ direction
+        # one (n * K, dim) product: a stack of n (K, dim) products is several
+        # times slower, and a row's bits do not depend on the number of rows
+        # unless the product has a single element
+        rows = self.increments.reshape(-1, self.dim)
+        return (rows @ np.asarray(direction, dtype=float)).reshape(self.increments.shape[:2])
 
 
 def sample_brownian(seed: int, grid: TimeGrid, dim: int, n_paths: int, first_row: int = 0) -> BrownianBatch:

@@ -23,7 +23,6 @@ from .backward import (
     horizon_dependency_experiment,
     solve_backward_vols,
     terminal_constraint_check,
-    terminal_product,
 )
 from .brownian import BrownianBatch, map_blocks
 from .config import (
@@ -55,7 +54,7 @@ from .curves import (
     ramsey_flat_closed,
     zc_price_gaussian,
 )
-from .errors import ConfigError, ForwardYieldError
+from .errors import ConfigError, ForwardYieldError, NumericalRangeError
 from .forward import (
     consistency_drift_test,
     first_order_check,
@@ -307,8 +306,7 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
     def reduce_block(batch: BrownianBatch) -> tuple[Moments, TerminalConstraintReport]:
         """The moments of Y at the tenors, as forward-curve's, and the terminal constraint report."""
         x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
-        z = terminal_product(spec, grid, x, y)
-        return moments(np.ascontiguousarray(y[:, ks].T), axis=1), terminal_constraint_check(z)
+        return moments(np.ascontiguousarray(y[:, ks].T), axis=1), terminal_constraint_check(spec, grid, x, y)
 
     blocks = map_blocks(reduce_block, seed, grid, market.dim, n_paths)
     y, constraint = functools.reduce(lambda a, b: (a[0].merge(b[0]), a[1].merge(b[1])), blocks)
@@ -454,7 +452,10 @@ def _cmd_davis(cfg: Mapping[str, Any]) -> int:
     # consumption-free optimal wealth Xstar exp(int psi_hat ds) and reprice;
     # the reading grid keeps every date where psi_hat changes, so the sum is exact
     psi = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
-    capitalization = np.exp(np.concatenate(([0.0], np.cumsum(psi[:-1] * grid.widths))))[read]
+    with np.errstate(over="ignore"):
+        capitalization = np.exp(np.concatenate(([0.0], np.cumsum(psi[:-1] * grid.widths))))[read]
+    if not np.all(np.isfinite(capitalization)):
+        raise NumericalRangeError("spec.psi_hat: exp(int psi_hat ds) to the horizon left the range of double precision")
 
     def reduce_block(batch: BrownianBatch) -> DavisReport:
         triple = simulate_optimal(spec, market, grid, batch)

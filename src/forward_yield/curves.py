@@ -23,7 +23,7 @@ from .brownian import (
 from .errors import NumericalRangeError
 from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
-from .market import _LOG_ROWS, MarketModel, _dual_coeffs, row_blocks
+from .market import _LOG_ROWS, MarketModel, _dual_coeffs, _exact_log_paths, row_blocks
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
 from .stats import Estimate, Moments, control_variate_estimate, moments, t_stat
@@ -97,15 +97,22 @@ def gbm_consumption_paths(
     batch: BrownianBatch,
     direction: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Geometric consumption c_t = c0 exp((g - sigma^2/2) t + sigma e.W_t)."""
+    """Geometric consumption c_t = c0 exp((g - sigma^2/2) t + sigma e.W_t),
+    by the path engine's exact log scheme.  Raises NumericalRangeError when
+    c is not finite and > 0 on some path and date."""
     if c0 <= 0:
         raise ValueError("c0 must be positive")
     if direction is None:
         direction = np.eye(batch.dim)[0]
-    w = np.zeros((batch.n_paths, grid.n_steps + 1))
-    np.cumsum(batch.projected_increments(direction), axis=1, out=w[:, 1:])
-    t = grid.times
-    return c0 * np.exp((growth - 0.5 * sigma * sigma) * t + sigma * w)
+    # an overflow is reported by the scan below
+    with np.errstate(over="ignore"):
+        vol = np.broadcast_to(sigma * direction, (grid.n_steps, batch.dim))
+        drift = np.full(grid.n_steps, growth - 0.5 * sigma * sigma)
+        c = _exact_log_paths(batch.increments, vol, drift, grid.widths)
+        c *= c0
+    if not (c.min() > 0 and c.max() < np.inf):
+        raise NumericalRangeError("ramsey.growth and ramsey.sigma: consumption left the range of double precision")
+    return c
 
 
 @dataclass(frozen=True)
@@ -258,12 +265,12 @@ def marginal_zc_mc(
     of its own simulation, so the prices do not depend on the chunking.  The
     date-0 price is the plain average mean_stderr(triple.y[:, k_mat]).
 
-    The control is the dual exponential martingale M = Y_T / Y_t e^{int_t^T r}:
-    the exponential of ln Y's (nu - eta) . dW terms and their
-    -|nu - eta|^2 / 2 drift, summed step by step as in the exact log scheme,
-    without the rate.  Its mean is exactly 1, and with nu = eta it is exactly
-    1 on every path, so the estimate is the plain average.  The ratio is
-    formed from it at the maturities only, as M e^{-int_t^T r}.
+    The control is the dual exponential martingale M = Y_T / Y_t e^{int_t^T r},
+    the path engine's kernel on ln Y's (nu - eta) . dW terms and their
+    -|nu - eta|^2 / 2 drift, without the rate.  Its mean is exactly 1, and
+    with nu = eta it is exactly 1 on every path, so the estimate is the plain
+    average.  The ratio is formed from it at the maturities only, as
+    M e^{-int_t^T r}.
     """
     k_mats = list(k_mats)
     if not k_mats or min(k_mats) <= k_t:
@@ -281,7 +288,6 @@ def marginal_zc_mc(
     per_chunk = max(1, _LOG_ROWS // inner_paths)
     controlled = Estimate(np.empty((len(k_mats), n_outer)), np.empty((len(k_mats), n_outer)))
     plain = Estimate(np.empty((len(k_mats), n_outer)), np.empty((len(k_mats), n_outer)))
-    drift_steps = drift * sub.widths
     for i0 in range(0, n_outer, per_chunk):
         i1 = min(i0 + per_chunk, n_outer)
         n = (i1 - i0) * inner_paths
@@ -296,16 +302,9 @@ def marginal_zc_mc(
         batch = BrownianBatch(seed=triple.batch.seed, grid=sub, increments=_scale_to_widths(dw, sub))
         r0 = np.repeat(rate_states[i0:i1], inner_paths)
         integral = simulate_short_rate(rate, sub, batch, r0=r0, residuals=z).integral
-        # ln M with the log scheme's operations, net of the rate steps; summed
-        # time-major a whole row per step, as np.cumsum over the short step
-        # axis is several times slower, and so each (maturity, outer path)
-        # sample is contiguous
-        log_m = np.einsum("nkd,kd->kn", dw, vol)
-        log_m += drift_steps[:, None]
-        for k in range(1, sub.n_steps):
-            log_m[k] += log_m[k - 1]
+        # each (maturity, outer path) sample contiguous, as the estimates reduce along the last axis
         shape = (len(rows), i1 - i0, inner_paths)
-        control = np.exp(log_m[[k - 1 for k in rows]]).reshape(shape)
+        control = _exact_log_paths(dw, vol, drift, sub.widths).T[rows].reshape(shape)
         ratios = control * np.exp(-integral.T[rows]).reshape(shape)
         for out, part in zip((controlled, plain), control_variate_estimate(ratios, control, 1.0)):
             out.mean[:, i0:i1], out.stderr[:, i0:i1] = part
@@ -517,13 +516,6 @@ def davis_report(
     rows[1] = _deflated(payoff_values * (x_paths[:, k_horizon] / x_paths[:, k_mat]), y_paths, k_horizon)
     np.subtract(rows[1], rows[0], out=rows[2])
     return DavisReport(moments(rows, axis=1))
-
-
-def davis_time_consistency(
-    payoff_values: np.ndarray, y_paths: np.ndarray, x_paths: np.ndarray, k_mat: int, k_horizon: int
-) -> tuple[float, float]:
-    """The capitalization of davis_report."""
-    return davis_report(payoff_values, y_paths, x_paths, k_mat, k_horizon).capitalization
 
 
 # ---------------------------------------------------------------------------

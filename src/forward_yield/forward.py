@@ -20,6 +20,7 @@ from .grids import DeterministicFn, TimeGrid
 from .market import (
     MarketModel,
     _dual_coeffs,
+    _exact_log_paths,
     _proportional_rates,
     _wealth_coeffs,
     row_blocks,
@@ -111,16 +112,14 @@ def simulate_optimal(
     batch: BrownianBatch,
 ) -> OptimalTriple:
     """Simulate the optimal pair on a shared batch: the short rate, then
-    wealth_paths and state_price_paths on its step integrals, which check
+    wealth_paths and state_price_paths on its running integral, which check
     kappa, psi, nu and eta on every grid date.
 
     Raises NumericalRangeError when Zhat is not finite and > 0 on some path
     and date, i.e. wealth or the state-price density under- or overflowed."""
     rate_paths = simulate_short_rate(market.rate, grid, batch)
-    rate_steps = rate_paths.step_integrals()
-    x = wealth_paths(market, grid, batch, rate_steps, spec.kappa_star, spec.psi_hat)
-    y = state_price_paths(market, grid, batch, rate_steps, spec.nu_star)
-    del rate_steps
+    x = wealth_paths(market, grid, batch, rate_paths.integral, spec.kappa_star, spec.psi_hat)
+    y = state_price_paths(market, grid, batch, rate_paths.integral, spec.nu_star)
     # an overflow, and the nan of 0 * inf it leads to, is reported by the scan below
     with np.errstate(over="ignore", invalid="ignore"):
         zhat = np.power(x, spec.alpha)
@@ -248,8 +247,11 @@ def hjb_residual(
     kappa_bar = x_kappa_bar / x_grid[None, :, None]
     policy_residual = np.max(np.linalg.norm(kappa_bar - kappa[:, None, :], axis=2), axis=1)
 
-    # conjugate of the consumption utility V = psi_hat^alpha U: psi_hat Zhat^(1/alpha) utilde(y)
-    dual = (psi * np.power(zhat, 1.0 / alpha))[:, None] * base.conjugate(big_ux)
+    # conjugate of the consumption utility V = psi_hat^alpha U at U_x:
+    # psi_hat Zhat^(1/alpha) utilde(Zhat u_x) = psi_hat Zhat utilde(u_x), as
+    # utilde(lambda y) = lambda^(1 - 1/alpha) utilde(y); Zhat^(1/alpha) alone
+    # overflows at small alpha
+    dual = (psi * zhat)[:, None] * base.conjugate(u_x)
     qb = np.sum(x_kappa_bar * x_kappa_bar, axis=2)
     drift_rhs = -big_ux * x_grid[None, :] * r[:, None] + 0.5 * big_uxx * qb - dual
 
@@ -286,18 +288,18 @@ def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = N
 def _strategy_steps(
     triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[DeterministicFn] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The volatility (K, dim) of ln F^(1-alpha) and the rest of
-    ln(F^(1-alpha) / (1-alpha)) on the K+1 dates (value_process), and A and B
-    (consistency_drift_test), of the strategy (kappa, c = psi X)."""
+    """The per-step volatility (K, dim) and drift (K,) of ln F^(1-alpha)
+    (value_process), and A and B (consistency_drift_test), of the strategy
+    (kappa, c = psi X)."""
     spec, market, grid = triple.spec, triple.market, triple.grid
     alpha = spec.alpha
     vol_star, drift_star = _wealth_coeffs(market, grid, spec.kappa_star)
     vol, drift = (vol_star, drift_star) if kappa is None else _wealth_coeffs(market, grid, kappa)
     psi_star = _proportional_rates(spec.psi_hat, grid)[:-1]
     psi = psi_star if consumption is None else _proportional_rates(consumption, grid)[:-1]
-    log_d = np.cumsum(np.r_[-np.log1p(-alpha), (1.0 - alpha) * (drift - drift_star - (psi - psi_star)) * grid.widths])
+    drift = (1.0 - alpha) * (drift - drift_star - (psi - psi_star))
     half = 0.5 * grid.widths * np.power(psi_star, alpha) * np.power(psi, 1.0 - alpha)
-    return (1.0 - alpha) * (vol - vol_star), log_d, 1.0 + half, 1.0 - half
+    return (1.0 - alpha) * (vol - vol_star), drift, 1.0 + half, 1.0 - half
 
 
 def value_process(
@@ -305,18 +307,17 @@ def value_process(
 ) -> np.ndarray:
     """Paths of U(t, X_t) for the proportional strategy (kappa, c = psi X),
     None meaning kappa_star or psi_hat, on the optimal triple's paths, which
-    it reweights without simulating wealth: F = X / Xstar drops the rate steps,
+    it reweights without simulating wealth: F = X / Xstar drops the rate,
     U = P F^(1-alpha) / (1-alpha) with P = Y Xstar as Zhat = Y Xstar^alpha, and
     ln F_k = sum_{j<k} [dkappa . dW_j + (dkappa . eta - d|kappa|^2 / 2 - dpsi) h_j],
-    d meaning the change from the optimum."""
-    dvol, log_d, _, _ = _strategy_steps(triple, kappa, consumption)
-    log_f = np.zeros(triple.x.shape)
-    np.einsum("nkd,kd->nk", triple.batch.increments, dvol, out=log_f[:, 1:])
-    np.cumsum(log_f, axis=1, out=log_f)
-    log_f += log_d
+    d meaning the change from the optimum, from the path engine's kernel."""
+    dvol, drift, _, _ = _strategy_steps(triple, kappa, consumption)
+    f = _exact_log_paths(triple.batch.increments, dvol, drift, triple.grid.widths)
     # U is formed date by date, the layout in which linear_drift_reports sums its columns
-    u = np.multiply(triple.y.T, triple.x.T, out=np.empty(log_f.shape[::-1]))
-    return np.multiply(u, np.exp(log_f, out=log_f).T, out=u).T
+    u = np.multiply(triple.y.T, triple.x.T, out=np.empty(f.shape[::-1]))
+    u *= f.T
+    u /= 1.0 - triple.spec.alpha
+    return u.T
 
 
 def consistency_drift_test(
@@ -340,10 +341,11 @@ def consistency_drift_test(
     grid = triple.grid
     reports, shared = {}, {}  # shared: strategy index -> A_k D_{k+1}, B_k D_k, whether it is the optimum
     for i, strategy in enumerate(strategies):
-        dvol, log_d, a, b = _strategy_steps(triple, **strategy)
+        dvol, drift, a, b = _strategy_steps(triple, **strategy)
         if np.any(dvol):
             (reports[i],) = linear_drift_reports(value_process(triple, **strategy), grid.times, a, b)
         else:
+            log_d = np.cumsum(np.r_[-np.log1p(-triple.spec.alpha), drift * grid.widths])
             shared[i] = (np.exp(log_d[1:]) * a, np.exp(log_d[:-1]) * b, np.ptp(log_d) == 0)
     if shared:
         a, b, optimal = map(np.array, zip(*shared.values()))

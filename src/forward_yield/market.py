@@ -4,8 +4,9 @@ State-price densities follow dY = Y [-r dt + (nu - eta) . dW] with nu in the
 orthogonal complement of the admissible subspace; wealth follows
 dX = X [r dt + kappa . (dW + eta dt)] - c dt with kappa in the subspace.
 Both are simulated with exact per-step log schemes on the shared Brownian
-batch and each path's per-step integrals of the short rate, which the caller
-supplies (rates.simulate_short_rate or backward.rate_integral_paths).
+batch and each path's running integral of the short rate, which the caller
+supplies (rates.simulate_short_rate or backward.rate_integral_paths); the
+same kernel simulates the rate-free log processes of forward and curves.
 """
 
 from __future__ import annotations
@@ -98,21 +99,21 @@ def row_blocks(n_rows: int) -> list[tuple[int, int]]:
 def _exact_log_paths(
     increments: np.ndarray,
     vol: np.ndarray,
-    rate_steps: np.ndarray,
     drift: np.ndarray,
     widths: np.ndarray,
-    rate_sign: int,
+    rate_integral: Optional[np.ndarray] = None,
+    rate_sign: int = 1,
 ) -> np.ndarray:
     """Exact per-step log scheme of a unit-initial geometric process with
-    deterministic volatility: exp(cumsum(vol . dW + rate_sign * rate_steps + drift * widths)),
+    deterministic volatility: exp(cumsum(vol . dW + drift * widths) + rate_sign * rate_integral),
     with the value 1 at t_0 (Glasserman 2004, section 3.2).
 
-    increments is (n, K, dim), vol (K, dim), rate_steps (n, K), drift (K,)
-    and widths, the step widths, (K,) or one scalar.  rate_sign is +1 for
-    wealth and -1 for a state-price density, whose rate steps are
-    subtracted rather than negated into a copy; a - b is a + (-b) bit for bit.
-    An overflow gives inf or nan without a warning: the caller scans the
-    paths (forward._require_in_range).
+    increments is (n, K, dim), vol (K, dim), drift (K,) and widths, the step
+    widths, (K,) or one scalar.  rate_integral, each path's int_0^{t_k} r as
+    (n, K+1) and so 0 at t_0, is added after the cumsum, or subtracted for
+    rate_sign = -1 (a state-price density); None leaves a process without a
+    rate.  An overflow gives inf or nan without a warning: the caller scans
+    the paths (forward._require_in_range).
     """
     out = np.zeros((increments.shape[0], increments.shape[1] + 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -121,12 +122,13 @@ def _exact_log_paths(
         # is allocated beside the output; each row's operations are unchanged
         for b0, b1 in row_blocks(out.shape[0]):
             dlog = np.einsum("nkd,kd->nk", increments[b0:b1], vol)
-            if rate_sign > 0:
-                dlog += rate_steps[b0:b1]
-            else:
-                dlog -= rate_steps[b0:b1]
             dlog += drift_step
             np.cumsum(dlog, axis=1, out=out[b0:b1, 1:])
+            if rate_integral is not None:
+                # whole rows, which is faster than the strided columns 1..K;
+                # the integral is 0 at t_0, so the value there stays 1
+                add = np.add if rate_sign > 0 else np.subtract
+                add(out[b0:b1], rate_integral[b0:b1], out=out[b0:b1])
         np.exp(out, out=out)
     return out
 
@@ -135,34 +137,34 @@ def state_price_paths(
     market: MarketModel,
     grid: TimeGrid,
     batch: BrownianBatch,
-    rate_steps: np.ndarray,
+    rate_integral: np.ndarray,
     nu: Optional[DeterministicFn] = None,
 ) -> np.ndarray:
     """Unit-initial paths (n_paths, k+1) of a state-price density on the
-    first k = rate_steps.shape[1] steps of grid, rate_steps being each
-    path's per-step integrals of r; nu = None gives the minimal density Y^0.
-    nu and eta are checked on all K+1 dates of grid.
+    first k = rate_integral.shape[1] - 1 steps of grid, rate_integral being
+    each path's int_0^{t_j} r on those dates; nu = None gives the minimal
+    density Y^0.  nu and eta are checked on all K+1 dates of grid.
 
-    Exact log scheme per step:
-    ln Y_{k+1} = ln Y_k - int r - 0.5 |nu - eta|^2 dt + (nu - eta) . dW.
+    Exact log scheme: ln Y_k = sum_{j<k} [(nu - eta) . dW_j - 0.5 |nu - eta|^2 h_j] - int_0^{t_k} r.
     """
     nu = DeterministicFn.zero(market.dim) if nu is None else nu
     vol, drift = _dual_coeffs(market, grid, nu)
-    k = rate_steps.shape[1]
-    return _exact_log_paths(batch.increments[:, :k, :], vol[:k], rate_steps, drift[:k], grid.widths[:k], -1)
+    k = rate_integral.shape[1] - 1
+    return _exact_log_paths(batch.increments[:, :k, :], vol[:k], drift[:k], grid.widths[:k], rate_integral, -1)
 
 
 def wealth_paths(
     market: MarketModel,
     grid: TimeGrid,
     batch: BrownianBatch,
-    rate_steps: np.ndarray,
+    rate_integral: np.ndarray,
     kappa: DeterministicFn,
     consumption: Optional[DeterministicFn] = None,
 ) -> np.ndarray:
     """Unit-initial paths (n_paths, k+1) of self-financing wealth with
-    portfolio volatility kappa on the first k = rate_steps.shape[1] steps of
-    grid, rate_steps being each path's per-step integrals of r.
+    portfolio volatility kappa on the first k = rate_integral.shape[1] - 1
+    steps of grid, rate_integral being each path's int_0^{t_j} r on those
+    dates.
 
     consumption may be None (no consumption) or a nonnegative proportional
     rate psi, meaning c = psi X, simulated with the exact log scheme.
@@ -170,5 +172,5 @@ def wealth_paths(
     """
     vol, drift = _wealth_coeffs(market, grid, kappa)
     drift -= _proportional_rates(consumption, grid)[:-1]
-    k = rate_steps.shape[1]
-    return _exact_log_paths(batch.increments[:, :k, :], vol[:k], rate_steps, drift[:k], grid.widths[:k], 1)
+    k = rate_integral.shape[1] - 1
+    return _exact_log_paths(batch.increments[:, :k, :], vol[:k], drift[:k], grid.widths[:k], rate_integral)

@@ -89,10 +89,6 @@ class RatePaths:
     r: np.ndarray         # (n_paths, n_steps+1)
     integral: np.ndarray  # (n_paths, n_steps+1), integral[:, k] = int_0^{t_k} r ds
 
-    def step_integrals(self) -> np.ndarray:
-        """Per-step integrals of r, shape (n_paths, n_steps)."""
-        return np.diff(self.integral, axis=1)
-
 
 def simulate_short_rate(
     model: ShortRateModel,

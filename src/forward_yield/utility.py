@@ -3,7 +3,8 @@
 The forward family's progressive utility of wealth is
 U(t, x) = Zhat_t u(x) with u the unit power utility; its consumption
 companion is V(t, c) = psi_hat_t^alpha U(t, c), whose conjugate
-psi_hat_t Zhat_t^(1/alpha) utilde(y) forward.hjb_residual forms.
+psi_hat_t Zhat_t^(1/alpha) utilde(y) forward.hjb_residual forms at
+y = Zhat_t u_x, where it is psi_hat_t Zhat_t utilde(u_x).
 """
 
 from __future__ import annotations

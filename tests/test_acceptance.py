@@ -25,7 +25,6 @@ from forward_yield import (
     backward_optimal_paths,
     consistency_drift_test,
     davis_price,
-    davis_time_consistency,
     first_order_check,
     gbm_consumption_paths,
     hjb_residual,
@@ -43,9 +42,9 @@ from forward_yield import (
     solve_backward_vols,
     state_price_paths,
     terminal_constraint_check,
-    terminal_product,
     zc_price_gaussian,
 )
+from forward_yield.curves import davis_report
 from forward_yield.stats import mean_stderr
 
 from conjugation_oracles import numeric_biconjugate, numeric_fenchel
@@ -126,7 +125,7 @@ def test_criterion_2_vasicek_zero_coupon_oracle():
     start = time.perf_counter()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1002, grid, dim=2, n_paths=100_000)
-    y = state_price_paths(market, grid, batch, simulate_short_rate(market.rate, grid, batch).step_integrals())
+    y = state_price_paths(market, grid, batch, simulate_short_rate(market.rate, grid, batch).integral)
     worst = 0.0
     for tenor in (1.0, 5.0, 10.0):
         price = float(y[:, grid.index_of(tenor)].mean())
@@ -229,11 +228,11 @@ def test_criterion_6_backward_terminal_constraint():
     spec = _vasicek_orthogonal_spec(10.0)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1006, grid, dim=2, n_paths=10_000)
-    consistent = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
+    consistent = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
 
     mismatched = _vasicek_orthogonal_spec(50.0)
     nu_wrong, kappa_wrong = solve_backward_vols(mismatched)
-    control = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong)))
+    control = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
     ok = consistent.cv <= 1e-10 and control.cv > 1e-3
     _report(
         "criterion 6 (backward terminal constraint)",
@@ -319,7 +318,7 @@ def test_criterion_9_complete_market_price_agreement():
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1009, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
-    y0_paths = state_price_paths(market, grid, batch, triple.rate_paths.step_integrals())
+    y0_paths = state_price_paths(market, grid, batch, triple.rate_paths.integral)
 
     worst_mc_gap, worst_closed_z = 0.0, 0.0
     for tenor in (1.0, 2.0, 5.0, 10.0):
@@ -351,7 +350,7 @@ def test_criterion_10_davis_linearity_and_time_consistency():
     combo = davis_price(2.0 * zeta1 + 3.0 * zeta2, y, k_mat)
     lin_gap = abs(combo.mean - (2.0 * p1.mean + 3.0 * p2.mean)) / max(abs(combo.mean), 1.0)
 
-    _, t_stat = davis_time_consistency(zeta1, y, x, k_mat, k_h)
+    _, t_stat = davis_report(zeta1, y, x, k_mat, k_h).capitalization
     ok = lin_gap <= 1e-15 and abs(t_stat) < 3.0
     _report(
         "criterion 10 (Davis pricing)",

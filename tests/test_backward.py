@@ -27,7 +27,6 @@ from forward_yield import (
     simulate_optimal,
     solve_backward_vols,
     terminal_constraint_check,
-    terminal_product,
 )
 import forward_yield.market
 from forward_yield import backward
@@ -118,17 +117,21 @@ def test_terminal_constraint_zero_dispersion():
     spec = vasicek_orthogonal_spec()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(515, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
     assert report.cv <= 1e-10
     assert report.max_abs_dev <= 1e-9
 
 
 def test_terminal_report_merged_over_blocks_is_the_whole_report():
     # three stream blocks, the last of one row; the max deviation is reached
-    # at the min or the max of the products, bit for bit
+    # at the min or the max of the products, bit for bit.  With x = 1 the
+    # terminal products are y at the horizon, here the synthetic z
+    spec = vasicek_orthogonal_spec()
+    grid = make_grid(spec.t_horizon, 1)
     z = 1.0 + 1e-3 * np.random.default_rng(3).standard_normal(2 * _BLOCK + 1)
-    whole = terminal_constraint_check(z)
-    blocks = (terminal_constraint_check(z[b0:b1]) for b0, b1 in stream_blocks(len(z)))
+    x, y = np.ones((len(z), 2)), np.column_stack([np.ones_like(z), z])
+    whole = terminal_constraint_check(spec, grid, x, y)
+    blocks = (terminal_constraint_check(spec, grid, x[b0:b1], y[b0:b1]) for b0, b1 in stream_blocks(len(z)))
     merged = functools.reduce(TerminalConstraintReport.merge, blocks)
     assert (merged.constant, merged.cv, merged.max_abs_dev) == (whole.constant, whole.cv, whole.max_abs_dev)
     assert whole.max_abs_dev == np.max(np.abs(z / whole.constant - 1.0))
@@ -138,7 +141,7 @@ def test_terminal_constraint_no_noise_case():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
     grid = make_grid(10.0, 20)
     batch = sample_brownian(616, grid, dim=2, n_paths=512)
-    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
     assert report.cv <= 1e-12
 
 
@@ -148,7 +151,7 @@ def test_terminal_constraint_detects_mismatched_horizon():
     nu_wrong, kappa_wrong = solve_backward_vols(wrong)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(717, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong)))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
     # residual variance is computable in closed form from the vol difference
     assert report.cv > 1e-3
 
@@ -159,7 +162,7 @@ def test_terminal_constraint_synthetic_sqrt():
     spec = BackwardSpec(t_horizon=8.0, alpha=0.3, gamma=gamma, market=market)
     grid = make_grid(8.0, 32)
     batch = sample_brownian(818, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
     assert report.cv <= 1e-10
 
 
@@ -167,7 +170,7 @@ def test_terminal_constraint_on_a_non_uniform_grid():
     spec = vasicek_orthogonal_spec()
     grid = TimeGrid.of_times([0.0, 1.0, 2.5, 4.0, 7.0, 10.0])
     batch = sample_brownian(5151, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(terminal_product(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))))
+    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
     assert report.cv <= 1e-8
 
 

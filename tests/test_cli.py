@@ -15,6 +15,7 @@ import forward_yield
 from forward_yield import cli
 from forward_yield.cli import main
 from forward_yield.brownian import _BLOCK
+from forward_yield.errors import NumericalRangeError
 from forward_yield.config import (
     DEFAULT_CONFIG,
     build_backward_spec,
@@ -245,6 +246,29 @@ def test_out_of_range_config_exits_2_with_named_error(tmp_path, command, overrid
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, block, values, field",
+    [
+        # consumption underflows to 0, where the Ramsey rule would divide by it
+        ("ramsey-flat", "ramsey", {"sigma": 40.0}, "ramsey.sigma"),
+        # consumption overflows to inf
+        ("ramsey-flat", "ramsey", {"growth": 1.0e300}, "ramsey.growth"),
+        # the capitalization exp(int psi_hat ds) overflows
+        ("davis", "spec", {"psi_hat": 1.0e300}, "spec.psi_hat"),
+    ],
+    ids=["ramsey-sigma40", "ramsey-growth-1e300", "davis-psi-hat-1e300"],
+)
+def test_consumption_out_of_range_is_a_named_range_error(tmp_path, command, block, values, field):
+    cfg = load_config(None)
+    cfg[block].update(values)
+    cfg["simulation"]["n_paths"] = 2000
+    cfg["output"]["path"] = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalRangeError, match=field):
+            cli._HANDLERS[command](cfg)
 
 
 def _run_in_subprocess(tmp_path, command, overrides, paths=2000, **env_vars) -> subprocess.CompletedProcess:
@@ -550,7 +574,7 @@ def test_davis_capitalizes_in_the_consumption_free_optimal_wealth(tmp_path, monk
     triple = seen["triple"]
     assert 7.5 in triple.grid.times
     plain = forward_yield.wealth_paths(
-        triple.market, triple.grid, triple.batch, triple.rate_paths.step_integrals(), kappa=triple.spec.kappa_star
+        triple.market, triple.grid, triple.batch, triple.rate_paths.integral, kappa=triple.spec.kappa_star
     )
     # davis keeps the columns at date 0, the maturity and the horizon
     read = [0, triple.grid.index_of(5.0), triple.grid.n_steps]

@@ -20,7 +20,6 @@ from forward_yield import (
     backward_optimal_paths,
     curve_from_prices,
     davis_price,
-    davis_time_consistency,
     gbm_consumption_paths,
     hjm_forward_rates,
     long_rate,
@@ -38,7 +37,7 @@ from forward_yield import (
     zc_price_gaussian,
 )
 from forward_yield.brownian import _BLOCK, PURPOSE_INNER, substream_seed
-from forward_yield.curves import forward_marginal_consumption_paths, market_gamma
+from forward_yield.curves import davis_report, forward_marginal_consumption_paths, market_gamma
 from forward_yield.errors import NumericalRangeError
 from forward_yield.config import build_forward_spec, build_grid, build_market, load_config
 from forward_yield.stats import control_variate_estimate, mean_stderr
@@ -695,7 +694,7 @@ def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_ou
         seed = int(substream_seed(2470, PURPOSE_INNER, i, k_t).generate_state(1, np.uint64)[0])
         inner = sample_brownian(seed, sub, 2, inner_paths)
         zero_rate = simulate_short_rate(ConstantRate(0.0), sub, inner)
-        control = state_price_paths(market, sub, inner, zero_rate.step_integrals(), nu=spec.nu_star)[:, -1]
+        control = state_price_paths(market, sub, inner, zero_rate.integral, nu=spec.nu_star)[:, -1]
         rates = simulate_short_rate(market.rate, sub, inner, r0=triple.rate_paths.r[i, k_t])
         ratio = control * np.exp(-rates.integral[:, -1])
         (expected[0, i], expected[1, i]), (expected[2, i], _) = control_variate_estimate(ratio, control, 1.0)
@@ -743,7 +742,7 @@ def test_davis_capitalization_time_consistency():
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     k_mat, k_h = grid.index_of(5.0), grid.index_of(10.0)
     zeta = np.maximum(x[:, k_mat] - 0.8, 0.0)
-    p_cap, t_stat = davis_time_consistency(zeta, y, x, k_mat, k_h)
+    p_cap, t_stat = davis_report(zeta, y, x, k_mat, k_h).capitalization
     assert abs(t_stat) < 3.0
     assert davis_price(zeta, y, k_mat).mean == pytest.approx(p_cap, rel=0.02)
 

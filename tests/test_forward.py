@@ -33,7 +33,7 @@ from forward_yield import (
 from forward_yield.brownian import _BLOCK, map_blocks, stream_blocks
 from forward_yield.config import build_forward_spec, build_grid, build_market, load_config
 from forward_yield.forward import value_process
-from forward_yield.stats import STAT_BAND, DriftReport, interval_drift_report
+from forward_yield.stats import IDENTITY_TOL, STAT_BAND, DriftReport, interval_drift_report
 
 E1, E2 = np.eye(2)
 
@@ -192,6 +192,26 @@ def test_hjb_detects_injected_drift_error():
     assert report.max_rel_residual > 9e-4
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 0.98])
+def test_hjb_residual_at_small_and_large_alpha(alpha):
+    # the consumption dual is formed as psi_hat Zhat utilde(u_x), whose terms
+    # stay in range where Zhat^(1/alpha) alone leaves it at small alpha
+    market = default_market()
+    spec = default_spec(alpha=alpha)
+    grid = make_grid(30.0, 30)
+    triple = simulate_optimal(spec, market, grid, sample_brownian(33, grid, dim=2, n_paths=1))
+    if alpha == 1e-3:
+        with np.errstate(under="ignore"):
+            assert np.min(np.power(triple.zhat[0], 1.0 / alpha)) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = hjb_residual(triple)
+        perturbed = hjb_residual(triple, drift_perturbation=1e-3)
+    assert report.max_rel_residual <= IDENTITY_TOL
+    assert report.max_policy_residual <= IDENTITY_TOL
+    assert perturbed.max_rel_residual > IDENTITY_TOL
+
+
 def test_representation_transport():
     market = default_market()
     spec = default_spec()
@@ -275,13 +295,13 @@ def _oracle_drifts(triple, strategies):
     """interval_drift_report of each strategy's G, built from its own
     simulated wealth (_value_process_oracle)."""
     spec, grid = triple.spec, triple.grid
-    steps = triple.rate_paths.step_integrals()
+    integral = triple.rate_paths.integral
     reports = []
     for strategy in strategies:
         kappa, psi = strategy.get("kappa"), strategy.get("consumption")
         psi = spec.psi_hat if psi is None else psi
         kappa = spec.kappa_star if kappa is None else kappa
-        wealth = wealth_paths(triple.market, grid, triple.batch, steps, kappa=kappa, consumption=psi)
+        wealth = wealth_paths(triple.market, grid, triple.batch, integral, kappa=kappa, consumption=psi)
         reports.append(interval_drift_report(_value_process_oracle(triple, wealth, psi), grid.times))
     return reports
 
@@ -327,7 +347,7 @@ def test_value_process_matches_simulated_wealth():
     for strategy in strategies:
         psi = strategy.get("consumption", spec.psi_hat)
         wealth = wealth_paths(
-            market, grid, batch, triple.rate_paths.step_integrals(),
+            market, grid, batch, triple.rate_paths.integral,
             kappa=strategy.get("kappa", spec.kappa_star),
             consumption=psi,
         )

@@ -34,9 +34,9 @@ def deflated_wealth(y, x, grid, psi=0.0):
     return y * x + integrate.cumulative_trapezoid(y * psi * x, grid.times, axis=1, initial=0.0)
 
 
-def rate_steps(market, grid, batch):
-    """Each path's per-step integrals of the market's short rate."""
-    return simulate_short_rate(market.rate, grid, batch).step_integrals()
+def rate_integral(market, grid, batch):
+    """Each path's running integral of the market's short rate."""
+    return simulate_short_rate(market.rate, grid, batch).integral
 
 
 def two_dim_market(rate=None, eta=(0.05, 0.0)):
@@ -53,7 +53,7 @@ def test_state_price_constant_when_all_drivers_off():
     market = two_dim_market(rate=ConstantRate(0.0), eta=(0.0, 0.0))
     grid = make_grid(1.0, 10)
     batch = sample_brownian(11, grid, dim=2, n_paths=16)
-    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch))
+    y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch))
     assert np.allclose(y, 1.0, atol=1e-15)
 
 
@@ -63,7 +63,7 @@ def test_state_price_martingale_mean():
     grid = make_grid(2.0, 20)
     batch = sample_brownian(123, grid, dim=2, n_paths=100_000)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
-    y = state_price_paths(market, grid, batch, rate_paths.step_integrals())
+    y = state_price_paths(market, grid, batch, rate_paths.integral)
     capitalized = y[:, -1] * np.exp(rate_paths.integral[:, -1])
     se = capitalized.std(ddof=1) / np.sqrt(len(capitalized))
     assert abs(capitalized.mean() - 1.0) < 3 * se
@@ -75,7 +75,7 @@ def test_minimal_density_matches_vasicek_bond_oracle():
     market = two_dim_market(rate=VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E2), eta=(0.03, 0.0))
     grid = make_grid(10.0, 40)
     batch = sample_brownian(314159, grid, dim=2, n_paths=100_000)
-    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch))
+    y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch))
     for tenor in (1.0, 5.0, 10.0):
         k = grid.index_of(tenor)
         price = y[:, k].mean()
@@ -95,7 +95,7 @@ def test_minimal_density_with_hedgeable_rate_noise_tilt():
     )
     grid = make_grid(8.0, 32)
     batch = sample_brownian(2718, grid, dim=2, n_paths=100_000)
-    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch))
+    y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch))
     k = grid.index_of(8.0)
     tilt, _ = integrate.quad(lambda s: sigma / a * (1.0 - np.exp(-a * (8.0 - s))) * eta0, 0.0, 8.0)
     oracle = textbook_vasicek_price(a, b, sigma, r0, 8.0) * np.exp(-tilt)
@@ -110,7 +110,7 @@ def test_state_price_rejects_nu_outside_complement():
     batch = sample_brownian(5, grid, dim=2, n_paths=8)
     nu = DeterministicFn.constant(np.array([0.1, 0.0]))
     with pytest.raises(SubspaceViolationError):
-        state_price_paths(market, grid, batch, rate_steps(market, grid, batch), nu=nu)
+        state_price_paths(market, grid, batch, rate_integral(market, grid, batch), nu=nu)
 
 
 def test_factorization_against_exponential_martingale():
@@ -119,9 +119,9 @@ def test_factorization_against_exponential_martingale():
     grid = make_grid(3.0, 30)
     batch = sample_brownian(909, grid, dim=2, n_paths=256)
     nu = DeterministicFn.constant(np.array([0.0, 0.12]))
-    steps = rate_steps(market, grid, batch)
-    y_nu = state_price_paths(market, grid, batch, steps, nu=nu)
-    y_0 = state_price_paths(market, grid, batch, steps)
+    integral = rate_integral(market, grid, batch)
+    y_nu = state_price_paths(market, grid, batch, integral, nu=nu)
+    y_0 = state_price_paths(market, grid, batch, integral)
     nu_k = np.atleast_2d(nu.values(grid.times[:-1]))
     mart = np.einsum("nkd,kd->nk", batch.increments, nu_k)
     log_dens = np.zeros_like(y_0)
@@ -134,7 +134,7 @@ def test_money_market_wealth_exact():
     market = two_dim_market(rate=ConstantRate(0.04), eta=(0.1, 0.0))
     grid = make_grid(2.0, 8)
     batch = sample_brownian(6, grid, dim=2, n_paths=12)
-    w = wealth_paths(market, grid, batch, rate_steps(market, grid, batch), kappa=DeterministicFn.zero(2))
+    w = wealth_paths(market, grid, batch, rate_integral(market, grid, batch), kappa=DeterministicFn.zero(2))
     assert np.allclose(w, np.exp(0.04 * grid.times), atol=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_proportional_consumption_lognormal_mean():
     grid = make_grid(4.0, 16)
     batch = sample_brownian(321, grid, dim=2, n_paths=100_000)
     w = wealth_paths(
-        market, grid, batch, rate_steps(market, grid, batch),
+        market, grid, batch, rate_integral(market, grid, batch),
         kappa=DeterministicFn.constant(kappa_vec), consumption=DeterministicFn.constant(psi),
     )
     log_x = np.log(w[:, -1])
@@ -160,22 +160,22 @@ def test_wealth_rejects_kappa_outside_subspace():
     batch = sample_brownian(9, grid, dim=2, n_paths=4)
     kappa = DeterministicFn.constant(np.array([0.0, 0.2]))
     with pytest.raises(SubspaceViolationError):
-        wealth_paths(market, grid, batch, rate_steps(market, grid, batch), kappa=kappa)
+        wealth_paths(market, grid, batch, rate_integral(market, grid, batch), kappa=kappa)
 
 
 def test_drift_test_money_market_and_consumption():
     market = two_dim_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E2), eta=(0.1, 0.0))
     grid = make_grid(2.0, 10)
     batch = sample_brownian(1001, grid, dim=2, n_paths=50_000)
-    steps = rate_steps(market, grid, batch)
-    y = state_price_paths(market, grid, batch, steps)
+    integral = rate_integral(market, grid, batch)
+    y = state_price_paths(market, grid, batch, integral)
 
-    money = wealth_paths(market, grid, batch, steps, kappa=DeterministicFn.zero(2))
+    money = wealth_paths(market, grid, batch, integral, kappa=DeterministicFn.zero(2))
     report = interval_drift_report(deflated_wealth(y, money, grid), grid.times)
     assert report.max_abs_t <= STAT_BAND
 
     risky = wealth_paths(
-        market, grid, batch, steps,
+        market, grid, batch, integral,
         kappa=DeterministicFn.constant(np.array([0.25, 0.0])),
         consumption=DeterministicFn.constant(0.06),
     )
@@ -197,13 +197,13 @@ def test_drift_test_flags_misspecified_nu():
     eta = np.array([0.1, 0.0])
     vol = bad_nu - eta
     mart = np.einsum("nkd,d->nk", batch.increments, vol)
-    dlog = mart - rate_paths.step_integrals() - 0.5 * (vol @ vol) * grid.dt
+    dlog = mart - 0.5 * (vol @ vol) * grid.dt
     log_y = np.zeros((batch.n_paths, grid.n_steps + 1))
     np.cumsum(dlog, axis=1, out=log_y[:, 1:])
-    bad_y = np.exp(log_y)
+    bad_y = np.exp(log_y - rate_paths.integral)
 
     risky = wealth_paths(
-        market, grid, batch, rate_paths.step_integrals(), kappa=DeterministicFn.constant(np.array([0.2, 0.0]))
+        market, grid, batch, rate_paths.integral, kappa=DeterministicFn.constant(np.array([0.2, 0.0]))
     )
     report = interval_drift_report(deflated_wealth(bad_y, risky, grid), grid.times)
     assert np.any(np.abs(report.interval_t) > STAT_BAND)
@@ -216,7 +216,7 @@ def test_state_price_strictly_positive():
     grid = make_grid(1.0, 8)
     batch = sample_brownian(2, grid, dim=2, n_paths=1000)
     nu = DeterministicFn.constant(np.array([0.0, 0.4]))
-    y = state_price_paths(market, grid, batch, rate_steps(market, grid, batch), nu=nu)
+    y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch), nu=nu)
     assert np.all(y > 0.0)
 
 
@@ -224,10 +224,10 @@ def test_deflated_paths_include_running_consumption():
     market = two_dim_market(rate=ConstantRate(0.0), eta=(0.0, 0.0))
     grid = make_grid(1.0, 4)
     batch = sample_brownian(3, grid, dim=2, n_paths=5)
-    steps = rate_steps(market, grid, batch)
-    y = state_price_paths(market, grid, batch, steps)
+    integral = rate_integral(market, grid, batch)
+    y = state_price_paths(market, grid, batch, integral)
     psi = DeterministicFn.constant(0.1)
-    w = wealth_paths(market, grid, batch, steps, kappa=DeterministicFn.zero(2), consumption=psi)
+    w = wealth_paths(market, grid, batch, integral, kappa=DeterministicFn.zero(2), consumption=psi)
     m = deflated_wealth(y, w, grid, psi=0.1)
     assert m.shape == w.shape
     assert np.all(m[:, -1] > w[:, -1])  # consumption was paid out and credited back
@@ -250,48 +250,51 @@ def test_coefficients_checked_on_the_last_grid_date():
         subspace=SubspaceR.axes(2, [0]),
     )
     for k in (4, 2):
-        steps = rate_steps(market, grid, batch)[:, :k]
+        integral = rate_integral(market, grid, batch)[:, : k + 1]
         with pytest.raises(SubspaceViolationError):
-            wealth_paths(market, grid, batch, steps, kappa=_leaves_at_last_date([0.2, 0.0], [0.2, 0.3]))
+            wealth_paths(market, grid, batch, integral, kappa=_leaves_at_last_date([0.2, 0.0], [0.2, 0.3]))
         with pytest.raises(SubspaceViolationError):
-            state_price_paths(market, grid, batch, steps, nu=_leaves_at_last_date([0.0, 0.1], [0.1, 0.1]))
+            state_price_paths(market, grid, batch, integral, nu=_leaves_at_last_date([0.0, 0.1], [0.1, 0.1]))
         with pytest.raises(SubspaceViolationError):
-            state_price_paths(bad_eta, grid, batch, steps)
+            state_price_paths(bad_eta, grid, batch, integral)
 
 
 def test_paths_on_a_prefix_of_the_rate_steps_are_the_leading_columns():
-    # k < K rate steps simulate the first k steps of grid, bit for bit those
-    # of the K-step run, with coefficients that change value after date k
+    # the rate integral on the first k + 1 dates simulates the first k steps of
+    # grid, bit for bit those of the K-step run, with coefficients that change
+    # value after date k
     market = two_dim_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E2))
     grid = TimeGrid.of_times([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
     batch = sample_brownian(12, grid, dim=2, n_paths=50)
-    steps = rate_steps(market, grid, batch)
+    integral = rate_integral(market, grid, batch)
     kappa = DeterministicFn.table(np.array([0.0, 1.2]), np.array([[0.3, 0.0], [0.1, 0.0]]))
     nu = DeterministicFn.table(np.array([0.0, 1.2]), np.array([[0.0, 0.2], [0.0, -0.1]]))
     psi = DeterministicFn.table(np.array([0.0, 0.4]), np.array([0.1, 0.02]))
-    x = wealth_paths(market, grid, batch, steps, kappa, psi)
-    y = state_price_paths(market, grid, batch, steps, nu)
+    x = wealth_paths(market, grid, batch, integral, kappa, psi)
+    y = state_price_paths(market, grid, batch, integral, nu)
     for k in (1, 3):
-        assert np.array_equal(wealth_paths(market, grid, batch, steps[:, :k], kappa, psi), x[:, : k + 1])
-        assert np.array_equal(state_price_paths(market, grid, batch, steps[:, :k], nu), y[:, : k + 1])
+        assert np.array_equal(wealth_paths(market, grid, batch, integral[:, : k + 1], kappa, psi), x[:, : k + 1])
+        assert np.array_equal(state_price_paths(market, grid, batch, integral[:, : k + 1], nu), y[:, : k + 1])
 
 
 def test_log_paths_in_row_blocks_equal_the_whole_array_form():
     # rows span three blocks of the kernel; each row's operations are those of
-    # the whole-array form, so the bits are too
+    # the whole-array form, so the bits are too: the rate integral is added
+    # after the cumsum, or subtracted for a state-price density
     from forward_yield.market import _LOG_ROWS, _exact_log_paths
 
     rng = np.random.default_rng(5)
     n, k, dim, h = 2 * _LOG_ROWS + 5, 12, 2, 0.25
     increments = rng.standard_normal((n, k, dim)) * np.sqrt(h)
-    vol, rate_steps, drift = rng.standard_normal((k, dim)), 0.01 * rng.standard_normal((n, k)), rng.standard_normal(k)
+    vol, drift = rng.standard_normal((k, dim)), rng.standard_normal(k)
+    integral = np.zeros((n, k + 1))
+    np.cumsum(0.01 * rng.standard_normal((n, k)), axis=1, out=integral[:, 1:])
     dlog = np.einsum("nkd,kd->nk", increments, vol)
-    dlog += rate_steps
     dlog += drift * h
-    reference = np.zeros((n, k + 1))
-    np.cumsum(dlog, axis=1, out=reference[:, 1:])
-    reference = np.exp(reference)
-    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, 1), reference)
-    # a state-price density subtracts its rate steps: the bits of adding their negation
-    negated = _exact_log_paths(increments, vol, -rate_steps, drift, h, 1)
-    assert np.array_equal(_exact_log_paths(increments, vol, rate_steps, drift, h, -1), negated)
+    log_paths = np.zeros((n, k + 1))
+    np.cumsum(dlog, axis=1, out=log_paths[:, 1:])
+    for sign in (1, -1):
+        reference = np.exp(log_paths + sign * integral)
+        assert np.array_equal(_exact_log_paths(increments, vol, drift, h, integral, sign), reference)
+    # a process without a rate
+    assert np.array_equal(_exact_log_paths(increments, vol, drift, h), np.exp(log_paths))

@@ -19,7 +19,6 @@ from forward_yield import (
     simulate_optimal,
     solve_backward_vols,
     terminal_constraint_check,
-    terminal_product,
     zc_price_gaussian,
 )
 
@@ -76,7 +75,7 @@ def test_backward_terminal_constraint_three_dim_mixed_gamma():
     back = BackwardSpec(t_horizon=4.0, alpha=0.45, gamma=gamma, market=market)
     grid = make_grid(4.0, 32)
     batch = sample_brownian(606062, grid, dim=3, n_paths=4_000)
-    report = terminal_constraint_check(terminal_product(back, grid, *backward_optimal_paths(back, grid, batch, *solve_backward_vols(back))))
+    report = terminal_constraint_check(back, grid, *backward_optimal_paths(back, grid, batch, *solve_backward_vols(back)))
     assert report.cv < 1e-10
 
     nu, kappa = solve_backward_vols(back)
