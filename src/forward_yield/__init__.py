@@ -4,17 +4,17 @@ from .backward import (
     BackwardSpec,
     SyntheticSqrtGamma,
     VasicekGamma,
+    backward_log_map,
     backward_optimal_paths,
     horizon_dependency_experiment,
+    horizon_map,
     rate_integral_paths,
     solve_backward_vols,
-    terminal_constraint_check,
 )
 from .brownian import BrownianBatch, sample_brownian
 from .curves import (
     YieldCurve,
     curve_from_prices,
-    davis_price,
     gbm_consumption_paths,
     hjm_forward_rates,
     long_rate,

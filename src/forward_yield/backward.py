@@ -4,21 +4,25 @@ The market is described at the level of the zero-coupon volatility field
 Gamma_s(T): the integrated short rate is simulated directly from its Gaussian
 representation, so the terminal constraint that Ystar (Xstar)^alpha be a
 deterministic constant at the horizon holds at machine precision when the
-optimal volatilities are consistent with Gamma.
+optimal volatilities are consistent with Gamma.  A run reads its log states
+as one affine map of the Brownian increments (LogStateMap), built once, plus
+or minus that integrated rate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .brownian import BrownianBatch, stream_blocks
+from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
 from .forward import _require_in_range
-from .market import MarketModel, state_price_paths, wealth_paths
+from .market import MarketModel, _dual_coeffs, _wealth_coeffs
 from .stats import Moments, moments
 
 
@@ -181,31 +185,134 @@ def solve_backward_vols(spec: BackwardSpec) -> tuple[DeterministicFn, Determinis
     )
 
 
-def rate_integral_paths(spec: BackwardSpec, grid: TimeGrid, batch: BrownianBatch) -> np.ndarray:
-    """Paths of int_0^{t_k} r ds from the Gaussian representation.
+# ---------------------------------------------------------------------------
+# log states as one affine map of the increments
 
-    int_0^t r = F(t) - sum_{j<k} Gamma_{t_j}(t_k) . dW_j with F the mean
-    integral of the market's rate model; left-endpoint sampling of Gamma
-    keeps the stochastic integral non-anticipative.
-    """
-    k_steps = grid.n_steps
-    times = grid.times
-    # G[j, k-1, :] = Gamma_{t_j}(t_k) for j < k, zero otherwise
-    g = np.zeros((k_steps, k_steps, spec.market.dim))
-    for k in range(1, k_steps + 1):
-        g[:k, k - 1, :] = spec.gamma.vectors(times[:k], times[k])
-    inc = batch.increments.reshape(batch.n_paths, -1)           # (n, K*dim)
-    g_mat = g.transpose(0, 2, 1).reshape(-1, k_steps)           # (K*dim, K)
-    out = np.empty((batch.n_paths, k_steps + 1))
-    out[:, 0] = 0.0
-    # BLAS picks its kernel by the size of a product, and kernels round a
-    # row's sum differently; formed per block of the streams, a row gets the
-    # same bits in a block's batch as in a batch of all the blocks
-    for b0, b1 in stream_blocks(batch.n_paths):
-        np.matmul(inc[b0:b1], g_mat, out=out[b0:b1, 1:])        # (rows, K)
+
+@dataclass(frozen=True)
+class LogStateMap:
+    """Log states that a run reads, state c being
+
+        const[c] + dW . coeffs[:, c] + rate_sign[c] * I[:, rate_k[c]],
+
+    with dW a path's increments on the first coeffs.shape[0] / dim steps,
+    step-major, and I its integrated rate (rate_integral_paths).  Apart from
+    I, ln X and ln Y are Gaussian linear maps of the increments (Glasserman
+    2004, section 3.1), so a run builds the map of the dates it reads once,
+    and reads each block of paths with one product."""
+
+    const: np.ndarray      # (m,)
+    coeffs: np.ndarray     # (k * dim, m)
+    rate_k: np.ndarray     # (m,) the date of I that each state reads
+    rate_sign: np.ndarray  # (m,) +1 for ln X, -1 for ln Y, 0 for a state without I
+
+    @staticmethod
+    def join(maps: Sequence[LogStateMap]) -> LogStateMap:
+        """The states of every map, in order; the maps read the same steps."""
+        return LogStateMap(*(np.concatenate([getattr(m, f.name) for m in maps], axis=-1) for f in fields(LogStateMap)))
+
+    def select(self, cols: slice) -> LogStateMap:
+        """The states cols of the map."""
+        return LogStateMap(self.const[cols], self.coeffs[:, cols], self.rate_k[cols], self.rate_sign[cols])
+
+    def log_states(self, batch: BrownianBatch) -> np.ndarray:
+        """The (n_paths, m) states on the paths of batch without their parts
+        in I.  An overflow gives inf or nan without a warning: the caller
+        scans."""
+        k = self.coeffs.shape[0] // batch.dim
+        if batch.increments.shape[1] < k:
+            raise ValueError("the Brownian batch must cover the dates the map reads")
+        inc = batch.increments[:, :k, :].reshape(batch.n_paths, -1)
+        out = np.empty((batch.n_paths, self.coeffs.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # BLAS picks its kernel by the size of a product, and kernels round a
+            # row's sum differently; formed per block of the streams, a row gets
+            # the same bits in a block's batch as in a batch of all the blocks
+            for b0, b1 in stream_blocks(batch.n_paths):
+                np.matmul(inc[b0:b1], self.coeffs, out=out[b0:b1])
+            out += self.const
+        return out
+
+    def levels(self, batch: BrownianBatch, rate_integral: np.ndarray) -> np.ndarray:
+        """exp of the states on the paths of batch, whose integrated rate
+        rate_integral covers the dates rate_k: levels of Xstar and Ystar or
+        ratios of them.  Raises NumericalRangeError unless every one is
+        finite and > 0."""
+        out = self.log_states(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += self.rate_sign * rate_integral[:, self.rate_k]
+            np.exp(out, out=out)
+        _require_in_range("Xstar and Ystar", out)
+        return out
+
+
+def _rate_integral_map(spec: BackwardSpec, times: np.ndarray, k_read: Sequence[int]) -> LogStateMap:
+    """int_0^{t_k} r ds at the dates k_read of times, from the Gaussian
+    representation F(t_k) - sum_{j<k} Gamma_{t_j}(t_k) . dW_j, F being the
+    mean integral of the market's rate model: one Gamma call per read date.
+    Left-endpoint sampling of Gamma keeps the stochastic integral
+    non-anticipative.  A Gamma that overflows gives inf, without a warning."""
+    k_read = np.asarray(k_read, dtype=int)
+    g = np.zeros((int(k_read.max(initial=0)), spec.market.dim, len(k_read)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, k in enumerate(k_read):
+            if k:
+                g[:k, :, c] = spec.gamma.vectors(times[:k], times[k])
     rate = spec.market.rate
-    np.subtract(np.asarray(rate.integral_mean(rate.r0, times[1:]), dtype=float), out[:, 1:], out=out[:, 1:])
-    return out
+    mean = np.asarray(rate.integral_mean(rate.r0, times[k_read]), dtype=float)
+    return LogStateMap(mean, -g.reshape(-1, len(k_read)), np.zeros(len(k_read), dtype=int), np.zeros(len(k_read)))
+
+
+def rate_integral_paths(spec: BackwardSpec, grid: TimeGrid, batch: BrownianBatch) -> np.ndarray:
+    """Paths (n, K+1) of int_0^{t_k} r ds from the Gaussian representation,
+    on every date of grid (_rate_integral_map): the integrated rate every
+    backward state reads."""
+    return _rate_integral_map(spec, grid.times, np.arange(grid.n_steps + 1)).log_states(batch)
+
+
+def backward_log_map(
+    spec: BackwardSpec,
+    grid: TimeGrid,
+    nu: DeterministicFn,
+    kappa: DeterministicFn,
+    k_read: Sequence[int],
+) -> LogStateMap:
+    """ln X and ln Y of the unit-initial pair of the control (nu, kappa) at
+    the dates k_read of grid, as the states [ln X at k_read, ln Y at k_read]:
+
+        ln X_k = sum_{j<k} [kappa_j . dW_j + (kappa_j . eta_j - |kappa_j|^2 / 2) h_j] + int_0^{t_k} r,
+        ln Y_k = sum_{j<k} [(nu_j - eta_j) . dW_j - |nu_j - eta_j|^2 h_j / 2] - int_0^{t_k} r,
+
+    the exact log schemes of market.wealth_paths and state_price_paths, the
+    integrated rate added, or subtracted for Y, after the sum.  The
+    coefficients come from market._wealth_coeffs and _dual_coeffs, which
+    check them on every date of grid; raises NumericalRangeError where a or
+    B is not finite, as the state is then not finite on any path.
+
+    solve_backward_vols(spec) gives the optimal control; any other, e.g. the
+    solution of a different horizon, is deliberately inconsistent, for the
+    constraint check.
+    """
+    k_read = np.asarray(k_read, dtype=int)
+    k_rows = int(k_read.max(initial=0))
+    # before[j * dim + d, c]: step j precedes the read date k_read[c]
+    before = np.repeat(np.arange(k_rows), spec.market.dim)[:, None] < k_read
+
+    def state(coeffs: tuple[np.ndarray, np.ndarray], rate_sign: float) -> LogStateMap:
+        vol, drift = coeffs
+        drift_sums = np.concatenate([[0.0], np.cumsum(drift * grid.widths)])[k_read]
+        b = np.where(before, vol[:k_rows].reshape(-1, 1), 0.0)
+        return LogStateMap(drift_sums, b, k_read, np.full(len(k_read), rate_sign))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _wealth_coeffs(spec.market, grid, kappa), _dual_coeffs(spec.market, grid, nu)
+        log_map = LogStateMap.join([state(x, 1.0), state(y, -1.0)])
+    if not (np.all(np.isfinite(log_map.const)) and np.all(np.isfinite(log_map.coeffs))):
+        raise NumericalRangeError(
+            "Xstar and Ystar must be strictly positive and finite; the coefficients of their logs "
+            "left the range of double precision"
+        )
+    return log_map
 
 
 def backward_optimal_paths(
@@ -216,22 +323,17 @@ def backward_optimal_paths(
     kappa: DeterministicFn,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-initial wealth and state-price paths (x, y), each (n, K+1), of
-    the control (nu, kappa) on the shared batch: wealth_paths without
-    consumption and state_price_paths, on the rate integral of the Gamma
-    representation (rate_integral_paths).
-
-    solve_backward_vols(spec) gives the optimal control; any other, e.g. the
-    solution of a different horizon, is deliberately inconsistent, for the
-    constraint check.  Raises NumericalRangeError when x or y is not finite
-    and > 0 on some path and date.
+    the control (nu, kappa) on the shared batch: backward_log_map read on
+    every date of grid, on the rate integral of the Gamma representation
+    (rate_integral_paths), the whole-path form of what the runs read.
+    Raises NumericalRangeError when x or y is not finite and > 0 on some
+    path and date.
     """
     if grid.horizon < spec.t_horizon - 1e-12:
         raise ValueError("grid horizon must cover the optimization horizon")
-    rate_integral = rate_integral_paths(spec, grid, batch)
-    x = wealth_paths(spec.market, grid, batch, rate_integral, kappa)
-    y = state_price_paths(spec.market, grid, batch, rate_integral, nu)
-    _require_in_range("Xstar and Ystar", x, y)
-    return x, y
+    k_all = np.arange(grid.n_steps + 1)
+    levels = backward_log_map(spec, grid, nu, kappa, k_all).levels(batch, rate_integral_paths(spec, grid, batch))
+    return levels[:, : len(k_all)], levels[:, len(k_all) :]
 
 
 @dataclass(frozen=True)
@@ -242,6 +344,13 @@ class TerminalConstraintReport:
     z: Moments
     lo: float
     hi: float
+
+    @classmethod
+    def of(cls, alpha: float, x_h: np.ndarray, y_h: np.ndarray) -> TerminalConstraintReport:
+        """The report of the terminal products y_h x_h^alpha of backward
+        paths at the horizon; cv ~1e-15 for the consistent control."""
+        z = y_h * np.power(x_h, alpha)
+        return cls(moments(z), np.min(z), np.max(z))
 
     def merge(self, other: TerminalConstraintReport) -> TerminalConstraintReport:
         # nan where either block has nan, as np.minimum and np.maximum keep it
@@ -262,16 +371,6 @@ class TerminalConstraintReport:
         quotient and difference are monotone in z."""
         m = self.constant
         return float(np.maximum(np.abs(self.lo / m - 1.0), np.abs(self.hi / m - 1.0)))
-
-
-def terminal_constraint_check(
-    spec: BackwardSpec, grid: TimeGrid, x: np.ndarray, y: np.ndarray
-) -> TerminalConstraintReport:
-    """Dispersion of Ystar (Xstar)^alpha at the horizon over backward paths
-    (x, y) on grid; ~1e-15 for the consistent control."""
-    k_h = grid.index_of(spec.t_horizon)
-    z = y[:, k_h] * np.power(x[:, k_h], spec.alpha)
-    return TerminalConstraintReport(moments(z), np.min(z), np.max(z))
 
 
 @dataclass(frozen=True)
@@ -296,96 +395,80 @@ class HorizonGap:
         )
 
 
-def _states_at_common_date(
-    spec: BackwardSpec,
-    horizons: Sequence[float],
-    grid: TimeGrid,
-    batch: BrownianBatch,
-    k_c: int,
-) -> dict[float, tuple[DeterministicFn, np.ndarray, np.ndarray]]:
-    """(nu, X_{t_c}, Y_{t_c}) of each horizon's optimal solution, t_c = grid.times[k_c].
+@dataclass(frozen=True)
+class HorizonMap:
+    """The horizon experiment's map, built once per run (horizon_map): ln X
+    and ln Y of each horizon's optimum at t_common, then the predicted
+    ln(Y_a / Y_b) of each pair a < b of horizons, in the order of the list;
+    and the spec and grid of [0, t_common] whose integrated rate they read."""
 
-    The states at t_c depend on the first k_c steps only, and the rate
-    integral up to t_c uses Gamma_s(t) for t <= t_c, which no horizon
-    changes; so one rate integral on k_c steps serves every horizon, and
-    batch needs to cover only [0, t_c].  Each horizon's (nu, kappa) is still
-    checked on its whole [0, T_H].
-    """
-    k_sim = max(k_c, 1)  # a grid has at least one step; t_c = 0 reads column 0
-    if batch.increments.shape[1] < k_sim:
-        raise ValueError("the Brownian batch must cover [0, t_common]")
-    sim_grid = grid.prefix(k_sim)
-    sim_batch = BrownianBatch(seed=batch.seed, grid=sim_grid, increments=batch.increments[:, :k_sim, :])
-    rate_integral = rate_integral_paths(spec, sim_grid, sim_batch)
-    states = {}
-    for t_h in horizons:
-        nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
-        h_grid = grid.prefix(grid.index_of(t_h))
-        x = wealth_paths(spec.market, h_grid, sim_batch, rate_integral, kappa)
-        y = state_price_paths(spec.market, h_grid, sim_batch, rate_integral, nu)
-        _require_in_range("Xstar and Ystar", x, y)
-        # copies, so the paths of one horizon are freed before the next is simulated
-        states[t_h] = (nu, x[:, k_c].copy(), y[:, k_c].copy())
-    return states
+    horizons: tuple[float, ...]
+    t_common: float
+    log_map: LogStateMap
+    spec: BackwardSpec
+    rate_grid: TimeGrid
 
 
-def horizon_dependency_experiment(
-    spec: BackwardSpec,
-    horizons: Sequence[float],
-    grid: TimeGrid,
-    batch: BrownianBatch,
-    t_common: float,
-) -> list[HorizonGap]:
-    """Compare optimal solutions across horizons on common random numbers:
-    one HorizonGap per pair of horizons, in the order of the list.
+def horizon_map(spec: BackwardSpec, horizons: Sequence[float], grid: TimeGrid, t_common: float) -> HorizonMap:
+    """Solve each horizon's optimal volatilities and check them on its whole
+    [0, T_H] of grid, then map its states at t_common, on the first k_c steps.
 
-    The optimal volatilities of horizon T_H enter the dual process, so any
-    maturity dependence of Gamma shows up as a pathwise gap at a common
-    intermediate date; with maturity-free Gamma the gap is exactly zero.
-    Only [0, t_common] is simulated, and batch may hold just those steps of
-    grid; the states at t_common match those simulated on each horizon's
-    whole grid up to the rounding of the rate-integral sums.  Each
-    horizon's wealth and dual paths are scanned as backward_optimal_paths
-    scans them, before any gap is formed.
-
-    Every gap and residual is a max over the paths of batch, so batch may be
-    one block of the streams (brownian.map_blocks): the blocks' gaps,
-    merged in block order by HorizonGap.merge, are those of the whole batch
-    bit for bit, while the paths held are one block's.
+    The integrated rate up to t_common uses Gamma_s(t) for t <= t_common,
+    which no horizon changes, so one rate integral on the k_c common steps
+    serves every horizon.  The predicted dual ratio of a pair comes from its
+    volatilities alone: its integrated-rate parts cancel, so ln(Y_a / Y_b) is
+    sum_j (nu_a - nu_b) . dW_j - (|nu_a - eta|^2 - |nu_b - eta|^2) h_j / 2,
+    summed over the steps before t_common.
     """
     if len(horizons) < 2:
         raise ValueError("need at least two horizons")
     if any(t_h < t_common for t_h in horizons):
         raise ValueError("t_common must precede every horizon")
     k_c = grid.index_of(t_common)
-    states = _states_at_common_date(spec, horizons, grid, batch, k_c)
+    maps, nus = [], []
+    for t_h in horizons:
+        nu, kappa = solve_backward_vols(replace(spec, t_horizon=float(t_h)))
+        maps.append(backward_log_map(spec, grid.prefix(grid.index_of(t_h)), nu, kappa, [k_c]))
+        nus.append(np.atleast_2d(nu.values(grid.times[:k_c])))
 
     eta_k = np.atleast_2d(spec.market.risk_premium.values(grid.times[:k_c]))
-    widths = grid.widths[:k_c]
-    gaps = []
-    for i, ta in enumerate(horizons):
-        for tb in horizons[i + 1 :]:
-            (nu_a, xa, ya), (nu_b, xb, yb) = states[ta], states[tb]
-            gap_x = float(np.max(np.abs(xa / xb - 1.0)))
-            gap_y = float(np.max(np.abs(ya / yb - 1.0)))
+    sq = [np.sum((n - eta_k) ** 2, axis=1) for n in nus]
+    pairs = list(itertools.combinations(range(len(horizons)), 2))
+    conv = [0.5 * np.dot(sq[i] - sq[j], grid.widths[:k_c]) for i, j in pairs]
+    coeffs = np.column_stack([(nus[i] - nus[j]).reshape(-1) for i, j in pairs])
+    maps.append(LogStateMap(-np.array(conv), coeffs, np.zeros(len(pairs), dtype=int), np.zeros(len(pairs))))
+    # a grid has at least one step; t_common = 0 reads the rate integral's date 0
+    return HorizonMap(
+        tuple(float(t) for t in horizons), float(t_common), LogStateMap.join(maps), spec, grid.prefix(max(k_c, 1))
+    )
 
-            # the dual ratio is predictable from the volatility differences
-            na = np.atleast_2d(nu_a.values(grid.times[:k_c]))
-            nb = np.atleast_2d(nu_b.values(grid.times[:k_c]))
-            mart = np.einsum("nkd,kd->nk", batch.increments[:, :k_c, :], na - nb).sum(axis=1)
-            conv = 0.5 * np.dot(np.sum((na - eta_k) ** 2, axis=1) - np.sum((nb - eta_k) ** 2, axis=1), widths)
-            # the integrated-rate parts differ only through Gamma(. , t) for t <= t_common,
-            # which is horizon-free; they cancel in the ratio
-            predicted = np.exp(mart - conv)
-            resid = float(np.max(np.abs((ya / yb) / predicted - 1.0)))
-            gaps.append(
-                HorizonGap(
-                    horizon_a=float(ta),
-                    horizon_b=float(tb),
-                    t_common=float(t_common),
-                    max_rel_gap_x=gap_x,
-                    max_rel_gap_y=gap_y,
-                    predicted_gap_residual=resid,
-                )
-            )
-    return gaps
+
+def horizon_dependency_experiment(hmap: HorizonMap, batch: BrownianBatch) -> list[HorizonGap]:
+    """Compare optimal solutions across horizons on common random numbers:
+    one HorizonGap per pair of horizons of hmap, in the order of its list.
+
+    The optimal volatilities of horizon T_H enter the dual process, so any
+    maturity dependence of Gamma shows up as a pathwise gap at a common
+    intermediate date; with maturity-free Gamma the gap is exactly zero.
+    Only [0, t_common] is read, and batch may hold just those steps.  Every
+    state is scanned before any gap is formed.
+
+    Every gap and residual is a max over the paths of batch, so batch may be
+    one block of the streams (brownian.map_blocks): the blocks' gaps,
+    merged in block order by HorizonGap.merge, are those of the whole batch
+    bit for bit, while the paths held are one block's.
+    """
+    n_h = len(hmap.horizons)
+    levels = hmap.log_map.levels(batch, rate_integral_paths(hmap.spec, hmap.rate_grid, batch))
+    x, y, predicted = levels[:, 0 : 2 * n_h : 2], levels[:, 1 : 2 * n_h : 2], levels[:, 2 * n_h :]
+    return [
+        HorizonGap(
+            horizon_a=hmap.horizons[i],
+            horizon_b=hmap.horizons[j],
+            t_common=hmap.t_common,
+            max_rel_gap_x=float(np.max(np.abs(x[:, i] / x[:, j] - 1.0))),
+            max_rel_gap_y=float(np.max(np.abs(y[:, i] / y[:, j] - 1.0))),
+            predicted_gap_residual=float(np.max(np.abs((y[:, i] / y[:, j]) / predicted[:, p] - 1.0))),
+        )
+        for p, (i, j) in enumerate(itertools.combinations(range(n_h), 2))
+    ]

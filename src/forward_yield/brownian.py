@@ -154,11 +154,16 @@ class BrownianBatch:
 
     def projected_increments(self, direction: np.ndarray) -> np.ndarray:
         """Increments of the scalar Brownian motion direction . W, shape (n_paths, n_steps)."""
-        # one (n * K, dim) product: a stack of n (K, dim) products is several
-        # times slower, and a row's bits do not depend on the number of rows
-        # unless the product has a single element
-        rows = self.increments.reshape(-1, self.dim)
-        return (rows @ np.asarray(direction, dtype=float)).reshape(self.increments.shape[:2])
+        # one (rows * K, dim) product per block of the streams: a stack of
+        # (K, dim) products is several times slower, and NumPy routes a
+        # one-element product (one row, one step) to a dot routine that rounds
+        # otherwise; formed per block, a row gets the same bits in a block's
+        # batch as in a batch of all the blocks
+        direction = np.asarray(direction, dtype=float)
+        out = np.empty(self.increments.shape[:2])
+        for b0, b1 in stream_blocks(self.n_paths):
+            np.matmul(self.increments[b0:b1].reshape(-1, self.dim), direction, out=out[b0:b1].reshape(-1))
+        return out
 
 
 def sample_brownian(seed: int, grid: TimeGrid, dim: int, n_paths: int, first_row: int = 0) -> BrownianBatch:

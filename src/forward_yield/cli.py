@@ -19,10 +19,11 @@ from . import __version__
 from .backward import (
     GammaModel,
     TerminalConstraintReport,
-    backward_optimal_paths,
+    backward_log_map,
     horizon_dependency_experiment,
+    horizon_map,
+    rate_integral_paths,
     solve_backward_vols,
-    terminal_constraint_check,
 )
 from .brownian import BrownianBatch, map_blocks
 from .config import (
@@ -295,18 +296,22 @@ def _cmd_backward_curve(cfg: Mapping[str, Any]) -> int:
         raise ConfigError(f"simulation.horizon: must cover spec.t_horizon={spec.t_horizon}, got {grid.horizon}")
     n_paths, seed, _ = simulation_params(cfg)
     tenors, _, _ = output_params(cfg)
-    grid_indices(grid, [spec.t_horizon], "spec.t_horizon")
+    (k_h,) = grid_indices(grid, [spec.t_horizon], "spec.t_horizon")
     tenors = [t for t in tenors if t <= spec.t_horizon + 1e-12]
     if not tenors:
         raise ConfigError(f"output.tenors: none lies at or before spec.t_horizon={spec.t_horizon:g}")
     ks = grid_indices(grid, tenors, "output.tenors")
 
     nu, kappa = solve_backward_vols(spec)
+    # states [X at T_H, Y at the tenors, Y at T_H]: the map's X at the tenors are dropped
+    log_map = backward_log_map(spec, grid, nu, kappa, [*ks, k_h]).select(slice(len(ks), None))
+    rate_grid = grid.prefix(k_h)
 
     def reduce_block(batch: BrownianBatch) -> tuple[Moments, TerminalConstraintReport]:
         """The moments of Y at the tenors, as forward-curve's, and the terminal constraint report."""
-        x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
-        return moments(np.ascontiguousarray(y[:, ks].T), axis=1), terminal_constraint_check(spec, grid, x, y)
+        levels = log_map.levels(batch, rate_integral_paths(spec, rate_grid, batch))
+        y_tenors = np.ascontiguousarray(levels[:, 1:-1].T)
+        return moments(y_tenors, axis=1), TerminalConstraintReport.of(spec.alpha, levels[:, 0], levels[:, -1])
 
     blocks = map_blocks(reduce_block, seed, grid, market.dim, n_paths)
     y, constraint = functools.reduce(lambda a, b: (a[0].merge(b[0]), a[1].merge(b[1])), blocks)
@@ -489,9 +494,9 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
     (k_c,) = grid_indices(grid, [t_common], "spec.t_common")
     # the experiment reads the paths at t_common only, so only [0, t_common] is
     # drawn; its gaps are maxima over paths, merged across blocks in block order
+    hmap = horizon_map(spec, horizons, grid, t_common)
     blocks = map_blocks(
-        lambda batch: horizon_dependency_experiment(spec, horizons, grid, batch, t_common),
-        seed, grid.prefix(max(k_c, 1)), market.dim, n_paths,
+        functools.partial(horizon_dependency_experiment, hmap), seed, grid.prefix(max(k_c, 1)), market.dim, n_paths
     )
     gaps = functools.reduce(lambda a, b: [ga.merge(gb) for ga, gb in zip(a, b)], blocks)
 
@@ -516,6 +521,10 @@ def _cmd_horizon(cfg: Mapping[str, Any]) -> int:
         f"across {len(rows)} horizon pair(s)"
     )
     print(f"wrote {table}")
+    residual = float(np.max([g.predicted_gap_residual for g in gaps]))  # nan if any is nan
+    if not residual <= IDENTITY_TOL:
+        print(f"horizon: predicted dual ratio residual {residual:.3e} exceeds {IDENTITY_TOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 

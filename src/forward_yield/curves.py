@@ -478,17 +478,12 @@ def _deflated(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int) -> np.
     return payoff_values * y_paths[:, k_mat] / y_paths[:, 0]
 
 
-def davis_price(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int) -> Estimate:
-    """Date-0 marginal-utility price E[zeta_T Y_T / Y_0] of a nonnegative
-    payoff on a fixed batch, read as DavisReport.price."""
-    return DavisReport(moments(_deflated(payoff_values, y_paths, k_mat)[None], axis=1)).price
-
-
 @dataclass(frozen=True)
 class DavisReport:
-    """Moments over paths of a payoff deflated at its maturity (davis_price),
-    of the payoff capitalized to the horizon and deflated there, and of
-    capitalized minus deflated; blocks of paths merge."""
+    """Moments over paths of a payoff deflated at its maturity, whose mean is
+    its date-0 marginal-utility price E[zeta_T Y_T / Y_0] (price), of the
+    payoff capitalized to the horizon and deflated there, and of capitalized
+    minus deflated; blocks of paths merge."""
 
     rows: Moments
 

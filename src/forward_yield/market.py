@@ -5,8 +5,10 @@ orthogonal complement of the admissible subspace; wealth follows
 dX = X [r dt + kappa . (dW + eta dt)] - c dt with kappa in the subspace.
 Both are simulated with exact per-step log schemes on the shared Brownian
 batch and each path's running integral of the short rate, which the caller
-supplies (rates.simulate_short_rate or backward.rate_integral_paths); the
-same kernel simulates the rate-free log processes of forward and curves.
+supplies (rates.simulate_short_rate); the same kernel simulates the
+rate-free log processes of forward and curves.  The backward runs read the
+same exact log schemes as one affine map of the increments, built from this
+module's coefficient builders (backward.backward_log_map).
 """
 
 from __future__ import annotations

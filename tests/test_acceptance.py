@@ -24,11 +24,11 @@ from forward_yield import (
     VasicekRate,
     backward_optimal_paths,
     consistency_drift_test,
-    davis_price,
     first_order_check,
     gbm_consumption_paths,
     hjb_residual,
     horizon_dependency_experiment,
+    horizon_map,
     long_rate,
     make_grid,
     pathwise_ramsey_report,
@@ -41,9 +41,9 @@ from forward_yield import (
     simulate_short_rate,
     solve_backward_vols,
     state_price_paths,
-    terminal_constraint_check,
     zc_price_gaussian,
 )
+from forward_yield.backward import TerminalConstraintReport
 from forward_yield.curves import davis_report
 from forward_yield.stats import mean_stderr
 
@@ -228,11 +228,13 @@ def test_criterion_6_backward_terminal_constraint():
     spec = _vasicek_orthogonal_spec(10.0)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(1006, grid, dim=2, n_paths=10_000)
-    consistent = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
+    consistent = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
 
     mismatched = _vasicek_orthogonal_spec(50.0)
     nu_wrong, kappa_wrong = solve_backward_vols(mismatched)
-    control = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
+    x, y = backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong)
+    control = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
     ok = consistent.cv <= 1e-10 and control.cv > 1e-3
     _report(
         "criterion 6 (backward terminal constraint)",
@@ -251,9 +253,9 @@ def test_criterion_7_horizon_dependency():
         gamma=VasicekGamma(a=1.0, sigma_r=0.0, direction=E2),
         market=flat.market,
     )
-    no_noise = horizon_dependency_experiment(flat_gamma, [10.0, 50.0], grid, batch, t_common=5.0)
+    no_noise = horizon_dependency_experiment(horizon_map(flat_gamma, [10.0, 50.0], grid, t_common=5.0), batch)
 
-    vasicek = horizon_dependency_experiment(flat, [10.0, 50.0], grid, batch, t_common=5.0)
+    vasicek = horizon_dependency_experiment(horizon_map(flat, [10.0, 50.0], grid, t_common=5.0), batch)
     gap = vasicek[0]
     flat_gap = max(max(g.max_rel_gap_x, g.max_rel_gap_y) for g in no_noise)
     ok = (
@@ -345,9 +347,9 @@ def test_criterion_10_davis_linearity_and_time_consistency():
 
     zeta1 = np.maximum(x[:, k_mat] - 0.8, 0.0)
     zeta2 = np.ones_like(zeta1)
-    p1 = davis_price(zeta1, y, k_mat)
-    p2 = davis_price(zeta2, y, k_mat)
-    combo = davis_price(2.0 * zeta1 + 3.0 * zeta2, y, k_mat)
+    p1 = davis_report(zeta1, y, x, k_mat, k_h).price
+    p2 = davis_report(zeta2, y, x, k_mat, k_h).price
+    combo = davis_report(2.0 * zeta1 + 3.0 * zeta2, y, x, k_mat, k_h).price
     lin_gap = abs(combo.mean - (2.0 * p1.mean + 3.0 * p2.mean)) / max(abs(combo.mean), 1.0)
 
     _, t_stat = davis_report(zeta1, y, x, k_mat, k_h).capitalization

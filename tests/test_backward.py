@@ -18,20 +18,22 @@ from forward_yield import (
     SyntheticSqrtGamma,
     TimeGrid,
     VasicekGamma,
+    backward_log_map,
     backward_optimal_paths,
     horizon_dependency_experiment,
+    horizon_map,
     NumericalRangeError,
     make_grid,
     rate_integral_paths,
     sample_brownian,
     simulate_optimal,
     solve_backward_vols,
-    terminal_constraint_check,
 )
 import forward_yield.market
 from forward_yield import backward
 from forward_yield.backward import TerminalConstraintReport
 from forward_yield.brownian import _BLOCK, stream_blocks
+from forward_yield.config import build_backward_spec, build_grid, build_market, load_config
 
 from gamma_fields import CustomGamma
 
@@ -117,7 +119,8 @@ def test_terminal_constraint_zero_dispersion():
     spec = vasicek_orthogonal_spec()
     grid = make_grid(10.0, 40)
     batch = sample_brownian(515, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
+    report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
     assert report.cv <= 1e-10
     assert report.max_abs_dev <= 1e-9
 
@@ -130,8 +133,8 @@ def test_terminal_report_merged_over_blocks_is_the_whole_report():
     grid = make_grid(spec.t_horizon, 1)
     z = 1.0 + 1e-3 * np.random.default_rng(3).standard_normal(2 * _BLOCK + 1)
     x, y = np.ones((len(z), 2)), np.column_stack([np.ones_like(z), z])
-    whole = terminal_constraint_check(spec, grid, x, y)
-    blocks = (terminal_constraint_check(spec, grid, x[b0:b1], y[b0:b1]) for b0, b1 in stream_blocks(len(z)))
+    whole = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
+    blocks = (TerminalConstraintReport.of(spec.alpha, x[b0:b1, -1], y[b0:b1, -1]) for b0, b1 in stream_blocks(len(z)))
     merged = functools.reduce(TerminalConstraintReport.merge, blocks)
     assert (merged.constant, merged.cv, merged.max_abs_dev) == (whole.constant, whole.cv, whole.max_abs_dev)
     assert whole.max_abs_dev == np.max(np.abs(z / whole.constant - 1.0))
@@ -141,7 +144,8 @@ def test_terminal_constraint_no_noise_case():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
     grid = make_grid(10.0, 20)
     batch = sample_brownian(616, grid, dim=2, n_paths=512)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
+    report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
     assert report.cv <= 1e-12
 
 
@@ -151,7 +155,8 @@ def test_terminal_constraint_detects_mismatched_horizon():
     nu_wrong, kappa_wrong = solve_backward_vols(wrong)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(717, grid, dim=2, n_paths=10_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong))
+    x, y = backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong)
+    report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
     # residual variance is computable in closed form from the vol difference
     assert report.cv > 1e-3
 
@@ -162,7 +167,8 @@ def test_terminal_constraint_synthetic_sqrt():
     spec = BackwardSpec(t_horizon=8.0, alpha=0.3, gamma=gamma, market=market)
     grid = make_grid(8.0, 32)
     batch = sample_brownian(818, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
+    report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
     assert report.cv <= 1e-10
 
 
@@ -170,29 +176,55 @@ def test_terminal_constraint_on_a_non_uniform_grid():
     spec = vasicek_orthogonal_spec()
     grid = TimeGrid.of_times([0.0, 1.0, 2.5, 4.0, 7.0, 10.0])
     batch = sample_brownian(5151, grid, dim=2, n_paths=4_000)
-    report = terminal_constraint_check(spec, grid, *backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec)))
+    x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
+    report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
     assert report.cv <= 1e-8
 
 
 def test_backward_pair_is_the_forward_pair_without_consumption():
-    # with a constant rate both rate simulations give the steps r h, so the
-    # backward optimum is the forward pair with psi = 0 bit for bit
+    # with a constant rate the Gamma representation's integrated rate is the
+    # forward pair's r t bit for bit, and the backward map of the optimum
+    # holds, bit for bit, the forward kernel's coefficients with psi = 0:
+    # kappa (nu - eta) on each step before a date, and the summed drifts.
+    # The paths are the forward pair's up to the order of the sums, one
+    # product against the kernel's cumsum over 40 steps (seen: 1.2e-15
+    # relative)
     spec = vasicek_orthogonal_spec(sigma_r=0.0, alpha=0.4)
     nu, kappa = solve_backward_vols(spec)
     grid = make_grid(10.0, 40)
     batch = sample_brownian(6161, grid, dim=2, n_paths=1_000)
     x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
     triple = simulate_optimal(ForwardPowerSpec(spec.alpha, kappa, nu, DeterministicFn.zero()), spec.market, grid, batch)
-    assert np.array_equal(x, triple.x)
-    assert np.array_equal(y, triple.y)
+    assert np.array_equal(rate_integral_paths(spec, grid, batch), triple.rate_paths.integral)
+    k_all = np.arange(grid.n_steps + 1)
+    log_map = backward_log_map(spec, grid, nu, kappa, k_all)
+    before = np.repeat(np.arange(grid.n_steps), 2)[:, None] < k_all
+    market = forward_yield.market
+    coeffs = (market._wealth_coeffs(spec.market, grid, kappa), market._dual_coeffs(spec.market, grid, nu))
+    for half, ((vol, drift), rate_sign) in enumerate(zip(coeffs, (1.0, -1.0))):
+        cols = slice(half * len(k_all), (half + 1) * len(k_all))
+        assert np.array_equal(log_map.coeffs[:, cols], np.where(before, vol.reshape(-1, 1), 0.0))
+        assert np.array_equal(log_map.const[cols], np.concatenate([[0.0], np.cumsum(drift * grid.widths)]))
+        assert np.array_equal(log_map.rate_k[cols], k_all)
+        assert np.all(log_map.rate_sign[cols] == rate_sign)
+    np.testing.assert_allclose(x, triple.x, rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(y, triple.y, rtol=2e-15, atol=0.0)
 
 
 def test_every_optimum_runs_through_the_market_path_engine(monkeypatch):
-    # simulate_optimal, backward_optimal_paths and each horizon of the
-    # horizon experiment build their pair with market.wealth_paths and
-    # market.state_price_paths, once each, and no private copy of them
+    # simulate_optimal builds its pair with market.wealth_paths and
+    # market.state_price_paths, once each; backward_optimal_paths and each
+    # horizon of the horizon experiment build theirs with the backward map's
+    # one builder, once per optimum, on the integrated rate of
+    # rate_integral_paths, once per batch; none runs a private copy of them
     calls = []
-    for fn in (forward_yield.market.wealth_paths, forward_yield.market.state_price_paths):
+    engine = (
+        forward_yield.market.wealth_paths,
+        forward_yield.market.state_price_paths,
+        backward.backward_log_map,
+        backward.rate_integral_paths,
+    )
+    for fn in engine:
 
         def counting(*args, fn=fn, **kwargs):
             calls.append(fn.__name__)
@@ -210,17 +242,20 @@ def test_every_optimum_runs_through_the_market_path_engine(monkeypatch):
     assert sorted(calls) == sorted(pair)
     calls.clear()
     backward_optimal_paths(spec, grid, batch, nu, kappa)
-    assert sorted(calls) == sorted(pair)
+    assert calls == ["backward_log_map", "rate_integral_paths"]
     calls.clear()
-    horizon_dependency_experiment(spec, [10.0, 20.0, 30.0], grid, batch, t_common=5.0)
-    assert sorted(calls) == sorted(3 * pair)
+    hmap = horizon_map(spec, [10.0, 20.0, 30.0], grid, t_common=5.0)
+    assert calls == 3 * ["backward_log_map"]
+    calls.clear()
+    horizon_dependency_experiment(hmap, batch)
+    assert calls == ["rate_integral_paths"]
 
 
 def test_horizon_gap_zero_for_maturity_free_gamma():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
     grid = make_grid(50.0, 200)
     batch = sample_brownian(919, grid, dim=2, n_paths=2_000)
-    gaps = horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+    gaps = horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
     assert max(g.max_rel_gap_x for g in gaps) <= 1e-12
     assert max(g.max_rel_gap_y for g in gaps) <= 1e-12
 
@@ -229,7 +264,7 @@ def test_horizon_gap_positive_for_vasicek_orthogonal():
     spec = vasicek_orthogonal_spec()
     grid = make_grid(50.0, 200)
     batch = sample_brownian(1020, grid, dim=2, n_paths=2_000)
-    (gap,) = horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+    (gap,) = horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
     # kappa is maturity-free here, so the wealth paths coincide, while the
     # dual paths must split
     assert gap.max_rel_gap_x <= 1e-12
@@ -243,7 +278,7 @@ def test_horizon_gap_predicted_on_a_non_uniform_grid():
     grid = TimeGrid.of_times(times)
     spec = vasicek_orthogonal_spec()
     batch = sample_brownian(1020, grid, dim=2, n_paths=2_000)
-    (gap,) = horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+    (gap,) = horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
     assert gap.max_rel_gap_y > 100 * np.finfo(float).eps
     assert gap.predicted_gap_residual <= 1e-9
 
@@ -254,7 +289,7 @@ def test_horizon_gap_in_wealth_when_hedgeable_part_present():
     spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=market)
     grid = make_grid(20.0, 80)
     batch = sample_brownian(1121, grid, dim=2, n_paths=1_000)
-    (gap,) = horizon_dependency_experiment(spec, [10.0, 20.0], grid, batch, t_common=5.0)
+    (gap,) = horizon_dependency_experiment(horizon_map(spec, [10.0, 20.0], grid, t_common=5.0), batch)
     assert gap.max_rel_gap_x > 100 * np.finfo(float).eps
     assert gap.max_rel_gap_y > 100 * np.finfo(float).eps
 
@@ -263,7 +298,7 @@ def test_same_horizon_twice_no_gap():
     spec = vasicek_orthogonal_spec()
     grid = make_grid(20.0, 80)
     batch = sample_brownian(1222, grid, dim=2, n_paths=500)
-    gaps = horizon_dependency_experiment(spec, [10.0, 10.0], grid, batch, t_common=5.0)
+    gaps = horizon_dependency_experiment(horizon_map(spec, [10.0, 10.0], grid, t_common=5.0), batch)
     assert max(g.max_rel_gap_x for g in gaps) == 0.0
     assert max(g.max_rel_gap_y for g in gaps) == 0.0
 
@@ -306,11 +341,10 @@ GAMMAS = {
 @pytest.mark.parametrize("gamma", list(GAMMAS))
 @pytest.mark.parametrize("prefix", [False, True])
 def test_horizon_states_equal_full_backward_paths(gamma, t_common, prefix):
-    # the experiment simulates [0, t_common] only; its states there equal
-    # those of the public backward paths on each horizon's whole sub-grid to
-    # 1e-15 relative, not bit for bit: the reference's rate-integral matmul
-    # sums an inner dimension of K_H * dim terms, and BLAS blocks that sum
-    # differently for each K_H (seen: up to 2 ulp, 4.4e-16)
+    # the experiment reads [0, t_common] only; its states there equal those
+    # of the public backward paths on each horizon's whole sub-grid to 1e-15
+    # relative: both are products, the reference's over K_H * dim rows that
+    # are 0 past t_common, and BLAS may block the two sums differently
     spec = BackwardSpec(t_horizon=30.0, alpha=0.4, gamma=GAMMAS[gamma], market=incomplete_market())
     horizons = [10.0, 20.0, 30.0]
     grid = make_grid(30.0, 120)
@@ -318,33 +352,38 @@ def test_horizon_states_equal_full_backward_paths(gamma, t_common, prefix):
     k_c = grid.index_of(t_common)
     prefix_batch = BrownianBatch(seed=full.seed, grid=TimeGrid(grid.times[k_c], k_c), increments=full.increments[:, :k_c, :])
     batch = prefix_batch if prefix else full
-    states = backward._states_at_common_date(spec, horizons, grid, batch, k_c)
-    for t_h in horizons:
+    hmap = horizon_map(spec, horizons, grid, t_common)
+    levels = hmap.log_map.levels(batch, rate_integral_paths(spec, hmap.rate_grid, batch))
+    for i, t_h in enumerate(horizons):
         k_h = grid.index_of(t_h)
         sub = TimeGrid(grid.times[k_h], k_h)
         sub_batch = BrownianBatch(seed=full.seed, grid=sub, increments=full.increments[:, :k_h, :])
         spec_h = replace(spec, t_horizon=t_h)
         x_ref, y_ref = backward_optimal_paths(spec_h, sub, sub_batch, *solve_backward_vols(spec_h))
-        _, x_c, y_c = states[t_h]
+        x_c, y_c = levels[:, 2 * i], levels[:, 2 * i + 1]
         np.testing.assert_allclose(x_c, x_ref[:, k_c], rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(y_c, y_ref[:, k_c], rtol=1e-15, atol=0.0)
 
 
 def test_horizon_rate_integral_runs_once_on_common_steps(monkeypatch):
+    # one rate integral serves every horizon: it runs on the k_c = 20 common
+    # steps, and so does every state of the horizon map
     calls = []
     original = backward.rate_integral_paths
 
     def counting(spec, grid, batch):
-        calls.append((grid.n_steps, batch.increments.shape[1]))
+        calls.append(grid.n_steps)
         return original(spec, grid, batch)
 
     monkeypatch.setattr(backward, "rate_integral_paths", counting)
     spec = vasicek_orthogonal_spec(t_horizon=30.0)
     grid = make_grid(30.0, 120)
     batch = sample_brownian(33, grid, dim=2, n_paths=200)
-    gaps = horizon_dependency_experiment(spec, [10.0, 20.0, 30.0], grid, batch, t_common=5.0)
+    hmap = horizon_map(spec, [10.0, 20.0, 30.0], grid, t_common=5.0)
+    gaps = horizon_dependency_experiment(hmap, batch)
     assert len(gaps) == 3
-    assert calls == [(20, 20)]
+    assert calls == [20]
+    assert hmap.log_map.coeffs.shape[0] == 20 * spec.market.dim
 
 
 def test_horizon_t_common_zero_gives_zero_gaps():
@@ -352,7 +391,7 @@ def test_horizon_t_common_zero_gives_zero_gaps():
     grid = make_grid(50.0, 200)
     # the shortest batch a grid allows: one step
     batch = sample_brownian(44, TimeGrid(grid.times[1], 1), dim=2, n_paths=100)
-    (gap,) = horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=0.0)
+    (gap,) = horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=0.0), batch)
     assert (gap.max_rel_gap_x, gap.max_rel_gap_y, gap.predicted_gap_residual) == (0.0, 0.0, 0.0)
 
 
@@ -361,7 +400,7 @@ def test_horizon_batch_must_cover_t_common():
     grid = make_grid(50.0, 200)
     batch = sample_brownian(45, TimeGrid(grid.times[19], 19), dim=2, n_paths=10)
     with pytest.raises(ValueError, match="cover"):
-        horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+        horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
 
 
 def test_horizon_checks_coefficients_past_t_common():
@@ -375,9 +414,9 @@ def test_horizon_checks_coefficients_past_t_common():
     spec = BackwardSpec(t_horizon=50.0, alpha=0.5, gamma=CustomGamma(fn=fn, dim=2), market=incomplete_market())
     grid = make_grid(50.0, 200)
     batch = sample_brownian(46, TimeGrid(grid.times[20], 20), dim=2, n_paths=10)
-    horizon_dependency_experiment(spec, [10.0, 20.0], grid, batch, t_common=5.0)
+    horizon_dependency_experiment(horizon_map(spec, [10.0, 20.0], grid, t_common=5.0), batch)
     with pytest.raises(ValueError, match="non-finite"):
-        horizon_dependency_experiment(spec, [10.0, 50.0], grid, batch, t_common=5.0)
+        horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
 
 
 @pytest.mark.parametrize("tail", [1, 300])
@@ -393,6 +432,42 @@ def test_rate_integral_rows_do_not_depend_on_the_batch(k_steps, tail):
     for b0, b1 in [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, n)]:
         block = sample_brownian(77, grid, dim=2, n_paths=b1 - b0, first_row=b0)
         assert np.array_equal(rate_integral_paths(spec, grid, block), whole[b0:b1])
+
+
+@pytest.mark.parametrize("tail", [1, 300])
+@pytest.mark.parametrize("k_steps", [10, 20, 40])
+def test_log_state_map_rows_do_not_depend_on_the_batch(k_steps, tail):
+    # the map's product is formed per block of the streams, as the rate
+    # integral's: a row of a block's batch keeps its whole-batch bits
+    spec = vasicek_orthogonal_spec()
+    grid = make_grid(10.0, k_steps)
+    log_map = backward_log_map(spec, grid, *solve_backward_vols(spec), [k_steps // 2, k_steps])
+    n = 2 * _BLOCK + tail
+    whole = log_map.log_states(sample_brownian(78, grid, dim=2, n_paths=n))
+    for b0, b1 in stream_blocks(n):
+        block = sample_brownian(78, grid, dim=2, n_paths=b1 - b0, first_row=b0)
+        assert np.array_equal(log_map.log_states(block), whole[b0:b1])
+
+
+def test_zhat_column_of_the_solved_vols_is_zero():
+    # ln Zhat_T = alpha ln X_T + ln Y_T is deterministic for the solved
+    # volatilities, so its column of B, with the integrated rate's
+    # coefficients added to ln X and subtracted from ln Y, is 0 (exactly, at
+    # the default config); a perturbed kappa leaves noise in it
+    cfg = load_config(None)
+    market = build_market(cfg)
+    spec, grid = build_backward_spec(cfg, market), build_grid(cfg)
+    nu, kappa = solve_backward_vols(spec)
+    k_h = grid.index_of(spec.t_horizon)
+    rate = backward._rate_integral_map(spec, grid.times, [k_h]).coeffs[:, 0]
+
+    def zhat_column(kappa):
+        b = backward_log_map(spec, grid, nu, kappa, [k_h]).coeffs
+        return spec.alpha * (b[:, 0] + rate) + (b[:, 1] - rate)
+
+    assert np.all(zhat_column(kappa) == 0.0)
+    bumped = DeterministicFn(lambda t: kappa(t) + 0.01 * market.subspace.basis[0])
+    assert np.max(np.abs(zhat_column(bumped))) > 1e-3
 
 
 def test_horizon_gap_merge_keeps_a_nan():
@@ -422,4 +497,4 @@ def test_backward_pair_out_of_range_is_a_range_error(gamma):
         with pytest.raises(NumericalRangeError, match="range of double precision"):
             backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
         with pytest.raises(NumericalRangeError, match="range of double precision"):
-            horizon_dependency_experiment(spec, [5.0, 10.0], grid, batch, t_common=5.0)
+            horizon_dependency_experiment(horizon_map(spec, [5.0, 10.0], grid, t_common=5.0), batch)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from forward_yield import TimeGrid, make_grid, sample_brownian
-from forward_yield.brownian import _BLOCK, PURPOSE_RATE_RESIDUALS, blocked_normals
+from forward_yield.brownian import _BLOCK, PURPOSE_RATE_RESIDUALS, blocked_normals, stream_blocks
 from forward_yield.errors import ConfigError
 
 
@@ -77,16 +77,17 @@ def test_rejects_bad_prefix(n_steps):
 
 @pytest.mark.parametrize("n_paths", [_BLOCK + 1, 2 * _BLOCK + 1])
 def test_projected_increments_of_a_row_do_not_depend_on_the_batch(n_paths):
-    # one (n * K, dim) product over all rows: a row's bits are those it has in
-    # a batch of one block, for a direction off the axes, where rounding shows
-    grid = make_grid(1.0, 4)
+    # a row's bits are those it has in the batch of its block of the streams,
+    # for a direction off the axes, where rounding shows; on a one-step grid a
+    # last block of one row is a one-element product, which NumPy routes to a
+    # dot routine (seed 2 differs there when the product spans the batch)
     direction = np.array([0.6, 0.8])
-    block = sample_brownian(3, grid, dim=2, n_paths=_BLOCK).projected_increments(direction)
-    whole = sample_brownian(3, grid, dim=2, n_paths=n_paths).projected_increments(direction)
-    assert whole.shape == (n_paths, 4)
-    assert np.array_equal(whole[:_BLOCK], block)
-    tail = sample_brownian(3, grid, dim=2, n_paths=n_paths - _BLOCK, first_row=_BLOCK)
-    assert np.array_equal(whole[_BLOCK:], tail.projected_increments(direction))
+    for grid, seed in ((make_grid(1.0, 4), 3), (make_grid(1.0, 1), 2)):
+        whole = sample_brownian(seed, grid, dim=2, n_paths=n_paths).projected_increments(direction)
+        assert whole.shape == (n_paths, grid.n_steps)
+        for b0, b1 in stream_blocks(n_paths):
+            block = sample_brownian(seed, grid, dim=2, n_paths=b1 - b0, first_row=b0)
+            assert np.array_equal(whole[b0:b1], block.projected_increments(direction))
 
 
 def test_increment_variance_within_two_percent():

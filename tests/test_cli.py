@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import forward_yield
-from forward_yield import cli
+from forward_yield import backward, cli
 from forward_yield.cli import main
 from forward_yield.brownian import _BLOCK
 from forward_yield.errors import NumericalRangeError
+from forward_yield.grids import DeterministicFn
 from forward_yield.config import (
     DEFAULT_CONFIG,
     build_backward_spec,
@@ -449,10 +450,51 @@ def test_streamed_horizon_equals_the_whole_batch(tmp_path, monkeypatch, threads,
         simulation_params(cfg)[1], grid.prefix(grid.index_of(t_common)), dim=market.dim, n_paths=n_paths
     )
     spec = build_backward_spec(cfg, market, t_horizon=max(horizons))
-    gaps = forward_yield.horizon_dependency_experiment(spec, horizons, grid, batch, t_common)
+    gaps = forward_yield.horizon_dependency_experiment(forward_yield.horizon_map(spec, horizons, grid, t_common), batch)
     assert [
         (r["max_rel_gap_wealth"], r["max_rel_gap_dual"], r["predicted_gap_residual"]) for r in recorded["horizon"]
     ] == [(g.max_rel_gap_x, g.max_rel_gap_y, g.predicted_gap_residual) for g in gaps]
+
+
+def test_horizon_solves_each_horizon_once_per_run(tmp_path, monkeypatch):
+    # the horizon map is built once per run, so a run of three blocks of the
+    # streams solves each horizon's volatilities as often as a run of one
+    calls = []
+    original = backward.solve_backward_vols
+
+    def counting(spec):
+        calls.append(spec.t_horizon)
+        return original(spec)
+
+    monkeypatch.setattr(backward, "solve_backward_vols", counting)
+    solved = []
+    for n_paths in (100, 2 * _BLOCK + 1):
+        calls.clear()
+        assert run_cli("horizon", "--paths", str(n_paths), "--out", str(tmp_path / str(n_paths))) == 0
+        solved.append(sorted(calls))
+    assert solved == [[10.0, 50.0], [10.0, 50.0]]
+
+
+def test_horizon_exits_1_when_the_predicted_dual_ratio_fails(tmp_path, monkeypatch, capsys):
+    # the default config passes; with the first horizon's nu doubled in its
+    # ln Y column, but not in the prediction from the volatilities, its dual
+    # ratio to the second leaves the predicted one
+    assert run_cli("horizon", "--paths", "2000", "--out", str(tmp_path / "ok")) == 0
+    assert "residual" not in capsys.readouterr().err
+    original = backward.backward_log_map
+    calls = []
+
+    def corrupting(spec, grid, nu, kappa, k_read):
+        if not calls:
+            nu = DeterministicFn(lambda t, nu=nu: 2.0 * nu(t))
+        calls.append(grid.horizon)
+        return original(spec, grid, nu, kappa, k_read)
+
+    monkeypatch.setattr(backward, "backward_log_map", corrupting)
+    assert run_cli("horizon", "--paths", "2000", "--out", str(tmp_path / "bad")) == 1
+    assert "predicted dual ratio residual" in capsys.readouterr().err
+    (row,) = list(csv.DictReader(open(tmp_path / "bad" / "horizon.csv")))
+    assert float(row["predicted_gap_residual"]) > 1e-9
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -19,7 +19,6 @@ from forward_yield import (
     VasicekRate,
     backward_optimal_paths,
     curve_from_prices,
-    davis_price,
     gbm_consumption_paths,
     hjm_forward_rates,
     long_rate,
@@ -584,7 +583,7 @@ def test_davis_unit_payoff_equals_zero_coupon():
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
     zc, _ = mean_stderr(triple.y[:, k])
-    unit = davis_price(np.ones(triple.n_paths), triple.y, k)
+    unit = davis_report(np.ones(triple.n_paths), triple.y, triple.x, k, k).price
     assert unit.mean == pytest.approx(zc, rel=1e-12)
 
 
@@ -600,18 +599,18 @@ def test_davis_linearity_exact():
     zeta1 = np.maximum(x_t - 0.9, 0.0)
     zeta2 = np.ones_like(x_t)
 
-    p1 = davis_price(zeta1, y, k)
-    p2 = davis_price(zeta2, y, k)
-    combo = davis_price(3.0 * zeta1 + 0.5 * zeta2, y, k)
+    p1 = davis_report(zeta1, y, triple.x, k, k).price
+    p2 = davis_report(zeta2, y, triple.x, k, k).price
+    combo = davis_report(3.0 * zeta1 + 0.5 * zeta2, y, triple.x, k, k).price
     assert abs(combo.mean - (3.0 * p1.mean + 0.5 * p2.mean)) <= 1e-15 * max(abs(combo.mean), 1.0)
 
-    scaled = davis_price(7.0 * zeta1, y, k)
+    scaled = davis_report(7.0 * zeta1, y, triple.x, k, k).price
     assert abs(scaled.mean - 7.0 * p1.mean) <= 1e-15 * max(abs(scaled.mean), 1.0)
 
 
 def test_davis_rejects_negative_payoff():
     with pytest.raises(ValueError):
-        davis_price(np.array([-1.0]), np.ones((1, 2)), 1)
+        davis_report(np.array([-1.0]), np.ones((1, 2)), np.ones((1, 2)), 1, 1)
 
 
 def test_davis_call_against_two_lognormal_oracle():
@@ -654,7 +653,7 @@ def test_davis_call_against_two_lognormal_oracle():
     )
 
     zeta = np.maximum(triple.x[:, k] - strike, 0.0)
-    price = davis_price(zeta, triple.y, k)
+    price = davis_report(zeta, triple.y, triple.x, k, k).price
     assert abs(price.mean - oracle) < 3 * price.stderr
 
 
@@ -744,7 +743,7 @@ def test_davis_capitalization_time_consistency():
     zeta = np.maximum(x[:, k_mat] - 0.8, 0.0)
     p_cap, t_stat = davis_report(zeta, y, x, k_mat, k_h).capitalization
     assert abs(t_stat) < 3.0
-    assert davis_price(zeta, y, k_mat).mean == pytest.approx(p_cap, rel=0.02)
+    assert davis_report(zeta, y, x, k_mat, k_h).price.mean == pytest.approx(p_cap, rel=0.02)
 
 
 # ---------------------------------------------------------------------------

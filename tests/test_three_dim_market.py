@@ -18,9 +18,9 @@ from forward_yield import (
     sample_brownian,
     simulate_optimal,
     solve_backward_vols,
-    terminal_constraint_check,
     zc_price_gaussian,
 )
+from forward_yield.backward import TerminalConstraintReport
 
 
 def tilted_setup():
@@ -75,7 +75,8 @@ def test_backward_terminal_constraint_three_dim_mixed_gamma():
     back = BackwardSpec(t_horizon=4.0, alpha=0.45, gamma=gamma, market=market)
     grid = make_grid(4.0, 32)
     batch = sample_brownian(606062, grid, dim=3, n_paths=4_000)
-    report = terminal_constraint_check(back, grid, *backward_optimal_paths(back, grid, batch, *solve_backward_vols(back)))
+    x, y = backward_optimal_paths(back, grid, batch, *solve_backward_vols(back))
+    report = TerminalConstraintReport.of(back.alpha, x[:, -1], y[:, -1])
     assert report.cv < 1e-10
 
     nu, kappa = solve_backward_vols(back)
