@@ -142,13 +142,13 @@ def _require(cfg: Mapping, field: str):
 
 
 def _positive_number(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < math.inf:
         raise _fail(field, "must be a positive real", value)
     return float(value)
 
 
 def _nonnegative_number(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value < math.inf:
         raise _fail(field, "must be a nonnegative real", value)
     return float(value)
 
@@ -185,9 +185,7 @@ def time_function(value, dim: int | None, field: str) -> DeterministicFn:
         except ValueError as exc:
             raise _fail(field, str(exc))
     if dim is None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _fail(field, "must be a real number or a table", value)
-        return DeterministicFn.constant(float(value))
+        return DeterministicFn.constant(_finite_number(value, field))
     return DeterministicFn.constant(_vector(value, dim, field))
 
 
@@ -231,14 +229,15 @@ def build_market(cfg: Mapping[str, Any]) -> MarketModel:
     if model == "constant":
         rate = ConstantRate(rate=_finite_number(_require(cfg, "market.rate.r"), "market.rate.r"))
     elif model == "vasicek":
+        params = dict(
+            a=_positive_number(_require(cfg, "market.rate.a"), "market.rate.a"),
+            b=_finite_number(_require(cfg, "market.rate.b"), "market.rate.b"),
+            sigma=_nonnegative_number(_require(cfg, "market.rate.sigma_r"), "market.rate.sigma_r"),
+            r0=_finite_number(_require(cfg, "market.rate.r0"), "market.rate.r0"),
+            w_dir=_vector(_require(cfg, "market.rate.w_dir"), dim, "market.rate.w_dir"),
+        )
         try:
-            rate = VasicekRate(
-                a=_positive_number(_require(cfg, "market.rate.a"), "market.rate.a"),
-                b=_finite_number(_require(cfg, "market.rate.b"), "market.rate.b"),
-                sigma=_nonnegative_number(_require(cfg, "market.rate.sigma_r"), "market.rate.sigma_r"),
-                r0=_finite_number(_require(cfg, "market.rate.r0"), "market.rate.r0"),
-                w_dir=_vector(_require(cfg, "market.rate.w_dir"), dim, "market.rate.w_dir"),
-            )
+            rate = VasicekRate(**params)
         except ValueError as exc:
             raise _fail("market.rate", str(exc))
     else:
@@ -254,9 +253,23 @@ def build_market(cfg: Mapping[str, Any]) -> MarketModel:
     except ValueError as exc:
         raise _fail("market.subspace.basis", str(exc))
 
-    eta = time_function(_require(cfg, "market.eta_r"), dim, "market.eta_r")
-    market = MarketModel(dim=dim, rate=rate, risk_premium=eta, subspace=subspace)
-    return market
+    eta = _subspace_function(_require(cfg, "market.eta_r"), subspace, "market.eta_r")
+    return MarketModel(dim=dim, rate=rate, risk_premium=eta, subspace=subspace)
+
+
+def _subspace_function(value, subspace: SubspaceR, field: str, complement: bool = False) -> DeterministicFn:
+    """time_function of a vector coefficient that lies in the subspace, or in
+    its orthogonal complement, at each of its table times (t = 0 for a constant)."""
+    fn = time_function(value, subspace.dim, field)
+    try:
+        values = fn.values(value["times"] if isinstance(value, Mapping) else [0.0])
+        inside = subspace.orthogonal_to(values) if complement else subspace.contains(values)
+    except ValueError as exc:
+        raise _fail(field, str(exc))
+    if not inside:
+        where = "the orthogonal complement of the admissible subspace" if complement else "the admissible subspace"
+        raise _fail(field, f"must lie in {where}", value)
+    return fn
 
 
 def build_forward_spec(cfg: Mapping[str, Any], market: MarketModel) -> ForwardPowerSpec:
@@ -264,13 +277,13 @@ def build_forward_spec(cfg: Mapping[str, Any], market: MarketModel) -> ForwardPo
     psi_cfg = _require(cfg, "spec.psi_hat")
     spec = ForwardPowerSpec(
         alpha=alpha,
-        kappa_star=time_function(_require(cfg, "spec.kappa_star"), market.dim, "spec.kappa_star"),
-        nu_star=time_function(_require(cfg, "spec.nu_star"), market.dim, "spec.nu_star"),
+        kappa_star=_subspace_function(_require(cfg, "spec.kappa_star"), market.subspace, "spec.kappa_star"),
+        nu_star=_subspace_function(_require(cfg, "spec.nu_star"), market.subspace, "spec.nu_star", complement=True),
         psi_hat=time_function(psi_cfg, None, "spec.psi_hat"),
     )
-    psi_values = psi_cfg["values"] if isinstance(psi_cfg, Mapping) else psi_cfg
-    if np.any(np.asarray(psi_values, dtype=float) < 0):
-        raise _fail("spec.psi_hat", "must be nonnegative", psi_cfg)
+    psi = np.asarray(psi_cfg["values"] if isinstance(psi_cfg, Mapping) else psi_cfg, dtype=float)
+    if psi.ndim > 1 or not np.all((psi >= 0) & (psi < np.inf)):
+        raise _fail("spec.psi_hat", "must be finite, nonnegative and scalar-valued", psi_cfg)
     return spec
 
 
@@ -321,23 +334,23 @@ def horizon_params(cfg: Mapping[str, Any]) -> tuple[list[float], float]:
 
 
 def tenor_list(tenors, field: str) -> list[float]:
-    """Strictly increasing positive tenors."""
-    try:
-        vals = [float(t) for t in tenors]
-    except (TypeError, ValueError):
+    """Strictly increasing finite positive tenors."""
+    if not isinstance(tenors, list) or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in tenors):
         raise _fail(field, "must be a list of positive reals", tenors)
-    if not vals or any(t <= 0 for t in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
+    vals = [float(t) for t in tenors]
+    if not vals or not all(0 < t < math.inf for t in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
         raise _fail(field, "must be strictly increasing positive reals", tenors)
     return vals
 
 
-def output_params(cfg: Mapping[str, Any]) -> tuple[list[float], str, str]:
+def output_params(cfg: Mapping[str, Any]) -> tuple[list[float], str, str, float]:
+    """(tenors, path, format, asof): asof is the date of a nested curve, 0 for none."""
     vals = tenor_list(_require(cfg, "output.tenors"), "output.tenors")
     fmt = _require(cfg, "output.format")
     if fmt not in ("csv", "json"):
         raise _fail("output.format", "must be 'csv' or 'json'", fmt)
     out = str(_require(cfg, "output.path"))
-    return vals, out, fmt
+    return vals, out, fmt, _nonnegative_number(cfg["output"].get("asof", 0.0), "output.asof")
 
 
 def ramsey_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float, list[float]]:
@@ -363,9 +376,10 @@ def long_rate_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float
     return l0, alpha_fwd, alpha_bwd, t_max, probes
 
 
-def davis_payoff(cfg: Mapping[str, Any]) -> tuple[str, float]:
-    """Payoff kind of the davis block and its strike ('unit' ignores it)."""
+def davis_params(cfg: Mapping[str, Any]) -> tuple[str, float, float]:
+    """Payoff kind of the davis block, its strike ('unit' ignores it) and the maturity."""
     kind = _require(cfg, "davis.payoff.kind")
     if kind not in ("unit", "call_on_wealth"):
         raise _fail("davis.payoff.kind", "must be 'unit' or 'call_on_wealth'", kind)
-    return kind, _finite_number(_require(cfg, "davis.payoff.strike"), "davis.payoff.strike")
+    strike = _finite_number(_require(cfg, "davis.payoff.strike"), "davis.payoff.strike")
+    return kind, strike, _nonnegative_number(_require(cfg, "davis.maturity"), "davis.maturity")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -124,6 +125,20 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
         ("ramsey-flat", {"ramsey": {"tenors": [0.05, 0.1]}}, "ramsey.tenors"),
         ("horizon", {"spec": {"t_horizons": [0.05, 0.1], "t_common": 0.0}}, "spec.t_horizons"),
         ("horizon", {"spec": {"t_horizons": [10.0, 10.0]}}, "spec.t_horizons"),
+        # non-finite and boolean numbers
+        ("davis", {"davis": {"maturity": float("inf")}}, "davis.maturity"),
+        ("davis", {"davis": {"maturity": True}}, "davis.maturity"),
+        ("forward-curve", {"simulation": {"horizon": float("inf")}}, "simulation.horizon"),
+        ("ramsey-flat", {"ramsey": {"tenors": [1.0, float("inf")]}}, "ramsey.tenors"),
+        ("ramsey-flat", {"ramsey": {"tenors": [True, 2.0]}}, "ramsey.tenors"),
+        ("horizon", {"spec": {"t_horizons": [10.0, float("inf")]}}, "spec.t_horizons"),
+        ("forward-curve", {"output": {"asof": float("inf")}}, "output.asof"),
+        ("forward-curve", {"market": {"rate": {"sigma_r": float("nan")}}}, "market.rate.sigma_r"),
+        ("verify", {"spec": {"psi_hat": float("inf")}}, "spec.psi_hat"),
+        ("davis", {"spec": {"psi_hat": {"times": [0.0], "values": [float("nan")]}}}, "spec.psi_hat"),
+        ("davis", {"spec": {"psi_hat": {"times": [0.0], "values": [[0.1, 0.1]]}}}, "spec.psi_hat"),
+        # a field the rate's own check would name again as market.rate
+        ("forward-curve", {"market": {"rate": {"a": -1.0}}}, "market.rate.a"),
     ],
 )
 def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatch, command, overrides, field):
@@ -135,7 +150,7 @@ def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatc
     cfg.write_text(json.dumps(overrides))
     code = run_cli(command, "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
     assert code == 2
-    assert field in capsys.readouterr().err
+    assert f"error: {field}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["ramsey-flat", "forward-curve", "backward-curve", "verify", "davis", "horizon"])
@@ -154,21 +169,39 @@ def test_fewer_than_two_paths_names_field(tmp_path, capsys, monkeypatch, command
     assert "simulation.n_paths: must be an integer >= 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("kappa_star", [0.3, 0.2]), ("nu_star", [0.1, 0.1])])
-def test_out_of_subspace_coefficient_exits_2_before_any_rate_simulation(tmp_path, capsys, monkeypatch, field, value):
+ETA_OUT = [0.1, 0.1]
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("verify", "spec.kappa_star", [0.3, 0.2]),
+        ("verify", "spec.nu_star", [0.1, 0.1]),
+        ("long-rate", "market.eta_r", ETA_OUT),
+        ("horizon", "market.eta_r", ETA_OUT),
+        ("backward-curve", "market.eta_r", ETA_OUT),
+        # checked at each table time
+        ("long-rate", "market.eta_r", {"times": [0.0, 20.0], "values": [[0.15, 0.0], ETA_OUT]}),
+    ],
+    ids=["kappa_star-value0", "nu_star-value1", "long-rate-eta_r", "horizon-eta_r", "backward-curve-eta_r",
+         "long-rate-eta_r-table"],
+)
+def test_out_of_subspace_coefficient_exits_2_before_any_rate_simulation(
+    tmp_path, capsys, monkeypatch, command, field, value
+):
     calls = []
-    simulate = forward_yield.forward.simulate_short_rate
+    for module, name in ((forward_yield.forward, "simulate_short_rate"), (forward_yield.brownian, "sample_brownian")):
+        def counting(*args, original=getattr(module, name), **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(forward_yield.forward, "simulate_short_rate", counting)
+        monkeypatch.setattr(module, name, counting)
+    block, key = field.split(".")
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"spec": {field: value}}))
-    code = run_cli("verify", "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
+    cfg.write_text(json.dumps({block: {key: value}}))
+    code = run_cli(command, "--config", str(cfg), "--paths", "100", "--out", str(tmp_path / "out"))
     assert code == 2
-    assert "subspace" in capsys.readouterr().err
+    assert f"error: {field}: must lie in the " in capsys.readouterr().err
     assert calls == []
 
 
@@ -269,7 +302,7 @@ def test_consumption_out_of_range_is_a_named_range_error(tmp_path, command, bloc
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalRangeError, match=field):
-            cli._HANDLERS[command](cfg)
+            cli._run(command, cfg)
 
 
 def _run_in_subprocess(tmp_path, command, overrides, paths=2000, **env_vars) -> subprocess.CompletedProcess:
@@ -492,9 +525,22 @@ def test_horizon_exits_1_when_the_predicted_dual_ratio_fails(tmp_path, monkeypat
 
     monkeypatch.setattr(backward, "backward_log_map", corrupting)
     assert run_cli("horizon", "--paths", "2000", "--out", str(tmp_path / "bad")) == 1
-    assert "predicted dual ratio residual" in capsys.readouterr().err
+    assert "horizon: 1 check(s) failed: predicted_gap_residual\n" in capsys.readouterr().err
     (row,) = list(csv.DictReader(open(tmp_path / "bad" / "horizon.csv")))
     assert float(row["predicted_gap_residual"]) > 1e-9
+
+
+def test_backward_curve_exits_1_when_the_terminal_constraint_fails(tmp_path, monkeypatch, capsys):
+    # volatilities solved for another horizon leave Yhat (X*)^alpha dispersed at T_H
+    solve = cli.solve_backward_vols
+    monkeypatch.setattr(cli, "solve_backward_vols", lambda spec: solve(dataclasses.replace(spec, t_horizon=5.0)))
+    out = tmp_path / "out"
+    assert run_cli("backward-curve", "--paths", "2000", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] terminal_cv: " in captured.out
+    assert "backward-curve: 1 check(s) failed: terminal_cv\n" in captured.err
+    row = json.loads((out / "manifest_backward_curve.json").read_text())["summary"][-1]
+    assert row["check"] == "terminal_cv" and row["value"] > 1e-8 and row["passed"] is False
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -761,11 +807,11 @@ def _leaves(block, prefix=""):
 def test_every_default_key_is_read_by_some_subcommand(tmp_path):
     # a default that no run reads is a key the user can set to no effect
     seen = set()
-    for name, handler in cli._HANDLERS.items():
+    for name in cli._SUBCOMMANDS:
         cfg = load_config(None)
         cfg["simulation"]["n_paths"] = 2000
         cfg["output"]["path"] = str(tmp_path / name)
-        handler(_RecordingConfig(cfg, seen))
+        cli._run(name, _RecordingConfig(cfg, seen))
     assert [leaf for leaf in _leaves(DEFAULT_CONFIG) if leaf not in seen] == []
 
 
