@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 import numpy as np
 
-from .brownian import BrownianBatch, stream_blocks
+from .brownian import BrownianBatch
 from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
-from .forward import _require_in_range
-from .market import MarketModel, _dual_coeffs, _wealth_coeffs
+from .market import LogStateMap, MarketModel, _dual_coeffs, _wealth_coeffs, log_map
 from .stats import Moments, moments
 
 
@@ -186,64 +185,7 @@ def solve_backward_vols(spec: BackwardSpec) -> tuple[DeterministicFn, Determinis
 
 
 # ---------------------------------------------------------------------------
-# log states as one affine map of the increments
-
-
-@dataclass(frozen=True)
-class LogStateMap:
-    """Log states that a run reads, state c being
-
-        const[c] + dW . coeffs[:, c] + rate_sign[c] * I[:, rate_k[c]],
-
-    with dW a path's increments on the first coeffs.shape[0] / dim steps,
-    step-major, and I its integrated rate (rate_integral_paths).  Apart from
-    I, ln X and ln Y are Gaussian linear maps of the increments (Glasserman
-    2004, section 3.1), so a run builds the map of the dates it reads once,
-    and reads each block of paths with one product."""
-
-    const: np.ndarray      # (m,)
-    coeffs: np.ndarray     # (k * dim, m)
-    rate_k: np.ndarray     # (m,) the date of I that each state reads
-    rate_sign: np.ndarray  # (m,) +1 for ln X, -1 for ln Y, 0 for a state without I
-
-    @staticmethod
-    def join(maps: Sequence[LogStateMap]) -> LogStateMap:
-        """The states of every map, in order; the maps read the same steps."""
-        return LogStateMap(*(np.concatenate([getattr(m, f.name) for m in maps], axis=-1) for f in fields(LogStateMap)))
-
-    def select(self, cols: slice) -> LogStateMap:
-        """The states cols of the map."""
-        return LogStateMap(self.const[cols], self.coeffs[:, cols], self.rate_k[cols], self.rate_sign[cols])
-
-    def log_states(self, batch: BrownianBatch) -> np.ndarray:
-        """The (n_paths, m) states on the paths of batch without their parts
-        in I.  An overflow gives inf or nan without a warning: the caller
-        scans."""
-        k = self.coeffs.shape[0] // batch.dim
-        if batch.increments.shape[1] < k:
-            raise ValueError("the Brownian batch must cover the dates the map reads")
-        inc = batch.increments[:, :k, :].reshape(batch.n_paths, -1)
-        out = np.empty((batch.n_paths, self.coeffs.shape[1]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # BLAS picks its kernel by the size of a product, and kernels round a
-            # row's sum differently; formed per block of the streams, a row gets
-            # the same bits in a block's batch as in a batch of all the blocks
-            for b0, b1 in stream_blocks(batch.n_paths):
-                np.matmul(inc[b0:b1], self.coeffs, out=out[b0:b1])
-            out += self.const
-        return out
-
-    def levels(self, batch: BrownianBatch, rate_integral: np.ndarray) -> np.ndarray:
-        """exp of the states on the paths of batch, whose integrated rate
-        rate_integral covers the dates rate_k: levels of Xstar and Ystar or
-        ratios of them.  Raises NumericalRangeError unless every one is
-        finite and > 0."""
-        out = self.log_states(batch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out += self.rate_sign * rate_integral[:, self.rate_k]
-            np.exp(out, out=out)
-        _require_in_range("Xstar and Ystar", out)
-        return out
+# log states as one affine map of the increments (market.LogStateMap)
 
 
 def _rate_integral_map(spec: BackwardSpec, times: np.ndarray, k_read: Sequence[int]) -> LogStateMap:
@@ -283,8 +225,8 @@ def backward_log_map(
         ln X_k = sum_{j<k} [kappa_j . dW_j + (kappa_j . eta_j - |kappa_j|^2 / 2) h_j] + int_0^{t_k} r,
         ln Y_k = sum_{j<k} [(nu_j - eta_j) . dW_j - |nu_j - eta_j|^2 h_j / 2] - int_0^{t_k} r,
 
-    the exact log schemes of market.wealth_paths and state_price_paths, the
-    integrated rate added, or subtracted for Y, after the sum.  The
+    the maps of market.wealth_paths and state_price_paths (market.log_map),
+    the integrated rate added, or subtracted for Y, after the sum.  The
     coefficients come from market._wealth_coeffs and _dual_coeffs, which
     check them on every date of grid; raises NumericalRangeError where a or
     B is not finite, as the state is then not finite on any path.
@@ -293,26 +235,15 @@ def backward_log_map(
     solution of a different horizon, is deliberately inconsistent, for the
     constraint check.
     """
-    k_read = np.asarray(k_read, dtype=int)
-    k_rows = int(k_read.max(initial=0))
-    # before[j * dim + d, c]: step j precedes the read date k_read[c]
-    before = np.repeat(np.arange(k_rows), spec.market.dim)[:, None] < k_read
-
-    def state(coeffs: tuple[np.ndarray, np.ndarray], rate_sign: float) -> LogStateMap:
-        vol, drift = coeffs
-        drift_sums = np.concatenate([[0.0], np.cumsum(drift * grid.widths)])[k_read]
-        b = np.where(before, vol[:k_rows].reshape(-1, 1), 0.0)
-        return LogStateMap(drift_sums, b, k_read, np.full(len(k_read), rate_sign))
-
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = _wealth_coeffs(spec.market, grid, kappa), _dual_coeffs(spec.market, grid, nu)
-        log_map = LogStateMap.join([state(x, 1.0), state(y, -1.0)])
-    if not (np.all(np.isfinite(log_map.const)) and np.all(np.isfinite(log_map.coeffs))):
+    states = LogStateMap.join([log_map(*x, grid.widths, k_read, 1), log_map(*y, grid.widths, k_read, -1)])
+    if not (np.all(np.isfinite(states.const)) and np.all(np.isfinite(states.coeffs))):
         raise NumericalRangeError(
             "Xstar and Ystar must be strictly positive and finite; the coefficients of their logs "
             "left the range of double precision"
         )
-    return log_map
+    return states
 
 
 def backward_optimal_paths(

@@ -239,7 +239,9 @@ def build_market(cfg: Mapping[str, Any]) -> MarketModel:
         try:
             rate = VasicekRate(**params)
         except ValueError as exc:
-            raise _fail("market.rate", str(exc))
+            # a and sigma_r are checked above, so the rate's own check can only
+            # fail on the unit norm of w_dir
+            raise _fail("market.rate.w_dir", str(exc), rate_cfg["w_dir"])
     else:
         raise _fail("market.rate.model", "must be 'constant' or 'vasicek'", model)
 

@@ -23,7 +23,7 @@ from .brownian import (
 from .errors import NumericalRangeError
 from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
-from .market import _LOG_ROWS, MarketModel, _dual_coeffs, _exact_log_paths, row_blocks
+from .market import _LOG_ROWS, MarketModel, _dual_coeffs, row_blocks, running_levels, running_states
 from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
 from .stats import Estimate, Moments, control_variate_estimate, moments, t_stat
@@ -98,8 +98,8 @@ def gbm_consumption_paths(
     direction: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Geometric consumption c_t = c0 exp((g - sigma^2/2) t + sigma e.W_t),
-    by the path engine's exact log scheme.  Raises NumericalRangeError when
-    c is not finite and > 0 on some path and date."""
+    read from the path engine's map of its exact log scheme.  Raises
+    NumericalRangeError when c is not finite and > 0 on some path and date."""
     if c0 <= 0:
         raise ValueError("c0 must be positive")
     if direction is None:
@@ -108,7 +108,7 @@ def gbm_consumption_paths(
     with np.errstate(over="ignore"):
         vol = np.broadcast_to(sigma * direction, (grid.n_steps, batch.dim))
         drift = np.full(grid.n_steps, growth - 0.5 * sigma * sigma)
-        c = _exact_log_paths(batch.increments, vol, drift, grid.widths)
+        c = running_levels(running_states(vol, drift, grid.widths, grid.n_steps), batch)
         c *= c0
     if not (c.min() > 0 and c.max() < np.inf):
         raise NumericalRangeError("ramsey.growth and ramsey.sigma: consumption left the range of double precision")
@@ -266,11 +266,11 @@ def marginal_zc_mc(
     date-0 price is the plain average mean_stderr(triple.y[:, k_mat]).
 
     The control is the dual exponential martingale M = Y_T / Y_t e^{int_t^T r},
-    the path engine's kernel on ln Y's (nu - eta) . dW terms and their
-    -|nu - eta|^2 / 2 drift, without the rate.  Its mean is exactly 1, and
-    with nu = eta it is exactly 1 on every path, so the estimate is the plain
-    average.  The ratio is formed from it at the maturities only, as
-    M e^{-int_t^T r}.
+    the path engine's map of ln Y's (nu - eta) . dW terms and their
+    -|nu - eta|^2 / 2 drift, without the rate, read on every inner date.
+    Its mean is exactly 1, and with nu = eta it is exactly 1 on every path,
+    so the estimate is the plain average.  The ratio is formed from it at
+    the maturities only, as M e^{-int_t^T r}.
     """
     k_mats = list(k_mats)
     if not k_mats or min(k_mats) <= k_t:
@@ -281,7 +281,7 @@ def marginal_zc_mc(
     rows = [k - k_t for k in k_mats]  # sub-grid index of each maturity
     # the inner steps carry the coefficients of their own dates on the outer grid
     vol, drift = _dual_coeffs(market, grid, triple.spec.nu_star)
-    vol, drift = vol[k_t:k_end], drift[k_t:k_end]
+    states = running_states(vol[k_t:k_end], drift[k_t:k_end], sub.widths, sub.n_steps)
 
     n_outer = min(max_outer, triple.n_paths)
     rate_states = triple.rate_paths.r[:n_outer, k_t]
@@ -304,7 +304,14 @@ def marginal_zc_mc(
         integral = simulate_short_rate(rate, sub, batch, r0=r0, residuals=z).integral
         # each (maturity, outer path) sample contiguous, as the estimates reduce along the last axis
         shape = (len(rows), i1 - i0, inner_paths)
-        control = _exact_log_paths(dw, vol, drift, sub.widths).T[rows].reshape(shape)
+        control = np.empty(shape)
+        for j in range(i1 - i0):
+            # one product per outer path's own batch, which gives its rows the
+            # bits of its own simulation whatever the chunk
+            span = slice(j * inner_paths, (j + 1) * inner_paths)
+            control[:, j] = states(replace(batch, increments=batch.increments[span])).T[rows]
+        with np.errstate(over="ignore"):
+            np.exp(control, out=control)
         ratios = control * np.exp(-integral.T[rows]).reshape(shape)
         for out, part in zip((controlled, plain), control_variate_estimate(ratios, control, 1.0)):
             out.mean[:, i0:i1], out.stderr[:, i0:i1] = part

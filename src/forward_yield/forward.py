@@ -15,15 +15,16 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .brownian import BrownianBatch
-from .errors import NumericalRangeError
 from .grids import DeterministicFn, TimeGrid
 from .market import (
     MarketModel,
     _dual_coeffs,
-    _exact_log_paths,
     _proportional_rates,
+    _require_in_range,
     _wealth_coeffs,
     row_blocks,
+    running_levels,
+    running_states,
     state_price_paths,
     wealth_paths,
 )
@@ -68,18 +69,6 @@ class OptimalTriple:
     @property
     def n_paths(self) -> int:
         return self.zhat.shape[0]
-
-
-def _require_in_range(what: str, *paths: np.ndarray) -> None:
-    """Raise NumericalRangeError unless every value of the paths is finite
-    and > 0, as wealth, state-price densities and Zhat are until they leave
-    the range of double precision."""
-    # the min is nan, and so not > 0, where some value is nan
-    if not all(p.min() > 0 and p.max() < np.inf for p in paths):
-        raise NumericalRangeError(
-            f"{what} must be strictly positive and finite; wealth or the state-price density "
-            "left the range of double precision"
-        )
 
 
 def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, read: Iterable[int]) -> TimeGrid:
@@ -310,9 +299,9 @@ def value_process(
     it reweights without simulating wealth: F = X / Xstar drops the rate,
     U = P F^(1-alpha) / (1-alpha) with P = Y Xstar as Zhat = Y Xstar^alpha, and
     ln F_k = sum_{j<k} [dkappa . dW_j + (dkappa . eta - d|kappa|^2 / 2 - dpsi) h_j],
-    d meaning the change from the optimum, from the path engine's kernel."""
+    d meaning the change from the optimum, read from the path engine's map."""
     dvol, drift, _, _ = _strategy_steps(triple, kappa, consumption)
-    f = _exact_log_paths(triple.batch.increments, dvol, drift, triple.grid.widths)
+    f = running_levels(running_states(dvol, drift, triple.grid.widths, triple.grid.n_steps), triple.batch)
     # U is formed date by date, the layout in which linear_drift_reports sums its columns
     u = np.multiply(triple.y.T, triple.x.T, out=np.empty(f.shape[::-1]))
     u *= f.T

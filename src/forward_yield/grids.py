@@ -143,8 +143,9 @@ class DeterministicFn:
             raise ValueError("table times must be a non-empty 1-d array")
         if times[0] != 0.0:
             raise ValueError("table must start at t=0 to cover the whole grid")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("table times must be strictly increasing")
+        # a nan or inf time passes a test of the differences alone
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("table times must be finite and strictly increasing")
         if values.shape[0] != times.shape[0]:
             raise ValueError("table values must have one row per time")
 

@@ -184,11 +184,10 @@ def test_terminal_constraint_on_a_non_uniform_grid():
 def test_backward_pair_is_the_forward_pair_without_consumption():
     # with a constant rate the Gamma representation's integrated rate is the
     # forward pair's r t bit for bit, and the backward map of the optimum
-    # holds, bit for bit, the forward kernel's coefficients with psi = 0:
+    # holds, bit for bit, the forward maps' coefficients with psi = 0:
     # kappa (nu - eta) on each step before a date, and the summed drifts.
-    # The paths are the forward pair's up to the order of the sums, one
-    # product against the kernel's cumsum over 40 steps (seen: 1.2e-15
-    # relative)
+    # On these 40 steps both pairs are read from market.log_map's product per
+    # block of the streams, so the paths are the forward pair's bit for bit
     spec = vasicek_orthogonal_spec(sigma_r=0.0, alpha=0.4)
     nu, kappa = solve_backward_vols(spec)
     grid = make_grid(10.0, 40)
@@ -207,8 +206,8 @@ def test_backward_pair_is_the_forward_pair_without_consumption():
         assert np.array_equal(log_map.const[cols], np.concatenate([[0.0], np.cumsum(drift * grid.widths)]))
         assert np.array_equal(log_map.rate_k[cols], k_all)
         assert np.all(log_map.rate_sign[cols] == rate_sign)
-    np.testing.assert_allclose(x, triple.x, rtol=2e-15, atol=0.0)
-    np.testing.assert_allclose(y, triple.y, rtol=2e-15, atol=0.0)
+    assert np.array_equal(x, triple.x)
+    assert np.array_equal(y, triple.y)
 
 
 def test_every_optimum_runs_through_the_market_path_engine(monkeypatch):

@@ -103,6 +103,9 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
     assert "market.subspace.basis" in capsys.readouterr().err
 
 
+NAN_TIME_KAPPA = {"times": [0.0, float("nan")], "values": [[0.3, 0.0], [0.2, 0.0]]}
+
+
 @pytest.mark.parametrize(
     "command, overrides, field",
     [
@@ -139,6 +142,14 @@ def test_bad_subspace_basis_rejected(tmp_path, capsys):
         ("davis", {"spec": {"psi_hat": {"times": [0.0], "values": [[0.1, 0.1]]}}}, "spec.psi_hat"),
         # a field the rate's own check would name again as market.rate
         ("forward-curve", {"market": {"rate": {"a": -1.0}}}, "market.rate.a"),
+        # a table time that is not finite, which a test of the differences alone passes
+        ("forward-curve", {"spec": {"kappa_star": NAN_TIME_KAPPA}}, "spec.kappa_star"),
+        ("forward-curve", {"spec": {"kappa_star": {**NAN_TIME_KAPPA, "times": [0.0, float("inf")]}}}, "spec.kappa_star"),
+        ("davis", {"spec": {"psi_hat": {"times": [0.0, float("nan")], "values": [0.1, 0.05]}}}, "spec.psi_hat"),
+        ("long-rate", {"market": {"eta_r": {"times": [0.0, float("nan")], "values": [[0.15, 0.0], [0.1, 0.0]]}}},
+         "market.eta_r"),
+        # the rate's own check names only market.rate
+        ("forward-curve", {"market": {"rate": {"w_dir": [0.6, 0.6]}}}, "market.rate.w_dir"),
     ],
 )
 def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatch, command, overrides, field):

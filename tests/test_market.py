@@ -16,6 +16,7 @@ from forward_yield import (
     state_price_paths,
     wealth_paths,
 )
+from forward_yield.brownian import _BLOCK, stream_blocks
 from forward_yield.stats import STAT_BAND, interval_drift_report
 
 E1, E2 = np.eye(2)
@@ -278,23 +279,86 @@ def test_paths_on_a_prefix_of_the_rate_steps_are_the_leading_columns():
 
 
 def test_log_paths_in_row_blocks_equal_the_whole_array_form():
-    # rows span three blocks of the kernel; each row's operations are those of
-    # the whole-array form, so the bits are too: the rate integral is added
-    # after the cumsum, or subtracted for a state-price density
-    from forward_yield.market import _LOG_ROWS, _exact_log_paths
+    # rows span two full blocks of the streams and a tail; the paths are one
+    # product per block, so each block's own batch reads them bit for bit, and
+    # they are the whole-array einsum/cumsum scheme, the rate integral added
+    # after the sum, or subtracted for a state-price density, up to the order
+    # of the sums
+    n, seed = 2 * _BLOCK + 5, 5
+    eta = np.array([0.05, 0.0])
+    market = two_dim_market(eta=eta)
+    grid = make_grid(3.0, 12)
+    kappa = DeterministicFn.table(np.array([0.0, 1.0]), np.array([[0.3, 0.0], [0.1, 0.0]]))
+    nu = DeterministicFn.table(np.array([0.0, 2.0]), np.array([[0.0, 0.2], [0.0, -0.1]]))
+    psi = DeterministicFn.constant(0.04)
+    integral = np.zeros((n, grid.n_steps + 1))
+    np.cumsum(0.01 * np.random.default_rng(5).standard_normal((n, grid.n_steps)), axis=1, out=integral[:, 1:])
+    batch = sample_brownian(seed, grid, dim=2, n_paths=n)
+    x = wealth_paths(market, grid, batch, integral, kappa, psi)
+    y = state_price_paths(market, grid, batch, integral, nu)
+    for b0, b1 in stream_blocks(n):
+        block = sample_brownian(seed, grid, dim=2, n_paths=b1 - b0, first_row=b0)
+        assert np.array_equal(wealth_paths(market, grid, block, integral[b0:b1], kappa, psi), x[b0:b1])
+        assert np.array_equal(state_price_paths(market, grid, block, integral[b0:b1], nu), y[b0:b1])
+    kappa_k, dual_k = kappa.values(grid.times[:-1]), nu.values(grid.times[:-1]) - eta
+    drift_x = kappa_k @ eta - 0.5 * np.sum(kappa_k**2, axis=1) - 0.04
+    drift_y = -0.5 * np.sum(dual_k**2, axis=1)
+    for paths, vol, drift, sign in ((x, kappa_k, drift_x, 1), (y, dual_k, drift_y, -1)):
+        dlog = np.einsum("nkd,kd->nk", batch.increments, vol)
+        dlog += drift * grid.widths
+        log_paths = np.zeros((n, grid.n_steps + 1))
+        np.cumsum(dlog, axis=1, out=log_paths[:, 1:])
+        np.testing.assert_allclose(paths, np.exp(log_paths + sign * integral), rtol=2e-15, atol=0.0)
 
-    rng = np.random.default_rng(5)
-    n, k, dim, h = 2 * _LOG_ROWS + 5, 12, 2, 0.25
-    increments = rng.standard_normal((n, k, dim)) * np.sqrt(h)
-    vol, drift = rng.standard_normal((k, dim)), rng.standard_normal(k)
-    integral = np.zeros((n, k + 1))
-    np.cumsum(0.01 * rng.standard_normal((n, k)), axis=1, out=integral[:, 1:])
-    dlog = np.einsum("nkd,kd->nk", increments, vol)
-    dlog += drift * h
-    log_paths = np.zeros((n, k + 1))
-    np.cumsum(dlog, axis=1, out=log_paths[:, 1:])
-    for sign in (1, -1):
-        reference = np.exp(log_paths + sign * integral)
-        assert np.array_equal(_exact_log_paths(increments, vol, drift, h, integral, sign), reference)
-    # a process without a rate
-    assert np.array_equal(_exact_log_paths(increments, vol, drift, h), np.exp(log_paths))
+
+def test_long_grid_paths_are_the_whole_array_scheme_bit_for_bit():
+    # on 70 steps at dim 2 a product over every date would hold 9,940
+    # coefficients, so the paths are a cumulative sum over the steps, walked
+    # in blocks of _LOG_ROWS rows: each row's operations are those of the
+    # whole-array einsum/cumsum scheme, the rate integral added after the sum,
+    # or subtracted for a state-price density, so the bits are too
+    from forward_yield.market import _LOG_ROWS
+
+    n, seed = 2 * _LOG_ROWS + 5, 7
+    eta = np.array([0.05, 0.0])
+    market = two_dim_market(eta=eta)
+    grid = make_grid(3.0, 70)
+    kappa = DeterministicFn.table(np.array([0.0, 1.0]), np.array([[0.3, 0.0], [0.1, 0.0]]))
+    nu = DeterministicFn.table(np.array([0.0, 2.0]), np.array([[0.0, 0.2], [0.0, -0.1]]))
+    integral = np.zeros((n, grid.n_steps + 1))
+    np.cumsum(0.01 * np.random.default_rng(7).standard_normal((n, grid.n_steps)), axis=1, out=integral[:, 1:])
+    batch = sample_brownian(seed, grid, dim=2, n_paths=n)
+    x = wealth_paths(market, grid, batch, integral, kappa, DeterministicFn.constant(0.04))
+    y = state_price_paths(market, grid, batch, integral, nu)
+    kappa_k, dual_k = kappa.values(grid.times[:-1]), nu.values(grid.times[:-1]) - eta
+    drift_x = kappa_k @ eta - 0.5 * np.sum(kappa_k**2, axis=1) - 0.04
+    drift_y = -0.5 * np.sum(dual_k**2, axis=1)
+    for paths, vol, drift, sign in ((x, kappa_k, drift_x, 1), (y, dual_k, drift_y, -1)):
+        dlog = np.einsum("nkd,kd->nk", batch.increments, vol)
+        dlog += drift * grid.widths
+        log_paths = np.zeros((n, grid.n_steps + 1))
+        np.cumsum(dlog, axis=1, out=log_paths[:, 1:])
+        assert np.array_equal(paths, np.exp(log_paths + sign * integral))
+
+
+def test_running_states_take_the_product_while_the_map_is_small():
+    # a map of every date on k steps holds k (k + 1) dim coefficients: the
+    # states are log_map's product up to _RUNNING_PRODUCT_COEFFS of them and
+    # the cumulative sum over the steps past it, bit for bit each, and the
+    # two forms agree up to the order of the sums
+    from forward_yield.market import _RUNNING_PRODUCT_COEFFS, log_map, running_levels, running_states
+
+    rng = np.random.default_rng(11)
+    grid = make_grid(5.0, 80)
+    vol, drift = 0.2 * rng.standard_normal((80, 2)), 0.01 * rng.standard_normal(80)
+    batch = sample_brownian(11, grid, dim=2, n_paths=300)
+    assert 63 * 64 * 2 <= _RUNNING_PRODUCT_COEFFS < 64 * 65 * 2
+    short = running_states(vol, drift, grid.widths, 63)(batch)
+    assert np.array_equal(short, log_map(vol, drift, grid.widths, np.arange(64)).log_states(batch))
+    long = running_states(vol, drift, grid.widths, 64)(batch)
+    dlog = np.einsum("nkd,kd->nk", batch.increments[:, :64], vol[:64]) + drift[:64] * grid.widths[:64]
+    assert np.array_equal(long[:, 1:], np.cumsum(dlog, axis=1)) and not long[:, 0].any()
+    np.testing.assert_allclose(long[:, :64], short, rtol=1e-12, atol=1e-14)
+    # the integrated rate covers every date of the states, or the read fails
+    with pytest.raises(ValueError, match="every date"):
+        running_levels(running_states(vol, drift, grid.widths, 64), batch, np.zeros((300, 64)))
