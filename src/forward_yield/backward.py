@@ -235,8 +235,7 @@ def backward_log_map(
     solution of a different horizon, is deliberately inconsistent, for the
     constraint check.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _wealth_coeffs(spec.market, grid, kappa), _dual_coeffs(spec.market, grid, nu)
+    x, y = _wealth_coeffs(spec.market, grid, kappa), _dual_coeffs(spec.market, grid, nu)
     states = LogStateMap.join([log_map(*x, grid.widths, k_read, 1), log_map(*y, grid.widths, k_read, -1)])
     if not (np.all(np.isfinite(states.const)) and np.all(np.isfinite(states.coeffs))):
         raise NumericalRangeError(

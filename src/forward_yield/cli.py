@@ -344,10 +344,7 @@ def _long_rate(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     rows = []
     probe_rows = []
     for mode, alpha in (("forward", alpha_fwd), ("backward", alpha_bwd)):
-        report = long_rate(
-            gamma, mode, alpha, l0=l0, t_grid=t_grid,
-            risk_premium=market.risk_premium, subspace=market.subspace, probe_tenors=probes,
-        )
+        report = long_rate(gamma, mode, alpha, l0=l0, t_grid=t_grid, market=market, probe_tenors=probes)
         for t, val in zip(report.t_grid, report.l_values):
             rows.append({"mode": mode, "alpha": alpha, "t": float(t), "long_rate": float(val),
                          "slope": report.slope, "verdict": report.verdict})
@@ -371,7 +368,9 @@ def _verify(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
 
     psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
     ramsey = bool(np.all(psi_vals > 0))
-    kappa_norm = float(np.mean(np.linalg.norm(np.atleast_2d(spec.kappa_star.values(grid.times)), axis=-1)))
+    # a kappa whose norm overflows also overflows wealth, which simulate_optimal reports
+    with np.errstate(over="ignore"):
+        kappa_norm = float(np.mean(np.linalg.norm(np.atleast_2d(spec.kappa_star.values(grid.times)), axis=-1)))
     eps = 0.5 * kappa_norm if kappa_norm > 0 else 0.1
     # the optimal strategy, a perturbed kappa, and over- and under-consumption;
     # scaling psi = 0 gives the optimal strategy back, so there is nothing to detect

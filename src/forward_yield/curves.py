@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .backward import GammaModel, VasicekGamma
+from .backward import BackwardSpec, GammaModel, VasicekGamma, solve_backward_vols
 from .brownian import (
     PURPOSE_INCREMENTS,
     PURPOSE_INNER,
@@ -166,13 +166,17 @@ class RamseyCurveReport:
 def ramsey_curve_mc(
     beta: float, alpha: float, c_paths: np.ndarray, grid: TimeGrid, tenors: Sequence[float], c0: Optional[float] = None
 ) -> RamseyCurveReport:
-    """The Ramsey curve report of consumption paths c_paths on grid."""
+    """The Ramsey curve report of consumption paths c_paths on grid; a discount out of range names ramsey.beta."""
     tenors = np.asarray(list(tenors), dtype=float)
     c0 = float(c_paths[0, 0]) if c0 is None else c0
     i, j = np.triu_indices(len(tenors), k=1)
     vals = np.empty((len(tenors) + len(i), c_paths.shape[0]))
     for row, t in enumerate(tenors):
-        vals[row] = np.exp(-beta * t) * np.power(c_paths[:, grid.index_of(t)] / c0, -alpha)
+        with np.errstate(over="ignore"):
+            discount = np.exp(-beta * t)
+        if not 0.0 < discount < np.inf:
+            raise NumericalRangeError(f"ramsey.beta: exp(-beta T) left the range of double precision at tenor {t:g}")
+        vals[row] = discount * np.power(c_paths[:, grid.index_of(t)] / c0, -alpha)
     np.subtract(vals[i], vals[j], out=vals[len(tenors) :])
     return RamseyCurveReport(tenors, moments(vals, axis=1))
 
@@ -336,19 +340,19 @@ class HJMReport:
 
 def hjm_forward_rates(
     price_fn: Callable[[float], float],
-    gamma: Optional[GammaModel],
-    risk_premium: DeterministicFn,
+    market: MarketModel,
     nu: Optional[DeterministicFn],
-    expected_rate: Callable[[np.ndarray], np.ndarray],
     tenors: np.ndarray,
-    dim: int,
+    gamma: Optional[GammaModel] = None,
 ) -> HJMReport:
     """Forward rates f_0(T) = -d/dT ln B_0(T) and the drift-identity
     reconstruction of the expected short rate.
 
     The reconstruction E[r_T] = f_0(T) + |Gamma_0(T)|^2 / 2 - psi'(T), with
-    psi(T) the integral of Gamma . (eta - nu), must match the rate model's
-    expectation up to the tenor discretization error.
+    psi(T) the integral of Gamma . (eta - nu), must match the market's
+    expected short rate up to the tenor discretization error.  eta is the
+    market's risk premium, nu = None means 0, and Gamma defaults to the bond
+    volatility of the market's short rate, as in zc_price_gaussian.
     """
     tenors = np.asarray(tenors, dtype=float)
     if len(tenors) < 3:
@@ -362,19 +366,19 @@ def hjm_forward_rates(
     f0 = -(log_b[2:] - log_b[:-2]) / (2.0 * h)
     interior = tenors[1:-1]
 
-    nu_fn = DeterministicFn.zero(dim) if nu is None else nu
-    if gamma is None:
-        half_gamma_sq = np.zeros_like(interior)
-        psi_prime = np.zeros_like(interior)
-    else:
+    gamma = market_gamma(market) if gamma is None else gamma
+    nu_fn = DeterministicFn.zero(market.dim) if nu is None else nu
+    half_gamma_sq = psi_prime = np.zeros_like(interior)
+    if gamma is not None:
         half_gamma_sq = 0.5 * np.array([float(np.sum(gamma.vectors(0.0, float(t)) ** 2)) for t in interior])
+        eta = market.risk_premium
         psi = np.array(
-            [-_tilt_integral(lambda s, t=float(t): gamma.vectors(s, t), nu_fn, risk_premium, 0.0, float(t)) for t in tenors]
+            [-_tilt_integral(lambda s, t=float(t): gamma.vectors(s, t), nu_fn, eta, 0.0, float(t)) for t in tenors]
         )
         psi_prime = (psi[2:] - psi[:-2]) / (2.0 * h)
 
     recon = f0 + half_gamma_sq - psi_prime
-    model = np.asarray(expected_rate(interior), dtype=float)
+    model = np.asarray(market.rate.expected_rate(interior), dtype=float)
     return HJMReport(tenors=interior, forward_rates=f0, expected_rate_recon=recon, expected_rate_model=model)
 
 
@@ -400,8 +404,7 @@ def long_rate(
     alpha: float,
     l0: float,
     t_grid: np.ndarray,
-    risk_premium: DeterministicFn,
-    subspace=None,
+    market: MarketModel,
     probe_tenors: Sequence[float] = (50.0, 100.0, 200.0),
 ) -> LongRateReport:
     """Limit of the yield curve as maturity grows, from the volatility limits.
@@ -411,6 +414,10 @@ def long_rate(
     contributes with weight (2 alpha - 1) instead, so small risk aversion can
     turn the long rate decreasing.  Fields without a finite limit are
     rejected: the long rate is infinite for them.
+
+    Each probe T reads E[R_t(T)] at the last date t of t_grid on a flat curve at l0,
+    l0 + int_0^t (|Gamma_s(T)|^2 / 2 + Gamma_s(T) . (nu - eta)) ds / (T - t), with
+    nu = 0 forward and backward the optimum of horizon T (solve_backward_vols).
     """
     limits = gamma.limit_sq_rate()
     if limits is None:
@@ -434,44 +441,22 @@ def long_rate(
     else:
         verdict = "increasing" if slope > 0 else "decreasing"
 
-    # finite-maturity illustration: expected yield at the last grid date,
-    # assuming a flat initial curve at l0
     t_last = float(t_grid[-1]) if len(t_grid) else 0.0
     probes = np.asarray(list(probe_tenors), dtype=float)
     expected = np.empty_like(probes)
-    d = gamma.dim
-    for idx, t_mat in enumerate(probes):
+    for idx, t_mat in enumerate(probes.tolist()):
+        nu = DeterministicFn.zero(market.dim)
         if mode == "backward":
-            def nu_vals(s, tm=float(t_mat)):
-                g = gamma.vectors(np.atleast_1d(s), tm)
-                g_perp = subspace.component_perp(g) if subspace is not None else g
-                return -(1.0 - alpha) * g_perp
-        else:
-            def nu_vals(s, tm=float(t_mat)):
-                return np.zeros((np.atleast_1d(s).shape[0], d))
-
-        def integrand(s, tm=float(t_mat)):
-            g = gamma.vectors(np.atleast_1d(s), tm)
-            drift = 0.5 * np.sum(g * g, axis=1)
-            tilt = np.sum(g * (nu_vals(s) - np.atleast_2d(risk_premium.values(np.atleast_1d(s)))), axis=1)
-            return drift + tilt
-
-        # an overflow of Gamma is reported below, or by the projection in nu_vals
+            nu, _ = solve_backward_vols(BackwardSpec(t_mat, alpha, gamma, market))
+        # an overflow of Gamma is reported below, or by the projection in nu
         with np.errstate(over="ignore", invalid="ignore"):
-            correction = gauss_legendre(integrand, 0.0, t_last, n=256) if t_last > 0 else 0.0
+            correction = 0.5 * (gamma.int_sq(0.0, t_mat) - gamma.int_sq(t_last, t_mat)) + _tilt_integral(
+                lambda s: gamma.vectors(s, t_mat), nu, market.risk_premium, 0.0, t_last
+            )
         if not np.isfinite(correction):
             raise NumericalRangeError(f"long_rate: Gamma left the range of double precision at tenor {t_mat:g}")
         expected[idx] = l0 + correction / (t_mat - t_last)
-    return LongRateReport(
-        mode=mode,
-        slope=float(slope),
-        l0=float(l0),
-        t_grid=t_grid,
-        l_values=l_values,
-        verdict=verdict,
-        probe_tenors=probes,
-        probe_expected_yields=expected,
-    )
+    return LongRateReport(mode, float(slope), float(l0), t_grid, l_values, verdict, probes, expected)
 
 
 # ---------------------------------------------------------------------------

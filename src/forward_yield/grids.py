@@ -73,9 +73,9 @@ class TimeGrid:
         return self.horizon / self.n_steps
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index k with t_k == t; rejects off-grid and non-finite times."""
+        """Index k with t_k == t to tol relative to max(|t|, |t_k|); rejects off-grid and non-finite times."""
         k = int(np.argmin(np.abs(self.times - t)))
-        if not (np.isfinite(t) and abs(self.times[k] - t) <= tol * max(1.0, abs(t))):
+        if not (np.isfinite(t) and abs(self.times[k] - t) <= tol * max(abs(t), abs(self.times[k]))):
             raise ValueError(f"t={t} is not a grid point of {self}")
         return k
 

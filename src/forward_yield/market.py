@@ -59,8 +59,10 @@ def _dual_coeffs(market: MarketModel, grid: TimeGrid, nu: DeterministicFn) -> tu
     market.subspace.require_orthogonal(nu_t, "dual volatility nu")
     eta_t = _coeff_on_dates(market.risk_premium, grid, market.dim, "risk premium")
     market.subspace.require_contains(eta_t, "risk premium")
-    vol = nu_t[:-1] - eta_t[:-1]
-    return vol, -0.5 * np.sum(vol * vol, axis=1)
+    # here and in _wealth_coeffs a coefficient that overflows gives inf or nan without a warning: the caller scans
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = nu_t[:-1] - eta_t[:-1]
+        return vol, -0.5 * np.sum(vol * vol, axis=1)
 
 
 def _wealth_coeffs(market: MarketModel, grid: TimeGrid, kappa: DeterministicFn) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +73,8 @@ def _wealth_coeffs(market: MarketModel, grid: TimeGrid, kappa: DeterministicFn) 
     market.subspace.require_contains(kappa_t, "portfolio volatility kappa")
     kappa_k = kappa_t[:-1]
     eta_k = _coeff_on_dates(market.risk_premium, grid, market.dim, "risk premium")[:-1]
-    return kappa_k, np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kappa_k, np.sum(kappa_k * eta_k, axis=1) - 0.5 * np.sum(kappa_k * kappa_k, axis=1)
 
 
 def _proportional_rates(consumption: Optional[DeterministicFn], grid: TimeGrid) -> np.ndarray:

@@ -64,7 +64,8 @@ class VasicekRate:
             raise ValueError(f"rate volatility must be nonnegative, got {self.sigma}")
         w = np.asarray(self.w_dir, dtype=float)
         object.__setattr__(self, "w_dir", w)
-        if abs(np.linalg.norm(w) - 1.0) > _UNIT_TOL:
+        # an entry above 1 fails before its norm can overflow
+        if np.max(np.abs(w)) > 1.0 + _UNIT_TOL or abs(np.linalg.norm(w) - 1.0) > _UNIT_TOL:
             raise ValueError("w_dir must be a unit vector to 1e-12")
 
     def expected_rate(self, t):

@@ -31,7 +31,9 @@ class SubspaceR:
             raise ValueError(f"basis vectors have length {b.shape[1]}, expected dim={self.dim}")
         if b.shape[0] > self.dim:
             raise ValueError("more basis vectors than dimensions")
-        gram = b @ b.T
+        # a gram that overflows reads inf, which fails the test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = b @ b.T
         if not np.allclose(gram, np.eye(b.shape[0]), atol=_ORTHO_TOL):
             raise ValueError("basis rows must be pairwise orthonormal to 1e-12")
 
@@ -91,17 +93,22 @@ class SubspaceR:
         direction = comp[int(np.argmax(norms))]
         return direction / np.linalg.norm(direction)
 
+    def _part_within(self, v: np.ndarray, part: int, tol: float) -> bool:
+        """Every row of project(v)[part] has norm <= tol max(1, largest row norm of v); v is
+        first divided by its largest |entry|, so the norms of a finite v do not overflow."""
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
+        v = v / scale
+        part_norm, v_norm = (np.max(np.linalg.norm(x, axis=-1), initial=0.0) for x in (self.project(v)[part], v))
+        return part_norm <= tol * max(1.0 / scale, v_norm)
+
     def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
         """True when every row of v lies in the subspace up to tol (relative)."""
-        _, perp = self.project(v)
-        scale = max(1.0, float(np.max(np.linalg.norm(np.atleast_2d(v), axis=-1), initial=0.0)))
-        return float(np.max(np.linalg.norm(np.atleast_2d(perp), axis=-1), initial=0.0)) <= tol * scale
+        return self._part_within(v, 1, tol)
 
     def orthogonal_to(self, v: np.ndarray, tol: float = 1e-9) -> bool:
         """True when every row of v lies in the orthogonal complement up to tol."""
-        inside, _ = self.project(v)
-        scale = max(1.0, float(np.max(np.linalg.norm(np.atleast_2d(v), axis=-1), initial=0.0)))
-        return float(np.max(np.linalg.norm(np.atleast_2d(inside), axis=-1), initial=0.0)) <= tol * scale
+        return self._part_within(v, 0, tol)
 
     def require_contains(self, v: np.ndarray, what: str, tol: float = 1e-9) -> None:
         if not self.contains(v, tol):

@@ -272,22 +272,20 @@ def test_criterion_7_horizon_dependency():
 
 
 def test_criterion_8_long_rate_verdicts():
-    premium = DeterministicFn.constant(np.array([0.1, 0.0]))
-    sub = SubspaceR.axes(2, [0])
+    market = _vasicek_orthogonal_spec(10.0).market
     t_grid = np.linspace(0.0, 10.0, 11)
     c_perp = 6e-5
 
     vasicek = long_rate(
-        VasicekGamma(a=1.0, sigma_r=0.02, direction=E2), "forward", 0.5,
-        l0=0.03, t_grid=t_grid, risk_premium=premium, subspace=sub,
+        VasicekGamma(a=1.0, sigma_r=0.02, direction=E2), "forward", 0.5, l0=0.03, t_grid=t_grid, market=market
     )
     sqrt_fwd = long_rate(
         SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2), "forward", 0.5,
-        l0=0.03, t_grid=t_grid, risk_premium=premium, subspace=sub,
+        l0=0.03, t_grid=t_grid, market=market,
     )
     sqrt_bwd = long_rate(
         SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2), "backward", 0.25,
-        l0=0.03, t_grid=t_grid, risk_premium=premium, subspace=sub,
+        l0=0.03, t_grid=t_grid, market=market,
     )
     ok = (
         vasicek.verdict == "constant"

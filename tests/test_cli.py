@@ -150,6 +150,17 @@ NAN_TIME_KAPPA = {"times": [0.0, float("nan")], "values": [[0.3, 0.0], [0.2, 0.0
          "market.eta_r"),
         # the rate's own check names only market.rate
         ("forward-curve", {"market": {"rate": {"w_dir": [0.6, 0.6]}}}, "market.rate.w_dir"),
+        # a positive time that an absolute tolerance snapped onto date 0
+        ("forward-curve", {"output": {"tenors": [1.0e-12, 1.0]}}, "output.tenors"),
+        ("ramsey-flat", {"ramsey": {"tenors": [1.0e-12, 1.0]}}, "ramsey.tenors"),
+        ("davis", {"davis": {"maturity": 1.0e-12}}, "davis.maturity"),
+        ("horizon", {"spec": {"t_common": 1.0e-12}}, "spec.t_common"),
+        ("horizon", {"spec": {"t_horizons": [1.0e-12, 2.0e-12], "t_common": 0.0}}, "spec.t_horizons"),
+        # finite entries whose norms overflow, which warned before the check
+        ("forward-curve", {"market": {"rate": {"w_dir": [0.0, 1.0e200]}}}, "market.rate.w_dir"),
+        ("forward-curve", {"market": {"eta_r": [1.0e200, 1.0e200]}}, "market.eta_r"),
+        ("verify", {"spec": {"nu_star": [1.0e200, 1.0e200]}}, "spec.nu_star"),
+        ("forward-curve", {"market": {"subspace": {"basis": [[1.0e200, 0.0]]}}}, "market.subspace.basis"),
     ],
 )
 def test_off_grid_time_or_negative_rate_names_field(tmp_path, capsys, monkeypatch, command, overrides, field):
@@ -279,11 +290,17 @@ BOND_C_R_HUGE = {"spec": {"gamma": {"model": "synthetic_sqrt", "c_r": 1.0e307, "
         ("backward-curve", BOND_SIGMA_HUGE, "Xstar and Ystar must be strictly positive and finite"),
         ("horizon", BOND_C_R_HUGE, "Xstar and Ystar must be strictly positive and finite"),
         ("backward-curve", BOND_C_R_HUGE, "Xstar and Ystar must be strictly positive and finite"),
+        # finite coefficients whose squares overflow the log schemes' drifts
+        ("forward-curve", {"market": {"eta_r": [1.0e200, 0.0]}}, "Zhat must be strictly positive and finite"),
+        ("verify", {"spec": {"kappa_star": [1.0e200, 0.0]}}, "Zhat must be strictly positive and finite"),
+        ("forward-curve", {"spec": {"nu_star": [0.0, 1.0e200]}}, "Zhat must be strictly positive and finite"),
+        ("horizon", {"market": {"eta_r": [1.0e200, 0.0]}}, "Xstar and Ystar must be strictly positive and finite"),
     ],
     ids=[
         "davis-eta40", "verify-eta40", "forward-curve-a1e-16", "verify-a1e-13", "sigma-r-2e154", "gamma-c-r-1e307",
         "horizon-gamma-sigma-r-2e154", "backward-curve-gamma-sigma-r-2e154",
         "horizon-gamma-c-r-1e307", "backward-curve-gamma-c-r-1e307",
+        "forward-curve-eta-1e200", "verify-kappa-1e200", "forward-curve-nu-1e200", "horizon-eta-1e200",
     ],
 )
 def test_out_of_range_config_exits_2_with_named_error(tmp_path, command, overrides, message):
@@ -302,8 +319,11 @@ def test_out_of_range_config_exits_2_with_named_error(tmp_path, command, overrid
         ("ramsey-flat", "ramsey", {"growth": 1.0e300}, "ramsey.growth"),
         # the capitalization exp(int psi_hat ds) overflows
         ("davis", "spec", {"psi_hat": 1.0e300}, "spec.psi_hat"),
+        # the Ramsey discount exp(-beta T) overflows, or underflows to 0
+        ("ramsey-flat", "ramsey", {"beta": -800.0}, "ramsey.beta"),
+        ("ramsey-flat", "ramsey", {"beta": 800.0}, "ramsey.beta"),
     ],
-    ids=["ramsey-sigma40", "ramsey-growth-1e300", "davis-psi-hat-1e300"],
+    ids=["ramsey-sigma40", "ramsey-growth-1e300", "davis-psi-hat-1e300", "ramsey-beta-800", "ramsey-beta+800"],
 )
 def test_consumption_out_of_range_is_a_named_range_error(tmp_path, command, block, values, field):
     cfg = load_config(None)

@@ -451,13 +451,7 @@ def test_hjm_constant_rate():
     )
     tenors = np.arange(0.25, 10.01, 0.25)
     report = hjm_forward_rates(
-        price_fn=lambda t: float(zc_price_gaussian(market, None, 0.0, t)),
-        gamma=None,
-        risk_premium=market.risk_premium,
-        nu=None,
-        expected_rate=lambda t: np.full_like(t, 0.03),
-        tenors=tenors,
-        dim=2,
+        price_fn=lambda t: float(zc_price_gaussian(market, None, 0.0, t)), market=market, nu=None, tenors=tenors
     )
     assert np.allclose(report.forward_rates, 0.03, atol=1e-10)
     assert report.max_abs_residual < 1e-10
@@ -468,13 +462,7 @@ def test_hjm_vasicek_forward_curve_matches_textbook():
     market = incomplete_vasicek_market(a=a, b=b, sigma=sigma, r0=r0)
     tenors = np.arange(0.25, 10.01, 0.25)
     report = hjm_forward_rates(
-        price_fn=lambda t: float(zc_price_gaussian(market, None, 0.0, t)),
-        gamma=market_gamma(market),
-        risk_premium=market.risk_premium,
-        nu=None,
-        expected_rate=lambda t: market.rate.expected_rate(t),
-        tenors=tenors,
-        dim=2,
+        price_fn=lambda t: float(zc_price_gaussian(market, None, 0.0, t)), market=market, nu=None, tenors=tenors
     )
     oracle = textbook_vasicek_forward(a, b, sigma, r0, report.tenors)
     assert np.max(np.abs(report.forward_rates - oracle)) < 5e-5  # central-difference error
@@ -487,14 +475,13 @@ def test_hjm_synthetic_sqrt_gamma():
     spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=market)
     nu, _ = solve_backward_vols(spec)
     tenors = np.arange(0.25, 10.01, 0.25)
+    # the market's expected rate is flat at b = r0 = 0.03
     report = hjm_forward_rates(
         price_fn=lambda t: zc_price_gaussian(spec.market, nu, 0.0, t, gamma=spec.gamma),
-        gamma=gamma,
-        risk_premium=market.risk_premium,
+        market=market,
         nu=nu,
-        expected_rate=lambda t: np.full_like(t, 0.03),
         tenors=tenors,
-        dim=2,
+        gamma=gamma,
     )
     assert report.max_abs_residual < 1e-3
 
@@ -503,12 +490,11 @@ def test_hjm_rejects_coarse_grid():
     with pytest.raises(ValueError):
         hjm_forward_rates(
             price_fn=lambda t: np.exp(-0.03 * t),
-            gamma=None,
-            risk_premium=DeterministicFn.zero(2),
+            market=MarketModel(
+                dim=2, rate=ConstantRate(0.03), risk_premium=DeterministicFn.zero(2), subspace=SubspaceR.axes(2, [0])
+            ),
             nu=None,
-            expected_rate=lambda t: np.full_like(t, 0.03),
             tenors=np.array([1.0, 2.0]),
-            dim=2,
         )
 
 
@@ -520,8 +506,7 @@ def test_long_rate_vasicek_constant():
     gamma = VasicekGamma(a=1.0, sigma_r=0.02, direction=E2)
     report = long_rate(
         gamma, "forward", 0.5, l0=0.03, t_grid=np.linspace(0, 10, 11),
-        risk_premium=DeterministicFn.constant(np.array([0.1, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        market=incomplete_vasicek_market(),
     )
     assert report.verdict == "constant"
     assert report.slope == 0.0
@@ -533,8 +518,7 @@ def test_long_rate_synthetic_forward_increasing():
     gamma = SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2)
     report = long_rate(
         gamma, "forward", 0.5, l0=0.03, t_grid=np.linspace(0, 10, 11),
-        risk_premium=DeterministicFn.constant(np.array([0.1, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        market=incomplete_vasicek_market(),
     )
     assert report.verdict == "increasing"
     assert report.slope == pytest.approx(c_perp / 2.0, abs=1e-18)
@@ -545,8 +529,7 @@ def test_long_rate_synthetic_backward_decreasing_low_risk_aversion():
     gamma = SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2)
     report = long_rate(
         gamma, "backward", 0.25, l0=0.03, t_grid=np.linspace(0, 10, 11),
-        risk_premium=DeterministicFn.constant(np.array([0.1, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        market=incomplete_vasicek_market(),
     )
     assert report.verdict == "decreasing"
     assert report.slope == pytest.approx((2 * 0.25 - 1.0) * c_perp / 2.0, abs=1e-18)
@@ -556,10 +539,32 @@ def test_long_rate_backward_half_risk_aversion_constant():
     gamma = SyntheticSqrtGamma(c_r=0.0, c_perp=1e-4, dir_r=E1, dir_perp=E2)
     report = long_rate(
         gamma, "backward", 0.5, l0=0.02, t_grid=np.linspace(0, 5, 6),
-        risk_premium=DeterministicFn.zero(2),
-        subspace=SubspaceR.axes(2, [0]),
+        market=incomplete_vasicek_market(eta0=0.0),
     )
     assert report.verdict == "constant"
+
+
+def test_long_rate_backward_probe_reads_the_solved_nu():
+    # Gamma with an R part: the backward optimum of horizon T is nu = -(1 - alpha) Gamma_perp
+    # (solve_backward_vols), so only c_perp enters Gamma . nu; nu = -(1 - alpha) Gamma would take c_r too
+    c_r, c_perp, alpha, l0, t = 4e-4, 9e-4, 0.25, 0.03, 10.0
+    gamma = SyntheticSqrtGamma(c_r=c_r, c_perp=c_perp, dir_r=E1, dir_perp=E2)
+    report = long_rate(
+        gamma, "backward", alpha, l0=l0, t_grid=np.linspace(0, t, 11),
+        market=incomplete_vasicek_market(eta0=0.1), probe_tenors=[50.0, 100.0],
+    )
+
+    def expected(t_mat, nu_sq):
+        """l0 + int_0^t (|Gamma|^2 / 2 + Gamma . (nu - eta)) ds / (T - t), Gamma . nu = -(1 - alpha) nu_sq (T - s)."""
+        area = t_mat * t - t * t / 2.0  # int_0^t (T - s) ds
+        root_area = 2.0 / 3.0 * (t_mat**1.5 - (t_mat - t) ** 1.5)  # int_0^t (T - s)^(1/2) ds
+        correction = 0.5 * (c_r + c_perp) * area - (1.0 - alpha) * nu_sq * area - 0.1 * math.sqrt(c_r) * root_area
+        return l0 + correction / (t_mat - t)
+
+    for t_mat, y in zip(report.probe_tenors, report.probe_expected_yields):
+        assert y == pytest.approx(expected(t_mat, c_perp), rel=1e-12)
+        assert abs(y - expected(t_mat, c_r + c_perp)) > 1e-3
+    assert report.probe_expected_yields[0] == pytest.approx(0.02637, abs=5e-6)
 
 
 def test_long_rate_flags_model_without_limit():
@@ -567,7 +572,7 @@ def test_long_rate_flags_model_without_limit():
     with pytest.raises(ValueError):
         long_rate(
             gamma, "forward", 0.5, l0=0.03, t_grid=np.linspace(0, 5, 6),
-            risk_premium=DeterministicFn.zero(2),
+            market=incomplete_vasicek_market(eta0=0.0),
         )
 
 

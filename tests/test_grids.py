@@ -28,8 +28,15 @@ def test_index_of_grid_points():
     grid = make_grid(10.0, 40)
     assert grid.index_of(2.5) == 10
     assert grid.index_of(10.0) == 40
+    assert grid.index_of(0.0) == 0
+    assert grid.index_of(2.5 * (1.0 + 1e-12)) == 10
     with pytest.raises(ValueError):
         grid.index_of(2.51)
+    # the tolerance is relative, so a positive time does not snap onto date 0
+    for tiny in (1e-12, 1e-300):
+        with pytest.raises(ValueError):
+            grid.index_of(tiny)
+    assert TimeGrid.of_times([0.0, 1e-12, 1.0]).index_of(1e-12) == 1
 
 
 def test_uniform_widths_are_the_exact_step():
