@@ -37,7 +37,7 @@ from .forward import (
     scaled_consumption,
     simulate_optimal,
 )
-from .grids import DeterministicFn, TimeGrid, make_grid
+from .grids import DeterministicFn, TimeGrid
 from .market import MarketModel, state_price_paths, wealth_paths
 from .rates import ConstantRate, RatePaths, VasicekRate, simulate_short_rate
 from .stats import Estimate

@@ -66,7 +66,7 @@ from .forward import (
     scaled_consumption,
     simulate_optimal,
 )
-from .grids import DeterministicFn, TimeGrid, make_grid
+from .grids import DeterministicFn, TimeGrid
 from .market import MarketModel
 from .stats import IDENTITY_TOL, STAT_BAND, Estimate, Moments, control_variate_estimate, moments, t_stat
 from .tables import RunManifest
@@ -164,7 +164,7 @@ def _quarterly_grid(times: list[float], field: str) -> tuple[TimeGrid, list[int]
     """Grid of quarter-year steps, at least one, up to the last of the times,
     and the index of each time; a time off that grid fails with the field named."""
     horizon = max(times)
-    grid = make_grid(horizon, max(1, int(round(horizon / 0.25))))
+    grid = TimeGrid(horizon, max(1, int(round(horizon / 0.25))))
     return grid, grid_indices(grid, times, field)
 
 
@@ -331,8 +331,9 @@ def _backward_curve(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
         terminal_constant=constraint.constant, terminal_cv=constraint.cv, horizon=spec.t_horizon, alpha=spec.alpha
     )
     print(f"backward-curve: terminal constant {constraint.constant:.6f}, dispersion {constraint.cv:.3e}")
-    # the solved volatilities hold Yhat (X*)^alpha constant across paths, up to rounding
-    return [("terminal_cv", constraint.cv, 1e-8)]
+    # the solved volatilities hold Yhat (X*)^alpha constant across paths, up to
+    # rounding; the cv alone lets one path in n off by d pass at about d / sqrt(n)
+    return [("terminal_cv", constraint.cv, 1e-8), ("terminal_max_dev", constraint.max_abs_dev, IDENTITY_TOL)]
 
 
 def _long_rate(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:

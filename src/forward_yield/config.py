@@ -24,7 +24,7 @@ import yaml
 from .backward import BackwardSpec, SyntheticSqrtGamma, VasicekGamma
 from .errors import ConfigError
 from .forward import ForwardPowerSpec
-from .grids import DeterministicFn, TimeGrid, make_grid
+from .grids import DeterministicFn, TimeGrid
 from .market import MarketModel
 from .rates import ConstantRate, VasicekRate
 from .subspace import SubspaceR
@@ -202,7 +202,7 @@ def build_grid(cfg: Mapping[str, Any]) -> TimeGrid:
     n_steps = _require(cfg, "simulation.n_steps")
     if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
         raise _fail("simulation.n_steps", "must be a positive integer", n_steps)
-    return make_grid(horizon, n_steps)
+    return TimeGrid(horizon, n_steps)
 
 
 def simulation_params(cfg: Mapping[str, Any]) -> tuple[int, int, int]:
@@ -247,11 +247,8 @@ def build_market(cfg: Mapping[str, Any]) -> MarketModel:
 
     basis = _require(cfg, "market.subspace.basis")
     try:
-        rows = np.asarray(basis, dtype=float)
-        if rows.size == 0:
-            subspace = SubspaceR.trivial(dim)
-        else:
-            subspace = SubspaceR(rows, dim)
+        # an empty basis is the trivial subspace
+        subspace = SubspaceR(np.asarray(basis, dtype=float), dim)
     except ValueError as exc:
         raise _fail("market.subspace.basis", str(exc))
 

@@ -89,24 +89,16 @@ def ramsey_flat_closed(beta: float, alpha: float, growth: float, sigma: float) -
     return beta + alpha * growth - 0.5 * alpha * (alpha + 1.0) * sigma * sigma
 
 
-def gbm_consumption_paths(
-    c0: float,
-    growth: float,
-    sigma: float,
-    grid: TimeGrid,
-    batch: BrownianBatch,
-    direction: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Geometric consumption c_t = c0 exp((g - sigma^2/2) t + sigma e.W_t),
-    read from the path engine's map of its exact log scheme.  Raises
-    NumericalRangeError when c is not finite and > 0 on some path and date."""
+def gbm_consumption_paths(c0: float, growth: float, sigma: float, grid: TimeGrid, batch: BrownianBatch) -> np.ndarray:
+    """Geometric consumption c_t = c0 exp((g - sigma^2/2) t + sigma W^1_t),
+    driven by the first Brownian coordinate, read from the path engine's map
+    of its exact log scheme.  Raises NumericalRangeError when c is not
+    finite and > 0 on some path and date."""
     if c0 <= 0:
         raise ValueError("c0 must be positive")
-    if direction is None:
-        direction = np.eye(batch.dim)[0]
     # an overflow is reported by the scan below
     with np.errstate(over="ignore"):
-        vol = np.broadcast_to(sigma * direction, (grid.n_steps, batch.dim))
+        vol = np.broadcast_to(sigma * np.eye(batch.dim)[0], (grid.n_steps, batch.dim))
         drift = np.full(grid.n_steps, growth - 0.5 * sigma * sigma)
         c = running_levels(running_states(vol, drift, grid.widths, grid.n_steps), batch)
         c *= c0
@@ -125,7 +117,20 @@ class RamseyCurveReport:
     values: Moments
 
     def merge(self, other: RamseyCurveReport) -> RamseyCurveReport:
-        return replace(self, values=self.values.merge(other.values))
+        # an overflow is reported by checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            return replace(self, values=self.values.merge(other.values)).checked()
+
+    def checked(self) -> RamseyCurveReport:
+        """self, unless the sum of squared deviations of some row of values is
+        not finite, as the values or their squares left the range of double
+        precision: that raises NumericalRangeError naming ramsey.beta."""
+        if not np.all(np.isfinite(self.values.m2)):
+            raise NumericalRangeError(
+                "ramsey.beta: the discounted marginal utilities e^(-beta T) (c_T / c_0)^(-alpha), or their squares, "
+                "left the range of double precision"
+            )
+        return self
 
     @property
     def cov(self) -> np.ndarray:
@@ -164,21 +169,23 @@ class RamseyCurveReport:
 
 
 def ramsey_curve_mc(
-    beta: float, alpha: float, c_paths: np.ndarray, grid: TimeGrid, tenors: Sequence[float], c0: Optional[float] = None
+    beta: float, alpha: float, c_paths: np.ndarray, grid: TimeGrid, tenors: Sequence[float]
 ) -> RamseyCurveReport:
-    """The Ramsey curve report of consumption paths c_paths on grid; a discount out of range names ramsey.beta."""
+    """The Ramsey curve report of consumption paths c_paths on grid, from c_0
+    = c_paths[0, 0]; a discount out of range names ramsey.beta, as do values
+    whose moments do not stay finite."""
     tenors = np.asarray(list(tenors), dtype=float)
-    c0 = float(c_paths[0, 0]) if c0 is None else c0
     i, j = np.triu_indices(len(tenors), k=1)
     vals = np.empty((len(tenors) + len(i), c_paths.shape[0]))
-    for row, t in enumerate(tenors):
-        with np.errstate(over="ignore"):
+    # an overflow is reported by RamseyCurveReport.checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, t in enumerate(tenors):
             discount = np.exp(-beta * t)
-        if not 0.0 < discount < np.inf:
-            raise NumericalRangeError(f"ramsey.beta: exp(-beta T) left the range of double precision at tenor {t:g}")
-        vals[row] = discount * np.power(c_paths[:, grid.index_of(t)] / c0, -alpha)
-    np.subtract(vals[i], vals[j], out=vals[len(tenors) :])
-    return RamseyCurveReport(tenors, moments(vals, axis=1))
+            if not 0.0 < discount < np.inf:
+                raise NumericalRangeError(f"ramsey.beta: exp(-beta T) left the range of double precision at tenor {t:g}")
+            vals[row] = discount * np.power(c_paths[:, grid.index_of(t)] / c_paths[0, 0], -alpha)
+        np.subtract(vals[i], vals[j], out=vals[len(tenors) :])
+        return RamseyCurveReport(tenors, moments(vals, axis=1)).checked()
 
 
 # ---------------------------------------------------------------------------

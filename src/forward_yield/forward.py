@@ -10,7 +10,7 @@ define the utility, and every identity below is available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -310,14 +310,14 @@ def value_process(
 
 
 def consistency_drift_test(
-    triple: OptimalTriple, kappa: Optional[DeterministicFn] = None, consumption: Optional[DeterministicFn] = None,
-    *, strategies: Optional[Sequence[Mapping[str, Optional[DeterministicFn]]]] = None,
-) -> Union[DriftReport, list[DriftReport]]:
+    triple: OptimalTriple, *, strategies: Sequence[Mapping[str, Optional[DeterministicFn]]]
+) -> list[DriftReport]:
     """Drift of G_t = U(t, X^{kappa,c}_t) + int V(s, c_s) ds over the triple's
-    paths for one strategy, or a report per strategy (mappings of kappa and
-    consumption) from one pass over P.  The optimal drift is zero up to the
-    trapezoid rule's bias, on which its t statistics are centred; any
-    admissible perturbation makes it nonpositive, detectably once large.
+    paths, one report per strategy (a mapping of kappa and consumption, a
+    missing or None one meaning kappa_star or psi_hat), from one pass over P.
+    The optimal drift is zero up to the trapezoid rule's bias, on which its
+    t statistics are centred; any admissible perturbation makes it
+    nonpositive, detectably once large.
 
     The trapezoid weighs both ends of step k with w_k = psi_hat_k^alpha
     psi_k^(1-alpha), the wealth scheme's rate, so G_{k+1} - G_k = A_k U_{k+1}
@@ -325,8 +325,6 @@ def consistency_drift_test(
     and those rows come from the column moments of P together.  As
     E[P_{k+1} | P_k] = P_k e^(-psi_hat_k h_k), the optimal row's bias is
     E[P_k] (A_k e^(-psi_hat_k h_k) - B_k) / (1-alpha)."""
-    if strategies is None:
-        return consistency_drift_test(triple, strategies=[{"kappa": kappa, "consumption": consumption}])[0]
     grid = triple.grid
     reports, shared = {}, {}  # shared: strategy index -> A_k D_{k+1}, B_k D_k, whether it is the optimum
     for i, strategy in enumerate(strategies):

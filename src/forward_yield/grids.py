@@ -30,7 +30,7 @@ class TimeGrid:
             raise ValueError(f"horizon must be a positive real, got {horizon}")
         if int(n_steps) != n_steps or n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
-        n_steps = int(n_steps)
+        n_steps, horizon = int(n_steps), float(horizon)
         self._fill(horizon, n_steps, np.linspace(0.0, horizon, n_steps + 1), np.full(n_steps, horizon / n_steps), True)
 
     @classmethod
@@ -65,17 +65,10 @@ class TimeGrid:
             return f"TimeGrid(horizon={self.horizon}, n_steps={self.n_steps})"
         return f"TimeGrid.of_times({self.times.tolist()})"
 
-    @property
-    def dt(self) -> float:
-        """The step width of a uniform grid."""
-        if not self.uniform:
-            raise ValueError(f"{self} has no single step width")
-        return self.horizon / self.n_steps
-
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index k with t_k == t to tol relative to max(|t|, |t_k|); rejects off-grid and non-finite times."""
+    def index_of(self, t: float) -> int:
+        """Index k with t_k == t to 1e-9 relative to max(|t|, |t_k|); rejects off-grid and non-finite times."""
         k = int(np.argmin(np.abs(self.times - t)))
-        if not (np.isfinite(t) and abs(self.times[k] - t) <= tol * max(abs(t), abs(self.times[k]))):
+        if not (np.isfinite(t) and abs(self.times[k] - t) <= 1e-9 * max(abs(t), abs(self.times[k]))):
             raise ValueError(f"t={t} is not a grid point of {self}")
         return k
 
@@ -86,7 +79,7 @@ class TimeGrid:
         if n_steps == self.n_steps:
             return self
         if self.uniform:
-            return TimeGrid(float(self.times[n_steps]), int(n_steps))
+            return TimeGrid(self.times[n_steps], n_steps)
         return self.window(0, n_steps)
 
     def window(self, k0: int, k1: int) -> "TimeGrid":
@@ -102,18 +95,14 @@ class TimeGrid:
         return TimeGrid.of_times(self.times[indices])
 
 
-def make_grid(horizon: float, n_steps: int) -> TimeGrid:
-    """Build a uniform :class:`TimeGrid`; non-positive inputs are rejected."""
-    return TimeGrid(float(horizon), int(n_steps))
-
-
 class DeterministicFn:
     """Deterministic scalar- or vector-valued coefficient of time.
 
-    Three representations are supported: a constant, a closed-form callable,
-    and a piecewise-constant table.  Table functions take the left-endpoint
-    value on each interval [times[i], times[i+1]), which is the
-    non-anticipative convention used by every simulation scheme here.
+    Three representations are supported: a constant, a closed-form callable
+    of an array of times, and a piecewise-constant table.  Table functions
+    take the left-endpoint value on each interval [times[i], times[i+1]),
+    which is the non-anticipative convention used by every simulation
+    scheme here.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], label: str = "callable"):
@@ -169,8 +158,7 @@ class DeterministicFn:
         times = np.asarray(times, dtype=float)
         out = self(times)
         if out.shape[: times.ndim] != times.shape:
-            # the callable was not vectorized; fall back to a loop
-            out = np.stack([np.asarray(self._fn(t), dtype=float) for t in times])
+            raise ValueError(f"{self.label} gave shape {out.shape} on times of shape {times.shape}")
         if not np.all(np.isfinite(out)):
             raise ValueError(f"{self.label} produced non-finite values")
         return out

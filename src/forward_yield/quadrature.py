@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+@functools.cache
+def _nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The 128 Gauss-Legendre nodes and weights on [-1, 1], formed at first use."""
+    return np.polynomial.legendre.leggauss(128)
 
 
-def gauss_legendre(f, a: float, b: float, n: int = 128) -> float:
-    """Integral of f over [a, b]; f maps an array of times to values.
+def gauss_legendre(f, a: float, b: float) -> float:
+    """Integral of f over [a, b] by the 128-node rule; f maps an array of times to values.
 
     Vector-valued integrands are reduced over the time axis, so the result
     has the shape of a single f evaluation.
@@ -18,9 +24,7 @@ def gauss_legendre(f, a: float, b: float, n: int = 128) -> float:
     if b == a:
         probe = np.asarray(f(np.array([a])), dtype=float)
         return np.zeros(probe.shape[1:]) if probe.ndim > 1 else 0.0
-    if n not in _NODE_CACHE:
-        _NODE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _NODE_CACHE[n]
+    x, w = _nodes()
     t = 0.5 * (b - a) * x + 0.5 * (b + a)
     vals = np.asarray(f(t), dtype=float)
     scaled = 0.5 * (b - a) * w

@@ -86,7 +86,6 @@ ShortRateModel = Union[ConstantRate, VasicekRate]
 class RatePaths:
     """Simulated short-rate paths and the exact running integral of r."""
 
-    grid: TimeGrid
     r: np.ndarray         # (n_paths, n_steps+1)
     integral: np.ndarray  # (n_paths, n_steps+1), integral[:, k] = int_0^{t_k} r ds
 
@@ -122,7 +121,7 @@ def simulate_short_rate(
     if isinstance(model, ConstantRate):
         r = np.full((n, k_steps + 1), model.rate)
         integral = np.broadcast_to(model.rate * times, (n, k_steps + 1)).copy()
-        return RatePaths(grid=grid, r=r, integral=integral)
+        return RatePaths(r=r, integral=integral)
 
     if not isinstance(model, VasicekRate):
         raise TypeError(f"unsupported short-rate model {type(model).__name__}")
@@ -173,4 +172,4 @@ def simulate_short_rate(
     step = model.b * h - (np.diff(r, axis=1) + sigma * w) / a
     integral = np.zeros((n, k_steps + 1))
     np.cumsum(step, axis=1, out=integral[:, 1:])
-    return RatePaths(grid=grid, r=r, integral=integral)
+    return RatePaths(r=r, integral=integral)

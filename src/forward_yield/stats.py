@@ -123,11 +123,11 @@ def control_variate_estimate(y: np.ndarray, c: np.ndarray, mu) -> tuple[Estimate
     return controlled, plain
 
 
-def t_stat(gap, stderr, tol: float = IDENTITY_TOL):
+def t_stat(gap, stderr):
     """gap / stderr, elementwise.  A zero stderr means no sampling error: a
-    gap within tol then reads 0, and a larger one reads +-inf."""
+    gap within IDENTITY_TOL then reads 0, and a larger one reads +-inf."""
     gap, stderr = np.asarray(gap, dtype=float), np.asarray(stderr, dtype=float)
-    exact = np.where(np.abs(gap) <= tol, 0.0, np.copysign(np.inf, gap))
+    exact = np.where(np.abs(gap) <= IDENTITY_TOL, 0.0, np.copysign(np.inf, gap))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(stderr > 0, gap / stderr, exact)
     return float(t) if t.ndim == 0 else t

@@ -49,18 +49,6 @@ class SubspaceR:
         keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
         return cls(q.T[keep], dim)
 
-    @classmethod
-    def full(cls, dim: int) -> "SubspaceR":
-        return cls(np.eye(dim), dim)
-
-    @classmethod
-    def trivial(cls, dim: int) -> "SubspaceR":
-        return cls(np.zeros((0, dim)), dim)
-
-    @classmethod
-    def axes(cls, dim: int, indices) -> "SubspaceR":
-        return cls(np.eye(dim)[list(np.atleast_1d(indices))], dim)
-
     def project(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split v into (part in the subspace, part in the orthogonal complement).
 
@@ -110,10 +98,10 @@ class SubspaceR:
         """True when every row of v lies in the orthogonal complement up to tol."""
         return self._part_within(v, 0, tol)
 
-    def require_contains(self, v: np.ndarray, what: str, tol: float = 1e-9) -> None:
-        if not self.contains(v, tol):
+    def require_contains(self, v: np.ndarray, what: str) -> None:
+        if not self.contains(v):
             raise SubspaceViolationError(f"{what} must lie in the admissible subspace")
 
-    def require_orthogonal(self, v: np.ndarray, what: str, tol: float = 1e-9) -> None:
-        if not self.orthogonal_to(v, tol):
+    def require_orthogonal(self, v: np.ndarray, what: str) -> None:
+        if not self.orthogonal_to(v):
             raise SubspaceViolationError(f"{what} must lie in the orthogonal complement of the admissible subspace")

@@ -23,35 +23,31 @@ def _require_positive(x, what: str):
 
 @dataclass(frozen=True)
 class PowerUtility:
-    """u(x) = scale * x^(1-alpha) / (1-alpha), alpha in (0, 1).
+    """u(x) = x^(1-alpha) / (1-alpha), alpha in (0, 1).
 
     Strictly increasing and concave on (0, inf) with u(0+) = 0 and marginal
     utility decreasing from +inf to 0.
     """
 
     alpha: float
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
     def value(self, x):
         x = _require_positive(x, "x")
-        return self.scale * np.power(x, 1.0 - self.alpha) / (1.0 - self.alpha)
+        return np.power(x, 1.0 - self.alpha) / (1.0 - self.alpha)
 
     def marginal(self, x):
         x = _require_positive(x, "x")
-        return self.scale * np.power(x, -self.alpha)
+        return np.power(x, -self.alpha)
 
     def second(self, x):
         x = _require_positive(x, "x")
-        return -self.alpha * self.scale * np.power(x, -self.alpha - 1.0)
+        return -self.alpha * np.power(x, -self.alpha - 1.0)
 
     def conjugate(self, y):
         """Fenchel transform max_x (u(x) - x y)."""
         y = _require_positive(y, "y")
-        k = self.scale ** (1.0 / self.alpha)
-        return k * self.alpha / (1.0 - self.alpha) * np.power(y, 1.0 - 1.0 / self.alpha)
+        return self.alpha / (1.0 - self.alpha) * np.power(y, 1.0 - 1.0 / self.alpha)

@@ -30,7 +30,7 @@ from forward_yield import (
     horizon_dependency_experiment,
     horizon_map,
     long_rate,
-    make_grid,
+    TimeGrid,
     pathwise_ramsey_report,
     perturbed_kappa,
     ramsey_curve_mc,
@@ -68,7 +68,7 @@ def forward_setup():
         dim=2,
         rate=ConstantRate(0.03),
         risk_premium=DeterministicFn.constant(np.array([0.15, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     spec = ForwardPowerSpec(
         alpha=0.5,
@@ -76,7 +76,7 @@ def forward_setup():
         nu_star=DeterministicFn.constant(np.array([0.0, 0.1])),
         psi_hat=DeterministicFn.constant(0.1),
     )
-    grid = make_grid(5.0, 50)
+    grid = TimeGrid(5.0, 50)
     batch = sample_brownian(20240901, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     return market, spec, grid, triple
@@ -87,7 +87,7 @@ def test_criterion_1_flat_ramsey_curve():
     target = 0.01625  # beta + alpha g - alpha (alpha + 1) sigma^2 / 2
     tenors = [1.0, 2.0, 5.0, 10.0, 30.0]
     start = time.perf_counter()
-    grid = make_grid(30.0, 120)
+    grid = TimeGrid(30.0, 120)
     batch = sample_brownian(1001, grid, dim=1, n_paths=100_000)
     c_paths = gbm_consumption_paths(1.0, growth, sigma, grid, batch)
 
@@ -120,10 +120,10 @@ def test_criterion_2_vasicek_zero_coupon_oracle():
         dim=2,
         rate=VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E2),
         risk_premium=DeterministicFn.constant(np.array([0.03, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     start = time.perf_counter()
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(1002, grid, dim=2, n_paths=100_000)
     y = state_price_paths(market, grid, batch, simulate_short_rate(market.rate, grid, batch).integral)
     worst = 0.0
@@ -148,7 +148,7 @@ def test_criterion_3_hjb_residuals_randomized():
             dim=2,
             rate=ConstantRate(float(rng.uniform(0.0, 0.06))),
             risk_premium=DeterministicFn.constant(np.array([float(rng.uniform(-0.3, 0.3)), 0.0])),
-            subspace=SubspaceR.axes(2, [0]),
+            subspace=SubspaceR([[1.0, 0.0]], 2),
         )
         spec = ForwardPowerSpec(
             alpha=float(rng.uniform(0.15, 0.85)),
@@ -156,7 +156,7 @@ def test_criterion_3_hjb_residuals_randomized():
             nu_star=DeterministicFn.constant(np.array([0.0, float(rng.uniform(-0.4, 0.4))])),
             psi_hat=DeterministicFn.constant(float(rng.uniform(0.0, 0.25))),
         )
-        grid = make_grid(4.0, 40)
+        grid = TimeGrid(4.0, 40)
         batch = sample_brownian(int(rng.integers(1, 2**32)), grid, dim=2, n_paths=4)
         triple = simulate_optimal(spec, market, grid, batch)
         report = hjb_residual(
@@ -176,11 +176,11 @@ def test_criterion_3_hjb_residuals_randomized():
 
 def test_criterion_4_consistency_drift_suite(forward_setup):
     market, spec, grid, triple = forward_setup
-    optimal = consistency_drift_test(triple)
+    optimal = consistency_drift_test(triple, strategies=[{}])[0]
     eps = 0.5 * 0.3  # half the optimal portfolio volatility norm
-    shifted = consistency_drift_test(triple, kappa=perturbed_kappa(spec, market, eps))
-    over = consistency_drift_test(triple, consumption=scaled_consumption(spec, 1.5))
-    under = consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5))
+    shifted = consistency_drift_test(triple, strategies=[{"kappa": perturbed_kappa(spec, market, eps)}])[0]
+    over = consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 1.5)}])[0]
+    under = consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 0.5)}])[0]
     ok = (
         optimal.max_abs_t < 4.0
         and shifted.total_t < -4.0
@@ -218,7 +218,7 @@ def _vasicek_orthogonal_spec(t_horizon, alpha=0.5):
         dim=2,
         rate=ConstantRate(0.03),
         risk_premium=DeterministicFn.constant(np.array([0.1, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     gamma = VasicekGamma(a=1.0, sigma_r=0.02, direction=E2)
     return BackwardSpec(t_horizon=t_horizon, alpha=alpha, gamma=gamma, market=market)
@@ -226,7 +226,7 @@ def _vasicek_orthogonal_spec(t_horizon, alpha=0.5):
 
 def test_criterion_6_backward_terminal_constraint():
     spec = _vasicek_orthogonal_spec(10.0)
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(1006, grid, dim=2, n_paths=10_000)
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     consistent = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
@@ -244,7 +244,7 @@ def test_criterion_6_backward_terminal_constraint():
 
 
 def test_criterion_7_horizon_dependency():
-    grid = make_grid(50.0, 200)
+    grid = TimeGrid(50.0, 200)
     batch = sample_brownian(1007, grid, dim=2, n_paths=10_000)
 
     flat = _vasicek_orthogonal_spec(50.0)
@@ -307,7 +307,7 @@ def test_criterion_9_complete_market_price_agreement():
         dim=2,
         rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E1),
         risk_premium=DeterministicFn.constant(np.array([0.05, 0.0])),
-        subspace=SubspaceR.full(2),
+        subspace=SubspaceR(np.eye(2), 2),
     )
     spec = ForwardPowerSpec(
         alpha=0.5,
@@ -315,7 +315,7 @@ def test_criterion_9_complete_market_price_agreement():
         nu_star=DeterministicFn.zero(2),
         psi_hat=DeterministicFn.constant(0.04),
     )
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(1009, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     y0_paths = state_price_paths(market, grid, batch, triple.rate_paths.integral)
@@ -338,7 +338,7 @@ def test_criterion_9_complete_market_price_agreement():
 
 def test_criterion_10_davis_linearity_and_time_consistency():
     spec = _vasicek_orthogonal_spec(10.0)
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(1010, grid, dim=2, n_paths=100_000)
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     k_mat, k_h = grid.index_of(5.0), grid.index_of(10.0)

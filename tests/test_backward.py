@@ -23,7 +23,6 @@ from forward_yield import (
     horizon_dependency_experiment,
     horizon_map,
     NumericalRangeError,
-    make_grid,
     rate_integral_paths,
     sample_brownian,
     simulate_optimal,
@@ -46,7 +45,7 @@ def incomplete_market(eta0=0.1, r=0.03):
         dim=2,
         rate=ConstantRate(r),
         risk_premium=DeterministicFn.constant(np.array([eta0, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
 
 
@@ -88,7 +87,7 @@ def test_terminal_constraint_residual_identities():
     # nu + (1-alpha) Gamma_perp = 0 at every grid point
     spec = vasicek_orthogonal_spec(alpha=0.35, eta0=0.08)
     nu, kappa = solve_backward_vols(spec)
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     t = grid.times
     g = spec.gamma.vectors(t, 10.0)
     g_r = spec.market.subspace.component_in(g)
@@ -104,7 +103,7 @@ def test_terminal_constraint_residual_identities():
 
 def test_rate_integral_moments_match_gamma_field():
     spec = vasicek_orthogonal_spec()
-    grid = make_grid(10.0, 50)
+    grid = TimeGrid(10.0, 50)
     batch = sample_brownian(414, grid, dim=2, n_paths=100_000)
     ints = rate_integral_paths(spec, grid, batch)
     total = ints[:, -1]
@@ -117,7 +116,7 @@ def test_rate_integral_moments_match_gamma_field():
 
 def test_terminal_constraint_zero_dispersion():
     spec = vasicek_orthogonal_spec()
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(515, grid, dim=2, n_paths=10_000)
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
@@ -130,7 +129,7 @@ def test_terminal_report_merged_over_blocks_is_the_whole_report():
     # at the min or the max of the products, bit for bit.  With x = 1 the
     # terminal products are y at the horizon, here the synthetic z
     spec = vasicek_orthogonal_spec()
-    grid = make_grid(spec.t_horizon, 1)
+    grid = TimeGrid(spec.t_horizon, 1)
     z = 1.0 + 1e-3 * np.random.default_rng(3).standard_normal(2 * _BLOCK + 1)
     x, y = np.ones((len(z), 2)), np.column_stack([np.ones_like(z), z])
     whole = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
@@ -142,7 +141,7 @@ def test_terminal_report_merged_over_blocks_is_the_whole_report():
 
 def test_terminal_constraint_no_noise_case():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
-    grid = make_grid(10.0, 20)
+    grid = TimeGrid(10.0, 20)
     batch = sample_brownian(616, grid, dim=2, n_paths=512)
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
@@ -153,7 +152,7 @@ def test_terminal_constraint_detects_mismatched_horizon():
     spec = vasicek_orthogonal_spec(t_horizon=10.0)
     wrong = vasicek_orthogonal_spec(t_horizon=50.0)
     nu_wrong, kappa_wrong = solve_backward_vols(wrong)
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(717, grid, dim=2, n_paths=10_000)
     x, y = backward_optimal_paths(spec, grid, batch, nu_wrong, kappa_wrong)
     report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
@@ -165,7 +164,7 @@ def test_terminal_constraint_synthetic_sqrt():
     market = incomplete_market()
     gamma = SyntheticSqrtGamma(c_r=2e-5, c_perp=5e-5, dir_r=E1, dir_perp=E2)
     spec = BackwardSpec(t_horizon=8.0, alpha=0.3, gamma=gamma, market=market)
-    grid = make_grid(8.0, 32)
+    grid = TimeGrid(8.0, 32)
     batch = sample_brownian(818, grid, dim=2, n_paths=4_000)
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     report = TerminalConstraintReport.of(spec.alpha, x[:, -1], y[:, -1])
@@ -190,7 +189,7 @@ def test_backward_pair_is_the_forward_pair_without_consumption():
     # block of the streams, so the paths are the forward pair's bit for bit
     spec = vasicek_orthogonal_spec(sigma_r=0.0, alpha=0.4)
     nu, kappa = solve_backward_vols(spec)
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(6161, grid, dim=2, n_paths=1_000)
     x, y = backward_optimal_paths(spec, grid, batch, nu, kappa)
     triple = simulate_optimal(ForwardPowerSpec(spec.alpha, kappa, nu, DeterministicFn.zero()), spec.market, grid, batch)
@@ -235,7 +234,7 @@ def test_every_optimum_runs_through_the_market_path_engine(monkeypatch):
     pair = ["wealth_paths", "state_price_paths"]
     spec = vasicek_orthogonal_spec(t_horizon=30.0)
     nu, kappa = solve_backward_vols(spec)
-    grid = make_grid(30.0, 120)
+    grid = TimeGrid(30.0, 120)
     batch = sample_brownian(34, grid, dim=2, n_paths=64)
     simulate_optimal(ForwardPowerSpec(spec.alpha, kappa, nu, DeterministicFn.zero()), spec.market, grid, batch)
     assert sorted(calls) == sorted(pair)
@@ -252,7 +251,7 @@ def test_every_optimum_runs_through_the_market_path_engine(monkeypatch):
 
 def test_horizon_gap_zero_for_maturity_free_gamma():
     spec = vasicek_orthogonal_spec(sigma_r=0.0)
-    grid = make_grid(50.0, 200)
+    grid = TimeGrid(50.0, 200)
     batch = sample_brownian(919, grid, dim=2, n_paths=2_000)
     gaps = horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
     assert max(g.max_rel_gap_x for g in gaps) <= 1e-12
@@ -261,7 +260,7 @@ def test_horizon_gap_zero_for_maturity_free_gamma():
 
 def test_horizon_gap_positive_for_vasicek_orthogonal():
     spec = vasicek_orthogonal_spec()
-    grid = make_grid(50.0, 200)
+    grid = TimeGrid(50.0, 200)
     batch = sample_brownian(1020, grid, dim=2, n_paths=2_000)
     (gap,) = horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
     # kappa is maturity-free here, so the wealth paths coincide, while the
@@ -286,7 +285,7 @@ def test_horizon_gap_in_wealth_when_hedgeable_part_present():
     market = incomplete_market()
     gamma = SyntheticSqrtGamma(c_r=4e-5, c_perp=4e-5, dir_r=E1, dir_perp=E2)
     spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=market)
-    grid = make_grid(20.0, 80)
+    grid = TimeGrid(20.0, 80)
     batch = sample_brownian(1121, grid, dim=2, n_paths=1_000)
     (gap,) = horizon_dependency_experiment(horizon_map(spec, [10.0, 20.0], grid, t_common=5.0), batch)
     assert gap.max_rel_gap_x > 100 * np.finfo(float).eps
@@ -295,7 +294,7 @@ def test_horizon_gap_in_wealth_when_hedgeable_part_present():
 
 def test_same_horizon_twice_no_gap():
     spec = vasicek_orthogonal_spec()
-    grid = make_grid(20.0, 80)
+    grid = TimeGrid(20.0, 80)
     batch = sample_brownian(1222, grid, dim=2, n_paths=500)
     gaps = horizon_dependency_experiment(horizon_map(spec, [10.0, 10.0], grid, t_common=5.0), batch)
     assert max(g.max_rel_gap_x for g in gaps) == 0.0
@@ -313,7 +312,7 @@ def test_backward_rejects_alpha_out_of_range():
 
 def test_grid_must_cover_horizon():
     spec = vasicek_orthogonal_spec(t_horizon=10.0)
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     batch = sample_brownian(1, grid, dim=2, n_paths=4)
     with pytest.raises(ValueError, match="grid horizon must cover the optimization horizon"):
         backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
@@ -346,7 +345,7 @@ def test_horizon_states_equal_full_backward_paths(gamma, t_common, prefix):
     # are 0 past t_common, and BLAS may block the two sums differently
     spec = BackwardSpec(t_horizon=30.0, alpha=0.4, gamma=GAMMAS[gamma], market=incomplete_market())
     horizons = [10.0, 20.0, 30.0]
-    grid = make_grid(30.0, 120)
+    grid = TimeGrid(30.0, 120)
     full = sample_brownian(2024, grid, dim=2, n_paths=300)
     k_c = grid.index_of(t_common)
     prefix_batch = BrownianBatch(seed=full.seed, grid=TimeGrid(grid.times[k_c], k_c), increments=full.increments[:, :k_c, :])
@@ -376,7 +375,7 @@ def test_horizon_rate_integral_runs_once_on_common_steps(monkeypatch):
 
     monkeypatch.setattr(backward, "rate_integral_paths", counting)
     spec = vasicek_orthogonal_spec(t_horizon=30.0)
-    grid = make_grid(30.0, 120)
+    grid = TimeGrid(30.0, 120)
     batch = sample_brownian(33, grid, dim=2, n_paths=200)
     hmap = horizon_map(spec, [10.0, 20.0, 30.0], grid, t_common=5.0)
     gaps = horizon_dependency_experiment(hmap, batch)
@@ -387,7 +386,7 @@ def test_horizon_rate_integral_runs_once_on_common_steps(monkeypatch):
 
 def test_horizon_t_common_zero_gives_zero_gaps():
     spec = vasicek_orthogonal_spec(t_horizon=50.0)
-    grid = make_grid(50.0, 200)
+    grid = TimeGrid(50.0, 200)
     # the shortest batch a grid allows: one step
     batch = sample_brownian(44, TimeGrid(grid.times[1], 1), dim=2, n_paths=100)
     (gap,) = horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=0.0), batch)
@@ -396,7 +395,7 @@ def test_horizon_t_common_zero_gives_zero_gaps():
 
 def test_horizon_batch_must_cover_t_common():
     spec = vasicek_orthogonal_spec(t_horizon=50.0)
-    grid = make_grid(50.0, 200)
+    grid = TimeGrid(50.0, 200)
     batch = sample_brownian(45, TimeGrid(grid.times[19], 19), dim=2, n_paths=10)
     with pytest.raises(ValueError, match="cover"):
         horizon_dependency_experiment(horizon_map(spec, [10.0, 50.0], grid, t_common=5.0), batch)
@@ -411,7 +410,7 @@ def test_horizon_checks_coefficients_past_t_common():
         return out
 
     spec = BackwardSpec(t_horizon=50.0, alpha=0.5, gamma=CustomGamma(fn=fn, dim=2), market=incomplete_market())
-    grid = make_grid(50.0, 200)
+    grid = TimeGrid(50.0, 200)
     batch = sample_brownian(46, TimeGrid(grid.times[20], 20), dim=2, n_paths=10)
     horizon_dependency_experiment(horizon_map(spec, [10.0, 20.0], grid, t_common=5.0), batch)
     with pytest.raises(ValueError, match="non-finite"):
@@ -425,7 +424,7 @@ def test_rate_integral_rows_do_not_depend_on_the_batch(k_steps, tail):
     # sum differently (seen for a last block of 1 row at 40 steps, and of 300
     # rows at 10 and 20); a row of a block's batch must keep its whole-batch bits
     spec = vasicek_orthogonal_spec()
-    grid = make_grid(10.0, k_steps)
+    grid = TimeGrid(10.0, k_steps)
     n = 2 * _BLOCK + tail
     whole = rate_integral_paths(spec, grid, sample_brownian(77, grid, dim=2, n_paths=n))
     for b0, b1 in [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, n)]:
@@ -439,7 +438,7 @@ def test_log_state_map_rows_do_not_depend_on_the_batch(k_steps, tail):
     # the map's product is formed per block of the streams, as the rate
     # integral's: a row of a block's batch keeps its whole-batch bits
     spec = vasicek_orthogonal_spec()
-    grid = make_grid(10.0, k_steps)
+    grid = TimeGrid(10.0, k_steps)
     log_map = backward_log_map(spec, grid, *solve_backward_vols(spec), [k_steps // 2, k_steps])
     n = 2 * _BLOCK + tail
     whole = log_map.log_states(sample_brownian(78, grid, dim=2, n_paths=n))
@@ -489,7 +488,7 @@ def test_backward_pair_out_of_range_is_a_range_error(gamma):
     # the paths overflow: both the backward paths and the horizon experiment
     # must say so, without a warning, before any gap or dispersion reads nan
     spec = BackwardSpec(t_horizon=10.0, alpha=0.5, gamma=gamma, market=incomplete_market())
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(5, grid, dim=2, n_paths=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from forward_yield import TimeGrid, make_grid, sample_brownian
+from forward_yield import TimeGrid, sample_brownian
 from forward_yield.brownian import _BLOCK, PURPOSE_RATE_RESIDUALS, blocked_normals, stream_blocks
 from forward_yield.errors import ConfigError
 
 
 def test_same_seed_reproduces_bit_exact():
-    grid = make_grid(1.0, 16)
+    grid = TimeGrid(1.0, 16)
     a = sample_brownian(99, grid, dim=2, n_paths=100)
     b = sample_brownian(99, grid, dim=2, n_paths=100)
     assert np.array_equal(a.increments, b.increments)
 
 
 def test_distinct_seeds_differ():
-    grid = make_grid(1.0, 16)
+    grid = TimeGrid(1.0, 16)
     a = sample_brownian(1, grid, dim=1, n_paths=10)
     b = sample_brownian(2, grid, dim=1, n_paths=10)
     assert not np.array_equal(a.increments, b.increments)
@@ -22,14 +22,14 @@ def test_distinct_seeds_differ():
 
 def test_partition_independent_paths():
     # path p of a small batch equals path p of a larger batch
-    grid = make_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     small = sample_brownian(4242, grid, dim=2, n_paths=10)
     large = sample_brownian(4242, grid, dim=2, n_paths=20000)
     assert np.array_equal(small.increments, large.increments[:10])
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
-    grid = make_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     base = sample_brownian(7, grid, dim=1, n_paths=30000)
     monkeypatch.setenv("FORWARD_YIELD_THREADS", "4")
     threaded = sample_brownian(7, grid, dim=1, n_paths=30000)
@@ -56,21 +56,21 @@ def test_blocked_normals_are_the_sfc64_blocks(monkeypatch, threads):
 
 
 def test_prefix_of_whole_grid_is_the_full_batch():
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     batch = sample_brownian(3, grid.prefix(4), dim=1, n_paths=5)
     assert batch.grid is grid
     assert np.array_equal(batch.increments, sample_brownian(3, grid, dim=1, n_paths=5).increments)
 
 
 def test_prefix_grid_is_the_first_steps():
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     assert grid.prefix(7) == TimeGrid(grid.times[7], 7)
     assert np.array_equal(grid.prefix(7).times, grid.times[:8])
 
 
 @pytest.mark.parametrize("n_steps", [0, 5, -1, 2.5])
 def test_rejects_bad_prefix(n_steps):
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError, match="n_steps"):
         grid.prefix(n_steps)
 
@@ -82,7 +82,7 @@ def test_projected_increments_of_a_row_do_not_depend_on_the_batch(n_paths):
     # last block of one row is a one-element product, which NumPy routes to a
     # dot routine (seed 2 differs there when the product spans the batch)
     direction = np.array([0.6, 0.8])
-    for grid, seed in ((make_grid(1.0, 4), 3), (make_grid(1.0, 1), 2)):
+    for grid, seed in ((TimeGrid(1.0, 4), 3), (TimeGrid(1.0, 1), 2)):
         whole = sample_brownian(seed, grid, dim=2, n_paths=n_paths).projected_increments(direction)
         assert whole.shape == (n_paths, grid.n_steps)
         for b0, b1 in stream_blocks(n_paths):
@@ -93,24 +93,24 @@ def test_projected_increments_of_a_row_do_not_depend_on_the_batch(n_paths):
 def test_increment_variance_within_two_percent():
     # chi-square bound: sd of the variance estimator is sqrt(2/N) relative,
     # so 2% is a >10 sigma band at N = 8e5 samples
-    grid = make_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     batch = sample_brownian(2024, grid, dim=1, n_paths=100_000)
     sample_var = np.var(batch.increments)
-    assert abs(sample_var / grid.dt - 1.0) < 0.02
+    assert abs(sample_var / grid.widths[0] - 1.0) < 0.02
 
 
 def test_mean_within_four_stderr():
-    grid = make_grid(2.0, 10)
+    grid = TimeGrid(2.0, 10)
     batch = sample_brownian(31337, grid, dim=2, n_paths=20_000)
     n_samples = batch.n_paths * grid.n_steps
-    bound = 4.0 * np.sqrt(grid.dt / n_samples)
+    bound = 4.0 * np.sqrt(grid.widths[0] / n_samples)
     means = batch.increments.mean(axis=(0, 1))
     assert np.all(np.abs(means) < bound)
 
 
 @pytest.mark.parametrize("dim,n_paths", [(0, 5), (2, 0), (1, -1)])
 def test_rejects_bad_shapes(dim, n_paths):
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):
         sample_brownian(1, grid, dim=dim, n_paths=n_paths)
 
@@ -133,7 +133,7 @@ def test_thread_cap_clamps_to_cpu_count_and_rejects_garbage(monkeypatch):
 
 
 def test_rejects_bad_seed():
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):
         sample_brownian(-1, grid, dim=1, n_paths=1)
     with pytest.raises(ValueError):

@@ -322,8 +322,15 @@ def test_out_of_range_config_exits_2_with_named_error(tmp_path, command, overrid
         # the Ramsey discount exp(-beta T) overflows, or underflows to 0
         ("ramsey-flat", "ramsey", {"beta": -800.0}, "ramsey.beta"),
         ("ramsey-flat", "ramsey", {"beta": 800.0}, "ramsey.beta"),
+        # the discounted marginal utilities are finite but their squares overflow,
+        # or they overflow themselves
+        ("ramsey-flat", "ramsey", {"beta": -23.0}, "ramsey.beta"),
+        ("ramsey-flat", "ramsey", {"beta": -23.0, "sigma": 5.0}, "ramsey.beta"),
     ],
-    ids=["ramsey-sigma40", "ramsey-growth-1e300", "davis-psi-hat-1e300", "ramsey-beta-800", "ramsey-beta+800"],
+    ids=[
+        "ramsey-sigma40", "ramsey-growth-1e300", "davis-psi-hat-1e300", "ramsey-beta-800", "ramsey-beta+800",
+        "ramsey-beta-23", "ramsey-beta-23-sigma5",
+    ],
 )
 def test_consumption_out_of_range_is_a_named_range_error(tmp_path, command, block, values, field):
     cfg = load_config(None)
@@ -569,9 +576,32 @@ def test_backward_curve_exits_1_when_the_terminal_constraint_fails(tmp_path, mon
     assert run_cli("backward-curve", "--paths", "2000", "--out", str(out)) == 1
     captured = capsys.readouterr()
     assert "[FAIL] terminal_cv: " in captured.out
-    assert "backward-curve: 1 check(s) failed: terminal_cv\n" in captured.err
-    row = json.loads((out / "manifest_backward_curve.json").read_text())["summary"][-1]
-    assert row["check"] == "terminal_cv" and row["value"] > 1e-8 and row["passed"] is False
+    assert "[FAIL] terminal_max_dev: " in captured.out
+    assert "backward-curve: 2 check(s) failed: terminal_cv, terminal_max_dev\n" in captured.err
+    cv, max_dev = json.loads((out / "manifest_backward_curve.json").read_text())["summary"][-2:]
+    assert cv["check"] == "terminal_cv" and cv["value"] > 1e-8 and cv["passed"] is False
+    assert max_dev["check"] == "terminal_max_dev" and max_dev["value"] > 1e-9 and max_dev["passed"] is False
+
+
+def test_backward_curve_fails_one_terminal_product_off_by_1e_6(tmp_path, monkeypatch, capsys):
+    # one path in n off by d moves the cv by about d / sqrt(n): 3e-9 at 100k
+    # paths, inside its 1e-8 bound, so the largest deviation is what fails
+    monkeypatch.setenv("FORWARD_YIELD_THREADS", "1")
+    of, perturbed = cli.TerminalConstraintReport.of, []
+
+    def one_path_off(alpha, x_h, y_h):
+        if not perturbed:
+            y_h = y_h.copy()
+            y_h[0] *= 1.0 + 1e-6
+            perturbed.append(True)
+        return of(alpha, x_h, y_h)
+
+    monkeypatch.setattr(cli.TerminalConstraintReport, "of", staticmethod(one_path_off))
+    assert run_cli("backward-curve", "--paths", "100000", "--out", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert "[PASS] terminal_cv: " in captured.out
+    assert "[FAIL] terminal_max_dev: " in captured.out
+    assert "backward-curve: 1 check(s) failed: terminal_max_dev\n" in captured.err
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -22,7 +22,6 @@ from forward_yield import (
     gbm_consumption_paths,
     hjm_forward_rates,
     long_rate,
-    make_grid,
     marginal_zc_mc,
     pathwise_ramsey_report,
     ramsey_curve_mc,
@@ -62,7 +61,7 @@ def incomplete_vasicek_market(eta0=0.1, a=1.0, b=0.03, sigma=0.02, r0=0.03):
         dim=2,
         rate=VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E2),
         risk_premium=DeterministicFn.constant(np.array([eta0, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
 
 
@@ -89,7 +88,7 @@ def test_ramsey_flat_closed_values():
 def test_ramsey_mc_flat_curve():
     beta, alpha, growth, sigma = 0.01, 0.5, 0.02, 0.1
     target = ramsey_flat_closed(beta, alpha, growth, sigma)
-    grid = make_grid(30.0, 120)
+    grid = TimeGrid(30.0, 120)
     batch = sample_brownian(24601, grid, dim=1, n_paths=100_000)
     c_paths = gbm_consumption_paths(1.0, growth, sigma, grid, batch)
     curve = ramsey_curve_mc(beta, alpha, c_paths, grid, [1.0, 5.0, 30.0]).curve
@@ -99,7 +98,7 @@ def test_ramsey_mc_flat_curve():
 
 def test_ramsey_mc_deterministic_consumption():
     beta, alpha, growth = 0.015, 0.4, 0.02
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(1, grid, dim=1, n_paths=100)
     c_paths = gbm_consumption_paths(2.0, growth, 0.0, grid, batch)
     curve = ramsey_curve_mc(beta, alpha, c_paths, grid, [10.0]).curve
@@ -109,7 +108,7 @@ def test_ramsey_mc_deterministic_consumption():
 
 
 def test_ramsey_mc_null_case():
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     batch = sample_brownian(2, grid, dim=1, n_paths=50)
     c_paths = gbm_consumption_paths(1.0, 0.0, 0.0, grid, batch)
     rate = ramsey_curve_mc(0.0, 0.5, c_paths, grid, [5.0]).curve.rates[0]
@@ -117,7 +116,7 @@ def test_ramsey_mc_null_case():
 
 
 def test_ramsey_curve_spread_statistics():
-    grid = make_grid(30.0, 120)
+    grid = TimeGrid(30.0, 120)
     batch = sample_brownian(24601, grid, dim=1, n_paths=50_000)
     c_paths = gbm_consumption_paths(1.0, 0.02, 0.1, grid, batch)
     report = ramsey_curve_mc(0.01, 0.5, c_paths, grid, [1.0, 2.0, 5.0, 10.0, 30.0])
@@ -132,7 +131,7 @@ def test_ramsey_comoments_match_np_cov(sigma, tenors):
     # the covariance from the moments of the tenors and of their pairwise
     # differences, merged over three stream blocks, against np.cov; sigma = 0
     # makes every tenor flat, which has no sampling error
-    grid = make_grid(30.0, 120)
+    grid = TimeGrid(30.0, 120)
     batch = sample_brownian(7, grid, dim=1, n_paths=2 * _BLOCK + 1)
     c_paths = gbm_consumption_paths(1.0, 0.02, sigma, grid, batch)
     report = ramsey_curve_mc(0.01, 0.5, c_paths, grid, tenors)
@@ -155,7 +154,7 @@ def test_constant_rate_price():
         dim=2,
         rate=ConstantRate(0.04),
         risk_premium=DeterministicFn.constant(np.array([0.1, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     assert zc_price_gaussian(market, None, 0.0, 3.0) == pytest.approx(np.exp(-0.12), rel=1e-14)
 
@@ -208,7 +207,7 @@ def test_gamma_market_price_equals_rate_model_price():
 def test_marginal_zc_time_zero_against_gaussian():
     market = incomplete_vasicek_market()
     spec = forward_spec()
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(98765, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
@@ -223,10 +222,10 @@ def test_marginal_zc_degenerate_cases():
         dim=2,
         rate=ConstantRate(0.0),
         risk_premium=DeterministicFn.constant(np.zeros(2)),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     spec = forward_spec(kappa=0.0, nu=0.0, psi=0.03)
-    grid = make_grid(4.0, 16)
+    grid = TimeGrid(4.0, 16)
     batch = sample_brownian(3, grid, dim=2, n_paths=20_000)
     triple = simulate_optimal(spec, market, grid, batch)
     price, se = mean_stderr(triple.y[:, grid.index_of(4.0)])
@@ -238,7 +237,7 @@ def test_marginal_zc_degenerate_cases():
 def test_nested_conditional_prices_match_state_closed_form():
     market = incomplete_vasicek_market()
     spec = forward_spec()
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(1357, grid, dim=2, n_paths=64)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(7.0)
@@ -252,7 +251,7 @@ def test_nested_conditional_prices_match_state_closed_form():
 def nested_triple(seed=1357, n_paths=64):
     market = incomplete_vasicek_market()
     spec = forward_spec()
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(seed, grid, dim=2, n_paths=n_paths)
     return simulate_optimal(spec, market, grid, batch)
 
@@ -283,7 +282,7 @@ def test_nested_table_coefficients_match_state_closed_form():
         psi_hat=DeterministicFn.constant(0.05),
     )
     # simulated on the reading grid of the read dates, which must keep the knot
-    configured = make_grid(10.0, 40)
+    configured = TimeGrid(10.0, 40)
     read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 7.0)]
     grid = reading_grid(spec, market, configured, read)
     assert np.array_equal(grid.times, [0.0, 2.0, 3.0, 3.5, 5.0, 7.0])
@@ -341,7 +340,7 @@ def test_inner_control_has_mean_one_across_a_coefficient_knot(monkeypatch):
         nu_star=DeterministicFn.table([0.0, 3.5], [[0.0, -0.2], [0.0, 0.8]]),
         psi_hat=DeterministicFn.constant(0.05),
     )
-    configured = make_grid(10.0, 40)
+    configured = TimeGrid(10.0, 40)
     read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 7.0)]
     grid = reading_grid(spec, market, configured, read)
     assert 3.5 in grid.times
@@ -389,7 +388,7 @@ def test_complete_market_marginal_equals_risk_neutral():
         dim=2,
         rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E1),
         risk_premium=DeterministicFn.constant(np.array([0.05, 0.0])),
-        subspace=SubspaceR.full(2),
+        subspace=SubspaceR(np.eye(2), 2),
     )
     spec = ForwardPowerSpec(
         alpha=0.5,
@@ -397,7 +396,7 @@ def test_complete_market_marginal_equals_risk_neutral():
         nu_star=DeterministicFn.zero(2),
         psi_hat=DeterministicFn.constant(0.04),
     )
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(11213, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     for tenor in (1.0, 5.0, 10.0):
@@ -447,7 +446,7 @@ def test_hjm_constant_rate():
         dim=2,
         rate=ConstantRate(0.03),
         risk_premium=DeterministicFn.constant(np.array([0.1, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     tenors = np.arange(0.25, 10.01, 0.25)
     report = hjm_forward_rates(
@@ -491,7 +490,7 @@ def test_hjm_rejects_coarse_grid():
         hjm_forward_rates(
             price_fn=lambda t: np.exp(-0.03 * t),
             market=MarketModel(
-                dim=2, rate=ConstantRate(0.03), risk_premium=DeterministicFn.zero(2), subspace=SubspaceR.axes(2, [0])
+                dim=2, rate=ConstantRate(0.03), risk_premium=DeterministicFn.zero(2), subspace=SubspaceR([[1.0, 0.0]], 2)
             ),
             nu=None,
             tenors=np.array([1.0, 2.0]),
@@ -583,7 +582,7 @@ def test_long_rate_flags_model_without_limit():
 def test_davis_unit_payoff_equals_zero_coupon():
     market = incomplete_vasicek_market()
     spec = forward_spec()
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     batch = sample_brownian(2468, grid, dim=2, n_paths=50_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
@@ -595,7 +594,7 @@ def test_davis_unit_payoff_equals_zero_coupon():
 def test_davis_linearity_exact():
     market = incomplete_vasicek_market()
     spec = forward_spec()
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     batch = sample_brownian(2469, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
@@ -631,7 +630,7 @@ def test_davis_call_against_two_lognormal_oracle():
         dim=2,
         rate=ConstantRate(r),
         risk_premium=DeterministicFn.constant(np.array([eta0, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     spec = ForwardPowerSpec(
         alpha=alpha,
@@ -639,7 +638,7 @@ def test_davis_call_against_two_lognormal_oracle():
         nu_star=DeterministicFn.constant(np.array([0.0, nu0])),
         psi_hat=DeterministicFn.constant(psi),
     )
-    grid = make_grid(horizon, 16)
+    grid = TimeGrid(horizon, 16)
     batch = sample_brownian(13579, grid, dim=2, n_paths=200_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(horizon)
@@ -686,7 +685,7 @@ def test_davis_conditional_unit_payoff_matches_nested_zc(rate, inner_paths, n_ou
     if rate is not None:
         market = replace(market, rate=rate)
     spec = forward_spec()
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(2470, grid, dim=2, n_paths=32)
     triple = simulate_optimal(spec, market, grid, batch)
     k_t, k_mat = grid.index_of(2.0), grid.index_of(6.0)
@@ -741,7 +740,7 @@ def test_davis_capitalization_time_consistency():
     spec = BackwardSpec(
         t_horizon=10.0, alpha=0.5, gamma=gamma, market=market,
     )
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(97531, grid, dim=2, n_paths=100_000)
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     k_mat, k_h = grid.index_of(5.0), grid.index_of(10.0)
@@ -758,7 +757,7 @@ def test_davis_capitalization_time_consistency():
 def test_pathwise_ramsey_forward():
     market = incomplete_vasicek_market()
     spec = forward_spec()
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     batch = sample_brownian(86420, grid, dim=2, n_paths=2_000)
     triple = simulate_optimal(spec, market, grid, batch)
     marg = forward_marginal_consumption_paths(triple, 2.0, slice(None))

@@ -21,7 +21,6 @@ from forward_yield import (
     consistency_drift_test,
     first_order_check,
     hjb_residual,
-    make_grid,
     pathwise_ramsey_report,
     perturbed_kappa,
     representation_check,
@@ -43,7 +42,7 @@ def default_market(rate=None, eta0=0.15):
         dim=2,
         rate=rate if rate is not None else ConstantRate(0.03),
         risk_premium=DeterministicFn.constant(np.array([eta0, 0.0])),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
 
 
@@ -59,7 +58,7 @@ def default_spec(alpha=0.5, kappa=0.3, nu=0.1, psi=0.1):
 def test_riskless_no_consumption_case():
     market = default_market(eta0=0.0)
     spec = default_spec(kappa=0.0, nu=0.0, psi=0.0)
-    grid = make_grid(2.0, 8)
+    grid = TimeGrid(2.0, 8)
     batch = sample_brownian(10, grid, dim=2, n_paths=16)
     triple = simulate_optimal(spec, market, grid, batch)
     assert np.allclose(triple.x, np.exp(0.03 * grid.times), atol=1e-14)
@@ -74,7 +73,7 @@ def test_zhat_mean_log_matches_closed_form():
     horizon = 5.0
     market = default_market(eta0=eta0)
     spec = default_spec(alpha=alpha, kappa=kappa0, nu=nu0, psi=psi)
-    grid = make_grid(horizon, 50)
+    grid = TimeGrid(horizon, 50)
     batch = sample_brownian(5555, grid, dim=2, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
 
@@ -90,7 +89,7 @@ def test_zhat_mean_log_matches_closed_form():
 def test_zhat_factorization_pathwise():
     market = default_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E2))
     spec = default_spec()
-    grid = make_grid(3.0, 30)
+    grid = TimeGrid(3.0, 30)
     batch = sample_brownian(22, grid, dim=2, n_paths=512)
     triple = simulate_optimal(spec, market, grid, batch)
     recon = triple.y * np.power(triple.x, spec.alpha)
@@ -102,7 +101,7 @@ def test_overflowing_zhat_is_a_range_error():
     # wealth overflows and the state-price density underflows, so Zhat = 0 * inf is nan
     market = default_market(eta0=40.0)
     spec = default_spec(kappa=40.0)
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalRangeError, match="range of double precision"):
@@ -112,7 +111,7 @@ def test_overflowing_zhat_is_a_range_error():
 def test_first_order_identities():
     market = default_market()
     spec = default_spec()
-    grid = make_grid(2.0, 20)
+    grid = TimeGrid(2.0, 20)
     batch = sample_brownian(23, grid, dim=2, n_paths=1000)
     triple = simulate_optimal(spec, market, grid, batch)
 
@@ -139,7 +138,7 @@ def test_hjb_residual_randomized_specs():
             nu=rng.uniform(-0.3, 0.3),
             psi=rng.uniform(0.0, 0.2),
         )
-        grid = make_grid(4.0, 40)
+        grid = TimeGrid(4.0, 40)
         batch = sample_brownian(int(rng.integers(1, 2**32)), grid, dim=2, n_paths=4)
         triple = simulate_optimal(spec, market, grid, batch)
         report = hjb_residual(triple)
@@ -155,7 +154,7 @@ def test_hjb_residual_vasicek_time_table_spec():
         nu_star=DeterministicFn.constant(np.array([0.0, 0.05])),
         psi_hat=DeterministicFn.table([0.0, 1.0], [0.02, 0.08]),
     )
-    grid = make_grid(4.0, 32)
+    grid = TimeGrid(4.0, 32)
     batch = sample_brownian(99, grid, dim=2, n_paths=4)
     triple = simulate_optimal(spec, market, grid, batch)
     report = hjb_residual(triple, path=2)
@@ -167,7 +166,7 @@ def test_hjb_no_consumption_reduction():
     # psi == 0 reduces the drift coefficient to the no-consumption form
     market = default_market()
     spec = default_spec(psi=0.0)
-    grid = make_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     batch = sample_brownian(31, grid, dim=2, n_paths=2)
     triple = simulate_optimal(spec, market, grid, batch)
     report = hjb_residual(triple)
@@ -185,7 +184,7 @@ def test_hjb_no_consumption_reduction():
 def test_hjb_detects_injected_drift_error():
     market = default_market()
     spec = default_spec()
-    grid = make_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     batch = sample_brownian(32, grid, dim=2, n_paths=2)
     triple = simulate_optimal(spec, market, grid, batch)
     report = hjb_residual(triple, drift_perturbation=1e-3)
@@ -198,7 +197,7 @@ def test_hjb_residual_at_small_and_large_alpha(alpha):
     # stay in range where Zhat^(1/alpha) alone leaves it at small alpha
     market = default_market()
     spec = default_spec(alpha=alpha)
-    grid = make_grid(30.0, 30)
+    grid = TimeGrid(30.0, 30)
     triple = simulate_optimal(spec, market, grid, sample_brownian(33, grid, dim=2, n_paths=1))
     if alpha == 1e-3:
         with np.errstate(under="ignore"):
@@ -215,7 +214,7 @@ def test_hjb_residual_at_small_and_large_alpha(alpha):
 def test_representation_transport():
     market = default_market()
     spec = default_spec()
-    grid = make_grid(2.0, 16)
+    grid = TimeGrid(2.0, 16)
     batch = sample_brownian(41, grid, dim=2, n_paths=2000)
     triple = simulate_optimal(spec, market, grid, batch)
     assert representation_check(triple) < 1e-10
@@ -231,27 +230,27 @@ def test_representation_transport():
 def test_consistency_drift_optimal_and_perturbed():
     market = default_market()
     spec = default_spec()
-    grid = make_grid(5.0, 50)
+    grid = TimeGrid(5.0, 50)
     batch = sample_brownian(20240515, grid, dim=2, n_paths=50_000)
     triple = simulate_optimal(spec, market, grid, batch)
 
-    optimal = consistency_drift_test(triple)
+    optimal = consistency_drift_test(triple, strategies=[{}])[0]
     assert optimal.max_abs_t <= STAT_BAND
     assert abs(optimal.total_t) < 4
 
-    shifted = consistency_drift_test(triple, kappa=perturbed_kappa(spec, market, 0.15))
+    shifted = consistency_drift_test(triple, strategies=[{"kappa": perturbed_kappa(spec, market, 0.15)}])[0]
     assert shifted.total_t < -4
 
-    over = consistency_drift_test(triple, consumption=scaled_consumption(spec, 1.5))
+    over = consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 1.5)}])[0]
     assert over.total_t < -4
-    under = consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5))
+    under = consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 0.5)}])[0]
     assert under.total_t < -4
 
 
 def test_optimal_drift_reuses_the_optimal_wealth(monkeypatch):
     market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
     spec = default_spec()
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     triple = simulate_optimal(spec, market, grid, sample_brownian(31, grid, dim=2, n_paths=4096))
 
     calls = []
@@ -264,11 +263,11 @@ def test_optimal_drift_reuses_the_optimal_wealth(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "forward_yield" and getattr(module, "wealth_paths", None) is build:
             monkeypatch.setattr(module, "wealth_paths", counting)
-    explicit = consistency_drift_test(triple, kappa=spec.kappa_star, consumption=spec.psi_hat)
-    default = consistency_drift_test(triple)
-    consistency_drift_test(triple, kappa=perturbed_kappa(spec, market, 0.15))
-    consistency_drift_test(triple, consumption=scaled_consumption(spec, 1.5))
-    consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5))
+    explicit = consistency_drift_test(triple, strategies=[{"kappa": spec.kappa_star, "consumption": spec.psi_hat}])[0]
+    default = consistency_drift_test(triple, strategies=[{}])[0]
+    consistency_drift_test(triple, strategies=[{"kappa": perturbed_kappa(spec, market, 0.15)}])
+    consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 1.5)}])
+    consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 0.5)}])
     assert calls == []
     for field in ("interval_drift", "interval_stderr", "total_drift", "total_stderr"):
         assert np.array_equal(getattr(default, field), getattr(explicit, field)), field
@@ -340,7 +339,7 @@ def test_value_process_matches_simulated_wealth():
         nu_star=DeterministicFn.constant(np.array([0.0, 0.1])),
         psi_hat=DeterministicFn.table(np.array([0.0, 2.0]), np.array([0.1, 0.05])),
     )
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     batch = sample_brownian(32, grid, dim=2, n_paths=2000)
     triple = simulate_optimal(spec, market, grid, batch)
     strategies = _all_strategies(spec, market)[:3] + [{"consumption": scaled_consumption(spec, 0.0)}]
@@ -364,9 +363,9 @@ def _drift_case(name):
     spec = default_spec()
     if name == "stepped_psi":
         stepped = DeterministicFn.table(np.array([0.0, 5.0]), np.array([0.1, 0.0]))
-        return replace(spec, psi_hat=stepped), market, make_grid(10.0, 8)
+        return replace(spec, psi_hat=stepped), market, TimeGrid(10.0, 8)
     if name == "psi0":
-        return default_spec(psi=0.0), market, make_grid(5.0, 8)
+        return default_spec(psi=0.0), market, TimeGrid(5.0, 8)
     if name == "nonuniform":
         return spec, market, TimeGrid.of_times([0.0, 0.5, 2.0, 2.25, 4.0])
     table_spec = ForwardPowerSpec(
@@ -375,7 +374,7 @@ def _drift_case(name):
         nu_star=DeterministicFn.constant(np.array([0.0, 0.1])),
         psi_hat=DeterministicFn.table(np.array([0.0, 2.0]), np.array([0.1, 0.05])),
     )
-    return table_spec, market, make_grid(5.0, 8)
+    return table_spec, market, TimeGrid(5.0, 8)
 
 
 DRIFT_CASES = ["stepped_psi", "psi0", "nonuniform", "alpha04_table_kappa"]
@@ -427,13 +426,13 @@ def test_optimal_drift_deterministic_limit():
     spec = default_spec(alpha=alpha, kappa=0.0, nu=0.0, psi=0.1)
     stepped = replace(spec, psi_hat=DeterministicFn.table(np.array([0.0, 5.0]), np.array([0.1, 0.0])))
     cases = [
-        (spec, make_grid(10.0, 40)),
+        (spec, TimeGrid(10.0, 40)),
         (spec, TimeGrid.of_times([0.0, 1.0, 3.0, 3.5, 6.0])),
-        (stepped, make_grid(10.0, 40)),
+        (stepped, TimeGrid(10.0, 40)),
     ]
     for case, grid in cases:
         triple = simulate_optimal(case, market, grid, sample_brownian(33, grid, dim=2, n_paths=64))
-        report = consistency_drift_test(triple)
+        report = consistency_drift_test(triple, strategies=[{}])[0]
         h = np.diff(grid.times)
         psi = case.psi_hat.values(grid.times[:-1])
         p = np.exp(-np.concatenate(([0.0], np.cumsum(psi * h)[:-1])))
@@ -485,9 +484,9 @@ def test_optimal_row_is_centred_on_the_trapezoid_bias():
     spec = default_spec(kappa=0.0, nu=0.0)
     stepped = replace(spec, psi_hat=DeterministicFn.table(np.array([0.0, 5.0]), np.array([0.1, 0.0])))
     for case, grid in [
-        (spec, make_grid(10.0, 40)),
+        (spec, TimeGrid(10.0, 40)),
         (spec, TimeGrid.of_times([0.0, 1.0, 3.0, 3.5, 6.0])),
-        (stepped, make_grid(10.0, 40)),
+        (stepped, TimeGrid(10.0, 40)),
     ]:
         triple = simulate_optimal(case, market, grid, sample_brownian(34, grid, dim=2, n_paths=16))
         optimal, *perturbed = consistency_drift_test(triple, strategies=_all_strategies(case, market))
@@ -502,10 +501,10 @@ def test_consistency_drift_zero_consumption_strategy():
     # whole conjugate term: drift rate -Vtilde(t, U_x) < 0
     market = default_market()
     spec = default_spec()
-    grid = make_grid(5.0, 50)
+    grid = TimeGrid(5.0, 50)
     batch = sample_brownian(20240516, grid, dim=2, n_paths=20_000)
     triple = simulate_optimal(spec, market, grid, batch)
-    report = consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.0))
+    report = consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 0.0)}])[0]
     assert report.total_t < -4
 
 
@@ -517,7 +516,7 @@ def test_spec_subspace_validation():
         nu_star=DeterministicFn.constant(np.array([0.0, 0.0])),
         psi_hat=DeterministicFn.constant(0.05),
     )
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     batch = sample_brownian(1, grid, dim=2, n_paths=2)
     with pytest.raises(SubspaceViolationError):
         simulate_optimal(bad_kappa, market, grid, batch)
@@ -529,7 +528,7 @@ def test_simulate_optimal_checks_the_last_grid_date(field, value):
     spec = default_spec()
     inside = getattr(spec, field).values(np.array([0.0]))[0]
     table = DeterministicFn.table(np.array([0.0, 1.0]), np.array([inside, value]))
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     batch = sample_brownian(2, grid, dim=2, n_paths=2)
     with pytest.raises(ValueError):
         simulate_optimal(replace(spec, **{field: table}), default_market(), grid, batch)
@@ -546,16 +545,16 @@ def test_verify_checks_do_not_depend_on_the_row_block_size(monkeypatch):
     spec = default_spec()
     # psi_hat zero on part of the grid
     part = replace(spec, psi_hat=DeterministicFn.table(np.array([0.0, 1.0]), np.array([0.1, 0.0])))
-    grid = make_grid(2.0, 8)
+    grid = TimeGrid(2.0, 8)
     batch = sample_brownian(77, grid, dim=2, n_paths=n)
     triple, partial = (simulate_optimal(s, market, grid, batch) for s in (spec, part))
 
     def checks():
         rows = [
-            consistency_drift_test(triple),
-            consistency_drift_test(triple, kappa=perturbed_kappa(spec, market, 0.15)),
-            consistency_drift_test(triple, consumption=scaled_consumption(spec, 1.5)),
-            consistency_drift_test(triple, consumption=scaled_consumption(spec, 0.5)),
+            consistency_drift_test(triple, strategies=[{}])[0],
+            consistency_drift_test(triple, strategies=[{"kappa": perturbed_kappa(spec, market, 0.15)}])[0],
+            consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 1.5)}])[0],
+            consistency_drift_test(triple, strategies=[{"consumption": scaled_consumption(spec, 0.5)}])[0],
         ]
         first = [
             first_order_check(triple),
@@ -590,7 +589,7 @@ def test_verify_checks_allocate_no_full_size_temporaries():
     # max of each, so it holds no array of n paths
     market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
     spec = default_spec()
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     triple = simulate_optimal(spec, market, grid, sample_brownian(19, grid, dim=2, n_paths=100_000))
     assert _traced_peak(lambda: first_order_check(triple)) < 0.5 * triple.x.nbytes
 
@@ -624,7 +623,7 @@ def test_optimal_blocks_are_the_rows_of_the_whole_batch(monkeypatch, threads):
     n, seed = 2 * _BLOCK + 1, 29
     market = default_market(rate=VasicekRate(a=0.5, b=0.03, sigma=0.01, r0=0.02, w_dir=E2))
     spec = default_spec()
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     whole = simulate_optimal(spec, market, grid, sample_brownian(seed, grid, dim=2, n_paths=n))
 
     def paths(batch):
@@ -639,12 +638,14 @@ def test_optimal_blocks_are_the_rows_of_the_whole_batch(monkeypatch, threads):
         assert np.array_equal(np.concatenate([block[i] for block in blocks]), array)
     # merged in block order, the drift of the blocks is that of the whole
     # triple's rows reduced block by block
-    kappa = perturbed_kappa(spec, market, 0.15)
+    strategies = [{"kappa": perturbed_kappa(spec, market, 0.15)}]
     drifts = map_blocks(
-        lambda b: consistency_drift_test(simulate_optimal(spec, market, grid, b), kappa=kappa), seed, grid, 2, n
+        lambda b: consistency_drift_test(simulate_optimal(spec, market, grid, b), strategies=strategies)[0],
+        seed, grid, 2, n,
     )
     reference = functools.reduce(
-        DriftReport.merge, (consistency_drift_test(_rows(whole, b0, b1), kappa=kappa) for b0, b1 in stream_blocks(n))
+        DriftReport.merge,
+        (consistency_drift_test(_rows(whole, b0, b1), strategies=strategies)[0] for b0, b1 in stream_blocks(n)),
     )
     merged = functools.reduce(DriftReport.merge, drifts)
     for field in DRIFT_FIELDS:
@@ -665,7 +666,7 @@ def _rows(triple, b0, b1):
 
 
 def test_a_batch_starts_at_a_block_of_the_streams():
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     for first_row in (1, _BLOCK // 2, -_BLOCK):
         with pytest.raises(ValueError, match="first_row"):
             sample_brownian(3, grid, dim=2, n_paths=10, first_row=first_row)

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from forward_yield import DeterministicFn, TimeGrid, make_grid
+from forward_yield import DeterministicFn, TimeGrid
 
 
 def test_make_grid_quarter_steps():
-    grid = make_grid(1.0, 4)
-    assert grid.dt == 0.25
+    grid = TimeGrid(1, 4)
+    assert grid.horizon == 1.0 and isinstance(grid.horizon, float)
+    assert grid.widths[0] == 0.25
     assert np.allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_make_grid_fine():
-    grid = make_grid(50.0, 5000)
-    assert grid.dt == pytest.approx(0.01)
+    grid = TimeGrid(50.0, 5000)
+    assert grid.widths[0] == pytest.approx(0.01)
     assert grid.times[0] == 0.0
     assert grid.times[-1] == 50.0
     assert np.all(np.diff(grid.times) > 0)
@@ -21,11 +22,11 @@ def test_make_grid_fine():
 @pytest.mark.parametrize("horizon,n_steps", [(0.0, 10), (-1.0, 10), (1.0, 0), (1.0, -3)])
 def test_make_grid_rejects_degenerate(horizon, n_steps):
     with pytest.raises(ValueError):
-        make_grid(horizon, n_steps)
+        TimeGrid(horizon, n_steps)
 
 
 def test_index_of_grid_points():
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     assert grid.index_of(2.5) == 10
     assert grid.index_of(10.0) == 40
     assert grid.index_of(0.0) == 0
@@ -42,7 +43,7 @@ def test_index_of_grid_points():
 def test_uniform_widths_are_the_exact_step():
     # not np.diff(times), whose entries can differ from horizon / n_steps in the last bit
     for horizon, n_steps in ((10.0, 40), (3.7, 13), (50.0, 5000)):
-        grid = make_grid(horizon, n_steps)
+        grid = TimeGrid(horizon, n_steps)
         assert grid.widths.shape == (n_steps,)
         assert np.all(grid.widths == horizon / n_steps)
 
@@ -55,15 +56,13 @@ def test_grid_on_explicit_times():
     for off_grid in (2.0, 5.6, float("nan")):
         with pytest.raises(ValueError):
             grid.index_of(off_grid)
-    with pytest.raises(ValueError):
-        grid.dt  # no single step width
     for bad in ([0.0], [1.0, 2.0], [0.0, 2.0, 2.0]):
         with pytest.raises(ValueError):
             TimeGrid.of_times(bad)
 
 
 def test_subgrid_and_window_keep_the_grid_dates():
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     sub = grid.subgrid([0, 4, 8, 20, 40])
     assert np.array_equal(sub.times, grid.times[[0, 4, 8, 20, 40]])
     assert sub.index_of(5.0) == 3
@@ -94,7 +93,7 @@ def test_table_fn_left_endpoint_convention():
 
 
 def test_table_fn_covers_grid():
-    grid = make_grid(2.0, 8)
+    grid = TimeGrid(2.0, 8)
     f = DeterministicFn.table([0.0, 1.0], np.array([[1.0, 0.0], [0.0, 1.0]]))
     vals = f.values(grid.times[:-1])
     assert vals.shape == (8, 2)
@@ -107,6 +106,10 @@ def test_table_requires_time_zero_start():
         DeterministicFn.table([0.5, 1.0], [1.0, 2.0])
 
 
-def test_callable_fn_non_vectorized_fallback():
+def test_callable_fn_of_an_array_of_times():
     f = DeterministicFn(lambda t: float(t) ** 2 if np.ndim(t) == 0 else [float(x) ** 2 for x in t])
     assert np.allclose(f.values(np.array([1.0, 2.0, 3.0])), [1.0, 4.0, 9.0])
+    # a callable of one time gives one value for an array of times: an error naming its label
+    scalar_only = DeterministicFn(lambda t: 0.5, label="scalar_only")
+    with pytest.raises(ValueError, match="scalar_only"):
+        scalar_only.values(np.array([1.0, 2.0]))

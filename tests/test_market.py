@@ -10,7 +10,6 @@ from forward_yield import (
     SubspaceViolationError,
     TimeGrid,
     VasicekRate,
-    make_grid,
     sample_brownian,
     simulate_short_rate,
     state_price_paths,
@@ -46,13 +45,13 @@ def two_dim_market(rate=None, eta=(0.05, 0.0)):
         dim=2,
         rate=rate,
         risk_premium=DeterministicFn.constant(np.array(eta)),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
 
 
 def test_state_price_constant_when_all_drivers_off():
     market = two_dim_market(rate=ConstantRate(0.0), eta=(0.0, 0.0))
-    grid = make_grid(1.0, 10)
+    grid = TimeGrid(1.0, 10)
     batch = sample_brownian(11, grid, dim=2, n_paths=16)
     y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch))
     assert np.allclose(y, 1.0, atol=1e-15)
@@ -61,7 +60,7 @@ def test_state_price_constant_when_all_drivers_off():
 def test_state_price_martingale_mean():
     # E[Y_T e^{int r}] = y0 because the exponential martingale has mean one
     market = two_dim_market(rate=ConstantRate(0.02), eta=(0.08, 0.0))
-    grid = make_grid(2.0, 20)
+    grid = TimeGrid(2.0, 20)
     batch = sample_brownian(123, grid, dim=2, n_paths=100_000)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
     y = state_price_paths(market, grid, batch, rate_paths.integral)
@@ -74,7 +73,7 @@ def test_minimal_density_matches_vasicek_bond_oracle():
     # rate noise orthogonal to the premium, so E[Y0_T] is the riskless bond
     a, b, sigma, r0 = 1.0, 0.03, 0.02, 0.03
     market = two_dim_market(rate=VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E2), eta=(0.03, 0.0))
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(314159, grid, dim=2, n_paths=100_000)
     y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch))
     for tenor in (1.0, 5.0, 10.0):
@@ -92,9 +91,9 @@ def test_minimal_density_with_hedgeable_rate_noise_tilt():
         dim=2,
         rate=VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E1),
         risk_premium=DeterministicFn.constant(np.array([eta0, 0.0])),
-        subspace=SubspaceR.full(2),
+        subspace=SubspaceR(np.eye(2), 2),
     )
-    grid = make_grid(8.0, 32)
+    grid = TimeGrid(8.0, 32)
     batch = sample_brownian(2718, grid, dim=2, n_paths=100_000)
     y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch))
     k = grid.index_of(8.0)
@@ -107,7 +106,7 @@ def test_minimal_density_with_hedgeable_rate_noise_tilt():
 
 def test_state_price_rejects_nu_outside_complement():
     market = two_dim_market()
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     batch = sample_brownian(5, grid, dim=2, n_paths=8)
     nu = DeterministicFn.constant(np.array([0.1, 0.0]))
     with pytest.raises(SubspaceViolationError):
@@ -117,7 +116,7 @@ def test_state_price_rejects_nu_outside_complement():
 def test_factorization_against_exponential_martingale():
     # Y^nu = Y^0 * E(nu) pathwise, checked in log space
     market = two_dim_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.02, w_dir=E2))
-    grid = make_grid(3.0, 30)
+    grid = TimeGrid(3.0, 30)
     batch = sample_brownian(909, grid, dim=2, n_paths=256)
     nu = DeterministicFn.constant(np.array([0.0, 0.12]))
     integral = rate_integral(market, grid, batch)
@@ -126,14 +125,14 @@ def test_factorization_against_exponential_martingale():
     nu_k = np.atleast_2d(nu.values(grid.times[:-1]))
     mart = np.einsum("nkd,kd->nk", batch.increments, nu_k)
     log_dens = np.zeros_like(y_0)
-    np.cumsum(mart - 0.5 * np.sum(nu_k * nu_k, axis=1) * grid.dt, axis=1, out=log_dens[:, 1:])
+    np.cumsum(mart - 0.5 * np.sum(nu_k * nu_k, axis=1) * grid.widths[0], axis=1, out=log_dens[:, 1:])
     gap = np.log(y_nu) - np.log(y_0) - log_dens
     assert np.max(np.abs(gap)) < 1e-10
 
 
 def test_money_market_wealth_exact():
     market = two_dim_market(rate=ConstantRate(0.04), eta=(0.1, 0.0))
-    grid = make_grid(2.0, 8)
+    grid = TimeGrid(2.0, 8)
     batch = sample_brownian(6, grid, dim=2, n_paths=12)
     w = wealth_paths(market, grid, batch, rate_integral(market, grid, batch), kappa=DeterministicFn.zero(2))
     assert np.allclose(w, np.exp(0.04 * grid.times), atol=1e-12)
@@ -143,7 +142,7 @@ def test_proportional_consumption_lognormal_mean():
     r, psi, eta0 = 0.03, 0.05, 0.1
     kappa_vec = np.array([0.2, 0.0])
     market = two_dim_market(rate=ConstantRate(r), eta=(eta0, 0.0))
-    grid = make_grid(4.0, 16)
+    grid = TimeGrid(4.0, 16)
     batch = sample_brownian(321, grid, dim=2, n_paths=100_000)
     w = wealth_paths(
         market, grid, batch, rate_integral(market, grid, batch),
@@ -157,7 +156,7 @@ def test_proportional_consumption_lognormal_mean():
 
 def test_wealth_rejects_kappa_outside_subspace():
     market = two_dim_market()
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     batch = sample_brownian(9, grid, dim=2, n_paths=4)
     kappa = DeterministicFn.constant(np.array([0.0, 0.2]))
     with pytest.raises(SubspaceViolationError):
@@ -166,7 +165,7 @@ def test_wealth_rejects_kappa_outside_subspace():
 
 def test_drift_test_money_market_and_consumption():
     market = two_dim_market(rate=VasicekRate(a=1.0, b=0.03, sigma=0.02, r0=0.03, w_dir=E2), eta=(0.1, 0.0))
-    grid = make_grid(2.0, 10)
+    grid = TimeGrid(2.0, 10)
     batch = sample_brownian(1001, grid, dim=2, n_paths=50_000)
     integral = rate_integral(market, grid, batch)
     y = state_price_paths(market, grid, batch, integral)
@@ -190,7 +189,7 @@ def test_drift_test_flags_misspecified_nu():
     # a dual volatility with a hedgeable component breaks the martingale
     # property with analytic drift rate kappa . nu_R per unit time
     market = two_dim_market(rate=ConstantRate(0.02), eta=(0.1, 0.0))
-    grid = make_grid(2.0, 10)
+    grid = TimeGrid(2.0, 10)
     batch = sample_brownian(4321, grid, dim=2, n_paths=50_000)
     rate_paths = simulate_short_rate(market.rate, grid, batch)
 
@@ -198,7 +197,7 @@ def test_drift_test_flags_misspecified_nu():
     eta = np.array([0.1, 0.0])
     vol = bad_nu - eta
     mart = np.einsum("nkd,d->nk", batch.increments, vol)
-    dlog = mart - 0.5 * (vol @ vol) * grid.dt
+    dlog = mart - 0.5 * (vol @ vol) * grid.widths[0]
     log_y = np.zeros((batch.n_paths, grid.n_steps + 1))
     np.cumsum(dlog, axis=1, out=log_y[:, 1:])
     bad_y = np.exp(log_y - rate_paths.integral)
@@ -214,7 +213,7 @@ def test_drift_test_flags_misspecified_nu():
 
 def test_state_price_strictly_positive():
     market = two_dim_market()
-    grid = make_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     batch = sample_brownian(2, grid, dim=2, n_paths=1000)
     nu = DeterministicFn.constant(np.array([0.0, 0.4]))
     y = state_price_paths(market, grid, batch, rate_integral(market, grid, batch), nu=nu)
@@ -223,7 +222,7 @@ def test_state_price_strictly_positive():
 
 def test_deflated_paths_include_running_consumption():
     market = two_dim_market(rate=ConstantRate(0.0), eta=(0.0, 0.0))
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     batch = sample_brownian(3, grid, dim=2, n_paths=5)
     integral = rate_integral(market, grid, batch)
     y = state_price_paths(market, grid, batch, integral)
@@ -244,11 +243,11 @@ def test_coefficients_checked_on_the_last_grid_date():
     # but check all K+1 dates, also for k < K: a horizon's (nu, kappa) is
     # checked on its whole [0, T_H] when only [0, t_common] is simulated
     market = two_dim_market()
-    grid = make_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     batch = sample_brownian(10, grid, dim=2, n_paths=4)
     bad_eta = MarketModel(
         dim=2, rate=ConstantRate(0.03), risk_premium=_leaves_at_last_date([0.05, 0.0], [0.05, 0.1]),
-        subspace=SubspaceR.axes(2, [0]),
+        subspace=SubspaceR([[1.0, 0.0]], 2),
     )
     for k in (4, 2):
         integral = rate_integral(market, grid, batch)[:, : k + 1]
@@ -287,7 +286,7 @@ def test_log_paths_in_row_blocks_equal_the_whole_array_form():
     n, seed = 2 * _BLOCK + 5, 5
     eta = np.array([0.05, 0.0])
     market = two_dim_market(eta=eta)
-    grid = make_grid(3.0, 12)
+    grid = TimeGrid(3.0, 12)
     kappa = DeterministicFn.table(np.array([0.0, 1.0]), np.array([[0.3, 0.0], [0.1, 0.0]]))
     nu = DeterministicFn.table(np.array([0.0, 2.0]), np.array([[0.0, 0.2], [0.0, -0.1]]))
     psi = DeterministicFn.constant(0.04)
@@ -322,7 +321,7 @@ def test_long_grid_paths_are_the_whole_array_scheme_bit_for_bit():
     n, seed = 2 * _LOG_ROWS + 5, 7
     eta = np.array([0.05, 0.0])
     market = two_dim_market(eta=eta)
-    grid = make_grid(3.0, 70)
+    grid = TimeGrid(3.0, 70)
     kappa = DeterministicFn.table(np.array([0.0, 1.0]), np.array([[0.3, 0.0], [0.1, 0.0]]))
     nu = DeterministicFn.table(np.array([0.0, 2.0]), np.array([[0.0, 0.2], [0.0, -0.1]]))
     integral = np.zeros((n, grid.n_steps + 1))
@@ -349,7 +348,7 @@ def test_running_states_take_the_product_while_the_map_is_small():
     from forward_yield.market import _RUNNING_PRODUCT_COEFFS, log_map, running_levels, running_states
 
     rng = np.random.default_rng(11)
-    grid = make_grid(5.0, 80)
+    grid = TimeGrid(5.0, 80)
     vol, drift = 0.2 * rng.standard_normal((80, 2)), 0.01 * rng.standard_normal(80)
     batch = sample_brownian(11, grid, dim=2, n_paths=300)
     assert 63 * 64 * 2 <= _RUNNING_PRODUCT_COEFFS < 64 * 65 * 2

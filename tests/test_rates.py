@@ -9,7 +9,6 @@ from forward_yield import (
     TimeGrid,
     VasicekGamma,
     VasicekRate,
-    make_grid,
     sample_brownian,
     simulate_short_rate,
 )
@@ -32,7 +31,7 @@ def row_major_reference(model, grid, batch):
     arrays, with each step's integral from the SDE identity
     int r ds = b h - (r_{k+1} - r_k + sigma dW~) / a; the time-major kernel
     must reproduce its bits."""
-    a, sigma, h, n, k_steps = model.a, model.sigma, grid.dt, batch.n_paths, grid.n_steps
+    a, sigma, h, n, k_steps = model.a, model.sigma, grid.widths[0], batch.n_paths, grid.n_steps
     e1 = np.expm1(-a * h)
     e2 = np.expm1(-2.0 * a * h)
     decay = 1.0 + e1
@@ -61,7 +60,7 @@ def row_major_reference(model, grid, batch):
 @pytest.mark.parametrize("n_steps", [1, 40])
 def test_time_major_recursion_keeps_the_row_major_bits(sigma, n_steps):
     # 8192 + 5 rows: the rate residuals span two blocks of the draw
-    grid = make_grid(10.0, n_steps)
+    grid = TimeGrid(10.0, n_steps)
     batch = sample_brownian(4711, grid, dim=2, n_paths=8192 + 5)
     model = VasicekRate(a=0.3, b=0.04, sigma=sigma, r0=0.01, w_dir=np.array([0.6, 0.8]))
     paths = simulate_short_rate(model, grid, batch)
@@ -108,7 +107,7 @@ def test_int_sq_matches_quadrature(a, tau):
 
 
 def test_constant_rate_integral():
-    grid = make_grid(2.0, 8)
+    grid = TimeGrid(2.0, 8)
     batch = sample_brownian(1, grid, dim=1, n_paths=4)
     paths = simulate_short_rate(ConstantRate(0.03), grid, batch)
     assert np.allclose(paths.r, 0.03)
@@ -116,7 +115,7 @@ def test_constant_rate_integral():
 
 
 def test_vasicek_zero_vol_is_deterministic():
-    grid = make_grid(5.0, 20)
+    grid = TimeGrid(5.0, 20)
     batch = sample_brownian(2, grid, dim=2, n_paths=8)
     model = VasicekRate(a=1.0, b=0.03, sigma=0.0, r0=0.03, w_dir=E2)
     paths = simulate_short_rate(model, grid, batch)
@@ -125,7 +124,7 @@ def test_vasicek_zero_vol_is_deterministic():
 
 
 def test_vasicek_zero_vol_off_level_matches_ou_mean():
-    grid = make_grid(4.0, 16)
+    grid = TimeGrid(4.0, 16)
     batch = sample_brownian(3, grid, dim=1, n_paths=2)
     model = VasicekRate(a=0.7, b=0.05, sigma=0.0, r0=0.01, w_dir=np.array([1.0]))
     paths = simulate_short_rate(model, grid, batch)
@@ -137,7 +136,7 @@ def test_vasicek_zero_vol_off_level_matches_ou_mean():
 
 def test_vasicek_integrated_rate_moments_match_oracle():
     a, b, sigma, r0, horizon = 1.0, 0.03, 0.02, 0.03, 10.0
-    grid = make_grid(horizon, 40)
+    grid = TimeGrid(horizon, 40)
     batch = sample_brownian(20240901, grid, dim=2, n_paths=100_000)
     model = VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=E2)
     paths = simulate_short_rate(model, grid, batch)
@@ -156,7 +155,7 @@ def test_vasicek_integrated_rate_moments_match_oracle():
 
 def test_vasicek_terminal_rate_moments():
     a, b, sigma, r0 = 1.3, 0.04, 0.015, 0.01
-    grid = make_grid(3.0, 12)
+    grid = TimeGrid(3.0, 12)
     batch = sample_brownian(77, grid, dim=1, n_paths=200_000)
     model = VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=np.array([1.0]))
     paths = simulate_short_rate(model, grid, batch)
@@ -176,7 +175,7 @@ def test_exact_transition_is_step_size_invariant():
         model = VasicekRate(a=a, b=b, sigma=sigma, r0=r0, w_dir=np.array([1.0]))
         _, var_oracle = ou_integral_moments(a, b, sigma, r0, horizon)
         for n_steps in (4, 64):
-            grid = make_grid(horizon, n_steps)
+            grid = TimeGrid(horizon, n_steps)
             batch = sample_brownian(5150, grid, dim=1, n_paths=100_000)
             total = simulate_short_rate(model, grid, batch).integral[:, -1]
             assert abs(total.var(ddof=1) / var_oracle - 1.0) < 4 * np.sqrt(2.0 / len(total))
@@ -204,7 +203,7 @@ def test_integral_brownian_covariance():
     # cov(int_0^T r, W_T) = -sigma int_0^T (1 - e^{-a(T-s)})/a ds, a cross
     # moment the conditional sampling must reproduce
     sigma, horizon = 0.05, 2.0
-    grid = make_grid(horizon, 8)
+    grid = TimeGrid(horizon, 8)
     batch = sample_brownian(88, grid, dim=1, n_paths=300_000)
     w_t = batch.increments[:, :, 0].sum(axis=1)
     for a in (1.0, 1e-6):
@@ -226,7 +225,7 @@ def test_vasicek_validation():
 def test_mean_reversion_too_slow_for_the_step_integral_is_refused_by_name():
     # below a h = 1e-8 the step integrals of r cancel to rounding error; one
     # short step is enough, and a = 1e-7 on quarterly steps still runs
-    grid = make_grid(10.0, 40)
+    grid = TimeGrid(10.0, 40)
     batch = sample_brownian(3, grid, dim=2, n_paths=10)
     uneven = TimeGrid.of_times([0.0, 1e-3, 10.0])
     for a, on in ((1e-9, grid), (1e-13, grid), (1e-6, uneven)):
@@ -242,7 +241,7 @@ def test_slow_mean_reversion_keeps_the_variance_of_the_integral(a_h):
     # l11^2 = v11 - c1^2 / h cancels for a h up to about 1e-6, above the
     # _MIN_A_H bound; from its closed form Var(int r) read 0.98, 1.08 and
     # 0.75 of int_sq here, each many standard errors off
-    grid = make_grid(1.0, 1)
+    grid = TimeGrid(1.0, 1)
     batch = sample_brownian(5, grid, dim=2, n_paths=400_000)
     model = VasicekRate(a=a_h, b=0.03, sigma=0.02, r0=0.03, w_dir=E2)
     total = simulate_short_rate(model, grid, batch).integral[:, -1]

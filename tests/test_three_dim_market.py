@@ -13,7 +13,7 @@ from forward_yield import (
     backward_optimal_paths,
     first_order_check,
     hjb_residual,
-    make_grid,
+    TimeGrid,
     representation_check,
     sample_brownian,
     simulate_optimal,
@@ -48,7 +48,7 @@ def tilted_setup():
 
 def test_forward_identities_in_three_dimensions():
     market, spec, _ = tilted_setup()
-    grid = make_grid(4.0, 32)
+    grid = TimeGrid(4.0, 32)
     batch = sample_brownian(606060, grid, dim=3, n_paths=2_000)
     triple = simulate_optimal(spec, market, grid, batch)
     assert hjb_residual(triple).max_rel_residual < 1e-10
@@ -59,7 +59,7 @@ def test_forward_identities_in_three_dimensions():
 
 def test_marginal_price_three_dim_mc_vs_closed():
     market, spec, _ = tilted_setup()
-    grid = make_grid(4.0, 16)
+    grid = TimeGrid(4.0, 16)
     batch = sample_brownian(606061, grid, dim=3, n_paths=100_000)
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(4.0)
@@ -73,7 +73,7 @@ def test_backward_terminal_constraint_three_dim_mixed_gamma():
     market, spec, dir_perp = tilted_setup()
     gamma = SyntheticSqrtGamma(c_r=3e-5, c_perp=5e-5, dir_r=market.subspace.basis[1], dir_perp=dir_perp)
     back = BackwardSpec(t_horizon=4.0, alpha=0.45, gamma=gamma, market=market)
-    grid = make_grid(4.0, 32)
+    grid = TimeGrid(4.0, 32)
     batch = sample_brownian(606062, grid, dim=3, n_paths=4_000)
     x, y = backward_optimal_paths(back, grid, batch, *solve_backward_vols(back))
     report = TerminalConstraintReport.of(back.alpha, x[:, -1], y[:, -1])
