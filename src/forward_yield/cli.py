@@ -363,21 +363,22 @@ def _verify(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     grid = build_grid(cfg)
     market = build_market(cfg)
     spec = build_forward_spec(cfg, market)
-    # the reading grid of every date is grid itself; building it checks the
-    # spec's coefficients once, before any path is drawn
-    grid = reading_grid(spec, market, grid, range(grid.n_steps + 1))
-
     psi_vals = np.asarray(spec.psi_hat.values(grid.times), dtype=float)
     ramsey = bool(np.all(psi_vals > 0))
-    # a kappa whose norm overflows also overflows wealth, which simulate_optimal reports
-    with np.errstate(over="ignore"):
-        kappa_norm = float(np.mean(np.linalg.norm(np.atleast_2d(spec.kappa_star.values(grid.times)), axis=-1)))
-    eps = 0.5 * kappa_norm if kappa_norm > 0 else 0.1
-    # the optimal strategy, a perturbed kappa, and over- and under-consumption;
-    # scaling psi = 0 gives the optimal strategy back, so there is nothing to detect
-    strategies = [{}, {"kappa": perturbed_kappa(spec, market, eps)}]
+    # the strategies whose loss the drift rows detect: a perturbed kappa, and
+    # over- and under-consumption; in a trivial subspace no kappa can move,
+    # and scaling psi = 0 gives the optimal strategy back, so there is nothing to detect
+    detected = {}
+    if market.subspace.basis.shape[0]:
+        # a kappa whose norm overflows also overflows wealth, which simulate_optimal reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa_norm = float(np.mean(np.linalg.norm(np.atleast_2d(spec.kappa_star.values(grid.times)), axis=-1)))
+            eps = 0.5 * kappa_norm if kappa_norm > 0 else 0.1
+            detected["perturbed_kappa_drift_t"] = {"kappa": perturbed_kappa(spec, market, eps)}
     if np.any(psi_vals > 0):
-        strategies += [{"consumption": scaled_consumption(spec, factor)} for factor in (1.5, 0.5)]
+        for name, factor in (("over_consumption_drift_t", 1.5), ("under_consumption_drift_t", 0.5)):
+            detected[name] = {"consumption": scaled_consumption(spec, factor)}
+    strategies = [{}, *detected.values()]
 
     def reduce_block(batch: BrownianBatch) -> tuple:
         """A block's part of the checks: the HJB and transport residuals on
@@ -409,11 +410,7 @@ def _verify(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
         ("marginal_transport", transport, IDENTITY_TOL),
         *([("pathwise_ramsey", identities[1], IDENTITY_TOL)] if ramsey else []),
         ("optimal_drift_max_t", drifts[0].max_abs_t, STAT_BAND),
-        ("perturbed_kappa_drift_t", drifts[1].total_t, -STAT_BAND),
-        *[
-            (name, d.total_t, -STAT_BAND)
-            for name, d in zip(("over_consumption_drift_t", "under_consumption_drift_t"), drifts[2:])
-        ],
+        *[(name, d.total_t, -STAT_BAND) for name, d in zip(detected, drifts[1:])],
         ("state_price_martingale_t", abs(t_stat(mean - 1.0, se)), STAT_BAND),
     ]
     run.table("verify", [

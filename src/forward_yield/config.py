@@ -258,10 +258,10 @@ def build_market(cfg: Mapping[str, Any]) -> MarketModel:
 
 def _subspace_function(value, subspace: SubspaceR, field: str, complement: bool = False) -> DeterministicFn:
     """time_function of a vector coefficient that lies in the subspace, or in
-    its orthogonal complement, at each of its table times (t = 0 for a constant)."""
+    its orthogonal complement, at each of its knots."""
     fn = time_function(value, subspace.dim, field)
     try:
-        values = fn.values(value["times"] if isinstance(value, Mapping) else [0.0])
+        values = fn.values(fn.times)
         inside = subspace.orthogonal_to(values) if complement else subspace.contains(values)
     except ValueError as exc:
         raise _fail(field, str(exc))
@@ -280,7 +280,7 @@ def build_forward_spec(cfg: Mapping[str, Any], market: MarketModel) -> ForwardPo
         nu_star=_subspace_function(_require(cfg, "spec.nu_star"), market.subspace, "spec.nu_star", complement=True),
         psi_hat=time_function(psi_cfg, None, "spec.psi_hat"),
     )
-    psi = np.asarray(psi_cfg["values"] if isinstance(psi_cfg, Mapping) else psi_cfg, dtype=float)
+    psi = spec.psi_hat(spec.psi_hat.times)
     if psi.ndim > 1 or not np.all((psi >= 0) & (psi < np.inf)):
         raise _fail("spec.psi_hat", "must be finite, nonnegative and scalar-valued", psi_cfg)
     return spec

@@ -195,13 +195,17 @@ def ramsey_curve_mc(
 def _tilt_integral(
     gamma_vec: Callable[[np.ndarray], np.ndarray], nu: DeterministicFn, eta: DeterministicFn, t: float, t_mat: float
 ) -> float:
-    """int_t^T Gamma_s(T) . (nu(s) - eta(s)) ds for deterministic vector functions."""
+    """int_t^T Gamma_s(T) . (nu(s) - eta(s)) ds for deterministic vector
+    functions, by the rule on each piece between the knots of nu and eta
+    inside (t, T), on which the integrand is smooth."""
 
     def integrand(s):
         q = np.atleast_2d(nu.values(s)) - np.atleast_2d(eta.values(s))
         return np.sum(gamma_vec(s) * q, axis=1)
 
-    return float(gauss_legendre(integrand, t, t_mat))
+    knots = [k for fn in (nu, eta) if fn.times is not None for k in fn.times if t < k < t_mat]
+    cuts = [t, *sorted(set(knots)), t_mat]
+    return sum(float(gauss_legendre(integrand, a, b)) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def market_gamma(market: MarketModel) -> Optional[VasicekGamma]:

@@ -18,7 +18,6 @@ from .brownian import BrownianBatch
 from .grids import DeterministicFn, TimeGrid
 from .market import (
     MarketModel,
-    _dual_coeffs,
     _proportional_rates,
     _require_in_range,
     _wealth_coeffs,
@@ -77,20 +76,14 @@ def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, re
 
     Every scheme in use is exact at any step size when the coefficients are
     constant over a step, so the sub-grid holds date 0, the read dates, and
-    each earlier date at which a step coefficient of ln X or ln Y (kappa, nu,
-    eta, psi and their drifts) changes value.  The coefficients are built,
-    and so checked, on all K+1 dates of grid.
+    the first date at or after each knot of kappa, nu, psi and eta that lies
+    before the last date read; a coefficient without knots keeps every date.
     """
     keep = {0, *(int(k) for k in read)}
     last = max(keep)
-    coeffs = (
-        *_wealth_coeffs(market, grid, spec.kappa_star),
-        *_dual_coeffs(market, grid, spec.nu_star),
-        _proportional_rates(spec.psi_hat, grid)[:-1],
-    )
-    for coeff in coeffs:
-        steps = coeff.reshape(grid.n_steps, -1)[:last]
-        keep.update((1 + np.flatnonzero(np.any(steps[1:] != steps[:-1], axis=1))).tolist())
+    for fn in (spec.kappa_star, spec.nu_star, spec.psi_hat, market.risk_premium):
+        dates = np.arange(grid.n_steps + 1) if fn.times is None else np.searchsorted(grid.times, fn.times)
+        keep.update(dates[dates < last].tolist())
     return grid.subgrid(sorted(keep))
 
 
@@ -345,19 +338,15 @@ def consistency_drift_test(
 
 
 def perturbed_kappa(spec: ForwardPowerSpec, market: MarketModel, epsilon: float) -> DeterministicFn:
-    """kappa_star + epsilon * e with e a unit direction in the subspace."""
-
-    def shifted(t):
-        k = np.asarray(spec.kappa_star(t), dtype=float)
-        flat = k.reshape(-1, k.shape[-1])
-        norms = np.linalg.norm(flat, axis=-1, keepdims=True)
-        fallback = market.subspace.basis[0] if market.subspace.basis.shape[0] else np.zeros(k.shape[-1])
-        unit = np.where(norms > 0, flat / np.maximum(norms, 1e-300), fallback)
-        return k + epsilon * unit.reshape(k.shape)
-
-    return DeterministicFn(shifted, label=f"kappa_star+{epsilon}e")
+    """kappa_star + epsilon * e on the knots of kappa_star, with e its unit
+    direction, or the subspace's first basis vector where kappa_star is 0;
+    the subspace must not be trivial."""
+    kappa = spec.kappa_star(spec.kappa_star.times)
+    norms = np.linalg.norm(kappa, axis=-1, keepdims=True)
+    unit = np.where(norms > 0, kappa / np.maximum(norms, 1e-300), market.subspace.basis[0])
+    return DeterministicFn.table(spec.kappa_star.times, kappa + epsilon * unit)
 
 
 def scaled_consumption(spec: ForwardPowerSpec, factor: float) -> DeterministicFn:
-    """Consumption rate scaled to factor * psi_hat (still proportional)."""
-    return DeterministicFn(lambda t: factor * np.asarray(spec.psi_hat(t), dtype=float), label=f"{factor}*psi_hat")
+    """Consumption rate scaled to factor * psi_hat (still proportional), on the knots of psi_hat."""
+    return DeterministicFn.table(spec.psi_hat.times, factor * spec.psi_hat(spec.psi_hat.times))

@@ -98,16 +98,17 @@ class TimeGrid:
 class DeterministicFn:
     """Deterministic scalar- or vector-valued coefficient of time.
 
-    Three representations are supported: a constant, a closed-form callable
-    of an array of times, and a piecewise-constant table.  Table functions
-    take the left-endpoint value on each interval [times[i], times[i+1]),
-    which is the non-anticipative convention used by every simulation
-    scheme here.
+    Two forms are supported: a piecewise-constant table, whose knots are
+    times (a constant is the one-knot table), and a closed-form callable of
+    an array of times, whose times are None.  A table takes the
+    left-endpoint value on each interval [times[i], times[i+1]), which is
+    the non-anticipative convention used by every simulation scheme here.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], label: str = "callable"):
         self._fn = fn
         self.label = label
+        self.times: np.ndarray | None = None
 
     @classmethod
     def constant(cls, value: ArrayLike) -> "DeterministicFn":
@@ -116,16 +117,12 @@ class DeterministicFn:
             raise ValueError("constant value must be a scalar or 1-d vector")
         if not np.all(np.isfinite(v)):
             raise ValueError("constant value must be finite")
-
-        if v.ndim == 0:
-            fn = lambda t: np.full(np.shape(t), float(v))
-        else:
-            fn = lambda t: np.broadcast_to(v, np.shape(t) + v.shape).copy()
-        return cls(fn, label=f"constant({v})")
+        return cls.table([0.0], [v])
 
     @classmethod
     def table(cls, times: np.ndarray, values: np.ndarray) -> "DeterministicFn":
-        """Piecewise-constant function: value[i] on [times[i], times[i+1])."""
+        """Piecewise-constant function: value[i] on [times[i], times[i+1]);
+        a row equal to the one before it is merged into it."""
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or len(times) < 1:
@@ -137,12 +134,15 @@ class DeterministicFn:
             raise ValueError("table times must be finite and strictly increasing")
         if values.shape[0] != times.shape[0]:
             raise ValueError("table values must have one row per time")
+        keep = np.r_[True, np.any(values[1:] != values[:-1], axis=tuple(range(1, values.ndim)))]
+        times, values = times[keep], values[keep]
 
         def fn(t):
-            idx = np.clip(np.searchsorted(times, np.asarray(t), side="right") - 1, 0, len(times) - 1)
-            return values[idx]
+            return values[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)]
 
-        return cls(fn, label=f"table({len(times)} knots)")
+        table = cls(fn, label=f"table({len(times)} knots)")
+        table.times = times
+        return table
 
     @classmethod
     def zero(cls, dim: int | None = None) -> "DeterministicFn":

@@ -86,7 +86,7 @@ ShortRateModel = Union[ConstantRate, VasicekRate]
 class RatePaths:
     """Simulated short-rate paths and the exact running integral of r."""
 
-    r: np.ndarray         # (n_paths, n_steps+1)
+    r: np.ndarray         # (n_paths, n_steps+1); for a Vasicek rate, a view of time-major rows
     integral: np.ndarray  # (n_paths, n_steps+1), integral[:, k] = int_0^{t_k} r ds
 
 
@@ -159,17 +159,16 @@ def simulate_short_rate(
         del z
     else:
         g1 = np.zeros((k_steps, n))
+    sigma_w = np.ascontiguousarray(w.T)
+    sigma_w *= sigma
+    del w
 
-    r_t = np.empty((k_steps + 1, n))
-    r_t[0] = model.r0 if r0 is None else r0
+    r = np.empty((k_steps + 1, n))
+    integral = np.empty((k_steps + 1, n))
+    r[0] = model.r0 if r0 is None else r0
+    integral[0] = 0.0
     for k in range(k_steps):
-        r_t[k + 1] = model.b + (r_t[k] - model.b) * decay[k] - sigma * g1[k]
-    del g1
-    r = np.ascontiguousarray(r_t.T)
-    del r_t
-
-    # dr = a (b - r) dt - sigma dW~, integrated over each step
-    step = model.b * h - (np.diff(r, axis=1) + sigma * w) / a
-    integral = np.zeros((n, k_steps + 1))
-    np.cumsum(step, axis=1, out=integral[:, 1:])
-    return RatePaths(r=r, integral=integral)
+        r[k + 1] = model.b + (r[k] - model.b) * decay[k] - sigma * g1[k]
+        # dr = a (b - r) dt - sigma dW~, integrated over the step
+        integral[k + 1] = integral[k] + (model.b * h[k] - (r[k + 1] - r[k] + sigma_w[k]) / a)
+    return RatePaths(r=r.T, integral=np.ascontiguousarray(integral.T))

@@ -754,6 +754,22 @@ def test_verify_without_consumption_passes_without_consumption_rows(tmp_path):
     assert not names & {"over_consumption_drift_t", "under_consumption_drift_t"}
 
 
+def test_verify_on_a_trivial_subspace_passes_without_the_kappa_row(tmp_path):
+    # with no admissible direction no kappa can move: a perturbed strategy
+    # would be the optimum itself, which no drift test can tell apart
+    cfg = tmp_path / "trivial.yaml"
+    cfg.write_text("market: {subspace: {basis: []}, eta_r: [0.0, 0.0]}\nspec: {kappa_star: [0.0, 0.0]}\n")
+    out = tmp_path / "out"
+    code = run_cli("verify", "--config", str(cfg), "--paths", "20000", "--out", str(out))
+    assert code == 0
+    with (out / "verify.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(r["passed"] == "true" for r in rows)
+    names = {r["check"] for r in rows}
+    assert "perturbed_kappa_drift_t" not in names
+    assert {"over_consumption_drift_t", "under_consumption_drift_t"} <= names
+
+
 def test_verify_deterministic_market_has_no_sampling_error(tmp_path):
     # a constant rate and no volatility: the optimal row's intervals have no
     # sampling error, so its max t reads 0, with no warning from a zero spread

@@ -35,7 +35,7 @@ from forward_yield import (
     zc_price_gaussian,
 )
 from forward_yield.brownian import _BLOCK, PURPOSE_INNER, substream_seed
-from forward_yield.curves import davis_report, forward_marginal_consumption_paths, market_gamma
+from forward_yield.curves import _tilt_integral, davis_report, forward_marginal_consumption_paths, market_gamma
 from forward_yield.errors import NumericalRangeError
 from forward_yield.config import build_forward_spec, build_grid, build_market, load_config
 from forward_yield.stats import control_variate_estimate, mean_stderr
@@ -185,6 +185,33 @@ def test_gaussian_price_orthogonal_tilt_sign():
     assert tilt_integral < 0
     assert marginal < neutral
     assert marginal / neutral == pytest.approx(np.exp(tilt_integral), rel=1e-9)
+
+
+def split_quad_tilt(gamma, t_mat, nu, eta, a, b, knots):
+    """int_a^b Gamma_s(T) . (nu(s) - eta(s)) ds by scipy's adaptive quad on
+    each piece between the knots inside (a, b)."""
+
+    def integrand(s):
+        s = np.array([s])
+        return float(np.sum(gamma.vectors(s, t_mat) * (np.atleast_2d(nu(s)) - np.atleast_2d(eta(s)))))
+
+    cuts = [a, *[k for k in knots if a < k < b], b]
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12)[0]
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    )
+
+
+def test_tilt_integrates_piecewise_between_the_knots():
+    # the knot config: nu_star steps at 3.5, inside (t, T) for the last three
+    # windows; one rule across the jump read the tilt at T = 5 8.8e-5 low
+    cfg = load_config(None)
+    cfg["spec"]["nu_star"] = {"times": [0.0, 3.5], "values": [[0.0, -0.2], [0.0, 0.4]]}
+    market = build_market(cfg)
+    nu, gamma = build_forward_spec(cfg, market).nu_star, market_gamma(market)
+    for t, t_mat in ((0.0, 3.0), (0.0, 5.0), (0.0, 7.0), (2.0, 5.0)):
+        tilt = _tilt_integral(lambda s: gamma.vectors(s, t_mat), nu, market.risk_premium, t, t_mat)
+        assert abs(tilt - split_quad_tilt(gamma, t_mat, nu, market.risk_premium, t, t_mat, [3.5])) <= 1e-13
 
 
 def test_gamma_market_price_equals_rate_model_price():
@@ -564,6 +591,27 @@ def test_long_rate_backward_probe_reads_the_solved_nu():
         assert y == pytest.approx(expected(t_mat, c_perp), rel=1e-12)
         assert abs(y - expected(t_mat, c_r + c_perp)) > 1e-3
     assert report.probe_expected_yields[0] == pytest.approx(0.02637, abs=5e-6)
+
+
+def test_long_rate_probes_integrate_a_table_eta_between_its_knots():
+    # eta steps at 3.3, inside (0, t): each probe's tilt is integrated on
+    # both sides of the knot, forward with nu = 0 and backward with the solved nu
+    cfg = load_config(None)
+    cfg["market"]["eta_r"] = {"times": [0.0, 3.3], "values": [[0.1, 0.0], [0.2, 0.0]]}
+    market = build_market(cfg)
+    gamma = SyntheticSqrtGamma(c_r=4e-4, c_perp=9e-4, dir_r=E1, dir_perp=E2)
+    l0, alpha, t = 0.03, 0.25, 10.0
+    for mode in ("forward", "backward"):
+        report = long_rate(
+            gamma, mode, alpha, l0=l0, t_grid=np.linspace(0, t, 11), market=market, probe_tenors=[50.0, 100.0, 200.0]
+        )
+        for t_mat, y in zip(report.probe_tenors, report.probe_expected_yields):
+            nu = DeterministicFn.zero(2)
+            if mode == "backward":
+                nu, _ = solve_backward_vols(BackwardSpec(t_mat, alpha, gamma, market))
+            tilt = split_quad_tilt(gamma, t_mat, nu, market.risk_premium, 0.0, t, [3.3])
+            expected = l0 + (0.5 * (gamma.int_sq(0.0, t_mat) - gamma.int_sq(t, t_mat)) + tilt) / (t_mat - t)
+            assert abs(y - expected) <= 1e-12
 
 
 def test_long_rate_flags_model_without_limit():

@@ -23,6 +23,7 @@ from forward_yield import (
     hjb_residual,
     pathwise_ramsey_report,
     perturbed_kappa,
+    reading_grid,
     representation_check,
     sample_brownian,
     scaled_consumption,
@@ -672,3 +673,35 @@ def test_a_batch_starts_at_a_block_of_the_streams():
             sample_brownian(3, grid, dim=2, n_paths=10, first_row=first_row)
     later = sample_brownian(3, grid, dim=2, n_paths=5, first_row=_BLOCK)
     assert np.array_equal(later.increments, sample_brownian(3, grid, dim=2, n_paths=_BLOCK + 5).increments[_BLOCK:])
+
+
+def test_reading_grid_keeps_the_first_date_after_each_knot():
+    # nu steps at 3.6, between the quarter-year dates 3.5 and 3.75: the step
+    # from 3.75 is the first to carry the new value, so that date is kept;
+    # eta's knot at 6.1 lies past the last date read and keeps none
+    market = replace(default_market(), risk_premium=DeterministicFn.table([0.0, 6.1], [[0.15, 0.0], [0.1, 0.0]]))
+    spec = replace(default_spec(), nu_star=DeterministicFn.table([0.0, 3.6], [[0.0, 0.1], [0.0, -0.1]]))
+    grid = TimeGrid(10.0, 40)
+    read = [grid.index_of(2.0), grid.index_of(5.0)]
+    assert np.array_equal(reading_grid(spec, market, grid, read).times, [0.0, 2.0, 3.75, 5.0])
+    # a callable has no knots to read, so it keeps every date up to the last read
+    flat = DeterministicFn(lambda t: np.full(np.shape(t), 0.1), label="flat psi")
+    assert np.array_equal(reading_grid(replace(spec, psi_hat=flat), market, grid, read).times, grid.times[:21])
+
+
+def test_perturbed_and_scaled_strategies_are_tables_on_the_spec_knots():
+    spec = replace(
+        default_spec(),
+        kappa_star=DeterministicFn.table([0.0, 2.0, 3.0], [[0.3, 0.0], [0.0, 0.0], [-0.2, 0.0]]),
+        psi_hat=DeterministicFn.table([0.0, 1.0], [0.02, 0.08]),
+    )
+    kappa = perturbed_kappa(spec, default_market(), 0.15)
+    assert np.array_equal(kappa.times, [0.0, 2.0, 3.0])
+    # each row moves along its own direction, and a zero row along the subspace's basis
+    rows = np.array([[0.3, 0.0], [0.0, 0.0], [-0.2, 0.0]])
+    assert np.array_equal(kappa.values(kappa.times), rows + 0.15 * np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]))
+    over = scaled_consumption(spec, 1.5)
+    assert np.array_equal(over.times, [0.0, 1.0])
+    assert np.array_equal(over.values(over.times), 1.5 * np.array([0.02, 0.08]))
+    # scaled to 0 the rows are equal, and merge into one knot
+    assert np.array_equal(scaled_consumption(spec, 0.0).times, [0.0])

@@ -101,6 +101,17 @@ def test_table_fn_covers_grid():
     assert np.allclose(vals[4:], [0.0, 1.0])
 
 
+def test_table_merges_repeated_rows_and_keeps_its_knots():
+    times, values = [0.0, 1.0, 2.0, 3.0], [[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]
+    f = DeterministicFn.table(times, values)
+    assert np.array_equal(f.times, [0.0, 2.0])
+    t = np.linspace(0.0, 4.0, 17)
+    assert np.array_equal(f.values(t), np.array(values)[np.searchsorted(times, t, side="right") - 1])
+    # a constant is the one-knot table, and a callable has no knots
+    assert np.array_equal(DeterministicFn.constant(0.3).times, [0.0])
+    assert DeterministicFn(np.sin).times is None
+
+
 def test_table_requires_time_zero_start():
     with pytest.raises(ValueError):
         DeterministicFn.table([0.5, 1.0], [1.0, 2.0])

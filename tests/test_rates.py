@@ -65,7 +65,8 @@ def test_time_major_recursion_keeps_the_row_major_bits(sigma, n_steps):
     model = VasicekRate(a=0.3, b=0.04, sigma=sigma, r0=0.01, w_dir=np.array([0.6, 0.8]))
     paths = simulate_short_rate(model, grid, batch)
     r, integral = row_major_reference(model, grid, batch)
-    assert paths.r.flags.c_contiguous and paths.integral.flags.c_contiguous
+    # r is a view of the kernel's time-major rows, and the integral path-major
+    assert paths.r.T.flags.c_contiguous and paths.integral.flags.c_contiguous
     assert np.array_equal(paths.r, r)
     assert np.array_equal(paths.integral, integral)
 
