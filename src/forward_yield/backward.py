@@ -309,7 +309,6 @@ class HorizonGap:
 
     horizon_a: float
     horizon_b: float
-    t_common: float
     max_rel_gap_x: float
     max_rel_gap_y: float
     predicted_gap_residual: float  # |simulated / predicted - 1| for the dual ratio
@@ -333,7 +332,6 @@ class HorizonMap:
     and the spec and grid of [0, t_common] whose integrated rate they read."""
 
     horizons: tuple[float, ...]
-    t_common: float
     log_map: LogStateMap
     spec: BackwardSpec
     rate_grid: TimeGrid
@@ -369,7 +367,7 @@ def horizon_map(spec: BackwardSpec, horizons: Sequence[float], grid: TimeGrid, t
     maps.append(LogStateMap(-np.array(conv), coeffs, np.zeros(len(pairs), dtype=int), np.zeros(len(pairs))))
     # a grid has at least one step; t_common = 0 reads the rate integral's date 0
     return HorizonMap(
-        tuple(float(t) for t in horizons), float(t_common), LogStateMap.join(maps), spec, grid.prefix(max(k_c, 1))
+        tuple(float(t) for t in horizons), LogStateMap.join(maps), spec, grid.prefix(max(k_c, 1))
     )
 
 
@@ -395,7 +393,6 @@ def horizon_dependency_experiment(hmap: HorizonMap, batch: BrownianBatch) -> lis
         HorizonGap(
             horizon_a=hmap.horizons[i],
             horizon_b=hmap.horizons[j],
-            t_common=hmap.t_common,
             max_rel_gap_x=float(np.max(np.abs(x[:, i] / x[:, j] - 1.0))),
             max_rel_gap_y=float(np.max(np.abs(y[:, i] / y[:, j] - 1.0))),
             predicted_gap_residual=float(np.max(np.abs((y[:, i] / y[:, j]) / predicted[:, p] - 1.0))),

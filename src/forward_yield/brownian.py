@@ -140,7 +140,6 @@ class BrownianBatch:
     """
 
     seed: int
-    grid: TimeGrid
     increments: np.ndarray  # (n_paths, n_steps, dim)
     first_row: int = 0      # the streams' row of path 0, a multiple of _BLOCK
 
@@ -180,7 +179,7 @@ def sample_brownian(seed: int, grid: TimeGrid, dim: int, n_paths: int, first_row
     if n_paths < 1 or int(n_paths) != n_paths:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
     z = blocked_normals(seed, PURPOSE_INCREMENTS, int(n_paths), (grid.n_steps, int(dim)), first_row=first_row)
-    return BrownianBatch(seed=int(seed), grid=grid, increments=_scale_to_widths(z, grid), first_row=first_row)
+    return BrownianBatch(seed=int(seed), increments=_scale_to_widths(z, grid), first_row=first_row)
 
 
 def _scale_to_widths(z: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -135,7 +135,7 @@ def _run(command: str, cfg: Mapping[str, Any]) -> int:
     report of passed checks is the first table the body wrote."""
     _, seed, _ = simulation_params(cfg)
     _, out_dir, fmt, _ = output_params(cfg)
-    run = RunManifest(command, cfg, seed, __version__, out_dir, fmt)
+    run = RunManifest(command, cfg, seed, out_dir, fmt)
     checks = _SUBCOMMANDS[command][1](cfg, run)
     failed = []
     for name, value, threshold in checks:
@@ -209,7 +209,7 @@ def _ramsey_flat(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     closed = ramsey_flat_closed(beta, alpha, growth, sigma)
 
     def reduce_block(batch: BrownianBatch) -> RamseyCurveReport:
-        return ramsey_curve_mc(beta, alpha, gbm_consumption_paths(1.0, growth, sigma, grid, batch), grid, tenors)
+        return ramsey_curve_mc(beta, alpha, gbm_consumption_paths(growth, sigma, grid, batch), grid, tenors)
 
     report = _reduce_blocks(cfg, reduce_block, RamseyCurveReport.merge, grid, 1)
     curve = report.curve
@@ -345,11 +345,11 @@ def _long_rate(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     rows = []
     probe_rows = []
     for mode, alpha in (("forward", alpha_fwd), ("backward", alpha_bwd)):
-        report = long_rate(gamma, mode, alpha, l0=l0, t_grid=t_grid, market=market, probe_tenors=probes)
-        for t, val in zip(report.t_grid, report.l_values):
+        report = long_rate(gamma, mode, alpha, l0=l0, t=t_max, market=market, probe_tenors=probes)
+        for t, val in zip(t_grid, l0 + report.slope * t_grid):
             rows.append({"mode": mode, "alpha": alpha, "t": float(t), "long_rate": float(val),
                          "slope": report.slope, "verdict": report.verdict})
-        for p, y in zip(report.probe_tenors, report.probe_expected_yields):
+        for p, y in zip(probes, report.probe_expected_yields):
             probe_rows.append({"mode": mode, "probe_tenor": float(p), "expected_yield": float(y)})
         run.add_summary(mode=mode, alpha=alpha, slope=report.slope, verdict=report.verdict)
         print(f"long-rate [{mode}, alpha={alpha}]: slope {report.slope:.3e} -> {report.verdict}")
@@ -480,7 +480,7 @@ def _horizon(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
         {
             "horizon_a": g.horizon_a,
             "horizon_b": g.horizon_b,
-            "t_common": g.t_common,
+            "t_common": t_common,
             "max_rel_gap_wealth": g.max_rel_gap_x,
             "max_rel_gap_dual": g.max_rel_gap_y,
             "predicted_gap_residual": g.predicted_gap_residual,

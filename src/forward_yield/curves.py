@@ -4,6 +4,7 @@ and marginal-utility (Davis) pricing of payoffs."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -24,7 +25,6 @@ from .errors import NumericalRangeError
 from .forward import OptimalTriple
 from .grids import DeterministicFn, TimeGrid
 from .market import _LOG_ROWS, MarketModel, _dual_coeffs, row_blocks, running_levels, running_states
-from .quadrature import gauss_legendre
 from .rates import ConstantRate, VasicekRate, simulate_short_rate
 from .stats import Estimate, Moments, control_variate_estimate, moments, t_stat
 
@@ -89,19 +89,16 @@ def ramsey_flat_closed(beta: float, alpha: float, growth: float, sigma: float) -
     return beta + alpha * growth - 0.5 * alpha * (alpha + 1.0) * sigma * sigma
 
 
-def gbm_consumption_paths(c0: float, growth: float, sigma: float, grid: TimeGrid, batch: BrownianBatch) -> np.ndarray:
-    """Geometric consumption c_t = c0 exp((g - sigma^2/2) t + sigma W^1_t),
+def gbm_consumption_paths(growth: float, sigma: float, grid: TimeGrid, batch: BrownianBatch) -> np.ndarray:
+    """Unit-initial geometric consumption c_t = exp((g - sigma^2/2) t + sigma W^1_t),
     driven by the first Brownian coordinate, read from the path engine's map
     of its exact log scheme.  Raises NumericalRangeError when c is not
     finite and > 0 on some path and date."""
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
     # an overflow is reported by the scan below
     with np.errstate(over="ignore"):
         vol = np.broadcast_to(sigma * np.eye(batch.dim)[0], (grid.n_steps, batch.dim))
         drift = np.full(grid.n_steps, growth - 0.5 * sigma * sigma)
         c = running_levels(running_states(vol, drift, grid.widths, grid.n_steps), batch)
-        c *= c0
     if not (c.min() > 0 and c.max() < np.inf):
         raise NumericalRangeError("ramsey.growth and ramsey.sigma: consumption left the range of double precision")
     return c
@@ -192,6 +189,19 @@ def ramsey_curve_mc(
 # Gaussian closed-form zero-coupon prices
 
 
+@functools.cache
+def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The 128 Gauss-Legendre nodes and weights on [-1, 1], formed at first use."""
+    return np.polynomial.legendre.leggauss(128)
+
+
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integral over [a, b], a < b, of a scalar f of an array of times, by the 128-node rule."""
+    x, w = _gauss_nodes()
+    t = 0.5 * (b - a) * x + 0.5 * (b + a)
+    return float(np.dot(0.5 * (b - a) * w, f(t)))
+
+
 def _tilt_integral(
     gamma_vec: Callable[[np.ndarray], np.ndarray], nu: DeterministicFn, eta: DeterministicFn, t: float, t_mat: float
 ) -> float:
@@ -205,7 +215,7 @@ def _tilt_integral(
 
     knots = [k for fn in (nu, eta) if fn.times is not None for k in fn.times if t < k < t_mat]
     cuts = [t, *sorted(set(knots)), t_mat]
-    return sum(float(gauss_legendre(integrand, a, b)) for a, b in zip(cuts[:-1], cuts[1:]))
+    return sum(_gauss_legendre(integrand, a, b) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def market_gamma(market: MarketModel) -> Optional[VasicekGamma]:
@@ -314,7 +324,7 @@ def marginal_zc_mc(
             blocked_normals(seed, PURPOSE_INCREMENTS, inner_paths, dw.shape[1:], out=dw[span])
             if z is not None:
                 blocked_normals(seed, PURPOSE_RATE_RESIDUALS, inner_paths, z.shape[1:], out=z[span])
-        batch = BrownianBatch(seed=triple.batch.seed, grid=sub, increments=_scale_to_widths(dw, sub))
+        batch = BrownianBatch(seed=triple.batch.seed, increments=_scale_to_widths(dw, sub))
         r0 = np.repeat(rate_states[i0:i1], inner_paths)
         integral = simulate_short_rate(rate, sub, batch, r0=r0, residuals=z).integral
         # each (maturity, outer path) sample contiguous, as the estimates reduce along the last axis
@@ -399,14 +409,9 @@ def hjm_forward_rates(
 
 @dataclass(frozen=True)
 class LongRateReport:
-    mode: str                 # "forward" or "backward"
     slope: float              # d l_t / dt, exact from the volatility limits
-    l0: float
-    t_grid: np.ndarray
-    l_values: np.ndarray
     verdict: str              # "constant" | "increasing" | "decreasing"
-    probe_tenors: np.ndarray
-    probe_expected_yields: np.ndarray  # E[R_t(T)] at the largest t, per probe
+    probe_expected_yields: np.ndarray  # E[R_t(T)] at long_rate's date t, per probe
 
 
 def long_rate(
@@ -414,7 +419,7 @@ def long_rate(
     mode: str,
     alpha: float,
     l0: float,
-    t_grid: np.ndarray,
+    t: float,
     market: MarketModel,
     probe_tenors: Sequence[float] = (50.0, 100.0, 200.0),
 ) -> LongRateReport:
@@ -426,7 +431,7 @@ def long_rate(
     turn the long rate decreasing.  Fields without a finite limit are
     rejected: the long rate is infinite for them.
 
-    Each probe T reads E[R_t(T)] at the last date t of t_grid on a flat curve at l0,
+    Each probe T reads E[R_t(T)] at the date t on a flat curve at l0,
     l0 + int_0^t (|Gamma_s(T)|^2 / 2 + Gamma_s(T) . (nu - eta)) ds / (T - t), with
     nu = 0 forward and backward the optimum of horizon T (solve_backward_vols).
     """
@@ -443,8 +448,6 @@ def long_rate(
     else:
         raise ValueError("mode must be 'forward' or 'backward'")
 
-    t_grid = np.asarray(t_grid, dtype=float)
-    l_values = l0 + slope * t_grid
     # the slope is a difference of the limits, so a flat curve can leave a
     # rounding residue of their size
     if abs(slope) <= 1e-12 * (abs(q_r) + abs(q_perp)):
@@ -452,7 +455,6 @@ def long_rate(
     else:
         verdict = "increasing" if slope > 0 else "decreasing"
 
-    t_last = float(t_grid[-1]) if len(t_grid) else 0.0
     probes = np.asarray(list(probe_tenors), dtype=float)
     expected = np.empty_like(probes)
     for idx, t_mat in enumerate(probes.tolist()):
@@ -461,13 +463,13 @@ def long_rate(
             nu, _ = solve_backward_vols(BackwardSpec(t_mat, alpha, gamma, market))
         # an overflow of Gamma is reported below, or by the projection in nu
         with np.errstate(over="ignore", invalid="ignore"):
-            correction = 0.5 * (gamma.int_sq(0.0, t_mat) - gamma.int_sq(t_last, t_mat)) + _tilt_integral(
-                lambda s: gamma.vectors(s, t_mat), nu, market.risk_premium, 0.0, t_last
+            correction = 0.5 * (gamma.int_sq(0.0, t_mat) - gamma.int_sq(t, t_mat)) + _tilt_integral(
+                lambda s: gamma.vectors(s, t_mat), nu, market.risk_premium, 0.0, t
             )
         if not np.isfinite(correction):
             raise NumericalRangeError(f"long_rate: Gamma left the range of double precision at tenor {t_mat:g}")
-        expected[idx] = l0 + correction / (t_mat - t_last)
-    return LongRateReport(mode, float(slope), float(l0), t_grid, l_values, verdict, probes, expected)
+        expected[idx] = l0 + correction / (t_mat - t)
+    return LongRateReport(float(slope), verdict, expected)
 
 
 # ---------------------------------------------------------------------------

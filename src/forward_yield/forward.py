@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .brownian import BrownianBatch
+from .errors import SubspaceViolationError
 from .grids import DeterministicFn, TimeGrid
 from .market import (
     MarketModel,
@@ -160,8 +161,6 @@ def first_order_check(triple: OptimalTriple, x0: float = 1.0, y0: Optional[float
 class HJBReport:
     """Residuals of the drift constraint and the recovered optimal policy."""
 
-    t_indices: np.ndarray
-    x_grid: np.ndarray
     drift_lhs: np.ndarray        # (n_t, n_x) drift characteristic of the field
     drift_rhs: np.ndarray        # (n_t, n_x) HJB right-hand side
     policy_residual: np.ndarray  # (n_t,) max |kappa_bar - kappa_star| over x
@@ -237,26 +236,20 @@ def hjb_residual(
     qb = np.sum(x_kappa_bar * x_kappa_bar, axis=2)
     drift_rhs = -big_ux * x_grid[None, :] * r[:, None] + 0.5 * big_uxx * qb - dual
 
-    return HJBReport(
-        t_indices=t_indices,
-        x_grid=x_grid,
-        drift_lhs=drift_lhs,
-        drift_rhs=drift_rhs,
-        policy_residual=policy_residual,
-    )
+    return HJBReport(drift_lhs=drift_lhs, drift_rhs=drift_rhs, policy_residual=policy_residual)
 
 
-def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = None, max_paths: int = 1024) -> float:
+def representation_check(triple: OptimalTriple, x_grid: Optional[np.ndarray] = None) -> float:
     """Marginal-utility transport: U_x(t, x) = Ystar_t(u_x((Xstar_t)^{-1}(x))).
 
     For the linear optimal flow the inverse is x / Xstar_t; both sides reduce
-    to Zhat_t x^(-alpha) and the max relative gap over paths, times, and the
-    x grid is returned.
+    to Zhat_t x^(-alpha) and the max relative gap over the first 1,024
+    paths, times, and the x grid is returned.
     """
     if x_grid is None:
         x_grid = np.geomspace(0.1, 10.0, 11)
     alpha = triple.spec.alpha
-    n = min(max_paths, triple.n_paths)
+    n = min(1024, triple.n_paths)
     zhat, xs, ys = triple.zhat[:n], triple.x[:n], triple.y[:n]
     # one (n, K+1) pass per point of the x grid, and the max of their maxima
     powers = np.power(x_grid, -alpha)
@@ -323,7 +316,7 @@ def consistency_drift_test(
     for i, strategy in enumerate(strategies):
         dvol, drift, a, b = _strategy_steps(triple, **strategy)
         if np.any(dvol):
-            (reports[i],) = linear_drift_reports(value_process(triple, **strategy), grid.times, a, b)
+            (reports[i],) = linear_drift_reports(value_process(triple, **strategy), a, b)
         else:
             log_d = np.cumsum(np.r_[-np.log1p(-triple.spec.alpha), drift * grid.widths])
             shared[i] = (np.exp(log_d[1:]) * a, np.exp(log_d[:-1]) * b, np.ptp(log_d) == 0)
@@ -332,15 +325,17 @@ def consistency_drift_test(
         p = np.multiply(triple.y.T, triple.x.T, out=np.empty(triple.x.shape[::-1]))  # date by date, as reduced
         psi_h = _proportional_rates(triple.spec.psi_hat, grid)[:-1] * grid.widths
         bias = np.exp(-np.r_[0.0, np.cumsum(psi_h)[:-1]]) * (a * np.exp(-psi_h) - b)
-        for r, (i, report) in enumerate(zip(shared, linear_drift_reports(p.T, grid.times, a, b))):
+        for r, (i, report) in enumerate(zip(shared, linear_drift_reports(p.T, a, b))):
             reports[i] = replace(report, bias=bias[r]) if optimal[r] else report
     return [reports[i] for i in range(len(strategies))]
 
 
 def perturbed_kappa(spec: ForwardPowerSpec, market: MarketModel, epsilon: float) -> DeterministicFn:
     """kappa_star + epsilon * e on the knots of kappa_star, with e its unit
-    direction, or the subspace's first basis vector where kappa_star is 0;
-    the subspace must not be trivial."""
+    direction, or the subspace's first basis vector where kappa_star is 0.
+    Raises SubspaceViolationError on a trivial subspace, where no kappa can move."""
+    if not market.subspace.basis.shape[0]:
+        raise SubspaceViolationError("perturbed_kappa: the admissible subspace is trivial, so kappa_star cannot move")
     kappa = spec.kappa_star(spec.kappa_star.times)
     norms = np.linalg.norm(kappa, axis=-1, keepdims=True)
     unit = np.where(norms > 0, kappa / np.maximum(norms, 1e-300), market.subspace.basis[0])

@@ -73,13 +73,12 @@ class TimeGrid:
         return k
 
     def prefix(self, n_steps: int) -> "TimeGrid":
-        """The grid of the first n_steps steps, on [0, t_{n_steps}]; self when n_steps covers it all."""
+        """The grid of the first n_steps steps, on [0, t_{n_steps}], with
+        self's own dates and widths; self when n_steps covers it all."""
         if int(n_steps) != n_steps or not (1 <= n_steps <= self.n_steps):
             raise ValueError(f"n_steps must be an integer in [1, {self.n_steps}], got {n_steps}")
         if n_steps == self.n_steps:
             return self
-        if self.uniform:
-            return TimeGrid(self.times[n_steps], n_steps)
         return self.window(0, n_steps)
 
     def window(self, k0: int, k1: int) -> "TimeGrid":

@@ -139,7 +139,6 @@ class DriftReport:
     (super)martingale, held as the moments of its increments across paths,
     with standard errors and t statistics centred on bias."""
 
-    times: np.ndarray   # (K+1,)
     intervals: Moments  # of each interval's increment, (K,)
     totals: Moments     # of terminal minus initial value
     bias: Any = 0.0     # exact mean of each interval's increment, (K,) or 0
@@ -177,7 +176,7 @@ class DriftReport:
         return float(np.max(np.abs(self.interval_t), initial=0.0))
 
 
-def linear_drift_reports(values: np.ndarray, times: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[DriftReport]:
+def linear_drift_reports(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[DriftReport]:
     """Drift reports of the processes G^r with increments a[r, k] v_{k+1} -
     b[r, k] v_k = a dv_k + (a - b) v_k in the (n_paths, K+1) values v, from
     the moments of the columns v_k and dv_k, so no row forms its increments.
@@ -197,11 +196,11 @@ def linear_drift_reports(values: np.ndarray, times: np.ndarray, a: np.ndarray, b
     weights = np.pad(a, ((0, 0), (1, 0))) - np.pad(b, ((0, 0), (0, 1)))  # G^r_K - G^r_0 = weights[r] . v
     totals = moments(weights @ cols, axis=1)._replace(const=weights @ const_v)
     rows = ([Moments(m.n, *(x[r] for x in m[1:])) for m in (intervals, totals)] for r in range(len(a)))
-    return [DriftReport(np.asarray(times, dtype=float), *row) for row in rows]
+    return [DriftReport(*row) for row in rows]
 
 
-def interval_drift_report(values: np.ndarray, times: np.ndarray) -> DriftReport:
+def interval_drift_report(values: np.ndarray) -> DriftReport:
     """Drift statistics of the (n_paths, K+1) values of a process sampled at
-    grid times: linear_drift_reports' one row with a = b = 1."""
+    K+1 dates: linear_drift_reports' one row with a = b = 1."""
     ones = np.ones((1, values.shape[1] - 1))
-    return linear_drift_reports(values, times, ones, ones)[0]
+    return linear_drift_reports(values, ones, ones)[0]

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from . import __version__
 from .config import config_hash
 
 
@@ -79,7 +80,6 @@ class RunManifest:
     subcommand: str
     config: Mapping[str, Any]
     seed: int
-    version: str
     out_dir: str | Path
     fmt: str
     outputs: list[str] = field(default_factory=list)
@@ -102,7 +102,7 @@ class RunManifest:
             "subcommand": self.subcommand,
             "config_sha256": config_hash(self.config),
             "seed": self.seed,
-            "artifact_version": self.version,
+            "artifact_version": __version__,
             "wall_clock_s": round(time.perf_counter() - self._start, 3),
             "outputs": self.outputs,
             "summary": self.summary,

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from forward_yield.quadrature import gauss_legendre
+from forward_yield.curves import _gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class CustomGamma:
         return out
 
     def int_sq(self, t: float, t_mat: float) -> float:
-        return gauss_legendre(lambda s: np.sum(self.vectors(s, t_mat) ** 2, axis=1), t, t_mat)
+        return _gauss_legendre(lambda s: np.sum(self.vectors(s, t_mat) ** 2, axis=1), t, t_mat)
 
     def limit_sq_rate(self) -> None:
         # no closed-form limit is available for tabulated fields

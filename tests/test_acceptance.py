@@ -89,7 +89,7 @@ def test_criterion_1_flat_ramsey_curve():
     start = time.perf_counter()
     grid = TimeGrid(30.0, 120)
     batch = sample_brownian(1001, grid, dim=1, n_paths=100_000)
-    c_paths = gbm_consumption_paths(1.0, growth, sigma, grid, batch)
+    c_paths = gbm_consumption_paths(growth, sigma, grid, batch)
 
     ok_levels = True
     worst = 0.0
@@ -273,19 +273,18 @@ def test_criterion_7_horizon_dependency():
 
 def test_criterion_8_long_rate_verdicts():
     market = _vasicek_orthogonal_spec(10.0).market
-    t_grid = np.linspace(0.0, 10.0, 11)
     c_perp = 6e-5
 
     vasicek = long_rate(
-        VasicekGamma(a=1.0, sigma_r=0.02, direction=E2), "forward", 0.5, l0=0.03, t_grid=t_grid, market=market
+        VasicekGamma(a=1.0, sigma_r=0.02, direction=E2), "forward", 0.5, l0=0.03, t=10.0, market=market
     )
     sqrt_fwd = long_rate(
         SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2), "forward", 0.5,
-        l0=0.03, t_grid=t_grid, market=market,
+        l0=0.03, t=10.0, market=market,
     )
     sqrt_bwd = long_rate(
         SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2), "backward", 0.25,
-        l0=0.03, t_grid=t_grid, market=market,
+        l0=0.03, t=10.0, market=market,
     )
     ok = (
         vasicek.verdict == "constant"

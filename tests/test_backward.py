@@ -348,14 +348,14 @@ def test_horizon_states_equal_full_backward_paths(gamma, t_common, prefix):
     grid = TimeGrid(30.0, 120)
     full = sample_brownian(2024, grid, dim=2, n_paths=300)
     k_c = grid.index_of(t_common)
-    prefix_batch = BrownianBatch(seed=full.seed, grid=TimeGrid(grid.times[k_c], k_c), increments=full.increments[:, :k_c, :])
+    prefix_batch = BrownianBatch(seed=full.seed, increments=full.increments[:, :k_c, :])
     batch = prefix_batch if prefix else full
     hmap = horizon_map(spec, horizons, grid, t_common)
     levels = hmap.log_map.levels(batch, rate_integral_paths(spec, hmap.rate_grid, batch))
     for i, t_h in enumerate(horizons):
         k_h = grid.index_of(t_h)
         sub = TimeGrid(grid.times[k_h], k_h)
-        sub_batch = BrownianBatch(seed=full.seed, grid=sub, increments=full.increments[:, :k_h, :])
+        sub_batch = BrownianBatch(seed=full.seed, increments=full.increments[:, :k_h, :])
         spec_h = replace(spec, t_horizon=t_h)
         x_ref, y_ref = backward_optimal_paths(spec_h, sub, sub_batch, *solve_backward_vols(spec_h))
         x_c, y_c = levels[:, 2 * i], levels[:, 2 * i + 1]
@@ -469,7 +469,7 @@ def test_zhat_column_of_the_solved_vols_is_zero():
 
 
 def test_horizon_gap_merge_keeps_a_nan():
-    gap = backward.HorizonGap(10.0, 50.0, 5.0, 1e-3, 2e-3, 1e-12)
+    gap = backward.HorizonGap(10.0, 50.0, 1e-3, 2e-3, 1e-12)
     nan = replace(gap, max_rel_gap_x=np.nan, predicted_gap_residual=np.nan)
     for merged in (gap.merge(nan), nan.merge(gap)):
         assert np.isnan(merged.max_rel_gap_x) and np.isnan(merged.predicted_gap_residual)

@@ -57,8 +57,8 @@ def test_blocked_normals_are_the_sfc64_blocks(monkeypatch, threads):
 
 def test_prefix_of_whole_grid_is_the_full_batch():
     grid = TimeGrid(1.0, 4)
+    assert grid.prefix(4) is grid
     batch = sample_brownian(3, grid.prefix(4), dim=1, n_paths=5)
-    assert batch.grid is grid
     assert np.array_equal(batch.increments, sample_brownian(3, grid, dim=1, n_paths=5).increments)
 
 
@@ -66,6 +66,11 @@ def test_prefix_grid_is_the_first_steps():
     grid = TimeGrid(5.0, 20)
     assert grid.prefix(7) == TimeGrid(grid.times[7], 7)
     assert np.array_equal(grid.prefix(7).times, grid.times[:8])
+    # a prefix keeps its parent's dates and widths, each exactly horizon / n_steps,
+    # where a uniform grid rebuilt on [0, t_25] rounds its widths 10 / 30 otherwise
+    grid = TimeGrid(10.0, 30)
+    assert np.array_equal(grid.prefix(25).times, grid.times[:26])
+    assert np.all(grid.prefix(25).widths == 10.0 / 30)
 
 
 @pytest.mark.parametrize("n_steps", [0, 5, -1, 2.5])

@@ -673,6 +673,12 @@ def test_long_rate_command_verdicts(tmp_path):
     assert backward_rows[0]["verdict"] == "decreasing"
     assert float(forward_rows[0]["slope"]) == pytest.approx(3e-5, abs=1e-12)
     assert float(backward_rows[0]["slope"]) == pytest.approx(-1.5e-5, abs=1e-12)
+    # the command forms the long rate l0 + slope t on t = linspace(0, t_max, 11)
+    for mode_rows, slope in ((forward_rows, 3e-5), (backward_rows, -1.5e-5)):
+        t = np.array([float(r["t"]) for r in mode_rows])
+        assert np.array_equal(t, np.linspace(0.0, 10.0, 11))
+        long_rates = np.array([float(r["long_rate"]) for r in mode_rows])
+        assert np.allclose(long_rates, 0.03 + slope * t, rtol=1e-12, atol=0.0)
 
 
 def test_long_rate_flat_backward_verdict(tmp_path):

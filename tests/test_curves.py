@@ -90,7 +90,7 @@ def test_ramsey_mc_flat_curve():
     target = ramsey_flat_closed(beta, alpha, growth, sigma)
     grid = TimeGrid(30.0, 120)
     batch = sample_brownian(24601, grid, dim=1, n_paths=100_000)
-    c_paths = gbm_consumption_paths(1.0, growth, sigma, grid, batch)
+    c_paths = gbm_consumption_paths(growth, sigma, grid, batch)
     curve = ramsey_curve_mc(beta, alpha, c_paths, grid, [1.0, 5.0, 30.0]).curve
     for rate, se in zip(curve.rates, curve.stderrs):
         assert abs(rate - target) < 3 * se
@@ -100,7 +100,7 @@ def test_ramsey_mc_deterministic_consumption():
     beta, alpha, growth = 0.015, 0.4, 0.02
     grid = TimeGrid(10.0, 40)
     batch = sample_brownian(1, grid, dim=1, n_paths=100)
-    c_paths = gbm_consumption_paths(2.0, growth, 0.0, grid, batch)
+    c_paths = 2.0 * gbm_consumption_paths(growth, 0.0, grid, batch)
     curve = ramsey_curve_mc(beta, alpha, c_paths, grid, [10.0]).curve
     rate, se = curve.rates[0], curve.stderrs[0]
     assert rate == pytest.approx(beta + alpha * growth, abs=1e-12)
@@ -110,7 +110,7 @@ def test_ramsey_mc_deterministic_consumption():
 def test_ramsey_mc_null_case():
     grid = TimeGrid(5.0, 20)
     batch = sample_brownian(2, grid, dim=1, n_paths=50)
-    c_paths = gbm_consumption_paths(1.0, 0.0, 0.0, grid, batch)
+    c_paths = gbm_consumption_paths(0.0, 0.0, grid, batch)
     rate = ramsey_curve_mc(0.0, 0.5, c_paths, grid, [5.0]).curve.rates[0]
     assert rate == pytest.approx(0.0, abs=1e-14)
 
@@ -118,7 +118,7 @@ def test_ramsey_mc_null_case():
 def test_ramsey_curve_spread_statistics():
     grid = TimeGrid(30.0, 120)
     batch = sample_brownian(24601, grid, dim=1, n_paths=50_000)
-    c_paths = gbm_consumption_paths(1.0, 0.02, 0.1, grid, batch)
+    c_paths = gbm_consumption_paths(0.02, 0.1, grid, batch)
     report = ramsey_curve_mc(0.01, 0.5, c_paths, grid, [1.0, 2.0, 5.0, 10.0, 30.0])
     assert report.max_spread_t < 4.0
     curve = report.curve
@@ -133,7 +133,7 @@ def test_ramsey_comoments_match_np_cov(sigma, tenors):
     # makes every tenor flat, which has no sampling error
     grid = TimeGrid(30.0, 120)
     batch = sample_brownian(7, grid, dim=1, n_paths=2 * _BLOCK + 1)
-    c_paths = gbm_consumption_paths(1.0, 0.02, sigma, grid, batch)
+    c_paths = gbm_consumption_paths(0.02, sigma, grid, batch)
     report = ramsey_curve_mc(0.01, 0.5, c_paths, grid, tenors)
     vals = np.column_stack([np.exp(-0.01 * t) * np.power(c_paths[:, grid.index_of(t)], -0.5) for t in tenors])
     expected = np.atleast_2d(np.cov(vals, rowvar=False)) / len(vals)
@@ -531,19 +531,18 @@ def test_hjm_rejects_coarse_grid():
 def test_long_rate_vasicek_constant():
     gamma = VasicekGamma(a=1.0, sigma_r=0.02, direction=E2)
     report = long_rate(
-        gamma, "forward", 0.5, l0=0.03, t_grid=np.linspace(0, 10, 11),
+        gamma, "forward", 0.5, l0=0.03, t=10.0,
         market=incomplete_vasicek_market(),
     )
     assert report.verdict == "constant"
     assert report.slope == 0.0
-    assert np.allclose(report.l_values, 0.03)
 
 
 def test_long_rate_synthetic_forward_increasing():
     c_perp = 6e-5
     gamma = SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2)
     report = long_rate(
-        gamma, "forward", 0.5, l0=0.03, t_grid=np.linspace(0, 10, 11),
+        gamma, "forward", 0.5, l0=0.03, t=10.0,
         market=incomplete_vasicek_market(),
     )
     assert report.verdict == "increasing"
@@ -554,7 +553,7 @@ def test_long_rate_synthetic_backward_decreasing_low_risk_aversion():
     c_perp = 6e-5
     gamma = SyntheticSqrtGamma(c_r=0.0, c_perp=c_perp, dir_r=E1, dir_perp=E2)
     report = long_rate(
-        gamma, "backward", 0.25, l0=0.03, t_grid=np.linspace(0, 10, 11),
+        gamma, "backward", 0.25, l0=0.03, t=10.0,
         market=incomplete_vasicek_market(),
     )
     assert report.verdict == "decreasing"
@@ -564,7 +563,7 @@ def test_long_rate_synthetic_backward_decreasing_low_risk_aversion():
 def test_long_rate_backward_half_risk_aversion_constant():
     gamma = SyntheticSqrtGamma(c_r=0.0, c_perp=1e-4, dir_r=E1, dir_perp=E2)
     report = long_rate(
-        gamma, "backward", 0.5, l0=0.02, t_grid=np.linspace(0, 5, 6),
+        gamma, "backward", 0.5, l0=0.02, t=5.0,
         market=incomplete_vasicek_market(eta0=0.0),
     )
     assert report.verdict == "constant"
@@ -574,10 +573,11 @@ def test_long_rate_backward_probe_reads_the_solved_nu():
     # Gamma with an R part: the backward optimum of horizon T is nu = -(1 - alpha) Gamma_perp
     # (solve_backward_vols), so only c_perp enters Gamma . nu; nu = -(1 - alpha) Gamma would take c_r too
     c_r, c_perp, alpha, l0, t = 4e-4, 9e-4, 0.25, 0.03, 10.0
+    probes = [50.0, 100.0]
     gamma = SyntheticSqrtGamma(c_r=c_r, c_perp=c_perp, dir_r=E1, dir_perp=E2)
     report = long_rate(
-        gamma, "backward", alpha, l0=l0, t_grid=np.linspace(0, t, 11),
-        market=incomplete_vasicek_market(eta0=0.1), probe_tenors=[50.0, 100.0],
+        gamma, "backward", alpha, l0=l0, t=t,
+        market=incomplete_vasicek_market(eta0=0.1), probe_tenors=probes,
     )
 
     def expected(t_mat, nu_sq):
@@ -587,7 +587,7 @@ def test_long_rate_backward_probe_reads_the_solved_nu():
         correction = 0.5 * (c_r + c_perp) * area - (1.0 - alpha) * nu_sq * area - 0.1 * math.sqrt(c_r) * root_area
         return l0 + correction / (t_mat - t)
 
-    for t_mat, y in zip(report.probe_tenors, report.probe_expected_yields):
+    for t_mat, y in zip(probes, report.probe_expected_yields):
         assert y == pytest.approx(expected(t_mat, c_perp), rel=1e-12)
         assert abs(y - expected(t_mat, c_r + c_perp)) > 1e-3
     assert report.probe_expected_yields[0] == pytest.approx(0.02637, abs=5e-6)
@@ -600,12 +600,10 @@ def test_long_rate_probes_integrate_a_table_eta_between_its_knots():
     cfg["market"]["eta_r"] = {"times": [0.0, 3.3], "values": [[0.1, 0.0], [0.2, 0.0]]}
     market = build_market(cfg)
     gamma = SyntheticSqrtGamma(c_r=4e-4, c_perp=9e-4, dir_r=E1, dir_perp=E2)
-    l0, alpha, t = 0.03, 0.25, 10.0
+    l0, alpha, t, probes = 0.03, 0.25, 10.0, [50.0, 100.0, 200.0]
     for mode in ("forward", "backward"):
-        report = long_rate(
-            gamma, mode, alpha, l0=l0, t_grid=np.linspace(0, t, 11), market=market, probe_tenors=[50.0, 100.0, 200.0]
-        )
-        for t_mat, y in zip(report.probe_tenors, report.probe_expected_yields):
+        report = long_rate(gamma, mode, alpha, l0=l0, t=t, market=market, probe_tenors=probes)
+        for t_mat, y in zip(probes, report.probe_expected_yields):
             nu = DeterministicFn.zero(2)
             if mode == "backward":
                 nu, _ = solve_backward_vols(BackwardSpec(t_mat, alpha, gamma, market))
@@ -618,7 +616,7 @@ def test_long_rate_flags_model_without_limit():
     gamma = CustomGamma(fn=lambda s, t: np.outer((t - s) ** 2, E2), dim=2)
     with pytest.raises(ValueError):
         long_rate(
-            gamma, "forward", 0.5, l0=0.03, t_grid=np.linspace(0, 5, 6),
+            gamma, "forward", 0.5, l0=0.03, t=5.0,
             market=incomplete_vasicek_market(eta0=0.0),
         )
 

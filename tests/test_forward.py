@@ -170,14 +170,15 @@ def test_hjb_no_consumption_reduction():
     grid = TimeGrid(1.0, 8)
     batch = sample_brownian(31, grid, dim=2, n_paths=2)
     triple = simulate_optimal(spec, market, grid, batch)
-    report = hjb_residual(triple)
+    t_indices, x_grid = np.linspace(0, grid.n_steps, 20).astype(int), np.geomspace(0.1, 10.0, 20)
+    report = hjb_residual(triple, t_indices, x_grid)
     assert report.max_rel_residual < 1e-10
 
     alpha, kappa0, r = spec.alpha, 0.3, 0.03
-    k0 = int(report.t_indices[0])
+    k0 = int(t_indices[0])
     z = triple.zhat[0, k0]
     no_consumption = (1.0 - alpha) * z * (-r - 0.5 * alpha * kappa0**2)
-    x0 = report.x_grid[0]
+    x0 = x_grid[0]
     u_val = x0 ** (1 - alpha) / (1 - alpha)
     assert report.drift_lhs[0, 0] == pytest.approx(no_consumption * u_val, rel=1e-12)
 
@@ -302,7 +303,7 @@ def _oracle_drifts(triple, strategies):
         psi = spec.psi_hat if psi is None else psi
         kappa = spec.kappa_star if kappa is None else kappa
         wealth = wealth_paths(triple.market, grid, triple.batch, integral, kappa=kappa, consumption=psi)
-        reports.append(interval_drift_report(_value_process_oracle(triple, wealth, psi), grid.times))
+        reports.append(interval_drift_report(_value_process_oracle(triple, wealth, psi)))
     return reports
 
 
@@ -705,3 +706,10 @@ def test_perturbed_and_scaled_strategies_are_tables_on_the_spec_knots():
     assert np.array_equal(over.values(over.times), 1.5 * np.array([0.02, 0.08]))
     # scaled to 0 the rows are equal, and merge into one knot
     assert np.array_equal(scaled_consumption(spec, 0.0).times, [0.0])
+
+
+def test_perturbed_kappa_names_a_trivial_subspace():
+    # no kappa can move in a trivial subspace, and it has no basis vector to move along
+    market = replace(default_market(eta0=0.0), subspace=SubspaceR([], 2))
+    with pytest.raises(SubspaceViolationError, match="trivial"):
+        perturbed_kappa(default_spec(kappa=0.0), market, 0.15)

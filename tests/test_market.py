@@ -171,7 +171,7 @@ def test_drift_test_money_market_and_consumption():
     y = state_price_paths(market, grid, batch, integral)
 
     money = wealth_paths(market, grid, batch, integral, kappa=DeterministicFn.zero(2))
-    report = interval_drift_report(deflated_wealth(y, money, grid), grid.times)
+    report = interval_drift_report(deflated_wealth(y, money, grid))
     assert report.max_abs_t <= STAT_BAND
 
     risky = wealth_paths(
@@ -179,7 +179,7 @@ def test_drift_test_money_market_and_consumption():
         kappa=DeterministicFn.constant(np.array([0.25, 0.0])),
         consumption=DeterministicFn.constant(0.06),
     )
-    report = interval_drift_report(deflated_wealth(y, risky, grid, psi=0.06), grid.times)
+    report = interval_drift_report(deflated_wealth(y, risky, grid, psi=0.06))
     assert report.max_abs_t <= STAT_BAND
     # closed-form oracle: E[M_T] - M_0 = 0 for any admissible pair
     assert abs(report.total_t) < 4
@@ -205,7 +205,7 @@ def test_drift_test_flags_misspecified_nu():
     risky = wealth_paths(
         market, grid, batch, rate_paths.integral, kappa=DeterministicFn.constant(np.array([0.2, 0.0]))
     )
-    report = interval_drift_report(deflated_wealth(bad_y, risky, grid), grid.times)
+    report = interval_drift_report(deflated_wealth(bad_y, risky, grid))
     assert np.any(np.abs(report.interval_t) > STAT_BAND)
     # analytic drift: d(YX)/(YX) = kappa . nu dt = 0.02 dt > 0
     assert report.total_t > 4

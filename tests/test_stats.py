@@ -143,10 +143,9 @@ def test_t_stat_without_sampling_error():
 def test_deterministic_total_drift_is_detected():
     # every path loses the same amount: no sampling error, but the drift is real
     # in one block of the streams, and in three merged blocks
-    times = np.linspace(0.0, 1.0, 5)
     for n in (10, 2 * _BLOCK + 1):
         values = np.tile(np.linspace(1.0, 0.9, 5), (n, 1))
-        blocks = (interval_drift_report(values[b0:b1], times) for b0, b1 in stream_blocks(n))
+        blocks = (interval_drift_report(values[b0:b1]) for b0, b1 in stream_blocks(n))
         report = functools.reduce(DriftReport.merge, blocks)
         assert report.total_stderr == 0.0 and not report.interval_stderr.any()
         assert report.total_t == -np.inf
@@ -156,17 +155,16 @@ def test_linear_drift_reports_match_the_increments():
     # each row's moments from the column moments of v against the moments
     # of its own increments a v_{k+1} - b v_k and totals
     rng = np.random.default_rng(15)
-    times = np.linspace(0.0, 2.0, 6)
     values = np.exp(np.cumsum(0.2 * rng.standard_normal((3000, 6)), axis=1))
     a, b = 1.0 + 0.1 * rng.random((3, 5)), 1.0 - 0.1 * rng.random((3, 5))
-    for r, report in enumerate(linear_drift_reports(values, times, a, b)):
+    for r, report in enumerate(linear_drift_reports(values, a, b)):
         increments = a[r] * values[:, 1:] - b[r] * values[:, :-1]
         mean, se = mean_stderr(increments)
         assert np.allclose(report.interval_drift, mean, rtol=1e-12, atol=0.0)
         assert np.allclose(report.interval_stderr, se, rtol=1e-12, atol=0.0)
         total, total_se = mean_stderr(increments.sum(axis=1))
         assert abs(report.total_drift / total - 1.0) < 1e-12 and abs(report.total_stderr / total_se - 1.0) < 1e-12
-    plain = interval_drift_report(values, times)
+    plain = interval_drift_report(values)
     mean, se = mean_stderr(np.diff(values, axis=1))
     assert np.allclose(plain.interval_drift, mean, rtol=1e-12, atol=0.0)
     assert np.allclose(plain.interval_stderr, se, rtol=1e-12, atol=0.0)
@@ -176,16 +174,15 @@ def test_linear_drift_reports_with_zero_range_columns():
     # a column equal on every path has zero range, and so has each increment
     # and total of columns that all have zero range
     rng = np.random.default_rng(16)
-    times = np.linspace(0.0, 1.0, 4)
     values = np.tile(np.array([1.0, 0.99, 0.98, 0.97]), (500, 1))
     values[:, 3] += 0.01 * rng.standard_normal(500)
     a, b = np.full((1, 3), 1.01), np.full((1, 3), 0.99)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (report,) = linear_drift_reports(values, times, a, b)
+        (report,) = linear_drift_reports(values, a, b)
         assert np.array_equal(report.interval_stderr == 0.0, [True, True, False])
         assert report.total_stderr > 0.0
-        (flat,) = linear_drift_reports(values[:, :3], times[:3], a[:, :2], b[:, :2])
+        (flat,) = linear_drift_reports(values[:, :3], a[:, :2], b[:, :2])
     assert flat.total_stderr == 0.0 and flat.total_t == np.inf
 
 
