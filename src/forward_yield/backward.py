@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -303,25 +303,13 @@ class TerminalConstraintReport:
         return float(np.maximum(np.abs(self.lo / m - 1.0), np.abs(self.hi / m - 1.0)))
 
 
-@dataclass(frozen=True)
-class HorizonGap:
-    """Pathwise gap between the optimal solutions of two horizons at one date."""
+class HorizonGap(NamedTuple):
+    """Pathwise gap between the optimal solutions of two horizons at one
+    date: maxima over paths, which stats.merge merges across blocks."""
 
-    horizon_a: float
-    horizon_b: float
     max_rel_gap_x: float
     max_rel_gap_y: float
     predicted_gap_residual: float  # |simulated / predicted - 1| for the dual ratio
-
-    def merge(self, other: HorizonGap) -> HorizonGap:
-        """The gaps over the paths of two blocks: the larger of each, nan
-        where either is nan (np.maximum; Python's max may drop a nan)."""
-        return replace(
-            self,
-            max_rel_gap_x=float(np.maximum(self.max_rel_gap_x, other.max_rel_gap_x)),
-            max_rel_gap_y=float(np.maximum(self.max_rel_gap_y, other.max_rel_gap_y)),
-            predicted_gap_residual=float(np.maximum(self.predicted_gap_residual, other.predicted_gap_residual)),
-        )
 
 
 @dataclass(frozen=True)
@@ -373,7 +361,8 @@ def horizon_map(spec: BackwardSpec, horizons: Sequence[float], grid: TimeGrid, t
 
 def horizon_dependency_experiment(hmap: HorizonMap, batch: BrownianBatch) -> list[HorizonGap]:
     """Compare optimal solutions across horizons on common random numbers:
-    one HorizonGap per pair of horizons of hmap, in the order of its list.
+    one HorizonGap per pair of horizons of hmap, in the order of
+    itertools.combinations(hmap.horizons, 2).
 
     The optimal volatilities of horizon T_H enter the dual process, so any
     maturity dependence of Gamma shows up as a pathwise gap at a common
@@ -383,7 +372,7 @@ def horizon_dependency_experiment(hmap: HorizonMap, batch: BrownianBatch) -> lis
 
     Every gap and residual is a max over the paths of batch, so batch may be
     one block of the streams (brownian.map_blocks): the blocks' gaps,
-    merged in block order by HorizonGap.merge, are those of the whole batch
+    merged in block order by stats.merge, are those of the whole batch
     bit for bit, while the paths held are one block's.
     """
     n_h = len(hmap.horizons)
@@ -391,8 +380,6 @@ def horizon_dependency_experiment(hmap: HorizonMap, batch: BrownianBatch) -> lis
     x, y, predicted = levels[:, 0 : 2 * n_h : 2], levels[:, 1 : 2 * n_h : 2], levels[:, 2 * n_h :]
     return [
         HorizonGap(
-            horizon_a=hmap.horizons[i],
-            horizon_b=hmap.horizons[j],
             max_rel_gap_x=float(np.max(np.abs(x[:, i] / x[:, j] - 1.0))),
             max_rel_gap_y=float(np.max(np.abs(y[:, i] / y[:, j] - 1.0))),
             predicted_gap_residual=float(np.max(np.abs((y[:, i] / y[:, j]) / predicted[:, p] - 1.0))),

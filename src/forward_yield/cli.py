@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
@@ -42,7 +43,6 @@ from .config import (
     simulation_params,
 )
 from .curves import (
-    DavisReport,
     RamseyCurveReport,
     YieldCurve,
     curve_from_prices,
@@ -57,6 +57,7 @@ from .curves import (
 )
 from .errors import ConfigError, ForwardYieldError, NumericalRangeError
 from .forward import (
+    OptimalTriple,
     consistency_drift_test,
     first_order_check,
     hjb_residual,
@@ -68,7 +69,7 @@ from .forward import (
 )
 from .grids import DeterministicFn, TimeGrid
 from .market import MarketModel
-from .stats import IDENTITY_TOL, STAT_BAND, Estimate, Moments, control_variate_estimate, moments, t_stat
+from .stats import IDENTITY_TOL, STAT_BAND, Estimate, Moments, control_variate_estimate, merge, moments, t_stat
 from .tables import RunManifest
 
 CURVE_COLUMNS = ["tenor", "rate", "stderr", "method"]
@@ -153,9 +154,9 @@ def _run(command: str, cfg: Mapping[str, Any]) -> int:
     return 0
 
 
-def _reduce_blocks(cfg: Mapping[str, Any], reduce_block: Callable, merge: Callable, grid: TimeGrid, dim: int):
+def _reduce_blocks(cfg: Mapping[str, Any], reduce_block: Callable, grid: TimeGrid, dim: int):
     """reduce_block of each stream block of the configured paths on grid,
-    merged in block order."""
+    merged in block order by stats.merge."""
     n_paths, seed, _ = simulation_params(cfg)
     return functools.reduce(merge, map_blocks(reduce_block, seed, grid, dim, n_paths))
 
@@ -211,7 +212,7 @@ def _ramsey_flat(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     def reduce_block(batch: BrownianBatch) -> RamseyCurveReport:
         return ramsey_curve_mc(beta, alpha, gbm_consumption_paths(growth, sigma, grid, batch), grid, tenors)
 
-    report = _reduce_blocks(cfg, reduce_block, RamseyCurveReport.merge, grid, 1)
+    report = _reduce_blocks(cfg, reduce_block, grid, 1)
     curve = report.curve
     table = run.table("ramsey_flat_curve", _curve_rows(curve), columns=CURVE_COLUMNS)
     detail_rows = [
@@ -236,22 +237,38 @@ def _forward_curve(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
 
     market = build_market(cfg)
     spec = build_forward_spec(cfg, market)
-    grid = reading_grid(spec, market, grid, ks + [k_t])
-    # indices on the reading grid the run simulates on
-    ks = grid_indices(grid, tenors, "output.tenors")
-    (k_t,) = grid_indices(grid, [asof], "output.asof")
-    # block 0's triple holds the nested pass's outer paths, at most 256 of
-    # the block's 8192 rows
-    head = []
+    # the indices on the reading grid the run simulates on
+    grid, (*ks, k_t) = reading_grid(spec, market, grid, ks + [k_t])
 
-    def reduce_block(batch: BrownianBatch) -> Moments:
+    def nested_curve(triple: OptimalTriple) -> tuple[YieldCurve, dict]:
+        """The curve as of asof from the nested pass on block 0's outer paths,
+        at most 256 of its 8192 rows, and its summary: the plain over
+        controlled variance, per tenor, of each level's control."""
+        later = [(t, k) for t, k in zip(tenors, ks) if k > k_t]
+        inner, inner_plain = marginal_zc_mc(triple, k_t, [k for _, k in later], inner_paths=inner_paths)
+        # the outer control is each outer path's rate state, of known mean
+        rate_states = triple.rate_paths.r[: inner.mean.shape[1], k_t]
+        expected = market.rate.expected_rate(grid.times[k_t])
+        (means, stderrs), outer_plain = control_variate_estimate(inner.mean, rate_states, expected)
+        nested_tenors = [t for t, _ in later]
+        curve = curve_from_prices(
+            means, np.array(nested_tenors), asof=asof, method="marginal_mc_nested", stderrs=stderrs
+        )
+        return curve, {
+            "nested_tenors": nested_tenors,
+            "inner_variance_reduction": _variance_ratio(
+                np.sum(inner_plain.stderr**2, axis=1), np.sum(inner.stderr**2, axis=1)
+            ),
+            "outer_variance_reduction": _variance_ratio(outer_plain.stderr**2, stderrs**2),
+        }
+
+    def reduce_block(batch: BrownianBatch) -> tuple[Moments, Optional[tuple[YieldCurve, dict]]]:
         triple = simulate_optimal(spec, market, grid, batch)
-        if asof > 0.0 and batch.first_row == 0:
-            head.append(triple)
         # Y at the tenors as contiguous rows, summed pairwise; an axis-0 sum of columns gives other bits
-        return moments(np.ascontiguousarray(triple.y[:, ks].T), axis=1)
+        y = moments(np.ascontiguousarray(triple.y[:, ks].T), axis=1)
+        return y, (nested_curve(triple) if asof > 0.0 and batch.first_row == 0 else None)
 
-    y = _reduce_blocks(cfg, reduce_block, Moments.merge, grid, market.dim)
+    y, nested = _reduce_blocks(cfg, reduce_block, grid, market.dim)
     table, detail_rows = _curve_tables(run, "forward_curve", y.estimate(), market, spec.nu_star, tenors)
     for row in detail_rows:
         row["mc_minus_gaussian_t"] = t_stat(row["mc_price"] - row["gaussian_price"], row["mc_stderr"])
@@ -259,25 +276,9 @@ def _forward_curve(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     summary = {"max_abs_mc_vs_gaussian_t": max(abs(r["mc_minus_gaussian_t"]) for r in detail_rows)}
 
     if asof > 0.0:
-        (triple,) = head
-        later = [(t, k) for t, k in zip(tenors, ks) if k > k_t]
-        inner, inner_plain = marginal_zc_mc(triple, k_t, [k for _, k in later], inner_paths=inner_paths)
-        # the outer control is each outer path's rate state, of known mean
-        rate_states = triple.rate_paths.r[: inner.mean.shape[1], k_t]
-        expected = market.rate.expected_rate(grid.times[k_t])
-        (means, stderrs), outer_plain = control_variate_estimate(inner.mean, rate_states, expected)
-        nested = curve_from_prices(
-            means, np.array([t for t, _ in later]), asof=asof, method="marginal_mc_nested", stderrs=stderrs
-        )
-        run.table("forward_curve_asof", _curve_rows(nested), columns=CURVE_COLUMNS)
-        # plain over controlled variance, per tenor, of each level's control
-        summary.update(
-            nested_tenors=[t for t, _ in later],
-            inner_variance_reduction=_variance_ratio(
-                np.sum(inner_plain.stderr**2, axis=1), np.sum(inner.stderr**2, axis=1)
-            ),
-            outer_variance_reduction=_variance_ratio(outer_plain.stderr**2, stderrs**2),
-        )
+        curve, nested_summary = nested
+        run.table("forward_curve_asof", _curve_rows(curve), columns=CURVE_COLUMNS)
+        summary.update(nested_summary)
 
     run.add_summary(**summary)
     print(f"forward-curve: {len(detail_rows)} tenors written to {table}")
@@ -322,9 +323,7 @@ def _backward_curve(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
         y_tenors = np.ascontiguousarray(levels[:, 1:-1].T)
         return moments(y_tenors, axis=1), TerminalConstraintReport.of(spec.alpha, levels[:, 0], levels[:, -1])
 
-    y, constraint = _reduce_blocks(
-        cfg, reduce_block, lambda a, b: (a[0].merge(b[0]), a[1].merge(b[1])), grid, market.dim
-    )
+    y, constraint = _reduce_blocks(cfg, reduce_block, grid, market.dim)
     _, detail_rows = _curve_tables(run, "backward_curve", y.estimate(), market, nu, tenors, gamma=spec.gamma)
     run.table("backward_curve_detail", detail_rows)
     run.add_summary(
@@ -394,11 +393,8 @@ def _verify(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
         capitalized = moments(triple.y[:, -1] * np.exp(triple.rate_paths.integral[:, -1]))
         return head, identities, drifts, capitalized
 
-    def merge(a: tuple, b: tuple) -> tuple:
-        return a[0], np.maximum(a[1], b[1]), [x.merge(y) for x, y in zip(a[2], b[2])], a[3].merge(b[3])
-
     (hjb_drift, hjb_policy, transport), identities, drifts, capitalized = _reduce_blocks(
-        cfg, reduce_block, merge, grid, market.dim
+        cfg, reduce_block, grid, market.dim
     )
     mean, se = capitalized.estimate()
     # thresholds: IDENTITY_TOL for an identity, STAT_BAND for a statistic that
@@ -428,8 +424,7 @@ def _davis(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     market = build_market(cfg)
     spec = build_forward_spec(cfg, market)
     # the reading grid: date 0, the maturity, the horizon and coefficient changes
-    grid = reading_grid(spec, market, grid, [k_mat, grid.n_steps])
-    read = [0, grid.index_of(maturity), grid.n_steps]
+    grid, read = reading_grid(spec, market, grid, [0, k_mat, grid.n_steps])
 
     label = "unit" if kind == "unit" else f"call_on_wealth(K={strike:g})"
     # time consistency: capitalize the payoff to the horizon inside the
@@ -441,22 +436,23 @@ def _davis(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     if not np.all(np.isfinite(capitalization)):
         raise NumericalRangeError("spec.psi_hat: exp(int psi_hat ds) to the horizon left the range of double precision")
 
-    def reduce_block(batch: BrownianBatch) -> DavisReport:
+    def reduce_block(batch: BrownianBatch) -> Moments:
         triple = simulate_optimal(spec, market, grid, batch)
         x, y = triple.x[:, read], triple.y[:, read]
         payoff = np.ones(batch.n_paths) if kind == "unit" else np.maximum(x[:, 1] - strike, 0.0)
         return davis_report(payoff, y, x * capitalization, 1, 2)
 
-    report = _reduce_blocks(cfg, reduce_block, DavisReport.merge, grid, market.dim)
-    price, (p_cap, cap_t) = report.price, report.capitalization
+    # the price, the price via the horizon, and the t statistic of their gap
+    mean, se = _reduce_blocks(cfg, reduce_block, grid, market.dim).estimate()
+    cap_t = t_stat(mean[2], se[2])
 
     rows = [{
-        "payoff": label, "maturity": maturity, "value": price.mean, "stderr": price.stderr,
-        "capitalized_value": p_cap, "capitalization_t": cap_t,
+        "payoff": label, "maturity": maturity, "value": mean[0], "stderr": se[0],
+        "capitalized_value": mean[1], "capitalization_t": cap_t,
     }]
     table = run.table("davis", rows)
     run.add_summary(**rows[0])
-    print(f"davis: {label} at T={maturity:g}: {price.mean:.6f} +/- {price.stderr:.2e} (capitalization t = {cap_t:.2f})")
+    print(f"davis: {label} at T={maturity:g}: {mean[0]:.6f} +/- {se[0]:.2e} (capitalization t = {cap_t:.2f})")
     print(f"wrote {table}")
     return []
 
@@ -472,20 +468,19 @@ def _horizon(cfg: Mapping[str, Any], run: RunManifest) -> list[Check]:
     # drawn; its gaps are maxima over paths, merged across blocks in block order
     hmap = horizon_map(spec, horizons, grid, t_common)
     gaps = _reduce_blocks(
-        cfg, functools.partial(horizon_dependency_experiment, hmap),
-        lambda a, b: [ga.merge(gb) for ga, gb in zip(a, b)], grid.prefix(max(k_c, 1)), market.dim,
+        cfg, functools.partial(horizon_dependency_experiment, hmap), grid.prefix(max(k_c, 1)), market.dim
     )
 
     rows = [
         {
-            "horizon_a": g.horizon_a,
-            "horizon_b": g.horizon_b,
+            "horizon_a": horizon_a,
+            "horizon_b": horizon_b,
             "t_common": t_common,
             "max_rel_gap_wealth": g.max_rel_gap_x,
             "max_rel_gap_dual": g.max_rel_gap_y,
             "predicted_gap_residual": g.predicted_gap_residual,
         }
-        for g in gaps
+        for (horizon_a, horizon_b), g in zip(itertools.combinations(horizons, 2), gaps)
     ]
     run.table("horizon", rows)
     for row in rows:

@@ -141,28 +141,35 @@ def _require(cfg: Mapping, field: str):
     return node
 
 
-def _positive_number(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < math.inf:
-        raise _fail(field, "must be a positive real", value)
+# the range of each kind of numeric field: a test, and the error that states it
+_REALS = {
+    "finite": (math.isfinite, "must be a finite real"),
+    "positive": (lambda v: 0 < v < math.inf, "must be a positive real"),
+    "nonnegative": (lambda v: 0 <= v < math.inf, "must be a nonnegative real"),
+    "alpha": (lambda v: 0.0 < v < 1.0, "must lie in the open interval (0, 1)"),
+}
+_INTEGERS = {
+    "positive": (lambda v: v >= 1, "must be a positive integer"),
+    # a standard error needs two paths
+    "paths": (lambda v: v >= 2, "must be an integer >= 2"),
+    "seed": (lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
+}
+
+
+def _real(value, field: str, kind: str) -> float:
+    """value as a float: an int or float, not a bool, in the range of kind."""
+    test, message = _REALS[kind]
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not test(value):
+        raise _fail(field, message, value)
     return float(value)
 
 
-def _nonnegative_number(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value < math.inf:
-        raise _fail(field, "must be a nonnegative real", value)
-    return float(value)
-
-
-def _finite_number(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise _fail(field, "must be a finite real", value)
-    return float(value)
-
-
-def _alpha(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 < value < 1.0:
-        raise _fail(field, "must lie in the open interval (0, 1)", value)
-    return float(value)
+def _integer(value, field: str, kind: str) -> int:
+    """value, an int and not a bool, in the range of kind."""
+    test, message = _INTEGERS[kind]
+    if not isinstance(value, int) or isinstance(value, bool) or not test(value):
+        raise _fail(field, message, value)
+    return value
 
 
 def _vector(value, dim: int, field: str) -> np.ndarray:
@@ -185,7 +192,7 @@ def time_function(value, dim: int | None, field: str) -> DeterministicFn:
         except ValueError as exc:
             raise _fail(field, str(exc))
     if dim is None:
-        return DeterministicFn.constant(_finite_number(value, field))
+        return DeterministicFn.constant(_real(value, field, "finite"))
     return DeterministicFn.constant(_vector(value, dim, field))
 
 
@@ -198,42 +205,30 @@ def grid_indices(grid: TimeGrid, times, field: str) -> list[int]:
 
 
 def build_grid(cfg: Mapping[str, Any]) -> TimeGrid:
-    horizon = _positive_number(_require(cfg, "simulation.horizon"), "simulation.horizon")
-    n_steps = _require(cfg, "simulation.n_steps")
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
-        raise _fail("simulation.n_steps", "must be a positive integer", n_steps)
-    return TimeGrid(horizon, n_steps)
+    horizon = _real(_require(cfg, "simulation.horizon"), "simulation.horizon", "positive")
+    return TimeGrid(horizon, _integer(_require(cfg, "simulation.n_steps"), "simulation.n_steps", "positive"))
 
 
 def simulation_params(cfg: Mapping[str, Any]) -> tuple[int, int, int]:
-    n_paths = _require(cfg, "simulation.n_paths")
-    # a standard error needs two paths
-    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 2:
-        raise _fail("simulation.n_paths", "must be an integer >= 2", n_paths)
-    seed = _require(cfg, "simulation.seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise _fail("simulation.seed", "must be an unsigned 64-bit integer", seed)
-    inner = _require(cfg, "simulation.inner_paths")
-    if not isinstance(inner, int) or isinstance(inner, bool) or inner < 2:
-        raise _fail("simulation.inner_paths", "must be an integer >= 2", inner)
+    n_paths = _integer(_require(cfg, "simulation.n_paths"), "simulation.n_paths", "paths")
+    seed = _integer(_require(cfg, "simulation.seed"), "simulation.seed", "seed")
+    inner = _integer(_require(cfg, "simulation.inner_paths"), "simulation.inner_paths", "paths")
     return n_paths, seed, inner
 
 
 def build_market(cfg: Mapping[str, Any]) -> MarketModel:
-    dim = _require(cfg, "market.dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise _fail("market.dim", "must be a positive integer", dim)
+    dim = _integer(_require(cfg, "market.dim"), "market.dim", "positive")
 
     rate_cfg = _require(cfg, "market.rate")
     model = rate_cfg.get("model")
     if model == "constant":
-        rate = ConstantRate(rate=_finite_number(_require(cfg, "market.rate.r"), "market.rate.r"))
+        rate = ConstantRate(rate=_real(_require(cfg, "market.rate.r"), "market.rate.r", "finite"))
     elif model == "vasicek":
         params = dict(
-            a=_positive_number(_require(cfg, "market.rate.a"), "market.rate.a"),
-            b=_finite_number(_require(cfg, "market.rate.b"), "market.rate.b"),
-            sigma=_nonnegative_number(_require(cfg, "market.rate.sigma_r"), "market.rate.sigma_r"),
-            r0=_finite_number(_require(cfg, "market.rate.r0"), "market.rate.r0"),
+            a=_real(_require(cfg, "market.rate.a"), "market.rate.a", "positive"),
+            b=_real(_require(cfg, "market.rate.b"), "market.rate.b", "finite"),
+            sigma=_real(_require(cfg, "market.rate.sigma_r"), "market.rate.sigma_r", "nonnegative"),
+            r0=_real(_require(cfg, "market.rate.r0"), "market.rate.r0", "finite"),
             w_dir=_vector(_require(cfg, "market.rate.w_dir"), dim, "market.rate.w_dir"),
         )
         try:
@@ -272,7 +267,7 @@ def _subspace_function(value, subspace: SubspaceR, field: str, complement: bool 
 
 
 def build_forward_spec(cfg: Mapping[str, Any], market: MarketModel) -> ForwardPowerSpec:
-    alpha = _alpha(_require(cfg, "spec.alpha"), "spec.alpha")
+    alpha = _real(_require(cfg, "spec.alpha"), "spec.alpha", "alpha")
     psi_cfg = _require(cfg, "spec.psi_hat")
     spec = ForwardPowerSpec(
         alpha=alpha,
@@ -300,21 +295,21 @@ def build_gamma(cfg: Mapping[str, Any], market: MarketModel):
         raise _fail("spec.gamma", f"{model} needs a market with an unhedgeable direction")
     if model == "vasicek_orthogonal":
         return VasicekGamma(
-            a=_positive_number(gamma_cfg.get("a"), "spec.gamma.a"),
-            sigma_r=_nonnegative_number(gamma_cfg.get("sigma_r"), "spec.gamma.sigma_r"),
+            a=_real(gamma_cfg.get("a"), "spec.gamma.a", "positive"),
+            sigma_r=_real(gamma_cfg.get("sigma_r"), "spec.gamma.sigma_r", "nonnegative"),
             direction=direction,
         )
     return SyntheticSqrtGamma(
-        c_r=_nonnegative_number(gamma_cfg.get("c_r", 0.0), "spec.gamma.c_r"),
-        c_perp=_nonnegative_number(gamma_cfg.get("c_perp", 0.0), "spec.gamma.c_perp"),
+        c_r=_real(gamma_cfg.get("c_r", 0.0), "spec.gamma.c_r", "nonnegative"),
+        c_perp=_real(gamma_cfg.get("c_perp", 0.0), "spec.gamma.c_perp", "nonnegative"),
         dir_r=basis[0],
         dir_perp=direction,
     )
 
 
 def build_backward_spec(cfg: Mapping[str, Any], market: MarketModel, t_horizon: float | None = None) -> BackwardSpec:
-    alpha = _alpha(_require(cfg, "spec.alpha"), "spec.alpha")
-    horizon = t_horizon if t_horizon is not None else _positive_number(_require(cfg, "spec.t_horizon"), "spec.t_horizon")
+    alpha = _real(_require(cfg, "spec.alpha"), "spec.alpha", "alpha")
+    horizon = t_horizon if t_horizon is not None else _real(_require(cfg, "spec.t_horizon"), "spec.t_horizon", "positive")
     return BackwardSpec(t_horizon=horizon, alpha=alpha, gamma=build_gamma(cfg, market), market=market)
 
 
@@ -323,10 +318,10 @@ def horizon_params(cfg: Mapping[str, Any]) -> tuple[list[float], float]:
     horizons = _require(cfg, "spec.t_horizons")
     if not isinstance(horizons, list) or len(horizons) < 2:
         raise _fail("spec.t_horizons", "need at least two horizons for the experiment")
-    horizons = [_positive_number(t, "spec.t_horizons") for t in horizons]
+    horizons = [_real(t, "spec.t_horizons", "positive") for t in horizons]
     if len(set(horizons)) < len(horizons):
         raise _fail("spec.t_horizons", "must be distinct", horizons)
-    t_common = _nonnegative_number(_require(cfg, "spec.t_common"), "spec.t_common")
+    t_common = _real(_require(cfg, "spec.t_common"), "spec.t_common", "nonnegative")
     if t_common > min(horizons):
         raise _fail("spec.t_common", f"must not exceed the smallest horizon {min(horizons)}", t_common)
     return horizons, t_common
@@ -349,15 +344,15 @@ def output_params(cfg: Mapping[str, Any]) -> tuple[list[float], str, str, float]
     if fmt not in ("csv", "json"):
         raise _fail("output.format", "must be 'csv' or 'json'", fmt)
     out = str(_require(cfg, "output.path"))
-    return vals, out, fmt, _nonnegative_number(cfg["output"].get("asof", 0.0), "output.asof")
+    return vals, out, fmt, _real(cfg["output"].get("asof", 0.0), "output.asof", "nonnegative")
 
 
 def ramsey_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float, list[float]]:
     """(beta, alpha, growth, sigma, tenors) of the geometric-consumption economy."""
-    beta = _finite_number(_require(cfg, "ramsey.beta"), "ramsey.beta")
-    alpha = _alpha(_require(cfg, "ramsey.alpha"), "ramsey.alpha")
-    growth = _finite_number(_require(cfg, "ramsey.growth"), "ramsey.growth")
-    sigma = _nonnegative_number(_require(cfg, "ramsey.sigma"), "ramsey.sigma")
+    beta = _real(_require(cfg, "ramsey.beta"), "ramsey.beta", "finite")
+    alpha = _real(_require(cfg, "ramsey.alpha"), "ramsey.alpha", "alpha")
+    growth = _real(_require(cfg, "ramsey.growth"), "ramsey.growth", "finite")
+    sigma = _real(_require(cfg, "ramsey.sigma"), "ramsey.sigma", "nonnegative")
     tenors = tenor_list(_require(cfg, "ramsey.tenors"), "ramsey.tenors")
     return beta, alpha, growth, sigma, tenors
 
@@ -365,10 +360,10 @@ def ramsey_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float, l
 def long_rate_params(cfg: Mapping[str, Any]) -> tuple[float, float, float, float, list[float]]:
     """(l0, spec.alpha, alpha_backward, t_max, probes); every probe tenor lies
     beyond t_max, the last date the long rate is reported at."""
-    l0 = _finite_number(_require(cfg, "long_rate.l0"), "long_rate.l0")
-    alpha_fwd = _alpha(_require(cfg, "spec.alpha"), "spec.alpha")
-    alpha_bwd = _alpha(_require(cfg, "long_rate.alpha_backward"), "long_rate.alpha_backward")
-    t_max = _positive_number(_require(cfg, "long_rate.t_max"), "long_rate.t_max")
+    l0 = _real(_require(cfg, "long_rate.l0"), "long_rate.l0", "finite")
+    alpha_fwd = _real(_require(cfg, "spec.alpha"), "spec.alpha", "alpha")
+    alpha_bwd = _real(_require(cfg, "long_rate.alpha_backward"), "long_rate.alpha_backward", "alpha")
+    t_max = _real(_require(cfg, "long_rate.t_max"), "long_rate.t_max", "positive")
     probes = tenor_list(_require(cfg, "long_rate.probes"), "long_rate.probes")
     if probes[0] <= t_max:
         raise _fail("long_rate.probes", f"must all exceed long_rate.t_max={t_max:g}", probes)
@@ -380,5 +375,5 @@ def davis_params(cfg: Mapping[str, Any]) -> tuple[str, float, float]:
     kind = _require(cfg, "davis.payoff.kind")
     if kind not in ("unit", "call_on_wealth"):
         raise _fail("davis.payoff.kind", "must be 'unit' or 'call_on_wealth'", kind)
-    strike = _finite_number(_require(cfg, "davis.payoff.strike"), "davis.payoff.strike")
-    return kind, strike, _nonnegative_number(_require(cfg, "davis.maturity"), "davis.maturity")
+    strike = _real(_require(cfg, "davis.payoff.strike"), "davis.payoff.strike", "finite")
+    return kind, strike, _real(_require(cfg, "davis.maturity"), "davis.maturity", "nonnegative")

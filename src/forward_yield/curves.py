@@ -483,39 +483,20 @@ def _deflated(payoff_values: np.ndarray, y_paths: np.ndarray, k_mat: int) -> np.
     return payoff_values * y_paths[:, k_mat] / y_paths[:, 0]
 
 
-@dataclass(frozen=True)
-class DavisReport:
-    """Moments over paths of a payoff deflated at its maturity, whose mean is
-    its date-0 marginal-utility price E[zeta_T Y_T / Y_0] (price), of the
-    payoff capitalized to the horizon and deflated there, and of capitalized
-    minus deflated; blocks of paths merge."""
-
-    rows: Moments
-
-    def merge(self, other: DavisReport) -> DavisReport:
-        return DavisReport(self.rows.merge(other.rows))
-
-    @property
-    def price(self) -> Estimate:
-        return Estimate(*(float(v[0]) for v in self.rows.estimate()))
-
-    @property
-    def capitalization(self) -> tuple[float, float]:
-        """(price via the horizon, t statistic of its gap to the direct price)."""
-        mean, se = self.rows.estimate()
-        return float(mean[1]), t_stat(mean[2], se[2])
-
-
 def davis_report(
     payoff_values: np.ndarray, y_paths: np.ndarray, x_paths: np.ndarray, k_mat: int, k_horizon: int
-) -> DavisReport:
-    """The Davis report of a date-T payoff capitalized inside the consumption-free
-    optimal wealth x_paths; wealth times the state-price density is a martingale."""
+) -> Moments:
+    """Moments over paths of three rows: a date-T payoff deflated at its
+    maturity, whose mean is its date-0 marginal-utility price
+    E[zeta_T Y_T / Y_0]; the payoff capitalized to the horizon inside the
+    consumption-free optimal wealth x_paths and deflated there, the same
+    price, as wealth times the state-price density is a martingale; and
+    capitalized minus deflated."""
     rows = np.empty((3, y_paths.shape[0]))
     rows[0] = _deflated(payoff_values, y_paths, k_mat)
     rows[1] = _deflated(payoff_values * (x_paths[:, k_horizon] / x_paths[:, k_mat]), y_paths, k_horizon)
     np.subtract(rows[1], rows[0], out=rows[2])
-    return DavisReport(moments(rows, axis=1))
+    return moments(rows, axis=1)
 
 
 # ---------------------------------------------------------------------------

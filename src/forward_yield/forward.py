@@ -71,21 +71,26 @@ class OptimalTriple:
         return self.zhat.shape[0]
 
 
-def reading_grid(spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, read: Iterable[int]) -> TimeGrid:
+def reading_grid(
+    spec: ForwardPowerSpec, market: MarketModel, grid: TimeGrid, read: Iterable[int]
+) -> tuple[TimeGrid, list[int]]:
     """The dates of grid that simulate_optimal must step through to give the
-    paths at the read indices the law they have on all of grid.
+    paths at the read indices the law they have on all of grid, and the index
+    of each read date on them.
 
     Every scheme in use is exact at any step size when the coefficients are
     constant over a step, so the sub-grid holds date 0, the read dates, and
     the first date at or after each knot of kappa, nu, psi and eta that lies
     before the last date read; a coefficient without knots keeps every date.
     """
-    keep = {0, *(int(k) for k in read)}
+    read = [int(k) for k in read]
+    keep = {0, *read}
     last = max(keep)
     for fn in (spec.kappa_star, spec.nu_star, spec.psi_hat, market.risk_premium):
         dates = np.arange(grid.n_steps + 1) if fn.times is None else np.searchsorted(grid.times, fn.times)
         keep.update(dates[dates < last].tolist())
-    return grid.subgrid(sorted(keep))
+    keep = sorted(keep)
+    return grid.subgrid(keep), [keep.index(k) for k in read]
 
 
 def simulate_optimal(

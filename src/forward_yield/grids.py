@@ -23,7 +23,7 @@ class TimeGrid:
         widths: the K step widths, read-only.
     """
 
-    __slots__ = ("horizon", "n_steps", "times", "widths", "uniform")
+    __slots__ = ("horizon", "n_steps", "times", "widths")
 
     def __init__(self, horizon: float, n_steps: int) -> None:
         if not (np.isfinite(horizon) and horizon > 0.0):
@@ -31,7 +31,7 @@ class TimeGrid:
         if int(n_steps) != n_steps or n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
         n_steps, horizon = int(n_steps), float(horizon)
-        self._fill(horizon, n_steps, np.linspace(0.0, horizon, n_steps + 1), np.full(n_steps, horizon / n_steps), True)
+        self._fill(horizon, n_steps, np.linspace(0.0, horizon, n_steps + 1), np.full(n_steps, horizon / n_steps))
 
     @classmethod
     def of_times(cls, times, widths=None) -> "TimeGrid":
@@ -43,13 +43,13 @@ class TimeGrid:
         if widths.shape != (len(times) - 1,) or not np.all(widths > 0):
             raise ValueError("grid widths must be positive, one per step")
         grid = cls.__new__(cls)
-        grid._fill(float(times[-1]), len(times) - 1, times, widths, False)
+        grid._fill(float(times[-1]), len(times) - 1, times, widths)
         return grid
 
-    def _fill(self, horizon, n_steps, times, widths, uniform) -> None:
+    def _fill(self, horizon, n_steps, times, widths) -> None:
         times.setflags(write=False)
         widths.setflags(write=False)
-        for name, value in zip(self.__slots__, (horizon, n_steps, times, widths, uniform)):
+        for name, value in zip(self.__slots__, (horizon, n_steps, times, widths)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -61,7 +61,7 @@ class TimeGrid:
         return np.array_equal(self.times, other.times) and np.array_equal(self.widths, other.widths)
 
     def __repr__(self) -> str:
-        if self.uniform:
+        if np.all(self.widths == self.horizon / self.n_steps):
             return f"TimeGrid(horizon={self.horizon}, n_steps={self.n_steps})"
         return f"TimeGrid.of_times({self.times.tolist()})"
 

@@ -84,6 +84,22 @@ def moments(x: np.ndarray, axis: int = 0) -> Moments:
     return Moments(n, m, m2, const)
 
 
+def merge(a, b):
+    """The reduction of two blocks of paths together, from each block's, a's
+    block first: b None keeps a, a value only block 0 computes; a value with
+    a merge method merges itself (Moments, a NamedTuple, before the tuple
+    rule); a tuple or list merges item by item; anything else is a max over
+    paths, np.maximum, which keeps a nan (Python's max may drop one)."""
+    if b is None:
+        return a
+    if hasattr(a, "merge"):
+        return a.merge(b)
+    if isinstance(a, (tuple, list)):
+        items = [merge(x, y) for x, y in zip(a, b)]
+        return a._make(items) if hasattr(a, "_make") else type(a)(items)
+    return np.maximum(a, b)
+
+
 def mean_stderr(x: np.ndarray, axis: int = 0) -> Estimate:
     """Sample mean and standard error along an axis, from moments(x): up to
     _BLOCK samples, se has np.std's bits (ddof 1, over sqrt(n)), except

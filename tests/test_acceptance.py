@@ -45,7 +45,7 @@ from forward_yield import (
 )
 from forward_yield.backward import TerminalConstraintReport
 from forward_yield.curves import davis_report
-from forward_yield.stats import mean_stderr
+from forward_yield.stats import mean_stderr, t_stat
 
 from conjugation_oracles import numeric_biconjugate, numeric_fenchel
 
@@ -344,17 +344,19 @@ def test_criterion_10_davis_linearity_and_time_consistency():
 
     zeta1 = np.maximum(x[:, k_mat] - 0.8, 0.0)
     zeta2 = np.ones_like(zeta1)
-    p1 = davis_report(zeta1, y, x, k_mat, k_h).price
-    p2 = davis_report(zeta2, y, x, k_mat, k_h).price
-    combo = davis_report(2.0 * zeta1 + 3.0 * zeta2, y, x, k_mat, k_h).price
-    lin_gap = abs(combo.mean - (2.0 * p1.mean + 3.0 * p2.mean)) / max(abs(combo.mean), 1.0)
+    # the price is the mean of the first row, and the capitalization's gap to it the third
+    p1 = davis_report(zeta1, y, x, k_mat, k_h).mean[0]
+    p2 = davis_report(zeta2, y, x, k_mat, k_h).mean[0]
+    combo = davis_report(2.0 * zeta1 + 3.0 * zeta2, y, x, k_mat, k_h).mean[0]
+    lin_gap = abs(combo - (2.0 * p1 + 3.0 * p2)) / max(abs(combo), 1.0)
 
-    _, t_stat = davis_report(zeta1, y, x, k_mat, k_h).capitalization
-    ok = lin_gap <= 1e-15 and abs(t_stat) < 3.0
+    mean, se = davis_report(zeta1, y, x, k_mat, k_h).estimate()
+    cap_t = t_stat(mean[2], se[2])
+    ok = lin_gap <= 1e-15 and abs(cap_t) < 3.0
     _report(
         "criterion 10 (Davis pricing)",
         ok,
-        f"linearity gap {lin_gap:.1e} (<=1e-15), capitalization t = {t_stat:.2f} (<3)",
+        f"linearity gap {lin_gap:.1e} (<=1e-15), capitalization t = {cap_t:.2f} (<3)",
     )
 
 

@@ -468,14 +468,6 @@ def test_zhat_column_of_the_solved_vols_is_zero():
     assert np.max(np.abs(zhat_column(bumped))) > 1e-3
 
 
-def test_horizon_gap_merge_keeps_a_nan():
-    gap = backward.HorizonGap(10.0, 50.0, 1e-3, 2e-3, 1e-12)
-    nan = replace(gap, max_rel_gap_x=np.nan, predicted_gap_residual=np.nan)
-    for merged in (gap.merge(nan), nan.merge(gap)):
-        assert np.isnan(merged.max_rel_gap_x) and np.isnan(merged.predicted_gap_residual)
-        assert merged.max_rel_gap_y == 2e-3
-
-
 @pytest.mark.parametrize(
     "gamma",
     [

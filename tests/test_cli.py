@@ -1002,10 +1002,10 @@ def test_outer_control_has_the_vasicek_mean():
     spec = build_forward_spec(cfg, market)
     configured = build_grid(cfg)
     read = grid_indices(configured, NESTED_CURVE["output"]["tenors"] + [2.0], "output")
-    grid = forward_yield.reading_grid(spec, market, configured, read)
+    grid, (*_, k_t) = forward_yield.reading_grid(spec, market, configured, read)
     batch = forward_yield.sample_brownian(simulation_params(cfg)[1], grid, dim=market.dim, n_paths=20_000)
     triple = forward_yield.simulate_optimal(spec, market, grid, batch)
-    mean, se = mean_stderr(triple.rate_paths.r[:, grid.index_of(2.0)])
+    mean, se = mean_stderr(triple.rate_paths.r[:, k_t])
     assert se > 0
     assert abs(mean - market.rate.expected_rate(2.0)) <= 4.0 * se
 

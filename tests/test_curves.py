@@ -38,7 +38,7 @@ from forward_yield.brownian import _BLOCK, PURPOSE_INNER, substream_seed
 from forward_yield.curves import _tilt_integral, davis_report, forward_marginal_consumption_paths, market_gamma
 from forward_yield.errors import NumericalRangeError
 from forward_yield.config import build_forward_spec, build_grid, build_market, load_config
-from forward_yield.stats import control_variate_estimate, mean_stderr
+from forward_yield.stats import control_variate_estimate, mean_stderr, t_stat
 
 from gamma_fields import CustomGamma
 
@@ -311,11 +311,9 @@ def test_nested_table_coefficients_match_state_closed_form():
     # simulated on the reading grid of the read dates, which must keep the knot
     configured = TimeGrid(10.0, 40)
     read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 7.0)]
-    grid = reading_grid(spec, market, configured, read)
+    grid, (k_t, *k_mats) = reading_grid(spec, market, configured, read)
     assert np.array_equal(grid.times, [0.0, 2.0, 3.0, 3.5, 5.0, 7.0])
     triple = simulate_optimal(spec, market, grid, sample_brownian(2468, grid, dim=2, n_paths=64))
-    k_mats = [grid.index_of(t) for t in (3.0, 5.0, 7.0)]
-    k_t = grid.index_of(2.0)
     (prices, stderrs), _ = marginal_zc_mc(triple, k_t, k_mats, inner_paths=4096, max_outer=32)
     for maturity, p, se in zip((3.0, 5.0, 7.0), prices, stderrs):
         closed = zc_price_gaussian(market, spec.nu_star, 2.0, maturity, r_t=triple.rate_paths.r[:32, k_t])
@@ -349,9 +347,10 @@ def test_inner_control_has_mean_one_at_the_default_config(monkeypatch):
     market = build_market(cfg)
     spec = build_forward_spec(cfg, market)
     configured = build_grid(cfg)
-    grid = reading_grid(spec, market, configured, [configured.index_of(t) for t in (2.0, 3.0, 5.0, 10.0)])
+    read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 10.0)]
+    grid, (k_t, *k_mats) = reading_grid(spec, market, configured, read)
     triple = simulate_optimal(spec, market, grid, sample_brownian(cfg["simulation"]["seed"], grid, market.dim, 64))
-    controls = inner_controls(triple, grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 10.0)], monkeypatch)
+    controls = inner_controls(triple, k_t, k_mats, monkeypatch)
     mean, se = mean_stderr(controls, axis=1)
     assert np.all(se > 0)
     assert np.all(np.abs(mean - 1.0) <= 4.0 * se)
@@ -369,10 +368,10 @@ def test_inner_control_has_mean_one_across_a_coefficient_knot(monkeypatch):
     )
     configured = TimeGrid(10.0, 40)
     read = [configured.index_of(t) for t in (2.0, 3.0, 5.0, 7.0)]
-    grid = reading_grid(spec, market, configured, read)
+    grid, (k_t, *k_mats) = reading_grid(spec, market, configured, read)
     assert 3.5 in grid.times
     triple = simulate_optimal(spec, market, grid, sample_brownian(2469, grid, dim=2, n_paths=64))
-    controls = inner_controls(triple, grid.index_of(2.0), [grid.index_of(t) for t in (3.0, 5.0, 7.0)], monkeypatch)
+    controls = inner_controls(triple, k_t, k_mats, monkeypatch)
     mean, se = mean_stderr(controls, axis=1)
     assert np.all(np.abs(mean - 1.0) <= 4.0 * se)
 
@@ -633,8 +632,8 @@ def test_davis_unit_payoff_equals_zero_coupon():
     triple = simulate_optimal(spec, market, grid, batch)
     k = grid.index_of(5.0)
     zc, _ = mean_stderr(triple.y[:, k])
-    unit = davis_report(np.ones(triple.n_paths), triple.y, triple.x, k, k).price
-    assert unit.mean == pytest.approx(zc, rel=1e-12)
+    unit = davis_report(np.ones(triple.n_paths), triple.y, triple.x, k, k).mean[0]
+    assert unit == pytest.approx(zc, rel=1e-12)
 
 
 def test_davis_linearity_exact():
@@ -649,13 +648,14 @@ def test_davis_linearity_exact():
     zeta1 = np.maximum(x_t - 0.9, 0.0)
     zeta2 = np.ones_like(x_t)
 
-    p1 = davis_report(zeta1, y, triple.x, k, k).price
-    p2 = davis_report(zeta2, y, triple.x, k, k).price
-    combo = davis_report(3.0 * zeta1 + 0.5 * zeta2, y, triple.x, k, k).price
-    assert abs(combo.mean - (3.0 * p1.mean + 0.5 * p2.mean)) <= 1e-15 * max(abs(combo.mean), 1.0)
+    # the price is the mean of the first row
+    p1 = davis_report(zeta1, y, triple.x, k, k).mean[0]
+    p2 = davis_report(zeta2, y, triple.x, k, k).mean[0]
+    combo = davis_report(3.0 * zeta1 + 0.5 * zeta2, y, triple.x, k, k).mean[0]
+    assert abs(combo - (3.0 * p1 + 0.5 * p2)) <= 1e-15 * max(abs(combo), 1.0)
 
-    scaled = davis_report(7.0 * zeta1, y, triple.x, k, k).price
-    assert abs(scaled.mean - 7.0 * p1.mean) <= 1e-15 * max(abs(scaled.mean), 1.0)
+    scaled = davis_report(7.0 * zeta1, y, triple.x, k, k).mean[0]
+    assert abs(scaled - 7.0 * p1) <= 1e-15 * max(abs(scaled), 1.0)
 
 
 def test_davis_rejects_negative_payoff():
@@ -703,8 +703,8 @@ def test_davis_call_against_two_lognormal_oracle():
     )
 
     zeta = np.maximum(triple.x[:, k] - strike, 0.0)
-    price = davis_report(zeta, triple.y, triple.x, k, k).price
-    assert abs(price.mean - oracle) < 3 * price.stderr
+    mean, stderr = davis_report(zeta, triple.y, triple.x, k, k).estimate()
+    assert abs(mean[0] - oracle) < 3 * stderr[0]
 
 
 @pytest.mark.parametrize(
@@ -791,9 +791,10 @@ def test_davis_capitalization_time_consistency():
     x, y = backward_optimal_paths(spec, grid, batch, *solve_backward_vols(spec))
     k_mat, k_h = grid.index_of(5.0), grid.index_of(10.0)
     zeta = np.maximum(x[:, k_mat] - 0.8, 0.0)
-    p_cap, t_stat = davis_report(zeta, y, x, k_mat, k_h).capitalization
-    assert abs(t_stat) < 3.0
-    assert davis_report(zeta, y, x, k_mat, k_h).price.mean == pytest.approx(p_cap, rel=0.02)
+    # rows: the direct price, the price via the horizon, and their gap
+    mean, se = davis_report(zeta, y, x, k_mat, k_h).estimate()
+    assert abs(t_stat(mean[2], se[2])) < 3.0
+    assert mean[0] == pytest.approx(mean[1], rel=0.02)
 
 
 # ---------------------------------------------------------------------------

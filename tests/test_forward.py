@@ -441,7 +441,7 @@ def test_optimal_drift_deterministic_limit():
         bias = p * (np.exp(-psi * h) - 1.0 + psi * h * (1.0 + np.exp(-psi * h)) / 2.0) / (1.0 - alpha)
         assert np.all(report.interval_stderr == 0.0)
         assert np.max(np.abs(report.interval_drift - bias)) <= 1e-15
-        if grid.uniform:
+        if np.all(grid.widths == grid.horizon / grid.n_steps):
             assert bias[0] == pytest.approx(2.57e-6, rel=1e-2)
 
 
@@ -684,10 +684,16 @@ def test_reading_grid_keeps_the_first_date_after_each_knot():
     spec = replace(default_spec(), nu_star=DeterministicFn.table([0.0, 3.6], [[0.0, 0.1], [0.0, -0.1]]))
     grid = TimeGrid(10.0, 40)
     read = [grid.index_of(2.0), grid.index_of(5.0)]
-    assert np.array_equal(reading_grid(spec, market, grid, read).times, [0.0, 2.0, 3.75, 5.0])
+    sub, indices = reading_grid(spec, market, grid, read)
+    assert np.array_equal(sub.times, [0.0, 2.0, 3.75, 5.0])
+    # each read date's index on the reading grid, in the order read
+    assert indices == [1, 3]
+    assert reading_grid(spec, market, grid, read[::-1])[1] == [3, 1]
     # a callable has no knots to read, so it keeps every date up to the last read
     flat = DeterministicFn(lambda t: np.full(np.shape(t), 0.1), label="flat psi")
-    assert np.array_equal(reading_grid(replace(spec, psi_hat=flat), market, grid, read).times, grid.times[:21])
+    sub, indices = reading_grid(replace(spec, psi_hat=flat), market, grid, read)
+    assert np.array_equal(sub.times, grid.times[:21])
+    assert indices == read
 
 
 def test_perturbed_and_scaled_strategies_are_tables_on_the_spec_knots():

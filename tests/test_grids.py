@@ -48,6 +48,15 @@ def test_uniform_widths_are_the_exact_step():
         assert np.all(grid.widths == horizon / n_steps)
 
 
+def test_repr_is_short_where_every_width_is_the_uniform_step():
+    # an off-grid time's error prints the grid
+    assert repr(TimeGrid(10.0, 40)) == "TimeGrid(horizon=10.0, n_steps=40)"
+    assert repr(TimeGrid.of_times([0.0, 1.0, 2.0])) == "TimeGrid(horizon=2.0, n_steps=2)"
+    assert repr(TimeGrid.of_times([0.0, 1.0, 3.0])) == "TimeGrid.of_times([0.0, 1.0, 3.0])"
+    with pytest.raises(ValueError, match=r"^t=2\.51 is not a grid point of TimeGrid\(horizon=10\.0, n_steps=40\)$"):
+        TimeGrid(10.0, 40).index_of(2.51)
+
+
 def test_grid_on_explicit_times():
     grid = TimeGrid.of_times([0.0, 1.0, 3.0, 5.5])
     assert (grid.n_steps, grid.horizon) == (3, 5.5)

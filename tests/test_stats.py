@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 
+from forward_yield.backward import HorizonGap
 from forward_yield.brownian import _BLOCK, stream_blocks
 from forward_yield.stats import (
     DriftReport,
@@ -11,6 +12,7 @@ from forward_yield.stats import (
     interval_drift_report,
     linear_drift_reports,
     mean_stderr,
+    merge,
     moments,
     t_stat,
 )
@@ -131,6 +133,39 @@ def test_column_equal_on_every_path_across_blocks_has_zero_stderr():
     x[_BLOCK : 2 * _BLOCK, 0] = 0.2
     _, se = _merged(x, [_BLOCK, _BLOCK, _BLOCK, 1]).estimate()
     assert se[0] > 0.0
+
+
+def test_merge_keeps_a_nan_in_either_block():
+    # a max over paths is np.maximum, which keeps a nan where Python's max may drop it
+    gap = HorizonGap(1e-3, 2e-3, 1e-12)
+    nan = gap._replace(max_rel_gap_x=np.nan, predicted_gap_residual=np.nan)
+    for merged in (merge(gap, nan), merge(nan, gap)):
+        assert isinstance(merged, HorizonGap)
+        assert np.isnan(merged.max_rel_gap_x) and np.isnan(merged.predicted_gap_residual)
+        assert merged.max_rel_gap_y == 2e-3
+
+
+def test_merge_of_none_keeps_block_0s_value():
+    # a value only block 0 computes is None in every later block
+    head = (0.5, [1.0, 2.0])
+    assert merge(head, None) is head
+    x = np.random.default_rng(5).standard_normal(9)
+    merged = merge((moments(x[:4]), head), (moments(x[4:]), None))
+    assert merged[1] is head
+    assert merge(None, None) is None
+
+
+def test_merge_rebuilds_a_named_tuple_field_by_field():
+    # a list and a NamedTuple keep their types; Moments, a NamedTuple with a
+    # merge method, merges by that method and not field by field
+    merged = merge([HorizonGap(1.0, 5.0, 3.0), 0.25], [HorizonGap(4.0, 2.0, 3.0), 0.5])
+    assert type(merged) is list and type(merged[0]) is HorizonGap
+    assert merged == [(4.0, 5.0, 3.0), 0.5]
+    x = np.random.default_rng(6).standard_normal((7, 2))
+    a, b = moments(x[:3]), moments(x[3:])
+    for u, v in zip(merge((a,), (b,))[0], a.merge(b)):
+        assert np.array_equal(u, v, equal_nan=True)
+    assert merge((a,), (b,))[0].n == 7
 
 
 def test_t_stat_without_sampling_error():
